@@ -23,6 +23,7 @@ from .barron import (
     bump_value,
     evaluate_sum,
     fourier_sum,
+    from_arrays,
     hm_norm_exact,
     mollified_cutoff,
     periodize_expand,

@@ -10,11 +10,10 @@ spectral smoothness norm used throughout the package.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -45,13 +44,6 @@ def bump_value(alpha: float, t):
         u = (1.0 - t[inside] ** 2) ** (1.0 - alpha)
         out[inside] = np.exp(-u)
     return float(out[0]) if single else out
-
-
-@lru_cache(maxsize=None)
-def bump_normalization(alpha: float, resolution: int = 512) -> float:
-    """Integral of the bump over [-1, 1] with the rule used by the cutoff."""
-    nodes, weights = axis_rule(-1.0, 1.0, resolution)
-    return float(np.dot(weights, bump_value(alpha, nodes)))
 
 
 def bump_fourier_transform(alpha: float, xi, resolution: int | None = None):
@@ -159,20 +151,23 @@ class WeightSpec:
 # finite lattice expansions
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FourierSum:
     """Finite lattice Fourier expansion with offset.
 
-    ``coeffs`` maps integer lattice indices z (tuples of length d) to complex
-    coefficients; the mode frequency is a + z/L.  Treat instances as
-    immutable: the coefficient dict is never mutated after construction.
+    ``index`` is an (M, d) int64 array of lattice indices z in lexicographic
+    order and ``values`` the (M,) complex coefficient vector aligned with it;
+    the mode frequency is a + z/L.  Both arrays are read-only.  ``coeffs``
+    and ``indices()`` are dict and list views derived from them.  Build
+    instances with ``fourier_sum`` (from a dict) or ``from_arrays``.
     """
 
     d: int
     L: float
     a: tuple[float, ...]
-    coeffs: dict[tuple[int, ...], complex]
-    warnings: tuple[str, ...] = field(default=(), compare=False)
+    index: np.ndarray
+    values: np.ndarray
+    warnings: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.L <= 0:
@@ -184,44 +179,64 @@ class FourierSum:
             if not -tol <= aj <= 1.0 / self.L + tol:
                 raise ValueError(f"offset component {aj} outside [0, 1/L]")
 
+    def __repr__(self) -> str:
+        return to_json(self)
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], complex]:
+        return dict(zip(self.indices(), self.values.tolist()))
+
     def support_size(self) -> int:
-        return len(self.coeffs)
+        return len(self.values)
 
     def indices(self) -> list[tuple[int, ...]]:
-        return sorted(self.coeffs)
+        return list(map(tuple, self.index.tolist()))
 
     def frequencies(self) -> np.ndarray:
         """Lattice frequencies z/L as an (M, d) array in sorted index order."""
-        if not self.coeffs:
-            return np.zeros((0, self.d))
-        return np.array(self.indices(), dtype=float) / self.L
+        return self.index / self.L
 
     def shifted_frequencies(self) -> np.ndarray:
         """Actual mode frequencies a + z/L as an (M, d) array."""
         return np.asarray(self.a) + self.frequencies()
 
     def coefficient_vector(self) -> np.ndarray:
-        return np.array([self.coeffs[z] for z in self.indices()], dtype=complex)
+        return self.values.copy()
+
+
+def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
+    """Build a FourierSum from index rows and coefficients, in any order.
+
+    Coefficients below 1e-14 of the largest are dropped, which keeps
+    supports finite without moving any norm by more than 1e-12 relative;
+    the rest are sorted by lattice index.
+    """
+    d = int(d)
+    values = np.asarray(values, dtype=complex).reshape(-1)
+    index = np.asarray(index, dtype=np.int64)
+    if index.size == 0:
+        index = index.reshape(0, d)
+    if index.shape != (len(values), d):
+        raise ValueError(
+            f"lattice indices of shape {index.shape} do not match "
+            f"{len(values)} coefficients in dimension {d}"
+        )
+    mags = np.abs(values)
+    if len(mags):
+        keep = (mags >= COEFF_DROP_RELATIVE * mags.max()) & (mags > 0.0)
+        index, values = index[keep], values[keep]
+    order = np.lexsort(index.T[::-1])
+    index, values = index[order], values[order]
+    index.flags.writeable = False
+    values.flags.writeable = False
+    return FourierSum(d=d, L=float(L), a=tuple(float(v) for v in a),
+                      index=index, values=values, warnings=tuple(warnings))
 
 
 def fourier_sum(d, L, a, coeffs, warnings=()) -> FourierSum:
-    """Build a FourierSum, dropping coefficients below 1e-14 of the largest.
-
-    The drop keeps supports finite without moving any norm by more than
-    1e-12 relative.
-    """
-    cleaned = {}
-    items = [(tuple(int(v) for v in z), complex(c)) for z, c in dict(coeffs).items()]
-    if items:
-        peak = max(abs(c) for _, c in items)
-        cutoff = COEFF_DROP_RELATIVE * peak
-        for z, c in items:
-            if len(z) != d:
-                raise ValueError(f"lattice index {z} has wrong dimension")
-            if abs(c) >= cutoff and abs(c) > 0.0:
-                cleaned[z] = c
-    return FourierSum(d=int(d), L=float(L), a=tuple(float(v) for v in a),
-                      coeffs=cleaned, warnings=tuple(warnings))
+    """Build a FourierSum from a dict mapping index tuples to coefficients."""
+    coeffs = dict(coeffs)
+    return from_arrays(d, L, a, list(coeffs), list(coeffs.values()), warnings)
 
 
 def evaluate_sum(fs: FourierSum, x):
@@ -231,21 +246,16 @@ def evaluate_sum(fs: FourierSum, x):
     pts = np.atleast_2d(x)
     if pts.shape[1] != fs.d:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {fs.d}")
-    if not fs.coeffs:
-        out = np.zeros(pts.shape[0], dtype=complex)
-        return complex(out[0]) if single else out
-    freqs = fs.shifted_frequencies()
-    c = fs.coefficient_vector()
-    out = np.exp(2j * np.pi * (pts @ freqs.T)) @ c
+    out = np.exp(2j * np.pi * (pts @ fs.shifted_frequencies().T)) @ fs.values
     return complex(out[0]) if single else out
 
 
 def barron_norm(fs: FourierSum, weight: WeightSpec) -> float:
     """Weighted l1 coefficient mass sum_z mu(a + z/L) |c_z|."""
-    if not fs.coeffs:
+    if not fs.support_size():
         return 0.0
     mu = weight(fs.shifted_frequencies())
-    return float(np.dot(np.atleast_1d(mu), np.abs(fs.coefficient_vector())))
+    return float(np.dot(np.atleast_1d(mu), np.abs(fs.values)))
 
 
 def hm_norm_exact(fs: FourierSum, m: int) -> float:
@@ -254,11 +264,10 @@ def hm_norm_exact(fs: FourierSum, m: int) -> float:
     Distinct lattice modes are orthogonal in every H^k of the period cell,
     so the squared norm is L^d sum_z |c_z|^2 w_m(a + z/L).
     """
-    if not fs.coeffs:
+    if not fs.support_size():
         return 0.0
     w = np.atleast_1d(sobolev_weight(fs.shifted_frequencies(), m))
-    mass = np.abs(fs.coefficient_vector()) ** 2
-    return math.sqrt(fs.L**fs.d * float(np.dot(w, mass)))
+    return math.sqrt(fs.L**fs.d * float(np.dot(w, np.abs(fs.values) ** 2)))
 
 
 def to_json(fs: FourierSum) -> str:
@@ -268,8 +277,9 @@ def to_json(fs: FourierSum) -> str:
         "L": fs.L,
         "a": list(fs.a),
         "coeffs": [
-            {"z": list(z), "re": fs.coeffs[z].real, "im": fs.coeffs[z].imag}
-            for z in fs.indices()
+            {"z": z, "re": re, "im": im}
+            for z, re, im in zip(fs.index.tolist(), fs.values.real.tolist(),
+                                 fs.values.imag.tolist())
         ],
     }
     return json.dumps(payload)
@@ -277,15 +287,10 @@ def to_json(fs: FourierSum) -> str:
 
 def from_json(text: str) -> FourierSum:
     payload = json.loads(text)
-    coeffs = {
-        tuple(entry["z"]): complex(entry["re"], entry["im"])
-        for entry in payload["coeffs"]
-    }
-    return FourierSum(
-        d=int(payload["d"]),
-        L=float(payload["L"]),
-        a=tuple(float(v) for v in payload["a"]),
-        coeffs=coeffs,
+    entries = payload["coeffs"]
+    return from_arrays(
+        payload["d"], payload["L"], payload["a"], [e["z"] for e in entries],
+        [complex(e["re"], e["im"]) for e in entries],
     )
 
 
@@ -338,54 +343,42 @@ def mollified_cutoff(x, L: float, eps: float, alpha: float = 2.0,
     return float(out[0]) if single else out
 
 
-def _lattice_range(z_box: int) -> np.ndarray:
-    return np.arange(-z_box, z_box + 1)
+def grid_rows(axis: np.ndarray, d: int) -> np.ndarray:
+    """All d-tuples of ``axis`` values as rows, in lexicographic order."""
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def _periodize_once(f_e: Callable, L: float, a, z_box: int, eps: float,
-                    alpha: float, resolution: int, window: bool):
-    """One pass of windowed coefficient extraction at a fixed resolution."""
+                    alpha: float, resolution: int, window: bool) -> np.ndarray:
+    """One pass of windowed coefficient extraction at a fixed resolution.
+
+    Returns the coefficients of every index in the box |z_j| <= z_box, in
+    the row order of ``grid_rows``.
+    """
     d = len(a)
+    lo_box, hi_box = (-eps, L - eps) if window else (0.0, L)
+    nodes, weights = axis_rule(lo_box, hi_box, resolution)
+    h = np.asarray(f_e(grid_rows(nodes, d)), dtype=complex).reshape((resolution,) * d)
     if window:
-        lo_box, hi_box = -eps, L - eps
-    else:
-        lo_box, hi_box = 0.0, L
-    axes = [axis_rule(lo_box, hi_box, resolution) for _ in range(d)]
-    z = _lattice_range(z_box)
-    eta = [a[j] + z / L for j in range(d)]
-    phase = [
-        np.exp(-2j * np.pi * np.outer(eta[j], axes[j][0])) * axes[j][1][None, :]
-        for j in range(d)
-    ]
-    if d == 1:
-        xs = axes[0][0][:, None]
-        h = np.asarray(f_e(xs), dtype=complex).reshape(-1)
-        if window:
-            h = h * _cutoff_profile(axes[0][0], L, eps, alpha, resolution)
-        coeff_grid = phase[0] @ h / L
-    else:
-        gx, gy = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-        pts = np.stack([gx.ravel(), gy.ravel()], axis=-1)
-        h = np.asarray(f_e(pts), dtype=complex).reshape(gx.shape)
-        if window:
-            h = h * np.multiply.outer(
-                _cutoff_profile(axes[0][0], L, eps, alpha, resolution),
-                _cutoff_profile(axes[1][0], L, eps, alpha, resolution),
-            )
-        coeff_grid = phase[0] @ h @ phase[1].T / L**2
-    coeffs = {}
-    for idx in itertools.product(range(len(z)), repeat=d):
-        zt = tuple(int(z[i]) for i in idx)
-        coeffs[zt] = complex(coeff_grid[idx] if d > 1 else coeff_grid[idx[0]])
-    return coeffs
+        profile = _cutoff_profile(nodes, L, eps, alpha, resolution)
+        h = h * reduce(np.multiply.outer, [profile] * d)
+    z = np.arange(-z_box, z_box + 1)
+    for aj in a:
+        # Contracting the leading node axis appends the index axis last, so
+        # after d passes the axes are (z_1, ..., z_d).
+        phase = np.exp(-2j * np.pi * np.outer(aj + z / L, nodes)) * weights
+        h = np.tensordot(h, phase, axes=([0], [1]))
+    return h.ravel() / L**d
 
 
-def _ring_fraction(coeffs: dict, z_box: int) -> float:
-    total = sum(abs(c) for c in coeffs.values())
+def _ring_fraction(index: np.ndarray, values: np.ndarray, z_box: int) -> float:
+    """Share of the l1 coefficient mass on the outermost ring max|z_j| = z_box."""
+    mags = np.abs(values)
+    total = float(mags.sum())
     if total == 0.0:
         return 0.0
-    ring = sum(abs(c) for z, c in coeffs.items() if max(abs(v) for v in z) == z_box)
-    return ring / total
+    return float(mags[np.max(np.abs(index), axis=1) == z_box].sum()) / total
 
 
 def periodize_expand(f_e: Callable, L: float, a, z_box: int,
@@ -407,7 +400,7 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
     which is plain mode inversion and only meaningful for inputs that are
     already L-periodic or supported inside the cell.
 
-    Only d <= 2 is supported.
+    Only d <= 2 is supported: the node grid has resolution^d points.
     """
     a = tuple(float(v) for v in a)
     d = len(a)
@@ -425,17 +418,18 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
         raise ValueError("periodization requires a tensor-grid quadrature spec")
     resolution = spec.resolution if spec is not None else 32 * math.ceil(L)
 
-    coeffs = _periodize_once(f_e, L, a, z_box, eps, alpha, resolution, window)
+    index = grid_rows(np.arange(-z_box, z_box + 1), d)
+    values = _periodize_once(f_e, L, a, z_box, eps, alpha, resolution, window)
     warnings = ()
-    if _ring_fraction(coeffs, z_box) > 0.01:
-        coeffs = _periodize_once(f_e, L, a, z_box, eps, alpha, 2 * resolution, window)
-        frac = _ring_fraction(coeffs, z_box)
+    if _ring_fraction(index, values, z_box) > 0.01:
+        values = _periodize_once(f_e, L, a, z_box, eps, alpha, 2 * resolution, window)
+        frac = _ring_fraction(index, values, z_box)
         if frac > 0.01:
             warnings = (
                 f"truncation: outermost index ring at |z|={z_box} carries "
                 f"{frac:.2%} of the l1 coefficient mass; increase z_box",
             )
-    return fourier_sum(d, L, a, coeffs, warnings=warnings)
+    return from_arrays(d, L, a, index, values, warnings=warnings)
 
 
 def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
@@ -451,7 +445,7 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
     best_a: tuple[float, ...] = ()
     best_fs: FourierSum | None = None
     best_mass = math.inf
-    for a in itertools.product(candidates, repeat=d):
+    for a in grid_rows(candidates, d):
         fs = periodize_expand(f_e, L, a, z_box, spec,
                               support_bound=support_bound, eps=eps, alpha=alpha)
         mass = barron_norm(fs, weight)

@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from . import greedy_fourier, lower_bounds, rates, relu_nets, sphere_geom, subsample
+from .barron import hm_norm_exact
 from .numerics import QuadratureSpec
 
 
@@ -407,16 +408,9 @@ def _cmd_packing(args) -> int:
 def _cmd_dyadic(args) -> int:
     if _maybe_list(args):
         return 0
-    from .barron import fourier_sum
-
-    coeffs = {
-        (z,): (1.0 + abs(z)) ** (-args.decay)
-        for z in range(-int(args.xi_max), int(args.xi_max) + 1)
-    }
-    fs = fourier_sum(1, 1.0, (0.0,), coeffs)
-    decomp = lower_bounds.dyadic_blocks(fs)
-    from .barron import hm_norm_exact
-
+    decomp = lower_bounds.dyadic_blocks(
+        lower_bounds.decaying_spectrum(args.xi_max, args.decay)
+    )
     buf = io.StringIO()
     buf.write("level,block_norm,residual_from_level\n")
     for level, block in decomp.blocks:

@@ -11,39 +11,51 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .barron import FourierSum, fourier_sum
+from .barron import FourierSum, from_arrays, grid_rows
 from .numerics import sobolev_weight
 
 WEIGHTED_RULE = "weighted"
 MODE_NORM_RULE = "mode-norm"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GreedySelection:
     """Deterministic ordering of a FourierSum's support.
 
-    ``ordering`` is a permutation of the lattice indices, ``keys`` the
-    corresponding ordering-key values (nonincreasing), and ``ell1_prefix[n]``
-    the l1 coefficient mass of the first n indices, so ``ell1_prefix[-1]`` is
-    the full mass.
+    ``order`` is a permutation of the rows of the expansion's ``index`` and
+    ``values`` arrays, ``sorted_keys`` the ordering-key values in that order
+    (nonincreasing), and ``ell1_prefix[n]`` the l1 coefficient mass of the
+    first n rows, so ``ell1_prefix[-1]`` is the full mass.  ``ordering``
+    (lattice index tuples) and ``keys`` (floats) are tuple views of the same
+    order.
     """
 
-    ordering: tuple[tuple[int, ...], ...]
-    keys: tuple[float, ...]
-    ell1_prefix: tuple[float, ...]
+    order: np.ndarray
+    index: np.ndarray
+    sorted_keys: np.ndarray
+    ell1_prefix: np.ndarray
     m: float
     ks: float
     rule: str
+
+    @cached_property
+    def ordering(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.index[self.order].tolist()))
+
+    @cached_property
+    def keys(self) -> tuple[float, ...]:
+        return tuple(self.sorted_keys.tolist())
 
     def selected(self, n: int) -> tuple[tuple[int, ...], ...]:
         return self.ordering[: max(0, int(n))]
 
     def ell1_mass(self, n: int) -> float:
-        n = max(0, min(int(n), len(self.ordering)))
-        return self.ell1_prefix[n]
+        n = max(0, min(int(n), len(self.order)))
+        return float(self.ell1_prefix[n])
 
 
 def order_frequencies(fs: FourierSum, m: float, ks: float,
@@ -55,27 +67,22 @@ def order_frequencies(fs: FourierSum, m: float, ks: float,
     their exact H^m contribution; it is exposed for comparison and is not
     the ordering whose tail bound the experiments certify.
     """
-    if not fs.coeffs:
+    if not fs.support_size():
         raise ValueError("cannot order an empty expansion")
     if rule not in (WEIGHTED_RULE, MODE_NORM_RULE):
         raise ValueError(f"unknown ordering rule {rule!r}")
-    indices = fs.indices()
-    mags = np.array([abs(fs.coeffs[z]) for z in indices])
+    mags = np.abs(fs.values)
     if rule == WEIGHTED_RULE:
-        xi_norm = np.linalg.norm(np.array(indices, dtype=float), axis=1) / fs.L
+        xi_norm = np.linalg.norm(fs.index.astype(float), axis=1) / fs.L
         keys = (1.0 + xi_norm) ** (2.0 * m - ks) * mags
     else:
-        shifted = fs.shifted_frequencies()
-        keys = mags * np.sqrt(np.atleast_1d(sobolev_weight(shifted, int(m))))
-    # Sort by descending key; the secondary sort on the index tuple makes
-    # ties deterministic (smallest lattice index first).
-    order = sorted(range(len(indices)), key=lambda i: (-keys[i], indices[i]))
-    ordering = tuple(indices[i] for i in order)
-    ordered_keys = tuple(float(keys[i]) for i in order)
-    prefix = [0.0]
-    for i in order:
-        prefix.append(prefix[-1] + float(mags[i]))
-    return GreedySelection(ordering, ordered_keys, tuple(prefix),
+        weight = sobolev_weight(fs.shifted_frequencies(), int(m))
+        keys = mags * np.sqrt(np.atleast_1d(weight))
+    # np.lexsort sorts by its last key first: descending key, then the index
+    # columns in order, so ties go to the smallest lattice index.
+    order = np.lexsort(tuple(fs.index.T[::-1]) + (-keys,))
+    prefix = np.concatenate(([0.0], np.cumsum(mags[order])))
+    return GreedySelection(order, fs.index, keys[order], prefix,
                            float(m), float(ks), rule)
 
 
@@ -83,8 +90,8 @@ def truncate_top_n(fs: FourierSum, sel: GreedySelection, n: int) -> FourierSum:
     """Keep the first min(n, support size) coefficients of the ordering."""
     if n < 0:
         raise ValueError(f"term count must be >= 0, got {n}")
-    kept = {z: fs.coeffs[z] for z in sel.selected(n)}
-    return fourier_sum(fs.d, fs.L, fs.a, kept)
+    kept = sel.order[:n]
+    return from_arrays(fs.d, fs.L, fs.a, fs.index[kept], fs.values[kept])
 
 
 def tail_error_hm(fs: FourierSum, sel: GreedySelection, n: int, m: int) -> float:
@@ -94,12 +101,12 @@ def tail_error_hm(fs: FourierSum, sel: GreedySelection, n: int, m: int) -> float
     L^d * sum_{discarded} |c_z|^2 w_m(a + z/L); it is nonincreasing in n and
     zero once n reaches the support size.
     """
-    discarded = sel.ordering[max(0, int(n)):]
-    if not discarded:
+    discarded = sel.order[max(0, int(n)):]
+    if discarded.size == 0:
         return 0.0
-    eta = np.asarray(fs.a) + np.array(discarded, dtype=float) / fs.L
+    eta = np.asarray(fs.a) + fs.index[discarded] / fs.L
     w = np.atleast_1d(sobolev_weight(eta, m))
-    mass = np.array([abs(fs.coeffs[z]) ** 2 for z in discarded])
+    mass = np.abs(fs.values[discarded]) ** 2
     return math.sqrt(fs.L**fs.d * float(np.dot(w, mass)))
 
 
@@ -176,18 +183,10 @@ def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int,
         raise ValueError("synthetic inputs are generated for d in {1, 2}")
     rng = np.random.default_rng(seed)
     z_max = int(math.floor(xi_max * L))
-    coeffs = {}
-    if d == 1:
-        zs = [(z,) for z in range(-z_max, z_max + 1)]
-    else:
-        zs = [
-            (z1, z2)
-            for z1 in range(-z_max, z_max + 1)
-            for z2 in range(-z_max, z_max + 1)
-            if math.hypot(z1, z2) <= xi_max * L
-        ]
-    for z in zs:
-        xi = np.linalg.norm(z) / L
-        phase = np.exp(2j * np.pi * rng.random())
-        coeffs[z] = phase * (1.0 + xi) ** (-(ks + d + 0.1))
-    return fourier_sum(d, L, (0.0,) * d, coeffs)
+    index = grid_rows(np.arange(-z_max, z_max + 1), d)
+    radius = np.linalg.norm(index, axis=1)
+    inside = radius <= xi_max * L
+    index, radius = index[inside], radius[inside]
+    phase = np.exp(2j * np.pi * rng.random(len(index)))
+    values = phase * (1.0 + radius / L) ** (-(ks + d + 0.1))
+    return from_arrays(d, L, (0.0,) * d, index, values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barron import FourierSum, fourier_sum, hm_norm_exact
+from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
 from .numerics import QuadratureSpec, axis_rule, tensor_nodes
 from .relu_nets import sigma_k
 from .sphere_geom import SphericalNet, separated_subset
@@ -129,22 +129,15 @@ class DyadicDecomposition:
     blocks: tuple[tuple[int, FourierSum], ...]
 
 
-def _dyadic_level(xi_norm: float) -> int:
-    if xi_norm < 2.0:
-        return 0
-    return int(math.floor(math.log2(xi_norm)))
-
-
 def dyadic_blocks(spectrum: FourierSum, levels: int | None = None) -> DyadicDecomposition:
     """Split a one-dimensional expansion into dyadic frequency annuli."""
     if spectrum.d != 1:
         raise ValueError("dyadic blocks are implemented for d = 1")
-    grouped: dict[int, dict] = {}
-    top = 0
-    for z, c in spectrum.coeffs.items():
-        level = _dyadic_level(abs(z[0]) / spectrum.L)
-        grouped.setdefault(level, {})[z] = c
-        top = max(top, level)
+    xi = np.abs(spectrum.index[:, 0]) / spectrum.L
+    # xi = mantissa * 2^exponent with mantissa in [0.5, 1), so exponent - 1
+    # is floor(log2 xi), exactly.
+    level = np.where(xi < 2.0, 0, np.frexp(xi)[1] - 1)
+    top = int(level.max(initial=0))
     if levels is None:
         levels = top
     if top > levels:
@@ -152,10 +145,17 @@ def dyadic_blocks(spectrum: FourierSum, levels: int | None = None) -> DyadicDeco
             f"spectrum reaches level {top}; raise levels (got {levels})"
         )
     blocks = tuple(
-        (k, fourier_sum(1, spectrum.L, spectrum.a, grouped.get(k, {})))
+        (k, from_arrays(1, spectrum.L, spectrum.a, spectrum.index[level == k],
+                        spectrum.values[level == k]))
         for k in range(levels + 1)
     )
     return DyadicDecomposition(spectrum, blocks)
+
+
+def decaying_spectrum(xi_max: float, decay: float) -> FourierSum:
+    """Unit-period expansion with c_z = (1 + |z|)^-decay for |z| <= xi_max."""
+    z = np.arange(-int(xi_max), int(xi_max) + 1)
+    return from_arrays(1, 1.0, (0.0,), z[:, None], (1.0 + np.abs(z)) ** (-decay))
 
 
 def residual_tail_norm(decomp: DyadicDecomposition, from_level: int) -> float:
@@ -479,16 +479,13 @@ def _z_split(m: int, resolution: int, W: float) -> tuple[float, float]:
     """Normalization split: plateau region (h = 1) and decaying-b region.
 
     The inner b-integral is handled by geometry: the plateau |b| <= 2|omega|
-    has length 4|omega|; the decaying region maps to a unit integral of
-    (1 + u)^-2 under u = v / (1 - v), evaluated by the same quadrature rule.
+    has length 4|omega|, and on each side of it the integral of (1 + u)^-2
+    over u >= 0 is exactly 1.
     """
     nodes, weights = axis_rule(0.0, W, resolution)
     dens = _omega_density(nodes, m)
     i1 = 2.0 * float(np.dot(weights, dens * 4.0 * nodes))
-    v_nodes, v_weights = axis_rule(0.0, 1.0, resolution)
-    u = v_nodes / (1.0 - v_nodes)
-    decaying = float(np.dot(v_weights, (1.0 + u) ** -2 / (1.0 - v_nodes) ** 2))
-    i2 = 2.0 * 2.0 * float(np.dot(weights, dens)) * decaying
+    i2 = 2.0 * 2.0 * float(np.dot(weights, dens))
     return i1, i2
 
 

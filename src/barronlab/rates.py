@@ -83,8 +83,10 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
 
     ``params`` carries kind-specific knobs (dimensions, smoothness, widths);
     unspecified entries fall back to the defaults documented per kind below.
-    A failing sub-run is recorded and downgrades the verdict to
-    informational while keeping the samples collected so far.
+    A sub-run that fails a precondition (``ValueError`` or
+    ``ConvergenceError``) is recorded and downgrades the verdict to
+    informational while keeping the samples collected so far; any other
+    exception propagates.
     """
     if kind not in EXPERIMENT_KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -101,7 +103,7 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
         run_seed = seed ^ index
         try:
             samples.append((n, float(runner(n, run_seed))))
-        except Exception as exc:  # pragma: no cover - defensive path
+        except (ValueError, lower_bounds.ConvergenceError) as exc:
             failures.append(f"n={n}: {exc}")
     fit = None
     if len({n for n, _ in samples}) >= 2 and all(e > 0 for _, e in samples):
@@ -208,14 +210,8 @@ def _build_runner(kind: str, params: dict, grid: list[int], seed: int):
         decay = float(params.get("decay", 1.0))
         predicted = 0.5
         config = {"xi_max": xi_max, "decay": decay}
-        coeffs = {
-            (z,): (1.0 + abs(z)) ** (-decay)
-            for z in range(-int(xi_max), int(xi_max) + 1)
-        }
-        from .barron import fourier_sum
-
-        fs = fourier_sum(1, 1.0, (0.0,), coeffs)
-        decomp = lower_bounds.dyadic_blocks(fs)
+        spectrum = lower_bounds.decaying_spectrum(xi_max, decay)
+        decomp = lower_bounds.dyadic_blocks(spectrum)
 
         def runner(n, _):
             return lower_bounds.residual_tail_norm(decomp, int(math.floor(math.log2(n))))

@@ -107,8 +107,9 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
 
     ``terms`` is an (N, M) array of per-term monomial coefficient vectors.
     Rows are canonicalized (sorted lexicographically) before sampling so the
-    result is invariant under permuting the input list.  Sampling is with
-    replacement; when n equals N the identity selection is included as
+    selected rows are invariant under permuting the input list; ``indices``
+    points into the caller's ``terms``, sorted, with repeats.  Sampling is
+    with replacement; when n equals N the identity selection is included as
     restart 0 and wins with deviation zero.  The deviation is the max over
     monomials of |mean_selected - mean_all|; ``sup_bound`` converts it to a
     sup-norm bound M * basis_sup * deviation.
@@ -124,7 +125,8 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
     bound = float(np.max(np.abs(arr))) if coeff_bound is None else float(coeff_bound)
     if np.max(np.abs(arr)) > bound + 1e-12:
         raise ValueError("coefficient magnitudes exceed the declared bound")
-    canonical = arr[np.lexsort(arr.T[::-1])]
+    order = np.lexsort(arr.T[::-1])
+    canonical = arr[order]
     full_mean = canonical.mean(axis=0)
     rng = np.random.default_rng(seed)
     selections = []
@@ -139,7 +141,7 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
     level = hoeffding_delta(n, bound, n_monomials, fail_prob)
     dev = float(deviations[best])
     return MaureyResult(
-        indices=tuple(int(i) for i in selections[best]),
+        indices=tuple(sorted(order[selections[best]].tolist())),
         deviation=dev,
         deviations=tuple(float(v) for v in deviations),
         hoeffding_bound=level,

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -64,6 +65,25 @@ class TestOrdering:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             order_frequencies(fourier_sum(1, 1.0, (0.0,), {}), 0, 1.0)
+
+    def test_ties_match_python_sort_reference(self):
+        # All 8 signed images of (3, 1) and (1, 3) share |z| and |c|, so their
+        # keys tie exactly; ties must resolve by lattice index, negative
+        # components included, exactly as a Python sort on (-key, index).
+        phases = (0.5, 0.5j, -0.5, -0.5j)
+        images = [(sp * p, sq * q) for p, q in ((3, 1), (1, 3))
+                  for sp in (1, -1) for sq in (1, -1)]
+        coeffs = {z: phases[i % 4] for i, z in enumerate(images)}
+        coeffs.update({(0, 0): 0.2, (2, -2): 1.0 - 1.0j, (-4, 0): 2.0, (0, 5): -3.0j})
+        fs = fourier_sum(2, 0.5, (0.0, 0.0), coeffs)
+        sel = order_frequencies(fs, 0, 1.5)
+        index = fs.indices()
+        xi = np.linalg.norm(np.array(index, dtype=float), axis=1) / fs.L
+        key = (1.0 + xi) ** -1.5 * np.abs(fs.coefficient_vector())
+        assert len({key[index.index(z)] for z in images}) == 1
+        ref = sorted(range(len(index)), key=lambda i: (-key[i], index[i]))
+        assert sel.ordering == tuple(index[i] for i in ref)
+        assert sel.keys == pytest.approx([key[i] for i in ref], rel=1e-15)
 
 
 class TestTruncate:
@@ -261,6 +281,22 @@ class TestSyntheticInput:
         increments = [b - a for a, b in zip(masses, masses[1:])]
         assert all(inc > 0 for inc in increments)
         assert all(b < a for a, b in zip(increments, increments[1:]))
+
+    @pytest.mark.parametrize("d, ks, xi_max, seed", [(1, 2.0, 50.0, 4), (2, 3.0, 12.0, 6)])
+    def test_matches_per_mode_reference(self, d, ks, xi_max, seed):
+        # One phase draw per mode in lexicographic index order, as a loop.
+        L = 0.5
+        rng = np.random.default_rng(seed)
+        z_max = int(math.floor(xi_max * L))
+        ref = {}
+        for z in itertools.product(range(-z_max, z_max + 1), repeat=d):
+            if math.hypot(*z) <= xi_max * L:
+                phase = np.exp(2j * np.pi * rng.random())
+                ref[z] = phase * (1.0 + np.linalg.norm(z) / L) ** (-(ks + d + 0.1))
+        fs = synthetic_heavy_tail(d, ks, xi_max, seed)
+        assert fs.indices() == sorted(ref)
+        want = np.array([ref[z] for z in sorted(ref)])
+        np.testing.assert_allclose(fs.coefficient_vector(), want, rtol=4 * 2.0**-52, atol=0)
 
     def test_two_dimensional_support_is_disc(self):
         fs = synthetic_heavy_tail(2, 1.0, 6.0, seed=2)

@@ -94,6 +94,21 @@ class TestDyadic:
                 merged[z] = c
         assert merged == fs.coeffs
 
+    @pytest.mark.parametrize("L", [1.0, 3.0])
+    def test_modes_land_in_their_sharp_annulus(self, L):
+        # Level k >= 1 holds 2^k <= |z|/L < 2^(k+1), level 0 holds |z|/L < 2;
+        # checked in exact integer arithmetic on both sides of every edge.
+        edges = [int(L) * 2**k for k in range(1, 11)]
+        zs = {0, 1, -1} | {s * (e + o) for e in edges for o in (-1, 0) for s in (1, -1)}
+        fs = fourier_sum(1, L, (0.0,), {(z,): 1.0 + 0.001 * z for z in zs})
+        seen = []
+        for k, block in dyadic_blocks(fs).blocks:
+            lo, hi = (0, 2) if k == 0 else (2**k, 2 ** (k + 1))
+            for (z,) in block.indices():
+                assert lo * int(L) <= abs(z) < hi * int(L)
+                seen.append(z)
+        assert sorted(seen) == sorted(zs)
+
     def test_blocks_orthogonal(self):
         rng = np.random.default_rng(8)
         coeffs = {

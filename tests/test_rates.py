@@ -92,6 +92,17 @@ class TestOtherKinds:
         assert report.failures
         assert report.verdict == rates.INFORMATIONAL
 
+    def test_programming_error_propagates(self, monkeypatch):
+        # Only precondition failures downgrade the verdict; a TypeError is a
+        # bug and must crash the run instead of exiting as informational.
+        def broken(*args):
+            raise TypeError("broken runner")
+
+        monkeypatch.setattr(rates.greedy_fourier, "tail_error_hm", broken)
+        with pytest.raises(TypeError, match="broken runner"):
+            rates.run_experiment(rates.GREEDY_FOURIER, None,
+                                 [2, 4, 8, 16, 32, 64], seed=0)
+
 
 class TestVerdictRule:
     def test_pure_function_of_fit_and_prediction(self):

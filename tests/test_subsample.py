@@ -130,6 +130,16 @@ class TestMaureySubsample:
         r2 = maurey_subsample(terms[rng.permutation(64)], 16, restarts=8, seed=9)
         assert r1.deviation == r2.deviation
 
+    def test_indices_point_into_caller_rows(self):
+        # On unsorted input the returned indices select the caller's rows:
+        # their mean deviates from the full mean by exactly the reported gap.
+        rng = np.random.default_rng(4)
+        terms = rng.uniform(-1, 1, (48, 6))
+        result = maurey_subsample(terms, 12, restarts=16, seed=2)
+        assert list(result.indices) == sorted(result.indices)
+        gap = np.max(np.abs(terms[list(result.indices)].mean(0) - terms.mean(0)))
+        assert gap == pytest.approx(result.deviation, abs=1e-12)
+
     def test_oversized_subsample_rejected(self):
         with pytest.raises(ValueError):
             maurey_subsample(np.zeros((4, 2)), 5, seed=0)
