@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureSpec, TENSOR_GRID, axis_rule, sobolev_weight
+from .numerics import QuadratureSpec, TENSOR_GRID, axis_rule, grid_rows, sobolev_weight
 
 COEFF_DROP_RELATIVE = 1e-14
 
@@ -341,12 +341,6 @@ def mollified_cutoff(x, L: float, eps: float, alpha: float = 2.0,
     for j in range(pts.shape[1]):
         out = out * _cutoff_profile(pts[:, j], L, eps, alpha, resolution)
     return float(out[0]) if single else out
-
-
-def grid_rows(axis: np.ndarray, d: int) -> np.ndarray:
-    """All d-tuples of ``axis`` values as rows, in lexicographic order."""
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def _periodize_once(f_e: Callable, L: float, a, z_box: int, eps: float,

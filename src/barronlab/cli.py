@@ -283,19 +283,21 @@ def _cmd_relu_compile(args) -> int:
         }
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
         return 0
-    alphas = sorted({a for poly in approx.polys for a in poly.coeffs})
+    keep = (approx.coefficients != 0.0).any(axis=0)
+    coeffs = approx.coefficients[:, keep] + 0.0  # -0.0 prints as 0
+    grids = partition.grids(64 if args.d == 1 else 9)
+    pts = grids.reshape(-1, args.d)
+    # Explicit ids: points on a shared face are checked against their own cell.
+    ids = np.repeat(np.arange(len(grids)), grids.shape[1])
+    errors = np.abs(f(pts) - approx._evaluate(pts, ids)).reshape(len(grids), -1).max(axis=1)
     buf = io.StringIO()
-    header = ["cell_index", "center"] + [
-        "c_" + "".join(str(v) for v in a) for a in alphas
-    ] + ["sup_error"]
+    header = ["cell_index", "center", *("c_" + "".join(map(str, a))
+                                        for a in approx.exponents[keep].tolist()), "sup_error"]
     buf.write(",".join(header) + "\n")
-    probes = 64
-    for i, (cell, poly) in enumerate(zip(partition.cells(), approx.polys)):
-        pts = cell.grid(probes if args.d == 1 else 9)
-        err = float(np.max(np.abs(np.asarray(f(pts)).reshape(len(pts)) - poly(pts))))
-        center = ";".join(_fmt(c) for c in cell.center)
-        coeffs = [_fmt(poly.coeffs.get(a, 0.0)) for a in alphas]
-        buf.write(",".join([str(i), center] + coeffs + [_fmt(err)]) + "\n")
+    for i, center in enumerate(partition.centers()):
+        row = [str(i), ";".join(_fmt(c) for c in center)]
+        row += [_fmt(c) for c in coeffs[i]] + [_fmt(errors[i])]
+        buf.write(",".join(row) + "\n")
     _emit(buf.getvalue(), args.output)
     return 0
 

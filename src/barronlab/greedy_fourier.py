@@ -15,8 +15,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .barron import FourierSum, from_arrays, grid_rows
-from .numerics import sobolev_weight
+from .barron import FourierSum, from_arrays
+from .numerics import grid_rows, sobolev_weight
 
 WEIGHTED_RULE = "weighted"
 MODE_NORM_RULE = "mode-norm"

@@ -60,50 +60,50 @@ class GapProbe:
     regularized: int
 
 
+_GAP_BLOCK = 32  # candidates per batched QR in ``highfreq_gap``
+_GAP_RANK_TOL = 1e-10  # deficient column: |QR pivot| <= tol * column norm
+
+
 def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
                  seed: int = 0, grid_resolution: int = 256) -> GapProbe:
     """Probe how well e^{i omega0 x} is approximated on [-1, 1] by n atoms.
 
     Each candidate draws an atom-parameter sequence (omega_j, b_j) from a
-    seeded generator; outer coefficients for each prefix width are solved by
-    weighted least squares on a Gauss-Legendre grid.  Prefix nesting makes
-    the reported per-width errors nonincreasing.  Singular normal equations
-    fall back to a 1e-10 ridge and are counted in ``regularized``.
+    seeded generator.  The sqrt(w)-weighted atoms of a block of candidates
+    get one batched thin QR, A = QR; with c = Q^T b the least-squares error of
+    the first j atoms is ||b - Qc||^2 + sum_{i > j} |c_i|^2, a sum of
+    nonnegative terms, so the per-width errors are nonincreasing and never
+    cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
+    of its norm) gets c_i = 0 and is counted in ``regularized``.
     """
     if n_units < 1:
         raise ValueError(f"need at least one unit, got {n_units}")
     if candidates < 1:
         raise ValueError(f"need at least one candidate, got {candidates}")
     nodes, weights = axis_rule(-1.0, 1.0, grid_resolution)
-    target = np.exp(1j * omega0 * nodes)
-    target_sq = float(np.dot(weights, np.abs(target) ** 2))
+    root_w = np.sqrt(weights)
+    # Real and imaginary parts of the weighted target as two right-hand sides.
+    rhs = root_w[:, None] * np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)], axis=1)
     rng = np.random.default_rng(seed)
     omega_scale = max(4.0, 2.0 * abs(omega0))
     best = np.full(n_units, np.inf)
     regularized = 0
-    for _ in range(candidates):
-        params = rng.standard_normal((n_units, 2))
-        omegas = params[:, 0] * omega_scale
-        biases = params[:, 1] * 2.0
-        atoms = np.exp(-alpha * np.abs(nodes[:, None] * omegas[None, :]
-                                       + biases[None, :]))
-        wa = atoms * weights[:, None]
-        gram_full = atoms.T @ wa
-        rhs_full = wa.T @ target
-        for width in range(1, n_units + 1):
-            gram = gram_full[:width, :width]
-            rhs = rhs_full[:width]
-            try:
-                sol = np.linalg.solve(gram, rhs)
-            except np.linalg.LinAlgError:
-                regularized += 1
-                sol = np.linalg.solve(gram + 1e-10 * np.eye(width), rhs)
-            residual_sq = target_sq - 2.0 * float(np.real(np.vdot(rhs, sol))) \
-                + float(np.real(sol.conj() @ gram @ sol))
-            err = math.sqrt(max(0.0, residual_sq))
-            if err < best[width - 1]:
-                best[width - 1] = err
-    best = np.minimum.accumulate(best)
+    for start in range(0, candidates, _GAP_BLOCK):
+        params = rng.standard_normal((min(_GAP_BLOCK, candidates - start), n_units, 2))
+        omegas = params[:, None, :, 0] * omega_scale
+        biases = params[:, None, :, 1] * 2.0
+        atoms = root_w[:, None] * np.exp(-alpha * np.abs(nodes[:, None] * omegas + biases))
+        q, r = np.linalg.qr(atoms)
+        coef = np.swapaxes(q, 1, 2) @ rhs
+        deficient = np.abs(np.diagonal(r, axis1=1, axis2=2)) \
+            <= _GAP_RANK_TOL * np.linalg.norm(atoms, axis=1)
+        regularized += int(deficient.sum())
+        coef[deficient] = 0.0
+        base = np.sum((rhs - q @ coef) ** 2, axis=(1, 2))
+        sq = np.sum(coef**2, axis=2)
+        tail = np.zeros(sq.shape)
+        tail[:, :-1] = np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
+        best = np.minimum(best, np.sqrt(base[:, None] + tail).min(axis=0))
     return GapProbe(
         error=float(best[-1]),
         errors_by_width=tuple(float(v) for v in best),

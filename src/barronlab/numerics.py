@@ -72,6 +72,12 @@ def multi_indices(d: int, degree: int) -> Iterator[tuple[int, ...]]:
             yield alpha
 
 
+def grid_rows(axis: np.ndarray, d: int) -> np.ndarray:
+    """All d-tuples of ``axis`` values as rows, in lexicographic order."""
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
+
+
 @lru_cache(maxsize=None)
 def gauss_rule(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], cached. Read-only."""

@@ -18,12 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import (
-    Box,
-    QuadratureSpec,
-    multi_indices,
-    tensor_nodes,
-)
+from .numerics import Box, QuadratureSpec, grid_rows, integrate, multi_indices, tensor_nodes
 
 
 def sigma_k(t, k: int):
@@ -88,6 +83,10 @@ class ReluNetwork:
         return float(sum(abs(u.outer) for u in self.units))
 
 
+# Pre-activations per block in ``evaluate_network``: 512 kB of float64.
+_EVAL_BLOCK = 1 << 16
+
+
 def relu_network(units: Sequence[tuple], ambient_power: int | None = None) -> ReluNetwork:
     """Build a network from (outer, direction, bias, power) tuples."""
     built = tuple(
@@ -101,21 +100,32 @@ def relu_network(units: Sequence[tuple], ambient_power: int | None = None) -> Re
 
 
 def evaluate_network(net: ReluNetwork, x):
-    """Evaluate the unit sum at one point (d,) or a batch (N, d)."""
+    """Evaluate the unit sum at one point (d,) or a batch (N, d).
+
+    Units are grouped by power.  Each group is one (rows, d) @ (d, W_k)
+    product per block of at most ``_EVAL_BLOCK`` pre-activations, contracted
+    after activation with the real and imaginary parts of the outer weights.
+    """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     if net.units and pts.shape[1] != net.d:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {net.d}")
-    total = np.zeros(pts.shape[0], dtype=complex)
-    for unit in net.units:
-        t = pts @ np.asarray(unit.direction) + unit.bias
-        total = total + unit.outer * sigma_k(t, unit.power)
-    if (total.imag == 0.0).all():
-        total = total.real
-    if single:
-        return complex(total[0]) if np.iscomplexobj(total) else float(total[0])
-    return total
+    weights = np.array([(u.outer.real, u.outer.imag) for u in net.units]).reshape(-1, 2)
+    directions = np.array([u.direction for u in net.units]).reshape(net.width, pts.shape[1])
+    biases = np.array([u.bias for u in net.units])
+    powers = np.array([u.power for u in net.units], dtype=int)
+    total = np.zeros((len(pts), 2))
+    for k in np.unique(powers).tolist():
+        group = powers == k
+        omega, bias, w = directions[group].T, biases[group], weights[group]
+        rows = max(1, _EVAL_BLOCK // len(bias))
+        for start in range(0, len(pts), rows):
+            t = pts[start:start + rows] @ omega
+            t += bias
+            total[start:start + rows] += sigma_k(t, k) @ w
+    total = total[:, 0] + 1j * total[:, 1] if total[:, 1].any() else total[:, 0]
+    return total[0].item() if single else total
 
 
 def network_to_json(net: ReluNetwork) -> str:
@@ -244,12 +254,6 @@ class Cube:
         h = self.side / 2.0
         return [(c - h, c + h) for c in self.center]
 
-    def contains(self, x) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
-        h = self.side / 2.0
-        c = np.asarray(self.center)
-        return (np.abs(pts - c) <= h + 1e-12).all(axis=1)
-
     def grid(self, per_axis: int) -> np.ndarray:
         axes = [np.linspace(lo, hi, per_axis) for lo, hi in self.bounds()]
         mesh = np.meshgrid(*axes, indexing="ij")
@@ -271,22 +275,39 @@ class CubePartition:
     def h(self) -> float:
         return 1.0 / self.q
 
+    def centers(self) -> np.ndarray:
+        """(q^d, d) cell centres in flat-index order."""
+        return grid_rows((np.arange(self.q) + 0.5) * self.h, self.d)
+
     def cells(self) -> list[Cube]:
-        h = self.h
-        out = []
-        for idx in itertools.product(range(self.q), repeat=self.d):
-            center = tuple((i + 0.5) * h for i in idx)
-            out.append(Cube(center, h))
-        return out
+        return [Cube(tuple(c), self.h) for c in self.centers().tolist()]
+
+    def grids(self, per_axis: int) -> np.ndarray:
+        """(q^d, per_axis^d, d) tensor grids of all cells; row i equals
+        ``cells()[i].grid(per_axis)``."""
+        axis = (np.arange(self.q) + 0.5) * self.h
+        nodes = np.linspace(axis - self.h / 2.0, axis + self.h / 2.0, per_axis, axis=-1)
+        cell, node = (grid_rows(np.arange(n), self.d) for n in (self.q, per_axis))
+        return nodes[cell[:, None, :], node[None, :, :]]
 
     def cell_index(self, x) -> np.ndarray:
         """Flat cell index per point; the x = 1 faces belong to the last cell."""
         pts = np.atleast_2d(np.asarray(x, dtype=float))
         ids = np.clip((pts * self.q).astype(int), 0, self.q - 1)
-        flat = np.zeros(len(pts), dtype=int)
-        for j in range(self.d):
-            flat = flat * self.q + ids[:, j]
-        return flat
+        return np.ravel_multi_index(tuple(ids.T), (self.q,) * self.d)
+
+
+def _monomial_sum(y: np.ndarray, terms) -> np.ndarray:
+    """Sum over (alpha, c) in ``terms`` of c prod_j y_j^alpha_j, row by row;
+    each c is a scalar or holds one value per row of y."""
+    total = np.zeros(len(y))
+    for alpha, c in terms:
+        term = c
+        for j, aj in enumerate(alpha):
+            if aj:
+                term = term * y[:, j] ** aj
+        total += term
+    return total
 
 
 @dataclass(frozen=True)
@@ -299,38 +320,23 @@ class CellPolynomial:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        y = (pts - np.asarray(self.center)) * self.scale
-        total = np.zeros(pts.shape[0])
-        for alpha, c in self.coeffs.items():
-            term = np.full(pts.shape[0], c)
-            for j, aj in enumerate(alpha):
-                if aj:
-                    term = term * y[:, j] ** aj
-            total += term
-        return float(total[0]) if single else total
-
-    def degree(self) -> int:
-        return max((sum(a) for a in self.coeffs), default=0)
+        y = (np.atleast_2d(x) - np.asarray(self.center)) * self.scale
+        total = _monomial_sum(y, self.coeffs.items())
+        return float(total[0]) if x.ndim == 1 else total
 
 
 def _expand_ridge_power(theta: np.ndarray, t0: float, k: int) -> dict[tuple[int, ...], float]:
     """Coefficients of (t0 + theta . y)^k as a polynomial in y = x - center."""
-    d = len(theta)
     coeffs: dict[tuple[int, ...], float] = {}
-    for i in range(k + 1):
-        lead = math.comb(k, i) * t0 ** (k - i)
-        # (theta . y)^i expands over compositions of i into d parts.
-        for alpha in itertools.product(range(i + 1), repeat=d):
-            if sum(alpha) != i:
-                continue
-            multi = math.factorial(i)
-            coef = lead * multi
-            for j, aj in enumerate(alpha):
-                coef *= theta[j] ** aj / math.factorial(aj)
-            coeffs[alpha] = coeffs.get(alpha, 0.0) + coef
-    return {a: c for a, c in coeffs.items() if c != 0.0}
+    # Binomial in t0, multinomial in theta . y; terms in increasing degree.
+    for alpha in sorted(multi_indices(len(theta), k), key=sum):
+        i = sum(alpha)
+        coef = math.comb(k, i) * t0 ** (k - i) * math.factorial(i)
+        for j, aj in enumerate(alpha):
+            coef *= theta[j] ** aj / math.factorial(aj)
+        if coef != 0.0:
+            coeffs[alpha] = coef
+    return coeffs
 
 
 @dataclass(frozen=True)
@@ -368,32 +374,27 @@ def ridge_local_taylor(theta, b: float, cell: Cube, k: int,
     t_min, t_max = t0 - delta, t0 + delta
     if grid_per_axis is None:
         grid_per_axis = 201 if cell.d == 1 else 41
-    zero_poly = CellPolynomial(cell.center, 1.0, {})
-    if t_min >= 0.0:
-        poly = CellPolynomial(cell.center, 1.0, _expand_ridge_power(theta, t0, k))
-        return RidgeTaylor("positive", poly, 0.0, 0.0, 0.0, delta)
-    if t_max <= 0.0:
-        return RidgeTaylor("negative", zero_poly, 0.0, 0.0, 0.0, delta)
-    if t0 >= 0.0:
-        poly = CellPolynomial(cell.center, 1.0, _expand_ridge_power(theta, t0, k))
-    else:
-        poly = zero_poly
+    # The branch at the centre: exact when the cell does not straddle the kink.
+    poly = CellPolynomial(cell.center, 1.0,
+                          _expand_ridge_power(theta, t0, k) if t0 >= 0.0 else {})
+    if t_min >= 0.0 or t_max <= 0.0:
+        return RidgeTaylor("positive" if t_min >= 0.0 else "negative", poly,
+                           0.0, 0.0, 0.0, delta)
     pts = cell.grid(grid_per_axis)
-    exact = sigma_k(pts @ theta + b, k)
-    measured = float(np.max(np.abs(exact - poly(pts))))
-    return RidgeTaylor(
-        "straddling",
-        poly,
-        measured,
-        delta ** (k + 1) / (k + 1),
-        delta**k,
-        delta,
-    )
+    measured = float(np.max(np.abs(sigma_k(pts @ theta + b, k) - poly(pts))))
+    return RidgeTaylor("straddling", poly, measured, delta ** (k + 1) / (k + 1),
+                       delta**k, delta)
 
 
 # ----------------------------------------------------------------------
 # smoothed indicators and the cube-partition compiler
 # ----------------------------------------------------------------------
+
+def _ramp_product(pts: np.ndarray, centers, side: float, sharpness) -> np.ndarray:
+    """prod_j clip(a_j (side/2 - |x_j - c_j|), 0, 1) for each row x of pts."""
+    ramp_args = np.asarray(sharpness) * (side / 2.0 - np.abs(pts - centers))
+    return np.clip(ramp_args, 0.0, 1.0).prod(axis=1)
+
 
 @dataclass(frozen=True)
 class IndicatorBump:
@@ -410,14 +411,9 @@ class IndicatorBump:
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        c = np.asarray(self.cell.center)
-        h2 = self.cell.side / 2.0
-        a = np.asarray(self.sharpness)
-        ramp_args = a * (h2 - np.abs(pts - c))
-        vals = np.clip(ramp_args, 0.0, 1.0).prod(axis=1)
-        return float(vals[0]) if single else vals
+        vals = _ramp_product(np.atleast_2d(x), np.asarray(self.cell.center),
+                             self.cell.side, self.sharpness)
+        return float(vals[0]) if x.ndim == 1 else vals
 
 
 def indicator_bump(cell: Cube, sharpness) -> IndicatorBump:
@@ -433,54 +429,64 @@ def indicator_bump(cell: Cube, sharpness) -> IndicatorBump:
     return IndicatorBump(cell, tuple(float(v) for v in a))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SobolevApproximant:
     """Piecewise polynomial fit on a cube partition, optionally smoothed.
 
-    The exact evaluator uses the polynomial of the containing cell; the
-    smoothed evaluator multiplies each cell polynomial by its ramp indicator,
-    so the two differ only inside the indicator transition bands.
+    Cell i (flat index, as in ``CubePartition.cell_index``) carries the
+    polynomial sum_a coefficients[i, a] prod_j y_j^exponents[a, j] in the
+    scaled local coordinates y = 2 q (x - c_i), which map the cell onto
+    [-1, 1]^d.  The exact evaluator uses the polynomial of the containing
+    cell; the smoothed evaluator multiplies it by that cell's ramp indicator
+    (per-axis sharpness ``smoothing``), so the two differ only inside the
+    indicator transition bands.
     """
 
     partition: CubePartition
-    polys: tuple[CellPolynomial, ...]
+    exponents: np.ndarray  # (n_alpha, d) int
+    coefficients: np.ndarray  # (q^d, n_alpha)
     smoothing: tuple[float, ...] | None = None
-    indicators: tuple[IndicatorBump, ...] = ()
+
+    @property
+    def indicators(self) -> tuple[IndicatorBump, ...]:
+        """Ramp indicator of every cell, built on access; empty without smoothing."""
+        if self.smoothing is None:
+            return ()
+        return tuple(IndicatorBump(cell, self.smoothing) for cell in self.partition.cells())
+
+    def _evaluate(self, pts: np.ndarray, cell_ids: np.ndarray) -> np.ndarray:
+        """Polynomial of cell ``cell_ids[n]`` at ``pts[n]``, gathering one
+        coefficient column at a time."""
+        y = (pts - self.partition.centers()[cell_ids]) * (2.0 / self.partition.h)
+        return _monomial_sum(y, ((alpha, column[cell_ids]) for alpha, column
+                                 in zip(self.exponents.tolist(), self.coefficients.T)))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        idx = self.partition.cell_index(pts)
-        out = np.zeros(len(pts))
-        for i in np.unique(idx):
-            mask = idx == i
-            out[mask] = np.atleast_1d(self.polys[i](pts[mask]))
+        out = self._evaluate(pts, self.partition.cell_index(pts))
         return float(out[0]) if single else out
 
     def smoothed(self, x):
+        """self(x) * phi_{cell(x)}(x); zero outside [0, 1]^d."""
         if self.smoothing is None:
             raise ValueError("approximant was compiled without smoothing")
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
-        out = np.zeros(len(pts))
-        for poly, phi in zip(self.polys, self.indicators):
-            mask = phi.cell.contains(pts)
-            if mask.any():
-                out[mask] += np.atleast_1d(poly(pts[mask])) * np.atleast_1d(phi(pts[mask]))
+        ids = self.partition.cell_index(pts)
+        ramp = _ramp_product(pts, self.partition.centers()[ids], self.partition.h,
+                             self.smoothing)
+        out = self._evaluate(pts, ids) * ramp
         return float(out[0]) if single else out
 
     def sup_error(self, f: Callable, probes_per_axis: int = 401) -> float:
-        axes = [np.linspace(0.0, 1.0, probes_per_axis)] * self.partition.d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=-1)
+        pts = grid_rows(np.linspace(0.0, 1.0, probes_per_axis), self.partition.d)
         target = np.asarray(f(pts)).reshape(len(pts))
         return float(np.max(np.abs(target - self(pts))))
 
     def l2_error(self, f: Callable, spec: QuadratureSpec | None = None) -> float:
-        from .numerics import integrate
-
         box: Box = [(0.0, 1.0)] * self.partition.d
 
         def sq(pts):
@@ -495,12 +501,12 @@ def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
                                 samples_per_axis: int | None = None) -> SobolevApproximant:
     """Fit a degree-ell polynomial per cell by discrete least squares.
 
-    Each cell is sampled on a tensor grid of (ell + 3) points per axis
-    (overridable) and the best total-degree-ell polynomial in scaled local
-    coordinates is solved by least squares, which reproduces global
-    polynomials of degree <= ell exactly.  With ``smoothing`` set (a
-    sharpness value or per-axis tuple), ramp indicators are attached so the
-    smoothed variant sum_i p_i phi_i is available.
+    Every cell is sampled on the same tensor grid of (ell + 3) points per
+    axis (overridable) in scaled local coordinates, so all cells share one
+    design matrix: ``f`` is called once on every cell's samples and one
+    least-squares solve fits all cells, which reproduces global polynomials
+    of degree <= ell exactly.  With ``smoothing`` set (a sharpness value or
+    per-axis tuple), the smoothed variant sum_i p_i phi_i is available.
     """
     if ell < 0:
         raise ValueError(f"local degree must be >= 0, got {ell}")
@@ -508,35 +514,25 @@ def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
         raise ValueError("compiler supports d <= 3")
     if samples_per_axis is None:
         samples_per_axis = ell + 3
-    alphas = sorted(multi_indices(cells.d, ell))
-    if samples_per_axis**cells.d < len(alphas):
+    exponents = np.array(sorted(multi_indices(cells.d, ell)), dtype=int)
+    if samples_per_axis**cells.d < len(exponents):
         raise ValueError(
             f"{samples_per_axis}^{cells.d} sample nodes cannot determine "
-            f"{len(alphas)} polynomial coefficients"
+            f"{len(exponents)} polynomial coefficients"
         )
-    polys = []
-    indicators = []
-    for cell in cells.cells():
-        pts = cell.grid(samples_per_axis)
-        scale = 2.0 / cell.side
-        y = (pts - np.asarray(cell.center)) * scale
-        design = np.stack(
-            [np.prod([y[:, j] ** a for j, a in enumerate(alpha)], axis=0)
-             for alpha in alphas],
-            axis=-1,
-        )
-        target = np.asarray(f(pts)).reshape(len(pts))
-        sol, *_ = np.linalg.lstsq(design, target, rcond=None)
-        coeffs = {alpha: float(c) for alpha, c in zip(alphas, sol) if c != 0.0}
-        polys.append(CellPolynomial(cell.center, scale, coeffs))
-        if smoothing is not None:
-            indicators.append(indicator_bump(cell, smoothing))
-    return SobolevApproximant(
-        cells,
-        tuple(polys),
-        None if smoothing is None else tuple(np.atleast_1d(np.asarray(smoothing, dtype=float)).tolist()),
-        tuple(indicators),
-    )
+    if smoothing is not None:
+        # All cells share one side, so one indicator validates the band.
+        smoothing = indicator_bump(Cube((0.5 * cells.h,) * cells.d, cells.h),
+                                   smoothing).sharpness
+    y = grid_rows(np.linspace(-1.0, 1.0, samples_per_axis), cells.d)
+    design = np.prod(y[:, None, :] ** exponents, axis=-1)
+    pts = cells.grids(samples_per_axis).reshape(-1, cells.d)
+    targets = np.asarray(f(pts)).reshape(-1, len(design)).T
+    sol, *_ = np.linalg.lstsq(design, targets, rcond=None)
+    coefficients = np.ascontiguousarray(sol.T)
+    exponents.flags.writeable = False
+    coefficients.flags.writeable = False
+    return SobolevApproximant(cells, exponents, coefficients, smoothing)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,7 @@ from barronlab.lower_bounds import (
     residual_tail_norm,
     tail_density,
 )
-from barronlab.numerics import QuadratureSpec, tensor_nodes
+from barronlab.numerics import QuadratureSpec, axis_rule, tensor_nodes
 
 
 class TestExpRidgeFourier:
@@ -65,6 +65,29 @@ class TestHighFreqGap:
             probe = highfreq_gap(1.0, omega0, 8, 256, seed=1)
             values.append(probe.error * omega0)
         assert min(values) > 0.0
+
+    def test_prefix_errors_match_direct_lstsq(self):
+        # Normal-equation residuals cancel to 0 at this size; a direct
+        # least-squares solve on the same seeded atoms gives about 7.6e-5.
+        omega0, n_units, candidates = 2.0, 12, 64
+        probe = highfreq_gap(1.0, omega0, n_units, candidates, seed=0)
+        nodes, weights = axis_rule(-1.0, 1.0, 256)
+        root_w = np.sqrt(weights)
+        target = root_w * np.exp(1j * omega0 * nodes)
+        rng = np.random.default_rng(0)
+        want = np.full(n_units, np.inf)
+        for _ in range(candidates):
+            params = rng.standard_normal((n_units, 2))
+            atoms = root_w[:, None] * np.exp(-np.abs(
+                nodes[:, None] * params[:, 0] * max(4.0, 2.0 * omega0) + params[:, 1] * 2.0))
+            for width in range(1, n_units + 1):
+                sol = np.linalg.lstsq(atoms[:, :width].astype(complex), target, rcond=None)[0]
+                err = np.linalg.norm(target - atoms[:, :width] @ sol)
+                want[width - 1] = min(want[width - 1], err)
+        got = np.array(probe.errors_by_width)
+        assert np.all(got > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-8, atol=0)
+        assert probe.regularized == 0
 
     def test_deterministic(self):
         a = highfreq_gap(1.0, 8.0, 4, 64, seed=2)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barronlab.numerics import QuadratureSpec, loglog_fit
+from barronlab import relu_nets
+from barronlab.numerics import QuadratureSpec, loglog_fit, multi_indices
 from barronlab.relu_nets import (
+    CellPolynomial,
     Cube,
     CubePartition,
     compile_sobolev_approximant,
@@ -142,8 +144,9 @@ class TestCubePartition:
         pts = rng.uniform(0.0, 1.0, (500, 2))
         idx = part.cell_index(pts)
         for i, cell in enumerate(cells):
-            inside = cell.contains(pts)
-            assert np.all(idx[inside & (idx == i)] == i)
+            lo, hi = np.array(cell.bounds()).T
+            mine = pts[idx == i]
+            assert np.all((mine >= lo) & (mine <= hi))
         # every point lands in exactly one cell index, including the x = 1 face
         assert np.all((0 <= idx) & (idx < 9))
         assert part.cell_index(np.array([[1.0, 1.0]]))[0] == 8
@@ -323,6 +326,100 @@ class TestCompile:
             np.abs(approx(xs) - approx.smoothed(xs))
         )
         assert lhs <= rhs + 1e-15
+
+
+def per_cell_reference(f, ell: int, part: CubePartition) -> np.ndarray:
+    """Per-cell least-squares fits on each cell's own (ell + 3)^d grid."""
+    alphas = sorted(multi_indices(part.d, ell))
+    rows = []
+    for cell in part.cells():
+        pts = cell.grid(ell + 3)
+        y = (pts - np.asarray(cell.center)) * (2.0 / cell.side)
+        design = np.stack([np.prod(y**np.array(a), axis=1) for a in alphas], axis=-1)
+        rows.append(np.linalg.lstsq(design, f(pts), rcond=None)[0])
+    return np.array(rows)
+
+
+def smooth_target(pts):
+    pts = np.asarray(pts)
+    return np.sin(3.0 * pts[:, 0] + 1.0) * np.cos(2.0 * pts[:, -1]) + pts[:, 0] ** 3
+
+
+class TestArrayApproximant:
+    @pytest.mark.parametrize("d, q, ell", [(1, 7, 3), (2, 5, 2), (3, 3, 2)])
+    def test_coefficients_match_per_cell_lstsq(self, d, q, ell):
+        part = CubePartition(d, q)
+        approx = compile_sobolev_approximant(smooth_target, ell, part)
+        assert approx.exponents.tolist() == [list(a) for a in sorted(multi_indices(d, ell))]
+        want = per_cell_reference(smooth_target, ell, part)
+        np.testing.assert_allclose(approx.coefficients, want, rtol=0, atol=1e-10)
+
+    def test_grids_match_cell_grids(self):
+        part = CubePartition(2, 3)
+        grids = part.grids(4)
+        for i, cell in enumerate(part.cells()):
+            assert np.array_equal(grids[i], cell.grid(4))
+        assert np.array_equal(part.centers(), [c.center for c in part.cells()])
+
+    def test_call_uses_containing_cell_on_faces_and_upper_boundary(self):
+        q = 4
+        part = CubePartition(2, q)
+        approx = compile_sobolev_approximant(smooth_target, 2, part)
+        coeffs = per_cell_reference(smooth_target, 2, part)
+        alphas = sorted(multi_indices(2, 2))
+        faces = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.3])
+        pts = np.stack(np.meshgrid(faces, faces, indexing="ij"), axis=-1).reshape(-1, 2)
+        for p in pts:
+            # Faces belong to the cell above them; x = 1 to the last cell.
+            ij = np.minimum(np.floor(p * q).astype(int), q - 1)
+            i = ij[0] * q + ij[1]
+            poly = CellPolynomial(tuple((ij + 0.5) / q), 2.0 * q, dict(zip(alphas, coeffs[i])))
+            assert approx(p) == pytest.approx(poly(p), abs=1e-12)
+        # Neighbouring cells disagree on a face, so the test sees a wrong pick.
+        left = CellPolynomial((0.125, 0.375), 8.0, dict(zip(alphas, coeffs[1])))
+        assert abs(approx(np.array([0.25, 0.375])) - left(np.array([0.25, 0.375]))) > 1e-6
+
+    def test_smoothed_is_call_times_own_indicator(self):
+        part = CubePartition(2, 8)
+        approx = compile_sobolev_approximant(smooth_target, 2, part, smoothing=40.0)
+        rng = np.random.default_rng(11)
+        pts = np.concatenate([rng.random((400, 2)),
+                              [[0.25, 0.5], [1.0, 1.0], [0.0, 0.125], [0.51, 0.0]]])
+        ids = part.cell_index(pts)
+        phi = np.array([approx.indicators[i](p) for i, p in zip(ids, pts)])
+        assert np.array_equal(approx.smoothed(pts), approx(pts) * phi)
+        outside = np.array([[-0.1, 0.5], [1.1, 0.5], [0.5, 1.2], [-0.3, -0.3], [2.0, 0.7]])
+        assert np.all(approx.smoothed(outside) == 0.0)
+
+    def test_smoothing_band_validated(self):
+        with pytest.raises(ValueError, match="band"):
+            compile_sobolev_approximant(smooth_target, 2, CubePartition(2, 8), smoothing=10.0)
+
+
+class TestGroupedEvaluation:
+    def test_mixed_powers_complex_weights_match_per_unit_loop(self):
+        rng = np.random.default_rng(8)
+        powers = rng.integers(0, 4, 60)
+        units = [(complex(*rng.standard_normal(2)), rng.standard_normal(3),
+                  rng.uniform(-1, 1), int(k)) for k in powers]
+        net = relu_network(units)
+        n = 9001
+        for k in np.unique(powers):
+            rows = relu_nets._EVAL_BLOCK // int(np.sum(powers == k))
+            assert n > rows and n % rows != 0
+        pts = rng.uniform(-1, 1, (n, 3))
+        want = np.zeros(n, dtype=complex)
+        for a, omega, b, k in units:
+            want += a * sigma_k(pts @ omega + b, k)
+        got = evaluate_network(net, pts)
+        assert np.iscomplexobj(got)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_real_weights_give_real_values(self):
+        net = relu_network([(2.0, (1.0, 0.0), 0.5, 2), (-1.0, (0.0, 1.0), 0.0, 0)])
+        got = evaluate_network(net, np.array([[1.0, 1.0], [0.0, -1.0]]))
+        assert got.dtype == np.float64
+        np.testing.assert_array_equal(got, [2.0 * 1.5**2 - 1.0, 2.0 * 0.25])
 
 
 class TestHmUpperBound:
