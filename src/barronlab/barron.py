@@ -255,7 +255,7 @@ def barron_norm(fs: FourierSum, weight: WeightSpec) -> float:
     if not fs.support_size():
         return 0.0
     mu = weight(fs.shifted_frequencies())
-    return float(np.dot(np.atleast_1d(mu), np.abs(fs.values)))
+    return float(np.dot(mu, np.abs(fs.values)))
 
 
 def hm_norm_exact(fs: FourierSum, m: int) -> float:
@@ -266,7 +266,7 @@ def hm_norm_exact(fs: FourierSum, m: int) -> float:
     """
     if not fs.support_size():
         return 0.0
-    w = np.atleast_1d(sobolev_weight(fs.shifted_frequencies(), m))
+    w = sobolev_weight(fs.shifted_frequencies(), m)
     return math.sqrt(fs.L**fs.d * float(np.dot(w, np.abs(fs.values) ** 2)))
 
 

@@ -211,16 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
 # handlers
 # ----------------------------------------------------------------------
 
-def _maybe_list(args) -> bool:
-    if getattr(args, "list", False):
-        _emit(ANCHORS[args.command] + "\n", args.output)
-        return True
-    return False
-
-
 def _cmd_exponents(args) -> int:
-    if _maybe_list(args):
-        return 0
     table = greedy_fourier.rate_exponents(args.s, args.m, args.k, args.d)
     payload = {
         "d": args.d, "m": args.m, "k": args.k, "s": args.s,
@@ -237,8 +228,6 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_greedy_fourier(args) -> int:
-    if _maybe_list(args):
-        return 0
     grid = _parse_grid(args.n_grid)
     params = {"d": args.d, "ks": args.ks, "m": args.m}
     if args.xi_max is not None:
@@ -266,9 +255,6 @@ def _cmd_greedy_fourier(args) -> int:
 
 
 def _cmd_relu_compile(args) -> int:
-    if _maybe_list(args):
-        return 0
-
     def f(pts):
         return np.sin(2.0 * np.pi * args.cycles * np.asarray(pts)[:, 0])
 
@@ -303,8 +289,6 @@ def _cmd_relu_compile(args) -> int:
 
 
 def _cmd_monomial_check(args) -> int:
-    if _maybe_list(args):
-        return 0
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for m in range(1, args.k + 1):
@@ -332,8 +316,6 @@ def _cmd_monomial_check(args) -> int:
 
 
 def _cmd_sphere_net(args) -> int:
-    if _maybe_list(args):
-        return 0
     net = sphere_geom.greedy_net(args.d, args.m, candidate_pool=args.pool,
                                  seed=args.seed)
     if args.format == "json":
@@ -350,8 +332,6 @@ def _cmd_sphere_net(args) -> int:
 
 
 def _cmd_subsample(args) -> int:
-    if _maybe_list(args):
-        return 0
     rng = np.random.default_rng(args.seed)
     terms = rng.uniform(-1.0, 1.0, size=(args.N, args.M))
     result = subsample.maurey_subsample(
@@ -372,8 +352,6 @@ def _cmd_subsample(args) -> int:
 
 
 def _cmd_packing(args) -> int:
-    if _maybe_list(args):
-        return 0
     family = lower_bounds.build_packing(args.kind, args.d, args.k, args.n,
                                         seed=args.seed)
     report = lower_bounds.pairwise_separation(family, norm="witness",
@@ -408,8 +386,6 @@ def _cmd_packing(args) -> int:
 
 
 def _cmd_dyadic(args) -> int:
-    if _maybe_list(args):
-        return 0
     decomp = lower_bounds.dyadic_blocks(
         lower_bounds.decaying_spectrum(args.xi_max, args.decay)
     )
@@ -425,8 +401,6 @@ def _cmd_dyadic(args) -> int:
 
 
 def _cmd_example1_gap(args) -> int:
-    if _maybe_list(args):
-        return 0
     omega_grid = [float(v) for v in args.omega0_grid.split(",") if v.strip()]
     buf = io.StringIO()
     buf.write("omega0,error,error_times_omega0\n")
@@ -441,8 +415,6 @@ def _cmd_example1_gap(args) -> int:
 
 
 def _cmd_example2_tail(args) -> int:
-    if _maybe_list(args):
-        return 0
     report = lower_bounds.example2_tail_mass(
         args.m, args.A, QuadratureSpec(resolution=args.resolution)
     )
@@ -455,8 +427,6 @@ def _cmd_example2_tail(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    if _maybe_list(args):
-        return 0
     witness = lower_bounds.oscillatory_witness(args.n, args.k, args.d, args.m)
     payload = {
         "n": args.n, "k": args.k, "d": args.d, "m": args.m,
@@ -469,8 +439,6 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_rates(args) -> int:
-    if _maybe_list(args):
-        return 0
     grid = _parse_grid(args.n_grid)
     params = _parse_params(args.param)
     report = rates.run_experiment(args.kind, params, grid, args.seed)
@@ -489,6 +457,9 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
+    if args.list:
+        _emit(ANCHORS[args.command] + "\n", args.output)
+        return 0
     try:
         return args.handler(args)
     except (ValueError, lower_bounds.ConvergenceError) as exc:

@@ -50,9 +50,6 @@ class GreedySelection:
     def keys(self) -> tuple[float, ...]:
         return tuple(self.sorted_keys.tolist())
 
-    def selected(self, n: int) -> tuple[tuple[int, ...], ...]:
-        return self.ordering[: max(0, int(n))]
-
     def ell1_mass(self, n: int) -> float:
         n = max(0, min(int(n), len(self.order)))
         return float(self.ell1_prefix[n])
@@ -77,7 +74,7 @@ def order_frequencies(fs: FourierSum, m: float, ks: float,
         keys = (1.0 + xi_norm) ** (2.0 * m - ks) * mags
     else:
         weight = sobolev_weight(fs.shifted_frequencies(), int(m))
-        keys = mags * np.sqrt(np.atleast_1d(weight))
+        keys = mags * np.sqrt(weight)
     # np.lexsort sorts by its last key first: descending key, then the index
     # columns in order, so ties go to the smallest lattice index.
     order = np.lexsort(tuple(fs.index.T[::-1]) + (-keys,))
@@ -105,7 +102,7 @@ def tail_error_hm(fs: FourierSum, sel: GreedySelection, n: int, m: int) -> float
     if discarded.size == 0:
         return 0.0
     eta = np.asarray(fs.a) + fs.index[discarded] / fs.L
-    w = np.atleast_1d(sobolev_weight(eta, m))
+    w = sobolev_weight(eta, m)
     mass = np.abs(fs.values[discarded]) ** 2
     return math.sqrt(fs.L**fs.d * float(np.dot(w, mass)))
 

@@ -70,6 +70,8 @@ def _validate_grid(n_grid: Sequence[int]) -> list[int]:
     grid = [int(n) for n in n_grid]
     if len(grid) < 4:
         raise ValueError("n grid needs at least 4 points for a slope fit")
+    if min(grid) < 1:
+        raise ValueError(f"n grid values must be >= 1, got {grid}")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValueError("n grid must be strictly increasing")
     if math.log10(grid[-1] / grid[0]) < 1.5:

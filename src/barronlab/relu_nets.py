@@ -3,9 +3,10 @@ local polynomial surrogates of ridge units, smoothed cell indicators, and a
 cube-partition compiler for smooth targets.
 
 sigma_k(t) = max(0, t)^k with the convention 0^0 = 0, so sigma_0 is the
-right-open Heaviside step.  Networks are flat lists of units
-a_i sigma_{k_i}(omega_i . x + b_i); heterogeneous powers are allowed because
-degree-m monomials use sigma_m units regardless of the ambient power cap.
+right-open Heaviside step.  Networks hold the parameters of their units
+a_i sigma_{k_i}(omega_i . x + b_i) in arrays; heterogeneous powers are
+allowed because degree-m monomials use sigma_m units regardless of the
+ambient power cap.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,95 +37,117 @@ def sigma_k(t, k: int):
     return float(out[0]) if single else out
 
 
-def sigma_k_derivative(t, k: int, order: int):
-    """Pointwise derivative d^order/dt^order of sigma_k, valid for order <= k.
-
-    Equals k! / (k - order)! * sigma_{k - order}(t); the order = k case is a
-    step function scaled by k!.
-    """
-    if order < 0 or order > k:
-        raise ValueError(f"derivative order {order} outside [0, {k}]")
-    factor = math.factorial(k) // math.factorial(k - order)
-    return factor * sigma_k(t, k - order)
-
-
 # ----------------------------------------------------------------------
 # networks
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ReluUnit:
+class ReluUnit(NamedTuple):
+    """One unit a sigma_k(omega . x + b), as ``relu_network`` accepts it."""
+
     outer: complex
     direction: tuple[float, ...]
     bias: float
     power: int
 
-    def __post_init__(self):
-        if self.power < 0:
-            raise ValueError(f"unit power must be >= 0, got {self.power}")
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReluNetwork:
-    """Shallow network sum_i a_i sigma_{k_i}(omega_i . x + b_i)."""
+    """Shallow network sum_i a_i sigma_{k_i}(omega_i . x + b_i).
 
-    units: tuple[ReluUnit, ...]
-    ambient_power: int = 0
+    Unit i is row i of the read-only arrays ``outer`` (W,) complex,
+    ``directions`` (W, d), ``biases`` (W,) and ``powers`` (W,) int.  Build
+    it with ``relu_network``, which validates the units.
+    """
+
+    outer: np.ndarray
+    directions: np.ndarray
+    biases: np.ndarray
+    powers: np.ndarray
+    ambient_power: int
 
     @property
     def d(self) -> int:
-        return len(self.units[0].direction) if self.units else 0
+        return self.directions.shape[1]
 
     @property
     def width(self) -> int:
-        return len(self.units)
+        return len(self.powers)
 
     @property
     def ell1(self) -> float:
-        return float(sum(abs(u.outer) for u in self.units))
+        return float(np.abs(self.outer).sum())
+
+    @property
+    def units(self) -> tuple[ReluUnit, ...]:
+        """The units as records, built on access."""
+        return tuple(
+            ReluUnit(a, tuple(omega), b, k) for a, omega, b, k in zip(
+                self.outer.tolist(), self.directions.tolist(),
+                self.biases.tolist(), self.powers.tolist())
+        )
 
 
-# Pre-activations per block in ``evaluate_network``: 512 kB of float64.
+# Pre-activations per block of ``_preactivations``: 512 kB of float64.
 _EVAL_BLOCK = 1 << 16
 
 
 def relu_network(units: Sequence[tuple], ambient_power: int | None = None) -> ReluNetwork:
-    """Build a network from (outer, direction, bias, power) tuples."""
-    built = tuple(
-        ReluUnit(complex(a), tuple(float(w) for w in np.atleast_1d(omega)),
-                 float(b), int(k))
-        for a, omega, b, k in units
+    """Build a network from (outer, direction, bias, power) tuples.
+
+    Every power must be a nonnegative integer and every direction a vector
+    of the first unit's dimension; errors name the first offending unit.
+    """
+    units = list(units)
+    rows = [np.atleast_1d(np.asarray(omega, dtype=float)) for _, omega, _, _ in units]
+    d = len(rows[0]) if rows else 0
+    for i, ((_, _, _, k), omega) in enumerate(zip(units, rows)):
+        if omega.shape != (d,):
+            raise ValueError(f"unit {i} has direction shape {omega.shape}, expected ({d},)")
+        if k < 0 or int(k) != k:
+            raise ValueError(f"unit {i} power must be a nonnegative integer, got {k}")
+    arrays = (
+        np.array([complex(u[0]) for u in units], dtype=complex),
+        np.array(rows, dtype=float).reshape(len(units), d),
+        np.array([float(u[2]) for u in units]),
+        np.array([int(u[3]) for u in units], dtype=int),
     )
+    for array in arrays:
+        array.flags.writeable = False
     if ambient_power is None:
-        ambient_power = max((u.power for u in built), default=0)
-    return ReluNetwork(built, int(ambient_power))
+        ambient_power = arrays[3].max(initial=0)
+    return ReluNetwork(*arrays, int(ambient_power))
+
+
+def _preactivations(net: ReluNetwork, pts: np.ndarray):
+    """Yield (k, units, rows, t) with t = pts[rows] @ directions[units].T +
+    biases[units] for the units of power k, in blocks of at most
+    ``_EVAL_BLOCK`` entries."""
+    for k in np.unique(net.powers).tolist():
+        units = np.flatnonzero(net.powers == k)
+        omega, bias = net.directions[units].T, net.biases[units]
+        step = max(1, _EVAL_BLOCK // len(units))
+        for start in range(0, len(pts), step):
+            rows = slice(start, start + step)
+            t = pts[rows] @ omega
+            t += bias
+            yield k, units, rows, t
 
 
 def evaluate_network(net: ReluNetwork, x):
     """Evaluate the unit sum at one point (d,) or a batch (N, d).
 
-    Units are grouped by power.  Each group is one (rows, d) @ (d, W_k)
-    product per block of at most ``_EVAL_BLOCK`` pre-activations, contracted
-    after activation with the real and imaginary parts of the outer weights.
+    Each block of pre-activations is activated and contracted with the real
+    and imaginary parts of its units' outer weights.
     """
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
-    if net.units and pts.shape[1] != net.d:
+    if net.width and pts.shape[1] != net.d:
         raise ValueError(f"points have dimension {pts.shape[1]}, expected {net.d}")
-    weights = np.array([(u.outer.real, u.outer.imag) for u in net.units]).reshape(-1, 2)
-    directions = np.array([u.direction for u in net.units]).reshape(net.width, pts.shape[1])
-    biases = np.array([u.bias for u in net.units])
-    powers = np.array([u.power for u in net.units], dtype=int)
+    weights = np.stack([net.outer.real, net.outer.imag], axis=1)
     total = np.zeros((len(pts), 2))
-    for k in np.unique(powers).tolist():
-        group = powers == k
-        omega, bias, w = directions[group].T, biases[group], weights[group]
-        rows = max(1, _EVAL_BLOCK // len(bias))
-        for start in range(0, len(pts), rows):
-            t = pts[start:start + rows] @ omega
-            t += bias
-            total[start:start + rows] += sigma_k(t, k) @ w
+    for k, units, rows, t in _preactivations(net, pts):
+        total[rows] += sigma_k(t, k) @ weights[units]
     total = total[:, 0] + 1j * total[:, 1] if total[:, 1].any() else total[:, 0]
     return total[0].item() if single else total
 
@@ -132,14 +156,9 @@ def network_to_json(net: ReluNetwork) -> str:
     payload = {
         "k": net.ambient_power,
         "units": [
-            {
-                "a_re": u.outer.real,
-                "a_im": u.outer.imag,
-                "omega": list(u.direction),
-                "b": u.bias,
-                "k_i": u.power,
-            }
-            for u in net.units
+            {"a_re": a.real, "a_im": a.imag, "omega": omega, "b": b, "k_i": k}
+            for a, omega, b, k in zip(net.outer.tolist(), net.directions.tolist(),
+                                      net.biases.tolist(), net.powers.tolist())
         ],
     }
     return json.dumps(payload)
@@ -147,12 +166,11 @@ def network_to_json(net: ReluNetwork) -> str:
 
 def network_from_json(text: str) -> ReluNetwork:
     payload = json.loads(text)
-    units = tuple(
-        ReluUnit(complex(u["a_re"], u["a_im"]), tuple(u["omega"]), float(u["b"]),
-                 int(u["k_i"]))
-        for u in payload["units"]
+    return relu_network(
+        [(complex(u["a_re"], u["a_im"]), u["omega"], u["b"], u["k_i"])
+         for u in payload["units"]],
+        int(payload["k"]),
     )
-    return ReluNetwork(units, int(payload["k"]))
 
 
 def monomial_network_1d(m: int) -> ReluNetwork:
@@ -447,9 +465,9 @@ class SobolevApproximant:
     coefficients: np.ndarray  # (q^d, n_alpha)
     smoothing: tuple[float, ...] | None = None
 
-    @property
+    @cached_property
     def indicators(self) -> tuple[IndicatorBump, ...]:
-        """Ramp indicator of every cell, built on access; empty without smoothing."""
+        """Ramp indicator of every cell, built on first access; empty without smoothing."""
         if self.smoothing is None:
             return ()
         return tuple(IndicatorBump(cell, self.smoothing) for cell in self.partition.cells())
@@ -556,34 +574,36 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     Requires every direction to be unit length, every |b_i| <= bias_cap, and
     m <= k_i - 1 per unit (k_i = m allowed only for m = 0) so the integrated
     derivatives stay bounded.
+
+    The order-r derivatives of sigma_k(omega . x + b) contribute
+    sum_{|alpha| = r} prod_j omega_j^(2 alpha_j) (k! / (k - r)!)^2 sigma_{k-r}^2,
+    so each block of pre-activations is integrated once per order r.
     """
-    if not net.units:
+    if not net.width:
         return HmUpperBound(0.0, 0.0, 0.0, ())
-    for i, unit in enumerate(net.units):
-        if abs(np.linalg.norm(unit.direction) - 1.0) > 1e-12:
-            raise ValueError(f"unit {i} is not dictionary-constrained: |omega| != 1")
-        if abs(unit.bias) > bias_cap:
-            raise ValueError(
-                f"unit {i} violates the bias cap: |{unit.bias}| > {bias_cap}"
-            )
-        if m > 0 and unit.power < m + 1:
-            raise ValueError(
-                f"unit {i} has power {unit.power}; order m={m} needs power >= {m + 1}"
-            )
+    bad = np.stack([
+        np.abs(np.linalg.norm(net.directions, axis=1) - 1.0) > 1e-12,
+        np.abs(net.biases) > bias_cap,
+        (net.powers < m + 1) & (m > 0),
+    ])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))  # first offending unit, first failed check
+        raise ValueError([
+            f"unit {i} is not dictionary-constrained: |omega| != 1",
+            f"unit {i} violates the bias cap: |{net.biases[i]}| > {bias_cap}",
+            f"unit {i} has power {net.powers[i]}; order m={m} needs power >= {m + 1}",
+        ][int(np.argmax(bad[:, i]))])
     if spec is None:
         spec = QuadratureSpec(resolution=48)
     pts, w = tensor_nodes(omega_box, spec.resolution)
-    norms = []
-    for unit in net.units:
-        t = pts @ np.asarray(unit.direction) + unit.bias
-        sq = np.zeros(len(pts))
-        for alpha in multi_indices(len(unit.direction), m):
-            r = sum(alpha)
-            dir_factor = np.prod(
-                [unit.direction[j] ** (2 * a) for j, a in enumerate(alpha)]
-            )
-            vals = sigma_k_derivative(t, unit.power, r)
-            sq += dir_factor * vals**2
-        norms.append(math.sqrt(float(np.dot(w, sq))))
-    max_norm = max(norms)
-    return HmUpperBound(max_norm * net.ell1, max_norm, net.ell1, tuple(norms))
+    # by_order[r, i]: sum over |alpha| = r of prod_j omega_ij^(2 alpha_j).
+    by_order = np.zeros((m + 1, net.width))
+    for alpha in multi_indices(net.d, m):
+        by_order[sum(alpha)] += np.prod(net.directions ** (2 * np.array(alpha)), axis=1)
+    integrals = np.zeros((m + 1, net.width))
+    for k, units, rows, t in _preactivations(net, pts):
+        for r in range(m + 1):
+            integrals[r, units] += math.perm(k, r) ** 2 * (w[rows] @ sigma_k(t, k - r) ** 2)
+    norms = np.sqrt(np.sum(by_order * integrals, axis=0))
+    max_norm = float(norms.max())
+    return HmUpperBound(max_norm * net.ell1, max_norm, net.ell1, tuple(norms.tolist()))

@@ -1,8 +1,24 @@
+import csv
+import io
 import json
+import pathlib
+import shlex
 
 import pytest
 
-from barronlab.cli import dispatch, _parse_grid
+from barronlab import cli
+from barronlab.cli import ANCHORS, build_parser, dispatch, _parse_grid
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+SUBCOMMANDS = list(next(a for a in build_parser()._actions if a.dest == "command").choices)
+
+
+def readme_commands() -> list[list[str]]:
+    """Arguments of the ``barronlab ...`` lines in the README's command block."""
+    section = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith("barronlab ")]
 
 
 def run_cli(capsys, *args):
@@ -37,10 +53,19 @@ class TestExponentsCommand:
         assert "threshold" in payload
         assert payload["log_power"] == 0.0
 
-    def test_list_flag(self, capsys):
-        code, out, _ = run_cli(capsys, "exponents", "--list")
+
+class TestListFlag:
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_prints_anchor_and_computes_nothing(self, capsys, monkeypatch, command):
+        def refuse(args):
+            raise AssertionError(f"{command} --list ran its handler")
+
+        for name in dir(cli):
+            if name.startswith("_cmd_"):
+                monkeypatch.setattr(cli, name, refuse)
+        code, out, _ = run_cli(capsys, command, "--list")
         assert code == 0
-        assert "exponent" in out
+        assert out == ANCHORS[command] + "\n"
 
 
 class TestExitCodes:
@@ -56,6 +81,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "example2-tail", "--A", "0.5")
         assert code == 2
         assert "A >= 1" in err
+
+    @pytest.mark.parametrize("args", [
+        ("rates", "--kind", "dyadic-residual", "--n-grid", "0,10,100,1000"),
+        ("greedy-fourier", "--n-grid", "0,8,64,512"),
+    ])
+    def test_grid_below_one_is_usage_error(self, capsys, args):
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "n grid values must be >= 1, got [0, " in err
 
     def test_monomial_check_green(self, capsys):
         code, out, _ = run_cli(capsys, "monomial-check", "--k", "4")
@@ -184,3 +218,18 @@ class TestOutputs:
         )
         assert code == 0
         assert json.loads(out)["config"]["ell"] == 2
+
+
+class TestReadmeCommands:
+    def test_every_subcommand_documented(self):
+        assert sorted(argv[0] for argv in readme_commands()) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+    def test_runs_and_prints_json_or_csv(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        try:
+            json.loads(out)
+        except json.JSONDecodeError:
+            rows = list(csv.reader(io.StringIO(out)))
+            assert len(rows) > 1 and len({len(row) for row in rows}) == 1

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barronlab import relu_nets
-from barronlab.numerics import QuadratureSpec, loglog_fit, multi_indices
+from barronlab.numerics import QuadratureSpec, loglog_fit, multi_indices, tensor_nodes
 from barronlab.relu_nets import (
     CellPolynomial,
     Cube,
@@ -89,8 +91,53 @@ class TestNetworkEvaluation:
         net = relu_network(
             [(0.5 + 0.25j, (0.6, 0.8), -1.25, 2), (1e-7, (0.0, 1.0), 0.125, 3)]
         )
-        back = network_from_json(network_to_json(net))
-        assert back == net
+        text = network_to_json(net)
+        assert text == (
+            '{"k": 3, "units": [{"a_re": 0.5, "a_im": 0.25, "omega": [0.6, 0.8], '
+            '"b": -1.25, "k_i": 2}, {"a_re": 1e-07, "a_im": 0.0, "omega": [0.0, 1.0], '
+            '"b": 0.125, "k_i": 3}]}'
+        )
+        back = network_from_json(text)
+        for name in ("outer", "directions", "biases", "powers"):
+            want, got = getattr(net, name), getattr(back, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert back.ambient_power == net.ambient_power
+
+
+class TestNetworkArrays:
+    UNITS = [(2.0 - 1j, (0.6, 0.8), -0.5, 2), (-3.0, [1.0, 0.0], 1.25, 0),
+             (0.5j, np.array([0.0, -1.0]), 0.0, 3)]
+
+    def test_arrays_and_derived_views(self):
+        net = relu_network(self.UNITS)
+        np.testing.assert_array_equal(net.outer, [2.0 - 1j, -3.0, 0.5j])
+        np.testing.assert_array_equal(net.directions, [[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
+        np.testing.assert_array_equal(net.biases, [-0.5, 1.25, 0.0])
+        np.testing.assert_array_equal(net.powers, [2, 0, 3])
+        assert (net.d, net.width, net.ambient_power) == (2, 3, 3)
+        assert net.ell1 == pytest.approx(math.sqrt(5.0) + 3.0 + 0.5, rel=1e-15)
+        assert [tuple(u) for u in net.units] == [
+            (complex(a), tuple(float(w) for w in omega), b, k) for a, omega, b, k in self.UNITS
+        ]
+
+    def test_arrays_are_read_only(self):
+        net = relu_network(self.UNITS)
+        for array in (net.outer, net.directions, net.biases, net.powers):
+            with pytest.raises(ValueError):
+                array[0] = 0
+
+    def test_empty_network(self):
+        net = relu_network([])
+        assert (net.d, net.width, net.ell1, net.units) == (0, 0, 0.0, ())
+
+    @pytest.mark.parametrize("power", [-1, 1.5])
+    def test_power_must_be_nonnegative_integer(self, power):
+        with pytest.raises(ValueError, match="unit 1 power"):
+            relu_network([self.UNITS[0], (1.0, (1.0, 0.0), 0.0, power)])
+
+    def test_one_dimension_for_all_units(self):
+        with pytest.raises(ValueError, match="unit 2 has direction shape"):
+            relu_network(self.UNITS[:2] + [(1.0, (1.0, 0.0, 0.0), 0.0, 1)])
 
 
 class TestMonomials:
@@ -126,10 +173,9 @@ class TestMonomials:
 
 class TestBiasChannel:
     def test_constant_unit_emits_value(self):
-        from barronlab.relu_nets import ReluNetwork, bias_channel
+        from barronlab.relu_nets import bias_channel
 
-        unit = bias_channel(2.5, 2, 3)
-        net = ReluNetwork((unit,), 3)
+        net = relu_network([bias_channel(2.5, 2, 3)], 3)
         pts = np.random.default_rng(0).standard_normal((50, 2)) * 10
         vals = evaluate_network(net, pts)
         np.testing.assert_allclose(vals, 2.5, rtol=1e-14)
@@ -391,6 +437,12 @@ class TestArrayApproximant:
         outside = np.array([[-0.1, 0.5], [1.1, 0.5], [0.5, 1.2], [-0.3, -0.3], [2.0, 0.7]])
         assert np.all(approx.smoothed(outside) == 0.0)
 
+    def test_indicators_built_once(self):
+        approx = compile_sobolev_approximant(smooth_target, 1, CubePartition(2, 4),
+                                             smoothing=40.0)
+        assert approx.indicators is approx.indicators
+        assert len(approx.indicators) == 16
+
     def test_smoothing_band_validated(self):
         with pytest.raises(ValueError, match="band"):
             compile_sobolev_approximant(smooth_target, 2, CubePartition(2, 8), smoothing=10.0)
@@ -422,6 +474,24 @@ class TestGroupedEvaluation:
         np.testing.assert_array_equal(got, [2.0 * 1.5**2 - 1.0, 2.0 * 0.25])
 
 
+def per_unit_hm_norms(net, box, m: int, resolution: int) -> np.ndarray:
+    """Unit H^m norms by one quadrature pass per unit and multi-index."""
+    pts, w = tensor_nodes(box, resolution)
+    norms = []
+    for unit in net.units:
+        t = pts @ np.asarray(unit.direction) + unit.bias
+        sq = np.zeros(len(pts))
+        for alpha in multi_indices(len(unit.direction), m):
+            r = sum(alpha)
+            dir_factor = np.prod(
+                [unit.direction[j] ** (2 * a) for j, a in enumerate(alpha)]
+            )
+            falling = math.factorial(unit.power) // math.factorial(unit.power - r)
+            sq += dir_factor * (falling * sigma_k(t, unit.power - r)) ** 2
+        norms.append(math.sqrt(float(np.dot(w, sq))))
+    return np.array(norms)
+
+
 class TestHmUpperBound:
     OMEGA = [(0.0, 1.0), (0.0, 1.0)]
 
@@ -442,6 +512,35 @@ class TestHmUpperBound:
         scaled_units = [(3.0 * a, w, b, k) for a, w, b, k in units]
         scaled = network_hm_upper(relu_network(scaled_units), self.OMEGA, 1, 2.0)
         assert scaled.bound == pytest.approx(3.0 * base.bound, rel=1e-12)
+
+    @pytest.mark.parametrize("d, resolution", [(1, 256), (2, 48), (3, 16)])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_unit_norms_match_per_unit_reference(self, d, resolution, m):
+        rng = np.random.default_rng(10 * d + m)
+        # Three powers, each group spanning several pre-activation blocks.
+        per_power = relu_nets._EVAL_BLOCK // resolution**d + 8
+        powers = np.repeat([0, 1, 2] if m == 0 else [m + 1, m + 2, m + 3], per_power)
+        rng.shuffle(powers)
+        omegas = uniform_sphere(rng, len(powers), d) if d > 1 else rng.choice(
+            [-1.0, 1.0], (len(powers), 1))
+        units = [(rng.standard_normal(), omegas[i], rng.uniform(-2, 2), int(k))
+                 for i, k in enumerate(powers)]
+        box = [(0.0, 1.0)] * d
+        hb = network_hm_upper(relu_network(units), box, m, 2.0,
+                              QuadratureSpec(resolution=resolution))
+        want = per_unit_hm_norms(relu_network(units), box, m, resolution)
+        np.testing.assert_allclose(hb.unit_norms, want, rtol=1e-13, atol=0)
+        assert hb.max_unit_norm == max(hb.unit_norms)
+
+    @pytest.mark.parametrize("bad_unit, match", [
+        ((1.0, (0.6, 0.6), 5.0, 1), "unit 1 is not dictionary"),
+        ((1.0, (0.6, 0.8), 5.0, 1), "unit 1 violates the bias cap: \\|5.0\\|"),
+        ((1.0, (0.6, 0.8), 0.0, 1), "unit 1 has power 1; order m=1 needs power >= 2"),
+    ])
+    def test_errors_name_first_offending_unit(self, bad_unit, match):
+        units = [(1.0, (1.0, 0.0), 0.0, 2), bad_unit, (1.0, (1.0, 1.0), 9.0, 0)]
+        with pytest.raises(ValueError, match=match):
+            network_hm_upper(relu_network(units), self.OMEGA, 1, 2.0)
 
     def test_bias_cap_violation_names_unit(self):
         net = relu_network([(1.0, (1.0, 0.0), 0.0, 2), (1.0, (0.0, 1.0), 5.0, 2)])
