@@ -355,14 +355,19 @@ def pairwise_separation(family: PackingFamily, norm: str = "witness",
         raise ValueError("pair budget must be >= 1")
     if norm not in ("witness", "l2"):
         raise ValueError(f"unknown separation norm {norm!r}")
+    # Pair ranks c enumerate (i, j), i < j, row by row; row i starts at
+    # i n - i (i + 1) / 2, so sampled ranks unrank without listing every pair.
     n_signs = len(family.signs)
-    all_pairs = [(i, j) for i in range(n_signs) for j in range(i + 1, n_signs)]
-    if len(all_pairs) > pair_budget:
+    n_pairs = n_signs * (n_signs - 1) // 2
+    if n_pairs > pair_budget:
         rng = np.random.default_rng(seed)
-        chosen = rng.choice(len(all_pairs), size=pair_budget, replace=False)
-        pairs = [all_pairs[int(c)] for c in sorted(chosen)]
+        chosen = np.sort(rng.choice(n_pairs, size=pair_budget, replace=False))
     else:
-        pairs = all_pairs
+        chosen = np.arange(n_pairs)
+    row = np.arange(n_signs)
+    starts = row * n_signs - row * (row + 1) // 2
+    i = np.searchsorted(starts, chosen, side="right") - 1
+    pairs = list(zip(i.tolist(), (chosen - starts[i] + i + 1).tolist()))
 
     directions = family.directions.points[: family.m]
     if family.kind == RELU_KIND:

@@ -94,7 +94,7 @@ def axis_rule(lo: float, hi: float, resolution: int) -> tuple[np.ndarray, np.nda
     return lo + half * (nodes + 1.0), half * weights
 
 
-def _validate_box(box: Box) -> list[tuple[float, float]]:
+def validate_box(box: Box) -> list[tuple[float, float]]:
     out = []
     for axis, (lo, hi) in enumerate(box):
         lo, hi = float(lo), float(hi)
@@ -106,7 +106,7 @@ def _validate_box(box: Box) -> list[tuple[float, float]]:
 
 def tensor_nodes(box: Box, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Tensor-product Gauss-Legendre nodes (N, d) and weights (N,) on a box."""
-    box = _validate_box(box)
+    box = validate_box(box)
     axes = [axis_rule(lo, hi, resolution) for lo, hi in box]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     pts = np.stack([g.ravel() for g in grids], axis=-1)
@@ -118,7 +118,7 @@ def tensor_nodes(box: Box, resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 def monte_carlo_nodes(box: Box, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
     """Seeded uniform nodes (N, d) and equal weights summing to the box volume."""
-    box = _validate_box(box)
+    box = validate_box(box)
     d = len(box)
     rng = np.random.default_rng(spec.seed)
     unit = rng.random((spec.resolution, d))
@@ -159,7 +159,7 @@ def integrate(f: Callable, box: Box, spec: QuadratureSpec | None = None):
     Monte Carlo (2**16 samples, seed 0) for d >= 4.  Complex integrands are
     handled componentwise, which the weighted dot product does implicitly.
     """
-    box = _validate_box(box)
+    box = validate_box(box)
     if spec is None:
         if len(box) <= 3:
             spec = QuadratureSpec()

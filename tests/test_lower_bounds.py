@@ -331,6 +331,23 @@ class TestPairwiseSeparation:
         )
         assert report.min_distance > 0.0
 
+    @pytest.mark.parametrize("budget, seed", [(1, 0), (17, 3), (495, 1)])
+    def test_sampled_pairs_match_enumeration(self, budget, seed):
+        # Reference: list every pair, then index it by the same seeded draw.
+        family = build_packing("fourier", 2, 1.0, 32, seed=0)
+        n = len(family.signs)
+        all_pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert len(all_pairs) == 496
+        chosen = np.random.default_rng(seed).choice(len(all_pairs), size=budget, replace=False)
+        report = pairwise_separation(family, pair_budget=budget, seed=seed)
+        assert [(r.i, r.j) for r in report.rows] == [all_pairs[c] for c in sorted(chosen)]
+
+    def test_budget_above_pair_count_returns_every_pair_in_order(self, relu_family):
+        n = len(relu_family.signs)
+        report = pairwise_separation(relu_family, pair_budget=n * (n - 1) // 2)
+        assert [(r.i, r.j) for r in report.rows] == [
+            (i, j) for i in range(n) for j in range(i + 1, n)]
+
     def test_budget_validated(self, relu_family):
         with pytest.raises(ValueError):
             pairwise_separation(relu_family, pair_budget=0)

@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barronlab import relu_nets
-from barronlab.numerics import QuadratureSpec, loglog_fit, multi_indices, tensor_nodes
+from barronlab.numerics import QuadratureSpec, loglog_fit, multi_indices
 from barronlab.relu_nets import (
     CellPolynomial,
     Cube,
@@ -474,21 +476,35 @@ class TestGroupedEvaluation:
         np.testing.assert_array_equal(got, [2.0 * 1.5**2 - 1.0, 2.0 * 0.25])
 
 
-def per_unit_hm_norms(net, box, m: int, resolution: int) -> np.ndarray:
-    """Unit H^m norms by one quadrature pass per unit and multi-index."""
-    pts, w = tensor_nodes(box, resolution)
+def exact_box_integral(omega, b, box, p: int) -> Fraction:
+    """Integral of sigma_p(omega . x + b) over the box, exactly: the vertex sum
+    of sigma_{p+n}(omega . v + b) over the n axes with omega_j != 0, divided by
+    (p+1)...(p+n) prod_j omega_j; each axis with omega_j = 0 adds its length."""
+    active = [j for j, w in enumerate(omega) if w != 0]
+    scale = Fraction(1, math.prod(range(p + 1, p + len(active) + 1)))
+    for j, (lo, hi) in enumerate(box):
+        scale = scale / omega[j] if j in active else scale * (Fraction(hi) - Fraction(lo))
+    total = Fraction(0)
+    for corner in itertools.product((0, 1), repeat=len(active)):
+        t = Fraction(b) + sum(omega[j] * Fraction(box[j][side]) for j, side in zip(active, corner))
+        if t > 0:
+            total += (-1) ** (len(active) - sum(corner)) * t ** (p + len(active))
+    return scale * total
+
+
+def exact_unit_hm_norms(net, box, m: int) -> np.ndarray:
+    """Unit H^m norms in Fraction arithmetic: sum over |alpha| <= m of
+    prod_j omega_j^(2 alpha_j) (k! / (k - r)!)^2 times the box integral of
+    sigma_{k-r}^2 = sigma_{2(k-r)}, r = |alpha|."""
     norms = []
     for unit in net.units:
-        t = pts @ np.asarray(unit.direction) + unit.bias
-        sq = np.zeros(len(pts))
-        for alpha in multi_indices(len(unit.direction), m):
-            r = sum(alpha)
-            dir_factor = np.prod(
-                [unit.direction[j] ** (2 * a) for j, a in enumerate(alpha)]
-            )
-            falling = math.factorial(unit.power) // math.factorial(unit.power - r)
-            sq += dir_factor * (falling * sigma_k(t, unit.power - r)) ** 2
-        norms.append(math.sqrt(float(np.dot(w, sq))))
+        omega, k = [Fraction(w) for w in unit.direction], unit.power
+        by_order = [Fraction(0)] * (m + 1)
+        for alpha in multi_indices(len(omega), m):
+            by_order[sum(alpha)] += math.prod(w ** (2 * a) for w, a in zip(omega, alpha))
+        norms.append(math.sqrt(sum(
+            by_order[r] * math.perm(k, r) ** 2
+            * exact_box_integral(omega, unit.bias, box, 2 * (k - r)) for r in range(m + 1))))
     return np.array(norms)
 
 
@@ -516,21 +532,58 @@ class TestHmUpperBound:
     @pytest.mark.parametrize("d, resolution", [(1, 256), (2, 48), (3, 16)])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_unit_norms_match_per_unit_reference(self, d, resolution, m):
+        # ``resolution`` only sets ``spec``, which the certificate ignores.
         rng = np.random.default_rng(10 * d + m)
-        # Three powers, each group spanning several pre-activation blocks.
-        per_power = relu_nets._EVAL_BLOCK // resolution**d + 8
-        powers = np.repeat([0, 1, 2] if m == 0 else [m + 1, m + 2, m + 3], per_power)
-        rng.shuffle(powers)
+        powers = rng.permutation(np.repeat([0, 1, 2] if m == 0 else [m + 1, m + 2, m + 3], 6))
         omegas = uniform_sphere(rng, len(powers), d) if d > 1 else rng.choice(
             [-1.0, 1.0], (len(powers), 1))
+        if d > 1:
+            omegas[0, 0], omegas[1, -1] = 1e-7, 0.0
+            omegas[:2] /= np.linalg.norm(omegas[:2], axis=1, keepdims=True)
         units = [(rng.standard_normal(), omegas[i], rng.uniform(-2, 2), int(k))
                  for i, k in enumerate(powers)]
         box = [(0.0, 1.0)] * d
         hb = network_hm_upper(relu_network(units), box, m, 2.0,
                               QuadratureSpec(resolution=resolution))
-        want = per_unit_hm_norms(relu_network(units), box, m, resolution)
-        np.testing.assert_allclose(hb.unit_norms, want, rtol=1e-13, atol=0)
+        want = exact_unit_hm_norms(relu_network(units), box, m)
+        norms = np.array(hb.unit_norms)
+        assert np.all(norms >= want)
+        # Less the stated 1e-12 margin, the norms are the exact ones.
+        np.testing.assert_allclose(norms / (1.0 + 1e-12), want, rtol=1e-12, atol=0)
         assert hb.max_unit_norm == max(hb.unit_norms)
+
+    def test_unit_norms_exact_on_uneven_box(self):
+        rng = np.random.default_rng(11)
+        omegas = uniform_sphere(rng, 24, 3)
+        units = [(1.0, omegas[i], rng.uniform(-2, 2), int(k))
+                 for i, k in enumerate(rng.integers(2, 5, 24))]
+        box = [(-1.0, 2.0), (0.5, 1.0), (-0.25, 0.0)]
+        norms = np.array(network_hm_upper(relu_network(units), box, 1, 2.0).unit_norms)
+        want = exact_unit_hm_norms(relu_network(units), box, 1)
+        assert np.all(norms >= want)
+        np.testing.assert_allclose(norms / (1.0 + 1e-12), want, rtol=1e-12, atol=0)
+
+    def test_bound_not_below_exact_norm_on_benchmark_law(self):
+        # The unit law of test_width_independent_for_unit_ell1.  With the
+        # former 48^2 tensor rule this seed put the bound 4e-16 and one unit
+        # norm 1.6e-8 (relative) below the exact values.
+        rng = np.random.default_rng(52)
+        omegas = uniform_sphere(rng, 8, 2)
+        biases = rng.uniform(0.0, 2.0, 8)
+        raw = rng.uniform(0.2, 1.0, 8)
+        net = relu_network([(raw[i] / raw.sum(), omegas[i], biases[i], 2) for i in range(8)])
+        hb = network_hm_upper(net, self.OMEGA, 1, 2.0)
+        want = exact_unit_hm_norms(net, self.OMEGA, 1)
+        assert np.all(np.array(hb.unit_norms) >= want)
+        assert hb.bound >= float(want.max()) * net.ell1
+        assert hb.bound == hb.max_unit_norm * hb.ell1
+
+    def test_box_must_match_network_dimension(self):
+        net = relu_network([(1.0, (0.6, 0.8), 0.5, 2)])
+        with pytest.raises(ValueError, match="box has 3 axes, expected 2"):
+            network_hm_upper(net, [(0.0, 1.0)] * 3, 1, 2.0)
+        with pytest.raises(ValueError, match="degenerate box on axis 1"):
+            network_hm_upper(net, [(0.0, 1.0), (1.0, 1.0)], 1, 2.0)
 
     @pytest.mark.parametrize("bad_unit, match", [
         ((1.0, (0.6, 0.6), 5.0, 1), "unit 1 is not dictionary"),
