@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureSpec, TENSOR_GRID, axis_rule, grid_rows, sobolev_weight
+from .numerics import QuadratureSpec, TENSOR_GRID, axis_rule, grid_rows, read_only, sobolev_weight
 
 COEFF_DROP_RELATIVE = 1e-14
 
@@ -226,9 +226,7 @@ def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
         keep = (mags >= COEFF_DROP_RELATIVE * mags.max()) & (mags > 0.0)
         index, values = index[keep], values[keep]
     order = np.lexsort(index.T[::-1])
-    index, values = index[order], values[order]
-    index.flags.writeable = False
-    values.flags.writeable = False
+    index, values = read_only(index[order], values[order])
     return FourierSum(d=d, L=float(L), a=tuple(float(v) for v in a),
                       index=index, values=values, warnings=tuple(warnings))
 

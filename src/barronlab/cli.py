@@ -376,11 +376,10 @@ def _cmd_packing(args) -> int:
     else:
         buf = io.StringIO()
         buf.write("pair_index,i,j,distance,main_term,cross_term\n")
-        for idx, row in enumerate(report.rows):
-            buf.write(
-                f"{idx},{row.i},{row.j},{_fmt(row.distance)},"
-                f"{_fmt(row.main_term)},{_fmt(row.cross_term)}\n"
-            )
+        for idx, (i, j, dist, main, cross) in enumerate(zip(
+                report.i.tolist(), report.j.tolist(), report.distance.tolist(),
+                report.main_term.tolist(), report.cross_term.tolist())):
+            buf.write(f"{idx},{i},{j},{_fmt(dist)},{_fmt(main)},{_fmt(cross)}\n")
         _emit(buf.getvalue(), args.output)
     return 0
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .numerics import QuadratureSpec, axis_rule, tensor_nodes
+from .numerics import (TENSOR_GRID, QuadratureSpec, axis_rule, monte_carlo_nodes, read_only,
+                       tensor_nodes)
 from .relu_nets import sigma_k
 from .sphere_geom import SphericalNet, separated_subset
 
@@ -236,18 +237,17 @@ class PackingFamily:
     normalization: float
     delta: float
 
-    def evaluate(self, sign_index: int, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        sigma = self.signs[sign_index]
+    def atoms(self, pts: np.ndarray) -> np.ndarray:
+        """(N, m) values of the m unnormalized atoms at the rows of pts."""
         proj = pts @ self.directions.points[: self.m].T
         if self.kind == FOURIER_KIND:
-            atoms = np.exp(2j * np.pi * self.R * proj)
-        else:
-            atoms = sigma_k(self.R * proj, self.k)
-        vals = self.normalization * (atoms @ sigma)
-        return (vals[0] if single else vals)
+            return np.exp(2j * np.pi * self.R * proj)
+        return sigma_k(self.R * proj, self.k)
+
+    def evaluate(self, sign_index: int, x):
+        x = np.asarray(x, dtype=float)
+        vals = self.normalization * (self.atoms(np.atleast_2d(x)) @ self.signs[sign_index])
+        return vals[0] if x.ndim == 1 else vals
 
 
 def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
@@ -294,10 +294,7 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
             "lower n or the separation"
         )
     if m <= 12:
-        signs = np.array(
-            [[1 if (i >> j) & 1 else -1 for j in range(m)] for i in range(2**m)],
-            dtype=float,
-        )
+        signs = 2.0 * ((np.arange(2**m)[:, None] >> np.arange(m)) & 1) - 1.0
     else:
         rng = np.random.default_rng(seed + 1)
         seen = set()
@@ -314,29 +311,25 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
     )
 
 
-@dataclass(frozen=True)
-class SeparationRow:
-    i: int
-    j: int
-    distance: float
-    main_term: float
-    cross_term: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SeparationReport:
     """Measured pairwise separations with the main/cross split at witness points.
 
-    At the witness point x_j = omega_j the difference f_sigma - f_sigma'
-    splits into the diagonal (main) term (sigma_j - sigma'_j) * atom_j(x_j)
-    and the off-diagonal cross term; ``identity_violation`` is the largest
-    observed |main + cross - total|.  ``main_term_reference`` is the
+    Entry p of the read-only arrays compares sign rows i[p] < j[p].  At the
+    witness point x_w = omega_w attaining the distance, f_sigma - f_sigma'
+    splits into the diagonal (main) term (sigma_w - sigma'_w) * atom_w(x_w)
+    and the off-diagonal cross term (NaN in ``l2`` mode); ``identity_violation``
+    is the largest |main + cross - total|.  ``main_term_reference`` is the
     theoretical diagonal magnitude for a single differing sign.
     """
 
     min_distance: float
     pairs_evaluated: int
-    rows: tuple[SeparationRow, ...]
+    i: np.ndarray
+    j: np.ndarray
+    distance: np.ndarray
+    main_term: np.ndarray
+    cross_term: np.ndarray
     identity_violation: float
     main_term_reference: float
     norm: str
@@ -345,11 +338,13 @@ class SeparationReport:
 def pairwise_separation(family: PackingFamily, norm: str = "witness",
                         pair_budget: int = 64, seed: int = 0,
                         spec: QuadratureSpec | None = None) -> SeparationReport:
-    """Measure pairwise distances of a packing family.
+    """Measure pairwise distances of a packing family, all pairs in one batch.
 
     ``witness`` mode evaluates at the family's own directions and reports
-    the exact main + cross decomposition per pair; ``l2`` mode integrates
-    |f_sigma - f_sigma'|^2 over the unit cube by quadrature.
+    the exact main + cross decomposition per pair.  ``l2`` mode integrates
+    |f_sigma - f_sigma'|^2 over the unit cube on the nodes of ``spec``
+    (default 48^d tensor Gauss-Legendre) as a quadratic form of the sign
+    difference with the atoms' Gram matrix, since f_sigma is linear in sigma.
     """
     if pair_budget < 1:
         raise ValueError("pair budget must be >= 1")
@@ -367,47 +362,42 @@ def pairwise_separation(family: PackingFamily, norm: str = "witness",
     row = np.arange(n_signs)
     starts = row * n_signs - row * (row + 1) // 2
     i = np.searchsorted(starts, chosen, side="right") - 1
-    pairs = list(zip(i.tolist(), (chosen - starts[i] + i + 1).tolist()))
+    j = chosen - starts[i] + i + 1
+    diff = family.signs[i] - family.signs[j]
+    c = family.normalization
 
-    directions = family.directions.points[: family.m]
-    if family.kind == RELU_KIND:
-        atom_at_witness = sigma_k(family.R * (directions @ directions.T), family.k)
-        diag_reference = 2.0 * family.normalization * sigma_k(family.R, family.k)
-    else:
-        atom_at_witness = np.exp(
-            2j * np.pi * family.R * (directions @ directions.T)
-        )
-        diag_reference = 2.0 * family.normalization
-
-    rows = []
+    atom_at_witness = family.atoms(family.directions.points[: family.m])
+    diag_reference = 2.0 * c * (sigma_k(family.R, family.k)
+                                if family.kind == RELU_KIND else 1.0)
     worst_identity = 0.0
-    min_distance = math.inf
-    for i, j in pairs:
-        diff = family.signs[i] - family.signs[j]
-        if norm == "witness":
-            totals = family.normalization * (atom_at_witness @ diff)
-            distance = float(np.max(np.abs(totals)))
-            w = int(np.argmax(np.abs(totals)))
-            main = family.normalization * diff[w] * atom_at_witness[w, w]
-            cross = family.normalization * (
-                atom_at_witness[w] @ diff - diff[w] * atom_at_witness[w, w]
-            )
-            violation = abs(main + cross - totals[w])
-            worst_identity = max(worst_identity, float(violation))
-            rows.append(SeparationRow(i, j, distance, float(abs(main)),
-                                      float(abs(cross))))
-        else:
-            box = [(0.0, 1.0)] * family.d
-            res = spec.resolution if spec is not None else 48
-            pts, wq = tensor_nodes(box, res)
-            vals = family.evaluate(i, pts) - family.evaluate(j, pts)
-            distance = math.sqrt(float(np.dot(wq, np.abs(vals) ** 2)))
-            rows.append(SeparationRow(i, j, distance, math.nan, math.nan))
-        min_distance = min(min_distance, distance)
+    if norm == "witness":
+        # Stacked matmuls and hypot (not np.abs) reproduce, bit for bit, the
+        # per-pair matrix-vector products and scalar abs of a pair loop.
+        totals = c * (atom_at_witness[None] @ diff[:, :, None])[:, :, 0]
+        distance = np.max(np.abs(totals), axis=1)
+        w = np.argmax(np.abs(totals), axis=1)
+        pair = np.arange(len(w))
+        own = diff[pair, w] * atom_at_witness[w, w]
+        main = c * own
+        cross = c * ((atom_at_witness[w][:, None, :] @ diff[:, :, None])[:, 0, 0] - own)
+        gap = main + cross - totals[pair, w]
+        worst_identity = float(np.hypot(gap.real, gap.imag).max(initial=0.0))
+        main_term, cross_term = (np.hypot(z.real, z.imag) for z in (main, cross))
+    else:
+        spec = spec if spec is not None else QuadratureSpec(resolution=48)
+        box = [(0.0, 1.0)] * family.d
+        pts, wq = (tensor_nodes(box, spec.resolution) if spec.method == TENSOR_GRID
+                   else monte_carlo_nodes(box, spec))
+        atoms = family.atoms(pts)
+        gram = (atoms.conj().T * wq) @ atoms
+        sq = np.einsum("pa,ab,pb->p", diff, gram, diff).real
+        distance = c * np.sqrt(np.maximum(sq, 0.0))
+        main_term = cross_term = np.full(len(i), math.nan)
+    read_only(i, j, distance, main_term, cross_term)
     return SeparationReport(
-        min_distance=min_distance,
-        pairs_evaluated=len(pairs),
-        rows=tuple(rows),
+        min_distance=float(distance.min()),
+        pairs_evaluated=len(i),
+        i=i, j=j, distance=distance, main_term=main_term, cross_term=cross_term,
         identity_violation=worst_identity,
         main_term_reference=float(diag_reference),
         norm=norm,

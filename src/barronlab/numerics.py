@@ -78,13 +78,17 @@ def grid_rows(axis: np.ndarray, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Mark the arrays read-only in place and return them."""
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=None)
 def gauss_rule(resolution: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre nodes and weights on [-1, 1], cached. Read-only."""
-    nodes, weights = np.polynomial.legendre.leggauss(resolution)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
+    return read_only(*np.polynomial.legendre.leggauss(resolution))
 
 
 def axis_rule(lo: float, hi: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:

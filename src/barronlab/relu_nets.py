@@ -11,7 +11,6 @@ ambient power cap.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .numerics import (Box, QuadratureSpec, gauss_rule, grid_rows, integrate, multi_indices,
-                       validate_box)
+                       read_only, validate_box)
 
 
 def sigma_k(t, k: int):
@@ -106,14 +105,12 @@ def relu_network(units: Sequence[tuple], ambient_power: int | None = None) -> Re
             raise ValueError(f"unit {i} has direction shape {omega.shape}, expected ({d},)")
         if k < 0 or int(k) != k:
             raise ValueError(f"unit {i} power must be a nonnegative integer, got {k}")
-    arrays = (
+    arrays = read_only(
         np.array([complex(u[0]) for u in units], dtype=complex),
         np.array(rows, dtype=float).reshape(len(units), d),
         np.array([float(u[2]) for u in units]),
         np.array([int(u[3]) for u in units], dtype=int),
     )
-    for array in arrays:
-        array.flags.writeable = False
     if ambient_power is None:
         ambient_power = arrays[3].max(initial=0)
     return ReluNetwork(*arrays, int(ambient_power))
@@ -194,58 +191,50 @@ def bias_channel(value: complex, d: int, k: int) -> ReluUnit:
 # product-term expansions of multivariate monomials
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ProductTerm:
-    """sign * prod_j sigma_{a_j}(s_j x_j) over the listed coordinates."""
-
-    sign: int
-    factors: tuple[tuple[int, int, int], ...]  # (coordinate, argument sign, power)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProductTermSum:
-    d: int
-    terms: tuple[ProductTerm, ...]
+    """sum_t signs[t] prod_j sigma_{powers[j]}(arg_signs[t, j] x_j), as read-only
+    arrays: powers (d,) int, arg_signs (T, d) with 0 where powers[j] = 0, signs (T,)."""
+
+    powers: np.ndarray
+    arg_signs: np.ndarray
+    signs: np.ndarray
 
 
 def monomial_product_expansion(alpha: Sequence[int], k: int) -> ProductTermSum:
     """Expand prod_j x_j^(alpha_j) into signed products of one-sided powers.
 
     Each coordinate factor x^a equals sigma_a(x) + (-1)^a sigma_a(-x);
-    distributing the product gives 2^(number of nonzero exponents) terms,
-    each a product of coordinate-wise sigma powers.  Requires the total
-    degree to stay within the power cap k.  The identity holds pointwise on
-    all of R^d (no approximation).
+    distributing the product gives 2^(number of nonzero exponents) terms, in
+    ``itertools.product((1, -1))`` order.  Requires nonnegative integer
+    exponents of total degree within the power cap k.  The identity holds
+    pointwise on all of R^d (no approximation).
     """
-    alpha = tuple(int(a) for a in alpha)
-    if any(a < 0 for a in alpha):
-        raise ValueError("exponents must be nonnegative")
-    if sum(alpha) > k:
-        raise ValueError(f"total degree {sum(alpha)} exceeds power cap {k}")
-    active = [j for j, a in enumerate(alpha) if a > 0]
-    terms = []
-    for choice in itertools.product((1, -1), repeat=len(active)):
-        sign = 1
-        factors = []
-        for j, s in zip(active, choice):
-            if s == -1:
-                sign *= (-1) ** alpha[j]
-            factors.append((j, s, alpha[j]))
-        terms.append(ProductTerm(sign, tuple(factors)))
-    return ProductTermSum(len(alpha), tuple(terms))
+    if any(a < 0 or int(a) != a for a in alpha):
+        raise ValueError(f"exponents must be nonnegative integers, got {tuple(alpha)}")
+    powers = np.array(alpha, dtype=int).reshape(-1)
+    if powers.sum() > k:
+        raise ValueError(f"total degree {powers.sum()} exceeds power cap {k}")
+    active = np.flatnonzero(powers)
+    # Bit a - 1 - p of term t set: the p-th active coordinate takes -x.
+    bits = (np.arange(2 ** len(active))[:, None] >> np.arange(len(active))[::-1]) & 1
+    arg_signs = np.zeros((len(bits), len(powers)), dtype=int)
+    arg_signs[:, active] = 1 - 2 * bits
+    signs = 1 - 2 * ((bits @ powers[active]) % 2)
+    return ProductTermSum(*read_only(powers, arg_signs, signs))
 
 
 def evaluate_product_sum(pts_sum: ProductTermSum, x):
+    """Evaluate at one point (d,) or a batch (N, d): one product per active
+    coordinate across all terms, then the terms summed in order."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
     pts = np.atleast_2d(x)
-    total = np.zeros(pts.shape[0])
-    for term in pts_sum.terms:
-        vals = np.full(pts.shape[0], float(term.sign))
-        for j, s, a in term.factors:
-            vals = vals * sigma_k(s * pts[:, j], a)
-        total += vals
-    return float(total[0]) if single else total
+    vals = np.repeat(pts_sum.signs.astype(float)[:, None], len(pts), axis=1)
+    for j in np.flatnonzero(pts_sum.powers).tolist():
+        vals = vals * sigma_k(pts_sum.arg_signs[:, j, None] * pts[:, j], int(pts_sum.powers[j]))
+    # cumsum adds in term order; + 0.0 maps a -0.0 total to 0.0, as 0.0 + terms would.
+    total = np.cumsum(vals, axis=0)[-1] + 0.0
+    return float(total[0]) if x.ndim == 1 else total
 
 
 # ----------------------------------------------------------------------
@@ -308,11 +297,11 @@ class CubePartition:
         return np.ravel_multi_index(tuple(ids.T), (self.q,) * self.d)
 
 
-def _monomial_sum(y: np.ndarray, terms) -> np.ndarray:
-    """Sum over (alpha, c) in ``terms`` of c prod_j y_j^alpha_j, row by row;
-    each c is a scalar or holds one value per row of y."""
+def _monomial_sum(y: np.ndarray, exponents: np.ndarray, coefficients) -> np.ndarray:
+    """Sum over a of coefficients[a] prod_j y_j^exponents[a, j], row by row;
+    each coefficient is a scalar or holds one value per row of y."""
     total = np.zeros(len(y))
-    for alpha, c in terms:
+    for alpha, c in zip(exponents.tolist(), coefficients):
         term = c
         for j, aj in enumerate(alpha):
             if aj:
@@ -321,33 +310,35 @@ def _monomial_sum(y: np.ndarray, terms) -> np.ndarray:
     return total
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CellPolynomial:
-    """Polynomial sum_alpha coeff_alpha * prod_j (scale * (x_j - c_j))^alpha_j."""
+    """Polynomial sum_a coefficients[a] prod_j (scale * (x_j - c_j))^exponents[a, j]."""
 
     center: tuple[float, ...]
     scale: float
-    coeffs: dict[tuple[int, ...], float]
+    exponents: np.ndarray  # (n, d) int
+    coefficients: np.ndarray  # (n,)
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         y = (np.atleast_2d(x) - np.asarray(self.center)) * self.scale
-        total = _monomial_sum(y, self.coeffs.items())
+        total = _monomial_sum(y, self.exponents, self.coefficients.tolist())
         return float(total[0]) if x.ndim == 1 else total
 
 
-def _expand_ridge_power(theta: np.ndarray, t0: float, k: int) -> dict[tuple[int, ...], float]:
-    """Coefficients of (t0 + theta . y)^k as a polynomial in y = x - center."""
-    coeffs: dict[tuple[int, ...], float] = {}
-    # Binomial in t0, multinomial in theta . y; terms in increasing degree.
-    for alpha in sorted(multi_indices(len(theta), k), key=sum):
-        i = sum(alpha)
-        coef = math.comb(k, i) * t0 ** (k - i) * math.factorial(i)
-        for j, aj in enumerate(alpha):
-            coef *= theta[j] ** aj / math.factorial(aj)
-        if coef != 0.0:
-            coeffs[alpha] = coef
-    return coeffs
+def _expand_ridge_power(theta: np.ndarray, t0: float, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only exponents and nonzero coefficients of sigma_k(t0 + theta . y) as
+    a polynomial in y = x - center, on the branch selected by the sign of t0."""
+    alphas = np.array(sorted(multi_indices(len(theta), k), key=sum), dtype=int)
+    # Binomial in t0, multinomial in theta . y, gathered from per-degree tables
+    # built with scalar pow, since NumPy's array pow can differ in the last bit.
+    fact = np.array([math.factorial(i) for i in range(k + 1)], dtype=float)
+    lead = np.array([math.comb(k, i) * t0 ** (k - i) for i in range(k + 1)])
+    coef = (lead * fact)[alphas.sum(axis=1)]
+    for w, alpha_j in zip(theta.tolist(), alphas.T):
+        coef = coef * (np.array([w**i for i in range(k + 1)])[alpha_j] / fact[alpha_j])
+    keep = (coef != 0.0) & (t0 >= 0.0)
+    return read_only(alphas[keep], coef[keep])
 
 
 @dataclass(frozen=True)
@@ -386,8 +377,7 @@ def ridge_local_taylor(theta, b: float, cell: Cube, k: int,
     if grid_per_axis is None:
         grid_per_axis = 201 if cell.d == 1 else 41
     # The branch at the centre: exact when the cell does not straddle the kink.
-    poly = CellPolynomial(cell.center, 1.0,
-                          _expand_ridge_power(theta, t0, k) if t0 >= 0.0 else {})
+    poly = CellPolynomial(cell.center, 1.0, *_expand_ridge_power(theta, t0, k))
     if t_min >= 0.0 or t_max <= 0.0:
         return RidgeTaylor("positive" if t_min >= 0.0 else "negative", poly,
                            0.0, 0.0, 0.0, delta)
@@ -469,8 +459,7 @@ class SobolevApproximant:
         """Polynomial of cell ``cell_ids[n]`` at ``pts[n]``, gathering one
         coefficient column at a time."""
         y = (pts - self.partition.centers()[cell_ids]) * (2.0 / self.partition.h)
-        return _monomial_sum(y, ((alpha, column[cell_ids]) for alpha, column
-                                 in zip(self.exponents.tolist(), self.coefficients.T)))
+        return _monomial_sum(y, self.exponents, (c[cell_ids] for c in self.coefficients.T))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -540,10 +529,8 @@ def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
     pts = cells.grids(samples_per_axis).reshape(-1, cells.d)
     targets = np.asarray(f(pts)).reshape(-1, len(design)).T
     sol, *_ = np.linalg.lstsq(design, targets, rcond=None)
-    coefficients = np.ascontiguousarray(sol.T)
-    exponents.flags.writeable = False
-    coefficients.flags.writeable = False
-    return SobolevApproximant(cells, exponents, coefficients, smoothing)
+    return SobolevApproximant(cells, *read_only(exponents, np.ascontiguousarray(sol.T)),
+                              smoothing)
 
 
 # ----------------------------------------------------------------------

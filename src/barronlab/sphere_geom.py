@@ -85,6 +85,13 @@ def covering_radius(net: SphericalNet | np.ndarray, probes: int = 10000,
     return worst
 
 
+def _probed_net(points: np.ndarray, cover_probes: int, seed: int) -> SphericalNet:
+    """Read-only net of the rows of points, its covering radius probed from seed + 1."""
+    points.setflags(write=False)
+    return SphericalNet(d=points.shape[1], points=points, min_sep=_pairwise_min_distance(points),
+                        cover_rad=covering_radius(points, cover_probes, seed + 1))
+
+
 def greedy_net(d: int, m: int, candidate_pool: int | None = None,
                seed: int = 0, cover_probes: int = 10000) -> SphericalNet:
     """Greedy farthest-candidate net of m directions on S^(d-1).
@@ -109,13 +116,7 @@ def greedy_net(d: int, m: int, candidate_pool: int | None = None,
         sq = np.maximum(0.0, 2.0 - 2.0 * (pool @ points[:i].T))
         best = int(np.argmax(sq.min(axis=1)))
         points[i] = pool[best]
-    points.setflags(write=False)
-    return SphericalNet(
-        d=d,
-        points=points,
-        min_sep=_pairwise_min_distance(points),
-        cover_rad=covering_radius(points, cover_probes, seed + 1),
-    )
+    return _probed_net(points, cover_probes, seed)
 
 
 def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
@@ -133,23 +134,14 @@ def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
         raise ValueError(f"separation must be positive, got {delta}")
     rng = np.random.default_rng(seed)
     pool = uniform_sphere(rng, candidate_pool, d)
-    kept: list[np.ndarray] = []
+    kept = np.empty_like(pool)  # the first n rows hold the accepted points
+    n = 0
     for cand in pool:
-        if not kept:
-            kept.append(cand)
-            continue
-        arr = np.array(kept)
-        sq = np.maximum(0.0, 2.0 - 2.0 * (arr @ cand))
-        if np.sqrt(sq.min()) >= delta:
-            kept.append(cand)
-    points = np.array(kept)
-    points.setflags(write=False)
-    return SphericalNet(
-        d=d,
-        points=points,
-        min_sep=_pairwise_min_distance(points),
-        cover_rad=covering_radius(points, cover_probes, seed + 1),
-    )
+        sq = np.maximum(0.0, 2.0 - 2.0 * (kept[:n] @ cand))
+        if np.sqrt(sq.min(initial=np.inf)) >= delta:
+            kept[n] = cand
+            n += 1
+    return _probed_net(kept[:n].copy(), cover_probes, seed)
 
 
 def net_to_csv(net: SphericalNet) -> str:

@@ -18,7 +18,8 @@ from barronlab.lower_bounds import (
     residual_tail_norm,
     tail_density,
 )
-from barronlab.numerics import QuadratureSpec, axis_rule, tensor_nodes
+from barronlab.numerics import QuadratureSpec, axis_rule, monte_carlo_nodes, tensor_nodes
+from barronlab.relu_nets import sigma_k
 
 
 class TestExpRidgeFourier:
@@ -249,6 +250,14 @@ class TestPacking:
         with pytest.raises(ValueError, match="cap"):
             build_packing("fourier", 2, 1.0, 100_000, seed=0)
 
+    @pytest.mark.parametrize("kind, k_or_s, n",
+                             [("relu", 2, 2), ("relu", 2, 32), ("fourier", 1.0, 64)])
+    def test_enumerated_signs_follow_bit_order(self, kind, k_or_s, n):
+        family = build_packing(kind, 2, k_or_s, n, seed=0)
+        m = family.m
+        want = [[1 if (i >> j) & 1 else -1 for j in range(m)] for i in range(2**m)]
+        assert family.signs.dtype == float and family.signs.tolist() == want
+
     def test_large_direction_count_samples_distinct_signs(self):
         family = build_packing("fourier", 2, 1.0, 196, seed=0, max_signs=256)
         assert family.m == 14
@@ -331,6 +340,23 @@ class TestPairwiseSeparation:
         )
         assert report.min_distance > 0.0
 
+    @pytest.mark.parametrize("spec", [QuadratureSpec("monte-carlo", 64, seed=3),
+                                      QuadratureSpec(resolution=24)])
+    @pytest.mark.parametrize("kind, k_or_s", [("relu", 2), ("fourier", 1.0)])
+    def test_l2_distances_use_the_spec_nodes(self, spec, kind, k_or_s):
+        # A Monte Carlo spec means `resolution` samples, not resolution^d
+        # tensor nodes; the reference evaluates each pair on those nodes.
+        family = build_packing(kind, 2, k_or_s, 32, seed=0)
+        box = [(0.0, 1.0)] * 2
+        pts, w = (monte_carlo_nodes(box, spec) if spec.method == "monte-carlo"
+                  else tensor_nodes(box, spec.resolution))
+        report = pairwise_separation(family, norm="l2", pair_budget=5, seed=2, spec=spec)
+        want = [math.sqrt(np.dot(w, np.abs(family.evaluate(i, pts) - family.evaluate(j, pts)) ** 2))
+                for i, j in zip(report.i.tolist(), report.j.tolist())]
+        np.testing.assert_allclose(report.distance, want, rtol=1e-12)
+        assert report.min_distance == report.distance.min()
+        assert np.isnan(report.main_term).all() and np.isnan(report.cross_term).all()
+
     @pytest.mark.parametrize("budget, seed", [(1, 0), (17, 3), (495, 1)])
     def test_sampled_pairs_match_enumeration(self, budget, seed):
         # Reference: list every pair, then index it by the same seeded draw.
@@ -340,17 +366,58 @@ class TestPairwiseSeparation:
         assert len(all_pairs) == 496
         chosen = np.random.default_rng(seed).choice(len(all_pairs), size=budget, replace=False)
         report = pairwise_separation(family, pair_budget=budget, seed=seed)
-        assert [(r.i, r.j) for r in report.rows] == [all_pairs[c] for c in sorted(chosen)]
+        assert list(zip(report.i.tolist(), report.j.tolist())) == [
+            all_pairs[c] for c in sorted(chosen)]
 
     def test_budget_above_pair_count_returns_every_pair_in_order(self, relu_family):
         n = len(relu_family.signs)
         report = pairwise_separation(relu_family, pair_budget=n * (n - 1) // 2)
-        assert [(r.i, r.j) for r in report.rows] == [
+        assert list(zip(report.i.tolist(), report.j.tolist())) == [
             (i, j) for i in range(n) for j in range(i + 1, n)]
 
     def test_budget_validated(self, relu_family):
         with pytest.raises(ValueError):
             pairwise_separation(relu_family, pair_budget=0)
+
+
+def per_pair_witness(family, pairs):
+    """Per-pair reference: the witness split of each pair, one matrix-vector
+    product and scalar ``abs`` at a time."""
+    directions = family.directions.points[: family.m]
+    proj = family.R * (directions @ directions.T)
+    atom = sigma_k(proj, family.k) if family.kind == "relu" else np.exp(2j * np.pi * proj)
+    c = family.normalization
+    rows, worst = [], 0.0
+    for i, j in pairs:
+        diff = family.signs[i] - family.signs[j]
+        totals = c * (atom @ diff)
+        w = int(np.argmax(np.abs(totals)))
+        main = c * diff[w] * atom[w, w]
+        cross = c * (atom[w] @ diff - diff[w] * atom[w, w])
+        worst = max(worst, float(abs(main + cross - totals[w])))
+        rows.append((float(np.max(np.abs(totals))), float(abs(main)), float(abs(cross))))
+    return rows, worst
+
+
+class TestBatchedWitnessExact:
+    @pytest.mark.parametrize("kind, d, k_or_s, n, budget", [
+        ("fourier", 2, 1.0, 64, 240), ("relu", 3, 1, 4000, 300)])
+    def test_batch_equals_per_pair_loop_bit_for_bit(self, kind, d, k_or_s, n, budget):
+        family = build_packing(kind, d, k_or_s, n, seed=0)
+        report = pairwise_separation(family, pair_budget=budget, seed=1)
+        assert report.pairs_evaluated == budget
+        rows, worst = per_pair_witness(family, zip(report.i.tolist(), report.j.tolist()))
+        distance, main, cross = (list(col) for col in zip(*rows))
+        assert report.distance.tolist() == distance
+        assert report.main_term.tolist() == main
+        assert report.cross_term.tolist() == cross
+        assert report.identity_violation == worst
+        assert report.min_distance == min(distance)
+
+    def test_report_arrays_are_read_only(self, relu_family):
+        report = pairwise_separation(relu_family, pair_budget=4, seed=1)
+        for array in (report.i, report.j, report.distance, report.main_term, report.cross_term):
+            assert not array.flags.writeable and array.shape == (4,)
 
 
 class TestFanoBound:

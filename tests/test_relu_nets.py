@@ -207,12 +207,50 @@ class TestCubePartition:
             assert hi_a == pytest.approx(lo_b)
 
 
+def per_term_product_sum(alpha, x):
+    """Per-term reference: the itertools.product((1, -1)) expansion, each term
+    multiplied out factor by factor and added to a running total in order."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    active = [j for j, a in enumerate(alpha) if a > 0]
+    total = np.zeros(len(pts))
+    for choice in itertools.product((1, -1), repeat=len(active)):
+        vals = np.full(len(pts), float(math.prod(
+            (-1) ** alpha[j] for j, s in zip(active, choice) if s == -1)))
+        for j, s in zip(active, choice):
+            vals = vals * sigma_k(s * pts[:, j], alpha[j])
+        total += vals
+    return total
+
+
 class TestProductExpansion:
     def test_bilinear_hand_value(self):
         expansion = monomial_product_expansion((1, 1), 2)
-        assert len(expansion.terms) == 4
+        assert expansion.arg_signs.shape == (4, 2) and expansion.signs.shape == (4,)
         val = evaluate_product_sum(expansion, np.array([-1.0, 2.0]))
         assert val == pytest.approx(-2.0)
+
+    def test_rows_follow_itertools_product_order(self):
+        expansion = monomial_product_expansion((2, 0, 1), 3)
+        choices = list(itertools.product((1, -1), repeat=2))
+        assert expansion.powers.tolist() == [2, 0, 1]
+        assert expansion.arg_signs.tolist() == [[s0, 0, s2] for s0, s2 in choices]
+        assert expansion.signs.tolist() == [(-1 if s2 == -1 else 1) for _, s2 in choices]
+
+    @pytest.mark.parametrize("alpha", [(1,), (0, 0), (3, 1), (1, 1, 1), (2, 0, 2), (0, 4)])
+    def test_evaluation_equals_per_term_sum_exactly(self, alpha):
+        pts = np.random.default_rng(sum(alpha)).uniform(-10.0, 10.0, (500, len(alpha)))
+        got = evaluate_product_sum(monomial_product_expansion(alpha, 4), pts)
+        assert np.array_equal(got, per_term_product_sum(alpha, pts))
+
+    @pytest.mark.parametrize("alpha", [(1.5, 1), (1, 0.25, 0)])
+    def test_non_integer_exponent_rejected(self, alpha):
+        # int(1.5) would turn x^1.5 y into x y: 4 instead of 8 at (4, 1).
+        with pytest.raises(ValueError, match="integer"):
+            monomial_product_expansion(alpha, 3)
+
+    def test_integral_float_exponent_accepted(self):
+        expansion = monomial_product_expansion((2.0, 1), 3)
+        assert evaluate_product_sum(expansion, np.array([4.0, 1.5])) == pytest.approx(24.0)
 
     def test_mixed_degree_random_points(self):
         expansion = monomial_product_expansion((2, 0, 1), 4)
@@ -224,8 +262,8 @@ class TestProductExpansion:
 
     def test_zero_exponent_skips_doubling(self):
         expansion = monomial_product_expansion((0, 3), 3)
-        assert len(expansion.terms) == 2
-        assert all(len(t.factors) == 1 for t in expansion.terms)
+        assert expansion.arg_signs.tolist() == [[0, 1], [0, -1]]
+        assert expansion.signs.tolist() == [1, -1]
 
     def test_degree_cap_enforced(self):
         with pytest.raises(ValueError):
@@ -243,6 +281,27 @@ class TestRidgeTaylor:
         assert fit.case == "negative"
         assert fit.measured_error == 0.0
         assert fit.poly(np.array([0.5])) == 0.0
+        assert fit.poly.exponents.shape == (0, 1) and fit.poly.coefficients.shape == (0,)
+
+    @pytest.mark.parametrize("theta, b, k", [
+        ((1.0,), 0.5, 3), ((0.6, 0.8), 2.0, 3), ((0.0, 1.0), 1.0, 4),
+        ((2 / 3, -1 / 3, 2 / 3), 1.5, 3), ((0.6, 0.0, -0.8), 0.75, 0),
+    ])
+    def test_positive_coefficients_match_per_term_multinomial(self, theta, b, k):
+        # Per-term reference in increasing degree; zero coefficients dropped.
+        cell = Cube((0.5,) * len(theta), 0.1)
+        t0 = float(np.asarray(theta) @ np.asarray(cell.center) + b)
+        want = {}
+        for alpha in sorted(multi_indices(len(theta), k), key=sum):
+            coef = math.comb(k, sum(alpha)) * t0 ** (k - sum(alpha)) * math.factorial(sum(alpha))
+            for w, a in zip(theta, alpha):
+                coef *= w**a / math.factorial(a)
+            if coef != 0.0:
+                want[alpha] = coef
+        fit = ridge_local_taylor(theta, b, cell, k)
+        assert fit.case == "positive"
+        assert [tuple(a) for a in fit.poly.exponents.tolist()] == list(want)
+        assert fit.poly.coefficients.tolist() == list(want.values())
 
     def test_positive_polynomial_matches_ridge_power(self):
         theta = np.array([0.6, 0.8])
@@ -421,10 +480,10 @@ class TestArrayApproximant:
             # Faces belong to the cell above them; x = 1 to the last cell.
             ij = np.minimum(np.floor(p * q).astype(int), q - 1)
             i = ij[0] * q + ij[1]
-            poly = CellPolynomial(tuple((ij + 0.5) / q), 2.0 * q, dict(zip(alphas, coeffs[i])))
+            poly = CellPolynomial(tuple((ij + 0.5) / q), 2.0 * q, np.array(alphas), coeffs[i])
             assert approx(p) == pytest.approx(poly(p), abs=1e-12)
         # Neighbouring cells disagree on a face, so the test sees a wrong pick.
-        left = CellPolynomial((0.125, 0.375), 8.0, dict(zip(alphas, coeffs[1])))
+        left = CellPolynomial((0.125, 0.375), 8.0, np.array(alphas), coeffs[1])
         assert abs(approx(np.array([0.25, 0.375])) - left(np.array([0.25, 0.375]))) > 1e-6
 
     def test_smoothed_is_call_times_own_indicator(self):

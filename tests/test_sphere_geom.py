@@ -119,6 +119,22 @@ class TestSeparatedSubset:
         with pytest.raises(ValueError):
             separated_subset(2, 0.0)
 
+    @pytest.mark.parametrize("d, delta, pool, seed", [(2, 0.05, 2048, 0), (3, 0.3, 2048, 5),
+                                                      (4, 2.0, 256, 1)])
+    def test_kept_points_match_list_reference(self, d, delta, pool, seed):
+        # Reference: rebuild the kept array for every candidate, in pool order.
+        kept = []
+        for cand in uniform_sphere(np.random.default_rng(seed), pool, d):
+            if not kept:
+                kept.append(cand)
+                continue
+            sq = np.maximum(0.0, 2.0 - 2.0 * (np.array(kept) @ cand))
+            if np.sqrt(sq.min()) >= delta:
+                kept.append(cand)
+        net = separated_subset(d, delta, candidate_pool=pool, seed=seed)
+        assert np.array_equal(net.points, np.array(kept))
+        assert not net.points.flags.writeable
+
 
 class TestCsv:
     def test_round_trip(self):
