@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import greedy_fourier, lower_bounds, rates, relu_nets, sphere_geom, subsample
+from . import greedy_fourier, lower_bounds, rates, relu_nets, sphere_geom
 from .barron import hm_norm_exact
 from .numerics import QuadratureSpec
 
@@ -104,7 +104,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default=None)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--list", action="store_true",
                        help="print what this subcommand exercises and exit")
@@ -119,6 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("greedy-fourier", help=ANCHORS["greedy-fourier"])
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--ks", type=float, default=2.0)
     p.add_argument("--m", type=int, default=0)
@@ -128,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relu-compile", help=ANCHORS["relu-compile"])
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--q", type=int, default=8)
@@ -143,6 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sphere-net", help=ANCHORS["sphere-net"])
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=8)
     p.add_argument("--pool", type=int, default=None)
@@ -158,6 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("packing", help=ANCHORS["packing"])
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--kind", choices=("fourier", "relu"), default="relu")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--k", type=float, default=2.0,
@@ -197,6 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help=ANCHORS["rates"])
     common(p)
+    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--kind", choices=rates.EXPERIMENT_KINDS, required=False,
                    default=rates.GREEDY_FOURIER)
     p.add_argument("--n-grid", default="2:256")
@@ -229,17 +233,12 @@ def _cmd_exponents(args) -> int:
 
 def _cmd_greedy_fourier(args) -> int:
     grid = _parse_grid(args.n_grid)
-    params = {"d": args.d, "ks": args.ks, "m": args.m}
-    if args.xi_max is not None:
-        params["xi_max"] = args.xi_max
+    params = {"d": args.d, "ks": args.ks, "m": args.m, "xi_max": args.xi_max}
     report = rates.run_experiment(rates.GREEDY_FOURIER, params, grid, args.seed)
     if args.format == "json":
         _emit(rates.report_to_json(report) + "\n", args.output)
     else:
-        fs = greedy_fourier.synthetic_heavy_tail(
-            args.d, args.ks, report.config["xi_max"], args.seed
-        )
-        sel = greedy_fourier.order_frequencies(fs, args.m, args.ks)
+        _, sel = rates.greedy_spectrum(report.config, args.seed)
         n0, e0 = report.samples[0]
         c_fit = e0 * n0 ** report.predicted_exponent
         buf = io.StringIO()
@@ -255,9 +254,7 @@ def _cmd_greedy_fourier(args) -> int:
 
 
 def _cmd_relu_compile(args) -> int:
-    def f(pts):
-        return np.sin(2.0 * np.pi * args.cycles * np.asarray(pts)[:, 0])
-
+    f = rates.sine_target(args.cycles)
     partition = relu_nets.CubePartition(args.d, args.q)
     approx = relu_nets.compile_sobolev_approximant(
         f, args.ell, partition, smoothing=args.smoothing
@@ -332,12 +329,7 @@ def _cmd_sphere_net(args) -> int:
 
 
 def _cmd_subsample(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    terms = rng.uniform(-1.0, 1.0, size=(args.N, args.M))
-    result = subsample.maurey_subsample(
-        terms, args.n, restarts=args.restarts, seed=args.seed + 1,
-        coeff_bound=1.0,
-    )
+    result = rates.seeded_subsample(args.N, args.M, args.n, args.restarts, args.seed)
     buf = io.StringIO()
     buf.write("restart,deviation,accepted\n")
     for i, dev in enumerate(result.deviations):
@@ -352,11 +344,8 @@ def _cmd_subsample(args) -> int:
 
 
 def _cmd_packing(args) -> int:
-    family = lower_bounds.build_packing(args.kind, args.d, args.k, args.n,
-                                        seed=args.seed)
-    report = lower_bounds.pairwise_separation(family, norm="witness",
-                                              pair_budget=args.pairs,
-                                              seed=args.seed + 1)
+    family, report = rates.seeded_packing(args.kind, args.d, args.k, args.n,
+                                          args.pairs, args.seed)
     if report.identity_violation > 1e-9:
         print(
             f"identity violation {report.identity_violation:.3e} exceeds 1e-9",

@@ -20,6 +20,8 @@ from .numerics import grid_rows, sobolev_weight
 
 WEIGHTED_RULE = "weighted"
 MODE_NORM_RULE = "mode-norm"
+# Largest lattice box synthetic_heavy_tail builds: 2^22 index rows, ~100 MB at d=3.
+MAX_BOX_ROWS = 2**22
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,12 +176,15 @@ def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int,
     slope measurement needs.  The default lattice spacing 1/L = 2 keeps the
     (1 + |xi|) factor dominated by |xi| from the first shells on; at unit
     spacing the low shells sit in the additive-offset transient and drag
-    finite-range slope fits off the asymptotic rate.
+    finite-range slope fits off the asymptotic rate.  The lattice box of
+    (2 floor(xi_max L) + 1)^d rows is capped at ``MAX_BOX_ROWS``.
     """
-    if d not in (1, 2):
-        raise ValueError("synthetic inputs are generated for d in {1, 2}")
-    rng = np.random.default_rng(seed)
     z_max = int(math.floor(xi_max * L))
+    rows = (2 * z_max + 1) ** d
+    if d < 1 or rows > MAX_BOX_ROWS:
+        raise ValueError(f"need d >= 1 and at most {MAX_BOX_ROWS} lattice box rows, got "
+                         f"d={d} and (2*{z_max} + 1)^{d} = {rows} rows; lower xi_max")
+    rng = np.random.default_rng(seed)
     index = grid_rows(np.arange(-z_max, z_max + 1), d)
     radius = np.linalg.norm(index, axis=1)
     inside = radius <= xi_max * L

@@ -260,8 +260,8 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
     delta = c0 m^(-1/(d-1)) with default c0 = sqrt(1/(4k)); delta is a free
     parameter here and the default is only the reference choice.
 
-    Sign vectors are enumerated exhaustively for m <= 12 and sampled
-    (seeded, distinct) otherwise; m > 16 is refused as beyond desk scale.
+    Sign vectors are enumerated for m <= 12, else ``max_signs`` (at most 2^m)
+    distinct ones are sampled with a seed; m > 16 is refused as beyond desk scale.
     """
     if kind not in (FOURIER_KIND, RELU_KIND):
         raise ValueError(f"unknown packing kind {kind!r}")
@@ -286,6 +286,9 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
         raise ValueError(
             f"direction count m = {m} exceeds the desk-scale cap 16; lower n"
         )
+    if m > 12 and max_signs > 2**m:
+        raise ValueError(f"max_signs = {max_signs} exceeds the 2^{m} = {2**m} "
+                         f"sign vectors of m = {m} directions")
     pool = max(8192, 512 * m)
     net = separated_subset(d, delta, candidate_pool=pool, seed=seed)
     if net.size < m:

@@ -30,15 +30,6 @@ SUBSAMPLE_CONCENTRATION = "subsample-concentration"
 PACKING_SEPARATION = "packing-separation"
 DYADIC_RESIDUAL = "dyadic-residual"
 
-EXPERIMENT_KINDS = (
-    GREEDY_FOURIER,
-    SOBOLEV_COMPILE,
-    SPHERE_COVER,
-    SUBSAMPLE_CONCENTRATION,
-    PACKING_SEPARATION,
-    DYADIC_RESIDUAL,
-)
-
 BOUND_SATISFIED = "bound-satisfied"
 BOUND_VIOLATED = "bound-violated"
 INFORMATIONAL = "informational"
@@ -79,41 +70,147 @@ def _validate_grid(n_grid: Sequence[int]) -> list[int]:
     return grid
 
 
+def greedy_spectrum(config: dict, seed: int):
+    """The heavy-tail spectrum of ``config`` (d, ks, xi_max) and its greedy
+    selection at order m; the greedy-fourier CSV reuses it."""
+    fs = greedy_fourier.synthetic_heavy_tail(config["d"], config["ks"],
+                                             config["xi_max"], seed)
+    return fs, greedy_fourier.order_frequencies(fs, config["m"], config["ks"])
+
+
+def sine_target(cycles: float):
+    """The smooth target sin(2 pi cycles x_1) on point batches (N, d)."""
+    return lambda pts: np.sin(2.0 * np.pi * cycles * np.asarray(pts)[:, 0])
+
+
+def seeded_subsample(big_n: int, n_monomials: int, n: int, restarts: int,
+                     seed: int) -> subsample.MaureyResult:
+    """Subsample n of big_n seeded uniform rows in [-1, 1]^n_monomials."""
+    terms = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(big_n, n_monomials))
+    return subsample.maurey_subsample(terms, n, restarts=restarts,
+                                      seed=seed + 1, coeff_bound=1.0)
+
+
+def seeded_packing(kind: str, d: int, k_or_s: float, n: int, pairs: int, seed: int):
+    """A seeded packing family and its witness separations on ``pairs`` pairs."""
+    family = lower_bounds.build_packing(kind, d, k_or_s, n, seed=seed)
+    return family, lower_bounds.pairwise_separation(family, norm="witness",
+                                                    pair_budget=pairs, seed=seed + 1)
+
+
+# Each setup(config, grid, seed) fills in the defaults left as None (derived
+# from the grid or from other parameters) and returns the predicted decay
+# exponent and the per-n error function error(n, run_seed).
+
+def _greedy_fourier(c, grid, seed):
+    if c["xi_max"] is None:
+        c["xi_max"] = max(400.0, 1.5 * grid[-1])
+    fs, sel = greedy_spectrum(c, seed)
+    return (0.5 + (c["ks"] - c["m"]) / c["d"],
+            lambda n, _: greedy_fourier.tail_error_hm(fs, sel, n, c["m"]))
+
+
+def _sobolev_compile(c, grid, seed):
+    if c["s"] is None:
+        c["s"] = float(c["ell"])
+    f = sine_target(c["cycles"])
+    return c["s"], lambda q, _: relu_nets.compile_sobolev_approximant(
+        f, c["ell"], relu_nets.CubePartition(c["d"], q)).sup_error(f)
+
+
+def _sphere_cover(c, grid, seed):
+    return 1.0 / (c["d"] - 1), lambda m, run_seed: sphere_geom.greedy_net(
+        c["d"], m, candidate_pool=64 * m, seed=run_seed).cover_rad
+
+
+def _subsample_concentration(c, grid, seed):
+    return 0.5, lambda n, run_seed: seeded_subsample(
+        c["N"], c["M"], n, c["restarts"], run_seed).deviation
+
+
+def _packing_separation(c, grid, seed):
+    return (1.0 + 2.0 * c["k_or_s"]) / (2.0 * c["d"]), lambda n, run_seed: seeded_packing(
+        c["family"], c["d"], c["k_or_s"], n, 32, run_seed)[1].min_distance
+
+
+def _dyadic_residual(c, grid, seed):
+    decomp = lower_bounds.dyadic_blocks(
+        lower_bounds.decaying_spectrum(c["xi_max"], c["decay"]))
+    return 0.5, lambda n, _: lower_bounds.residual_tail_norm(
+        decomp, int(math.floor(math.log2(n))))
+
+
+# kind -> (parameter defaults, setup).  A packing-separation verdict is
+# informational: its minimum distance is a witness, not a certified rate.
+KINDS = {
+    GREEDY_FOURIER: ({"d": 1, "ks": 2.0, "m": 0, "xi_max": None}, _greedy_fourier),
+    SOBOLEV_COMPILE: ({"d": 1, "ell": 2, "cycles": 1.0, "s": None}, _sobolev_compile),
+    SPHERE_COVER: ({"d": 2}, _sphere_cover),
+    SUBSAMPLE_CONCENTRATION: ({"N": 256, "M": 10, "restarts": 64}, _subsample_concentration),
+    PACKING_SEPARATION: ({"family": lower_bounds.FOURIER_KIND, "d": 2, "k_or_s": 1.0},
+                         _packing_separation),
+    DYADIC_RESIDUAL: ({"xi_max": 256.0, "decay": 1.0}, _dyadic_residual),
+}
+EXPERIMENT_KINDS = tuple(KINDS)
+
+
+def kind_config(kind: str, params: dict | None) -> dict:
+    """The kind's defaults plus ``tolerance``, updated by ``params``.
+
+    A given value is cast to its default's type (float where the default is
+    None, which the setup derives); None keeps the default.  An unknown kind
+    or key, a non-integral value for an integer default, or d below 1 (below
+    2 for the two kinds that work on the sphere S^(d-1)) is a ``ValueError``.
+    """
+    if kind not in KINDS:
+        raise ValueError(f"unknown experiment kind {kind!r}")
+    config = {**KINDS[kind][0], "tolerance": DEFAULT_SLOPE_TOLERANCE}
+    for key, value in (params or {}).items():
+        if key not in config:
+            raise ValueError(f"unknown parameter {key!r} for kind {kind}; "
+                             f"accepted: {', '.join(config)}")
+        if value is None:
+            continue
+        cast = float if config[key] is None else type(config[key])
+        if cast is int and float(value) != int(value):
+            raise ValueError(f"parameter {key!r} for kind {kind} must be an integer, got {value}")
+        config[key] = cast(value)
+    min_d = 2 if kind in (SPHERE_COVER, PACKING_SEPARATION) else 1
+    if config.get("d", min_d) < min_d:
+        raise ValueError(f"kind {kind} needs d >= {min_d}, got d={config['d']}")
+    return config
+
+
 def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
                    seed: int = 0) -> ExperimentReport:
     """Run one error sweep and fit its rate.
 
-    ``params`` carries kind-specific knobs (dimensions, smoothness, widths);
-    unspecified entries fall back to the defaults documented per kind below.
-    A sub-run that fails a precondition (``ValueError`` or
-    ``ConvergenceError``) is recorded and downgrades the verdict to
+    ``params`` overrides entries of the kind's defaults in ``KINDS`` (see
+    ``kind_config``).  A sub-run that fails a precondition (``ValueError``
+    or ``ConvergenceError``) is recorded and downgrades the verdict to
     informational while keeping the samples collected so far; any other
     exception propagates.
     """
-    if kind not in EXPERIMENT_KINDS:
-        raise ValueError(f"unknown experiment kind {kind!r}")
-    params = dict(params or {})
+    config = kind_config(kind, params)
     grid = _validate_grid(n_grid)
-    tolerance = float(params.pop("tolerance", DEFAULT_SLOPE_TOLERANCE))
     started = time.perf_counter()
     samples: list[tuple[int, float]] = []
     failures: list[str] = []
-    informational = kind == PACKING_SEPARATION
 
-    runner, predicted, config = _build_runner(kind, params, grid, seed)
+    predicted, error = KINDS[kind][1](config, grid, seed)
     for index, n in enumerate(grid):
         run_seed = seed ^ index
         try:
-            samples.append((n, float(runner(n, run_seed))))
+            samples.append((n, float(error(n, run_seed))))
         except (ValueError, lower_bounds.ConvergenceError) as exc:
             failures.append(f"n={n}: {exc}")
     fit = None
     if len({n for n, _ in samples}) >= 2 and all(e > 0 for _, e in samples):
         fit = loglog_fit(samples)
-    verdict = _verdict(fit, predicted, tolerance,
-                       informational or bool(failures))
+    verdict = _verdict(fit, predicted, config["tolerance"],
+                       kind == PACKING_SEPARATION or bool(failures))
     seconds = time.perf_counter() - started
-    config.update({"seed": seed, "n_grid": grid, "tolerance": tolerance})
+    config.update({"seed": seed, "n_grid": grid})
     return ExperimentReport(
         kind=kind,
         config=config,
@@ -124,103 +221,6 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
         seconds=seconds,
         failures=tuple(failures),
     )
-
-
-def _build_runner(kind: str, params: dict, grid: list[int], seed: int):
-    """Resolve a kind to (per-n error function, predicted exponent, config)."""
-    if kind == GREEDY_FOURIER:
-        d = int(params.get("d", 1))
-        ks = float(params.get("ks", 2.0))
-        m = int(params.get("m", 0))
-        xi_max = float(params.get("xi_max", max(400.0, 1.5 * grid[-1])))
-        fs = greedy_fourier.synthetic_heavy_tail(d, ks, xi_max, seed)
-        sel = greedy_fourier.order_frequencies(fs, m, ks)
-        predicted = 0.5 + (ks - m) / d
-        config = {"d": d, "ks": ks, "m": m, "xi_max": xi_max}
-
-        def runner(n, _):
-            return greedy_fourier.tail_error_hm(fs, sel, n, m)
-
-        return runner, predicted, config
-
-    if kind == SOBOLEV_COMPILE:
-        d = int(params.get("d", 1))
-        ell = int(params.get("ell", 2))
-        cycles = float(params.get("cycles", 1.0))
-        predicted = float(params.get("s", ell))
-        config = {"d": d, "ell": ell, "cycles": cycles, "s": predicted}
-
-        def f(pts):
-            return np.sin(2.0 * np.pi * cycles * np.asarray(pts)[:, 0])
-
-        def runner(q, _):
-            approx = relu_nets.compile_sobolev_approximant(
-                f, ell, relu_nets.CubePartition(d, q)
-            )
-            return approx.sup_error(f)
-
-        return runner, predicted, config
-
-    if kind == SPHERE_COVER:
-        d = int(params.get("d", 2))
-        predicted = 1.0 / (d - 1)
-        config = {"d": d}
-
-        def runner(m, run_seed):
-            net = sphere_geom.greedy_net(d, m, candidate_pool=64 * m,
-                                         seed=run_seed)
-            return net.cover_rad
-
-        return runner, predicted, config
-
-    if kind == SUBSAMPLE_CONCENTRATION:
-        big_n = int(params.get("N", 256))
-        n_monomials = int(params.get("M", 10))
-        restarts = int(params.get("restarts", 64))
-        predicted = 0.5
-        config = {"N": big_n, "M": n_monomials, "restarts": restarts}
-
-        def runner(n, run_seed):
-            rng = np.random.default_rng(run_seed)
-            terms = rng.uniform(-1.0, 1.0, size=(big_n, n_monomials))
-            result = subsample.maurey_subsample(
-                terms, n, restarts=restarts, seed=run_seed + 1, coeff_bound=1.0
-            )
-            return result.deviation
-
-        return runner, predicted, config
-
-    if kind == PACKING_SEPARATION:
-        kind_name = params.get("family", lower_bounds.FOURIER_KIND)
-        d = int(params.get("d", 2))
-        k_or_s = float(params.get("k_or_s", 1.0))
-        predicted = (1.0 + 2.0 * k_or_s) / (2.0 * d)
-        config = {"family": kind_name, "d": d, "k_or_s": k_or_s}
-
-        def runner(n, run_seed):
-            family = lower_bounds.build_packing(kind_name, d, k_or_s, n,
-                                                seed=run_seed)
-            report = lower_bounds.pairwise_separation(
-                family, norm="witness", pair_budget=32, seed=run_seed + 1
-            )
-            return report.min_distance
-
-        return runner, predicted, config
-
-    if kind == DYADIC_RESIDUAL:
-        xi_max = float(params.get("xi_max", 256.0))
-        decay = float(params.get("decay", 1.0))
-        predicted = 0.5
-        config = {"xi_max": xi_max, "decay": decay}
-        spectrum = lower_bounds.decaying_spectrum(xi_max, decay)
-        decomp = lower_bounds.dyadic_blocks(spectrum)
-
-        def runner(n, _):
-            return lower_bounds.residual_tail_norm(decomp, int(math.floor(math.log2(n))))
-
-        return runner, predicted, config
-
-    raise ValueError(f"unknown experiment kind {kind!r}")
 
 
 def report_to_json(report: ExperimentReport, deterministic: bool = True) -> str:

@@ -229,6 +229,8 @@ def evaluate_product_sum(pts_sum: ProductTermSum, x):
     coordinate across all terms, then the terms summed in order."""
     x = np.asarray(x, dtype=float)
     pts = np.atleast_2d(x)
+    if pts.shape[1] != len(pts_sum.powers):
+        raise ValueError(f"points have dimension {pts.shape[1]}, expected {len(pts_sum.powers)}")
     vals = np.repeat(pts_sum.signs.astype(float)[:, None], len(pts), axis=1)
     for j in np.flatnonzero(pts_sum.powers).tolist():
         vals = vals * sigma_k(pts_sum.arg_signs[:, j, None] * pts[:, j], int(pts_sum.powers[j]))

@@ -2,15 +2,19 @@ import csv
 import io
 import json
 import pathlib
+import re
 import shlex
 
 import pytest
 
-from barronlab import cli
+from barronlab import cli, rates
 from barronlab.cli import ANCHORS, build_parser, dispatch, _parse_grid
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
-SUBCOMMANDS = list(next(a for a in build_parser()._actions if a.dest == "command").choices)
+PARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
+SUBCOMMANDS = list(PARSERS)
+TWO_FORMATS = {"greedy-fourier": "csv", "relu-compile": "csv", "sphere-net": "csv",
+               "packing": "csv", "rates": "json"}
 
 
 def readme_commands() -> list[list[str]]:
@@ -90,6 +94,38 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, *args)
         assert code == 2
         assert "n grid values must be >= 1, got [0, " in err
+
+    def test_unknown_param_names_the_key(self, capsys):
+        code, out, err = run_cli(capsys, "rates", "--kind", "greedy-fourier",
+                                 "--param", "xi-max=100")
+        assert code == 2 and out == ""
+        assert "'xi-max'" in err and "xi_max" in err
+
+    @pytest.mark.parametrize("args", [
+        ("rates", "--kind", "sphere-cover", "--param", "d=1"),
+        ("rates", "--kind", "packing-separation", "--param", "d=0"),
+    ])
+    def test_dimension_out_of_range_is_usage_error(self, capsys, args):
+        # Both used to end in a ZeroDivisionError traceback and exit 1.
+        code, _, err = run_cli(capsys, *args)
+        assert code == 2
+        assert "needs d >= " in err
+
+    def test_format_declared_where_there_are_two(self):
+        declared = {name: next(a.default for a in p._actions if a.dest == "format")
+                    for name, p in PARSERS.items()
+                    if any(a.dest == "format" for a in p._actions)}
+        assert declared == TWO_FORMATS
+
+    @pytest.mark.parametrize("command", sorted(set(SUBCOMMANDS) - set(TWO_FORMATS)))
+    def test_format_on_single_format_subcommand_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--format", "csv")
+        assert code == 2 and out == ""
+        assert "--format" in err
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_seed_on_every_subcommand(self, command):
+        assert any(a.dest == "seed" for a in PARSERS[command]._actions)
 
     def test_monomial_check_green(self, capsys):
         code, out, _ = run_cli(capsys, "monomial-check", "--k", "4")
@@ -211,6 +247,20 @@ class TestOutputs:
         assert payload["verdict"] == "bound-satisfied"
         assert payload["seconds"] is None
 
+    def test_greedy_csv_errors_equal_rates_samples(self, capsys):
+        common = ("--n-grid", "4:1024", "--seed", "2")
+        code, out, _ = run_cli(capsys, "greedy-fourier", "--d", "2", "--ks", "3",
+                               "--m", "1", "--xi-max", "60", *common)
+        assert code in (0, 1)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        code, out, _ = run_cli(capsys, "rates", "--kind", "greedy-fourier", "--param", "d=2",
+                               "--param", "ks=3", "--param", "m=1", "--param", "xi_max=60",
+                               *common)
+        assert code in (0, 1)
+        samples = json.loads(out)["samples"]
+        assert [int(r["n"]) for r in rows] == [s["n"] for s in samples]
+        assert [float(r["error"]) for r in rows] == [s["error"] for s in samples]
+
     def test_rates_kind_params(self, capsys):
         code, out, _ = run_cli(
             capsys, "rates", "--kind", "sobolev-compile", "--n-grid", "2:64",
@@ -223,6 +273,12 @@ class TestOutputs:
 class TestReadmeCommands:
     def test_every_subcommand_documented(self):
         assert sorted(argv[0] for argv in readme_commands()) == sorted(SUBCOMMANDS)
+
+    @pytest.mark.parametrize("kind", rates.EXPERIMENT_KINDS)
+    def test_kind_table_lists_every_param(self, kind):
+        row = next(line for line in README.read_text(encoding="utf-8").splitlines()
+                   if line.startswith(f"| `{kind}` |"))
+        assert re.findall(r"`(\w+)=", row.split("|")[2]) == list(rates.KINDS[kind][0])
 
     @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
     def test_runs_and_prints_json_or_csv(self, capsys, argv):

@@ -6,6 +6,7 @@ import pytest
 
 from barronlab.barron import WeightSpec, barron_norm, evaluate_sum, fourier_sum
 from barronlab.greedy_fourier import (
+    MAX_BOX_ROWS,
     MODE_NORM_RULE,
     order_frequencies,
     rate_exponents,
@@ -282,7 +283,8 @@ class TestSyntheticInput:
         assert all(inc > 0 for inc in increments)
         assert all(b < a for a, b in zip(increments, increments[1:]))
 
-    @pytest.mark.parametrize("d, ks, xi_max, seed", [(1, 2.0, 50.0, 4), (2, 3.0, 12.0, 6)])
+    @pytest.mark.parametrize("d, ks, xi_max, seed",
+                             [(1, 2.0, 50.0, 4), (2, 3.0, 12.0, 6), (3, 2.0, 8.0, 5)])
     def test_matches_per_mode_reference(self, d, ks, xi_max, seed):
         # One phase draw per mode in lexicographic index order, as a loop.
         L = 0.5
@@ -297,6 +299,19 @@ class TestSyntheticInput:
         assert fs.indices() == sorted(ref)
         want = np.array([ref[z] for z in sorted(ref)])
         np.testing.assert_allclose(fs.coefficient_vector(), want, rtol=4 * 2.0**-52, atol=0)
+
+    @pytest.mark.parametrize("d, xi_max, box", [
+        (3, 400.0, r"\(2\*200 \+ 1\)\^3 = 64481201 rows"),  # the default xi_max at d=3
+        (2, 2048.0, r"\(2\*1024 \+ 1\)\^2 = 4198401 rows"),  # first odd side above 2^11
+    ])
+    def test_lattice_box_capped(self, d, xi_max, box):
+        assert MAX_BOX_ROWS == 2**22
+        with pytest.raises(ValueError, match=box):
+            synthetic_heavy_tail(d, 2.0, xi_max, seed=0)
+
+    def test_dimension_below_one_refused(self):
+        with pytest.raises(ValueError, match="d >= 1"):
+            synthetic_heavy_tail(0, 2.0, 10.0, seed=0)
 
     def test_two_dimensional_support_is_disc(self):
         fs = synthetic_heavy_tail(2, 1.0, 6.0, seed=2)

@@ -264,6 +264,11 @@ class TestPacking:
         assert family.signs.shape == (256, 14)
         assert len({tuple(r) for r in family.signs.tolist()}) == 256
 
+    def test_more_signs_than_exist_refused(self):
+        # m = 13 has 8192 sign vectors; asking for 8193 used to loop forever.
+        with pytest.raises(ValueError, match="max_signs = 8193 exceeds the 2\\^13 = 8192"):
+            build_packing("fourier", 2, 1.0, 169, max_signs=8193)
+
     def test_norm_symmetric_under_sign_flip(self):
         family = build_packing("relu", 2, 2, 32, seed=0)
         rng = np.random.default_rng(0)

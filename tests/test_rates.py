@@ -1,4 +1,6 @@
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
@@ -102,6 +104,83 @@ class TestOtherKinds:
         with pytest.raises(TypeError, match="broken runner"):
             rates.run_experiment(rates.GREEDY_FOURIER, None,
                                  [2, 4, 8, 16, 32, 64], seed=0)
+
+
+class TestParameters:
+    GRID = [2, 4, 8, 16, 32, 64]
+
+    def test_unknown_key_names_key_and_accepted_keys(self):
+        # 'xi-max' used to be ignored: the run went on with xi_max = 400.
+        with pytest.raises(ValueError, match="'xi-max' for kind greedy-fourier; "
+                                             "accepted: d, ks, m, xi_max, tolerance"):
+            rates.run_experiment(rates.GREEDY_FOURIER, {"xi-max": 100}, self.GRID)
+
+    @pytest.mark.parametrize("kind", rates.EXPERIMENT_KINDS)
+    def test_every_kind_takes_its_defaults_and_tolerance(self, kind):
+        defaults = rates.KINDS[kind][0]
+        config = rates.kind_config(kind, defaults)
+        assert list(config) == [*defaults, "tolerance"]
+        assert config["tolerance"] == rates.DEFAULT_SLOPE_TOLERANCE
+        with pytest.raises(ValueError, match="'seed'"):
+            rates.kind_config(kind, {"seed": 1})
+
+    def test_values_cast_to_default_types(self):
+        config = rates.kind_config(rates.GREEDY_FOURIER, {"d": 2.0, "ks": 3, "xi_max": 60})
+        assert (config["d"], config["ks"], config["xi_max"]) == (2, 3.0, 60.0)
+        assert type(config["d"]) is int and type(config["ks"]) is float
+        assert type(config["xi_max"]) is float
+
+    @pytest.mark.parametrize("key", ["d", "m"])
+    def test_non_integral_value_for_integer_key_refused(self, key):
+        # int() used to truncate: m=0.5 ran as m=0 and reported that run.
+        with pytest.raises(ValueError, match=f"'{key}' for kind greedy-fourier must be "
+                                             "an integer, got 0.5"):
+            rates.kind_config(rates.GREEDY_FOURIER, {key: 0.5})
+
+    def test_derived_defaults_filled_in(self):
+        report = rates.run_experiment(rates.GREEDY_FOURIER, None, self.GRID)
+        assert report.config["xi_max"] == 400.0
+        report = rates.run_experiment(rates.SOBOLEV_COMPILE, {"ell": 1}, self.GRID)
+        assert report.config["s"] == 1.0
+
+    @pytest.mark.parametrize("kind, d, least", [
+        (rates.SPHERE_COVER, 1, 2),  # used to divide by d - 1 = 0
+        (rates.PACKING_SEPARATION, 0, 2),  # used to divide by 2 d = 0
+        (rates.PACKING_SEPARATION, 1, 2),  # every sub-run failed: no sphere S^0 net
+        (rates.GREEDY_FOURIER, 0, 1),
+        (rates.SOBOLEV_COMPILE, 0, 1),
+    ])
+    def test_dimension_below_least_refused(self, kind, d, least):
+        with pytest.raises(ValueError, match=f"needs d >= {least}, got d={d}"):
+            rates.run_experiment(kind, {"d": d}, self.GRID)
+
+    def test_run_all_experiments_entries_pass_the_parameter_check(self):
+        # Checks the script's RUNS table without running any sweep.
+        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+        spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        assert {kind for kind, _, _ in script.RUNS} == set(rates.EXPERIMENT_KINDS)
+        for kind, params, grid in script.RUNS:
+            rates.kind_config(kind, params)
+            rates._validate_grid(grid)
+
+
+class TestGreedyFourierDimension:
+    def test_three_dimensional_sweep_reports_a_verdict(self):
+        # 49^3 box rows, 8 grid points up to n = 4096, default ks, m, seed and
+        # tolerance.  Measured: slope -1.041 against the predicted -1.167.
+        report = rates.run_experiment(
+            rates.GREEDY_FOURIER, {"d": 3, "xi_max": 48.0},
+            [32, 64, 128, 256, 512, 1024, 2048, 4096], seed=0,
+        )
+        assert not report.failures
+        assert report.predicted_exponent == pytest.approx(0.5 + 2.0 / 3.0)
+        assert report.verdict == rates.BOUND_SATISFIED
+
+    def test_default_xi_max_refused_at_three_dimensions(self):
+        with pytest.raises(ValueError, match="64481201 rows"):
+            rates.run_experiment(rates.GREEDY_FOURIER, {"d": 3}, [2, 4, 8, 16, 32, 64])
 
 
 class TestVerdictRule:

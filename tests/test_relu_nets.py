@@ -252,6 +252,15 @@ class TestProductExpansion:
         expansion = monomial_product_expansion((2.0, 1), 3)
         assert evaluate_product_sum(expansion, np.array([4.0, 1.5])) == pytest.approx(24.0)
 
+    @pytest.mark.parametrize("x, got_d", [((2.0, 3.0, 5.0), 3), ((2.0,), 1)])
+    def test_point_dimension_checked(self, x, got_d):
+        # Without the check (2, 3, 5) gave 6.0 and (2,) a bare IndexError.
+        expansion = monomial_product_expansion((1, 1), 2)
+        with pytest.raises(ValueError, match=f"dimension {got_d}, expected 2"):
+            evaluate_product_sum(expansion, np.array(x))
+        with pytest.raises(ValueError, match=f"dimension {got_d}, expected 2"):
+            evaluate_product_sum(expansion, np.array([x, x]))
+
     def test_mixed_degree_random_points(self):
         expansion = monomial_product_expansion((2, 0, 1), 4)
         rng = np.random.default_rng(1)
