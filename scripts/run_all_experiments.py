@@ -27,6 +27,8 @@ RUNS = [
     (rates.PACKING_SEPARATION, {"family": "fourier", "d": 2, "k_or_s": 1.0},
      [8, 16, 32, 64, 128, 256]),
     (rates.DYADIC_RESIDUAL, {}, [2, 4, 8, 16, 32, 64]),
+    (rates.GREEDY_FOURIER, {"d": 3, "xi_max": 48.0},
+     [32, 64, 128, 256, 512, 1024, 2048, 4096]),
 ]
 
 

@@ -147,7 +147,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--pool", type=int, default=None)
+    p.add_argument("--pool", type=int, default=None,
+                   help="total size of the one seeded candidate pool "
+                        "(default 256*m, at least 64*m)")
     p.set_defaults(handler=_cmd_sphere_net)
 
     p = sub.add_parser("subsample", help=ANCHORS["subsample"])

@@ -191,6 +191,8 @@ def oscillatory_witness(n: int, k: int, d: int, m: int) -> OscillatoryWitness:
     """Build the single-mode witness and report its exact Sobolev mass."""
     if n < 1:
         raise ValueError(f"width must be >= 1, got {n}")
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     K = float(n) ** ((k + 1) / d)
     z1 = int(math.floor(K))
     offset = K - z1
@@ -265,6 +267,8 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
     """
     if kind not in (FOURIER_KIND, RELU_KIND):
         raise ValueError(f"unknown packing kind {kind!r}")
+    if d < 1:
+        raise ValueError(f"dimension d must be >= 1, got {d}")
     if kind == FOURIER_KIND:
         s = float(k_or_s)
         k = 0

@@ -270,6 +270,8 @@ class CubePartition:
     q: int
 
     def __post_init__(self):
+        if self.d < 1:
+            raise ValueError(f"dimension d must be >= 1, got {self.d}")
         if self.q < 1:
             raise ValueError(f"cells per axis must be >= 1, got {self.q}")
 

@@ -1,10 +1,12 @@
-"""Direction sets on the unit sphere: greedy farthest-candidate nets,
+"""Direction sets on the unit sphere: greedy farthest-point nets,
 maximal separated subsets, and probed covering radii.
 
-The exact farthest-point step is set-theoretic, so each greedy step draws a
-fresh seeded candidate pool and keeps the candidate farthest from the points
-chosen so far; this preserves the covering behaviour up to a constant while
-staying fully deterministic given the seed.
+Both constructions work on one seeded pool of uniform unit vectors.  The net
+is a farthest-point traversal of the pool (Gonzalez, 1985): a running
+min-squared-distance array over the pool makes each step one matrix-vector
+product.  The separated subset scans the pool in order and keeps each point at
+distance >= delta from every point kept before it; blocks of the pool are
+first filtered by one matrix product against the points already kept.
 """
 
 from __future__ import annotations
@@ -94,11 +96,13 @@ def _probed_net(points: np.ndarray, cover_probes: int, seed: int) -> SphericalNe
 
 def greedy_net(d: int, m: int, candidate_pool: int | None = None,
                seed: int = 0, cover_probes: int = 10000) -> SphericalNet:
-    """Greedy farthest-candidate net of m directions on S^(d-1).
+    """Greedy farthest-point net of m directions on S^(d-1).
 
-    The first point is a seeded uniform draw; each subsequent point is the
-    candidate, from a fresh seeded uniform pool, that maximizes the minimum
-    distance to the points already chosen.  Deterministic given the seed.
+    The pool is ``uniform_sphere(default_rng(seed), candidate_pool, d)``,
+    drawn once; ``candidate_pool`` is its total size (default 256 m, at least
+    64 m).  Pool row 0, a seeded uniform draw, is the first point; each further
+    point is the pool row that maximizes the minimum distance to the points
+    already chosen, the lowest row index on ties.  O(m * pool) work.
     """
     if d < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {d}")
@@ -108,25 +112,28 @@ def greedy_net(d: int, m: int, candidate_pool: int | None = None,
         candidate_pool = 256 * m
     if candidate_pool < 64 * m:
         raise ValueError(f"candidate pool {candidate_pool} below 64 * m = {64 * m}")
-    rng = np.random.default_rng(seed)
-    points = np.empty((m, d))
-    points[0] = uniform_sphere(rng, 1, d)[0]
+    pool = uniform_sphere(np.random.default_rng(seed), candidate_pool, d)
+    chosen = np.zeros(m, dtype=np.intp)
+    min_sq = np.full(candidate_pool, np.inf)
     for i in range(1, m):
-        pool = uniform_sphere(rng, candidate_pool, d)
-        sq = np.maximum(0.0, 2.0 - 2.0 * (pool @ points[:i].T))
-        best = int(np.argmax(sq.min(axis=1)))
-        points[i] = pool[best]
-    return _probed_net(points, cover_probes, seed)
+        sq = np.maximum(0.0, 2.0 - 2.0 * (pool @ pool[chosen[i - 1]]))
+        chosen[i] = np.argmax(np.minimum(min_sq, sq, out=min_sq))
+    return _probed_net(pool[chosen], cover_probes, seed)
+
+
+# Pool rows per filtering product in separated_subset.
+_SUBSET_BLOCK = 256
 
 
 def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
                      seed: int = 0, cover_probes: int = 10000) -> SphericalNet:
     """Greedy maximal delta-separated subset drawn from a seeded candidate pool.
 
-    Every kept pair is at distance >= delta; maximality is certified by the
-    probed covering radius, which for a truly maximal set cannot exceed
-    delta.  delta >= 2 (the chordal diameter) yields a single point almost
-    surely.
+    Pool rows are taken in order, and a row is kept when its distance to every
+    row kept before it is >= delta.  Every kept pair is at distance >= delta;
+    maximality is certified by the probed covering radius, which for a truly
+    maximal set cannot exceed delta.  delta >= 2 (the chordal diameter) yields
+    a single point almost surely.
     """
     if d < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {d}")
@@ -136,11 +143,20 @@ def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
     pool = uniform_sphere(rng, candidate_pool, d)
     kept = np.empty_like(pool)  # the first n rows hold the accepted points
     n = 0
-    for cand in pool:
-        sq = np.maximum(0.0, 2.0 - 2.0 * (kept[:n] @ cand))
-        if np.sqrt(sq.min(initial=np.inf)) >= delta:
-            kept[n] = cand
-            n += 1
+    # A row whose block-product squared distance to a kept row falls below
+    # this limit is dropped unchecked.  The margin is far above the rounding
+    # gap between the block product and the per-row product of the exact
+    # check, so the filter drops only rows that check would reject.
+    limit = delta * delta * (1.0 - 1e-9) - 1e-9
+    for start in range(0, candidate_pool, _SUBSET_BLOCK):
+        block = pool[start:start + _SUBSET_BLOCK]
+        if n:
+            block = block[np.min(2.0 - 2.0 * (block @ kept[:n].T), axis=1) >= limit]
+        for cand in block:
+            sq = np.maximum(0.0, 2.0 - 2.0 * (kept[:n] @ cand))
+            if np.sqrt(sq.min(initial=np.inf)) >= delta:
+                kept[n] = cand
+                n += 1
     return _probed_net(kept[:n].copy(), cover_probes, seed)
 
 

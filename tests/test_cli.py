@@ -111,6 +111,19 @@ class TestExitCodes:
         assert code == 2
         assert "needs d >= " in err
 
+    @pytest.mark.parametrize("args", [
+        ("packing", "--kind", "fourier", "--d", "0"),
+        ("witness", "--d", "0"),
+        ("relu-compile", "--d", "0"),
+    ])
+    def test_dimension_zero_names_d(self, capsys, args):
+        # packing and witness used to end in a ZeroDivisionError traceback
+        # (exit 1); relu-compile exited 2 with a NumPy message naming no
+        # parameter.
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "dimension d must be >= 1, got 0" in err
+
     def test_format_declared_where_there_are_two(self):
         declared = {name: next(a.default for a in p._actions if a.dest == "format")
                     for name, p in PARSERS.items()

@@ -221,6 +221,11 @@ class TestOscillatoryWitness:
         assert eta[0] == pytest.approx(3.0 ** (2 / 2), rel=1e-15)
         assert eta[1] == 0.0
 
+    def test_dimension_below_one_refused(self):
+        # Used to divide by d first and raise ZeroDivisionError.
+        with pytest.raises(ValueError, match="dimension d must be >= 1, got 0"):
+            oscillatory_witness(16, 2, 0, 0)
+
 
 class TestPacking:
     def test_relu_scales_worked_example(self):
@@ -268,6 +273,12 @@ class TestPacking:
         # m = 13 has 8192 sign vectors; asking for 8193 used to loop forever.
         with pytest.raises(ValueError, match="max_signs = 8193 exceeds the 2\\^13 = 8192"):
             build_packing("fourier", 2, 1.0, 169, max_signs=8193)
+
+    @pytest.mark.parametrize("kind, k_or_s", [("fourier", 1.0), ("relu", 2)])
+    def test_dimension_below_one_refused(self, kind, k_or_s):
+        # Both kinds used to divide by d first and raise ZeroDivisionError.
+        with pytest.raises(ValueError, match="dimension d must be >= 1, got 0"):
+            build_packing(kind, 0, k_or_s, 32)
 
     def test_norm_symmetric_under_sign_flip(self):
         family = build_packing("relu", 2, 2, 32, seed=0)

@@ -206,6 +206,10 @@ class TestCubePartition:
         for (lo_a, hi_a), (lo_b, _) in zip(bounds, bounds[1:]):
             assert hi_a == pytest.approx(lo_b)
 
+    def test_dimension_below_one_refused(self):
+        with pytest.raises(ValueError, match="dimension d must be >= 1, got 0"):
+            CubePartition(0, 3)
+
 
 def per_term_product_sum(alpha, x):
     """Per-term reference: the itertools.product((1, -1)) expansion, each term

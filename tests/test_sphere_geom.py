@@ -54,6 +54,29 @@ class TestGreedyNet:
         with pytest.raises(ValueError, match="pool"):
             greedy_net(2, 4, candidate_pool=100, seed=0)
 
+    @pytest.mark.parametrize("d, m, pool, seed", [(2, 9, 64 * 9, 0), (3, 12, 1001, 5),
+                                                  (4, 7, None, 2), (3, 1, 64, 3)])
+    def test_matches_brute_force_farthest_point(self, d, m, pool, seed):
+        # Reference: at every step recompute each pool row's min squared
+        # distance to all chosen rows; first maximum wins.
+        rows = uniform_sphere(np.random.default_rng(seed), pool or 256 * m, d)
+        chosen = [0]
+        while len(chosen) < m:
+            sq = np.min([np.maximum(0.0, 2.0 - 2.0 * (rows @ rows[c])) for c in chosen], axis=0)
+            chosen.append(int(np.argmax(sq)))
+        net = greedy_net(d, m, candidate_pool=pool, seed=seed)
+        assert len(set(chosen)) == m
+        assert np.array_equal(net.points, rows[chosen])
+        assert not net.points.flags.writeable
+
+    def test_points_are_rows_of_seeded_pool(self):
+        m, pool = 40, 64 * 40 + 17
+        rows = uniform_sphere(np.random.default_rng(8), pool, 3)
+        net = greedy_net(3, m, candidate_pool=pool, seed=8)
+        hits = [np.flatnonzero((rows == p).all(axis=1)) for p in net.points]
+        assert all(len(h) == 1 for h in hits)
+        assert hits[0][0] == 0 and len({int(h[0]) for h in hits}) == m
+
 
 class TestCoveringRadius:
     def test_zero_when_probes_are_the_net(self):
@@ -119,8 +142,12 @@ class TestSeparatedSubset:
         with pytest.raises(ValueError):
             separated_subset(2, 0.0)
 
+    # Besides the first three cases: a pool that is not a multiple of the
+    # 256-row filter block, a pool smaller than one block, and a delta small
+    # enough that most of the first block is kept.
     @pytest.mark.parametrize("d, delta, pool, seed", [(2, 0.05, 2048, 0), (3, 0.3, 2048, 5),
-                                                      (4, 2.0, 256, 1)])
+                                                      (4, 2.0, 256, 1), (3, 0.2, 1000, 3),
+                                                      (2, 0.1, 100, 4), (3, 0.01, 700, 6)])
     def test_kept_points_match_list_reference(self, d, delta, pool, seed):
         # Reference: rebuild the kept array for every candidate, in pool order.
         kept = []
