@@ -18,9 +18,11 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureSpec, TENSOR_GRID, axis_rule, grid_rows, read_only, sobolev_weight
+from .numerics import (QuadratureSpec, axis_rule, grid_rows, read_only, sobolev_weight,
+                       tensor_resolution)
 
 COEFF_DROP_RELATIVE = 1e-14
+CUTOFF_ALPHA = 2.0  # bump shape parameter of the mollified cutoff
 
 
 # ----------------------------------------------------------------------
@@ -46,15 +48,14 @@ def bump_value(alpha: float, t):
     return float(out[0]) if single else out
 
 
-def bump_fourier_transform(alpha: float, xi, resolution: int | None = None):
+def bump_fourier_transform(alpha: float, xi):
     """Transform of the bump, integral of g(t) cos(2 pi xi t) over [-1, 1].
 
-    The bump is real and even, so the transform is real and even.  The node
-    count scales with the largest requested frequency unless overridden.
+    The bump is real and even, so the transform is real and even.  The
+    max(256, int(16 max|xi|) + 32) Gauss-Legendre nodes scale with |xi|.
     """
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if resolution is None:
-        resolution = max(256, int(16 * np.max(np.abs(xi))) + 32)
+    resolution = max(256, int(16 * np.max(np.abs(xi))) + 32)
     nodes, weights = axis_rule(-1.0, 1.0, resolution)
     g = bump_value(alpha, nodes)
     phases = np.cos(2.0 * np.pi * np.outer(xi, nodes))
@@ -72,7 +73,7 @@ class BumpDecayFit:
     clamped: int
 
 
-def bump_fourier_decay(alpha: float, xi_grid, resolution: int | None = None) -> BumpDecayFit:
+def bump_fourier_decay(alpha: float, xi_grid) -> BumpDecayFit:
     """Fit the stretched-exponential decay rate of the bump transform.
 
     Regresses log |g^(xi)| on |xi|^(1 - 1/alpha); a negative slope is the
@@ -83,7 +84,7 @@ def bump_fourier_decay(alpha: float, xi_grid, resolution: int | None = None) -> 
     xi = xi[xi > 0]
     if xi.size < 2 or np.max(xi) / np.min(xi) < 10.0:
         raise ValueError("frequency grid must span at least one decade of |xi|")
-    transform = np.abs(bump_fourier_transform(alpha, xi, resolution))
+    transform = np.abs(bump_fourier_transform(alpha, xi))
     usable = transform > 1e-300
     x = xi[usable] ** (1.0 - 1.0 / alpha)
     y = np.log(transform[usable])
@@ -231,10 +232,10 @@ def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
                       index=index, values=values, warnings=tuple(warnings))
 
 
-def fourier_sum(d, L, a, coeffs, warnings=()) -> FourierSum:
-    """Build a FourierSum from a dict mapping index tuples to coefficients."""
+def fourier_sum(d, L, a, coeffs) -> FourierSum:
+    """Build a warning-free FourierSum from a dict of index tuples to coefficients."""
     coeffs = dict(coeffs)
-    return from_arrays(d, L, a, list(coeffs), list(coeffs.values()), warnings)
+    return from_arrays(d, L, a, list(coeffs), list(coeffs.values()))
 
 
 def evaluate_sum(fs: FourierSum, x):
@@ -322,22 +323,22 @@ def _cutoff_profile(vals: np.ndarray, L: float, eps: float, alpha: float,
     return np.clip(out, 0.0, 1.0)
 
 
-def mollified_cutoff(x, L: float, eps: float, alpha: float = 2.0,
-                     spec: QuadratureSpec | None = None):
+def mollified_cutoff(x, L: float, eps: float, spec: QuadratureSpec | None = None):
     """Smooth cutoff equal to 1 on [0, L - 2 eps]^d, 0 outside [-eps, L - eps]^d.
 
-    Realized as the convolution of the eps/4-scaled tensor bump with the
-    indicator of [-eps/2, L - 3 eps/2]^d, evaluated per axis.
+    Realized as the convolution of the eps/4-scaled tensor bump (alpha = 2) with
+    the indicator of [-eps/2, L - 3 eps/2]^d, evaluated per axis on the nodes
+    per axis of a tensor-grid ``spec`` (default 64).
     """
     if eps <= 0 or eps >= L / 2:
         raise ValueError(f"transition width must satisfy 0 < eps < L/2, got {eps}")
-    resolution = spec.resolution if spec is not None else 64
+    resolution = tensor_resolution(spec, 64)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
     out = np.ones(pts.shape[0])
     for j in range(pts.shape[1]):
-        out = out * _cutoff_profile(pts[:, j], L, eps, alpha, resolution)
+        out = out * _cutoff_profile(pts[:, j], L, eps, CUTOFF_ALPHA, resolution)
     return float(out[0]) if single else out
 
 
@@ -376,7 +377,7 @@ def _ring_fraction(index: np.ndarray, values: np.ndarray, z_box: int) -> float:
 def periodize_expand(f_e: Callable, L: float, a, z_box: int,
                      spec: QuadratureSpec | None = None, *,
                      support_bound: float, eps: float | None = None,
-                     alpha: float = 2.0, window: bool = True) -> FourierSum:
+                     alpha: float = CUTOFF_ALPHA, window: bool = True) -> FourierSum:
     """Expand a field into a lattice Fourier sum by windowed periodization.
 
     The caller declares that the restriction of interest lives in
@@ -406,9 +407,7 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
         eps = min(1.0, (L - support_bound) / 4.0)
     if not 0.0 < eps < L / 2 or L - 2.0 * eps < support_bound:
         raise ValueError(f"transition width {eps} incompatible with L={L}, S={support_bound}")
-    if spec is not None and spec.method != TENSOR_GRID:
-        raise ValueError("periodization requires a tensor-grid quadrature spec")
-    resolution = spec.resolution if spec is not None else 32 * math.ceil(L)
+    resolution = tensor_resolution(spec, 32 * math.ceil(L))
 
     index = grid_rows(np.arange(-z_box, z_box + 1), d)
     values = _periodize_once(f_e, L, a, z_box, eps, alpha, resolution, window)
@@ -426,10 +425,10 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
 
 def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
                 spec: QuadratureSpec | None = None, *, support_bound: float,
-                eps: float | None = None, alpha: float = 2.0,
                 grid: int = 4) -> tuple[tuple[float, ...], FourierSum]:
     """Scan offsets on a grid of [0, 1/L]^d and keep the weighted-mass argmin.
 
+    Offsets are periodized with ``periodize_expand``'s default eps and alpha.
     A mass-minimizing offset exists but is not constructive; this scan
     reports the best grid point, nothing sharper.
     """
@@ -438,8 +437,7 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
     best_fs: FourierSum | None = None
     best_mass = math.inf
     for a in grid_rows(candidates, d):
-        fs = periodize_expand(f_e, L, a, z_box, spec,
-                              support_bound=support_bound, eps=eps, alpha=alpha)
+        fs = periodize_expand(f_e, L, a, z_box, spec, support_bound=support_bound)
         mass = barron_norm(fs, weight)
         if mass < best_mass:
             best_a, best_fs, best_mass = tuple(float(v) for v in a), fs, mass

@@ -133,7 +133,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--q", type=int, default=8)
     p.add_argument("--cycles", type=float, default=1.0)
-    p.add_argument("--smoothing", type=float, default=None)
     p.set_defaults(handler=_cmd_relu_compile)
 
     p = sub.add_parser("monomial-check", help=ANCHORS["monomial-check"])
@@ -258,9 +257,7 @@ def _cmd_greedy_fourier(args) -> int:
 def _cmd_relu_compile(args) -> int:
     f = rates.sine_target(args.cycles)
     partition = relu_nets.CubePartition(args.d, args.q)
-    approx = relu_nets.compile_sobolev_approximant(
-        f, args.ell, partition, smoothing=args.smoothing
-    )
+    approx = relu_nets.compile_sobolev_approximant(f, args.ell, partition)
     if args.format == "json":
         payload = {
             "d": args.d, "ell": args.ell, "q": args.q,

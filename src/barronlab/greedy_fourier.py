@@ -167,18 +167,18 @@ def rate_exponents(s: float, m: float, k: float, d: int) -> ExponentTable:
     )
 
 
-def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int,
-                         L: float = 0.5) -> FourierSum:
-    """Random-phase expansion with |c_z| = (1 + |z/L|)^-(ks + d + 0.1).
+def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int) -> FourierSum:
+    """Random-phase expansion with |c_z| = (1 + |z/L|)^-(ks + d + 0.1), L = 0.5.
 
     The decay makes the weighted l1 mass finite as the support grows, while
     keeping the truncation tail the rate-limiting term, which is what a
-    slope measurement needs.  The default lattice spacing 1/L = 2 keeps the
+    slope measurement needs.  The lattice spacing 1/L = 2 keeps the
     (1 + |xi|) factor dominated by |xi| from the first shells on; at unit
     spacing the low shells sit in the additive-offset transient and drag
     finite-range slope fits off the asymptotic rate.  The lattice box of
     (2 floor(xi_max L) + 1)^d rows is capped at ``MAX_BOX_ROWS``.
     """
+    L = 0.5
     z_max = int(math.floor(xi_max * L))
     rows = (2 * z_max + 1) ** d
     if d < 1 or rows > MAX_BOX_ROWS:

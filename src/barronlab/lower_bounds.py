@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
 from .numerics import (TENSOR_GRID, QuadratureSpec, axis_rule, monte_carlo_nodes, read_only,
-                       tensor_nodes)
+                       tensor_nodes, tensor_resolution)
 from .relu_nets import sigma_k
 from .sphere_geom import SphericalNet, separated_subset
 
@@ -62,26 +63,28 @@ class GapProbe:
 
 
 _GAP_BLOCK = 32  # candidates per batched QR in ``highfreq_gap``
+_GAP_NODES = 256  # Gauss-Legendre nodes on [-1, 1] in ``highfreq_gap``
 _GAP_RANK_TOL = 1e-10  # deficient column: |QR pivot| <= tol * column norm
 
 
 def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
-                 seed: int = 0, grid_resolution: int = 256) -> GapProbe:
+                 seed: int = 0) -> GapProbe:
     """Probe how well e^{i omega0 x} is approximated on [-1, 1] by n atoms.
 
-    Each candidate draws an atom-parameter sequence (omega_j, b_j) from a
-    seeded generator.  The sqrt(w)-weighted atoms of a block of candidates
-    get one batched thin QR, A = QR; with c = Q^T b the least-squares error of
-    the first j atoms is ||b - Qc||^2 + sum_{i > j} |c_i|^2, a sum of
-    nonnegative terms, so the per-width errors are nonincreasing and never
-    cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
-    of its norm) gets c_i = 0 and is counted in ``regularized``.
+    Errors are L2[-1, 1] norms on 256 Gauss-Legendre nodes.  Each candidate
+    draws an atom-parameter sequence (omega_j, b_j) from a seeded generator.
+    The sqrt(w)-weighted atoms of a block of candidates get one batched thin
+    QR, A = QR; with c = Q^T b the least-squares error of the first j atoms
+    is ||b - Qc||^2 + sum_{i > j} |c_i|^2, a sum of nonnegative terms, so the
+    per-width errors are nonincreasing and never cancel to zero.  A
+    rank-deficient column (pivot below ``_GAP_RANK_TOL`` of its norm) gets
+    c_i = 0 and is counted in ``regularized``.
     """
     if n_units < 1:
         raise ValueError(f"need at least one unit, got {n_units}")
     if candidates < 1:
         raise ValueError(f"need at least one candidate, got {candidates}")
-    nodes, weights = axis_rule(-1.0, 1.0, grid_resolution)
+    nodes, weights = axis_rule(-1.0, 1.0, _GAP_NODES)
     root_w = np.sqrt(weights)
     # Real and imaginary parts of the weighted target as two right-hand sides.
     rhs = root_w[:, None] * np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)], axis=1)
@@ -129,6 +132,11 @@ class DyadicDecomposition:
     source: FourierSum
     blocks: tuple[tuple[int, FourierSum], ...]
 
+    @cached_property
+    def sq_norms(self) -> tuple[float, ...]:
+        """Squared L2 norm of each level's block, in level order, computed once."""
+        return tuple(hm_norm_exact(block, 0) ** 2 for _, block in self.blocks)
+
 
 def dyadic_blocks(spectrum: FourierSum, levels: int | None = None) -> DyadicDecomposition:
     """Split a one-dimensional expansion into dyadic frequency annuli."""
@@ -162,12 +170,12 @@ def decaying_spectrum(xi_max: float, decay: float) -> FourierSum:
 def residual_tail_norm(decomp: DyadicDecomposition, from_level: int) -> float:
     """Exact L2 norm of the sum of all blocks at or above ``from_level``.
 
-    Orthogonality reduces it to the root of the summed block norms squared.
+    Orthogonality reduces it to the root of the stored squared block norms,
+    summed in ascending level order.
     """
     total = 0.0
-    for level, block in decomp.blocks:
-        if level >= from_level:
-            total += hm_norm_exact(block, 0) ** 2
+    for sq in decomp.sq_norms[max(0, from_level):]:
+        total += sq
     return math.sqrt(total)
 
 
@@ -252,21 +260,28 @@ class PackingFamily:
         return vals[0] if x.ndim == 1 else vals
 
 
+def validate_packing(kind: str, k_or_s: float) -> None:
+    """Refuse an unknown packing kind, or a relu power k that is not an integer >= 1."""
+    if kind not in (FOURIER_KIND, RELU_KIND):
+        raise ValueError(f"unknown packing kind {kind!r}; use {FOURIER_KIND!r} or {RELU_KIND!r}")
+    if kind == RELU_KIND and not (k_or_s >= 1 and float(k_or_s).is_integer()):
+        raise ValueError(f"relu packing needs an integer power k >= 1, got k={k_or_s}")
+
+
 def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
-                  c0: float | None = None, max_signs: int = 4096) -> PackingFamily:
+                  max_signs: int = 4096) -> PackingFamily:
     """Construct a packing family at the scale dictated by the budget n.
 
     ``fourier``: m = floor(n^((d-1)/d)) directions, scale R = n^(1/d),
     separation delta = n^(-1/d), normalization 1/(sqrt(m) R^s).
-    ``relu``: m = floor(n^(d/(2d + 2k + 1))), R = n^(1/2 + k/d),
-    delta = c0 m^(-1/(d-1)) with default c0 = sqrt(1/(4k)); delta is a free
-    parameter here and the default is only the reference choice.
+    ``relu`` (integer power k >= 1): m = floor(n^(d/(2d + 2k + 1))),
+    R = n^(1/2 + k/d), delta = c0 m^(-1/(d-1)) with the reference constant
+    c0 = sqrt(1/(4k)) (delta = c0 when d = 1 or m = 1).
 
     Sign vectors are enumerated for m <= 12, else ``max_signs`` (at most 2^m)
     distinct ones are sampled with a seed; m > 16 is refused as beyond desk scale.
     """
-    if kind not in (FOURIER_KIND, RELU_KIND):
-        raise ValueError(f"unknown packing kind {kind!r}")
+    validate_packing(kind, k_or_s)
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
     if kind == FOURIER_KIND:
@@ -274,17 +289,15 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
         k = 0
         m = max(1, int(math.floor(float(n) ** ((d - 1) / d))))
         R = float(n) ** (1.0 / d)
-        delta = float(c0 if c0 is not None else 1.0) * float(n) ** (-1.0 / d)
+        delta = float(n) ** (-1.0 / d)
         normalization = 1.0 / (math.sqrt(m) * R**s)
     else:
         k = int(k_or_s)
         s = float(k)
-        if k < 1:
-            raise ValueError("relu packing needs power k >= 1")
         m = max(1, int(math.floor(float(n) ** (d / (2.0 * d + 2.0 * k + 1.0)))))
         R = float(n) ** (0.5 + k / d)
-        base = c0 if c0 is not None else math.sqrt(1.0 / (4.0 * k))
-        delta = float(base) * (m ** (-1.0 / (d - 1)) if d > 1 and m > 1 else 1.0)
+        c0 = math.sqrt(1.0 / (4.0 * k))
+        delta = c0 * (m ** (-1.0 / (d - 1)) if d > 1 and m > 1 else 1.0)
         normalization = 1.0 / math.sqrt(m)
     if m > 16:
         raise ValueError(
@@ -477,49 +490,52 @@ def _tail_integrand_mass(lo: float, hi: float, m: int, resolution: int) -> float
     return float(np.dot(weights, vals))
 
 
-def _z_split(m: int, resolution: int, W: float) -> tuple[float, float]:
+_OMEGA_TRUNCATION = 14.0  # |omega| cutoff of the example2_tail_mass integrals
+
+
+def _z_split(m: int, resolution: int) -> tuple[float, float]:
     """Normalization split: plateau region (h = 1) and decaying-b region.
 
     The inner b-integral is handled by geometry: the plateau |b| <= 2|omega|
     has length 4|omega|, and on each side of it the integral of (1 + u)^-2
     over u >= 0 is exactly 1.
     """
-    nodes, weights = axis_rule(0.0, W, resolution)
+    nodes, weights = axis_rule(0.0, _OMEGA_TRUNCATION, resolution)
     dens = _omega_density(nodes, m)
     i1 = 2.0 * float(np.dot(weights, dens * 4.0 * nodes))
     i2 = 2.0 * 2.0 * float(np.dot(weights, dens))
     return i1, i2
 
 
-def _omega_tail_truncation_bound(W: float, m: int) -> float:
-    """Analytic bound for the discarded |omega| > W mass of the normalization."""
-    s0 = W**2 / 4.0
+def _omega_tail_truncation_bound(m: int) -> float:
+    """Analytic bound for the discarded |omega| > 14 mass of the normalization."""
+    s0 = _OMEGA_TRUNCATION**2 / 4.0
     return 6.0 * 2.0**m * 2.0 ** (m + 1) * 2.0 * s0 ** (m / 2.0) * math.exp(-s0)
 
 
 def example2_tail_mass(m_smooth: int, A: float,
-                       spec: QuadratureSpec | None = None,
-                       W: float = 14.0) -> TailMassReport:
+                       spec: QuadratureSpec | None = None) -> TailMassReport:
     """Tail mass of the arctan-dictionary probability measure.
 
     Computes the normalization Z as a plateau/decay split, the measure of
     {|omega| > A}, and the closed-form reference lower value
-    4 sqrt(pi) e^{-A^2/4} / (Z A).  The omega axis is truncated at W with a
-    certified analytic remainder; results are recomputed at doubled
+    4 sqrt(pi) e^{-A^2/4} / (Z A).  The omega axis is truncated at 14 with
+    a certified analytic remainder.  Integrals use the nodes per axis of a
+    tensor-grid ``spec`` (default 128); results are recomputed at doubled
     resolution and more than 1% disagreement raises ConvergenceError.
     """
     if m_smooth < 0 or int(m_smooth) != m_smooth:
         raise ValueError("smoothness order must be a nonnegative integer")
     if A < 1.0:
         raise ValueError(f"cutoff must satisfy A >= 1, got {A}")
-    if A >= W:
-        raise ValueError(f"cutoff {A} must stay below the truncation {W}")
-    resolution = spec.resolution if spec is not None else 128
+    if A >= _OMEGA_TRUNCATION:
+        raise ValueError(f"cutoff {A} must stay below the truncation {_OMEGA_TRUNCATION}")
+    resolution = tensor_resolution(spec, 128)
     m = int(m_smooth)
 
     def compute(res: int) -> tuple[float, float, float]:
-        i1, i2 = _z_split(m, res, W)
-        tail = 2.0 * _tail_integrand_mass(A, W, m, res)
+        i1, i2 = _z_split(m, res)
+        tail = 2.0 * _tail_integrand_mass(A, _OMEGA_TRUNCATION, m, res)
         return i1, i2, tail
 
     i1, i2, tail = compute(resolution)
@@ -533,7 +549,7 @@ def example2_tail_mass(m_smooth: int, A: float,
         raise ConvergenceError(
             f"quadrature refinements disagree by {rel:.2%} (> 1%)"
         )
-    truncation = _omega_tail_truncation_bound(W, m)
+    truncation = _omega_tail_truncation_bound(m)
     lam = tailf / zf
     bound = 4.0 * math.sqrt(math.pi) * math.exp(-(A**2) / 4.0) / (zf * A)
     return TailMassReport(

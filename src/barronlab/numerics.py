@@ -98,6 +98,19 @@ def axis_rule(lo: float, hi: float, resolution: int) -> tuple[np.ndarray, np.nda
     return lo + half * (nodes + 1.0), half * weights
 
 
+def tensor_resolution(spec: QuadratureSpec | None, default: int) -> int:
+    """Nodes per axis of a tensor-grid ``spec``, or ``default`` when it is None.
+
+    A Monte Carlo spec has no nodes per axis, so it is refused instead of
+    being read as a Gauss-Legendre node count.
+    """
+    if spec is None:
+        return default
+    if spec.method != TENSOR_GRID:
+        raise ValueError(f"spec must be a tensor-grid quadrature spec, got method {spec.method!r}")
+    return spec.resolution
+
+
 def validate_box(box: Box) -> list[tuple[float, float]]:
     out = []
     for axis, (lo, hi) in enumerate(box):

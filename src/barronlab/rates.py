@@ -99,8 +99,9 @@ def seeded_packing(kind: str, d: int, k_or_s: float, n: int, pairs: int, seed: i
 
 
 # Each setup(config, grid, seed) fills in the defaults left as None (derived
-# from the grid or from other parameters) and returns the predicted decay
-# exponent and the per-n error function error(n, run_seed).
+# from the grid or from other parameters), refuses a config that no sub-run
+# could use, and returns the predicted decay exponent and the per-n error
+# function error(n, run_seed).
 
 def _greedy_fourier(c, grid, seed):
     if c["xi_max"] is None:
@@ -129,6 +130,11 @@ def _subsample_concentration(c, grid, seed):
 
 
 def _packing_separation(c, grid, seed):
+    try:
+        lower_bounds.validate_packing(c["family"], c["k_or_s"])
+    except ValueError as exc:
+        raise ValueError(f"kind {PACKING_SEPARATION} parameters family={c['family']!r}, "
+                         f"k_or_s={c['k_or_s']}: {exc}") from None
     return (1.0 + 2.0 * c["k_or_s"]) / (2.0 * c["d"]), lambda n, run_seed: seeded_packing(
         c["family"], c["d"], c["k_or_s"], n, 32, run_seed)[1].min_distance
 

@@ -87,22 +87,24 @@ def covering_radius(net: SphericalNet | np.ndarray, probes: int = 10000,
     return worst
 
 
-def _probed_net(points: np.ndarray, cover_probes: int, seed: int) -> SphericalNet:
-    """Read-only net of the rows of points, its covering radius probed from seed + 1."""
+def _probed_net(points: np.ndarray, seed: int) -> SphericalNet:
+    """Read-only net of the rows of points, its covering radius probed by
+    ``covering_radius``'s default 10^4 probes from seed + 1."""
     points.setflags(write=False)
     return SphericalNet(d=points.shape[1], points=points, min_sep=_pairwise_min_distance(points),
-                        cover_rad=covering_radius(points, cover_probes, seed + 1))
+                        cover_rad=covering_radius(points, seed=seed + 1))
 
 
 def greedy_net(d: int, m: int, candidate_pool: int | None = None,
-               seed: int = 0, cover_probes: int = 10000) -> SphericalNet:
+               seed: int = 0) -> SphericalNet:
     """Greedy farthest-point net of m directions on S^(d-1).
 
     The pool is ``uniform_sphere(default_rng(seed), candidate_pool, d)``,
     drawn once; ``candidate_pool`` is its total size (default 256 m, at least
     64 m).  Pool row 0, a seeded uniform draw, is the first point; each further
     point is the pool row that maximizes the minimum distance to the points
-    already chosen, the lowest row index on ties.  O(m * pool) work.
+    already chosen, the lowest row index on ties.  O(m * pool) work.  The
+    covering radius is probed with 10^4 seeded probes.
     """
     if d < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {d}")
@@ -118,7 +120,7 @@ def greedy_net(d: int, m: int, candidate_pool: int | None = None,
     for i in range(1, m):
         sq = np.maximum(0.0, 2.0 - 2.0 * (pool @ pool[chosen[i - 1]]))
         chosen[i] = np.argmax(np.minimum(min_sq, sq, out=min_sq))
-    return _probed_net(pool[chosen], cover_probes, seed)
+    return _probed_net(pool[chosen], seed)
 
 
 # Pool rows per filtering product in separated_subset.
@@ -126,14 +128,14 @@ _SUBSET_BLOCK = 256
 
 
 def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
-                     seed: int = 0, cover_probes: int = 10000) -> SphericalNet:
+                     seed: int = 0) -> SphericalNet:
     """Greedy maximal delta-separated subset drawn from a seeded candidate pool.
 
     Pool rows are taken in order, and a row is kept when its distance to every
     row kept before it is >= delta.  Every kept pair is at distance >= delta;
-    maximality is certified by the probed covering radius, which for a truly
-    maximal set cannot exceed delta.  delta >= 2 (the chordal diameter) yields
-    a single point almost surely.
+    maximality is certified by the covering radius probed with 10^4 seeded
+    probes, which for a truly maximal set cannot exceed delta.  delta >= 2
+    (the chordal diameter) yields a single point almost surely.
     """
     if d < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {d}")
@@ -157,7 +159,7 @@ def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
             if np.sqrt(sq.min(initial=np.inf)) >= delta:
                 kept[n] = cand
                 n += 1
-    return _probed_net(kept[:n].copy(), cover_probes, seed)
+    return _probed_net(kept[:n].copy(), seed)
 
 
 def net_to_csv(net: SphericalNet) -> str:

@@ -100,8 +100,7 @@ class MaureyResult:
 
 
 def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
-                     coeff_bound: float | None = None, basis_sup: float = 1.0,
-                     fail_prob: float = 0.05) -> MaureyResult:
+                     coeff_bound: float | None = None) -> MaureyResult:
     """Best-of-restarts uniform multiset whose average tracks the full average.
 
     ``terms`` is an (N, M) array of per-term monomial coefficient vectors.
@@ -111,7 +110,8 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
     with replacement; when n equals N the identity selection is included as
     restart 0 and wins with deviation zero.  The deviation is the max over
     monomials of |mean_selected - mean_all|; ``sup_bound`` converts it to a
-    sup-norm bound M * basis_sup * deviation.
+    sup-norm bound M * deviation for a basis of sup norm 1, and ``accepted``
+    compares it with the Hoeffding level at failure probability 0.05.
     """
     arr = np.asarray(terms, dtype=float)
     if arr.ndim != 2:
@@ -137,7 +137,7 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
         for sel in selections
     ])
     best = int(np.argmin(deviations))  # argmin takes the first, lowest restart wins ties
-    level = hoeffding_delta(n, bound, n_monomials, fail_prob)
+    level = hoeffding_delta(n, bound, n_monomials, 0.05)
     dev = float(deviations[best])
     return MaureyResult(
         indices=tuple(sorted(order[selections[best]].tolist())),
@@ -145,5 +145,5 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
         deviations=tuple(float(v) for v in deviations),
         hoeffding_bound=level,
         accepted=dev <= level,
-        sup_bound=n_monomials * basis_sup * dev,
+        sup_bound=n_monomials * dev,
     )

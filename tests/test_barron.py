@@ -127,6 +127,12 @@ class TestMollifiedCutoff:
         with pytest.raises(ValueError):
             mollified_cutoff(np.array([0.0]), self.L, self.L / 2)
 
+    def test_monte_carlo_spec_refused(self):
+        # Its sample count used to be read as Gauss-Legendre nodes per axis.
+        with pytest.raises(ValueError, match="spec must be a tensor-grid quadrature spec"):
+            mollified_cutoff(np.array([0.0]), self.L, self.EPS,
+                             spec=QuadratureSpec("monte-carlo", 64, seed=3))
+
 
 class TestFourierSum:
     def test_tiny_coefficients_dropped(self):
@@ -301,6 +307,11 @@ class TestPeriodize:
     def test_period_too_small_rejected(self):
         with pytest.raises(ValueError, match="period"):
             periodize_expand(sinc, 3.0, (0.0,), 10, support_bound=2.0)
+
+    def test_monte_carlo_spec_refused(self):
+        with pytest.raises(ValueError, match="spec must be a tensor-grid quadrature spec"):
+            periodize_expand(sinc, 5.0, (0.0,), 2, QuadratureSpec("monte-carlo", 64, seed=3),
+                             support_bound=2.0)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="d <= 2"):

@@ -101,6 +101,25 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "'xi-max'" in err and "xi_max" in err
 
+    @pytest.mark.parametrize("args, named", [
+        # rates used to exit 0, informational, with every sub-run failed;
+        # packing ran k = 2.7 as k = 2.
+        (("rates", "--kind", "packing-separation", "--param", "family=bogus",
+          "--n-grid", "8:256"), "family='bogus'"),
+        (("rates", "--kind", "packing-separation", "--param", "family=relu",
+          "--param", "k_or_s=2.5", "--n-grid", "8:256"), "k_or_s=2.5"),
+        (("packing", "--kind", "relu", "--k", "2.7", "--n", "32"), "k=2.7"),
+    ])
+    def test_misread_packing_parameter_is_usage_error(self, capsys, args, named):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert named in err
+
+    def test_relu_compile_has_no_smoothing_flag(self, capsys):
+        # --smoothing was validated and then dropped: it changed no output.
+        code, out, _ = run_cli(capsys, "relu-compile", "--q", "4", "--smoothing", "100")
+        assert code == 2 and out == ""
+
     @pytest.mark.parametrize("args", [
         ("rates", "--kind", "sphere-cover", "--param", "d=1"),
         ("rates", "--kind", "packing-separation", "--param", "d=0"),

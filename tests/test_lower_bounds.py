@@ -7,6 +7,7 @@ from barronlab.barron import evaluate_sum, fourier_sum, hm_norm_exact
 from barronlab.lower_bounds import (
     ConvergenceError,
     build_packing,
+    decaying_spectrum,
     dyadic_blocks,
     example2_tail_mass,
     exp_ridge_fourier,
@@ -184,6 +185,17 @@ class TestDyadic:
         for k, norm in norms.items():
             assert norm <= c_fit * 2.0 ** (-k / 2)
 
+    def test_residual_sums_cached_block_norms_bitwise(self):
+        # Reference: each block's norm recomputed, summed in ascending level order.
+        decomp = dyadic_blocks(decaying_spectrum(256.0, 1.0))
+        top = decomp.blocks[-1][0]
+        for from_level in range(-2, top + 3):
+            want = 0.0
+            for level, block in decomp.blocks:
+                if level >= from_level:
+                    want += hm_norm_exact(block, 0) ** 2
+            assert residual_tail_norm(decomp, from_level) == math.sqrt(want)
+
     def test_level_cap_validated(self):
         fs = fourier_sum(1, 1.0, (0.0,), {(100,): 1.0})
         with pytest.raises(ValueError, match="level"):
@@ -279,6 +291,15 @@ class TestPacking:
         # Both kinds used to divide by d first and raise ZeroDivisionError.
         with pytest.raises(ValueError, match="dimension d must be >= 1, got 0"):
             build_packing(kind, 0, k_or_s, 32)
+
+    @pytest.mark.parametrize("kind, k_or_s, named", [
+        ("relu", 2.7, "k=2.7"),  # used to run as k = 2
+        ("relu", 0.5, "k=0.5"),
+        ("bogus", 1.0, "'bogus'"),
+    ])
+    def test_kind_and_relu_power_checked(self, kind, k_or_s, named):
+        with pytest.raises(ValueError, match=named):
+            build_packing(kind, 2, k_or_s, 32)
 
     def test_norm_symmetric_under_sign_flip(self):
         family = build_packing("relu", 2, 2, 32, seed=0)
@@ -499,6 +520,11 @@ class TestTailMass:
             example2_tail_mass(0, 0.5)
         with pytest.raises(ValueError):
             example2_tail_mass(-1, 2.0)
+
+    def test_monte_carlo_spec_refused(self):
+        # Used to return exactly the Z of the 64-node tensor rule.
+        with pytest.raises(ValueError, match="spec must be a tensor-grid quadrature spec"):
+            example2_tail_mass(0, 2.0, QuadratureSpec("monte-carlo", 64, seed=3))
 
     def test_disagreement_raises(self):
         with pytest.raises(ConvergenceError):
