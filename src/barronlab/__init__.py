@@ -15,7 +15,7 @@ rates           experiment harness with verdicts
 cli             command-line interface over all of the above
 """
 
-from .numerics import QuadratureSpec, RateFit, integrate, loglog_fit, sobolev_weight
+from .numerics import RateFit, integrate, loglog_fit, sobolev_weight
 from .barron import (
     FourierSum,
     WeightSpec,

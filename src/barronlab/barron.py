@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import (QuadratureSpec, axis_rule, grid_rows, read_only, sobolev_weight,
-                       tensor_resolution)
+from .numerics import axis_rule, grid_rows, read_only, sobolev_weight
 
 COEFF_DROP_RELATIVE = 1e-14
 CUTOFF_ALPHA = 2.0  # bump shape parameter of the mollified cutoff
@@ -210,7 +209,8 @@ def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
 
     Coefficients below 1e-14 of the largest are dropped, which keeps
     supports finite without moving any norm by more than 1e-12 relative;
-    the rest are sorted by lattice index.
+    the rest are sorted by lattice index.  A non-finite coefficient is a
+    ``ValueError``.
     """
     d = int(d)
     values = np.asarray(values, dtype=complex).reshape(-1)
@@ -224,7 +224,12 @@ def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
         )
     mags = np.abs(values)
     if len(mags):
-        keep = (mags >= COEFF_DROP_RELATIVE * mags.max()) & (mags > 0.0)
+        peak = mags.max()
+        if not np.isfinite(peak):
+            bad = int(np.argmin(np.isfinite(mags)))
+            raise ValueError(f"non-finite coefficient {values[bad]} at lattice index "
+                             f"{index[bad].tolist()}")
+        keep = (mags >= COEFF_DROP_RELATIVE * peak) & (mags > 0.0)
         index, values = index[keep], values[keep]
     order = np.lexsort(index.T[::-1])
     index, values = read_only(index[order], values[order])
@@ -323,16 +328,15 @@ def _cutoff_profile(vals: np.ndarray, L: float, eps: float, alpha: float,
     return np.clip(out, 0.0, 1.0)
 
 
-def mollified_cutoff(x, L: float, eps: float, spec: QuadratureSpec | None = None):
+def mollified_cutoff(x, L: float, eps: float, resolution: int = 64):
     """Smooth cutoff equal to 1 on [0, L - 2 eps]^d, 0 outside [-eps, L - eps]^d.
 
     Realized as the convolution of the eps/4-scaled tensor bump (alpha = 2) with
-    the indicator of [-eps/2, L - 3 eps/2]^d, evaluated per axis on the nodes
-    per axis of a tensor-grid ``spec`` (default 64).
+    the indicator of [-eps/2, L - 3 eps/2]^d, evaluated per axis with
+    ``resolution`` Gauss-Legendre nodes.
     """
     if eps <= 0 or eps >= L / 2:
         raise ValueError(f"transition width must satisfy 0 < eps < L/2, got {eps}")
-    resolution = tensor_resolution(spec, 64)
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -375,7 +379,7 @@ def _ring_fraction(index: np.ndarray, values: np.ndarray, z_box: int) -> float:
 
 
 def periodize_expand(f_e: Callable, L: float, a, z_box: int,
-                     spec: QuadratureSpec | None = None, *,
+                     resolution: int | None = None, *,
                      support_bound: float, eps: float | None = None,
                      alpha: float = CUTOFF_ALPHA, window: bool = True) -> FourierSum:
     """Expand a field into a lattice Fourier sum by windowed periodization.
@@ -385,9 +389,9 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
     ``L > sqrt(d) * support_bound + 2``.  Coefficients are
     ``c_z = L^{-d} * transform(cutoff * f_e)`` sampled at ``a + z/L`` and
     computed by tensor Gauss-Legendre quadrature over the cutoff support
-    (default 32 nodes per axis per unit length, doubled once automatically
-    when the outermost index ring carries more than 1% of the l1 mass; a
-    persistent overweight ring attaches a truncation warning).
+    (``resolution`` nodes per axis, default 32 per unit length of L, doubled
+    once automatically when the outermost index ring carries more than 1% of
+    the l1 mass; a persistent overweight ring attaches a truncation warning).
 
     ``window=False`` skips the cutoff and integrates over one period cell,
     which is plain mode inversion and only meaningful for inputs that are
@@ -407,7 +411,8 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
         eps = min(1.0, (L - support_bound) / 4.0)
     if not 0.0 < eps < L / 2 or L - 2.0 * eps < support_bound:
         raise ValueError(f"transition width {eps} incompatible with L={L}, S={support_bound}")
-    resolution = tensor_resolution(spec, 32 * math.ceil(L))
+    if resolution is None:
+        resolution = 32 * math.ceil(L)
 
     index = grid_rows(np.arange(-z_box, z_box + 1), d)
     values = _periodize_once(f_e, L, a, z_box, eps, alpha, resolution, window)
@@ -424,7 +429,7 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
 
 
 def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
-                spec: QuadratureSpec | None = None, *, support_bound: float,
+                resolution: int | None = None, *, support_bound: float,
                 grid: int = 4) -> tuple[tuple[float, ...], FourierSum]:
     """Scan offsets on a grid of [0, 1/L]^d and keep the weighted-mass argmin.
 
@@ -437,7 +442,7 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
     best_fs: FourierSum | None = None
     best_mass = math.inf
     for a in grid_rows(candidates, d):
-        fs = periodize_expand(f_e, L, a, z_box, spec, support_bound=support_bound)
+        fs = periodize_expand(f_e, L, a, z_box, resolution, support_bound=support_bound)
         mass = barron_norm(fs, weight)
         if mass < best_mass:
             best_a, best_fs, best_mass = tuple(float(v) for v in a), fs, mass

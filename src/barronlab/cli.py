@@ -12,13 +12,13 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import greedy_fourier, lower_bounds, rates, relu_nets, sphere_geom
 from .barron import hm_norm_exact
-from .numerics import QuadratureSpec
 
 
 def _fmt(value: float) -> str:
@@ -31,6 +31,21 @@ def _emit(text: str, output: str | None) -> None:
     else:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+
+
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: a number that is not inf or nan."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
+def _finite_floats(text: str) -> list[float]:
+    return [_finite_float(v) for v in text.split(",") if v.strip()]
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -111,19 +126,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("exponents", help=ANCHORS["exponents"])
     common(p)
     p.add_argument("--d", type=int, required=False, default=1)
-    p.add_argument("--m", type=float, default=0.0)
-    p.add_argument("--k", type=float, default=1.0)
-    p.add_argument("--s", type=float, default=1.0)
+    p.add_argument("--m", type=_finite_float, default=0.0)
+    p.add_argument("--k", type=_finite_float, default=1.0)
+    p.add_argument("--s", type=_finite_float, default=1.0)
     p.set_defaults(handler=_cmd_exponents)
 
     p = sub.add_parser("greedy-fourier", help=ANCHORS["greedy-fourier"])
     common(p)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--d", type=int, default=1)
-    p.add_argument("--ks", type=float, default=2.0)
+    p.add_argument("--ks", type=_finite_float, default=2.0)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--n-grid", default="2:256")
-    p.add_argument("--xi-max", type=float, default=None)
+    p.add_argument("--xi-max", type=_finite_float, default=None)
     p.set_defaults(handler=_cmd_greedy_fourier)
 
     p = sub.add_parser("relu-compile", help=ANCHORS["relu-compile"])
@@ -132,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--q", type=int, default=8)
-    p.add_argument("--cycles", type=float, default=1.0)
+    p.add_argument("--cycles", type=_finite_float, default=1.0)
     p.set_defaults(handler=_cmd_relu_compile)
 
     p = sub.add_parser("monomial-check", help=ANCHORS["monomial-check"])
@@ -164,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--kind", choices=("fourier", "relu"), default="relu")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--k", type=float, default=2.0,
+    p.add_argument("--k", type=_finite_float, default=2.0,
                    help="power (relu kind) or smoothness (fourier kind)")
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--pairs", type=int, default=64)
@@ -172,14 +187,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dyadic", help=ANCHORS["dyadic"])
     common(p)
-    p.add_argument("--xi-max", type=float, default=128.0)
-    p.add_argument("--decay", type=float, default=1.0)
+    p.add_argument("--xi-max", type=_finite_float, default=128.0)
+    p.add_argument("--decay", type=_finite_float, default=1.0)
     p.set_defaults(handler=_cmd_dyadic)
 
     p = sub.add_parser("example1-gap", help=ANCHORS["example1-gap"])
     common(p)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--omega0-grid", default="8,16,32,64")
+    p.add_argument("--alpha", type=_finite_float, default=1.0)
+    p.add_argument("--omega0-grid", type=_finite_floats, default="8,16,32,64")
     p.add_argument("--units", type=int, default=8)
     p.add_argument("--candidates", type=int, default=512)
     p.set_defaults(handler=_cmd_example1_gap)
@@ -187,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("example2-tail", help=ANCHORS["example2-tail"])
     common(p)
     p.add_argument("--m", type=int, default=0)
-    p.add_argument("--A", type=float, default=2.0)
+    p.add_argument("--A", type=_finite_float, default=2.0)
     p.add_argument("--resolution", type=int, default=128)
     p.set_defaults(handler=_cmd_example2_tail)
 
@@ -246,7 +261,7 @@ def _cmd_greedy_fourier(args) -> int:
         buf.write("n,error,bound,key_of_last_kept\n")
         for n, err in report.samples:
             bound = c_fit * n ** (-report.predicted_exponent)
-            key = sel.keys[min(n, len(sel.keys)) - 1]
+            key = sel.sorted_keys[min(n, len(sel.sorted_keys)) - 1]
             buf.write(f"{n},{_fmt(err)},{_fmt(bound)},{_fmt(key)}\n")
         _emit(buf.getvalue(), args.output)
     print(f"verdict: {report.verdict} (slope fit in {report.seconds:.2f}s)",
@@ -285,6 +300,9 @@ def _cmd_relu_compile(args) -> int:
 
 
 def _cmd_monomial_check(args) -> int:
+    if args.k < 1 or args.points < 10:
+        raise ValueError(f"monomial-check needs --k >= 1 and --points >= 10, "
+                         f"got --k {args.k} --points {args.points}")
     rng = np.random.default_rng(args.seed)
     worst = 0.0
     for m in range(1, args.k + 1):
@@ -388,10 +406,9 @@ def _cmd_dyadic(args) -> int:
 
 
 def _cmd_example1_gap(args) -> int:
-    omega_grid = [float(v) for v in args.omega0_grid.split(",") if v.strip()]
     buf = io.StringIO()
     buf.write("omega0,error,error_times_omega0\n")
-    for omega0 in omega_grid:
+    for omega0 in args.omega0_grid:
         probe = lower_bounds.highfreq_gap(args.alpha, omega0, args.units,
                                           args.candidates, seed=args.seed)
         buf.write(
@@ -402,9 +419,7 @@ def _cmd_example1_gap(args) -> int:
 
 
 def _cmd_example2_tail(args) -> int:
-    report = lower_bounds.example2_tail_mass(
-        args.m, args.A, QuadratureSpec(resolution=args.resolution)
-    )
+    report = lower_bounds.example2_tail_mass(args.m, args.A, args.resolution)
     payload = {
         "m": report.m, "A": report.A, "Z": report.Z,
         "lambda_tail": report.lambda_tail, "tail_bound": report.tail_bound,

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .barron import FourierSum, from_arrays
 from .numerics import grid_rows, sobolev_weight
 
-WEIGHTED_RULE = "weighted"
-MODE_NORM_RULE = "mode-norm"
 # Largest lattice box synthetic_heavy_tail builds: 2^22 index rows, ~100 MB at d=3.
 MAX_BOX_ROWS = 2**22
 
@@ -31,58 +28,33 @@ class GreedySelection:
     ``order`` is a permutation of the rows of the expansion's ``index`` and
     ``values`` arrays, ``sorted_keys`` the ordering-key values in that order
     (nonincreasing), and ``ell1_prefix[n]`` the l1 coefficient mass of the
-    first n rows, so ``ell1_prefix[-1]`` is the full mass.  ``ordering``
-    (lattice index tuples) and ``keys`` (floats) are tuple views of the same
-    order.
+    first n rows, so ``ell1_prefix[-1]`` is the full mass.
     """
 
     order: np.ndarray
-    index: np.ndarray
     sorted_keys: np.ndarray
     ell1_prefix: np.ndarray
-    m: float
-    ks: float
-    rule: str
-
-    @cached_property
-    def ordering(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self.index[self.order].tolist()))
-
-    @cached_property
-    def keys(self) -> tuple[float, ...]:
-        return tuple(self.sorted_keys.tolist())
 
     def ell1_mass(self, n: int) -> float:
         n = max(0, min(int(n), len(self.order)))
         return float(self.ell1_prefix[n])
 
 
-def order_frequencies(fs: FourierSum, m: float, ks: float,
-                      rule: str = WEIGHTED_RULE) -> GreedySelection:
+def order_frequencies(fs: FourierSum, m: float, ks: float) -> GreedySelection:
     """Order the support by decreasing key, ties broken by lattice index.
 
-    The default rule keys on (1 + |z/L|)^(2m - ks) |c_z|.  The alternative
-    ``mode-norm`` rule keys on |c_z| sqrt(w_m(a + z/L)), which sorts modes by
-    their exact H^m contribution; it is exposed for comparison and is not
-    the ordering whose tail bound the experiments certify.
+    The key of mode z is (1 + |z/L|)^(2m - ks) |c_z|.
     """
     if not fs.support_size():
         raise ValueError("cannot order an empty expansion")
-    if rule not in (WEIGHTED_RULE, MODE_NORM_RULE):
-        raise ValueError(f"unknown ordering rule {rule!r}")
     mags = np.abs(fs.values)
-    if rule == WEIGHTED_RULE:
-        xi_norm = np.linalg.norm(fs.index.astype(float), axis=1) / fs.L
-        keys = (1.0 + xi_norm) ** (2.0 * m - ks) * mags
-    else:
-        weight = sobolev_weight(fs.shifted_frequencies(), int(m))
-        keys = mags * np.sqrt(weight)
+    xi_norm = np.linalg.norm(fs.index.astype(float), axis=1) / fs.L
+    keys = (1.0 + xi_norm) ** (2.0 * m - ks) * mags
     # np.lexsort sorts by its last key first: descending key, then the index
     # columns in order, so ties go to the smallest lattice index.
     order = np.lexsort(tuple(fs.index.T[::-1]) + (-keys,))
     prefix = np.concatenate(([0.0], np.cumsum(mags[order])))
-    return GreedySelection(order, fs.index, keys[order], prefix,
-                           float(m), float(ks), rule)
+    return GreedySelection(order, keys[order], prefix)
 
 
 def truncate_top_n(fs: FourierSum, sel: GreedySelection, n: int) -> FourierSum:

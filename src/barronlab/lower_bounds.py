@@ -16,8 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .numerics import (TENSOR_GRID, QuadratureSpec, axis_rule, monte_carlo_nodes, read_only,
-                       tensor_nodes, tensor_resolution)
+from .numerics import axis_rule, read_only, tensor_nodes
 from .relu_nets import sigma_k
 from .sphere_geom import SphericalNet, separated_subset
 
@@ -357,14 +356,14 @@ class SeparationReport:
 
 def pairwise_separation(family: PackingFamily, norm: str = "witness",
                         pair_budget: int = 64, seed: int = 0,
-                        spec: QuadratureSpec | None = None) -> SeparationReport:
+                        resolution: int = 48) -> SeparationReport:
     """Measure pairwise distances of a packing family, all pairs in one batch.
 
     ``witness`` mode evaluates at the family's own directions and reports
     the exact main + cross decomposition per pair.  ``l2`` mode integrates
-    |f_sigma - f_sigma'|^2 over the unit cube on the nodes of ``spec``
-    (default 48^d tensor Gauss-Legendre) as a quadratic form of the sign
-    difference with the atoms' Gram matrix, since f_sigma is linear in sigma.
+    |f_sigma - f_sigma'|^2 over the unit cube on ``resolution``^d tensor
+    Gauss-Legendre nodes as a quadratic form of the sign difference with the
+    atoms' Gram matrix, since f_sigma is linear in sigma.
     """
     if pair_budget < 1:
         raise ValueError("pair budget must be >= 1")
@@ -404,10 +403,7 @@ def pairwise_separation(family: PackingFamily, norm: str = "witness",
         worst_identity = float(np.hypot(gap.real, gap.imag).max(initial=0.0))
         main_term, cross_term = (np.hypot(z.real, z.imag) for z in (main, cross))
     else:
-        spec = spec if spec is not None else QuadratureSpec(resolution=48)
-        box = [(0.0, 1.0)] * family.d
-        pts, wq = (tensor_nodes(box, spec.resolution) if spec.method == TENSOR_GRID
-                   else monte_carlo_nodes(box, spec))
+        pts, wq = tensor_nodes([(0.0, 1.0)] * family.d, resolution)
         atoms = family.atoms(pts)
         gram = (atoms.conj().T * wq) @ atoms
         sq = np.einsum("pa,ab,pb->p", diff, gram, diff).real
@@ -514,15 +510,15 @@ def _omega_tail_truncation_bound(m: int) -> float:
 
 
 def example2_tail_mass(m_smooth: int, A: float,
-                       spec: QuadratureSpec | None = None) -> TailMassReport:
+                       resolution: int = 128) -> TailMassReport:
     """Tail mass of the arctan-dictionary probability measure.
 
     Computes the normalization Z as a plateau/decay split, the measure of
     {|omega| > A}, and the closed-form reference lower value
     4 sqrt(pi) e^{-A^2/4} / (Z A).  The omega axis is truncated at 14 with
-    a certified analytic remainder.  Integrals use the nodes per axis of a
-    tensor-grid ``spec`` (default 128); results are recomputed at doubled
-    resolution and more than 1% disagreement raises ConvergenceError.
+    a certified analytic remainder.  Integrals use ``resolution``
+    Gauss-Legendre nodes; results are recomputed at doubled resolution and
+    more than 1% disagreement raises ConvergenceError.
     """
     if m_smooth < 0 or int(m_smooth) != m_smooth:
         raise ValueError("smoothness order must be a nonnegative integer")
@@ -530,7 +526,6 @@ def example2_tail_mass(m_smooth: int, A: float,
         raise ValueError(f"cutoff must satisfy A >= 1, got {A}")
     if A >= _OMEGA_TRUNCATION:
         raise ValueError(f"cutoff {A} must stay below the truncation {_OMEGA_TRUNCATION}")
-    resolution = tensor_resolution(spec, 128)
     m = int(m_smooth)
 
     def compute(res: int) -> tuple[float, float, float]:

@@ -4,8 +4,7 @@ log-log rate fitting.
 All routines here are deterministic functions of their inputs.  Tensor-grid
 quadrature uses Gauss-Legendre nodes with ``resolution`` nodes per axis,
 which integrates per-axis polynomial degree up to ``2 * resolution - 1``
-exactly.  Monte Carlo quadrature draws its node set from a seeded generator,
-so an identical spec always reproduces the identical node set bit for bit.
+exactly.
 """
 
 from __future__ import annotations
@@ -18,41 +17,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-TENSOR_GRID = "tensor-grid"
-MONTE_CARLO = "monte-carlo"
-
 Box = Sequence[tuple[float, float]]
 
 
 class IntegrationError(ValueError):
     """An integrand produced a non-finite value at a quadrature node."""
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Deterministic quadrature description.
-
-    Parameters
-    ----------
-    method : str
-        ``"tensor-grid"`` (Gauss-Legendre, ``resolution`` nodes per axis,
-        ``resolution**d`` nodes total) or ``"monte-carlo"`` (``resolution``
-        uniform samples drawn from ``seed``).
-    resolution : int
-        Nodes per axis (tensor grid) or total sample count (Monte Carlo).
-    seed : int
-        Generator seed; only used by the Monte Carlo method.
-    """
-
-    method: str = TENSOR_GRID
-    resolution: int = 64
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.method not in (TENSOR_GRID, MONTE_CARLO):
-            raise ValueError(f"unknown quadrature method {self.method!r}")
-        if self.resolution < 2:
-            raise ValueError(f"resolution must be >= 2, got {self.resolution}")
 
 
 @dataclass(frozen=True)
@@ -92,23 +61,12 @@ def gauss_rule(resolution: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def axis_rule(lo: float, hi: float, resolution: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre rule mapped to [lo, hi]."""
+    """Gauss-Legendre rule of ``resolution`` >= 2 nodes mapped to [lo, hi]."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be >= 2, got {resolution}")
     nodes, weights = gauss_rule(resolution)
     half = 0.5 * (hi - lo)
     return lo + half * (nodes + 1.0), half * weights
-
-
-def tensor_resolution(spec: QuadratureSpec | None, default: int) -> int:
-    """Nodes per axis of a tensor-grid ``spec``, or ``default`` when it is None.
-
-    A Monte Carlo spec has no nodes per axis, so it is refused instead of
-    being read as a Gauss-Legendre node count.
-    """
-    if spec is None:
-        return default
-    if spec.method != TENSOR_GRID:
-        raise ValueError(f"spec must be a tensor-grid quadrature spec, got method {spec.method!r}")
-    return spec.resolution
 
 
 def validate_box(box: Box) -> list[tuple[float, float]]:
@@ -130,20 +88,6 @@ def tensor_nodes(box: Box, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     w = np.ones(1)
     for _, aw in axes:
         w = np.multiply.outer(w, aw).ravel()
-    return pts, w
-
-
-def monte_carlo_nodes(box: Box, spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded uniform nodes (N, d) and equal weights summing to the box volume."""
-    box = validate_box(box)
-    d = len(box)
-    rng = np.random.default_rng(spec.seed)
-    unit = rng.random((spec.resolution, d))
-    lo = np.array([b[0] for b in box])
-    hi = np.array([b[1] for b in box])
-    pts = lo + unit * (hi - lo)
-    volume = float(np.prod(hi - lo))
-    w = np.full(spec.resolution, volume / spec.resolution)
     return pts, w
 
 
@@ -169,46 +113,21 @@ def _check_finite(vals: np.ndarray, pts: np.ndarray) -> None:
         )
 
 
-def integrate(f: Callable, box: Box, spec: QuadratureSpec | None = None):
-    """Integrate a real- or complex-valued field over an axis-aligned box.
+def integrate(f: Callable, box: Box, resolution: int = 64):
+    """Integrate a real- or complex-valued field over a box of at most 3 axes.
 
-    Without an explicit spec, tensor Gauss-Legendre is used for d <= 3 and
-    Monte Carlo (2**16 samples, seed 0) for d >= 4.  Complex integrands are
-    handled componentwise, which the weighted dot product does implicitly.
+    Tensor Gauss-Legendre with ``resolution`` nodes per axis.  Complex
+    integrands are handled componentwise, which the weighted dot product
+    does implicitly.
     """
     box = validate_box(box)
-    if spec is None:
-        if len(box) <= 3:
-            spec = QuadratureSpec()
-        else:
-            spec = QuadratureSpec(MONTE_CARLO, 1 << 16, 0)
-    if spec.method == TENSOR_GRID:
-        pts, w = tensor_nodes(box, spec.resolution)
-    else:
-        pts, w = monte_carlo_nodes(box, spec)
+    if len(box) > 3:
+        raise ValueError(f"integrate takes at most 3 axes, got {len(box)}")
+    pts, w = tensor_nodes(box, resolution)
     vals = _eval_field(f, pts)
     _check_finite(vals, pts)
     total = np.dot(w, vals)
     return complex(total) if np.iscomplexobj(vals) else float(total)
-
-
-def monte_carlo_estimate(f: Callable, box: Box, spec: QuadratureSpec):
-    """Monte Carlo integral and its standard error estimate.
-
-    The standard error is volume * std(samples, ddof=1) / sqrt(N); doubling
-    the sample count shrinks it by roughly sqrt(2).
-    """
-    if spec.method != MONTE_CARLO:
-        raise ValueError("monte_carlo_estimate requires a monte-carlo spec")
-    pts, w = monte_carlo_nodes(box, spec)
-    vals = _eval_field(f, pts)
-    _check_finite(vals, pts)
-    volume = float(w.sum())
-    n = len(vals)
-    estimate = np.dot(w, vals)
-    stderr = volume * float(np.std(vals, ddof=1)) / math.sqrt(n)
-    result = complex(estimate) if np.iscomplexobj(vals) else float(estimate)
-    return result, stderr
 
 
 def sobolev_weight(eta, m: int):

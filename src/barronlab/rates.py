@@ -125,6 +125,9 @@ def _sphere_cover(c, grid, seed):
 
 
 def _subsample_concentration(c, grid, seed):
+    if c["restarts"] < 1:
+        raise ValueError(f"kind {SUBSAMPLE_CONCENTRATION} needs restarts >= 1, "
+                         f"got restarts={c['restarts']}")
     return 0.5, lambda n, run_seed: seeded_subsample(
         c["N"], c["M"], n, c["restarts"], run_seed).deviation
 
@@ -165,8 +168,9 @@ def kind_config(kind: str, params: dict | None) -> dict:
 
     A given value is cast to its default's type (float where the default is
     None, which the setup derives); None keeps the default.  An unknown kind
-    or key, a non-integral value for an integer default, or d below 1 (below
-    2 for the two kinds that work on the sphere S^(d-1)) is a ``ValueError``.
+    or key, a non-finite value for a numeric default, a non-integral value
+    for an integer default, or d below 1 (below 2 for the two kinds that
+    work on the sphere S^(d-1)) is a ``ValueError``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -178,6 +182,8 @@ def kind_config(kind: str, params: dict | None) -> dict:
         if value is None:
             continue
         cast = float if config[key] is None else type(config[key])
+        if cast is not str and not math.isfinite(float(value)):
+            raise ValueError(f"parameter {key!r} for kind {kind} must be finite, got {value}")
         if cast is int and float(value) != int(value):
             raise ValueError(f"parameter {key!r} for kind {kind} must be an integer, got {value}")
         config[key] = cast(value)

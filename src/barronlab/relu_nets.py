@@ -19,8 +19,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import (Box, QuadratureSpec, gauss_rule, grid_rows, integrate, multi_indices,
-                       read_only, validate_box)
+from .numerics import (Box, gauss_rule, grid_rows, integrate, multi_indices, read_only,
+                       validate_box)
 
 
 def sigma_k(t, k: int):
@@ -592,7 +592,7 @@ def _ridge_box_integrals(omega, bias, lo, hi, p) -> np.ndarray:
 
 
 def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
-                     spec: QuadratureSpec | None = None) -> HmUpperBound:
+                     spec=None) -> HmUpperBound:
     """Certified H^m upper bound (max unit norm) * (l1 coefficient mass).
 
     The triangle inequality gives ||f_n||_{H^m} <= sum |a_i| ||g_i||_{H^m}

@@ -121,6 +121,8 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
         raise ValueError(f"subsample size {n} exceeds term count {big_n}")
     if n < 1:
         raise ValueError("subsample size must be >= 1")
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     bound = float(np.max(np.abs(arr))) if coeff_bound is None else float(coeff_bound)
     if np.max(np.abs(arr)) > bound + 1e-12:
         raise ValueError("coefficient magnitudes exceed the declared bound")

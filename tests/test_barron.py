@@ -13,6 +13,7 @@ from barronlab.barron import (
     bump_value,
     evaluate_sum,
     fourier_sum,
+    from_arrays,
     from_json,
     hm_norm_exact,
     mollified_cutoff,
@@ -20,7 +21,7 @@ from barronlab.barron import (
     scan_offset,
     to_json,
 )
-from barronlab.numerics import QuadratureSpec, integrate
+from barronlab.numerics import integrate
 
 
 def sinc(p):
@@ -118,20 +119,14 @@ class TestMollifiedCutoff:
 
     def test_band_midpoint_stable_under_refinement(self):
         mid = np.array([-self.EPS / 2.0])
-        coarse = mollified_cutoff(mid, self.L, self.EPS, spec=QuadratureSpec(resolution=64))
-        fine = mollified_cutoff(mid, self.L, self.EPS, spec=QuadratureSpec(resolution=640))
+        coarse = mollified_cutoff(mid, self.L, self.EPS, 64)
+        fine = mollified_cutoff(mid, self.L, self.EPS, 640)
         assert 0.0 < coarse < 1.0
         assert coarse == pytest.approx(fine, abs=1e-6)
 
     def test_band_width_validated(self):
         with pytest.raises(ValueError):
             mollified_cutoff(np.array([0.0]), self.L, self.L / 2)
-
-    def test_monte_carlo_spec_refused(self):
-        # Its sample count used to be read as Gauss-Legendre nodes per axis.
-        with pytest.raises(ValueError, match="spec must be a tensor-grid quadrature spec"):
-            mollified_cutoff(np.array([0.0]), self.L, self.EPS,
-                             spec=QuadratureSpec("monte-carlo", 64, seed=3))
 
 
 class TestFourierSum:
@@ -142,6 +137,13 @@ class TestFourierSum:
     def test_zero_coefficients_dropped(self):
         fs = fourier_sum(1, 1.0, (0.0,), {})
         assert fs.support_size() == 0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_non_finite_coefficient_refused(self, bad):
+        # A NaN peak used to fail every keep test and return an empty sum;
+        # an inf peak kept only the inf entries.
+        with pytest.raises(ValueError, match=r"non-finite coefficient .* lattice index \[3\]"):
+            from_arrays(1, 1.0, (0.0,), [[0], [3], [1]], [1.0, bad, 0.5])
 
     def test_offset_range_validated(self):
         with pytest.raises(ValueError, match="offset"):
@@ -230,7 +232,7 @@ class TestNorms:
     def test_h2_norm_matches_quadrature(self):
         coeffs = {(-2,): 0.5, (1,): 1.0 + 0.5j}
         fs = fourier_sum(1, 1.0, (0.1,), coeffs)
-        spec = QuadratureSpec(resolution=96)
+        resolution = 96
         freqs = fs.shifted_frequencies()[:, 0]
         c = fs.coefficient_vector()
         total = 0.0
@@ -241,7 +243,7 @@ class TestNorms:
                 vals = np.exp(2j * np.pi * np.outer(p[:, 0], freqs)) @ scaled
                 return np.abs(vals) ** 2
 
-            total += integrate(deriv_sq, [(0, 1)], spec)
+            total += integrate(deriv_sq, [(0, 1)], resolution)
         assert hm_norm_exact(fs, 2) == pytest.approx(math.sqrt(total), rel=1e-10)
 
     def test_hm_norm_matches_quadrature(self):
@@ -251,7 +253,7 @@ class TestNorms:
             for z in [-7, -2, 0, 3, 11]
         }
         fs = fourier_sum(1, 1.0, (0.05,), coeffs)
-        spec = QuadratureSpec(resolution=96)
+        resolution = 96
 
         def sq(p):
             return np.abs(evaluate_sum(fs, p)) ** 2
@@ -262,7 +264,8 @@ class TestNorms:
             vals = np.exp(2j * np.pi * np.outer(p[:, 0], freqs)) @ c
             return np.abs(vals) ** 2
 
-        quad = math.sqrt(integrate(sq, [(0, 1)], spec) + integrate(dsq, [(0, 1)], spec))
+        quad = math.sqrt(integrate(sq, [(0, 1)], resolution)
+                         + integrate(dsq, [(0, 1)], resolution))
         assert hm_norm_exact(fs, 1) == pytest.approx(quad, abs=1e-6)
 
 
@@ -273,7 +276,7 @@ class TestPeriodize:
         src = fourier_sum(1, L, a, coeffs)
         rec = periodize_expand(
             lambda p: evaluate_sum(src, p), L, a, 5,
-            QuadratureSpec(resolution=96), support_bound=2.0, window=False,
+            96, support_bound=2.0, window=False,
         )
         for z, c in coeffs.items():
             assert rec.coeffs[z] == pytest.approx(c, abs=1e-8)
@@ -283,7 +286,7 @@ class TestPeriodize:
     def test_sinc_reconstruction(self):
         L, S, eps = 5.0, 2.0, 1.4
         fs = periodize_expand(
-            sinc, L, (0.0,), 60, QuadratureSpec(resolution=256),
+            sinc, L, (0.0,), 60, 256,
             support_bound=S, eps=eps, alpha=3.0,
         )
         assert not fs.warnings
@@ -299,7 +302,7 @@ class TestPeriodize:
 
     def test_undersized_index_box_warns(self):
         fs = periodize_expand(
-            sinc, 5.0, (0.0,), 2, QuadratureSpec(resolution=160),
+            sinc, 5.0, (0.0,), 2, 160,
             support_bound=2.0,
         )
         assert fs.warnings and "truncation" in fs.warnings[0]
@@ -308,10 +311,6 @@ class TestPeriodize:
         with pytest.raises(ValueError, match="period"):
             periodize_expand(sinc, 3.0, (0.0,), 10, support_bound=2.0)
 
-    def test_monte_carlo_spec_refused(self):
-        with pytest.raises(ValueError, match="spec must be a tensor-grid quadrature spec"):
-            periodize_expand(sinc, 5.0, (0.0,), 2, QuadratureSpec("monte-carlo", 64, seed=3),
-                             support_bound=2.0)
 
     def test_dimension_cap(self):
         with pytest.raises(ValueError, match="d <= 2"):
@@ -339,7 +338,7 @@ class TestPeriodize:
                 )
 
             fs = periodize_expand(
-                f, 5.0, (0.0,), 60, QuadratureSpec(resolution=256),
+                f, 5.0, (0.0,), 60, 256,
                 support_bound=2.0, eps=1.4, alpha=3.0,
             )
             xi = np.linspace(-30, 30, 20001)
@@ -356,7 +355,7 @@ class TestPeriodize:
 
         L, eps = 5.0, 1.4
         fs = periodize_expand(
-            f2, L, (0.0, 0.0), 12, QuadratureSpec(resolution=128),
+            f2, L, (0.0, 0.0), 12, 128,
             support_bound=1.6, eps=eps, alpha=3.0,
         )
         rng = np.random.default_rng(0)
@@ -370,7 +369,7 @@ class TestPeriodize:
         src = fourier_sum(2, L, a, coeffs)
         rec = periodize_expand(
             lambda p: evaluate_sum(src, p), L, a, 3,
-            QuadratureSpec(resolution=64), support_bound=1.6, window=False,
+            64, support_bound=1.6, window=False,
         )
         for z, c in coeffs.items():
             assert rec.coeffs[z] == pytest.approx(c, abs=1e-10)
@@ -378,11 +377,11 @@ class TestPeriodize:
     def test_offset_scan_returns_grid_argmin(self):
         weight = WeightSpec.polynomial(0.0)
         best_a, best_fs = scan_offset(
-            sinc, 1, 5.0, 20, weight, QuadratureSpec(resolution=160),
+            sinc, 1, 5.0, 20, weight, 160,
             support_bound=2.0, grid=3,
         )
         at_zero = periodize_expand(
-            sinc, 5.0, (0.0,), 20, QuadratureSpec(resolution=160),
+            sinc, 5.0, (0.0,), 20, 160,
             support_bound=2.0,
         )
         assert barron_norm(best_fs, weight) <= barron_norm(at_zero, weight) + 1e-12

@@ -159,6 +159,52 @@ class TestExitCodes:
     def test_seed_on_every_subcommand(self, command):
         assert any(a.dest == "seed" for a in PARSERS[command]._actions)
 
+    @pytest.mark.parametrize("args, flag", [
+        # The first four used to end in an OverflowError traceback (exit 1),
+        # and example1-gap printed inf,nan,nan with exit 0.
+        (("greedy-fourier", "--xi-max", "inf"), "--xi-max"),
+        (("dyadic", "--xi-max", "inf"), "--xi-max"),
+        (("rates", "--kind", "greedy-fourier", "--param", "xi_max=inf"), "'xi_max'"),
+        (("rates", "--kind", "dyadic-residual", "--param", "xi_max=inf"), "'xi_max'"),
+        (("example1-gap", "--omega0-grid", "8,inf"), "--omega0-grid"),
+        (("exponents", "--s", "nan"), "--s"),
+        (("example2-tail", "--A=-inf"), "--A"),
+    ])
+    def test_non_finite_number_is_usage_error(self, capsys, args, flag):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert flag in err and "finite" in err
+
+    def test_malformed_float_flag_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "dyadic", "--decay", "abc")
+        assert code == 2 and out == ""
+        assert "--decay" in err and "'abc'" in err
+
+    @pytest.mark.parametrize("args", [
+        ("monomial-check", "--k", "-1"),  # used to print "pass": true
+        ("monomial-check", "--k", "0"),  # likewise, checking no monomial
+        ("monomial-check", "--points", "5"),  # used to end in a NumPy traceback
+    ])
+    def test_monomial_check_refuses_an_empty_check(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "--k >= 1 and --points >= 10" in err
+
+    @pytest.mark.parametrize("args", [
+        ("subsample", "--restarts", "0"),
+        ("rates", "--kind", "subsample-concentration", "--param", "restarts=0",
+         "--n-grid", "4:256"),
+    ])
+    def test_no_restart_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "restarts" in err
+
+    def test_resolution_below_two_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "example2-tail", "--resolution", "1")
+        assert code == 2 and out == ""
+        assert "resolution must be >= 2, got 1" in err
+
     def test_monomial_check_green(self, capsys):
         code, out, _ = run_cli(capsys, "monomial-check", "--k", "4")
         assert code == 0

@@ -19,7 +19,7 @@ from barronlab.lower_bounds import (
     residual_tail_norm,
     tail_density,
 )
-from barronlab.numerics import QuadratureSpec, axis_rule, monte_carlo_nodes, tensor_nodes
+from barronlab.numerics import axis_rule, tensor_nodes
 from barronlab.relu_nets import sigma_k
 
 
@@ -372,22 +372,16 @@ class TestPairwiseSeparation:
 
     def test_l2_mode_runs(self, relu_family):
         report = pairwise_separation(
-            relu_family, norm="l2", pair_budget=3, seed=0,
-            spec=QuadratureSpec(resolution=24),
+            relu_family, norm="l2", pair_budget=3, seed=0, resolution=24,
         )
         assert report.min_distance > 0.0
 
-    @pytest.mark.parametrize("spec", [QuadratureSpec("monte-carlo", 64, seed=3),
-                                      QuadratureSpec(resolution=24)])
     @pytest.mark.parametrize("kind, k_or_s", [("relu", 2), ("fourier", 1.0)])
-    def test_l2_distances_use_the_spec_nodes(self, spec, kind, k_or_s):
-        # A Monte Carlo spec means `resolution` samples, not resolution^d
-        # tensor nodes; the reference evaluates each pair on those nodes.
+    def test_l2_distances_use_the_tensor_nodes(self, kind, k_or_s):
+        # The reference evaluates each pair on the 24^2 tensor nodes.
         family = build_packing(kind, 2, k_or_s, 32, seed=0)
-        box = [(0.0, 1.0)] * 2
-        pts, w = (monte_carlo_nodes(box, spec) if spec.method == "monte-carlo"
-                  else tensor_nodes(box, spec.resolution))
-        report = pairwise_separation(family, norm="l2", pair_budget=5, seed=2, spec=spec)
+        pts, w = tensor_nodes([(0.0, 1.0)] * 2, 24)
+        report = pairwise_separation(family, norm="l2", pair_budget=5, seed=2, resolution=24)
         want = [math.sqrt(np.dot(w, np.abs(family.evaluate(i, pts) - family.evaluate(j, pts)) ** 2))
                 for i, j in zip(report.i.tolist(), report.j.tolist())]
         np.testing.assert_allclose(report.distance, want, rtol=1e-12)
@@ -521,11 +515,6 @@ class TestTailMass:
         with pytest.raises(ValueError):
             example2_tail_mass(-1, 2.0)
 
-    def test_monte_carlo_spec_refused(self):
-        # Used to return exactly the Z of the 64-node tensor rule.
-        with pytest.raises(ValueError, match="spec must be a tensor-grid quadrature spec"):
-            example2_tail_mass(0, 2.0, QuadratureSpec("monte-carlo", 64, seed=3))
-
     def test_disagreement_raises(self):
         with pytest.raises(ConvergenceError):
-            example2_tail_mass(2, 2.0, QuadratureSpec(resolution=2))
+            example2_tail_mass(2, 2.0, 2)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barronlab import barron, lower_bounds
 from barronlab.numerics import (
     IntegrationError,
-    QuadratureSpec,
     integrate,
     loglog_fit,
-    monte_carlo_estimate,
     multi_indices,
     sobolev_weight,
 )
@@ -28,7 +27,7 @@ class TestIntegrate:
         val = integrate(
             lambda p: np.sin(2 * np.pi * p[:, 0]) ** 2,
             [(0, 1)],
-            QuadratureSpec(resolution=64),
+            64,
         )
         assert val == pytest.approx(0.5, abs=1e-10)
 
@@ -36,7 +35,7 @@ class TestIntegrate:
         val = integrate(
             lambda p: np.exp(-p[:, 0] ** 2),
             [(-5, 5)],
-            QuadratureSpec(resolution=64),
+            64,
         )
         assert val == pytest.approx(GAUSSIAN_TRAPEZOID_ORACLE, abs=1e-6)
         assert val == pytest.approx(math.sqrt(math.pi), abs=1e-6)
@@ -47,7 +46,7 @@ class TestIntegrate:
         val = integrate(
             lambda p: p[:, 0] ** deg + p[:, 1] ** deg,
             [(0, 1), (0, 1)],
-            QuadratureSpec(resolution=resolution),
+            resolution,
         )
         assert val == pytest.approx(2.0 / (deg + 1), abs=1e-12)
 
@@ -55,7 +54,7 @@ class TestIntegrate:
         val = integrate(
             lambda p: np.exp(2j * np.pi * p[:, 0]),
             [(0, 1)],
-            QuadratureSpec(resolution=32),
+            32,
         )
         assert isinstance(val, complex)
         assert abs(val) < 1e-12
@@ -67,34 +66,39 @@ class TestIntegrate:
             return out
 
         with pytest.raises(IntegrationError, match="node"):
-            integrate(f, [(0, 1)], QuadratureSpec(resolution=8))
+            integrate(f, [(0, 1)], 8)
 
     def test_degenerate_box_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             integrate(lambda p: np.ones(len(p)), [(1, 1)])
 
-    def test_monte_carlo_bit_reproducible(self):
-        spec = QuadratureSpec("monte-carlo", 2048, seed=11)
-        f = lambda p: p[:, 0] ** 2 + p[:, 1]
-        a = integrate(f, [(0, 1), (0, 2)], spec)
-        b = integrate(f, [(0, 1), (0, 2)], spec)
-        assert a == b
-
-    def test_monte_carlo_stderr_shrinks_with_samples(self):
-        f = lambda p: p[:, 0] ** 2
-        _, se_small = monte_carlo_estimate(
-            f, [(0, 1)], QuadratureSpec("monte-carlo", 4096, seed=7)
-        )
-        _, se_big = monte_carlo_estimate(
-            f, [(0, 1)], QuadratureSpec("monte-carlo", 8192, seed=7)
-        )
-        assert se_big < se_small
-
     def test_bad_spec_rejected(self):
-        with pytest.raises(ValueError):
-            QuadratureSpec(method="simpson")
-        with pytest.raises(ValueError):
-            QuadratureSpec(resolution=1)
+        with pytest.raises(ValueError, match="resolution must be >= 2"):
+            integrate(lambda p: np.ones(len(p)), [(0, 1)], 1)
+
+    def test_more_than_three_axes_refused(self):
+        with pytest.raises(ValueError, match="at most 3 axes, got 4"):
+            integrate(lambda p: np.ones(len(p)), [(0, 1)] * 4)
+
+
+def _unit_field(p):
+    return np.ones(len(p))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: integrate(_unit_field, [(0, 1)], 1),
+    lambda: barron.mollified_cutoff(np.array([0.0]), 5.0, 0.75, 1),
+    lambda: barron.periodize_expand(_unit_field, 5.0, (0.0,), 2, 1, support_bound=2.0),
+    lambda: barron.scan_offset(_unit_field, 1, 5.0, 2, barron.WeightSpec.polynomial(1.0), 1,
+                               support_bound=2.0),
+    lambda: lower_bounds.pairwise_separation(
+        lower_bounds.build_packing("fourier", 2, 1.0, 4, seed=0), norm="l2", resolution=1),
+    lambda: lower_bounds.example2_tail_mass(0, 2.0, 1),
+], ids=["integrate", "mollified_cutoff", "periodize_expand", "scan_offset",
+        "pairwise_separation", "example2_tail_mass"])
+def test_every_resolution_entry_point_refuses_one_node(call):
+    with pytest.raises(ValueError, match="resolution must be >= 2, got 1"):
+        call()
 
 
 class TestSobolevWeight:

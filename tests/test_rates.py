@@ -137,6 +137,23 @@ class TestParameters:
                                              "an integer, got 0.5"):
             rates.kind_config(rates.GREEDY_FOURIER, {key: 0.5})
 
+    @pytest.mark.parametrize("kind, key", [
+        (rates.GREEDY_FOURIER, "xi_max"),  # used to end in an OverflowError
+        (rates.DYADIC_RESIDUAL, "xi_max"),  # likewise
+        (rates.GREEDY_FOURIER, "m"),
+        (rates.SOBOLEV_COMPILE, "cycles"),
+    ])
+    @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_value_refused(self, kind, key, value):
+        with pytest.raises(ValueError, match=f"'{key}' for kind {kind} must be finite"):
+            rates.kind_config(kind, {key: value})
+
+    def test_no_restart_refused_before_the_sweep(self, monkeypatch):
+        # Used to exit as informational with every n < N sub-run failed.
+        monkeypatch.setattr(rates.subsample, "maurey_subsample", None)
+        with pytest.raises(ValueError, match="needs restarts >= 1, got restarts=0"):
+            rates.run_experiment(rates.SUBSAMPLE_CONCENTRATION, {"restarts": 0}, self.GRID)
+
     def test_derived_defaults_filled_in(self):
         report = rates.run_experiment(rates.GREEDY_FOURIER, None, self.GRID)
         assert report.config["xi_max"] == 400.0

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barronlab import relu_nets
-from barronlab.numerics import QuadratureSpec, loglog_fit, multi_indices
+from barronlab.numerics import loglog_fit, multi_indices
 from barronlab.relu_nets import (
     CellPolynomial,
     Cube,
@@ -604,7 +604,8 @@ class TestHmUpperBound:
     @pytest.mark.parametrize("d, resolution", [(1, 256), (2, 48), (3, 16)])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_unit_norms_match_per_unit_reference(self, d, resolution, m):
-        # ``resolution`` only sets ``spec``, which the certificate ignores.
+        # ``resolution`` is not read: the certificate is exact, and the
+        # parameter only keeps the (m, d, resolution) test ids.
         rng = np.random.default_rng(10 * d + m)
         powers = rng.permutation(np.repeat([0, 1, 2] if m == 0 else [m + 1, m + 2, m + 3], 6))
         omegas = uniform_sphere(rng, len(powers), d) if d > 1 else rng.choice(
@@ -615,8 +616,7 @@ class TestHmUpperBound:
         units = [(rng.standard_normal(), omegas[i], rng.uniform(-2, 2), int(k))
                  for i, k in enumerate(powers)]
         box = [(0.0, 1.0)] * d
-        hb = network_hm_upper(relu_network(units), box, m, 2.0,
-                              QuadratureSpec(resolution=resolution))
+        hb = network_hm_upper(relu_network(units), box, m, 2.0)
         want = exact_unit_hm_norms(relu_network(units), box, m)
         norms = np.array(hb.unit_norms)
         assert np.all(norms >= want)
@@ -702,8 +702,7 @@ class TestHmUpperBound:
                 net = relu_network(
                     [(outer[i], omegas[i], biases[i], 2) for i in range(width)]
                 )
-                hb = network_hm_upper(net, self.OMEGA, 1, 2.0,
-                                      QuadratureSpec(resolution=32))
+                hb = network_hm_upper(net, self.OMEGA, 1, 2.0)
                 bounds.append(hb.bound)
             medians[width] = float(np.median(bounds))
         assert max(medians.values()) / min(medians.values()) <= 1.5

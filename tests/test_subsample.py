@@ -203,6 +203,13 @@ class TestMaureySubsample:
         with pytest.raises(ValueError):
             maurey_subsample(np.zeros((4, 2)), 5, seed=0)
 
+    @pytest.mark.parametrize("n", [4, 8])
+    def test_no_restart_refused(self, n):
+        # With n < N this used to end in NumPy's argmin of an empty sequence.
+        terms = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 3))
+        with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
+            maurey_subsample(terms, n, restarts=0)
+
     def test_declared_bound_checked(self):
         terms = np.full((8, 2), 3.0)
         with pytest.raises(ValueError, match="bound"):
