@@ -158,8 +158,8 @@ class FourierSum:
     ``index`` is an (M, d) int64 array of lattice indices z in lexicographic
     order and ``values`` the (M,) complex coefficient vector aligned with it;
     the mode frequency is a + z/L.  Both arrays are read-only.  ``coeffs``
-    and ``indices()`` are dict and list views derived from them.  Build
-    instances with ``fourier_sum`` (from a dict) or ``from_arrays``.
+    is a dict view derived from them.  Build instances with ``fourier_sum``
+    (from a dict) or ``from_arrays``.
     """
 
     d: int
@@ -184,13 +184,10 @@ class FourierSum:
 
     @property
     def coeffs(self) -> dict[tuple[int, ...], complex]:
-        return dict(zip(self.indices(), self.values.tolist()))
+        return dict(zip(map(tuple, self.index.tolist()), self.values.tolist()))
 
     def support_size(self) -> int:
         return len(self.values)
-
-    def indices(self) -> list[tuple[int, ...]]:
-        return list(map(tuple, self.index.tolist()))
 
     def frequencies(self) -> np.ndarray:
         """Lattice frequencies z/L as an (M, d) array in sorted index order."""
@@ -378,8 +375,7 @@ def _ring_fraction(index: np.ndarray, values: np.ndarray, z_box: int) -> float:
     return float(mags[np.max(np.abs(index), axis=1) == z_box].sum()) / total
 
 
-def periodize_expand(f_e: Callable, L: float, a, z_box: int,
-                     resolution: int | None = None, *,
+def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
                      support_bound: float, eps: float | None = None,
                      alpha: float = CUTOFF_ALPHA, window: bool = True) -> FourierSum:
     """Expand a field into a lattice Fourier sum by windowed periodization.
@@ -389,15 +385,15 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
     ``L > sqrt(d) * support_bound + 2``.  Coefficients are
     ``c_z = L^{-d} * transform(cutoff * f_e)`` sampled at ``a + z/L`` and
     computed by tensor Gauss-Legendre quadrature over the cutoff support
-    (``resolution`` nodes per axis, default 32 per unit length of L, doubled
-    once automatically when the outermost index ring carries more than 1% of
-    the l1 mass; a persistent overweight ring attaches a truncation warning).
+    (32 ceil(L) nodes per axis, doubled once automatically when the
+    outermost index ring carries more than 1% of the l1 mass; a persistent
+    overweight ring attaches a truncation warning).
 
     ``window=False`` skips the cutoff and integrates over one period cell,
     which is plain mode inversion and only meaningful for inputs that are
     already L-periodic or supported inside the cell.
 
-    Only d <= 2 is supported: the node grid has resolution^d points.
+    Only d <= 2 is supported: the node grid has (32 ceil(L))^d points.
     """
     a = tuple(float(v) for v in a)
     d = len(a)
@@ -411,8 +407,7 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
         eps = min(1.0, (L - support_bound) / 4.0)
     if not 0.0 < eps < L / 2 or L - 2.0 * eps < support_bound:
         raise ValueError(f"transition width {eps} incompatible with L={L}, S={support_bound}")
-    if resolution is None:
-        resolution = 32 * math.ceil(L)
+    resolution = 32 * math.ceil(L)
 
     index = grid_rows(np.arange(-z_box, z_box + 1), d)
     values = _periodize_once(f_e, L, a, z_box, eps, alpha, resolution, window)
@@ -428,12 +423,12 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int,
     return from_arrays(d, L, a, index, values, warnings=warnings)
 
 
-def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
-                resolution: int | None = None, *, support_bound: float,
-                grid: int = 4) -> tuple[tuple[float, ...], FourierSum]:
+def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec, *,
+                support_bound: float, grid: int = 4) -> tuple[tuple[float, ...], FourierSum]:
     """Scan offsets on a grid of [0, 1/L]^d and keep the weighted-mass argmin.
 
-    Offsets are periodized with ``periodize_expand``'s default eps and alpha.
+    Offsets are periodized with ``periodize_expand``'s default eps and alpha
+    on its 32 ceil(L) nodes per axis.
     A mass-minimizing offset exists but is not constructive; this scan
     reports the best grid point, nothing sharper.
     """
@@ -442,7 +437,7 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
     best_fs: FourierSum | None = None
     best_mass = math.inf
     for a in grid_rows(candidates, d):
-        fs = periodize_expand(f_e, L, a, z_box, resolution, support_bound=support_bound)
+        fs = periodize_expand(f_e, L, a, z_box, support_bound=support_bound)
         mass = barron_norm(fs, weight)
         if mass < best_mass:
             best_a, best_fs, best_mass = tuple(float(v) for v in a), fs, mass

@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--m", type=int, default=0)
     p.add_argument("--A", type=_finite_float, default=2.0)
-    p.add_argument("--resolution", type=int, default=128)
     p.set_defaults(handler=_cmd_example2_tail)
 
     p = sub.add_parser("witness", help=ANCHORS["witness"])
@@ -419,7 +418,7 @@ def _cmd_example1_gap(args) -> int:
 
 
 def _cmd_example2_tail(args) -> int:
-    report = lower_bounds.example2_tail_mass(args.m, args.A, args.resolution)
+    report = lower_bounds.example2_tail_mass(args.m, args.A)
     payload = {
         "m": report.m, "A": report.A, "Z": report.Z,
         "lambda_tail": report.lambda_tail, "tail_bound": report.tail_bound,

@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
+from .greedy_fourier import MAX_BOX_ROWS
 from .numerics import axis_rule, read_only, tensor_nodes
 from .relu_nets import sigma_k
 from .sphere_geom import SphericalNet, separated_subset
@@ -137,31 +138,32 @@ class DyadicDecomposition:
         return tuple(hm_norm_exact(block, 0) ** 2 for _, block in self.blocks)
 
 
-def dyadic_blocks(spectrum: FourierSum, levels: int | None = None) -> DyadicDecomposition:
-    """Split a one-dimensional expansion into dyadic frequency annuli."""
+def dyadic_blocks(spectrum: FourierSum) -> DyadicDecomposition:
+    """Split a one-dimensional expansion into dyadic frequency annuli, one
+    block per level from 0 to the spectrum's top level."""
     if spectrum.d != 1:
         raise ValueError("dyadic blocks are implemented for d = 1")
     xi = np.abs(spectrum.index[:, 0]) / spectrum.L
     # xi = mantissa * 2^exponent with mantissa in [0.5, 1), so exponent - 1
     # is floor(log2 xi), exactly.
     level = np.where(xi < 2.0, 0, np.frexp(xi)[1] - 1)
-    top = int(level.max(initial=0))
-    if levels is None:
-        levels = top
-    if top > levels:
-        raise ValueError(
-            f"spectrum reaches level {top}; raise levels (got {levels})"
-        )
     blocks = tuple(
         (k, from_arrays(1, spectrum.L, spectrum.a, spectrum.index[level == k],
                         spectrum.values[level == k]))
-        for k in range(levels + 1)
+        for k in range(int(level.max(initial=0)) + 1)
     )
     return DyadicDecomposition(spectrum, blocks)
 
 
 def decaying_spectrum(xi_max: float, decay: float) -> FourierSum:
-    """Unit-period expansion with c_z = (1 + |z|)^-decay for |z| <= xi_max."""
+    """Unit-period expansion with c_z = (1 + |z|)^-decay for |z| <= xi_max.
+
+    Its 2 floor(xi_max) + 1 index rows are capped at ``MAX_BOX_ROWS``.
+    """
+    rows = 2 * int(xi_max) + 1
+    if rows > MAX_BOX_ROWS:
+        raise ValueError(f"xi_max = {xi_max} needs {rows} index rows, above the cap of "
+                         f"{MAX_BOX_ROWS}; lower xi_max")
     z = np.arange(-int(xi_max), int(xi_max) + 1)
     return from_arrays(1, 1.0, (0.0,), z[:, None], (1.0 + np.abs(z)) ** (-decay))
 
@@ -223,6 +225,8 @@ def oscillatory_witness(n: int, k: int, d: int, m: int) -> OscillatoryWitness:
 
 FOURIER_KIND = "fourier"
 RELU_KIND = "relu"
+_SAMPLED_SIGNS = 4096  # sign rows drawn for m > 12 directions
+_L2_NODES = 48  # Gauss-Legendre nodes per axis of the ``l2`` separation
 
 
 @dataclass(frozen=True)
@@ -267,8 +271,7 @@ def validate_packing(kind: str, k_or_s: float) -> None:
         raise ValueError(f"relu packing needs an integer power k >= 1, got k={k_or_s}")
 
 
-def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
-                  max_signs: int = 4096) -> PackingFamily:
+def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> PackingFamily:
     """Construct a packing family at the scale dictated by the budget n.
 
     ``fourier``: m = floor(n^((d-1)/d)) directions, scale R = n^(1/d),
@@ -277,8 +280,9 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
     R = n^(1/2 + k/d), delta = c0 m^(-1/(d-1)) with the reference constant
     c0 = sqrt(1/(4k)) (delta = c0 when d = 1 or m = 1).
 
-    Sign vectors are enumerated for m <= 12, else ``max_signs`` (at most 2^m)
-    distinct ones are sampled with a seed; m > 16 is refused as beyond desk scale.
+    Sign row i has entry j = +1 where bit j of its code is set, else -1.  The
+    codes are 0 .. 2^m - 1 for m <= 12, else 4096 distinct codes below 2^m
+    drawn with a seed; m > 16 is refused as beyond desk scale.
     """
     validate_packing(kind, k_or_s)
     if d < 1:
@@ -302,9 +306,6 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
         raise ValueError(
             f"direction count m = {m} exceeds the desk-scale cap 16; lower n"
         )
-    if m > 12 and max_signs > 2**m:
-        raise ValueError(f"max_signs = {max_signs} exceeds the 2^{m} = {2**m} "
-                         f"sign vectors of m = {m} directions")
     pool = max(8192, 512 * m)
     net = separated_subset(d, delta, candidate_pool=pool, seed=seed)
     if net.size < m:
@@ -313,17 +314,10 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0,
             "lower n or the separation"
         )
     if m <= 12:
-        signs = 2.0 * ((np.arange(2**m)[:, None] >> np.arange(m)) & 1) - 1.0
+        codes = np.arange(2**m)
     else:
-        rng = np.random.default_rng(seed + 1)
-        seen = set()
-        rows = []
-        while len(rows) < max_signs:
-            v = tuple(int(x) for x in rng.choice((-1, 1), size=m))
-            if v not in seen:
-                seen.add(v)
-                rows.append(v)
-        signs = np.array(rows, dtype=float)
+        codes = np.random.default_rng(seed + 1).choice(2**m, _SAMPLED_SIGNS, replace=False)
+    signs = 2.0 * ((codes[:, None] >> np.arange(m)) & 1) - 1.0
     return PackingFamily(
         kind=kind, d=d, m=m, R=R, k=k, s=s,
         directions=net, signs=signs, normalization=normalization, delta=delta,
@@ -355,13 +349,12 @@ class SeparationReport:
 
 
 def pairwise_separation(family: PackingFamily, norm: str = "witness",
-                        pair_budget: int = 64, seed: int = 0,
-                        resolution: int = 48) -> SeparationReport:
+                        pair_budget: int = 64, seed: int = 0) -> SeparationReport:
     """Measure pairwise distances of a packing family, all pairs in one batch.
 
     ``witness`` mode evaluates at the family's own directions and reports
     the exact main + cross decomposition per pair.  ``l2`` mode integrates
-    |f_sigma - f_sigma'|^2 over the unit cube on ``resolution``^d tensor
+    |f_sigma - f_sigma'|^2 over the unit cube on 48^d tensor
     Gauss-Legendre nodes as a quadratic form of the sign difference with the
     atoms' Gram matrix, since f_sigma is linear in sigma.
     """
@@ -403,7 +396,7 @@ def pairwise_separation(family: PackingFamily, norm: str = "witness",
         worst_identity = float(np.hypot(gap.real, gap.imag).max(initial=0.0))
         main_term, cross_term = (np.hypot(z.real, z.imag) for z in (main, cross))
     else:
-        pts, wq = tensor_nodes([(0.0, 1.0)] * family.d, resolution)
+        pts, wq = tensor_nodes([(0.0, 1.0)] * family.d, _L2_NODES)
         atoms = family.atoms(pts)
         gram = (atoms.conj().T * wq) @ atoms
         sq = np.einsum("pa,ab,pb->p", diff, gram, diff).real
@@ -487,6 +480,7 @@ def _tail_integrand_mass(lo: float, hi: float, m: int, resolution: int) -> float
 
 
 _OMEGA_TRUNCATION = 14.0  # |omega| cutoff of the example2_tail_mass integrals
+_TAIL_NODES = 128  # Gauss-Legendre nodes of each integral, refined at twice as many
 
 
 def _z_split(m: int, resolution: int) -> tuple[float, float]:
@@ -504,21 +498,26 @@ def _z_split(m: int, resolution: int) -> tuple[float, float]:
 
 
 def _omega_tail_truncation_bound(m: int) -> float:
-    """Analytic bound for the discarded |omega| > 14 mass of the normalization."""
+    """Analytic bound 6 * 2^m * 2^(m+1) * 2 * s0^(m/2) * e^(-s0), s0 = 14^2/4, for
+    the discarded |omega| > 14 mass of the normalization, summed as logarithms;
+    a bound beyond the float range is inf."""
     s0 = _OMEGA_TRUNCATION**2 / 4.0
-    return 6.0 * 2.0**m * 2.0 ** (m + 1) * 2.0 * s0 ** (m / 2.0) * math.exp(-s0)
+    try:
+        return math.exp(math.log(24.0) + 2 * m * math.log(2.0) + m / 2.0 * math.log(s0) - s0)
+    except OverflowError:
+        return math.inf
 
 
-def example2_tail_mass(m_smooth: int, A: float,
-                       resolution: int = 128) -> TailMassReport:
+def example2_tail_mass(m_smooth: int, A: float) -> TailMassReport:
     """Tail mass of the arctan-dictionary probability measure.
 
     Computes the normalization Z as a plateau/decay split, the measure of
     {|omega| > A}, and the closed-form reference lower value
     4 sqrt(pi) e^{-A^2/4} / (Z A).  The omega axis is truncated at 14 with
-    a certified analytic remainder.  Integrals use ``resolution``
-    Gauss-Legendre nodes; results are recomputed at doubled resolution and
-    more than 1% disagreement raises ConvergenceError.
+    a certified analytic remainder; an m whose remainder exceeds 1% of Z
+    (every m >= 28) is a ``ValueError``.  Integrals use 128 Gauss-Legendre
+    nodes; results are recomputed on 256 and more than 1% disagreement
+    raises ConvergenceError.
     """
     if m_smooth < 0 or int(m_smooth) != m_smooth:
         raise ValueError("smoothness order must be a nonnegative integer")
@@ -533,18 +532,20 @@ def example2_tail_mass(m_smooth: int, A: float,
         tail = 2.0 * _tail_integrand_mass(A, _OMEGA_TRUNCATION, m, res)
         return i1, i2, tail
 
-    i1, i2, tail = compute(resolution)
-    i1f, i2f, tailf = compute(2 * resolution)
+    with np.errstate(over="ignore"):  # (1 + |omega|)^m leaves the float range at m ~ 260
+        i1, i2, tail = compute(_TAIL_NODES)
+        i1f, i2f, tailf = compute(2 * _TAIL_NODES)
     z, zf = i1 + i2, i1f + i2f
-    rel = max(
-        abs(z - zf) / abs(zf),
-        abs(tail - tailf) / abs(tailf),
-    )
+    truncation = _omega_tail_truncation_bound(m)
+    if not truncation <= 0.01 * zf < math.inf:
+        raise ValueError(f"smoothness order m={m}: the certified remainder {truncation:.3g} "
+                         f"of the |omega| <= {_OMEGA_TRUNCATION:g} truncation exceeds 1% of "
+                         f"Z = {zf:.6g}; lower m")
+    rel = max(abs(z - zf) / abs(zf), abs(tail - tailf) / abs(tailf))
     if rel > 0.01:
         raise ConvergenceError(
             f"quadrature refinements disagree by {rel:.2%} (> 1%)"
         )
-    truncation = _omega_tail_truncation_bound(m)
     lam = tailf / zf
     bound = 4.0 * math.sqrt(math.pi) * math.exp(-(A**2) / 4.0) / (zf * A)
     return TailMassReport(

@@ -125,9 +125,10 @@ def _sphere_cover(c, grid, seed):
 
 
 def _subsample_concentration(c, grid, seed):
-    if c["restarts"] < 1:
-        raise ValueError(f"kind {SUBSAMPLE_CONCENTRATION} needs restarts >= 1, "
-                         f"got restarts={c['restarts']}")
+    for key in ("restarts", "M"):
+        if c[key] < 1:
+            raise ValueError(f"kind {SUBSAMPLE_CONCENTRATION} needs {key} >= 1, "
+                             f"got {key}={c[key]}")
     return 0.5, lambda n, run_seed: seeded_subsample(
         c["N"], c["M"], n, c["restarts"], run_seed).deviation
 
@@ -235,11 +236,11 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
     )
 
 
-def report_to_json(report: ExperimentReport, deterministic: bool = True) -> str:
-    """Serialize a report; the deterministic form nulls the timing field.
+def report_to_json(report: ExperimentReport) -> str:
+    """Serialize a report with ``"seconds": null``.
 
-    Timing varies run to run, so files meant to be byte-reproducible carry
-    ``"seconds": null`` and the measured time goes to diagnostics instead.
+    Timing varies run to run, so the byte-reproducible report carries no
+    time; the measured time goes to diagnostics instead.
     """
     payload = {
         "kind": report.kind,
@@ -252,7 +253,7 @@ def report_to_json(report: ExperimentReport, deterministic: bool = True) -> str:
         },
         "predicted": report.predicted_exponent,
         "verdict": report.verdict,
-        "seconds": None if deterministic else report.seconds,
+        "seconds": None,
     }
     if report.failures:
         payload["failures"] = list(report.failures)

@@ -486,8 +486,12 @@ class SobolevApproximant:
         out = self._evaluate(pts, ids) * ramp
         return float(out[0]) if single else out
 
-    def sup_error(self, f: Callable, probes_per_axis: int = 401) -> float:
-        pts = grid_rows(np.linspace(0.0, 1.0, probes_per_axis), self.partition.d)
+    def sup_error(self, f: Callable) -> float:
+        """Largest |f - self| on a uniform grid of [0, 1]^d: 401 points per axis
+        for d <= 2, and 65 for d = 3 (64 intervals, so every q dividing 64 keeps
+        its cell faces on the grid)."""
+        d = self.partition.d
+        pts = grid_rows(np.linspace(0.0, 1.0, 401 if d <= 2 else 65), d)
         target = np.asarray(f(pts)).reshape(len(pts))
         return float(np.max(np.abs(target - self(pts))))
 
@@ -503,36 +507,29 @@ class SobolevApproximant:
 
 
 def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
-                                smoothing=None,
-                                samples_per_axis: int | None = None) -> SobolevApproximant:
+                                smoothing=None) -> SobolevApproximant:
     """Fit a degree-ell polynomial per cell by discrete least squares.
 
-    Every cell is sampled on the same tensor grid of (ell + 3) points per
-    axis (overridable) in scaled local coordinates, so all cells share one
-    design matrix: ``f`` is called once on every cell's samples and one
-    least-squares solve fits all cells, which reproduces global polynomials
-    of degree <= ell exactly.  With ``smoothing`` set (a sharpness value or
-    per-axis tuple), the smoothed variant sum_i p_i phi_i is available.
+    Every cell is sampled on the same tensor grid of ell + 3 points per axis
+    in scaled local coordinates, so all cells share one design matrix: ``f``
+    is called once on every cell's samples and one least-squares solve fits
+    all cells, which reproduces global polynomials of degree <= ell exactly
+    (the (ell + 3)^d nodes always exceed the C(ell + d, d) coefficients).
+    With ``smoothing`` set (a sharpness value or per-axis tuple), the
+    smoothed variant sum_i p_i phi_i is available.
     """
     if ell < 0:
         raise ValueError(f"local degree must be >= 0, got {ell}")
     if cells.d > 3:
         raise ValueError("compiler supports d <= 3")
-    if samples_per_axis is None:
-        samples_per_axis = ell + 3
     exponents = np.array(sorted(multi_indices(cells.d, ell)), dtype=int)
-    if samples_per_axis**cells.d < len(exponents):
-        raise ValueError(
-            f"{samples_per_axis}^{cells.d} sample nodes cannot determine "
-            f"{len(exponents)} polynomial coefficients"
-        )
     if smoothing is not None:
         # All cells share one side, so one indicator validates the band.
         smoothing = indicator_bump(Cube((0.5 * cells.h,) * cells.d, cells.h),
                                    smoothing).sharpness
-    y = grid_rows(np.linspace(-1.0, 1.0, samples_per_axis), cells.d)
+    y = grid_rows(np.linspace(-1.0, 1.0, ell + 3), cells.d)
     design = np.prod(y[:, None, :] ** exponents, axis=-1)
-    pts = cells.grids(samples_per_axis).reshape(-1, cells.d)
+    pts = cells.grids(ell + 3).reshape(-1, cells.d)
     targets = np.asarray(f(pts)).reshape(-1, len(design)).T
     sol, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return SobolevApproximant(cells, *read_only(exponents, np.ascontiguousarray(sol.T)),

@@ -117,6 +117,8 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
     if arr.ndim != 2:
         raise ValueError("terms must be a 2-d array of coefficient vectors")
     big_n, n_monomials = arr.shape
+    if n_monomials < 1:
+        raise ValueError(f"terms need at least one monomial column (M >= 1), got M={n_monomials}")
     if n > big_n:
         raise ValueError(f"subsample size {n} exceeds term count {big_n}")
     if n < 1:

@@ -200,10 +200,40 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "restarts" in err
 
-    def test_resolution_below_two_is_usage_error(self, capsys):
-        code, out, err = run_cli(capsys, "example2-tail", "--resolution", "1")
+    def test_resolution_flag_is_unknown(self, capsys):
+        code, out, err = run_cli(capsys, "example2-tail", "--resolution", "128")
         assert code == 2 and out == ""
-        assert "resolution must be >= 2, got 1" in err
+        assert "unrecognized arguments: --resolution 128" in err
+
+    @pytest.mark.parametrize("m", ["30", "400"])
+    def test_uncertified_tail_order_is_usage_error(self, capsys, m):
+        # m = 30 printed Z and lambda_tail with a 0.19 Z remainder bound;
+        # m = 400 ended in an OverflowError traceback (exit 1).
+        code, out, err = run_cli(capsys, "example2-tail", "--m", m)
+        assert code == 2 and out == ""
+        assert f"m={m}: the certified remainder" in err and "exceeds 1% of Z" in err
+
+    @pytest.mark.parametrize("args", [
+        ("dyadic", "--xi-max", "2097152"),
+        ("rates", "--kind", "dyadic-residual", "--param", "xi_max=2097152"),
+    ])
+    def test_oversized_dyadic_spectrum_is_usage_error(self, capsys, args):
+        # 2^21 is the first xi_max above the 2^22-row cap; 1e9 ended in a
+        # 14.9 GiB allocation failure (exit 1).
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "xi_max = 2097152.0 needs 4194305 index rows" in err
+
+    @pytest.mark.parametrize("args", [
+        ("subsample", "--M", "0"),
+        ("rates", "--kind", "subsample-concentration", "--param", "M=0",
+         "--n-grid", "4:128"),
+    ])
+    def test_no_monomial_is_usage_error(self, capsys, args):
+        # Both named no parameter; the rates sweep even exited 0.
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "M=0" in err
 
     def test_monomial_check_green(self, capsys):
         code, out, _ = run_cli(capsys, "monomial-check", "--k", "4")

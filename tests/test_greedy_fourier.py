@@ -71,7 +71,7 @@ class TestOrdering:
         coeffs.update({(0, 0): 0.2, (2, -2): 1.0 - 1.0j, (-4, 0): 2.0, (0, 5): -3.0j})
         fs = fourier_sum(2, 0.5, (0.0, 0.0), coeffs)
         sel = order_frequencies(fs, 0, 1.5)
-        index = fs.indices()
+        index = list(fs.coeffs)
         xi = np.linalg.norm(np.array(index, dtype=float), axis=1) / fs.L
         key = (1.0 + xi) ** -1.5 * np.abs(fs.coefficient_vector())
         assert len({key[index.index(z)] for z in images}) == 1
@@ -289,7 +289,7 @@ class TestSyntheticInput:
                 phase = np.exp(2j * np.pi * rng.random())
                 ref[z] = phase * (1.0 + np.linalg.norm(z) / L) ** (-(ks + d + 0.1))
         fs = synthetic_heavy_tail(d, ks, xi_max, seed)
-        assert fs.indices() == sorted(ref)
+        assert list(fs.coeffs) == sorted(ref)
         want = np.array([ref[z] for z in sorted(ref)])
         np.testing.assert_allclose(fs.coefficient_vector(), want, rtol=4 * 2.0**-52, atol=0)
 

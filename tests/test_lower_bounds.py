@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from barronlab import lower_bounds
 from barronlab.barron import evaluate_sum, fourier_sum, hm_norm_exact
 from barronlab.lower_bounds import (
     ConvergenceError,
@@ -129,7 +130,7 @@ class TestDyadic:
         seen = []
         for k, block in dyadic_blocks(fs).blocks:
             lo, hi = (0, 2) if k == 0 else (2**k, 2 ** (k + 1))
-            for (z,) in block.indices():
+            for (z,) in block.index.tolist():
                 assert lo * int(L) <= abs(z) < hi * int(L)
                 seen.append(z)
         assert sorted(seen) == sorted(zs)
@@ -196,10 +197,11 @@ class TestDyadic:
                     want += hm_norm_exact(block, 0) ** 2
             assert residual_tail_norm(decomp, from_level) == math.sqrt(want)
 
-    def test_level_cap_validated(self):
-        fs = fourier_sum(1, 1.0, (0.0,), {(100,): 1.0})
-        with pytest.raises(ValueError, match="level"):
-            dyadic_blocks(fs, levels=3)
+    def test_spectrum_rows_capped(self):
+        # 2^21 is the first xi_max whose 2 xi_max + 1 index rows exceed 2^22;
+        # xi_max = 1e9 used to end in a 14.9 GiB allocation failure.
+        with pytest.raises(ValueError, match="xi_max = 2097152.0 needs 4194305 index rows"):
+            decaying_spectrum(2.0**21, 1.0)
 
     def test_dimension_restriction(self):
         fs = fourier_sum(2, 1.0, (0.0, 0.0), {(1, 1): 1.0})
@@ -276,15 +278,14 @@ class TestPacking:
         assert family.signs.dtype == float and family.signs.tolist() == want
 
     def test_large_direction_count_samples_distinct_signs(self):
-        family = build_packing("fourier", 2, 1.0, 196, seed=0, max_signs=256)
+        family = build_packing("fourier", 2, 1.0, 196, seed=0)
         assert family.m == 14
-        assert family.signs.shape == (256, 14)
-        assert len({tuple(r) for r in family.signs.tolist()}) == 256
-
-    def test_more_signs_than_exist_refused(self):
-        # m = 13 has 8192 sign vectors; asking for 8193 used to loop forever.
-        with pytest.raises(ValueError, match="max_signs = 8193 exceeds the 2\\^13 = 8192"):
-            build_packing("fourier", 2, 1.0, 169, max_signs=8193)
+        assert family.signs.shape == (4096, 14)
+        assert len({tuple(r) for r in family.signs.tolist()}) == 4096
+        # Row i spells code i of one seeded draw of distinct codes, bit j -> sign j.
+        codes = np.random.default_rng(1).choice(2**14, 4096, replace=False)
+        want = [[1 if (c >> j) & 1 else -1 for j in range(14)] for c in codes.tolist()]
+        assert family.signs.tolist() == want
 
     @pytest.mark.parametrize("kind, k_or_s", [("fourier", 1.0), ("relu", 2)])
     def test_dimension_below_one_refused(self, kind, k_or_s):
@@ -372,16 +373,16 @@ class TestPairwiseSeparation:
 
     def test_l2_mode_runs(self, relu_family):
         report = pairwise_separation(
-            relu_family, norm="l2", pair_budget=3, seed=0, resolution=24,
+            relu_family, norm="l2", pair_budget=3, seed=0,
         )
         assert report.min_distance > 0.0
 
     @pytest.mark.parametrize("kind, k_or_s", [("relu", 2), ("fourier", 1.0)])
     def test_l2_distances_use_the_tensor_nodes(self, kind, k_or_s):
-        # The reference evaluates each pair on the 24^2 tensor nodes.
+        # The reference evaluates each pair on the 48^2 tensor nodes.
         family = build_packing(kind, 2, k_or_s, 32, seed=0)
-        pts, w = tensor_nodes([(0.0, 1.0)] * 2, 24)
-        report = pairwise_separation(family, norm="l2", pair_budget=5, seed=2, resolution=24)
+        pts, w = tensor_nodes([(0.0, 1.0)] * 2, 48)
+        report = pairwise_separation(family, norm="l2", pair_budget=5, seed=2)
         want = [math.sqrt(np.dot(w, np.abs(family.evaluate(i, pts) - family.evaluate(j, pts)) ** 2))
                 for i, j in zip(report.i.tolist(), report.j.tolist())]
         np.testing.assert_allclose(report.distance, want, rtol=1e-12)
@@ -515,6 +516,19 @@ class TestTailMass:
         with pytest.raises(ValueError):
             example2_tail_mass(-1, 2.0)
 
-    def test_disagreement_raises(self):
+    def test_disagreement_raises(self, monkeypatch):
+        monkeypatch.setattr(lower_bounds, "_TAIL_NODES", 2)
         with pytest.raises(ConvergenceError):
-            example2_tail_mass(2, 2.0, 2)
+            example2_tail_mass(2, 2.0)
+
+    @pytest.mark.parametrize("m", [28, 30, 400])
+    def test_uncertified_truncation_refused(self, m):
+        # The |omega| > 14 remainder bound is 1.6% of Z at m = 28 and 19% at
+        # m = 30; m = 400 used to end in an OverflowError.
+        with pytest.raises(ValueError, match=f"m={m}: the certified remainder .* "
+                                             "exceeds 1% of Z"):
+            example2_tail_mass(m, 2.0)
+
+    def test_last_certified_order_accepted(self):
+        report = example2_tail_mass(27, 2.0)
+        assert 0.0 < report.truncation_bound <= 0.01 * report.Z

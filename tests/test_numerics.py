@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barronlab import barron, lower_bounds
+from barronlab import barron
 from barronlab.numerics import (
     IntegrationError,
     integrate,
@@ -88,14 +88,7 @@ def _unit_field(p):
 @pytest.mark.parametrize("call", [
     lambda: integrate(_unit_field, [(0, 1)], 1),
     lambda: barron.mollified_cutoff(np.array([0.0]), 5.0, 0.75, 1),
-    lambda: barron.periodize_expand(_unit_field, 5.0, (0.0,), 2, 1, support_bound=2.0),
-    lambda: barron.scan_offset(_unit_field, 1, 5.0, 2, barron.WeightSpec.polynomial(1.0), 1,
-                               support_bound=2.0),
-    lambda: lower_bounds.pairwise_separation(
-        lower_bounds.build_packing("fourier", 2, 1.0, 4, seed=0), norm="l2", resolution=1),
-    lambda: lower_bounds.example2_tail_mass(0, 2.0, 1),
-], ids=["integrate", "mollified_cutoff", "periodize_expand", "scan_offset",
-        "pairwise_separation", "example2_tail_mass"])
+], ids=["integrate", "mollified_cutoff"])
 def test_every_resolution_entry_point_refuses_one_node(call):
     with pytest.raises(ValueError, match="resolution must be >= 2, got 1"):
         call()

@@ -218,11 +218,9 @@ class TestSerialization:
         assert set(payload) == {
             "kind", "config", "samples", "fit", "predicted", "verdict", "seconds",
         }
-        assert payload["seconds"] is None
+        assert payload["seconds"] is None and report.seconds >= 0.0
         assert payload["samples"][0].keys() == {"n", "error"}
         assert {"slope", "intercept", "r2"} == set(payload["fit"])
-        timed = json.loads(rates.report_to_json(report, deterministic=False))
-        assert timed["seconds"] >= 0.0
 
     def test_csv_rows(self):
         report = rates.run_experiment(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barronlab import relu_nets
-from barronlab.numerics import loglog_fit, multi_indices
+from barronlab.numerics import grid_rows, loglog_fit, multi_indices
 from barronlab.relu_nets import (
     CellPolynomial,
     Cube,
@@ -392,7 +392,17 @@ class TestCompile:
     def test_two_dimensional_polynomial(self):
         f = lambda p: p[:, 0] * p[:, 1] + p[:, 1] ** 2
         approx = compile_sobolev_approximant(f, 2, CubePartition(2, 3))
-        assert approx.sup_error(f, probes_per_axis=41) <= 1e-10
+        assert approx.sup_error(f) <= 1e-10
+
+    def test_three_dimensional_probe_grid(self):
+        # d = 3 probes 65 points per axis; 401^3 rows needed gigabytes.
+        def f(p):
+            assert len(p) <= 65**3
+            return np.sin(2 * np.pi * p[:, 0]) * p[:, 1] + p[:, 2] ** 2
+
+        approx = compile_sobolev_approximant(f, 2, CubePartition(3, 2))
+        pts = grid_rows(np.linspace(0.0, 1.0, 65), 3)
+        assert approx.sup_error(f) == np.max(np.abs(f(pts) - approx(pts)))
 
     def test_sine_sweep_slopes(self):
         # Full grid {2..32}: the q = 2 cells align with the half-wave
@@ -412,12 +422,6 @@ class TestCompile:
         f = lambda p: np.sin(2 * np.pi * np.asarray(p)[:, 0])
         approx = compile_sobolev_approximant(f, 2, CubePartition(1, 8))
         assert 0.0 < approx.l2_error(f) <= approx.sup_error(f)
-
-    def test_underdetermined_grid_rejected(self):
-        with pytest.raises(ValueError, match="coefficients"):
-            compile_sobolev_approximant(
-                lambda p: p[:, 0], 3, CubePartition(1, 2), samples_per_axis=2
-            )
 
     def test_smoothed_differs_only_in_bands(self):
         f = lambda p: np.sin(2 * np.pi * np.asarray(p)[:, 0])

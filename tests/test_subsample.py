@@ -210,6 +210,11 @@ class TestMaureySubsample:
         with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
             maurey_subsample(terms, n, restarts=0)
 
+    def test_no_monomial_column_refused(self):
+        # An (N, 0) array used to end in NumPy's zero-size reduction error.
+        with pytest.raises(ValueError, match=r"at least one monomial column \(M >= 1\), got M=0"):
+            maurey_subsample(np.zeros((8, 0)), 4)
+
     def test_declared_bound_checked(self):
         terms = np.full((8, 2), 3.0)
         with pytest.raises(ValueError, match="bound"):
