@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import axis_rule, grid_rows, read_only, sobolev_weight
+from .numerics import as_batch, axis_rule, grid_rows, read_only, sobolev_weight, unbatch
 
 COEFF_DROP_RELATIVE = 1e-14
 CUTOFF_ALPHA = 2.0  # bump shape parameter of the mollified cutoff
@@ -36,15 +36,13 @@ def bump_value(alpha: float, t):
     """
     if alpha <= 1:
         raise ValueError(f"bump shape parameter must exceed 1, got {alpha}")
-    t = np.asarray(t, dtype=float)
-    single = t.ndim == 0
-    t = np.atleast_1d(t)
+    t, single = as_batch(t, ndim=0)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     with np.errstate(over="ignore", divide="ignore"):
         u = (1.0 - t[inside] ** 2) ** (1.0 - alpha)
         out[inside] = np.exp(-u)
-    return float(out[0]) if single else out
+    return unbatch(out, single)
 
 
 def bump_fourier_transform(alpha: float, xi):
@@ -135,16 +133,15 @@ class WeightSpec:
         return cls(kind="subexponential", c=float(c), beta=float(beta))
 
     def __call__(self, xi):
-        xi = np.asarray(xi, dtype=float)
-        single = xi.ndim == 1
-        norms = np.linalg.norm(np.atleast_2d(xi), axis=-1)
+        xi, single = as_batch(xi)
+        norms = np.linalg.norm(xi, axis=-1)
         if self.kind == "polynomial":
             vals = (1.0 + norms) ** self.s
         elif self.kind == "subexponential":
             vals = np.exp(self.c * norms**self.beta)
         else:
             raise ValueError(f"unknown weight kind {self.kind!r}")
-        return float(vals[0]) if single else vals
+        return unbatch(vals, single)
 
 
 # ----------------------------------------------------------------------
@@ -242,13 +239,9 @@ def fourier_sum(d, L, a, coeffs) -> FourierSum:
 
 def evaluate_sum(fs: FourierSum, x):
     """Evaluate sum_z c_z exp(2 pi i (a + z/L) . x) at one point or a batch."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != fs.d:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {fs.d}")
+    pts, single = as_batch(x, d=fs.d)
     out = np.exp(2j * np.pi * (pts @ fs.shifted_frequencies().T)) @ fs.values
-    return complex(out[0]) if single else out
+    return unbatch(out, single)
 
 
 def barron_norm(fs: FourierSum, weight: WeightSpec) -> float:
@@ -334,13 +327,11 @@ def mollified_cutoff(x, L: float, eps: float, resolution: int = 64):
     """
     if eps <= 0 or eps >= L / 2:
         raise ValueError(f"transition width must satisfy 0 < eps < L/2, got {eps}")
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
+    pts, single = as_batch(x)
     out = np.ones(pts.shape[0])
     for j in range(pts.shape[1]):
         out = out * _cutoff_profile(pts[:, j], L, eps, CUTOFF_ALPHA, resolution)
-    return float(out[0]) if single else out
+    return unbatch(out, single)
 
 
 def _periodize_once(f_e: Callable, L: float, a, z_box: int, eps: float,

@@ -17,7 +17,7 @@ import numpy as np
 
 from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
 from .greedy_fourier import MAX_BOX_ROWS
-from .numerics import axis_rule, read_only, tensor_nodes
+from .numerics import as_batch, axis_rule, read_only, tensor_nodes, unbatch
 from .relu_nets import sigma_k
 from .sphere_geom import SphericalNet, separated_subset
 
@@ -38,11 +38,9 @@ def exp_ridge_fourier(alpha: float, omega: float, b: float, xi):
     """
     if alpha <= 0:
         raise ValueError(f"decay rate must be positive, got {alpha}")
-    xi = np.asarray(xi, dtype=float)
-    single = xi.ndim == 0
-    xi = np.atleast_1d(xi)
+    xi, single = as_batch(xi, ndim=0)
     vals = 2.0 * alpha * np.exp(1j * b * xi) / (alpha**2 + (omega * xi) ** 2)
-    return complex(vals[0]) if single else vals
+    return unbatch(vals, single)
 
 
 @dataclass(frozen=True)
@@ -158,8 +156,11 @@ def dyadic_blocks(spectrum: FourierSum) -> DyadicDecomposition:
 def decaying_spectrum(xi_max: float, decay: float) -> FourierSum:
     """Unit-period expansion with c_z = (1 + |z|)^-decay for |z| <= xi_max.
 
-    Its 2 floor(xi_max) + 1 index rows are capped at ``MAX_BOX_ROWS``.
+    Its 2 floor(xi_max) + 1 index rows are capped at ``MAX_BOX_ROWS``; a
+    negative xi_max is refused.
     """
+    if xi_max < 0:
+        raise ValueError(f"xi_max must be >= 0, got xi_max = {xi_max}")
     rows = 2 * int(xi_max) + 1
     if rows > MAX_BOX_ROWS:
         raise ValueError(f"xi_max = {xi_max} needs {rows} index rows, above the cap of "
@@ -258,9 +259,8 @@ class PackingFamily:
         return sigma_k(self.R * proj, self.k)
 
     def evaluate(self, sign_index: int, x):
-        x = np.asarray(x, dtype=float)
-        vals = self.normalization * (self.atoms(np.atleast_2d(x)) @ self.signs[sign_index])
-        return vals[0] if x.ndim == 1 else vals
+        pts, single = as_batch(x, d=self.d)
+        return unbatch(self.normalization * (self.atoms(pts) @ self.signs[sign_index]), single)
 
 
 def validate_packing(kind: str, k_or_s: float) -> None:
@@ -287,6 +287,8 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
     validate_packing(kind, k_or_s)
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
+    if n < 1:
+        raise ValueError(f"packing budget n must be >= 1, got n={n}")
     if kind == FOURIER_KIND:
         s = float(k_or_s)
         k = 0

@@ -47,6 +47,21 @@ def grid_rows(axis: np.ndarray, d: int) -> np.ndarray:
     return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
+def as_batch(x, ndim: int = 1, d: int | None = None) -> tuple[np.ndarray, bool]:
+    """Float batch of scalars (``ndim`` 0) or points (``ndim`` 1) and whether ``x``
+    was one of them; with ``d``, points of another dimension are refused."""
+    x = np.asarray(x, dtype=float)
+    batch = np.atleast_1d(x) if ndim == 0 else np.atleast_2d(x)
+    if d is not None and batch.shape[1] != d:
+        raise ValueError(f"points have dimension {batch.shape[1]}, expected {d}")
+    return batch, x.ndim == ndim
+
+
+def unbatch(values: np.ndarray, single: bool):
+    """The Python number ``values[0]`` for one item, else the array itself."""
+    return values[0].item() if single else values
+
+
 def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     """Mark the arrays read-only in place and return them."""
     for array in arrays:
@@ -91,17 +106,6 @@ def tensor_nodes(box: Box, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     return pts, w
 
 
-def _eval_field(f: Callable, pts: np.ndarray) -> np.ndarray:
-    """Evaluate a field on (N, d) points, accepting vectorized callables."""
-    vals = np.asarray(f(pts))
-    n = pts.shape[0]
-    if vals.shape == ():
-        return np.full(n, vals[()])
-    if vals.shape != (n,):
-        vals = vals.reshape(n)
-    return vals
-
-
 def _check_finite(vals: np.ndarray, pts: np.ndarray) -> None:
     finite = np.isfinite(vals) if not np.iscomplexobj(vals) else (
         np.isfinite(vals.real) & np.isfinite(vals.imag)
@@ -116,15 +120,15 @@ def _check_finite(vals: np.ndarray, pts: np.ndarray) -> None:
 def integrate(f: Callable, box: Box, resolution: int = 64):
     """Integrate a real- or complex-valued field over a box of at most 3 axes.
 
-    Tensor Gauss-Legendre with ``resolution`` nodes per axis.  Complex
-    integrands are handled componentwise, which the weighted dot product
-    does implicitly.
+    Tensor Gauss-Legendre with ``resolution`` nodes per axis.  ``f`` maps
+    the (N, d) node batch to N values.  Complex integrands are handled
+    componentwise, which the weighted dot product does implicitly.
     """
     box = validate_box(box)
     if len(box) > 3:
         raise ValueError(f"integrate takes at most 3 axes, got {len(box)}")
     pts, w = tensor_nodes(box, resolution)
-    vals = _eval_field(f, pts)
+    vals = np.asarray(f(pts)).reshape(len(pts))
     _check_finite(vals, pts)
     total = np.dot(w, vals)
     return complex(total) if np.iscomplexobj(vals) else float(total)
@@ -142,9 +146,8 @@ def sobolev_weight(eta, m: int):
     """
     if m < 0 or int(m) != m:
         raise ValueError(f"derivative order must be a nonnegative integer, got {m}")
-    eta = np.asarray(eta, dtype=float)
-    single = eta.ndim == 1
-    y = 2.0 * np.pi * np.atleast_2d(eta)
+    eta, single = as_batch(eta)
+    y = 2.0 * np.pi * eta
     total = np.zeros(y.shape[0])
     for alpha in multi_indices(y.shape[1], int(m)):
         term = np.ones(y.shape[0])
@@ -152,7 +155,7 @@ def sobolev_weight(eta, m: int):
             if aj:
                 term = term * y[:, j] ** (2 * aj)
         total += term
-    return float(total[0]) if single else total
+    return unbatch(total, single)
 
 
 def loglog_fit(samples: Iterable[tuple[float, float]]) -> RateFit:

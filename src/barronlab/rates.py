@@ -86,6 +86,9 @@ def sine_target(cycles: float):
 def seeded_subsample(big_n: int, n_monomials: int, n: int, restarts: int,
                      seed: int) -> subsample.MaureyResult:
     """Subsample n of big_n seeded uniform rows in [-1, 1]^n_monomials."""
+    for key, value in (("N", big_n), ("M", n_monomials)):
+        if value < 1:
+            raise ValueError(f"subsampling needs {key} >= 1, got {key}={value}")
     terms = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(big_n, n_monomials))
     return subsample.maurey_subsample(terms, n, restarts=restarts,
                                       seed=seed + 1, coeff_bound=1.0)
@@ -125,7 +128,7 @@ def _sphere_cover(c, grid, seed):
 
 
 def _subsample_concentration(c, grid, seed):
-    for key in ("restarts", "M"):
+    for key in ("restarts", "N", "M"):
         if c[key] < 1:
             raise ValueError(f"kind {SUBSAMPLE_CONCENTRATION} needs {key} >= 1, "
                              f"got {key}={c[key]}")

@@ -19,22 +19,20 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import (Box, gauss_rule, grid_rows, integrate, multi_indices, read_only,
-                       validate_box)
+from .numerics import (Box, as_batch, gauss_rule, grid_rows, integrate, multi_indices,
+                       read_only, unbatch, validate_box)
 
 
 def sigma_k(t, k: int):
     """Powered rectifier max(0, t)^k; k = 0 gives the Heaviside with sigma_0(0) = 0."""
     if k < 0 or int(k) != k:
         raise ValueError(f"power must be a nonnegative integer, got {k}")
-    t = np.asarray(t, dtype=float)
-    single = t.ndim == 0
-    t = np.atleast_1d(t)
+    t, single = as_batch(t, ndim=0)
     if k == 0:
         out = (t > 0).astype(float)
     else:
         out = np.maximum(t, 0.0) ** k
-    return float(out[0]) if single else out
+    return unbatch(out, single)
 
 
 # ----------------------------------------------------------------------
@@ -123,11 +121,7 @@ def evaluate_network(net: ReluNetwork, x):
     ``_EVAL_BLOCK`` entries, activated, and contracted with the real and
     imaginary parts of the units' outer weights.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    pts = np.atleast_2d(x)
-    if net.width and pts.shape[1] != net.d:
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {net.d}")
+    pts, single = as_batch(x, d=net.d if net.width else None)
     weights = np.stack([net.outer.real, net.outer.imag], axis=1)
     total = np.zeros((len(pts), 2))
     for k in np.unique(net.powers).tolist():
@@ -139,7 +133,7 @@ def evaluate_network(net: ReluNetwork, x):
             t += bias
             total[start:start + step] += sigma_k(t, k) @ weights[units]
     total = total[:, 0] + 1j * total[:, 1] if total[:, 1].any() else total[:, 0]
-    return total[0].item() if single else total
+    return unbatch(total, single)
 
 
 def network_to_json(net: ReluNetwork) -> str:
@@ -227,16 +221,12 @@ def monomial_product_expansion(alpha: Sequence[int], k: int) -> ProductTermSum:
 def evaluate_product_sum(pts_sum: ProductTermSum, x):
     """Evaluate at one point (d,) or a batch (N, d): one product per active
     coordinate across all terms, then the terms summed in order."""
-    x = np.asarray(x, dtype=float)
-    pts = np.atleast_2d(x)
-    if pts.shape[1] != len(pts_sum.powers):
-        raise ValueError(f"points have dimension {pts.shape[1]}, expected {len(pts_sum.powers)}")
+    pts, single = as_batch(x, d=len(pts_sum.powers))
     vals = np.repeat(pts_sum.signs.astype(float)[:, None], len(pts), axis=1)
     for j in np.flatnonzero(pts_sum.powers).tolist():
         vals = vals * sigma_k(pts_sum.arg_signs[:, j, None] * pts[:, j], int(pts_sum.powers[j]))
     # cumsum adds in term order; + 0.0 maps a -0.0 total to 0.0, as 0.0 + terms would.
-    total = np.cumsum(vals, axis=0)[-1] + 0.0
-    return float(total[0]) if x.ndim == 1 else total
+    return unbatch(np.cumsum(vals, axis=0)[-1] + 0.0, single)
 
 
 # ----------------------------------------------------------------------
@@ -294,11 +284,11 @@ class CubePartition:
         cell, node = (grid_rows(np.arange(n), self.d) for n in (self.q, per_axis))
         return nodes[cell[:, None, :], node[None, :, :]]
 
-    def cell_index(self, x) -> np.ndarray:
+    def cell_index(self, x):
         """Flat cell index per point; the x = 1 faces belong to the last cell."""
-        pts = np.atleast_2d(np.asarray(x, dtype=float))
+        pts, single = as_batch(x, d=self.d)
         ids = np.clip((pts * self.q).astype(int), 0, self.q - 1)
-        return np.ravel_multi_index(tuple(ids.T), (self.q,) * self.d)
+        return unbatch(np.ravel_multi_index(tuple(ids.T), (self.q,) * self.d), single)
 
 
 def _monomial_sum(y: np.ndarray, exponents: np.ndarray, coefficients) -> np.ndarray:
@@ -324,10 +314,9 @@ class CellPolynomial:
     coefficients: np.ndarray  # (n,)
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        y = (np.atleast_2d(x) - np.asarray(self.center)) * self.scale
-        total = _monomial_sum(y, self.exponents, self.coefficients.tolist())
-        return float(total[0]) if x.ndim == 1 else total
+        pts, single = as_batch(x, d=len(self.center))
+        y = (pts - np.asarray(self.center)) * self.scale
+        return unbatch(_monomial_sum(y, self.exponents, self.coefficients.tolist()), single)
 
 
 def _expand_ridge_power(theta: np.ndarray, t0: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -416,10 +405,9 @@ class IndicatorBump:
     sharpness: tuple[float, ...]
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        vals = _ramp_product(np.atleast_2d(x), np.asarray(self.cell.center),
-                             self.cell.side, self.sharpness)
-        return float(vals[0]) if x.ndim == 1 else vals
+        pts, single = as_batch(x, d=self.cell.d)
+        return unbatch(_ramp_product(pts, np.asarray(self.cell.center), self.cell.side,
+                                     self.sharpness), single)
 
 
 def indicator_bump(cell: Cube, sharpness) -> IndicatorBump:
@@ -467,24 +455,18 @@ class SobolevApproximant:
         return _monomial_sum(y, self.exponents, (c[cell_ids] for c in self.coefficients.T))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        out = self._evaluate(pts, self.partition.cell_index(pts))
-        return float(out[0]) if single else out
+        pts, single = as_batch(x, d=self.partition.d)
+        return unbatch(self._evaluate(pts, self.partition.cell_index(pts)), single)
 
     def smoothed(self, x):
         """self(x) * phi_{cell(x)}(x); zero outside [0, 1]^d."""
         if self.smoothing is None:
             raise ValueError("approximant was compiled without smoothing")
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
+        pts, single = as_batch(x, d=self.partition.d)
         ids = self.partition.cell_index(pts)
         ramp = _ramp_product(pts, self.partition.centers()[ids], self.partition.h,
                              self.smoothing)
-        out = self._evaluate(pts, ids) * ramp
-        return float(out[0]) if single else out
+        return unbatch(self._evaluate(pts, ids) * ramp, single)
 
     def sup_error(self, f: Callable) -> float:
         """Largest |f - self| on a uniform grid of [0, 1]^d: 401 points per axis

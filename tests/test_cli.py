@@ -4,10 +4,11 @@ import json
 import pathlib
 import re
 import shlex
+import types
 
 import pytest
 
-from barronlab import cli, rates
+from barronlab import cli, rates, relu_nets, sphere_geom
 from barronlab.cli import ANCHORS, build_parser, dispatch, _parse_grid
 
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
@@ -235,6 +236,55 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "M=0" in err
 
+    @pytest.mark.parametrize("args", [
+        ("packing", "--n", "0"),  # printed a pair at distance 0, exit 0
+        ("packing", "--kind", "fourier", "--n", "0"),  # ZeroDivisionError traceback
+        ("packing", "--kind", "relu", "--n", "-3"),  # TypeError traceback
+    ])
+    def test_packing_budget_below_one_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert f"packing budget n must be >= 1, got n={args[-1]}" in err
+
+    @pytest.mark.parametrize("args", [
+        ("dyadic", "--xi-max", "-5"),  # printed an all-zero level-0 row, exit 0
+        ("rates", "--kind", "dyadic-residual", "--param", "xi_max=-5"),  # informational
+    ])
+    def test_negative_xi_max_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "xi_max must be >= 0, got xi_max = -5.0" in err
+
+    @pytest.mark.parametrize("args, named", [
+        (("subsample", "--M", "-1"), "M=-1"),  # NumPy's "negative dimensions"
+        (("subsample", "--N", "-3"), "N=-3"),  # likewise
+        (("rates", "--kind", "subsample-concentration", "--param", "N=0",
+          "--n-grid", "4:128"), "N=0"),  # informational, every sub-run failed
+        (("rates", "--kind", "subsample-concentration", "--param", "N=-2",
+          "--n-grid", "4:128"), "N=-2"),  # likewise
+    ])
+    def test_empty_subsample_size_is_usage_error(self, capsys, args, named):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("args", [
+        ("rates", "--n-grid", "8:4"),
+        ("greedy-fourier", "--n-grid", "8:4"),
+        ("rates", "--param", "xi_max"),
+    ])
+    def test_malformed_grid_or_param_is_usage_error(self, capsys, args):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "bad grid bounds in '8:4'" in err or "bad --param 'xi_max'" in err
+
+    def test_packing_identity_violation_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(rates, "seeded_packing",
+                            lambda *args: (None, types.SimpleNamespace(identity_violation=2e-9)))
+        code, out, err = run_cli(capsys, "packing")
+        assert code == 1 and out == ""
+        assert "identity violation 2.000e-09 exceeds 1e-9" in err
+
     def test_monomial_check_green(self, capsys):
         code, out, _ = run_cli(capsys, "monomial-check", "--k", "4")
         assert code == 0
@@ -368,6 +418,40 @@ class TestOutputs:
         samples = json.loads(out)["samples"]
         assert [int(r["n"]) for r in rows] == [s["n"] for s in samples]
         assert [float(r["error"]) for r in rows] == [s["error"] for s in samples]
+
+    def test_greedy_json_equals_rates_report(self, capsys):
+        common = ("--n-grid", "4:1024", "--seed", "2")
+        code, greedy, _ = run_cli(capsys, "greedy-fourier", "--format", "json", "--d", "2",
+                                  "--ks", "3", "--m", "1", "--xi-max", "60", *common)
+        assert code in (0, 1)
+        code, report, _ = run_cli(capsys, "rates", "--kind", "greedy-fourier", "--param", "d=2",
+                                  "--param", "ks=3", "--param", "m=1", "--param", "xi_max=60",
+                                  *common)
+        assert code in (0, 1)
+        assert greedy == report
+
+    def test_relu_compile_json_sup_error(self, capsys):
+        code, out, _ = run_cli(capsys, "relu-compile", "--format", "json", "--d", "2",
+                               "--ell", "1", "--q", "4", "--cycles", "2")
+        assert code == 0
+        f = rates.sine_target(2.0)
+        approx = relu_nets.compile_sobolev_approximant(f, 1, relu_nets.CubePartition(2, 4))
+        assert json.loads(out) == {"d": 2, "ell": 1, "q": 4, "sup_error": approx.sup_error(f)}
+
+    def test_sphere_net_json(self, capsys):
+        code, out, _ = run_cli(capsys, "sphere-net", "--format", "json", "--d", "3",
+                               "--m", "6", "--seed", "4")
+        assert code == 0
+        net = sphere_geom.greedy_net(3, 6, seed=4)
+        assert json.loads(out) == {"d": 3, "m": 6, "min_sep": net.min_sep,
+                                   "cover_rad": net.cover_rad}
+
+    def test_rates_csv_equals_report_to_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "rates", "--format", "csv", "--kind", "sphere-cover",
+                               "--n-grid", "4:128", "--seed", "3")
+        assert code == 0
+        assert out == rates.report_to_csv(
+            rates.run_experiment(rates.SPHERE_COVER, None, [4, 8, 16, 32, 64, 128], 3))
 
     def test_rates_kind_params(self, capsys):
         code, out, _ = run_cli(

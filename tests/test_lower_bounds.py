@@ -203,6 +203,12 @@ class TestDyadic:
         with pytest.raises(ValueError, match="xi_max = 2097152.0 needs 4194305 index rows"):
             decaying_spectrum(2.0**21, 1.0)
 
+    @pytest.mark.parametrize("xi_max", [-5.0, -0.5])
+    def test_negative_xi_max_refused(self, xi_max):
+        # Used to give an empty spectrum and one all-zero level-0 block.
+        with pytest.raises(ValueError, match=f"xi_max must be >= 0, got xi_max = {xi_max}"):
+            decaying_spectrum(xi_max, 1.0)
+
     def test_dimension_restriction(self):
         fs = fourier_sum(2, 1.0, (0.0, 0.0), {(1, 1): 1.0})
         with pytest.raises(ValueError):
@@ -247,6 +253,15 @@ class TestPacking:
         assert family.m == 2
         assert family.R == pytest.approx(32.0 ** 1.5, rel=1e-15)
         assert family.signs.shape == (4, 2)
+
+    @pytest.mark.parametrize("kind, k_or_s, n", [
+        ("relu", 2, 0),  # used to give a pair at distance 0
+        ("fourier", 1.0, 0),  # used to divide by zero
+        ("relu", 2, -3),  # used to raise a TypeError from a complex power
+    ])
+    def test_budget_below_one_refused(self, kind, k_or_s, n):
+        with pytest.raises(ValueError, match=f"packing budget n must be >= 1, got n={n}"):
+            build_packing(kind, 2, k_or_s, n)
 
     def test_single_direction_gives_plus_minus_pair(self):
         family = build_packing("relu", 2, 2, 2, seed=0)

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barronlab import barron
+from barronlab import barron, lower_bounds, relu_nets
 from barronlab.numerics import (
     IntegrationError,
+    as_batch,
     integrate,
     loglog_fit,
     multi_indices,
     sobolev_weight,
+    unbatch,
 )
 
 # Independent reference: composite trapezoid with 1e6 nodes on [-5, 5].
@@ -164,3 +166,76 @@ class TestLogLogFit:
         samples = [(n, scale * n**slope) for n in (2, 4, 8, 16, 32, 64)]
         fit = loglog_fit(samples)
         assert fit.slope == pytest.approx(slope, abs=1e-9)
+
+
+class TestPointOrBatch:
+    def test_one_scalar_or_point_becomes_a_batch_of_one(self):
+        batch, single = as_batch(3, ndim=0)
+        assert single and batch.shape == (1,) and batch.dtype == float
+        batch, single = as_batch([1, 2])
+        assert single and batch.shape == (1, 2) and batch.dtype == float
+        batch, single = as_batch([[1.0, 2.0], [3.0, 4.0]], d=2)
+        assert not single and batch.shape == (2, 2)
+
+    def test_wrong_dimension_named(self):
+        with pytest.raises(ValueError, match="points have dimension 3, expected 2"):
+            as_batch([1.0, 2.0, 3.0], d=2)
+
+    def test_unbatch_gives_a_python_number_for_one_item(self):
+        values = np.array([1.5, 2.5])
+        assert type(unbatch(values, True)) is float
+        assert unbatch(values, False) is values
+
+
+# Every evaluator that takes one point or a batch, as (name, point dimension
+# or None for any, one-item argument, evaluator); d = 2 where it is fixed.
+_CELL = relu_nets.Cube((0.5, 0.5), 1.0)
+_APPROX = relu_nets.compile_sobolev_approximant(
+    lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2, 1, relu_nets.CubePartition(2, 2),
+    smoothing=8.0)
+_PACKING = lower_bounds.build_packing("fourier", 2, 1.0, 16)
+_NETWORK = relu_nets.relu_network([(1.0, (0.6, 0.8), 0.1, 2), (-0.5, (1.0, 0.0), -0.2, 1)])
+_PRODUCT = relu_nets.monomial_product_expansion((1, 1), 2)
+_FOURIER = barron.fourier_sum(2, 1.0, (0.0, 0.0), {(1, 0): 1.0, (0, 2): 0.5j})
+EVALUATORS = [
+    ("sigma_k", None, 0.3, lambda t: relu_nets.sigma_k(t, 2)),
+    ("bump_value", None, 0.3, lambda t: barron.bump_value(2.0, t)),
+    ("exp_ridge_fourier", None, 0.3,
+     lambda xi: lower_bounds.exp_ridge_fourier(1.0, 2.0, 0.5, xi)),
+    ("sobolev_weight", None, [0.5, 1.0, 0.25], lambda eta: sobolev_weight(eta, 2)),
+    ("WeightSpec", None, [0.5, 1.0, 0.25], barron.WeightSpec.polynomial(1.5)),
+    ("mollified_cutoff", None, [0.5, 1.0, 0.25],
+     lambda x: barron.mollified_cutoff(x, 2.0, 0.25)),
+    ("evaluate_sum", 2, [0.3, 0.6], lambda x: barron.evaluate_sum(_FOURIER, x)),
+    ("evaluate_network", 2, [0.3, 0.6], lambda x: relu_nets.evaluate_network(_NETWORK, x)),
+    ("evaluate_product_sum", 2, [0.3, 0.6],
+     lambda x: relu_nets.evaluate_product_sum(_PRODUCT, x)),
+    ("CellPolynomial", 2, [0.3, 0.6],
+     relu_nets.CellPolynomial(_CELL.center, 2.0, np.array([[1, 0], [0, 2]]),
+                              np.array([1.0, -0.5]))),
+    ("IndicatorBump", 2, [0.3, 0.6], relu_nets.indicator_bump(_CELL, 4.0)),
+    ("SobolevApproximant", 2, [0.3, 0.6], _APPROX),
+    ("SobolevApproximant.smoothed", 2, [0.3, 0.6], _APPROX.smoothed),
+    ("cell_index", 2, [0.3, 0.6], _APPROX.partition.cell_index),
+    ("PackingFamily.evaluate", 2, [0.3, 0.6], lambda x: _PACKING.evaluate(1, x)),
+]
+FIXED_DIMENSION = [e for e in EVALUATORS if e[1] is not None]
+
+
+@pytest.mark.parametrize("name, d, item, evaluate", FIXED_DIMENSION,
+                         ids=[e[0] for e in FIXED_DIMENSION])
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_batch_of_wrong_dimension_refused(name, d, item, evaluate, extra):
+    # CellPolynomial and IndicatorBump broadcast a (3, 1) batch against their
+    # centre and returned numbers; the approximant, cell_index and the packing
+    # family raised NumPy errors that named no dimension.
+    with pytest.raises(ValueError, match=f"points have dimension {d + extra}, expected {d}"):
+        evaluate(np.full((3, d + extra), 0.25))
+
+
+@pytest.mark.parametrize("name, d, item, evaluate", EVALUATORS, ids=[e[0] for e in EVALUATORS])
+def test_one_item_gives_a_python_number(name, d, item, evaluate):
+    # PackingFamily.evaluate returned numpy.complex128 and cell_index an array.
+    value, batch = evaluate(item), evaluate(np.array([item]))
+    assert type(value) is type(batch[0].item())
+    assert value == batch[0]

@@ -154,6 +154,26 @@ class TestParameters:
         with pytest.raises(ValueError, match="needs restarts >= 1, got restarts=0"):
             rates.run_experiment(rates.SUBSAMPLE_CONCENTRATION, {"restarts": 0}, self.GRID)
 
+    @pytest.mark.parametrize("big_n", [0, -2])
+    def test_no_term_refused_before_the_sweep(self, monkeypatch, big_n):
+        # Used to exit as informational with every sub-run failed.
+        monkeypatch.setattr(rates.subsample, "maurey_subsample", None)
+        with pytest.raises(ValueError, match=f"needs N >= 1, got N={big_n}"):
+            rates.run_experiment(rates.SUBSAMPLE_CONCENTRATION, {"N": big_n}, self.GRID)
+
+    @pytest.mark.parametrize("big_n, n_monomials, named", [
+        (-3, 10, "N=-3"), (0, 10, "N=0"), (256, -1, "M=-1"), (256, 0, "M=0"),
+    ])
+    def test_seeded_subsample_names_an_empty_size(self, big_n, n_monomials, named):
+        # Negative sizes ended in NumPy's "negative dimensions are not allowed".
+        with pytest.raises(ValueError, match=f"subsampling needs .* >= 1, got {named}"):
+            rates.seeded_subsample(big_n, n_monomials, 4, 8, 0)
+
+    def test_negative_xi_max_refused_before_the_sweep(self):
+        # Used to exit as informational with a null fit.
+        with pytest.raises(ValueError, match="xi_max must be >= 0"):
+            rates.run_experiment(rates.DYADIC_RESIDUAL, {"xi_max": -5}, self.GRID)
+
     def test_derived_defaults_filled_in(self):
         report = rates.run_experiment(rates.GREEDY_FOURIER, None, self.GRID)
         assert report.config["xi_max"] == 400.0

@@ -605,11 +605,9 @@ class TestHmUpperBound:
         scaled = network_hm_upper(relu_network(scaled_units), self.OMEGA, 1, 2.0)
         assert scaled.bound == pytest.approx(3.0 * base.bound, rel=1e-12)
 
-    @pytest.mark.parametrize("d, resolution", [(1, 256), (2, 48), (3, 16)])
+    @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m", [0, 1, 2])
-    def test_unit_norms_match_per_unit_reference(self, d, resolution, m):
-        # ``resolution`` is not read: the certificate is exact, and the
-        # parameter only keeps the (m, d, resolution) test ids.
+    def test_unit_norms_match_per_unit_reference(self, d, m):
         rng = np.random.default_rng(10 * d + m)
         powers = rng.permutation(np.repeat([0, 1, 2] if m == 0 else [m + 1, m + 2, m + 3], 6))
         omegas = uniform_sphere(rng, len(powers), d) if d > 1 else rng.choice(
