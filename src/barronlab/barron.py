@@ -419,16 +419,30 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
     """Scan offsets on a grid of [0, 1/L]^d and keep the weighted-mass argmin.
 
     Offsets are periodized with ``periodize_expand``'s default eps and alpha
-    on its 32 ceil(L) nodes per axis.
+    on its 32 ceil(L) nodes per axis.  The node grid does not depend on the
+    offset, so the target is sampled once per node grid (the base grid, and
+    the doubled one if some offset needs it) and every offset reuses those
+    read-only samples.
     A mass-minimizing offset exists but is not constructive; this scan
     reports the best grid point, nothing sharper.
     """
+    sampled: list[tuple[np.ndarray, np.ndarray]] = []
+
+    def f_once(pts):
+        for seen, values in sampled:
+            if np.array_equal(seen, pts):
+                return values
+        values = np.array(f_e(pts), dtype=complex)
+        values.flags.writeable = False
+        sampled.append((pts, values))
+        return values
+
     candidates = np.linspace(0.0, 1.0 / L, grid, endpoint=False)
     best_a: tuple[float, ...] = ()
     best_fs: FourierSum | None = None
     best_mass = math.inf
     for a in grid_rows(candidates, d):
-        fs = periodize_expand(f_e, L, a, z_box, support_bound=support_bound)
+        fs = periodize_expand(f_once, L, a, z_box, support_bound=support_bound)
         mass = barron_norm(fs, weight)
         if mass < best_mass:
             best_a, best_fs, best_mass = tuple(float(v) for v in a), fs, mass

@@ -109,6 +109,9 @@ def seeded_packing(kind: str, d: int, k_or_s: float, n: int, pairs: int, seed: i
 def _greedy_fourier(c, grid, seed):
     if c["xi_max"] is None:
         c["xi_max"] = max(400.0, 1.5 * grid[-1])
+    for key in ("m", "xi_max"):
+        if c[key] < 0:
+            raise ValueError(f"kind {GREEDY_FOURIER} needs {key} >= 0, got {key}={c[key]}")
     fs, sel = greedy_spectrum(c, seed)
     return (0.5 + (c["ks"] - c["m"]) / c["d"],
             lambda n, _: greedy_fourier.tail_error_hm(fs, sel, n, c["m"]))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barronlab import barron
 from barronlab.barron import (
     WeightSpec,
     barron_norm,
@@ -30,6 +32,11 @@ def sinc(p):
     nz = x != 0
     out[nz] = np.sin(np.pi * x[nz]) / (np.pi * x[nz])
     return out
+
+
+def bump2(p):
+    p = np.asarray(p)
+    return np.exp(-(((p[:, 0] - 0.8) / 0.35) ** 2) - ((p[:, 1] - 0.7) / 0.3) ** 2)
 
 
 class TestBump:
@@ -347,20 +354,14 @@ class TestPeriodize:
         assert all(0.8 * fitted <= r <= 1.2 * fitted for r in ratios)
 
     def test_two_dimensional_reconstruction(self):
-        def f2(p):
-            p = np.asarray(p)
-            return np.exp(
-                -(((p[:, 0] - 0.8) / 0.35) ** 2) - ((p[:, 1] - 0.7) / 0.3) ** 2
-            )
-
         L, eps = 5.0, 1.4
         fs = periodize_expand(
-            f2, L, (0.0, 0.0), 12,
+            bump2, L, (0.0, 0.0), 12,
             support_bound=1.6, eps=eps, alpha=3.0,
         )
         rng = np.random.default_rng(0)
         probes = rng.uniform(0.0, L - 2 * eps, (20, 2))
-        err = np.max(np.abs(evaluate_sum(fs, probes) - f2(probes)))
+        err = np.max(np.abs(evaluate_sum(fs, probes) - bump2(probes)))
         assert err <= 1e-3  # index-box truncation dominates at this z_box
 
     def test_two_dimensional_inversion(self):
@@ -374,15 +375,76 @@ class TestPeriodize:
         for z, c in coeffs.items():
             assert rec.coeffs[z] == pytest.approx(c, abs=1e-10)
 
-    def test_offset_scan_returns_grid_argmin(self):
-        weight = WeightSpec.polynomial(0.0)
-        best_a, best_fs = scan_offset(
-            sinc, 1, 5.0, 20, weight,
-            support_bound=2.0, grid=3,
-        )
-        at_zero = periodize_expand(
-            sinc, 5.0, (0.0,), 20,
-            support_bound=2.0,
-        )
-        assert barron_norm(best_fs, weight) <= barron_norm(at_zero, weight) + 1e-12
-        assert 0.0 <= best_a[0] < 1 / 5.0
+
+class Counting:
+    """A target that counts how often it is sampled."""
+
+    def __init__(self, f):
+        self.f, self.calls = f, 0
+
+    def __call__(self, p):
+        self.calls += 1
+        return self.f(p)
+
+
+class TestScanOffset:
+    @pytest.mark.parametrize("f, d, z_box, support, grid", [
+        (sinc, 1, 20, 2.0, 3),
+        (bump2, 2, 12, 1.6, 2),
+    ], ids=["d1", "d2"])
+    def test_matches_a_loop_over_every_offset(self, monkeypatch, f, d, z_box,
+                                              support, grid):
+        # Every periodization of the scan, not only the kept one, equals a
+        # periodization that samples the target itself.
+        scanned = []
+
+        def recording(*args, **kwargs):
+            scanned.append(periodize_expand(*args, **kwargs))
+            return scanned[-1]
+
+        monkeypatch.setattr(barron, "periodize_expand", recording)
+        weight = WeightSpec.polynomial(1.0)
+        best_a, best_fs = scan_offset(f, d, 5.0, z_box, weight,
+                                      support_bound=support, grid=grid)
+        want_a, want_fs, want_mass, looped = None, None, math.inf, []
+        for a in itertools.product(np.linspace(0.0, 1 / 5.0, grid, endpoint=False),
+                                   repeat=d):
+            fs = periodize_expand(f, 5.0, a, z_box, support_bound=support)
+            looped.append(fs)
+            if barron_norm(fs, weight) < want_mass:
+                want_a, want_fs, want_mass = a, fs, barron_norm(fs, weight)
+        assert [to_json(fs) for fs in scanned] == [to_json(fs) for fs in looped]
+        assert best_a == tuple(float(v) for v in want_a)
+        assert to_json(best_fs) == to_json(want_fs)
+
+    def test_samples_a_resolved_target_once(self):
+        f = Counting(sinc)
+        scan_offset(f, 1, 5.0, 20, WeightSpec.polynomial(0.0),
+                    support_bound=2.0, grid=3)
+        assert f.calls == 1  # one node grid shared by the three offsets
+
+    def test_samples_once_per_resolution_when_the_ring_is_heavy(self):
+        f = Counting(sinc)
+        _, fs = scan_offset(f, 1, 5.0, 2, WeightSpec.polynomial(0.0),
+                            support_bound=2.0, grid=3)
+        assert fs.warnings and "truncation" in fs.warnings[0]
+        assert f.calls == 2  # the base grid and the doubled one
+
+    def test_same_output_when_the_target_returns_one_array(self):
+        # The samples are shared across offsets; a target that hands back
+        # the same array object each time must neither change the result
+        # nor see its array edited.
+        held = {}
+
+        def same_object(p):
+            key = p.tobytes()
+            if key not in held:
+                held[key] = (sinc(p).astype(complex), sinc(p).astype(complex))
+            return held[key][0]
+
+        weight = WeightSpec.polynomial(1.0)
+        fresh = scan_offset(sinc, 1, 5.0, 2, weight, support_bound=2.0, grid=3)
+        shared = scan_offset(same_object, 1, 5.0, 2, weight, support_bound=2.0, grid=3)
+        assert fresh[0] == shared[0]
+        assert to_json(fresh[1]) == to_json(shared[1])
+        assert all(np.array_equal(got, kept) for got, kept in held.values())

@@ -256,6 +256,17 @@ class TestExitCodes:
         assert "xi_max must be >= 0, got xi_max = -5.0" in err
 
     @pytest.mark.parametrize("args, named", [
+        (("greedy-fourier", "--m", "-1"), "m=-1"),  # IndexError traceback, exit 1
+        (("rates", "--kind", "greedy-fourier", "--param", "m=-1"), "m=-1"),  # informational
+        (("greedy-fourier", "--xi-max", "-5"), "xi_max=-5.0"),  # "empty expansion"
+        (("rates", "--kind", "greedy-fourier", "--param", "xi_max=-5"), "xi_max=-5.0"),
+    ])
+    def test_negative_greedy_parameter_is_usage_error(self, capsys, args, named):
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert f"greedy-fourier needs {named.split('=')[0]} >= 0, got {named}" in err
+
+    @pytest.mark.parametrize("args, named", [
         (("subsample", "--M", "-1"), "M=-1"),  # NumPy's "negative dimensions"
         (("subsample", "--N", "-3"), "N=-3"),  # likewise
         (("rates", "--kind", "subsample-concentration", "--param", "N=0",

@@ -174,6 +174,15 @@ class TestParameters:
         with pytest.raises(ValueError, match="xi_max must be >= 0"):
             rates.run_experiment(rates.DYADIC_RESIDUAL, {"xi_max": -5}, self.GRID)
 
+    @pytest.mark.parametrize("key, value", [("m", -1), ("xi_max", -5.0)])
+    def test_negative_greedy_parameter_refused_before_the_sweep(self, monkeypatch,
+                                                                 key, value):
+        # m = -1 used to exit as informational with every sub-run failed;
+        # xi_max = -5 ended in "cannot order an empty expansion".
+        monkeypatch.setattr(rates.greedy_fourier, "tail_error_hm", None)
+        with pytest.raises(ValueError, match=f"needs {key} >= 0, got {key}={value}"):
+            rates.run_experiment(rates.GREEDY_FOURIER, {key: value}, self.GRID)
+
     def test_derived_defaults_filled_in(self):
         report = rates.run_experiment(rates.GREEDY_FOURIER, None, self.GRID)
         assert report.config["xi_max"] == 400.0
