@@ -285,7 +285,8 @@ def _cmd_relu_compile(args) -> int:
     pts = grids.reshape(-1, args.d)
     # Explicit ids: points on a shared face are checked against their own cell.
     ids = np.repeat(np.arange(len(grids)), grids.shape[1])
-    errors = np.abs(f(pts) - approx._evaluate(pts, ids)).reshape(len(grids), -1).max(axis=1)
+    y = (pts - partition.centers()[ids]) * (2.0 / partition.h)
+    errors = np.abs(f(pts) - approx._evaluate(ids, y.T)).reshape(len(grids), -1).max(axis=1)
     buf = io.StringIO()
     header = ["cell_index", "center", *("c_" + "".join(map(str, a))
                                         for a in approx.exponents[keep].tolist()), "sup_error"]

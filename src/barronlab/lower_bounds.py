@@ -30,14 +30,18 @@ class ConvergenceError(RuntimeError):
 # exponential-decay ridge atoms and the high-frequency gap probe
 # ----------------------------------------------------------------------
 
+def _check_decay(alpha: float) -> None:
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
+
+
 def exp_ridge_fourier(alpha: float, omega: float, b: float, xi):
     """Closed-form transform 2 alpha e^{i b xi} / (alpha^2 + (omega xi)^2).
 
     The spectrum of the two-sided exponential ridge atom concentrates at low
     frequencies and decays quadratically in |xi|.
     """
-    if alpha <= 0:
-        raise ValueError(f"decay rate must be positive, got {alpha}")
+    _check_decay(alpha)
     xi, single = as_batch(xi, ndim=0)
     vals = 2.0 * alpha * np.exp(1j * b * xi) / (alpha**2 + (omega * xi) ** 2)
     return unbatch(vals, single)
@@ -70,14 +74,20 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     """Probe how well e^{i omega0 x} is approximated on [-1, 1] by n atoms.
 
     Errors are L2[-1, 1] norms on 256 Gauss-Legendre nodes.  Each candidate
-    draws an atom-parameter sequence (omega_j, b_j) from a seeded generator.
-    The sqrt(w)-weighted atoms of a block of candidates get one batched thin
-    QR, A = QR; with c = Q^T b the least-squares error of the first j atoms
-    is ||b - Qc||^2 + sum_{i > j} |c_i|^2, a sum of nonnegative terms, so the
-    per-width errors are nonincreasing and never cancel to zero.  A
-    rank-deficient column (pivot below ``_GAP_RANK_TOL`` of its norm) gets
-    c_i = 0 and is counted in ``regularized``.
+    draws an atom-parameter sequence (omega_j, b_j) from a seeded generator
+    and atoms e^{-alpha |omega_j x + b_j|}, so the decay rate alpha must be
+    a positive finite number.  A block of candidates gets one batched
+    R-only QR of the sqrt(w)-weighted [A | b], with A the n atoms and b the
+    real and imaginary parts of the target.  Its leading n x n block is the
+    R of A = QR, its top-right block is c = Q^T b, and the Frobenius square
+    of its trailing block is ||b - Qc||^2.  The least-squares error of the
+    first j atoms is ||b - Qc||^2 + sum_{i > j} |c_i|^2, a sum of
+    nonnegative terms, so the per-width errors are nonincreasing and never
+    cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
+    of its norm) gets c_i = 0, its |c_i|^2 moves into the residual, and it
+    is counted in ``regularized``.
     """
+    _check_decay(alpha)
     if n_units < 1:
         raise ValueError(f"need at least one unit, got {n_units}")
     if candidates < 1:
@@ -85,24 +95,33 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     nodes, weights = axis_rule(-1.0, 1.0, _GAP_NODES)
     root_w = np.sqrt(weights)
     # Real and imaginary parts of the weighted target as two right-hand sides.
-    rhs = root_w[:, None] * np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)], axis=1)
+    rhs = root_w * np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)])
     rng = np.random.default_rng(seed)
     omega_scale = max(4.0, 2.0 * abs(omega0))
     best = np.full(n_units, np.inf)
     regularized = 0
     for start in range(0, candidates, _GAP_BLOCK):
         params = rng.standard_normal((min(_GAP_BLOCK, candidates - start), n_units, 2))
-        omegas = params[:, None, :, 0] * omega_scale
-        biases = params[:, None, :, 1] * 2.0
-        atoms = root_w[:, None] * np.exp(-alpha * np.abs(nodes[:, None] * omegas + biases))
-        q, r = np.linalg.qr(atoms)
-        coef = np.swapaxes(q, 1, 2) @ rhs
-        deficient = np.abs(np.diagonal(r, axis1=1, axis2=2)) \
-            <= _GAP_RANK_TOL * np.linalg.norm(atoms, axis=1)
+        # cols[c, j] is column j of candidate c's [A | b], so each matrix is
+        # already in the column-major order LAPACK reads.
+        cols = np.empty((len(params), n_units + 2, _GAP_NODES))
+        atoms = cols[:, :n_units]
+        np.multiply(params[:, :, :1] * omega_scale, nodes, out=atoms)
+        atoms += params[:, :, 1:] * 2.0
+        np.abs(atoms, out=atoms)
+        atoms *= -alpha
+        np.exp(atoms, out=atoms)
+        atoms *= root_w
+        cols[:, n_units:] = rhs
+        r = np.linalg.qr(np.swapaxes(cols, 1, 2), mode="r")
+        lead, coef = r[:, :n_units, :n_units], r[:, :n_units, n_units:]
+        # Q is orthogonal, so column j of R has the norm of atom j.
+        deficient = np.abs(np.diagonal(lead, axis1=1, axis2=2)) \
+            <= _GAP_RANK_TOL * np.linalg.norm(lead, axis=1)
         regularized += int(deficient.sum())
-        coef[deficient] = 0.0
-        base = np.sum((rhs - q @ coef) ** 2, axis=(1, 2))
         sq = np.sum(coef**2, axis=2)
+        base = np.sum(r[:, n_units:, n_units:] ** 2, axis=(1, 2)) + np.sum(sq * deficient, axis=1)
+        sq[deficient] = 0.0
         tail = np.zeros(sq.shape)
         tail[:, :-1] = np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
         best = np.minimum(best, np.sqrt(base[:, None] + tail).min(axis=0))

@@ -118,20 +118,25 @@ def evaluate_network(net: ReluNetwork, x):
     """Evaluate the unit sum at one point (d,) or a batch (N, d).
 
     Per power, the pre-activations are formed in blocks of at most
-    ``_EVAL_BLOCK`` entries, activated, and contracted with the real and
-    imaginary parts of the units' outer weights.
+    ``_EVAL_BLOCK`` entries, activated in place, and contracted with the
+    real and imaginary parts of the units' outer weights.
     """
     pts, single = as_batch(x, d=net.d if net.width else None)
     weights = np.stack([net.outer.real, net.outer.imag], axis=1)
     total = np.zeros((len(pts), 2))
     for k in np.unique(net.powers).tolist():
         units = np.flatnonzero(net.powers == k)
-        omega, bias = net.directions[units].T, net.biases[units]
+        omega, bias, outer = net.directions[units].T, net.biases[units], weights[units]
         step = max(1, _EVAL_BLOCK // len(units))
         for start in range(0, len(pts), step):
             t = pts[start:start + step] @ omega
             t += bias
-            total[start:start + step] += sigma_k(t, k) @ weights[units]
+            if k == 0:
+                t = sigma_k(t, 0)  # the Heaviside, with sigma_0(0) = 0
+            else:
+                np.maximum(t, 0.0, out=t)
+                t **= k
+            total[start:start + step] += t @ outer
     total = total[:, 0] + 1j * total[:, 1] if total[:, 1].any() else total[:, 0]
     return unbatch(total, single)
 
@@ -284,22 +289,31 @@ class CubePartition:
         cell, node = (grid_rows(np.arange(n), self.d) for n in (self.q, per_axis))
         return nodes[cell[:, None, :], node[None, :, :]]
 
+    def locate(self, columns):
+        """Flat cell index and scaled local coordinates 2 q (x_j - c_j) of the
+        points whose coordinates are the arrays ``columns[j]``, which broadcast
+        together: the columns of a batch, or the axes of a tensor grid, each
+        located once.  The x = 1 faces belong to the last cell."""
+        ids = [np.clip((x * self.q).astype(int), 0, self.q - 1) for x in columns]
+        local = [(x - (i + 0.5) * self.h) * (2.0 / self.h) for x, i in zip(columns, ids)]
+        return np.ravel_multi_index(ids, (self.q,) * self.d), local
+
     def cell_index(self, x):
         """Flat cell index per point; the x = 1 faces belong to the last cell."""
         pts, single = as_batch(x, d=self.d)
-        ids = np.clip((pts * self.q).astype(int), 0, self.q - 1)
-        return unbatch(np.ravel_multi_index(tuple(ids.T), (self.q,) * self.d), single)
+        return unbatch(self.locate(pts.T)[0], single)
 
 
-def _monomial_sum(y: np.ndarray, exponents: np.ndarray, coefficients) -> np.ndarray:
-    """Sum over a of coefficients[a] prod_j y_j^exponents[a, j], row by row;
-    each coefficient is a scalar or holds one value per row of y."""
-    total = np.zeros(len(y))
+def _monomial_sum(y, exponents: np.ndarray, coefficients) -> np.ndarray:
+    """Sum over a of coefficients[a] prod_j y[j]^exponents[a, j], where the
+    coordinate arrays y[j] broadcast together and each coefficient is a
+    scalar or an array of their broadcast shape."""
+    total = np.zeros(np.broadcast_shapes(*(np.shape(v) for v in y)))
     for alpha, c in zip(exponents.tolist(), coefficients):
         term = c
-        for j, aj in enumerate(alpha):
+        for yj, aj in zip(y, alpha):
             if aj:
-                term = term * y[:, j] ** aj
+                term = term * yj**aj
         total += term
     return total
 
@@ -316,7 +330,7 @@ class CellPolynomial:
     def __call__(self, x):
         pts, single = as_batch(x, d=len(self.center))
         y = (pts - np.asarray(self.center)) * self.scale
-        return unbatch(_monomial_sum(y, self.exponents, self.coefficients.tolist()), single)
+        return unbatch(_monomial_sum(y.T, self.exponents, self.coefficients.tolist()), single)
 
 
 def _expand_ridge_power(theta: np.ndarray, t0: float, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -448,34 +462,37 @@ class SobolevApproximant:
             return ()
         return tuple(IndicatorBump(cell, self.smoothing) for cell in self.partition.cells())
 
-    def _evaluate(self, pts: np.ndarray, cell_ids: np.ndarray) -> np.ndarray:
-        """Polynomial of cell ``cell_ids[n]`` at ``pts[n]``, gathering one
-        coefficient column at a time."""
-        y = (pts - self.partition.centers()[cell_ids]) * (2.0 / self.partition.h)
+    def _evaluate(self, cell_ids: np.ndarray, y) -> np.ndarray:
+        """Polynomial of cell ``cell_ids`` at local coordinates ``y`` (per-axis
+        arrays that broadcast with ``cell_ids``, as ``locate`` returns them),
+        gathering one coefficient column at a time."""
         return _monomial_sum(y, self.exponents, (c[cell_ids] for c in self.coefficients.T))
 
     def __call__(self, x):
         pts, single = as_batch(x, d=self.partition.d)
-        return unbatch(self._evaluate(pts, self.partition.cell_index(pts)), single)
+        return unbatch(self._evaluate(*self.partition.locate(pts.T)), single)
 
     def smoothed(self, x):
         """self(x) * phi_{cell(x)}(x); zero outside [0, 1]^d."""
         if self.smoothing is None:
             raise ValueError("approximant was compiled without smoothing")
         pts, single = as_batch(x, d=self.partition.d)
-        ids = self.partition.cell_index(pts)
+        ids, y = self.partition.locate(pts.T)
         ramp = _ramp_product(pts, self.partition.centers()[ids], self.partition.h,
                              self.smoothing)
-        return unbatch(self._evaluate(pts, ids) * ramp, single)
+        return unbatch(self._evaluate(ids, y) * ramp, single)
 
     def sup_error(self, f: Callable) -> float:
         """Largest |f - self| on a uniform grid of [0, 1]^d: 401 points per axis
         for d <= 2, and 65 for d = 3 (64 intervals, so every q dividing 64 keeps
-        its cell faces on the grid)."""
+        its cell faces on the grid).  The grid is a tensor product, so each axis
+        value is located in its cell once and the polynomials are evaluated on
+        the broadcast axes."""
         d = self.partition.d
-        pts = grid_rows(np.linspace(0.0, 1.0, 401 if d <= 2 else 65), d)
-        target = np.asarray(f(pts)).reshape(len(pts))
-        return float(np.max(np.abs(target - self(pts))))
+        axis = np.linspace(0.0, 1.0, 401 if d <= 2 else 65)
+        ids, y = self.partition.locate(np.ix_(*[axis] * d))
+        target = np.asarray(f(grid_rows(axis, d))).reshape(ids.shape)
+        return float(np.max(np.abs(target - self._evaluate(ids, y))))
 
     def l2_error(self, f: Callable) -> float:
         """L2([0, 1]^d) error against f by ``integrate`` with its default rule."""

@@ -255,6 +255,15 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "xi_max must be >= 0, got xi_max = -5.0" in err
 
+    @pytest.mark.parametrize("alpha", ["-500", "0", "-1"])
+    def test_non_decaying_gap_atoms_are_usage_error(self, capsys, alpha):
+        # -500 printed 8,nan,nan with exit 0; 0 and -1 printed numbers for
+        # atoms that do not decay.
+        code, out, err = run_cli(capsys, "example1-gap", "--omega0-grid", "8", "--units", "4",
+                                 "--candidates", "32", "--alpha", alpha)
+        assert code == 2 and out == ""
+        assert f"decay rate alpha must be a positive finite number, got {float(alpha)}" in err
+
     @pytest.mark.parametrize("args, named", [
         (("greedy-fourier", "--m", "-1"), "m=-1"),  # IndexError traceback, exit 1
         (("rates", "--kind", "greedy-fourier", "--param", "m=-1"), "m=-1"),  # informational

@@ -97,6 +97,47 @@ class TestHighFreqGap:
         b = highfreq_gap(1.0, 8.0, 4, 64, seed=2)
         assert a.error == b.error
 
+    def test_regularized_prefixes_bounded_by_direct_lstsq(self):
+        # At alpha = 800 most atoms underflow: some columns are all zero and
+        # others have norms near 1e-74 or 1e-253.  Least squares is invariant
+        # to column scaling, so the reference drops the zero columns and
+        # scales the rest to unit norm; unscaled lstsq truncates the tiny
+        # columns and lands about 1e-3 above the minimum.
+        alpha, omega0, n_units, candidates = 800.0, 8.0, 6, 64
+        probe = highfreq_gap(alpha, omega0, n_units, candidates, seed=0)
+        nodes, weights = axis_rule(-1.0, 1.0, 256)
+        root_w = np.sqrt(weights)
+        target = root_w * np.exp(1j * omega0 * nodes)
+        rng = np.random.default_rng(0)
+        want = np.full(n_units, np.inf)
+        zero_columns = 0
+        for start in range(0, candidates, 32):
+            for params in rng.standard_normal((min(32, candidates - start), n_units, 2)):
+                atoms = root_w[:, None] * np.exp(-alpha * np.abs(
+                    nodes[:, None] * params[:, 0] * max(4.0, 2.0 * omega0) + params[:, 1] * 2.0))
+                norms = np.linalg.norm(atoms, axis=0)
+                zero_columns += int(np.sum(norms == 0.0))
+                for width in range(1, n_units + 1):
+                    live = np.flatnonzero(norms[:width] > 0.0)
+                    scaled = (atoms[:, live] / norms[live]).astype(complex)
+                    sol = np.linalg.lstsq(scaled, target, rcond=None)[0]
+                    err = np.linalg.norm(target - scaled @ sol)
+                    want[width - 1] = min(want[width - 1], err)
+        got = np.array(probe.errors_by_width)
+        assert probe.regularized == 24
+        assert zero_columns <= probe.regularized
+        assert np.all(np.isfinite(got)) and np.all(got > 0.0)
+        assert np.all(np.diff(got) <= 0.0)
+        assert np.all(got >= want * (1.0 - 1e-8))
+
+    @pytest.mark.parametrize("alpha", [-500.0, 0.0, -1.0, math.nan, math.inf])
+    def test_decay_rate_must_be_positive_and_finite(self, alpha):
+        # -500 gave nan errors; 0 and -1 gave numbers for atoms that do not decay.
+        with pytest.raises(ValueError, match="decay rate alpha must be a positive finite"):
+            highfreq_gap(alpha, 8.0, 4, 32)
+        with pytest.raises(ValueError, match="decay rate alpha must be a positive finite"):
+            exp_ridge_fourier(alpha, 1.0, 0.0, 1.0)
+
 
 class TestDyadic:
     def test_single_frequency_single_block(self):

@@ -515,6 +515,16 @@ class TestArrayApproximant:
         outside = np.array([[-0.1, 0.5], [1.1, 0.5], [0.5, 1.2], [-0.3, -0.3], [2.0, 0.7]])
         assert np.all(approx.smoothed(outside) == 0.0)
 
+    @pytest.mark.parametrize("d, q, ell", [(1, 3, 2), (1, 7, 3), (2, 3, 2), (2, 7, 3),
+                                           (3, 3, 2), (3, 4, 3)])
+    def test_sup_error_is_max_over_probe_grid(self, d, q, ell):
+        # With q = 3 and q = 7 the inner cell faces fall between probes; the
+        # last probe of every axis lies on the x = 1 face.
+        approx = compile_sobolev_approximant(smooth_target, ell, CubePartition(d, q))
+        pts = grid_rows(np.linspace(0.0, 1.0, 401 if d <= 2 else 65), d)
+        want = np.max(np.abs(smooth_target(pts) - approx(pts)))
+        assert approx.sup_error(smooth_target) == want
+
     def test_indicators_built_once(self):
         approx = compile_sobolev_approximant(smooth_target, 1, CubePartition(2, 4),
                                              smoothing=40.0)
@@ -544,6 +554,25 @@ class TestGroupedEvaluation:
         got = evaluate_network(net, pts)
         assert np.iscomplexobj(got)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_activation_bitwise_equal_to_sigma_k_per_power(self):
+        rng = np.random.default_rng(4)
+        powers = np.repeat(np.arange(4), 25)
+        units = [(complex(*rng.standard_normal(2)), rng.standard_normal(3),
+                  rng.uniform(-1, 1), int(k)) for k in powers]
+        # Unit 0 has power 0 and a pre-activation of exactly 0 at the first point.
+        units[0] = (1.5 - 0.5j, np.array([1.0, 0.0, 0.0]), -0.5, 0)
+        net = relu_network(units)
+        pts = np.vstack([[0.5, 0.3, -0.7], rng.uniform(-1, 1, (200, 3))])
+        assert len(pts) * 25 <= relu_nets._EVAL_BLOCK  # one block per power
+        total = np.zeros((len(pts), 2))
+        for k in range(4):
+            group = np.flatnonzero(net.powers == k)
+            outer = np.stack([net.outer.real, net.outer.imag], axis=1)[group]
+            t = pts @ net.directions[group].T + net.biases[group]
+            total += sigma_k(t, k) @ outer
+        assert np.array_equal(evaluate_network(net, pts), total[:, 0] + 1j * total[:, 1])
+        assert evaluate_network(relu_network(units[:1]), pts[0]) == 0.0
 
     def test_real_weights_give_real_values(self):
         net = relu_network([(2.0, (1.0, 0.0), 0.5, 2), (-1.0, (0.0, 1.0), 0.0, 0)])
