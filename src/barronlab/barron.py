@@ -25,7 +25,7 @@ CUTOFF_ALPHA = 2.0  # bump shape parameter of the mollified cutoff
 
 
 # ----------------------------------------------------------------------
-# smooth bump and its transform
+# smooth bump
 # ----------------------------------------------------------------------
 
 def bump_value(alpha: float, t):
@@ -45,103 +45,30 @@ def bump_value(alpha: float, t):
     return unbatch(out, single)
 
 
-def bump_fourier_transform(alpha: float, xi):
-    """Transform of the bump, integral of g(t) cos(2 pi xi t) over [-1, 1].
-
-    The bump is real and even, so the transform is real and even.  The
-    max(256, int(16 max|xi|) + 32) Gauss-Legendre nodes scale with |xi|.
-    """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    resolution = max(256, int(16 * np.max(np.abs(xi))) + 32)
-    nodes, weights = axis_rule(-1.0, 1.0, resolution)
-    g = bump_value(alpha, nodes)
-    phases = np.cos(2.0 * np.pi * np.outer(xi, nodes))
-    return phases @ (weights * g)
-
-
-@dataclass(frozen=True)
-class BumpDecayFit:
-    """Regression of log |transform| against |xi|^(1 - 1/alpha)."""
-
-    slope: float
-    intercept: float
-    r_squared: float
-    residuals: tuple[float, ...]
-    clamped: int
-
-
-def bump_fourier_decay(alpha: float, xi_grid) -> BumpDecayFit:
-    """Fit the stretched-exponential decay rate of the bump transform.
-
-    Regresses log |g^(xi)| on |xi|^(1 - 1/alpha); a negative slope is the
-    fitted decay constant.  Transform values below 1e-300 are clamped and
-    excluded from the fit.  The grid must span at least a decade of |xi|.
-    """
-    xi = np.abs(np.atleast_1d(np.asarray(xi_grid, dtype=float)))
-    xi = xi[xi > 0]
-    if xi.size < 2 or np.max(xi) / np.min(xi) < 10.0:
-        raise ValueError("frequency grid must span at least one decade of |xi|")
-    transform = np.abs(bump_fourier_transform(alpha, xi))
-    usable = transform > 1e-300
-    x = xi[usable] ** (1.0 - 1.0 / alpha)
-    y = np.log(transform[usable])
-    design = np.stack([x, np.ones_like(x)], axis=-1)
-    (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-    fitted = design @ np.array([slope, intercept])
-    resid = y - fitted
-    ss_tot = float(np.dot(y - y.mean(), y - y.mean()))
-    r2 = 1.0 - float(np.dot(resid, resid)) / ss_tot if ss_tot > 0 else 1.0
-    return BumpDecayFit(
-        float(slope),
-        float(intercept),
-        max(0.0, min(1.0, r2)),
-        tuple(float(r) for r in resid),
-        int(np.sum(~usable)),
-    )
-
-
 # ----------------------------------------------------------------------
 # spectral weights
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """Submultiplicative spectral weight, polynomial or subexponential.
+    """Submultiplicative polynomial spectral weight.
 
-    ``polynomial(s)`` evaluates (1 + |xi|)^s with s >= 0;
-    ``subexponential(c, beta)`` evaluates exp(c |xi|^beta) with c > 0 and
-    beta in (0, 1).  Both satisfy mu(xi + omega) <= mu(xi) mu(omega).
+    ``polynomial(s)`` evaluates (1 + |xi|)^s with s >= 0, which satisfies
+    mu(xi + omega) <= mu(xi) mu(omega).
     """
 
-    kind: str
-    s: float = 0.0
-    c: float = 0.0
-    beta: float = 0.0
+    s: float
 
     @classmethod
     def polynomial(cls, s: float) -> "WeightSpec":
         if s < 0:
             raise ValueError(f"polynomial weight exponent must be >= 0, got {s}")
-        return cls(kind="polynomial", s=float(s))
-
-    @classmethod
-    def subexponential(cls, c: float, beta: float) -> "WeightSpec":
-        if c <= 0:
-            raise ValueError(f"subexponential scale must be positive, got {c}")
-        if not 0.0 < beta < 1.0:
-            raise ValueError(f"subexponential power must lie in (0, 1), got {beta}")
-        return cls(kind="subexponential", c=float(c), beta=float(beta))
+        return cls(s=float(s))
 
     def __call__(self, xi):
         xi, single = as_batch(xi)
         norms = np.linalg.norm(xi, axis=-1)
-        if self.kind == "polynomial":
-            vals = (1.0 + norms) ** self.s
-        elif self.kind == "subexponential":
-            vals = np.exp(self.c * norms**self.beta)
-        else:
-            raise ValueError(f"unknown weight kind {self.kind!r}")
-        return unbatch(vals, single)
+        return unbatch((1.0 + norms) ** self.s, single)
 
 
 # ----------------------------------------------------------------------

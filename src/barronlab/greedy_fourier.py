@@ -26,18 +26,12 @@ class GreedySelection:
     """Deterministic ordering of a FourierSum's support.
 
     ``order`` is a permutation of the rows of the expansion's ``index`` and
-    ``values`` arrays, ``sorted_keys`` the ordering-key values in that order
-    (nonincreasing), and ``ell1_prefix[n]`` the l1 coefficient mass of the
-    first n rows, so ``ell1_prefix[-1]`` is the full mass.
+    ``values`` arrays, and ``sorted_keys`` the ordering-key values in that
+    order (nonincreasing).
     """
 
     order: np.ndarray
     sorted_keys: np.ndarray
-    ell1_prefix: np.ndarray
-
-    def ell1_mass(self, n: int) -> float:
-        n = max(0, min(int(n), len(self.order)))
-        return float(self.ell1_prefix[n])
 
 
 def order_frequencies(fs: FourierSum, m: float, ks: float) -> GreedySelection:
@@ -53,8 +47,7 @@ def order_frequencies(fs: FourierSum, m: float, ks: float) -> GreedySelection:
     # np.lexsort sorts by its last key first: descending key, then the index
     # columns in order, so ties go to the smallest lattice index.
     order = np.lexsort(tuple(fs.index.T[::-1]) + (-keys,))
-    prefix = np.concatenate(([0.0], np.cumsum(mags[order])))
-    return GreedySelection(order, keys[order], prefix)
+    return GreedySelection(order, keys[order])
 
 
 def truncate_top_n(fs: FourierSum, sel: GreedySelection, n: int) -> FourierSum:

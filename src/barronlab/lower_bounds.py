@@ -17,7 +17,7 @@ import numpy as np
 
 from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
 from .greedy_fourier import MAX_BOX_ROWS
-from .numerics import as_batch, axis_rule, read_only, tensor_nodes, unbatch
+from .numerics import as_batch, axis_rule, read_only, unbatch
 from .relu_nets import sigma_k
 from .sphere_geom import SphericalNet, separated_subset
 
@@ -73,10 +73,11 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
                  seed: int = 0) -> GapProbe:
     """Probe how well e^{i omega0 x} is approximated on [-1, 1] by n atoms.
 
-    Errors are L2[-1, 1] norms on 256 Gauss-Legendre nodes.  Each candidate
-    draws an atom-parameter sequence (omega_j, b_j) from a seeded generator
-    and atoms e^{-alpha |omega_j x + b_j|}, so the decay rate alpha must be
-    a positive finite number.  A block of candidates gets one batched
+    Errors are L2[-1, 1] norms on 256 Gauss-Legendre nodes, so n_units
+    must lie in [1, 256].  Each candidate draws an atom-parameter sequence
+    (omega_j, b_j) from a seeded generator and atoms
+    e^{-alpha |omega_j x + b_j|}, so the decay rate alpha must be a
+    positive finite number.  A block of candidates gets one batched
     R-only QR of the sqrt(w)-weighted [A | b], with A the n atoms and b the
     real and imaginary parts of the target.  Its leading n x n block is the
     R of A = QR, its top-right block is c = Q^T b, and the Frobenius square
@@ -88,8 +89,9 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     is counted in ``regularized``.
     """
     _check_decay(alpha)
-    if n_units < 1:
-        raise ValueError(f"need at least one unit, got {n_units}")
+    if not 1 <= n_units <= _GAP_NODES:
+        raise ValueError(f"unit count must lie in [1, {_GAP_NODES}], the probe's "
+                         f"quadrature nodes, got n_units={n_units}")
     if candidates < 1:
         raise ValueError(f"need at least one candidate, got {candidates}")
     nodes, weights = axis_rule(-1.0, 1.0, _GAP_NODES)
@@ -217,9 +219,12 @@ class OscillatoryWitness:
 
 
 def oscillatory_witness(n: int, k: int, d: int, m: int) -> OscillatoryWitness:
-    """Build the single-mode witness and report its exact Sobolev mass."""
+    """Build the single-mode witness and report its exact Sobolev mass; the
+    power k must be a nonnegative integer."""
     if n < 1:
         raise ValueError(f"width must be >= 1, got {n}")
+    if k < 0 or int(k) != k:
+        raise ValueError(f"power k must be a nonnegative integer, got k={k}")
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
     K = float(n) ** ((k + 1) / d)
@@ -246,7 +251,6 @@ def oscillatory_witness(n: int, k: int, d: int, m: int) -> OscillatoryWitness:
 FOURIER_KIND = "fourier"
 RELU_KIND = "relu"
 _SAMPLED_SIGNS = 4096  # sign rows drawn for m > 12 directions
-_L2_NODES = 48  # Gauss-Legendre nodes per axis of the ``l2`` separation
 
 
 @dataclass(frozen=True)
@@ -352,9 +356,9 @@ class SeparationReport:
     Entry p of the read-only arrays compares sign rows i[p] < j[p].  At the
     witness point x_w = omega_w attaining the distance, f_sigma - f_sigma'
     splits into the diagonal (main) term (sigma_w - sigma'_w) * atom_w(x_w)
-    and the off-diagonal cross term (NaN in ``l2`` mode); ``identity_violation``
-    is the largest |main + cross - total|.  ``main_term_reference`` is the
-    theoretical diagonal magnitude for a single differing sign.
+    and the off-diagonal cross term; ``identity_violation`` is the largest
+    |main + cross - total|.  ``main_term_reference`` is the theoretical
+    diagonal magnitude for a single differing sign.
     """
 
     min_distance: float
@@ -366,23 +370,19 @@ class SeparationReport:
     cross_term: np.ndarray
     identity_violation: float
     main_term_reference: float
-    norm: str
 
 
-def pairwise_separation(family: PackingFamily, norm: str = "witness",
-                        pair_budget: int = 64, seed: int = 0) -> SeparationReport:
-    """Measure pairwise distances of a packing family, all pairs in one batch.
+def pairwise_separation(family: PackingFamily, pair_budget: int = 64,
+                        seed: int = 0) -> SeparationReport:
+    """Measure pairwise witness distances of a packing family, all pairs in
+    one batch.
 
-    ``witness`` mode evaluates at the family's own directions and reports
-    the exact main + cross decomposition per pair.  ``l2`` mode integrates
-    |f_sigma - f_sigma'|^2 over the unit cube on 48^d tensor
-    Gauss-Legendre nodes as a quadratic form of the sign difference with the
-    atoms' Gram matrix, since f_sigma is linear in sigma.
+    A pair's distance is the largest |f_sigma - f_sigma'| over the family's
+    own directions, used as witness points, with the exact main + cross
+    decomposition there.
     """
     if pair_budget < 1:
         raise ValueError("pair budget must be >= 1")
-    if norm not in ("witness", "l2"):
-        raise ValueError(f"unknown separation norm {norm!r}")
     # Pair ranks c enumerate (i, j), i < j, row by row; row i starts at
     # i n - i (i + 1) / 2, so sampled ranks unrank without listing every pair.
     n_signs = len(family.signs)
@@ -402,27 +402,18 @@ def pairwise_separation(family: PackingFamily, norm: str = "witness",
     atom_at_witness = family.atoms(family.directions.points[: family.m])
     diag_reference = 2.0 * c * (sigma_k(family.R, family.k)
                                 if family.kind == RELU_KIND else 1.0)
-    worst_identity = 0.0
-    if norm == "witness":
-        # Stacked matmuls and hypot (not np.abs) reproduce, bit for bit, the
-        # per-pair matrix-vector products and scalar abs of a pair loop.
-        totals = c * (atom_at_witness[None] @ diff[:, :, None])[:, :, 0]
-        distance = np.max(np.abs(totals), axis=1)
-        w = np.argmax(np.abs(totals), axis=1)
-        pair = np.arange(len(w))
-        own = diff[pair, w] * atom_at_witness[w, w]
-        main = c * own
-        cross = c * ((atom_at_witness[w][:, None, :] @ diff[:, :, None])[:, 0, 0] - own)
-        gap = main + cross - totals[pair, w]
-        worst_identity = float(np.hypot(gap.real, gap.imag).max(initial=0.0))
-        main_term, cross_term = (np.hypot(z.real, z.imag) for z in (main, cross))
-    else:
-        pts, wq = tensor_nodes([(0.0, 1.0)] * family.d, _L2_NODES)
-        atoms = family.atoms(pts)
-        gram = (atoms.conj().T * wq) @ atoms
-        sq = np.einsum("pa,ab,pb->p", diff, gram, diff).real
-        distance = c * np.sqrt(np.maximum(sq, 0.0))
-        main_term = cross_term = np.full(len(i), math.nan)
+    # Stacked matmuls and hypot (not np.abs) reproduce, bit for bit, the
+    # per-pair matrix-vector products and scalar abs of a pair loop.
+    totals = c * (atom_at_witness[None] @ diff[:, :, None])[:, :, 0]
+    distance = np.max(np.abs(totals), axis=1)
+    w = np.argmax(np.abs(totals), axis=1)
+    pair = np.arange(len(w))
+    own = diff[pair, w] * atom_at_witness[w, w]
+    main = c * own
+    cross = c * ((atom_at_witness[w][:, None, :] @ diff[:, :, None])[:, 0, 0] - own)
+    gap = main + cross - totals[pair, w]
+    worst_identity = float(np.hypot(gap.real, gap.imag).max(initial=0.0))
+    main_term, cross_term = (np.hypot(z.real, z.imag) for z in (main, cross))
     read_only(i, j, distance, main_term, cross_term)
     return SeparationReport(
         min_distance=float(distance.min()),
@@ -430,7 +421,6 @@ def pairwise_separation(family: PackingFamily, norm: str = "witness",
         i=i, j=j, distance=distance, main_term=main_term, cross_term=cross_term,
         identity_violation=worst_identity,
         main_term_reference=float(diag_reference),
-        norm=norm,
     )
 
 

@@ -97,8 +97,8 @@ def seeded_subsample(big_n: int, n_monomials: int, n: int, restarts: int,
 def seeded_packing(kind: str, d: int, k_or_s: float, n: int, pairs: int, seed: int):
     """A seeded packing family and its witness separations on ``pairs`` pairs."""
     family = lower_bounds.build_packing(kind, d, k_or_s, n, seed=seed)
-    return family, lower_bounds.pairwise_separation(family, norm="witness",
-                                                    pair_budget=pairs, seed=seed + 1)
+    return family, lower_bounds.pairwise_separation(family, pair_budget=pairs,
+                                                    seed=seed + 1)
 
 
 # Each setup(config, grid, seed) fills in the defaults left as None (derived
@@ -118,6 +118,10 @@ def _greedy_fourier(c, grid, seed):
 
 
 def _sobolev_compile(c, grid, seed):
+    if c["ell"] < 0:
+        raise ValueError(f"kind {SOBOLEV_COMPILE} needs ell >= 0, got ell={c['ell']}")
+    if c["d"] > 3:
+        raise ValueError(f"kind {SOBOLEV_COMPILE} needs d <= 3, got d={c['d']}")
     if c["s"] is None:
         c["s"] = float(c["ell"])
     f = sine_target(c["cycles"])

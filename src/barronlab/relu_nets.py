@@ -11,7 +11,6 @@ ambient power cap.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -19,8 +18,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import (Box, as_batch, gauss_rule, grid_rows, integrate, multi_indices,
-                       read_only, unbatch, validate_box)
+from .numerics import (Box, as_batch, gauss_rule, grid_rows, multi_indices, read_only,
+                       unbatch, validate_box)
 
 
 def sigma_k(t, k: int):
@@ -141,32 +140,10 @@ def evaluate_network(net: ReluNetwork, x):
     return unbatch(total, single)
 
 
-def network_to_json(net: ReluNetwork) -> str:
-    payload = {
-        "k": net.ambient_power,
-        "units": [
-            {"a_re": a.real, "a_im": a.imag, "omega": omega, "b": b, "k_i": k}
-            for a, omega, b, k in zip(net.outer.tolist(), net.directions.tolist(),
-                                      net.biases.tolist(), net.powers.tolist())
-        ],
-    }
-    return json.dumps(payload)
-
-
-def network_from_json(text: str) -> ReluNetwork:
-    payload = json.loads(text)
-    return relu_network(
-        [(complex(u["a_re"], u["a_im"]), u["omega"], u["b"], u["k_i"])
-         for u in payload["units"]],
-        int(payload["k"]),
-    )
-
-
 def monomial_network_1d(m: int) -> ReluNetwork:
     """Two-unit network computing x^m on all of R: sigma_m(x) + (-1)^m sigma_m(-x).
 
-    Constants (m = 0) are handled by a bias channel instead, since
-    sigma_k(0 * x + b) is constant; see ``bias_channel``.
+    The degree m must be at least 1.
     """
     if m < 1:
         raise ValueError(f"monomial degree must be >= 1, got {m}")
@@ -174,16 +151,6 @@ def monomial_network_1d(m: int) -> ReluNetwork:
         [(1.0, (1.0,), 0.0, m), ((-1.0) ** m, (-1.0,), 0.0, m)],
         ambient_power=m,
     )
-
-
-def bias_channel(value: complex, d: int, k: int) -> ReluUnit:
-    """Constant unit: zero direction, bias chosen so the unit emits ``value``.
-
-    With omega = 0 the activation sigma_k(b) is constant in x, so a single
-    unit with outer coefficient value / sigma_k(1) and b = 1 carries any
-    constant exactly.
-    """
-    return ReluUnit(complex(value) / sigma_k(1.0, k), (0.0,) * d, 1.0, k)
 
 
 # ----------------------------------------------------------------------
@@ -493,16 +460,6 @@ class SobolevApproximant:
         ids, y = self.partition.locate(np.ix_(*[axis] * d))
         target = np.asarray(f(grid_rows(axis, d))).reshape(ids.shape)
         return float(np.max(np.abs(target - self._evaluate(ids, y))))
-
-    def l2_error(self, f: Callable) -> float:
-        """L2([0, 1]^d) error against f by ``integrate`` with its default rule."""
-        box: Box = [(0.0, 1.0)] * self.partition.d
-
-        def sq(pts):
-            diff = np.asarray(f(pts)).reshape(len(pts)) - self(pts)
-            return np.abs(diff) ** 2
-
-        return math.sqrt(max(0.0, integrate(sq, box)))
 
 
 def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,

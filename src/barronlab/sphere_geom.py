@@ -170,18 +170,3 @@ def net_to_csv(net: SphericalNet) -> str:
         buf.write("\n")
     return buf.getvalue()
 
-
-def net_from_csv(text: str) -> SphericalNet:
-    rows = [
-        [float(v) for v in line.split(",")]
-        for line in text.strip().splitlines()
-        if line.strip()
-    ]
-    points = np.array(rows)
-    points.setflags(write=False)
-    return SphericalNet(
-        d=points.shape[1],
-        points=points,
-        min_sep=_pairwise_min_distance(points),
-        cover_rad=float("nan"),
-    )

@@ -10,8 +10,6 @@ from barronlab import barron
 from barronlab.barron import (
     WeightSpec,
     barron_norm,
-    bump_fourier_decay,
-    bump_fourier_transform,
     bump_value,
     evaluate_sum,
     fourier_sum,
@@ -62,34 +60,12 @@ class TestBump:
         assert 0.0 <= v <= math.exp(-1) + 1e-15
 
 
-class TestBumpDecay:
-    def test_transform_positive_at_zero(self):
-        assert bump_fourier_transform(2.0, [0.0])[0] > 0
-
-    def test_transform_even(self):
-        vals = bump_fourier_transform(2.0, [3.5, -3.5, 11.0, -11.0])
-        assert vals[0] == pytest.approx(vals[1], abs=1e-12)
-        assert vals[2] == pytest.approx(vals[3], abs=1e-12)
-
-    def test_stretched_exponential_fit(self):
-        fit = bump_fourier_decay(2.0, np.arange(1, 65))
-        assert fit.slope < 0
-        assert fit.r_squared >= 0.95
-
-    def test_needs_a_decade(self):
-        with pytest.raises(ValueError, match="decade"):
-            bump_fourier_decay(2.0, [1.0, 2.0, 5.0])
-
-
 class TestWeightSpec:
     def test_polynomial_zero_is_flat(self):
         w = WeightSpec.polynomial(0.0)
         assert w(np.array([[3.0, 4.0]]))[0] == 1.0
 
-    @pytest.mark.parametrize(
-        "weight",
-        [WeightSpec.polynomial(1.5), WeightSpec.subexponential(0.7, 0.5)],
-    )
+    @pytest.mark.parametrize("weight", [WeightSpec.polynomial(1.5)])
     def test_submultiplicative(self, weight):
         rng = np.random.default_rng(5)
         xi = rng.standard_normal((1000, 2)) * 8
@@ -101,8 +77,6 @@ class TestWeightSpec:
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             WeightSpec.polynomial(-1.0)
-        with pytest.raises(ValueError):
-            WeightSpec.subexponential(1.0, 1.0)
 
 
 class TestMollifiedCutoff:
@@ -209,12 +183,6 @@ class TestNorms:
     def test_barron_norm_s0_is_l1(self):
         fs = fourier_sum(1, 1.0, (0.0,), {(2,): 3j, (-7,): -4.0})
         assert barron_norm(fs, WeightSpec.polynomial(0.0)) == pytest.approx(7.0)
-
-    def test_barron_norm_subexponential_weight(self):
-        fs = fourier_sum(1, 1.0, (0.0,), {(2,): 1.0, (-3,): 0.5})
-        w = WeightSpec.subexponential(0.5, 0.5)
-        want = math.exp(0.5 * math.sqrt(2.0)) + 0.5 * math.exp(0.5 * math.sqrt(3.0))
-        assert barron_norm(fs, w) == pytest.approx(want, rel=1e-12)
 
     def test_hm_norm_single_mode_l2(self):
         fs = fourier_sum(1, 1.0, (0.0,), {(0,): 1.0})

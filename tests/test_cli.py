@@ -264,6 +264,34 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"decay rate alpha must be a positive finite number, got {float(alpha)}" in err
 
+    def test_gap_units_above_the_quadrature_nodes_are_usage_error(self, capsys):
+        # Exited 2 with NumPy's "operands could not be broadcast together".
+        code, out, err = run_cli(capsys, "example1-gap", "--omega0-grid", "8", "--units", "300",
+                                 "--candidates", "4")
+        assert code == 2 and out == ""
+        assert "unit count must lie in [1, 256]" in err and "n_units=300" in err
+        code, out, _ = run_cli(capsys, "example1-gap", "--omega0-grid", "8", "--units", "256",
+                               "--candidates", "4")
+        assert code == 0 and out.startswith("omega0,error,error_times_omega0\n8,")
+
+    @pytest.mark.parametrize("param, named", [
+        ("ell=-1", "ell >= 0, got ell=-1"),
+        ("d=4", "d <= 3, got d=4"),
+    ], ids=["ell", "d"])
+    def test_sobolev_compile_parameter_is_usage_error(self, capsys, param, named):
+        # Both exited 0 as informational with six failed sub-runs.
+        code, out, err = run_cli(capsys, "rates", "--kind", "sobolev-compile",
+                                 "--n-grid", "2:64", "--param", param)
+        assert code == 2 and out == ""
+        assert f"kind sobolev-compile needs {named}" in err
+
+    @pytest.mark.parametrize("k", ["-1", "-2"])
+    def test_negative_witness_power_is_usage_error(self, capsys, k):
+        # -1 printed K = 1.0 for every n and -2 printed K = 0.125, exit 0.
+        code, out, err = run_cli(capsys, "witness", "--k", k)
+        assert code == 2 and out == ""
+        assert f"power k must be a nonnegative integer, got k={k}" in err
+
     @pytest.mark.parametrize("args, named", [
         (("greedy-fourier", "--m", "-1"), "m=-1"),  # IndexError traceback, exit 1
         (("rates", "--kind", "greedy-fourier", "--param", "m=-1"), "m=-1"),  # informational

@@ -49,13 +49,6 @@ class TestOrdering:
         keys = np.array(sel.sorted_keys)
         assert np.all(np.diff(keys) <= 1e-15)
 
-    def test_ell1_prefix_cumulative(self):
-        fs = fourier_sum(1, 1.0, (0.0,), {(0,): 3.0, (1,): 4.0})
-        sel = order_frequencies(fs, 0, 1.0)
-        assert sel.ell1_mass(0) == 0.0
-        assert sel.ell1_mass(2) == pytest.approx(7.0)
-        assert sel.ell1_mass(99) == pytest.approx(7.0)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             order_frequencies(fourier_sum(1, 1.0, (0.0,), {}), 0, 1.0)

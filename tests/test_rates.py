@@ -183,6 +183,17 @@ class TestParameters:
         with pytest.raises(ValueError, match=f"needs {key} >= 0, got {key}={value}"):
             rates.run_experiment(rates.GREEDY_FOURIER, {key: value}, self.GRID)
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("ell", -1, "ell >= 0, got ell=-1"),
+        ("d", 4, "d <= 3, got d=4"),
+    ], ids=["ell", "d"])
+    def test_sobolev_compile_parameter_refused_before_the_sweep(self, monkeypatch,
+                                                                key, value, named):
+        # Both used to exit as informational with every sub-run failed.
+        monkeypatch.setattr(rates.relu_nets, "compile_sobolev_approximant", None)
+        with pytest.raises(ValueError, match=f"kind sobolev-compile needs {named}"):
+            rates.run_experiment(rates.SOBOLEV_COMPILE, {key: value}, self.GRID)
+
     def test_derived_defaults_filled_in(self):
         report = rates.run_experiment(rates.GREEDY_FOURIER, None, self.GRID)
         assert report.config["xi_max"] == 400.0
