@@ -4,8 +4,9 @@
 Usage: python scripts/run_all_experiments.py [OUTDIR] [--seed S]
 
 Writes one JSON report and one CSV sample table per experiment kind into
-OUTDIR (default ./out), plus a one-line verdict summary on stdout.  Output
-is deterministic for a fixed seed.
+OUTDIR (default ./out), plus a one-line verdict summary per run on stdout.
+Files and stdout are deterministic for a fixed seed; each run's wall time
+goes to stderr.
 """
 
 import argparse
@@ -49,8 +50,9 @@ def main() -> int:
         slope = "n/a" if report.fit is None else f"{report.fit.slope:+.3f}"
         print(
             f"{kind:24s} slope={slope:>8s} predicted=-{report.predicted_exponent:.3f} "
-            f"verdict={report.verdict} ({report.seconds:.1f}s)"
+            f"verdict={report.verdict}"
         )
+        print(f"{stem}: {report.seconds:.1f}s", file=sys.stderr)
         if report.verdict == rates.BOUND_VIOLATED:
             worst = 1
     return worst

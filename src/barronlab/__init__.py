@@ -35,6 +35,7 @@ from .greedy_fourier import (
     rate_exponents,
     synthetic_heavy_tail,
     tail_error_hm,
+    tail_errors_hm,
     truncate_top_n,
 )
 from .relu_nets import (

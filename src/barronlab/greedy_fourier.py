@@ -37,16 +37,16 @@ class GreedySelection:
 def order_frequencies(fs: FourierSum, m: float, ks: float) -> GreedySelection:
     """Order the support by decreasing key, ties broken by lattice index.
 
-    The key of mode z is (1 + |z/L|)^(2m - ks) |c_z|.
+    The key of mode z is (1 + |z/L|)^(2m - ks) |c_z|.  The tie rule rests on
+    ``FourierSum.index`` being sorted by lattice index, as ``from_arrays``
+    leaves it: a stable sort on the key alone keeps tied rows in that order.
     """
     if not fs.support_size():
         raise ValueError("cannot order an empty expansion")
     mags = np.abs(fs.values)
     xi_norm = np.linalg.norm(fs.index.astype(float), axis=1) / fs.L
     keys = (1.0 + xi_norm) ** (2.0 * m - ks) * mags
-    # np.lexsort sorts by its last key first: descending key, then the index
-    # columns in order, so ties go to the smallest lattice index.
-    order = np.lexsort(tuple(fs.index.T[::-1]) + (-keys,))
+    order = np.argsort(-keys, kind="stable")
     return GreedySelection(order, keys[order])
 
 
@@ -58,20 +58,31 @@ def truncate_top_n(fs: FourierSum, sel: GreedySelection, n: int) -> FourierSum:
     return from_arrays(fs.d, fs.L, fs.a, fs.index[kept], fs.values[kept])
 
 
+def tail_errors_hm(fs: FourierSum, sel: GreedySelection, m: int):
+    """The function n -> tail_error_hm(fs, sel, n, m) of one greedy sweep.
+
+    Sobolev weights and squared magnitudes are gathered once, in greedy
+    order; each n reads the dot product of their suffixes past n.
+    """
+    w = sobolev_weight(np.asarray(fs.a) + fs.index[sel.order] / fs.L, m)
+    mass = np.abs(fs.values[sel.order]) ** 2
+
+    def error(n: int) -> float:
+        n = max(0, int(n))
+        return math.sqrt(fs.L**fs.d * float(np.dot(w[n:], mass[n:]))) if n < len(mass) else 0.0
+
+    return error
+
+
 def tail_error_hm(fs: FourierSum, sel: GreedySelection, n: int, m: int) -> float:
     """Exact H^m([0, L]^d) error of dropping all but the first n modes.
 
     Orthogonality makes this the square root of
     L^d * sum_{discarded} |c_z|^2 w_m(a + z/L); it is nonincreasing in n and
-    zero once n reaches the support size.
+    zero once n reaches the support size.  One value of the per-sweep
+    ``tail_errors_hm``, which a sweep over many n builds once instead.
     """
-    discarded = sel.order[max(0, int(n)):]
-    if discarded.size == 0:
-        return 0.0
-    eta = np.asarray(fs.a) + fs.index[discarded] / fs.L
-    w = sobolev_weight(eta, m)
-    mass = np.abs(fs.values[discarded]) ** 2
-    return math.sqrt(fs.L**fs.d * float(np.dot(w, mass)))
+    return tail_errors_hm(fs, sel, m)(n)
 
 
 @dataclass(frozen=True)

@@ -166,10 +166,13 @@ def dyadic_blocks(spectrum: FourierSum) -> DyadicDecomposition:
     # xi = mantissa * 2^exponent with mantissa in [0.5, 1), so exponent - 1
     # is floor(log2 xi), exactly.
     level = np.where(xi < 2.0, 0, np.frexp(xi)[1] - 1)
+    # One stable sort by level keeps each block's rows in index order.
+    by_level = np.argsort(level, kind="stable")
+    index, values = spectrum.index[by_level], spectrum.values[by_level]
+    bounds = np.searchsorted(level[by_level], np.arange(int(level.max(initial=0)) + 2))
     blocks = tuple(
-        (k, from_arrays(1, spectrum.L, spectrum.a, spectrum.index[level == k],
-                        spectrum.values[level == k]))
-        for k in range(int(level.max(initial=0)) + 1)
+        (k, from_arrays(1, spectrum.L, spectrum.a, index[lo:hi], values[lo:hi]))
+        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
     )
     return DyadicDecomposition(spectrum, blocks)
 

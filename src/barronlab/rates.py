@@ -112,9 +112,8 @@ def _greedy_fourier(c, grid, seed):
     for key in ("m", "xi_max"):
         if c[key] < 0:
             raise ValueError(f"kind {GREEDY_FOURIER} needs {key} >= 0, got {key}={c[key]}")
-    fs, sel = greedy_spectrum(c, seed)
-    return (0.5 + (c["ks"] - c["m"]) / c["d"],
-            lambda n, _: greedy_fourier.tail_error_hm(fs, sel, n, c["m"]))
+    tail = greedy_fourier.tail_errors_hm(*greedy_spectrum(c, seed), c["m"])
+    return 0.5 + (c["ks"] - c["m"]) / c["d"], lambda n, _: tail(n)
 
 
 def _sobolev_compile(c, grid, seed):

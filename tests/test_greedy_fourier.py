@@ -12,6 +12,7 @@ from barronlab.greedy_fourier import (
     smoothness_threshold,
     synthetic_heavy_tail,
     tail_error_hm,
+    tail_errors_hm,
     truncate_top_n,
 )
 from barronlab.numerics import integrate, loglog_fit, sobolev_weight
@@ -71,6 +72,25 @@ class TestOrdering:
         ref = sorted(range(len(index)), key=lambda i: (-key[i], index[i]))
         assert list(map(tuple, fs.index[sel.order].tolist())) == [index[i] for i in ref]
         assert sel.sorted_keys == pytest.approx([key[i] for i in ref], rel=1e-15)
+
+    @pytest.mark.parametrize("m, ks", [(0, 1.5), (1, 2.0), (0, 0.0)])
+    def test_stable_key_sort_matches_index_lexsort_on_shell_ties(self, m, ks):
+        # Equal |c| on every lattice shell |z|^2 = r, with the four phases
+        # 1, i, -1, -i that keep |c| exact, inserted in shuffled order: whole
+        # shells tie.  The permutation must equal a lexsort on (-key, index).
+        rng = np.random.default_rng(4)
+        box = list(itertools.product(range(-7, 8), repeat=2))
+        phases = (1.0, 1.0j, -1.0, -1.0j)
+        coeffs = {box[i]: phases[i % 4] * (1.0 + sum(t * t for t in box[i])) ** -0.75
+                  for i in rng.permutation(len(box))}
+        fs = fourier_sum(2, 0.5, (0.0, 0.0), coeffs)
+        sel = order_frequencies(fs, m, ks)
+        xi = np.linalg.norm(fs.index.astype(float), axis=1) / fs.L
+        keys = (1.0 + xi) ** (2.0 * m - ks) * np.abs(fs.values)
+        assert len(np.unique(keys)) < len(keys) // 4
+        want = np.lexsort(tuple(fs.index.T[::-1]) + (-keys,))
+        assert np.array_equal(sel.order, want)
+        assert np.array_equal(sel.sorted_keys, keys[want])
 
 
 class TestTruncate:
@@ -152,6 +172,32 @@ class TestTailError:
             eta = np.asarray(fs.a) + np.array(z) / fs.L
             drop = abs(fs.coeffs[z]) ** 2 * sobolev_weight(eta, 1) * fs.L
             assert t_n**2 - t_next**2 == pytest.approx(drop, rel=1e-9)
+
+
+class TestTailSweep:
+    @pytest.mark.parametrize("d, xi_max", [(1, 200.0), (2, 24.0), (3, 10.0)])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_matches_per_n_formula_bitwise(self, d, xi_max, m, seed):
+        # Reference: gather the discarded rows afresh for every n, including
+        # n past the support and n off any multiple of 8.
+        fs = synthetic_heavy_tail(d, 2.0, xi_max, seed)
+        sel = order_frequencies(fs, m, 2.0)
+        tail = tail_errors_hm(fs, sel, m)
+        for n in range(fs.support_size() + 2):
+            discarded = sel.order[n:]
+            want = 0.0
+            if discarded.size:
+                w = sobolev_weight(np.asarray(fs.a) + fs.index[discarded] / fs.L, m)
+                mass = np.abs(fs.values[discarded]) ** 2
+                want = math.sqrt(fs.L**d * float(np.dot(w, mass)))
+            assert tail(n) == want
+            assert tail_error_hm(fs, sel, n, m) == want
+
+    def test_negative_count_reads_the_whole_support(self, heavy_tail):
+        fs, sel = heavy_tail
+        tail = tail_errors_hm(fs, sel, 0)
+        assert tail(-3) == tail(0) == tail_error_hm(fs, sel, -3, 0)
 
 
 class TestRateInvariants:

@@ -246,6 +246,28 @@ class TestDyadic:
                     want += hm_norm_exact(block, 0) ** 2
             assert residual_tail_norm(decomp, from_level) == math.sqrt(want)
 
+    @pytest.mark.parametrize("zs", [
+        [0, 1, -1, 2, -3, 40, -41, 63, 300, -300, 1000],  # levels 2-4, 6, 7 empty
+        [],
+    ], ids=["gaps", "empty"])
+    def test_blocks_match_per_level_masks(self, zs):
+        # Reference: one mask over all rows per level, the level read from
+        # the integer bit length; the blocks must agree row for row.
+        rng = np.random.default_rng(3)
+        coeffs = {(z,): complex(rng.standard_normal(), rng.standard_normal())
+                  for z in rng.permutation(zs).tolist()}
+        fs = fourier_sum(1, 1.0, (0.25,), coeffs)
+        level = np.array([max(0, abs(z).bit_length() - 1) for (z,) in fs.index.tolist()],
+                         dtype=int)
+        decomp = dyadic_blocks(fs)
+        assert [k for k, _ in decomp.blocks] == list(range(level.max(initial=0) + 1))
+        for k, block in decomp.blocks:
+            assert block.a == fs.a and block.L == fs.L
+            assert np.array_equal(block.index, fs.index[level == k])
+            assert np.array_equal(block.values, fs.values[level == k])
+        assert [b.support_size() for _, b in decomp.blocks] == \
+            ([3, 2, 0, 0, 0, 3, 0, 0, 2, 1] if zs else [0])
+
     def test_spectrum_rows_capped(self):
         # 2^21 is the first xi_max whose 2 xi_max + 1 index rows exceed 2^22;
         # xi_max = 1e9 used to end in a 14.9 GiB allocation failure.

@@ -1,11 +1,20 @@
 import importlib.util
 import json
 import pathlib
+import sys
 
 import pytest
 
 from barronlab import rates
 from barronlab.numerics import RateFit
+
+
+def _run_all_experiments_script():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
+    spec = importlib.util.spec_from_file_location("run_all_experiments", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
 class TestGridValidation:
@@ -100,7 +109,7 @@ class TestOtherKinds:
         def broken(*args):
             raise TypeError("broken runner")
 
-        monkeypatch.setattr(rates.greedy_fourier, "tail_error_hm", broken)
+        monkeypatch.setattr(rates.greedy_fourier, "tail_errors_hm", lambda *args: broken)
         with pytest.raises(TypeError, match="broken runner"):
             rates.run_experiment(rates.GREEDY_FOURIER, None,
                                  [2, 4, 8, 16, 32, 64], seed=0)
@@ -179,7 +188,7 @@ class TestParameters:
                                                                  key, value):
         # m = -1 used to exit as informational with every sub-run failed;
         # xi_max = -5 ended in "cannot order an empty expansion".
-        monkeypatch.setattr(rates.greedy_fourier, "tail_error_hm", None)
+        monkeypatch.setattr(rates.greedy_fourier, "tail_errors_hm", None)
         with pytest.raises(ValueError, match=f"needs {key} >= 0, got {key}={value}"):
             rates.run_experiment(rates.GREEDY_FOURIER, {key: value}, self.GRID)
 
@@ -213,14 +222,25 @@ class TestParameters:
 
     def test_run_all_experiments_entries_pass_the_parameter_check(self):
         # Checks the script's RUNS table without running any sweep.
-        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "run_all_experiments.py"
-        spec = importlib.util.spec_from_file_location("run_all_experiments", path)
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
+        script = _run_all_experiments_script()
         assert {kind for kind, _, _ in script.RUNS} == set(rates.EXPERIMENT_KINDS)
         for kind, params, grid in script.RUNS:
             rates.kind_config(kind, params)
             rates._validate_grid(grid)
+
+    def test_run_all_experiments_stdout_is_seeded(self, monkeypatch, capsys, tmp_path):
+        # Each verdict line used to end in the run's wall time, so two seeded
+        # runs could differ in stdout; the time now goes to stderr.
+        script = _run_all_experiments_script()
+        streams = []
+        for outdir in ("first", "second"):
+            monkeypatch.setattr(sys, "argv", ["run_all_experiments.py",
+                                              str(tmp_path / outdir), "--seed", "0"])
+            script.main()
+            streams.append(capsys.readouterr())
+        assert streams[0].out == streams[1].out
+        assert len(streams[0].out.splitlines()) == len(script.RUNS)
+        assert len(streams[0].err.splitlines()) == len(script.RUNS)
 
 
 class TestGreedyFourierDimension:
