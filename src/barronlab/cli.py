@@ -303,15 +303,17 @@ def _cmd_monomial_check(args) -> int:
     if args.k < 1 or args.points < 10:
         raise ValueError(f"monomial-check needs --k >= 1 and --points >= 10, "
                          f"got --k {args.k} --points {args.points}")
+    if args.k > 308:  # x^k at |x| < 10 leaves the float range above 308
+        raise ValueError(f"monomial-check needs --k <= 308, got --k {args.k}")
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
+    deviations = []
     for m in range(1, args.k + 1):
         net = relu_nets.monomial_network_1d(m)
         x = rng.uniform(-10.0, 10.0, size=args.points)
         got = relu_nets.evaluate_network(net, x[:, None])
         want = x**m
         scale = np.maximum(1.0, np.abs(want))
-        worst = max(worst, float(np.max(np.abs(got - want) / scale)))
+        deviations.append(np.max(np.abs(got - want) / scale))
     for d in (2, 3):
         for alpha in relu_nets.multi_indices(d, min(args.k, 4)):
             if sum(alpha) == 0:
@@ -321,7 +323,11 @@ def _cmd_monomial_check(args) -> int:
             got = relu_nets.evaluate_product_sum(expansion, pts)
             want = np.prod(pts ** np.array(alpha), axis=1)
             scale = np.maximum(1.0, np.abs(want))
-            worst = max(worst, float(np.max(np.abs(got - want) / scale)))
+            deviations.append(np.max(np.abs(got - want) / scale))
+    worst = float(np.max(deviations))  # unlike the builtin max, NaN propagates
+    if not math.isfinite(worst):
+        print(f"monomial-check: deviation {worst} is not finite", file=sys.stderr)
+        return 1
     passed = worst <= 1e-10
     payload = {"max_relative_deviation": worst, "pass": bool(passed),
                "k": args.k}
@@ -363,7 +369,7 @@ def _cmd_subsample(args) -> int:
 def _cmd_packing(args) -> int:
     family, report = rates.seeded_packing(args.kind, args.d, args.k, args.n,
                                           args.pairs, args.seed)
-    if report.identity_violation > 1e-9:
+    if not report.identity_violation <= 1e-9:  # also refuses NaN
         print(
             f"identity violation {report.identity_violation:.3e} exceeds 1e-9",
             file=sys.stderr,

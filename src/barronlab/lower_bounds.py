@@ -1,7 +1,7 @@
-"""Witness constructions for approximation barriers: low-pass ridge spectra,
-high-frequency gap probes, dyadic frequency blocks, oscillatory targets with
-growing Sobolev mass, sign-vector packing families, and the tail-mass
-integrals of the arctan-dictionary measure.
+"""Witness constructions for approximation barriers: high-frequency gap
+probes of low-pass exponential ridge atoms, dyadic frequency blocks,
+oscillatory targets with growing Sobolev mass, sign-vector packing
+families, and the tail-mass integrals of the arctan-dictionary measure.
 
 Everything here produces measured quantities and closed-form reference
 values; nothing claims a true infimum over a network class.
@@ -33,18 +33,6 @@ class ConvergenceError(RuntimeError):
 def _check_decay(alpha: float) -> None:
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
-
-
-def exp_ridge_fourier(alpha: float, omega: float, b: float, xi):
-    """Closed-form transform 2 alpha e^{i b xi} / (alpha^2 + (omega xi)^2).
-
-    The spectrum of the two-sided exponential ridge atom concentrates at low
-    frequencies and decays quadratically in |xi|.
-    """
-    _check_decay(alpha)
-    xi, single = as_batch(xi, ndim=0)
-    vals = 2.0 * alpha * np.exp(1j * b * xi) / (alpha**2 + (omega * xi) ** 2)
-    return unbatch(vals, single)
 
 
 @dataclass(frozen=True)
@@ -223,14 +211,23 @@ class OscillatoryWitness:
 
 def oscillatory_witness(n: int, k: int, d: int, m: int) -> OscillatoryWitness:
     """Build the single-mode witness and report its exact Sobolev mass; the
-    power k must be a nonnegative integer."""
+    power k must be a nonnegative integer, K below 2^63 and (2 pi K)^(2m)
+    below 2^1023."""
     if n < 1:
         raise ValueError(f"width must be >= 1, got {n}")
     if k < 0 or int(k) != k:
         raise ValueError(f"power k must be a nonnegative integer, got k={k}")
     if d < 1:
         raise ValueError(f"dimension d must be >= 1, got {d}")
-    K = float(n) ** ((k + 1) / d)
+    # Below 2^64 the power is a finite float; the lattice index is int64.
+    K = float(n) ** ((k + 1) / d) if (k + 1) / d * math.log2(n) < 64 else math.inf
+    if K >= 2.0**63:
+        raise ValueError(f"frequency K = n^((k+1)/d) must be below 2^63, "
+                         f"got n={n}, k={k}, d={d}")
+    # w_m sums m + 1 powers of (2 pi K)^2 >= 39: finite when the top one is below 2^1023.
+    if 2 * m * math.log2(2.0 * math.pi * K) >= 1023:
+        raise ValueError(f"squared-mode weight (2 pi K)^(2m) must be below 2^1023, "
+                         f"got m={m} at K={K:g}")
     z1 = int(math.floor(K))
     offset = K - z1
     a = (offset,) + (0.0,) * (d - 1)
@@ -308,7 +305,8 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
 
     Sign row i has entry j = +1 where bit j of its code is set, else -1.  The
     codes are 0 .. 2^m - 1 for m <= 12, else 4096 distinct codes below 2^m
-    drawn with a seed; m > 16 is refused as beyond desk scale.
+    drawn with a seed; m > 16 is refused as beyond desk scale, and so is a
+    scale at which 2m R^|k_or_s| leaves the float range.
     """
     validate_packing(kind, k_or_s)
     if d < 1:
@@ -319,21 +317,29 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
         s = float(k_or_s)
         k = 0
         m = max(1, int(math.floor(float(n) ** ((d - 1) / d))))
-        R = float(n) ** (1.0 / d)
-        delta = float(n) ** (-1.0 / d)
-        normalization = 1.0 / (math.sqrt(m) * R**s)
+        scale = 1.0 / d
     else:
         k = int(k_or_s)
         s = float(k)
         m = max(1, int(math.floor(float(n) ** (d / (2.0 * d + 2.0 * k + 1.0)))))
-        R = float(n) ** (0.5 + k / d)
-        c0 = math.sqrt(1.0 / (4.0 * k))
-        delta = c0 * (m ** (-1.0 / (d - 1)) if d > 1 and m > 1 else 1.0)
-        normalization = 1.0 / math.sqrt(m)
+        scale = 0.5 + k / d
     if m > 16:
         raise ValueError(
             f"direction count m = {m} exceeds the desk-scale cap 16; lower n"
         )
+    # A pair difference sums 2m relu atoms of size up to R^k, or 2m unit
+    # fourier atoms scaled by R^-s; it and R^s stay finite while 2m R^|s| does.
+    if abs(s) * scale * math.log2(n) + math.log2(2 * m) >= 1024:
+        raise ValueError(f"R^{abs(s):g} with R = n^{scale:g} leaves the float range "
+                         f"at n={n}, k={k_or_s}; lower n or k")
+    R = float(n) ** scale
+    if kind == FOURIER_KIND:
+        delta = float(n) ** (-1.0 / d)
+        normalization = 1.0 / (math.sqrt(m) * R**s)
+    else:
+        c0 = math.sqrt(1.0 / (4.0 * k))
+        delta = c0 * (m ** (-1.0 / (d - 1)) if d > 1 and m > 1 else 1.0)
+        normalization = 1.0 / math.sqrt(m)
     pool = max(8192, 512 * m)
     net = separated_subset(d, delta, candidate_pool=pool, seed=seed)
     if net.size < m:
@@ -430,26 +436,6 @@ def pairwise_separation(family: PackingFamily, pair_budget: int = 64,
 # ----------------------------------------------------------------------
 # tail mass of the arctan-dictionary measure
 # ----------------------------------------------------------------------
-
-def fano_lower_bound(min_separation: float, kl_bound: float,
-                     n_hypotheses: int) -> float:
-    """Multiple-hypothesis lower bound: separation * (1 - (KL + log 2) / log M).
-
-    Pure formula evaluation with user-supplied constants; the separation is
-    the smallest pairwise distance of the hypothesis family, ``kl_bound`` an
-    upper bound on the divergences against the reference, and M the number
-    of hypotheses (M >= 3 so the log factor is meaningful).  Clamped at zero
-    when the divergence term swamps the hypothesis count.
-    """
-    if min_separation < 0:
-        raise ValueError("separation must be nonnegative")
-    if kl_bound < 0:
-        raise ValueError("divergence bound must be nonnegative")
-    if n_hypotheses < 3:
-        raise ValueError("need at least 3 hypotheses")
-    factor = 1.0 - (kl_bound + math.log(2.0)) / math.log(n_hypotheses)
-    return min_separation * max(0.0, factor)
-
 
 @dataclass(frozen=True)
 class TailMassReport:

@@ -1,5 +1,5 @@
-"""Dictionary-measure truncation and empirical subsampling of convex
-combinations, with Hoeffding-style concentration certificates.
+"""Empirical subsampling of convex combinations, with Hoeffding-style
+concentration certificates.
 
 The subsampler realizes "a good subset exists" constructively: it draws
 independent uniform multisets with replacement, keeps the one whose
@@ -11,68 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
-
-from .numerics import read_only
-
-
-@dataclass(frozen=True, eq=False)
-class AtomicMeasure:
-    """Finite signed combination of dictionary atoms (omega, b): atom i is row i
-    of the read-only arrays ``directions`` (N, d), ``biases`` (N,) and ``masses`` (N,)."""
-
-    directions: np.ndarray
-    biases: np.ndarray
-    masses: np.ndarray
-
-    @property
-    def total_variation(self) -> float:
-        return float(np.abs(self.masses).sum())
-
-
-def atomic_measure(entries: Sequence[tuple]) -> AtomicMeasure:
-    """Measure from (direction, bias, mass) triples; errors name the first atom
-    whose direction is not a unit vector of the first atom's dimension."""
-    entries = list(entries)
-    rows = [np.atleast_1d(np.asarray(omega, dtype=float)) for omega, _, _ in entries]
-    d = len(rows[0]) if rows else 0
-    for i, omega in enumerate(rows):
-        if omega.shape != (d,):
-            raise ValueError(f"atom {i} has direction shape {omega.shape}, expected ({d},)")
-        if abs(np.linalg.norm(omega) - 1.0) > 1e-12:
-            raise ValueError(f"atom {i} direction must be a unit vector")
-    return AtomicMeasure(*read_only(np.array(rows).reshape(len(rows), d),
-                                    np.array([float(e[1]) for e in entries]),
-                                    np.array([float(e[2]) for e in entries])))
-
-
-def truncate_dictionary_measure(mu: AtomicMeasure, eps: float,
-                                domain_bound: float, k: int
-                                ) -> tuple[float, AtomicMeasure]:
-    """Smallest bias cap whose discarded atoms cost less than eps in sup norm.
-
-    On a domain with |omega . x| <= domain_bound, a discarded atom at bias b
-    contributes at most (|b| + domain_bound)^k |mass| to the sup norm.  The
-    cap is the smallest value c from {0} union {|b_i|} such that the atoms
-    with |b| > c have total weighted contribution below eps; atoms at or
-    under the cap are kept.  The contributions are summed per distinct cap
-    and suffix-summed, so the rule costs O(N log N).  Requires total
-    variation <= 1 (unit-ball setting) and eps > 0.
-    """
-    if eps <= 0:
-        raise ValueError(f"tolerance must be positive, got {eps}")
-    if mu.total_variation > 1.0 + 1e-12:
-        raise ValueError("truncation assumes a unit-ball measure (|mu| <= 1)")
-    size = np.abs(mu.biases)
-    caps, slot = np.unique(np.append(size, 0.0), return_inverse=True)
-    cost = np.bincount(slot[:-1], (size + domain_bound) ** k * np.abs(mu.masses), len(caps))
-    # tail[c] sums the costs of the caps above c; the largest cap's tail is 0 < eps.
-    tail = np.append(np.cumsum(cost[:0:-1])[::-1], 0.0)
-    cap = float(caps[np.argmax(tail < eps)])
-    kept = size <= cap
-    return cap, AtomicMeasure(*read_only(mu.directions[kept], mu.biases[kept], mu.masses[kept]))
 
 
 def hoeffding_delta(n: int, coeff_bound: float, n_monomials: int,

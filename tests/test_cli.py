@@ -1,11 +1,14 @@
 import csv
 import io
 import json
+import math
 import pathlib
 import re
 import shlex
 import types
+import warnings
 
+import numpy as np
 import pytest
 
 from barronlab import cli, rates, relu_nets, sphere_geom
@@ -191,6 +194,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "--k >= 1 and --points >= 10" in err
 
+    def test_monomial_power_beyond_the_float_range_is_usage_error(self, capsys):
+        # x^309 overflows at |x| near 10; --k 309 printed "pass": true with exit 0.
+        code, out, err = run_cli(capsys, "monomial-check", "--k", "309")
+        assert code == 2 and out == ""
+        assert "monomial-check needs --k <= 308, got --k 309" in err
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, _ = run_cli(capsys, "monomial-check", "--k", "308", "--points", "10")
+        assert code == 0 and json.loads(out)["pass"] is True
+
     @pytest.mark.parametrize("args", [
         ("subsample", "--restarts", "0"),
         ("rates", "--kind", "subsample-concentration", "--param", "restarts=0",
@@ -246,6 +259,23 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"packing budget n must be >= 1, got n={args[-1]}" in err
 
+    @pytest.mark.parametrize("args, named", [
+        (("--kind", "fourier", "--k", "1000"), "R^1000 with R = n^0.5"),  # OverflowError
+        (("--kind", "relu", "--k", "400"), "R^400 with R = n^200.5"),  # printed inf,inf,nan rows
+    ])
+    def test_packing_scale_beyond_the_float_range_is_usage_error(self, capsys, args, named):
+        code, out, err = run_cli(capsys, "packing", *args)
+        assert code == 2 and out == ""
+        assert f"{named} leaves the float range at n=32, k={float(args[-1])}" in err
+
+    def test_packing_separation_records_scales_beyond_the_float_range(self, capsys):
+        # Ended in an OverflowError traceback.
+        code, out, _ = run_cli(capsys, "rates", "--kind", "packing-separation",
+                               "--param", "k_or_s=1000")
+        report = json.loads(out)
+        assert code == 0 and report["verdict"] == rates.INFORMATIONAL
+        assert "n=256: R^1000 with R = n^0.5 leaves the float range" in report["failures"][-1]
+
     @pytest.mark.parametrize("args", [
         ("dyadic", "--xi-max", "-5"),  # printed an all-zero level-0 row, exit 0
         ("rates", "--kind", "dyadic-residual", "--param", "xi_max=-5"),  # informational
@@ -293,6 +323,17 @@ class TestExitCodes:
         assert f"power k must be a nonnegative integer, got k={k}" in err
 
     @pytest.mark.parametrize("args, named", [
+        (("--n", "8", "--k", "400"), "K = n^((k+1)/d) must be below 2^63, got n=8, k=400"),
+        (("--n", "100000", "--k", "60"), "below 2^63, got n=100000, k=60"),  # int64 overflow
+        (("--n", "8", "--m", "200"), "(2 pi K)^(2m) must be below 2^1023, got m=200"),
+        (("--n", "8", "--m", "100"), "got m=100 at K=64"),  # printed "hm_norm": Infinity
+    ])
+    def test_witness_beyond_the_number_range_is_usage_error(self, capsys, args, named):
+        code, out, err = run_cli(capsys, "witness", *args)
+        assert code == 2 and out == ""
+        assert named in err
+
+    @pytest.mark.parametrize("args, named", [
         (("greedy-fourier", "--m", "-1"), "m=-1"),  # IndexError traceback, exit 1
         (("rates", "--kind", "greedy-fourier", "--param", "m=-1"), "m=-1"),  # informational
         (("greedy-fourier", "--xi-max", "-5"), "xi_max=-5.0"),  # "empty expansion"
@@ -327,11 +368,20 @@ class TestExitCodes:
         assert "bad grid bounds in '8:4'" in err or "bad --param 'xi_max'" in err
 
     def test_packing_identity_violation_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(rates, "seeded_packing",
-                            lambda *args: (None, types.SimpleNamespace(identity_violation=2e-9)))
-        code, out, err = run_cli(capsys, "packing")
+        # NaN passed the check and printed its rows with exit 0.
+        for violation, shown in ((2e-9, "2.000e-09"), (math.nan, "nan")):
+            report = types.SimpleNamespace(identity_violation=violation)
+            monkeypatch.setattr(rates, "seeded_packing", lambda *args: (None, report))
+            code, out, err = run_cli(capsys, "packing")
+            assert code == 1 and out == ""
+            assert f"identity violation {shown} exceeds 1e-9" in err
+
+    def test_monomial_check_non_finite_deviation_exits_one(self, capsys, monkeypatch):
+        # The builtin max dropped NaN deviations and printed "pass": true.
+        monkeypatch.setattr(relu_nets, "evaluate_network", lambda net, x: np.full(len(x), np.nan))
+        code, out, err = run_cli(capsys, "monomial-check", "--k", "2")
         assert code == 1 and out == ""
-        assert "identity violation 2.000e-09 exceeds 1e-9" in err
+        assert "monomial-check: deviation nan is not finite" in err
 
     def test_monomial_check_green(self, capsys):
         code, out, _ = run_cli(capsys, "monomial-check", "--k", "4")

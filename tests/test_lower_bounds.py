@@ -11,8 +11,6 @@ from barronlab.lower_bounds import (
     decaying_spectrum,
     dyadic_blocks,
     example2_tail_mass,
-    exp_ridge_fourier,
-    fano_lower_bound,
     highfreq_gap,
     oscillatory_witness,
     pairwise_separation,
@@ -22,34 +20,6 @@ from barronlab.lower_bounds import (
 )
 from barronlab.numerics import axis_rule, tensor_nodes
 from barronlab.relu_nets import sigma_k
-
-
-class TestExpRidgeFourier:
-    def test_value_at_zero(self):
-        assert exp_ridge_fourier(0.5, 1.0, 0.0, 0.0) == pytest.approx(4.0)
-
-    def test_quadratic_decay(self):
-        for xi in (64.0, 256.0):
-            ratio = abs(exp_ridge_fourier(1.0, 1.0, 0.0, 2 * xi)) / abs(
-                exp_ridge_fourier(1.0, 1.0, 0.0, xi)
-            )
-            assert ratio == pytest.approx(0.25, rel=1e-3)
-
-    def test_matches_quadrature_transform(self):
-        x = np.linspace(-40, 40, 400001)
-        for xi in (0.5, 1.0, 2.0):
-            oracle = np.trapezoid(np.exp(-np.abs(x)) * np.exp(-1j * xi * x), x)
-            assert exp_ridge_fourier(1.0, 1.0, 0.0, xi) == pytest.approx(
-                oracle, abs=1e-4
-            )
-
-    def test_phase_factor(self):
-        got = exp_ridge_fourier(1.0, 1.0, 2.0, 3.0)
-        assert got == pytest.approx(2.0 * np.exp(6j) / (1 + 9), rel=1e-12)
-
-    def test_decay_rate_validated(self):
-        with pytest.raises(ValueError):
-            exp_ridge_fourier(0.0, 1.0, 0.0, 1.0)
 
 
 class TestHighFreqGap:
@@ -135,8 +105,6 @@ class TestHighFreqGap:
         # -500 gave nan errors; 0 and -1 gave numbers for atoms that do not decay.
         with pytest.raises(ValueError, match="decay rate alpha must be a positive finite"):
             highfreq_gap(alpha, 8.0, 4, 32)
-        with pytest.raises(ValueError, match="decay rate alpha must be a positive finite"):
-            exp_ridge_fourier(alpha, 1.0, 0.0, 1.0)
 
     def test_unit_count_capped_at_the_quadrature_nodes(self):
         # 300 units ended in NumPy's "operands could not be broadcast".
@@ -524,27 +492,6 @@ class TestBatchedWitnessExact:
         report = pairwise_separation(relu_family, pair_budget=4, seed=1)
         for array in (report.i, report.j, report.distance, report.main_term, report.cross_term):
             assert not array.flags.writeable and array.shape == (4,)
-
-
-class TestFanoBound:
-    def test_formula_evaluation(self):
-        # separation * (1 - (kl + log 2) / log M) by hand
-        got = fano_lower_bound(2.0, 0.5, 100)
-        want = 2.0 * (1.0 - (0.5 + math.log(2.0)) / math.log(100))
-        assert got == pytest.approx(want, rel=1e-15)
-
-    def test_clamped_when_divergence_dominates(self):
-        assert fano_lower_bound(5.0, 50.0, 4) == 0.0
-
-    def test_grows_with_hypothesis_count(self):
-        values = [fano_lower_bound(1.0, 1.0, m) for m in (8, 64, 4096)]
-        assert all(b > a for a, b in zip(values, values[1:]))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            fano_lower_bound(-1.0, 0.1, 10)
-        with pytest.raises(ValueError):
-            fano_lower_bound(1.0, 0.1, 2)
 
 
 class TestTailMass:
