@@ -253,15 +253,16 @@ def _cmd_greedy_fourier(args) -> int:
     if args.format == "json":
         _emit(rates.report_to_json(report) + "\n", args.output)
     else:
-        _, sel = rates.greedy_spectrum(report.config, args.seed)
+        cfg = report.config
+        _, key_of = greedy_fourier.heavy_tail_sweep(cfg["d"], cfg["ks"], cfg["m"],
+                                                     cfg["xi_max"], args.seed)
         n0, e0 = report.samples[0]
         c_fit = e0 * n0 ** report.predicted_exponent
         buf = io.StringIO()
         buf.write("n,error,bound,key_of_last_kept\n")
         for n, err in report.samples:
             bound = c_fit * n ** (-report.predicted_exponent)
-            key = sel.sorted_keys[min(n, len(sel.sorted_keys)) - 1]
-            buf.write(f"{n},{_fmt(err)},{_fmt(bound)},{_fmt(key)}\n")
+            buf.write(f"{n},{_fmt(err)},{_fmt(bound)},{_fmt(key_of(n))}\n")
         _emit(buf.getvalue(), args.output)
     print(f"verdict: {report.verdict} (slope fit in {report.seconds:.2f}s)",
           file=sys.stderr)

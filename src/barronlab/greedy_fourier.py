@@ -3,8 +3,11 @@
 Frequencies are ordered by the dictionary-weighted coefficient size
 (1 + |xi|)^(2m - ks) |c_xi| and the top n are kept; because lattice modes are
 orthogonal on the period cell, the H^m truncation error is exactly the
-weighted l2 mass of the discarded tail.  The module also collects the
-closed-form rate exponents used by the experiment harness.
+weighted l2 mass of the discarded tail.  For the synthetic heavy-tail
+spectrum with a radial weight that mass depends only on the lattice shells
+|z|^2 = k, so its sweeps count modes per shell instead of building them.
+The module also collects the closed-form rate exponents used by the
+experiment harness.
 """
 
 from __future__ import annotations
@@ -14,11 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barron import FourierSum, from_arrays
+from .barron import COEFF_DROP_RELATIVE, FourierSum, from_arrays
 from .numerics import grid_rows, sobolev_weight
 
 # Largest lattice box synthetic_heavy_tail builds: 2^22 index rows, ~100 MB at d=3.
 MAX_BOX_ROWS = 2**22
+# Largest lattice-shell table heavy_tail_sweep builds: 2^21 rows, ~145 MB of FFT arrays.
+MAX_SHELL_ROWS = 2**21
+# Key exponents closer to 0 than this are ties: far above their rounding error.
+KEY_TIE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,6 +124,8 @@ def rate_exponents(s: float, m: float, k: float, d: int) -> ExponentTable:
     capped at k - m + 1, reached exactly at ``smoothness_threshold``.
     ``uniform_entropy_exponent`` is 1/2 + (2k + 1)/(2d),
     ``sobolev_exponent`` s/d, and ``width_barrier_exponent`` (k + 1) - m.
+    Inputs at which any of them leaves the float range are a ``ValueError``
+    naming the inputs and the exponents.
     """
     if d < 1:
         raise ValueError(f"dimension must be >= 1, got {d}")
@@ -132,7 +141,7 @@ def rate_exponents(s: float, m: float, k: float, d: int) -> ExponentTable:
     else:
         t = k - m + 1.0
         q = 1.0 + (k - m + 0.5)
-    return ExponentTable(
+    table = ExponentTable(
         greedy_fourier_exponent=0.5 + (k * s - m) / d,
         relu_rate_exponent=t,
         relu_log_power=q,
@@ -141,6 +150,11 @@ def rate_exponents(s: float, m: float, k: float, d: int) -> ExponentTable:
         sobolev_exponent=s / d,
         width_barrier_exponent=(k + 1.0) - m,
     )
+    overflowed = [name for name, value in vars(table).items() if not math.isfinite(value)]
+    if overflowed:
+        raise ValueError(f"closed forms at s={s}, m={m}, k={k}, d={d} leave the float range: "
+                         f"{', '.join(overflowed)}")
+    return table
 
 
 def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int) -> FourierSum:
@@ -168,3 +182,96 @@ def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int) -> Fourier
     phase = np.exp(2j * np.pi * rng.random(len(index)))
     values = phase * (1.0 + radius / L) ** (-(ks + d + 0.1))
     return from_arrays(d, L, (0.0,) * d, index, values)
+
+
+def lattice_shell_counts(d: int, z_max: int) -> np.ndarray:
+    """r_d(k), the number of z in Z^d with |z|^2 = k, for 0 <= k < (z_max + 1)^2.
+
+    The theta series theta(q)^d truncated at that k (Grosswald,
+    *Representations of Integers as Sums of Squares*, 1985), from d - 1 FFT
+    convolutions with r_1, each truncated and rounded to integers; one
+    power of the transform would alias.  Counts that float64 cannot carry
+    exactly (a rounding gap above 1/4, or 2^53 modes or more) are a
+    ``ValueError``.
+    """
+    rows = (z_max + 1) ** 2
+    counts = np.zeros(rows)
+    counts[np.arange(z_max + 1) ** 2] = 2.0
+    counts[0] = 1.0
+    size = 1 << (2 * rows - 1).bit_length()
+    r1_hat = np.fft.rfft(counts, size)
+    for _ in range(d - 1):
+        spectrum = np.fft.rfft(counts, size)
+        spectrum *= r1_hat
+        raw = np.fft.irfft(spectrum, size)[:rows]
+        counts = np.rint(raw)
+        if not (np.abs(raw - counts).max() <= 0.25 and counts.sum() < 2.0**53):
+            raise ValueError(f"lattice-shell counts at d={d} up to |z|^2 < {rows} are not "
+                             "exact in float64; lower xi_max")
+    return counts.astype(np.int64)
+
+
+def heavy_tail_sweep(d: int, ks: float, m: int, xi_max: float, seed: int):
+    """The pair (error, key) of one greedy sweep over ``synthetic_heavy_tail``.
+
+    ``error(n)`` is ``tail_error_hm`` at n of the spectrum's order-m greedy
+    selection, and ``key(n)``, for n >= 1, the key of the n-th kept mode,
+    or of the last mode once n passes the support.
+
+    Where w_m is radial (d = 1 or m <= 1) and the key exponent
+    2m - 2ks - d - 0.1 is negative, the greedy order keeps whole lattice
+    shells |z|^2 = k in ascending k, so both functions come from the shells
+    and no mode is built; the seed does not enter.  Each shell carries its
+    count, its modes' common |c_z|, w_m at (|z|/L, 0, ..., 0) and the drop
+    rule of ``from_arrays``; the one partly kept shell is charged its
+    remaining count times its per-mode mass.  The shell table has
+    floor(xi_max L) + 1 rows at d = 1 (one per square) and
+    (floor(xi_max L) + 1)^2 above, capped at ``MAX_SHELL_ROWS``.
+
+    Elsewhere both come from the box spectrum and its
+    ``order_frequencies``.  That includes exponents within
+    ``KEY_TIE_MARGIN`` of 0: rounding can leave the tie
+    ks = m - (d + 0.1)/2 just below 0 (at d = 4, for one), and tied keys
+    keep the box's lattice-index order.
+    """
+    if not ((d == 1 or m <= 1) and 2.0 * m - 2.0 * ks - d - 0.1 < -KEY_TIE_MARGIN):
+        fs = synthetic_heavy_tail(d, ks, xi_max, seed)
+        sel = order_frequencies(fs, m, ks)
+        keys = sel.sorted_keys
+        return tail_errors_hm(fs, sel, m), lambda n: float(keys[min(n, len(keys)) - 1])
+    L = 0.5
+    z_max = int(math.floor(xi_max * L))
+    rows = z_max + 1 if d == 1 else (z_max + 1) ** 2
+    if d < 1 or rows > MAX_SHELL_ROWS:
+        raise ValueError(f"need d >= 1 and at most {MAX_SHELL_ROWS} lattice-shell rows, got "
+                         f"d={d} and {rows} rows at xi_max={xi_max}; lower xi_max")
+    if d == 1:
+        sq = np.arange(z_max + 1) ** 2
+        counts = np.where(sq == 0, 1, 2)
+    else:
+        counts = lattice_shell_counts(d, z_max)
+        sq = np.arange(rows)
+    radius = np.sqrt(sq)
+    inside = (radius <= xi_max * L) & (counts > 0)
+    counts, radius = counts[inside], radius[inside]
+    mags = (1.0 + radius / L) ** (-(ks + d + 0.1))
+    keep = (mags >= COEFF_DROP_RELATIVE * mags.max()) & (mags > 0.0)
+    counts, radius, mags = counts[keep], radius[keep], mags[keep]
+    keys = (1.0 + radius / L) ** (2.0 * m - ks) * mags
+    eta = np.zeros((len(radius), d))
+    eta[:, 0] = radius / L
+    mode_mass = sobolev_weight(eta, m) * mags**2
+    ends = np.cumsum(counts)
+    suffix = np.append(np.cumsum((counts * mode_mass)[::-1])[::-1], 0.0)
+
+    def error(n: int) -> float:
+        n = max(0, int(n))
+        if n >= ends[-1]:
+            return 0.0
+        j = int(np.searchsorted(ends, n, side="right"))
+        return math.sqrt(L**d * float((ends[j] - n) * mode_mass[j] + suffix[j + 1]))
+
+    def key(n: int) -> float:
+        return float(keys[np.searchsorted(ends, min(n, ends[-1]) - 1, side="right")])
+
+    return error, key

@@ -70,14 +70,6 @@ def _validate_grid(n_grid: Sequence[int]) -> list[int]:
     return grid
 
 
-def greedy_spectrum(config: dict, seed: int):
-    """The heavy-tail spectrum of ``config`` (d, ks, xi_max) and its greedy
-    selection at order m; the greedy-fourier CSV reuses it."""
-    fs = greedy_fourier.synthetic_heavy_tail(config["d"], config["ks"],
-                                             config["xi_max"], seed)
-    return fs, greedy_fourier.order_frequencies(fs, config["m"], config["ks"])
-
-
 def sine_target(cycles: float):
     """The smooth target sin(2 pi cycles x_1) on point batches (N, d)."""
     return lambda pts: np.sin(2.0 * np.pi * cycles * np.asarray(pts)[:, 0])
@@ -112,7 +104,7 @@ def _greedy_fourier(c, grid, seed):
     for key in ("m", "xi_max"):
         if c[key] < 0:
             raise ValueError(f"kind {GREEDY_FOURIER} needs {key} >= 0, got {key}={c[key]}")
-    tail = greedy_fourier.tail_errors_hm(*greedy_spectrum(c, seed), c["m"])
+    tail, _ = greedy_fourier.heavy_tail_sweep(c["d"], c["ks"], c["m"], c["xi_max"], seed)
     return 0.5 + (c["ks"] - c["m"]) / c["d"], lambda n, _: tail(n)
 
 

@@ -239,6 +239,25 @@ class TestExitCodes:
         assert "xi_max = 2097152.0 needs 4194305 index rows" in err
 
     @pytest.mark.parametrize("args", [
+        ("greedy-fourier", "--d", "2", "--xi-max", "1e5"),
+        ("rates", "--kind", "greedy-fourier", "--param", "d=2", "--param", "xi_max=1e5"),
+    ])
+    def test_oversized_shell_table_is_usage_error(self, capsys, args):
+        # 50001^2 lattice-shell rows, refused before any allocation.
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "at most 2097152 lattice-shell rows" in err
+        assert "2500100001 rows at xi_max=100000.0" in err
+
+    def test_exponents_beyond_the_float_range_are_usage_error(self, capsys):
+        # Printed "greedy_fourier_exponent": Infinity, which is not JSON, with exit 0.
+        code, out, err = run_cli(capsys, "exponents", "--d", "2", "--s", "1e308",
+                                 "--k", "1e308")
+        assert code == 2 and out == ""
+        assert "s=1e+308, m=0.0, k=1e+308, d=2 leave the float range" in err
+        assert "greedy_fourier_exponent, relu_rate_exponent, smoothness_threshold" in err
+
+    @pytest.mark.parametrize("args", [
         ("subsample", "--M", "0"),
         ("rates", "--kind", "subsample-concentration", "--param", "M=0",
          "--n-grid", "4:128"),

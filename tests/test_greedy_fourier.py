@@ -7,6 +7,8 @@ import pytest
 from barronlab.barron import WeightSpec, barron_norm, evaluate_sum, fourier_sum
 from barronlab.greedy_fourier import (
     MAX_BOX_ROWS,
+    heavy_tail_sweep,
+    lattice_shell_counts,
     order_frequencies,
     rate_exponents,
     smoothness_threshold,
@@ -15,7 +17,7 @@ from barronlab.greedy_fourier import (
     tail_errors_hm,
     truncate_top_n,
 )
-from barronlab.numerics import integrate, loglog_fit, sobolev_weight
+from barronlab.numerics import grid_rows, integrate, loglog_fit, sobolev_weight
 
 
 @pytest.fixture(scope="module")
@@ -198,6 +200,94 @@ class TestTailSweep:
         fs, sel = heavy_tail
         tail = tail_errors_hm(fs, sel, 0)
         assert tail(-3) == tail(0) == tail_error_hm(fs, sel, -3, 0)
+
+
+class TestShellSweep:
+    @staticmethod
+    def box(d, ks, m, xi_max, seed=0):
+        fs = synthetic_heavy_tail(d, ks, xi_max, seed)
+        sel = order_frequencies(fs, m, ks)
+        return fs, sel, tail_errors_hm(fs, sel, m)
+
+    @pytest.mark.parametrize("d, xi_max", [(1, 200.0), (2, 40.0), (3, 16.0), (4, 10.0)])
+    @pytest.mark.parametrize("ks, m", [(2.0, 0), (3.0, 1)])
+    def test_matches_box_oracle(self, d, xi_max, ks, m):
+        fs, sel, tail = self.box(d, ks, m, xi_max)
+        error, key = heavy_tail_sweep(d, ks, m, xi_max, seed=0)
+        size = fs.support_size()
+        radius = np.linalg.norm(fs.index[sel.order], axis=1)
+        split = np.flatnonzero(radius[1:] == radius[:-1]) + 1  # modes n - 1, n share a shell
+        for n in (0, 1, int(split[len(split) // 2]), size - 1):
+            assert error(n) == pytest.approx(tail(n), rel=1e-12, abs=0.0)
+        for n in (1, int(split[len(split) // 2]), size - 1, size):
+            assert key(n) == pytest.approx(sel.sorted_keys[n - 1], rel=1e-12, abs=0.0)
+        assert key(size + 5) == pytest.approx(sel.sorted_keys[-1], rel=1e-12, abs=0.0)
+        assert error(size - 1) > 0.0
+        assert error(size) == error(size + 5) == tail(size + 5) == 0.0
+
+    def test_drop_rule_applied_per_shell(self):
+        # |c_z| falls below 1e-14 of the peak from |z| = 16,410 on: without
+        # from_arrays' drop rule the tail error is off by 7.4e-9 relative at
+        # n = 1024 and by a factor 79 at the last kept mode.
+        fs, sel, tail = self.box(1, 2.0, 0, 1e5)
+        error, _ = heavy_tail_sweep(1, 2.0, 0, 1e5, seed=0)
+        size = fs.support_size()
+        assert size < 100_001
+        for n in (0, 1, 2, 64, 1024, size // 2, size - 1):
+            assert error(n) == pytest.approx(tail(n), rel=1e-12, abs=0.0)
+        assert error(size) == 0.0
+
+    @pytest.mark.parametrize("d, z_max", [(2, 7), (3, 5), (4, 3), (6, 2)])
+    def test_counts_match_box_enumeration(self, d, z_max):
+        counts = lattice_shell_counts(d, z_max)
+        box = grid_rows(np.arange(-z_max, z_max + 1), d)
+        norms_sq = np.sum(box**2, axis=1)
+        want = np.bincount(norms_sq, minlength=len(counts))[:len(counts)]
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, want)
+        # Summed over the disc |z| <= z_max: the support of the box spectrum.
+        assert counts[:z_max**2 + 1].sum() == synthetic_heavy_tail(d, 2.0, 2.0 * z_max,
+                                                                   seed=0).support_size()
+
+    def test_counts_that_float64_cannot_carry_are_refused(self):
+        with pytest.raises(ValueError, match="not exact in float64; lower xi_max"):
+            lattice_shell_counts(8, 200)
+
+    @pytest.mark.parametrize("d, ks, m, xi_max", [
+        (2, 2.0, 2, 24.0),  # w_2 is not radial at d = 2
+        (1, -0.55, 0, 200.0),  # key ties: ks = m - (d + 0.1)/2
+        (2, 1.0 - 2.1 / 2.0, 1, 24.0),
+        (4, 1.0 - 4.1 / 2.0, 1, 8.0),  # the tie's exponent rounds to -3.6e-16
+    ])
+    def test_other_cases_take_the_box_path_bitwise(self, d, ks, m, xi_max):
+        fs, sel, tail = self.box(d, ks, m, xi_max, seed=3)
+        error, key = heavy_tail_sweep(d, ks, m, xi_max, seed=3)
+        for n in range(fs.support_size() + 2):
+            assert error(n) == tail(n)
+        for n in range(1, fs.support_size() + 2):
+            assert key(n) == sel.sorted_keys[min(n, fs.support_size()) - 1]
+
+    def test_shell_path_ignores_the_seed(self):
+        first, _ = heavy_tail_sweep(3, 2.0, 1, 400.0, seed=0)
+        second, _ = heavy_tail_sweep(3, 2.0, 1, 400.0, seed=9)
+        assert [first(n) for n in (0, 7, 4096)] == [second(n) for n in (0, 7, 4096)]
+
+    @pytest.mark.parametrize("d, xi_max, rows", [
+        (2, 1e5, 2500100001),  # the box refuses xi_max >= 2048 here
+        (1, 2.0**22, 2097153),  # the box refuses it too: 2^22 + 1 rows
+    ])
+    def test_shell_table_capped(self, d, xi_max, rows):
+        with pytest.raises(ValueError, match=f"lattice-shell rows, got d={d} and {rows} rows "
+                                              f"at xi_max={xi_max}; lower xi_max"):
+            heavy_tail_sweep(d, 2.0, 0, xi_max, seed=0)
+
+    @pytest.mark.parametrize("d, xi_max", [(1, 2.0**22 - 1.0), (2, 2047.0)])
+    def test_shell_cap_accepts_the_largest_box(self, d, xi_max):
+        # z_max = 2^21 - 1 and 1023: the largest boxes under MAX_BOX_ROWS.
+        with pytest.raises(ValueError, match="lattice box rows"):
+            synthetic_heavy_tail(d, 2.0, xi_max + 1.0, seed=0)
+        error, _ = heavy_tail_sweep(d, 2.0, 0, xi_max, seed=0)
+        assert error(0) > error(1000) > 0.0
 
 
 class TestRateInvariants:

@@ -109,7 +109,8 @@ class TestOtherKinds:
         def broken(*args):
             raise TypeError("broken runner")
 
-        monkeypatch.setattr(rates.greedy_fourier, "tail_errors_hm", lambda *args: broken)
+        monkeypatch.setattr(rates.greedy_fourier, "heavy_tail_sweep",
+                            lambda *args: (broken, None))
         with pytest.raises(TypeError, match="broken runner"):
             rates.run_experiment(rates.GREEDY_FOURIER, None,
                                  [2, 4, 8, 16, 32, 64], seed=0)
@@ -188,7 +189,7 @@ class TestParameters:
                                                                  key, value):
         # m = -1 used to exit as informational with every sub-run failed;
         # xi_max = -5 ended in "cannot order an empty expansion".
-        monkeypatch.setattr(rates.greedy_fourier, "tail_errors_hm", None)
+        monkeypatch.setattr(rates.greedy_fourier, "heavy_tail_sweep", None)
         with pytest.raises(ValueError, match=f"needs {key} >= 0, got {key}={value}"):
             rates.run_experiment(rates.GREEDY_FOURIER, {key: value}, self.GRID)
 
@@ -256,8 +257,18 @@ class TestGreedyFourierDimension:
         assert report.verdict == rates.BOUND_SATISFIED
 
     def test_default_xi_max_refused_at_three_dimensions(self):
+        # m = 2 is not radial at d = 3, so the sweep takes the 401^3-row box.
         with pytest.raises(ValueError, match="64481201 rows"):
-            rates.run_experiment(rates.GREEDY_FOURIER, {"d": 3}, [2, 4, 8, 16, 32, 64])
+            rates.run_experiment(rates.GREEDY_FOURIER, {"d": 3, "m": 2},
+                                 [2, 4, 8, 16, 32, 64])
+
+    def test_default_xi_max_runs_at_three_dimensions_from_shells(self):
+        # Refused as a 401^3-row box before the shell path: 201^2 shell rows.
+        report = rates.run_experiment(rates.GREEDY_FOURIER, {"d": 3},
+                                      [2, 4, 8, 16, 32, 64])
+        assert report.config["xi_max"] == 400.0
+        assert not report.failures and report.fit is not None
+        assert all(e > 0 for _, e in report.samples)
 
 
 class TestVerdictRule:
