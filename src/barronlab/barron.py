@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from typing import Callable
 
 import numpy as np
@@ -75,6 +75,14 @@ class WeightSpec:
 # finite lattice expansions
 # ----------------------------------------------------------------------
 
+def _check_offset(a, L: float) -> None:
+    """Refuse an offset with a component outside [0, 1/L] (to 1e-12 / L)."""
+    tol = 1e-12 / L
+    for aj in a:
+        if not -tol <= aj <= 1.0 / L + tol:
+            raise ValueError(f"offset component {aj} outside [0, 1/L]")
+
+
 @dataclass(frozen=True, eq=False)
 class FourierSum:
     """Finite lattice Fourier expansion with offset.
@@ -98,10 +106,7 @@ class FourierSum:
             raise ValueError(f"period must be positive, got {self.L}")
         if len(self.a) != self.d:
             raise ValueError("offset dimension does not match d")
-        tol = 1e-12 / self.L
-        for aj in self.a:
-            if not -tol <= aj <= 1.0 / self.L + tol:
-                raise ValueError(f"offset component {aj} outside [0, 1/L]")
+        _check_offset(self.a, self.L)
 
     def __repr__(self) -> str:
         return to_json(self)
@@ -151,9 +156,17 @@ def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
             raise ValueError(f"non-finite coefficient {values[bad]} at lattice index "
                              f"{index[bad].tolist()}")
         keep = (mags >= COEFF_DROP_RELATIVE * peak) & (mags > 0.0)
-        index, values = index[keep], values[keep]
+        if not keep.all():
+            index, values = index[keep], values[keep]
     order = np.lexsort(index.T[::-1])
-    index, values = read_only(index[order], values[order])
+    # Rows that arrive sorted (an increasing permutation is the identity)
+    # are copied, not gathered; copying either way keeps the caller's
+    # arrays writable and unshared.
+    if np.all(order[1:] > order[:-1]):
+        index, values = index.copy(), values.copy()
+    else:
+        index, values = index[order], values[order]
+    index, values = read_only(index, values)
     return FourierSum(d=d, L=float(L), a=tuple(float(v) for v in a),
                       index=index, values=values, warnings=tuple(warnings))
 
@@ -261,6 +274,37 @@ def mollified_cutoff(x, L: float, eps: float, resolution: int = 64):
     return unbatch(out, single)
 
 
+@lru_cache(maxsize=2)
+def _node_plan(L: float, lo: float, hi: float, eps: float, alpha: float,
+               resolution: int, d: int, window: bool):
+    """Offset-independent part of one periodization, cached and read-only.
+
+    Returns the (resolution^d, d) node rows the target is sampled at, in
+    the row order of ``grid_rows``, and the tensor cutoff over the node grid
+    (``None`` without a window).
+    """
+    nodes, _ = axis_rule(lo, hi, resolution)
+    cutoff = None
+    if window:
+        profile = _cutoff_profile(nodes, L, eps, alpha, resolution)
+        (cutoff,) = read_only(reduce(np.multiply.outer, [profile] * d))
+    (points,) = read_only(grid_rows(nodes, d))
+    return points, cutoff
+
+
+@lru_cache(maxsize=16)
+def _phase_matrix(aj: float, L: float, z_box: int, lo: float, hi: float,
+                  resolution: int) -> np.ndarray:
+    """Weighted phases exp(-2 pi i (aj + z/L) x) w of one axis, cached and read-only.
+
+    Rows are the indices -z_box..z_box, columns the Gauss-Legendre nodes.
+    """
+    nodes, weights = axis_rule(lo, hi, resolution)
+    z = np.arange(-z_box, z_box + 1)
+    (phase,) = read_only(np.exp(-2j * np.pi * np.outer(aj + z / L, nodes)) * weights)
+    return phase
+
+
 def _periodize_once(f_e: Callable, L: float, a, z_box: int, eps: float,
                     alpha: float, resolution: int, window: bool) -> np.ndarray:
     """One pass of windowed coefficient extraction at a fixed resolution.
@@ -269,17 +313,15 @@ def _periodize_once(f_e: Callable, L: float, a, z_box: int, eps: float,
     the row order of ``grid_rows``.
     """
     d = len(a)
-    lo_box, hi_box = (-eps, L - eps) if window else (0.0, L)
-    nodes, weights = axis_rule(lo_box, hi_box, resolution)
-    h = np.asarray(f_e(grid_rows(nodes, d)), dtype=complex).reshape((resolution,) * d)
+    lo, hi = (-eps, L - eps) if window else (0.0, L)
+    points, cutoff = _node_plan(L, lo, hi, eps, alpha, resolution, d, window)
+    h = np.asarray(f_e(points), dtype=complex).reshape((resolution,) * d)
     if window:
-        profile = _cutoff_profile(nodes, L, eps, alpha, resolution)
-        h = h * reduce(np.multiply.outer, [profile] * d)
-    z = np.arange(-z_box, z_box + 1)
+        h = h * cutoff
     for aj in a:
         # Contracting the leading node axis appends the index axis last, so
         # after d passes the axes are (z_1, ..., z_d).
-        phase = np.exp(-2j * np.pi * np.outer(aj + z / L, nodes)) * weights
+        phase = _phase_matrix(aj, L, z_box, lo, hi, resolution)
         h = np.tensordot(h, phase, axes=([0], [1]))
     return h.ravel() / L**d
 
@@ -312,6 +354,16 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
     already L-periodic or supported inside the cell.
 
     Only d <= 2 is supported: the node grid has (32 ceil(L))^d points.
+    ``z_box`` must be an integer >= 0 and each offset component in
+    [0, 1/L]; both are checked before any quadrature.
+
+    Two bounded caches keep the offset-independent work for later calls:
+    up to 2 node plans, a node grid and its doubling (the node rows the
+    target is sampled at and the cutoff over the node grid, (d + 1) n^d
+    floats for n nodes per axis: 0.9 MB at L = 6 in d = 2, 3.5 MB on the
+    doubled grid) and up to 16 per-axis phase matrices ((2 z_box + 1) n
+    complex values: 150 KB at L = 6, z_box = 24).  Cached arrays are
+    read-only, so ``f_e`` receives read-only points.
     """
     a = tuple(float(v) for v in a)
     d = len(a)
@@ -325,6 +377,11 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
         eps = min(1.0, (L - support_bound) / 4.0)
     if not 0.0 < eps < L / 2 or L - 2.0 * eps < support_bound:
         raise ValueError(f"transition width {eps} incompatible with L={L}, S={support_bound}")
+    if not (z_box >= 0 and float(z_box).is_integer()):
+        raise ValueError(f"z_box must be an integer >= 0, got z_box = {z_box}")
+    _check_offset(a, L)
+    # Float cache keys: an entry never depends on the caller's number types.
+    L, eps, alpha = float(L), float(eps), float(alpha)
     resolution = 32 * math.ceil(L)
 
     index = grid_rows(np.arange(-z_box, z_box + 1), d)
@@ -349,15 +406,23 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
     on its 32 ceil(L) nodes per axis.  The node grid does not depend on the
     offset, so the target is sampled once per node grid (the base grid, and
     the doubled one if some offset needs it) and every offset reuses those
-    read-only samples.
+    read-only samples.  Those samples (n^d complex values for n nodes per
+    axis, 0.6 MB at L = 6 in d = 2) live only during the call.  What
+    outlives it is ``periodize_expand``'s caches: one node plan per node
+    grid (0.9 MB at L = 6 in d = 2) and one phase matrix per distinct
+    offset component and node grid, so ``grid`` of them (150 KB each at
+    L = 6, z_box = 24), twice that if the doubled grid was needed.
+    ``grid`` must be an integer >= 1.
     A mass-minimizing offset exists but is not constructive; this scan
     reports the best grid point, nothing sharper.
     """
+    if not isinstance(grid, (int, np.integer)) or grid < 1:
+        raise ValueError(f"grid must be an integer >= 1, got grid = {grid}")
     sampled: list[tuple[np.ndarray, np.ndarray]] = []
 
     def f_once(pts):
         for seen, values in sampled:
-            if np.array_equal(seen, pts):
+            if seen is pts or np.array_equal(seen, pts):
                 return values
         values = np.array(f_e(pts), dtype=complex)
         values.flags.writeable = False

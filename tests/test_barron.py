@@ -153,6 +153,62 @@ class TestFourierSum:
         assert back.coeffs == fs.coeffs
 
 
+def lexsort_reference(index, values):
+    """``from_arrays``' rows by the plain path: drop, then gather in lexsort order."""
+    mags = np.abs(values)
+    keep = (mags >= barron.COEFF_DROP_RELATIVE * mags.max()) & (mags > 0.0)
+    index, values = index[keep], values[keep]
+    order = np.lexsort(index.T[::-1])
+    return index[order], values[order]
+
+
+def from_arrays_case(case, d):
+    """Seeded (index, values) rows: int64 and complex128, so nothing is converted."""
+    rng = np.random.default_rng(d)
+    index = np.array(list(itertools.product(range(-2, 3), repeat=d)), dtype=np.int64)
+    values = rng.normal(size=len(index)) + 1j * rng.normal(size=len(index))
+    if case == "unsorted":
+        perm = rng.permutation(len(index))
+        index, values = index[perm], values[perm]
+    elif case == "duplicates":
+        # Equal rows keep their input order under the stable sort.
+        index = np.concatenate([index, index[::2]])
+        values = np.concatenate([values, 2.0 * values[::2]])
+    elif case == "dropped":
+        values[1::3] *= 1e-16
+        values[::4] = 0.0
+    return index, values
+
+
+class TestFromArrays:
+    CASES = ("sorted", "unsorted", "duplicates", "dropped")
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_match_the_lexsort_path(self, case, d):
+        index, values = from_arrays_case(case, d)
+        want_index, want_values = lexsort_reference(index, values)
+        fs = from_arrays(d, 2.0, (0.0,) * d, index, values)
+        assert fs.index.dtype == np.int64 and fs.values.dtype == complex
+        assert fs.index.tobytes() == want_index.tobytes()
+        assert fs.values.tobytes() == want_values.tobytes()
+        if case == "dropped":
+            assert 0 < fs.support_size() < len(values)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("case", CASES)
+    def test_callers_arrays_stay_writable_and_unshared(self, case, d):
+        index, values = from_arrays_case(case, d)
+        index_before, values_before = index.copy(), values.copy()
+        fs = from_arrays(d, 2.0, (0.0,) * d, index, values)
+        assert index.flags.writeable and values.flags.writeable
+        assert not fs.index.flags.writeable and not fs.values.flags.writeable
+        assert not np.shares_memory(fs.index, index)
+        assert not np.shares_memory(fs.values, values)
+        assert np.array_equal(index, index_before)
+        assert np.array_equal(values, values_before)
+
+
 class TestEvaluateSum:
     def test_empty_sum_is_zero(self):
         fs = fourier_sum(1, 1.0, (0.0,), {})
@@ -343,6 +399,76 @@ class TestPeriodize:
         for z, c in coeffs.items():
             assert rec.coeffs[z] == pytest.approx(c, abs=1e-10)
 
+    @pytest.mark.parametrize("z_box", [-1, -5, 2.5, math.nan])
+    def test_index_box_must_be_a_nonnegative_integer(self, z_box):
+        # A negative box used to return an empty expansion without a warning;
+        # z_box = 2.5 returned half-integer modes filed under the indices
+        # [-2, -1, 0, 0, 1, 2].
+        with pytest.raises(ValueError, match="z_box"):
+            periodize_expand(sinc, 5.0, (0.0,), z_box, support_bound=2.0)
+
+    @pytest.mark.parametrize("a", [(0.5,), (-0.01,), (math.nan,), (0.0, 0.3)],
+                             ids=["above", "below", "nan", "second-axis"])
+    def test_offset_checked_before_any_quadrature(self, a):
+        clear_periodize_caches()
+        f = Counting(lambda p: np.ones(len(p)))
+        with pytest.raises(ValueError, match="offset component"):
+            periodize_expand(f, 5.0, a, 4, support_bound=1.0)
+        assert f.calls == 0
+        assert barron._node_plan.cache_info().currsize == 0
+        assert barron._phase_matrix.cache_info().currsize == 0
+
+
+def clear_periodize_caches():
+    barron._node_plan.cache_clear()
+    barron._phase_matrix.cache_clear()
+
+
+class TestPeriodizeCaches:
+    @pytest.mark.parametrize("window", [True, False], ids=["window", "cell"])
+    @pytest.mark.parametrize("f, d, z_box, heavy", [
+        (sinc, 1, 24, False),
+        (sinc, 1, 2, True),
+        (bump2, 2, 12, False),
+        (bump2, 2, 1, True),
+    ], ids=["d1", "d1-heavy", "d2", "d2-heavy"])
+    def test_same_bytes_with_caches_cleared_and_warm(self, f, d, z_box, heavy, window):
+        a = (0.07,) * d
+        counted = Counting(f)
+        clear_periodize_caches()
+        cold = periodize_expand(counted, 5.0, a, z_box, support_bound=1.6, window=window)
+        assert counted.calls == (2 if heavy else 1)  # heavy: the doubled grid too
+        hits = barron._phase_matrix.cache_info().hits
+        warm = periodize_expand(f, 5.0, a, z_box, support_bound=1.6, window=window)
+        assert barron._phase_matrix.cache_info().hits > hits
+        assert to_json(warm) == to_json(cold)
+        assert warm.warnings == cold.warnings
+
+    def test_cached_arrays_are_read_only(self):
+        clear_periodize_caches()
+        seen = []
+
+        def f(p):
+            seen.append(p)
+            return bump2(p)
+
+        periodize_expand(f, 5.0, (0.0, 0.1), 12, support_bound=1.6)
+        points, cutoff = barron._node_plan(5.0, -0.85, 4.15, 0.85, 2.0, 160, 2, True)
+        assert seen[0] is points
+        assert not points.flags.writeable and not cutoff.flags.writeable
+        phase = barron._phase_matrix(0.1, 5.0, 12, -0.85, 4.15, 160)
+        assert phase.shape == (25, 160) and not phase.flags.writeable
+        assert barron._node_plan.cache_info().misses == 1
+        assert barron._phase_matrix.cache_info().misses == 2
+
+    @pytest.mark.parametrize("cached", ["_node_plan", "_phase_matrix"])
+    def test_caches_are_bounded(self, cached):
+        assert getattr(barron, cached).cache_info().maxsize is not None
+
+    @pytest.mark.parametrize("documented", [periodize_expand, scan_offset])
+    def test_docstrings_state_the_cached_memory(self, documented):
+        assert "cache" in documented.__doc__ and "MB" in documented.__doc__
+
 
 class Counting:
     """A target that counts how often it is sampled."""
@@ -416,3 +542,12 @@ class TestScanOffset:
         assert fresh[0] == shared[0]
         assert to_json(fresh[1]) == to_json(shared[1])
         assert all(np.array_equal(got, kept) for got, kept in held.values())
+
+    @pytest.mark.parametrize("grid", [0, -2, 2.5])
+    def test_grid_must_be_a_positive_integer(self, grid):
+        # grid=0 used to end in a bare AssertionError, grid=-2 in NumPy's
+        # "Number of samples, -2, must be non-negative" and grid=2.5 in a
+        # TypeError from np.linspace.
+        with pytest.raises(ValueError, match="grid"):
+            scan_offset(sinc, 1, 5.0, 4, WeightSpec.polynomial(0.0),
+                        support_bound=2.0, grid=grid)
