@@ -438,5 +438,7 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
         mass = barron_norm(fs, weight)
         if mass < best_mass:
             best_a, best_fs, best_mass = tuple(float(v) for v in a), fs, mass
-    assert best_fs is not None
+    if best_fs is None:
+        raise ValueError(f"every offset's weighted mass is infinite or NaN under the "
+                         f"weight (1 + |xi|)^s with s = {weight.s}")
     return best_a, best_fs

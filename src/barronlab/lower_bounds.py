@@ -17,7 +17,7 @@ import numpy as np
 
 from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
 from .greedy_fourier import MAX_BOX_ROWS
-from .numerics import as_batch, axis_rule, read_only, unbatch
+from .numerics import as_batch, axis_rule, parallel_map, read_only, unbatch, usable_cores
 from .relu_nets import sigma_k
 from .sphere_geom import SphericalNet, separated_subset
 
@@ -74,7 +74,11 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     nonnegative terms, so the per-width errors are nonincreasing and never
     cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
     of its norm) gets c_i = 0, its |c_i|^2 moves into the residual, and it
-    is counted in ``regularized``.
+    is counted in ``regularized``.  The blocks of a round, one per usable
+    core, are drawn in block order on the caller and solved by
+    ``parallel_map``; their minima and counts combine in block order, so the
+    probe is bitwise the same for any worker count, and it holds at most
+    one round of blocks in memory.
     """
     _check_decay(alpha)
     if not 1 <= n_units <= _GAP_NODES:
@@ -88,13 +92,12 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     rhs = root_w * np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)])
     rng = np.random.default_rng(seed)
     omega_scale = max(4.0, 2.0 * abs(omega0))
-    best = np.full(n_units, np.inf)
-    regularized = 0
-    for start in range(0, candidates, _GAP_BLOCK):
-        params = rng.standard_normal((min(_GAP_BLOCK, candidates - start), n_units, 2))
+
+    def solve(block):
+        """Per-width least error of one block's candidates, and its regularized count."""
+        params, cols = block
         # cols[c, j] is column j of candidate c's [A | b], so each matrix is
         # already in the column-major order LAPACK reads.
-        cols = np.empty((len(params), n_units + 2, _GAP_NODES))
         atoms = cols[:, :n_units]
         np.multiply(params[:, :, :1] * omega_scale, nodes, out=atoms)
         atoms += params[:, :, 1:] * 2.0
@@ -108,13 +111,26 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
         # Q is orthogonal, so column j of R has the norm of atom j.
         deficient = np.abs(np.diagonal(lead, axis1=1, axis2=2)) \
             <= _GAP_RANK_TOL * np.linalg.norm(lead, axis=1)
-        regularized += int(deficient.sum())
         sq = np.sum(coef**2, axis=2)
         base = np.sum(r[:, n_units:, n_units:] ** 2, axis=(1, 2)) + np.sum(sq * deficient, axis=1)
         sq[deficient] = 0.0
         tail = np.zeros(sq.shape)
         tail[:, :-1] = np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
-        best = np.minimum(best, np.sqrt(base[:, None] + tail).min(axis=0))
+        return np.sqrt(base[:, None] + tail).min(axis=0), int(deficient.sum())
+
+    best = np.full(n_units, np.inf)
+    regularized = 0
+    starts = range(0, candidates, _GAP_BLOCK)
+    per_round = usable_cores()
+    for first in range(0, len(starts), per_round):
+        # One round of blocks at a time, drawn in block order on the caller.
+        blocks = []
+        for start in starts[first:first + per_round]:
+            params = rng.standard_normal((min(_GAP_BLOCK, candidates - start), n_units, 2))
+            blocks.append((params, np.empty((len(params), n_units + 2, _GAP_NODES))))
+        for block_best, block_regularized in parallel_map(solve, blocks):
+            best = np.minimum(best, block_best)
+            regularized += block_regularized
     return GapProbe(
         error=float(best[-1]),
         errors_by_width=tuple(float(v) for v in best),

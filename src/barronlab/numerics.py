@@ -1,5 +1,5 @@
-"""Shared numerical substrate: box quadrature, Sobolev mode weights, and
-log-log rate fitting.
+"""Shared numerical substrate: box quadrature, Sobolev mode weights,
+log-log rate fitting, and a thread pool for NumPy work.
 
 All routines here are deterministic functions of their inputs.  Tensor-grid
 quadrature uses Gauss-Legendre nodes with ``resolution`` nodes per axis,
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -42,9 +44,13 @@ def multi_indices(d: int, degree: int) -> Iterator[tuple[int, ...]]:
 
 
 def grid_rows(axis: np.ndarray, d: int) -> np.ndarray:
-    """All d-tuples of ``axis`` values as rows, in lexicographic order."""
-    mesh = np.meshgrid(*([axis] * d), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+    """All d-tuples of ``axis`` values as rows, in lexicographic order and
+    the axis's dtype."""
+    axis = np.asarray(axis)
+    rows = np.empty((len(axis),) * d + (d,), dtype=axis.dtype)
+    for j in range(d):
+        rows[..., j] = axis.reshape((-1,) + (1,) * (d - 1 - j))
+    return rows.reshape(-1, d)
 
 
 def as_batch(x, ndim: int = 1, d: int | None = None) -> tuple[np.ndarray, bool]:
@@ -67,6 +73,81 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+# ----------------------------------------------------------------------
+# thread pool
+# ----------------------------------------------------------------------
+
+_pool = None  # ThreadPoolExecutor, created on first parallel use
+_pool_lock = threading.Lock()
+_pool_thread = threading.local()
+
+
+def _forget_pool() -> None:
+    """In a forked child the parent's pool threads do not exist: start afresh."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity where the platform
+    reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def shares(items: Sequence) -> list[Sequence]:
+    """``items`` cut into one contiguous share per usable core, fewer when
+    there are fewer items; the longer shares come first."""
+    count = min(usable_cores(), len(items))
+    size, extra = divmod(len(items), max(count, 1))
+    bounds = [i * size + min(i, extra) for i in range(count + 1)]
+    return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _mark_pool_thread() -> None:
+    _pool_thread.active = True
+
+
+def _run_share(fn: Callable, share: Sequence) -> list:
+    return [fn(item) for item in share]
+
+
+def parallel_map(fn: Callable, items: Sequence) -> list:
+    """``[fn(item) for item in items]``, one share of the items per usable core.
+
+    The caller runs the first share and threads of a module pool, created on
+    first use, run the others, so NumPy and LAPACK work, which releases the
+    interpreter lock, overlaps.  Results come back in item order; an
+    exception raised in any share reaches the caller once every share has
+    ended.  A call made from a pool thread runs serially, so nested calls
+    cannot deadlock.  ``fn`` should allocate little: each thread that
+    allocates gets its own malloc arena, which raises peak memory.
+    """
+    parts = shares(items)
+    if len(parts) <= 1 or getattr(_pool_thread, "active", False):
+        return _run_share(fn, items)
+    from concurrent import futures  # imported here: cold processes skip its cost
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = futures.ThreadPoolExecutor(
+                max(1, usable_cores() - 1), thread_name_prefix="barronlab",
+                initializer=_mark_pool_thread)
+        pending = [_pool.submit(_run_share, fn, part) for part in parts[1:]]
+    try:
+        results = _run_share(fn, parts[0])
+    finally:
+        futures.wait(pending)
+    for future in pending:
+        results += future.result()
+    return results
 
 
 @lru_cache(maxsize=None)

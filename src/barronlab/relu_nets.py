@@ -18,8 +18,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import (Box, as_batch, gauss_rule, grid_rows, multi_indices, read_only,
-                       unbatch, validate_box)
+from .numerics import (Box, as_batch, gauss_rule, grid_rows, multi_indices, parallel_map,
+                       read_only, shares, unbatch, validate_box)
 
 
 def sigma_k(t, k: int):
@@ -116,9 +116,12 @@ def relu_network(units: Sequence[tuple], ambient_power: int | None = None) -> Re
 def evaluate_network(net: ReluNetwork, x):
     """Evaluate the unit sum at one point (d,) or a batch (N, d).
 
-    Per power, the pre-activations are formed in blocks of at most
-    ``_EVAL_BLOCK`` entries, activated in place, and contracted with the
-    real and imaginary parts of the units' outer weights.
+    Per power, in ascending order, the pre-activations are formed in row
+    blocks of at most ``_EVAL_BLOCK`` entries, activated in place, and
+    contracted with the real and imaginary parts of the units' outer
+    weights.  The blocks are shared out by ``parallel_map``, each share
+    reusing one pre-activation buffer the caller allocates and writing only
+    its own rows, so the result is bitwise the same for any worker count.
     """
     pts, single = as_batch(x, d=net.d if net.width else None)
     weights = np.stack([net.outer.real, net.outer.imag], axis=1)
@@ -127,15 +130,23 @@ def evaluate_network(net: ReluNetwork, x):
         units = np.flatnonzero(net.powers == k)
         omega, bias, outer = net.directions[units].T, net.biases[units], weights[units]
         step = max(1, _EVAL_BLOCK // len(units))
-        for start in range(0, len(pts), step):
-            t = pts[start:start + step] @ omega
-            t += bias
-            if k == 0:
-                t = sigma_k(t, 0)  # the Heaviside, with sigma_0(0) = 0
-            else:
-                np.maximum(t, 0.0, out=t)
-                t **= k
-            total[start:start + step] += t @ outer
+
+        def run(share):
+            starts, buffer = share
+            for start in starts:
+                rows = slice(start, start + step)
+                block = pts[rows]
+                t = np.matmul(block, omega, out=buffer[:len(block)])
+                t += bias
+                if k == 0:
+                    np.greater(t, 0.0, out=t)  # the Heaviside, with sigma_0(0) = 0
+                else:
+                    np.maximum(t, 0.0, out=t)
+                    t **= k
+                total[rows] += t @ outer
+
+        parallel_map(run, [(starts, np.empty((min(step, len(pts)), len(units))))
+                           for starts in shares(range(0, len(pts), step))])
     total = total[:, 0] + 1j * total[:, 1] if total[:, 1].any() else total[:, 0]
     return unbatch(total, single)
 
@@ -253,16 +264,25 @@ class CubePartition:
         ``cells()[i].grid(per_axis)``."""
         axis = (np.arange(self.q) + 0.5) * self.h
         nodes = np.linspace(axis - self.h / 2.0, axis + self.h / 2.0, per_axis, axis=-1)
-        cell, node = (grid_rows(np.arange(n), self.d) for n in (self.q, per_axis))
-        return nodes[cell[:, None, :], node[None, :, :]]
+        d = self.d
+        out = np.empty((self.q,) * d + (per_axis,) * d + (d,))
+        for j in range(d):
+            # Coordinate j varies with cell axis j and node axis j only.
+            shape = [1] * (2 * d)
+            shape[j], shape[d + j] = nodes.shape
+            out[..., j] = nodes.reshape(shape)
+        return out.reshape(self.q**d, per_axis**d, d)
+
+    def locate_axis(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell index along one axis and scaled local coordinate 2 q (x - c)
+        of the coordinates ``x``; x = 1 belongs to the last cell."""
+        i = np.clip((x * self.q).astype(int), 0, self.q - 1)
+        return i, (x - (i + 0.5) * self.h) * (2.0 / self.h)
 
     def locate(self, columns):
-        """Flat cell index and scaled local coordinates 2 q (x_j - c_j) of the
-        points whose coordinates are the arrays ``columns[j]``, which broadcast
-        together: the columns of a batch, or the axes of a tensor grid, each
-        located once.  The x = 1 faces belong to the last cell."""
-        ids = [np.clip((x * self.q).astype(int), 0, self.q - 1) for x in columns]
-        local = [(x - (i + 0.5) * self.h) * (2.0 / self.h) for x, i in zip(columns, ids)]
+        """Flat cell index and scaled local coordinates of the points whose
+        coordinates are the arrays ``columns[j]``, the columns of a batch."""
+        ids, local = zip(*(self.locate_axis(x) for x in columns))
         return np.ravel_multi_index(ids, (self.q,) * self.d), local
 
     def cell_index(self, x):
@@ -452,14 +472,24 @@ class SobolevApproximant:
     def sup_error(self, f: Callable) -> float:
         """Largest |f - self| on a uniform grid of [0, 1]^d: 401 points per axis
         for d <= 2, and 65 for d = 3 (64 intervals, so every q dividing 64 keeps
-        its cell faces on the grid).  The grid is a tensor product, so each axis
-        value is located in its cell once and the polynomials are evaluated on
-        the broadcast axes."""
-        d = self.partition.d
+        its cell faces on the grid).  The grid is a tensor product, so the axis
+        is located in its cells once, and each coefficient column, viewed as a
+        q^d array, is gathered one axis at a time and multiplied by that axis's
+        power before the next gather: the same products, in the same order, as
+        evaluating every grid point."""
+        d, q = self.partition.d, self.partition.q
         axis = np.linspace(0.0, 1.0, 401 if d <= 2 else 65)
-        ids, y = self.partition.locate(np.ix_(*[axis] * d))
-        target = np.asarray(f(grid_rows(axis, d))).reshape(ids.shape)
-        return float(np.max(np.abs(target - self._evaluate(ids, y))))
+        cells, local = self.partition.locate_axis(axis)
+        approx = np.zeros((len(axis),) * d)
+        for alpha, c in zip(self.exponents.tolist(), self.coefficients.T):
+            term = c.reshape((q,) * d)
+            for j, aj in enumerate(alpha):
+                term = np.take(term, cells, axis=j)
+                if aj:
+                    term *= (local**aj).reshape((-1,) + (1,) * (d - 1 - j))
+            approx += term
+        target = np.asarray(f(grid_rows(axis, d))).reshape(approx.shape)
+        return float(np.max(np.abs(target - approx)))
 
 
 def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,

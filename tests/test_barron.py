@@ -543,6 +543,14 @@ class TestScanOffset:
         assert to_json(fresh[1]) == to_json(shared[1])
         assert all(np.array_equal(got, kept) for got, kept in held.values())
 
+    def test_every_mass_infinite_names_the_weight(self):
+        # Every offset's mass overflows to inf, so no offset is ever kept: this
+        # used to end in a bare AssertionError (and under -O would have
+        # returned ((), None)).
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="s = 1e"):
+            scan_offset(lambda p: np.exp(-((p - 1) ** 2).sum(1)), 1, 5.0, 8,
+                        WeightSpec.polynomial(1e308), support_bound=1.0)
+
     @pytest.mark.parametrize("grid", [0, -2, 2.5])
     def test_grid_must_be_a_positive_integer(self, grid):
         # grid=0 used to end in a bare AssertionError, grid=-2 in NumPy's

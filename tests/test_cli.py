@@ -4,7 +4,10 @@ import json
 import math
 import pathlib
 import re
+import os
 import shlex
+import subprocess
+import sys
 import types
 import warnings
 
@@ -598,3 +601,15 @@ class TestReadmeCommands:
         except json.JSONDecodeError:
             rows = list(csv.reader(io.StringIO(out)))
             assert len(rows) > 1 and len({len(row) for row in rows}) == 1
+
+
+def test_import_leaves_the_thread_pool_module_unloaded():
+    # concurrent.futures costs a cold process about 7 ms; only a parallel
+    # call should load it, not every command's start.
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, barronlab.cli; print('concurrent.futures' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60, check=True).stdout
+    assert out.strip() == "False"

@@ -1,4 +1,6 @@
 import math
+import multiprocessing
+import queue
 
 import numpy as np
 import pytest
@@ -113,6 +115,51 @@ class TestHighFreqGap:
         with pytest.raises(ValueError, match="n_units=0"):
             highfreq_gap(1.0, 8.0, 0, 4)
         assert len(highfreq_gap(1.0, 8.0, 256, 4).errors_by_width) == 256
+
+
+def _gap_in_child(results):
+    results.put(highfreq_gap(1.0, 16.0, 8, 100, seed=3))
+
+
+class TestHighFreqGapWorkers:
+    @pytest.mark.parametrize("candidates", [1, 31, 33, 100, 256])
+    @pytest.mark.parametrize("seed", [0, 1, 5])
+    def test_bitwise_equal_for_any_worker_count(self, set_cores, candidates, seed):
+        set_cores(1)
+        want = highfreq_gap(1.0, 16.0, 8, candidates, seed=seed)
+        for cores in (2, 3):
+            set_cores(cores)
+            got = highfreq_gap(1.0, 16.0, 8, candidates, seed=seed)
+            assert got.errors_by_width == want.errors_by_width
+            assert got == want
+
+    def test_regularized_count_equal_for_any_worker_count(self, set_cores):
+        set_cores(1)
+        want = highfreq_gap(800.0, 8.0, 6, 100, seed=0)
+        assert want.regularized > 0
+        set_cores(2)
+        assert highfreq_gap(800.0, 8.0, 6, 100, seed=0) == want
+
+    def test_forked_child_after_the_pool_ran(self, set_cores):
+        # A child forked after the parent's pool started gets no pool threads;
+        # with the parent's pool object it would wait forever.
+        set_cores(2)
+        want = highfreq_gap(1.0, 16.0, 8, 100, seed=3)
+        context = multiprocessing.get_context("fork")
+        results = context.Queue()
+        child = context.Process(target=_gap_in_child, args=(results,))
+        child.start()
+        try:
+            got = results.get(timeout=60)
+        except queue.Empty:
+            got = None
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert got == want, "forked child did not complete highfreq_gap"
+        assert child.exitcode == 0
 
 
 class TestDyadic:

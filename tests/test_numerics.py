@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -9,9 +10,12 @@ from barronlab import barron, lower_bounds, relu_nets
 from barronlab.numerics import (
     IntegrationError,
     as_batch,
+    grid_rows,
     integrate,
     loglog_fit,
     multi_indices,
+    parallel_map,
+    shares,
     sobolev_weight,
     unbatch,
 )
@@ -237,3 +241,78 @@ def test_one_item_gives_a_python_number(name, d, item, evaluate):
     value, batch = evaluate(item), evaluate(np.array([item]))
     assert type(value) is type(batch[0].item())
     assert value == batch[0]
+
+
+class TestGridRows:
+    @pytest.mark.parametrize("axis", [np.arange(-3, 4), np.linspace(0.0, 1.0, 5),
+                                      np.array([2.5])])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_matches_meshgrid_rows_and_keeps_the_dtype(self, axis, d):
+        mesh = np.meshgrid(*([axis] * d), indexing="ij")
+        want = np.stack([g.ravel() for g in mesh], axis=-1)
+        got = grid_rows(axis, d)
+        assert got.dtype == axis.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+def run_with_timeout(fn, seconds=60.0):
+    """fn() on a daemon thread; fails instead of hanging if it does not end."""
+    result = []
+    thread = threading.Thread(target=lambda: result.append(fn()), daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "call did not complete"
+    return result[0]
+
+
+class TestParallelMap:
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
+    def test_results_in_item_order(self, set_cores, cores, n):
+        set_cores(cores)
+        assert parallel_map(lambda i: i * i, range(n)) == [i * i for i in range(n)]
+
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
+    def test_shares_are_contiguous_and_balanced(self, set_cores, cores, n):
+        set_cores(cores)
+        parts = shares(list(range(n)))
+        assert len(parts) == min(cores, n)
+        assert [i for part in parts for i in part] == list(range(n))
+        sizes = [len(part) for part in parts]
+        assert sizes == sorted(sizes, reverse=True)
+        assert not sizes or sizes[0] - sizes[-1] <= 1
+
+    def test_shares_run_at_the_same_time(self, set_cores):
+        # Each of the two shares waits for the other: run one after the
+        # other, the barrier would time out.
+        set_cores(2)
+        barrier = threading.Barrier(2, timeout=30)
+
+        def meet(i):
+            barrier.wait()
+            return i
+
+        assert parallel_map(meet, [0, 1]) == [0, 1]
+
+    def test_nested_call_completes(self, set_cores):
+        set_cores(2)
+
+        def outer(i):
+            return sum(parallel_map(lambda j: i * j, range(4)))
+
+        got = run_with_timeout(lambda: parallel_map(outer, range(6)))
+        assert got == [6 * i for i in range(6)]
+
+    @pytest.mark.parametrize("bad", [0, 5])  # in the caller's share, in the pool's
+    def test_exception_in_a_share_reaches_the_caller(self, set_cores, bad):
+        set_cores(2)
+
+        def fn(i):
+            if i == bad:
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError):
+            parallel_map(fn, range(6))
+        assert parallel_map(lambda i: i, range(6)) == list(range(6))  # pool still works

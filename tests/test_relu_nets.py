@@ -1,5 +1,6 @@
 import itertools
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barronlab import relu_nets
+from barronlab import numerics, relu_nets
 from barronlab.numerics import grid_rows, loglog_fit, multi_indices
 from barronlab.relu_nets import (
     CellPolynomial,
@@ -86,6 +87,54 @@ class TestNetworkEvaluation:
         val = evaluate_network(net, np.array([2.0]))
         assert val == pytest.approx(4j)
         assert net.ell1 == pytest.approx(1.0)
+
+
+def random_network(rng, width, d, powers, complex_outer=False):
+    outer = rng.standard_normal(width) + (1j * rng.standard_normal(width) if complex_outer else 0)
+    return relu_network([(outer[i], rng.standard_normal(d), rng.uniform(-1.0, 1.0),
+                          powers[i % len(powers)]) for i in range(width)])
+
+
+# (width, d, powers, complex outer weights, points): one power with many row
+# blocks and N not a multiple of the block; mixed powers with k = 0 and
+# complex weights; fewer blocks than cores; a single point.
+WORKER_CASES = [(1000, 3, [2], False, 5003), (601, 2, [0, 1, 2, 3], True, 1001),
+                (2000, 3, [2], False, 50), (5, 1, [1, 0], True, 1)]
+
+
+class TestEvaluateWorkers:
+    @pytest.mark.parametrize("width, d, powers, complex_outer, n", WORKER_CASES)
+    def test_bitwise_equal_for_any_worker_count(self, set_cores, width, d, powers,
+                                                complex_outer, n):
+        rng = np.random.default_rng(width + n)
+        net = random_network(rng, width, d, powers, complex_outer)
+        pts = rng.standard_normal((n, d))
+        set_cores(1)
+        want = evaluate_network(net, pts)
+        assert np.iscomplexobj(want) == complex_outer
+        for cores in (2, 3, 8):
+            set_cores(cores)
+            got = evaluate_network(net, pts)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_stress_more_threads_than_cores(self, set_cores, monkeypatch):
+        # A fresh pool of 7 threads on a short switch interval: shares that
+        # lost or mixed each other's row updates would change the bytes.
+        rng = np.random.default_rng(5)
+        net = random_network(rng, 400, 2, [1, 2])
+        pts = rng.standard_normal((20_000, 2))
+        set_cores(1)
+        want = evaluate_network(net, pts)
+        set_cores(8)
+        monkeypatch.setattr(numerics, "_pool", None)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                assert evaluate_network(net, pts).tobytes() == want.tobytes()
+        finally:
+            sys.setswitchinterval(interval)
+            numerics._pool.shutdown()
 
 
 class TestNetworkArrays:
@@ -446,11 +495,12 @@ class TestArrayApproximant:
         np.testing.assert_allclose(approx.coefficients, want, rtol=0, atol=1e-10)
 
     def test_grids_match_cell_grids(self):
-        part = CubePartition(2, 3)
-        grids = part.grids(4)
-        for i, cell in enumerate(part.cells()):
-            assert np.array_equal(grids[i], cell.grid(4))
-        assert np.array_equal(part.centers(), [c.center for c in part.cells()])
+        for d, q in [(1, 4), (2, 3), (3, 2)]:
+            part = CubePartition(d, q)
+            grids = part.grids(4)
+            for i, cell in enumerate(part.cells()):
+                assert np.array_equal(grids[i], cell.grid(4))
+            assert np.array_equal(part.centers(), [c.center for c in part.cells()])
 
     def test_call_uses_containing_cell_on_faces_and_upper_boundary(self):
         q = 4
