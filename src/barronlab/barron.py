@@ -22,6 +22,8 @@ from .numerics import as_batch, axis_rule, grid_rows, read_only, sobolev_weight,
 
 COEFF_DROP_RELATIVE = 1e-14
 CUTOFF_ALPHA = 2.0  # bump shape parameter of the mollified cutoff
+# Largest lattice box the spectrum builders make: 2^22 index rows, ~100 MB at d=3.
+MAX_BOX_ROWS = 2**22
 
 
 # ----------------------------------------------------------------------

@@ -17,8 +17,8 @@ import sys
 
 import numpy as np
 
-from . import greedy_fourier, lower_bounds, rates, relu_nets, sphere_geom
-from .barron import hm_norm_exact
+from . import rates  # each handler imports the other modules its subcommand runs
+from .numerics import ConvergenceError
 
 
 def _fmt(value: float) -> str:
@@ -28,9 +28,12 @@ def _fmt(value: float) -> str:
 def _emit(text: str, output: str | None) -> None:
     if output is None or output == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(output, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {output}: {exc.strerror}") from None
 
 
 def _finite_float(text: str) -> float:
@@ -45,7 +48,10 @@ def _finite_float(text: str) -> float:
 
 
 def _finite_floats(text: str) -> list[float]:
-    return [_finite_float(v) for v in text.split(",") if v.strip()]
+    values = [_finite_float(v) for v in text.split(",") if v.strip()]
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _parse_grid(text: str) -> list[int]:
@@ -231,6 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 
 def _cmd_exponents(args) -> int:
+    from . import greedy_fourier
     table = greedy_fourier.rate_exponents(args.s, args.m, args.k, args.d)
     payload = {
         "d": args.d, "m": args.m, "k": args.k, "s": args.s,
@@ -247,6 +254,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_greedy_fourier(args) -> int:
+    from . import greedy_fourier
     grid = _parse_grid(args.n_grid)
     params = {"d": args.d, "ks": args.ks, "m": args.m, "xi_max": args.xi_max}
     report = rates.run_experiment(rates.GREEDY_FOURIER, params, grid, args.seed)
@@ -270,6 +278,7 @@ def _cmd_greedy_fourier(args) -> int:
 
 
 def _cmd_relu_compile(args) -> int:
+    from . import relu_nets
     f = rates.sine_target(args.cycles)
     partition = relu_nets.CubePartition(args.d, args.q)
     approx = relu_nets.compile_sobolev_approximant(f, args.ell, partition)
@@ -301,6 +310,7 @@ def _cmd_relu_compile(args) -> int:
 
 
 def _cmd_monomial_check(args) -> int:
+    from . import relu_nets
     if args.k < 1 or args.points < 10:
         raise ValueError(f"monomial-check needs --k >= 1 and --points >= 10, "
                          f"got --k {args.k} --points {args.points}")
@@ -337,6 +347,7 @@ def _cmd_monomial_check(args) -> int:
 
 
 def _cmd_sphere_net(args) -> int:
+    from . import sphere_geom
     net = sphere_geom.greedy_net(args.d, args.m, candidate_pool=args.pool,
                                  seed=args.seed)
     if args.format == "json":
@@ -398,6 +409,7 @@ def _cmd_packing(args) -> int:
 
 
 def _cmd_dyadic(args) -> int:
+    from . import barron, lower_bounds
     decomp = lower_bounds.dyadic_blocks(
         lower_bounds.decaying_spectrum(args.xi_max, args.decay)
     )
@@ -405,7 +417,7 @@ def _cmd_dyadic(args) -> int:
     buf.write("level,block_norm,residual_from_level\n")
     for level, block in decomp.blocks:
         buf.write(
-            f"{level},{_fmt(hm_norm_exact(block, 0))},"
+            f"{level},{_fmt(barron.hm_norm_exact(block, 0))},"
             f"{_fmt(lower_bounds.residual_tail_norm(decomp, level))}\n"
         )
     _emit(buf.getvalue(), args.output)
@@ -413,6 +425,7 @@ def _cmd_dyadic(args) -> int:
 
 
 def _cmd_example1_gap(args) -> int:
+    from . import lower_bounds
     buf = io.StringIO()
     buf.write("omega0,error,error_times_omega0\n")
     for omega0 in args.omega0_grid:
@@ -426,6 +439,7 @@ def _cmd_example1_gap(args) -> int:
 
 
 def _cmd_example2_tail(args) -> int:
+    from . import lower_bounds
     report = lower_bounds.example2_tail_mass(args.m, args.A)
     payload = {
         "m": report.m, "A": report.A, "Z": report.Z,
@@ -436,6 +450,7 @@ def _cmd_example2_tail(args) -> int:
 
 
 def _cmd_witness(args) -> int:
+    from . import lower_bounds
     witness = lower_bounds.oscillatory_witness(args.n, args.k, args.d, args.m)
     payload = {
         "n": args.n, "k": args.k, "d": args.d, "m": args.m,
@@ -466,12 +481,12 @@ def dispatch(argv) -> int:
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
-    if args.list:
-        _emit(ANCHORS[args.command] + "\n", args.output)
-        return 0
     try:
+        if args.list:
+            _emit(ANCHORS[args.command] + "\n", args.output)
+            return 0
         return args.handler(args)
-    except (ValueError, lower_bounds.ConvergenceError) as exc:
+    except (ValueError, ConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

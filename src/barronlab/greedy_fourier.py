@@ -17,11 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barron import COEFF_DROP_RELATIVE, FourierSum, from_arrays
+from .barron import COEFF_DROP_RELATIVE, MAX_BOX_ROWS, FourierSum, from_arrays
 from .numerics import grid_rows, sobolev_weight
 
-# Largest lattice box synthetic_heavy_tail builds: 2^22 index rows, ~100 MB at d=3.
-MAX_BOX_ROWS = 2**22
 # Largest lattice-shell table heavy_tail_sweep builds: 2^21 rows, ~145 MB of FFT arrays.
 MAX_SHELL_ROWS = 2**21
 # Key exponents closer to 0 than this are ties: far above their rounding error.

@@ -12,18 +12,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .barron import FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .greedy_fourier import MAX_BOX_ROWS
-from .numerics import as_batch, axis_rule, parallel_map, read_only, unbatch, usable_cores
-from .relu_nets import sigma_k
-from .sphere_geom import SphericalNet, separated_subset
+from .barron import MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact
+from .numerics import (ConvergenceError, as_batch, axis_rule, parallel_map, read_only, sigma_k,
+                       unbatch, usable_cores)
 
-
-class ConvergenceError(RuntimeError):
-    """Two quadrature refinement levels disagreed beyond the allowed margin."""
+if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
+    from .sphere_geom import SphericalNet
 
 
 # ----------------------------------------------------------------------
@@ -356,6 +354,7 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
         c0 = math.sqrt(1.0 / (4.0 * k))
         delta = c0 * (m ** (-1.0 / (d - 1)) if d > 1 and m > 1 else 1.0)
         normalization = 1.0 / math.sqrt(m)
+    from .sphere_geom import separated_subset
     pool = max(8192, 512 * m)
     net = separated_subset(d, delta, candidate_pool=pool, seed=seed)
     if net.size < m:

@@ -1,5 +1,6 @@
 """Shared numerical substrate: box quadrature, Sobolev mode weights,
-log-log rate fitting, and a thread pool for NumPy work.
+log-log rate fitting, the powered rectifier, and a thread pool for NumPy
+work.
 
 All routines here are deterministic functions of their inputs.  Tensor-grid
 quadrature uses Gauss-Legendre nodes with ``resolution`` nodes per axis,
@@ -24,6 +25,10 @@ Box = Sequence[tuple[float, float]]
 
 class IntegrationError(ValueError):
     """An integrand produced a non-finite value at a quadrature node."""
+
+
+class ConvergenceError(RuntimeError):
+    """Two quadrature refinement levels disagreed beyond the allowed margin."""
 
 
 @dataclass(frozen=True)
@@ -73,6 +78,18 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+def sigma_k(t, k: int):
+    """Powered rectifier max(0, t)^k; k = 0 gives the Heaviside with sigma_0(0) = 0."""
+    if k < 0 or int(k) != k:
+        raise ValueError(f"power must be a nonnegative integer, got {k}")
+    t, single = as_batch(t, ndim=0)
+    if k == 0:
+        out = (t > 0).astype(float)
+    else:
+        out = np.maximum(t, 0.0) ** k
+    return unbatch(out, single)
 
 
 # ----------------------------------------------------------------------

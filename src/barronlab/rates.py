@@ -20,8 +20,10 @@ from typing import Sequence
 
 import numpy as np
 
-from . import greedy_fourier, lower_bounds, relu_nets, sphere_geom, subsample
-from .numerics import RateFit, loglog_fit
+# Each kind setup imports the other modules it runs.  subsample stays here:
+# perfbench's result capture can wrap a function only in a module already loaded.
+from . import subsample
+from .numerics import ConvergenceError, RateFit, loglog_fit
 
 GREEDY_FOURIER = "greedy-fourier"
 SOBOLEV_COMPILE = "sobolev-compile"
@@ -88,6 +90,7 @@ def seeded_subsample(big_n: int, n_monomials: int, n: int, restarts: int,
 
 def seeded_packing(kind: str, d: int, k_or_s: float, n: int, pairs: int, seed: int):
     """A seeded packing family and its witness separations on ``pairs`` pairs."""
+    from . import lower_bounds
     family = lower_bounds.build_packing(kind, d, k_or_s, n, seed=seed)
     return family, lower_bounds.pairwise_separation(family, pair_budget=pairs,
                                                     seed=seed + 1)
@@ -99,6 +102,7 @@ def seeded_packing(kind: str, d: int, k_or_s: float, n: int, pairs: int, seed: i
 # function error(n, run_seed).
 
 def _greedy_fourier(c, grid, seed):
+    from . import greedy_fourier
     if c["xi_max"] is None:
         c["xi_max"] = max(400.0, 1.5 * grid[-1])
     for key in ("m", "xi_max"):
@@ -109,6 +113,7 @@ def _greedy_fourier(c, grid, seed):
 
 
 def _sobolev_compile(c, grid, seed):
+    from . import relu_nets
     if c["ell"] < 0:
         raise ValueError(f"kind {SOBOLEV_COMPILE} needs ell >= 0, got ell={c['ell']}")
     if c["d"] > 3:
@@ -121,6 +126,7 @@ def _sobolev_compile(c, grid, seed):
 
 
 def _sphere_cover(c, grid, seed):
+    from . import sphere_geom
     return 1.0 / (c["d"] - 1), lambda m, run_seed: sphere_geom.greedy_net(
         c["d"], m, candidate_pool=64 * m, seed=run_seed).cover_rad
 
@@ -135,6 +141,7 @@ def _subsample_concentration(c, grid, seed):
 
 
 def _packing_separation(c, grid, seed):
+    from . import lower_bounds
     try:
         lower_bounds.validate_packing(c["family"], c["k_or_s"])
     except ValueError as exc:
@@ -145,6 +152,7 @@ def _packing_separation(c, grid, seed):
 
 
 def _dyadic_residual(c, grid, seed):
+    from . import lower_bounds
     decomp = lower_bounds.dyadic_blocks(
         lower_bounds.decaying_spectrum(c["xi_max"], c["decay"]))
     return 0.5, lambda n, _: lower_bounds.residual_tail_norm(
@@ -158,7 +166,7 @@ KINDS = {
     SOBOLEV_COMPILE: ({"d": 1, "ell": 2, "cycles": 1.0, "s": None}, _sobolev_compile),
     SPHERE_COVER: ({"d": 2}, _sphere_cover),
     SUBSAMPLE_CONCENTRATION: ({"N": 256, "M": 10, "restarts": 64}, _subsample_concentration),
-    PACKING_SEPARATION: ({"family": lower_bounds.FOURIER_KIND, "d": 2, "k_or_s": 1.0},
+    PACKING_SEPARATION: ({"family": "fourier", "d": 2, "k_or_s": 1.0},
                          _packing_separation),
     DYADIC_RESIDUAL: ({"xi_max": 256.0, "decay": 1.0}, _dyadic_residual),
 }
@@ -170,9 +178,9 @@ def kind_config(kind: str, params: dict | None) -> dict:
 
     A given value is cast to its default's type (float where the default is
     None, which the setup derives); None keeps the default.  An unknown kind
-    or key, a non-finite value for a numeric default, a non-integral value
-    for an integer default, or d below 1 (below 2 for the two kinds that
-    work on the sphere S^(d-1)) is a ``ValueError``.
+    or key, a value that is not a finite number for a numeric default, a
+    non-integral value for an integer default, or d below 1 (below 2 for the
+    two kinds that work on the sphere S^(d-1)) is a ``ValueError``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -184,10 +192,17 @@ def kind_config(kind: str, params: dict | None) -> dict:
         if value is None:
             continue
         cast = float if config[key] is None else type(config[key])
-        if cast is not str and not math.isfinite(float(value)):
-            raise ValueError(f"parameter {key!r} for kind {kind} must be finite, got {value}")
-        if cast is int and float(value) != int(value):
-            raise ValueError(f"parameter {key!r} for kind {kind} must be an integer, got {value}")
+        if cast is not str:
+            try:
+                number = float(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"parameter {key!r} for kind {kind} must be a number, "
+                                 f"got {value!r}") from None
+            if not math.isfinite(number):
+                raise ValueError(f"parameter {key!r} for kind {kind} must be finite, got {value}")
+            if cast is int and number != int(number):
+                raise ValueError(f"parameter {key!r} for kind {kind} must be an integer, "
+                                 f"got {value}")
         config[key] = cast(value)
     min_d = 2 if kind in (SPHERE_COVER, PACKING_SEPARATION) else 1
     if config.get("d", min_d) < min_d:
@@ -216,7 +231,7 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
         run_seed = seed ^ index
         try:
             samples.append((n, float(error(n, run_seed))))
-        except (ValueError, lower_bounds.ConvergenceError) as exc:
+        except (ValueError, ConvergenceError) as exc:
             failures.append(f"n={n}: {exc}")
     fit = None
     if len({n for n, _ in samples}) >= 2 and all(e > 0 for _, e in samples):

@@ -19,19 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .numerics import (Box, as_batch, gauss_rule, grid_rows, multi_indices, parallel_map,
-                       read_only, shares, unbatch, validate_box)
-
-
-def sigma_k(t, k: int):
-    """Powered rectifier max(0, t)^k; k = 0 gives the Heaviside with sigma_0(0) = 0."""
-    if k < 0 or int(k) != k:
-        raise ValueError(f"power must be a nonnegative integer, got {k}")
-    t, single = as_batch(t, ndim=0)
-    if k == 0:
-        out = (t > 0).astype(float)
-    else:
-        out = np.maximum(t, 0.0) ** k
-    return unbatch(out, single)
+                       read_only, shares, sigma_k, unbatch, validate_box)
 
 
 # ----------------------------------------------------------------------

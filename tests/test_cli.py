@@ -389,6 +389,29 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "bad grid bounds in '8:4'" in err or "bad --param 'xi_max'" in err
 
+    def test_unopenable_output_path_is_usage_error(self, capsys, tmp_path):
+        # Ended in a FileNotFoundError traceback and exit 1, after the work.
+        path = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(capsys, "exponents", "--d", "2", "--s", "0.5",
+                                 "--output", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: cannot write --output {path}: No such file or directory\n"
+        assert not path.parent.exists()
+
+    @pytest.mark.parametrize("grid", [",", ""])
+    def test_empty_omega0_grid_is_usage_error(self, capsys, grid):
+        # Printed only the CSV header and exited 0.
+        code, out, err = run_cli(capsys, "example1-gap", "--omega0-grid", grid)
+        assert code == 2 and out == ""
+        assert f"argument --omega0-grid: expected at least one number, got {grid!r}" in err
+
+    def test_non_numeric_param_names_key_kind_and_value(self, capsys):
+        # Ended in the bare "could not convert string to float: 'abc'".
+        code, out, err = run_cli(capsys, "rates", "--param", "d=abc")
+        assert code == 2 and out == ""
+        assert err == ("error: parameter 'd' for kind greedy-fourier must be a number, "
+                       "got 'abc'\n")
+
     def test_packing_identity_violation_exits_one(self, capsys, monkeypatch):
         # NaN passed the check and printed its rows with exit 0.
         for violation, shown in ((2e-9, "2.000e-09"), (math.nan, "nan")):
@@ -603,13 +626,58 @@ class TestReadmeCommands:
             assert len(rows) > 1 and len({len(row) for row in rows}) == 1
 
 
-def test_import_leaves_the_thread_pool_module_unloaded():
-    # concurrent.futures costs a cold process about 7 ms; only a parallel
-    # call should load it, not every command's start.
+def _fresh_process(code: str, *args: str) -> str:
+    """Stdout of ``code`` run with ``args`` in a fresh interpreter that imports
+    barronlab from this checkout."""
     src = str(pathlib.Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60, check=True).stdout
+
+
+def test_import_leaves_the_thread_pool_module_unloaded():
+    # concurrent.futures costs a cold process about 7 ms; only a parallel
+    # call should load it, not every command's start.
     code = "import sys, barronlab.cli; print('concurrent.futures' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, timeout=60, check=True).stdout
-    assert out.strip() == "False"
+    assert _fresh_process(code).strip() == "False"
+
+
+LOADED_BARRONLAB = "print(*sorted(m for m in sys.modules if m.startswith('barronlab')))"
+
+
+def test_import_loads_only_the_parser_modules():
+    # The parser needs rates' kind names; every other module waits for its
+    # subcommand.  subsample stays loaded by rates (see rates' imports).
+    out = _fresh_process(f"import sys, barronlab.cli; {LOADED_BARRONLAB}")
+    assert out.split() == ["barronlab", "barronlab.cli", "barronlab.numerics",
+                           "barronlab.rates", "barronlab.subsample"]
+
+
+# Modules each README command must leave unloaded in a fresh process.
+UNUSED_MODULES = {
+    "exponents": ("lower_bounds", "relu_nets", "sphere_geom"),
+    "greedy-fourier": ("lower_bounds", "relu_nets", "sphere_geom"),
+    "relu-compile": ("lower_bounds", "barron", "greedy_fourier", "sphere_geom"),
+    "monomial-check": ("lower_bounds", "barron", "greedy_fourier", "sphere_geom"),
+    "rates": ("lower_bounds", "barron", "greedy_fourier", "sphere_geom"),
+    "sphere-net": ("lower_bounds", "relu_nets", "barron", "greedy_fourier"),
+    "subsample": ("lower_bounds", "relu_nets", "barron", "greedy_fourier"),
+    "packing": ("relu_nets", "greedy_fourier"),
+    "dyadic": ("relu_nets", "sphere_geom", "greedy_fourier"),
+    "example1-gap": ("relu_nets", "sphere_geom", "greedy_fourier"),
+    "example2-tail": ("relu_nets", "sphere_geom", "greedy_fourier"),
+    "witness": ("relu_nets", "sphere_geom", "greedy_fourier"),
+}
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
+def test_readme_command_loads_only_the_modules_it_runs(argv):
+    code = ("import contextlib, io, sys\n"
+            "from barronlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.dispatch(sys.argv[1:])\n"
+            f"print(code); {LOADED_BARRONLAB}")
+    exit_code, loaded = _fresh_process(code, *argv).splitlines()
+    assert exit_code == "0"
+    assert set(loaded.split()).isdisjoint(f"barronlab.{m}" for m in UNUSED_MODULES[argv[0]])

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from barronlab import rates
+from barronlab import greedy_fourier, rates, relu_nets, subsample
 from barronlab.numerics import RateFit
 
 
@@ -109,7 +109,7 @@ class TestOtherKinds:
         def broken(*args):
             raise TypeError("broken runner")
 
-        monkeypatch.setattr(rates.greedy_fourier, "heavy_tail_sweep",
+        monkeypatch.setattr(greedy_fourier, "heavy_tail_sweep",
                             lambda *args: (broken, None))
         with pytest.raises(TypeError, match="broken runner"):
             rates.run_experiment(rates.GREEDY_FOURIER, None,
@@ -158,16 +158,26 @@ class TestParameters:
         with pytest.raises(ValueError, match=f"'{key}' for kind {kind} must be finite"):
             rates.kind_config(kind, {key: value})
 
+    @pytest.mark.parametrize("kind, key", [
+        (kind, key) for kind in rates.EXPERIMENT_KINDS
+        for key, value in rates.kind_config(kind, None).items() if not isinstance(value, str)
+    ])
+    def test_non_numeric_value_names_key_kind_and_value(self, kind, key):
+        # Used to end in the bare "could not convert string to float: 'abc'".
+        with pytest.raises(ValueError, match=f"'{key}' for kind {kind} must be a number, "
+                                             "got 'abc'"):
+            rates.kind_config(kind, {key: "abc"})
+
     def test_no_restart_refused_before_the_sweep(self, monkeypatch):
         # Used to exit as informational with every n < N sub-run failed.
-        monkeypatch.setattr(rates.subsample, "maurey_subsample", None)
+        monkeypatch.setattr(subsample, "maurey_subsample", None)
         with pytest.raises(ValueError, match="needs restarts >= 1, got restarts=0"):
             rates.run_experiment(rates.SUBSAMPLE_CONCENTRATION, {"restarts": 0}, self.GRID)
 
     @pytest.mark.parametrize("big_n", [0, -2])
     def test_no_term_refused_before_the_sweep(self, monkeypatch, big_n):
         # Used to exit as informational with every sub-run failed.
-        monkeypatch.setattr(rates.subsample, "maurey_subsample", None)
+        monkeypatch.setattr(subsample, "maurey_subsample", None)
         with pytest.raises(ValueError, match=f"needs N >= 1, got N={big_n}"):
             rates.run_experiment(rates.SUBSAMPLE_CONCENTRATION, {"N": big_n}, self.GRID)
 
@@ -189,7 +199,7 @@ class TestParameters:
                                                                  key, value):
         # m = -1 used to exit as informational with every sub-run failed;
         # xi_max = -5 ended in "cannot order an empty expansion".
-        monkeypatch.setattr(rates.greedy_fourier, "heavy_tail_sweep", None)
+        monkeypatch.setattr(greedy_fourier, "heavy_tail_sweep", None)
         with pytest.raises(ValueError, match=f"needs {key} >= 0, got {key}={value}"):
             rates.run_experiment(rates.GREEDY_FOURIER, {key: value}, self.GRID)
 
@@ -200,7 +210,7 @@ class TestParameters:
     def test_sobolev_compile_parameter_refused_before_the_sweep(self, monkeypatch,
                                                                 key, value, named):
         # Both used to exit as informational with every sub-run failed.
-        monkeypatch.setattr(rates.relu_nets, "compile_sobolev_approximant", None)
+        monkeypatch.setattr(relu_nets, "compile_sobolev_approximant", None)
         with pytest.raises(ValueError, match=f"kind sobolev-compile needs {named}"):
             rates.run_experiment(rates.SOBOLEV_COMPILE, {key: value}, self.GRID)
 
