@@ -118,11 +118,14 @@ def _sobolev_compile(c, grid, seed):
         raise ValueError(f"kind {SOBOLEV_COMPILE} needs ell >= 0, got ell={c['ell']}")
     if c["d"] > 3:
         raise ValueError(f"kind {SOBOLEV_COMPILE} needs d <= 3, got d={c['d']}")
+    if c["cycles"] == 0:
+        raise ValueError(f"kind {SOBOLEV_COMPILE} needs cycles != 0, got cycles={c['cycles']}")
     if c["s"] is None:
         c["s"] = float(c["ell"])
     f = sine_target(c["cycles"])
+    target = relu_nets.probe_target(f, c["d"])
     return c["s"], lambda q, _: relu_nets.compile_sobolev_approximant(
-        f, c["ell"], relu_nets.CubePartition(c["d"], q)).sup_error(f)
+        f, c["ell"], relu_nets.CubePartition(c["d"], q)).probe_error(target)
 
 
 def _sphere_cover(c, grid, seed):

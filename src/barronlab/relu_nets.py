@@ -457,27 +457,54 @@ class SobolevApproximant:
                              self.smoothing)
         return unbatch(self._evaluate(ids, y) * ramp, single)
 
-    def sup_error(self, f: Callable) -> float:
-        """Largest |f - self| on a uniform grid of [0, 1]^d: 401 points per axis
-        for d <= 2, and 65 for d = 3 (64 intervals, so every q dividing 64 keeps
-        its cell faces on the grid).  The grid is a tensor product, so the axis
-        is located in its cells once, and each coefficient column, viewed as a
-        q^d array, is gathered one axis at a time and multiplied by that axis's
-        power before the next gather: the same products, in the same order, as
-        evaluating every grid point."""
+    def probe_error(self, target) -> float:
+        """Largest |target - self| on the probe grid, where ``target`` holds the
+        values ``probe_target`` returns for this approximant's dimension; a
+        target of any other shape is a ``ValueError``.
+
+        The grid is a tensor product, so the axis is located in its cells once,
+        and each coefficient column, viewed as a q^d array, is gathered one axis
+        at a time and multiplied by that axis's power before the next gather:
+        the same products, in the same order, as evaluating every grid point.
+        The axis is sorted, so each cell's probes form one contiguous run and
+        the gather repeats each cell's entry by its probe count.
+        """
         d, q = self.partition.d, self.partition.q
-        axis = np.linspace(0.0, 1.0, 401 if d <= 2 else 65)
+        axis = _probe_axis(d)
+        target = np.asarray(target)
+        if target.shape != (len(axis),) * d:
+            raise ValueError(f"probe target has shape {target.shape}, "
+                             f"expected {(len(axis),) * d}")
         cells, local = self.partition.locate_axis(axis)
-        approx = np.zeros((len(axis),) * d)
+        counts = np.bincount(cells, minlength=q)
+        approx = np.zeros(target.shape)
         for alpha, c in zip(self.exponents.tolist(), self.coefficients.T):
             term = c.reshape((q,) * d)
             for j, aj in enumerate(alpha):
-                term = np.take(term, cells, axis=j)
+                term = np.repeat(term, counts, axis=j)
                 if aj:
                     term *= (local**aj).reshape((-1,) + (1,) * (d - 1 - j))
             approx += term
-        target = np.asarray(f(grid_rows(axis, d))).reshape(approx.shape)
         return float(np.max(np.abs(target - approx)))
+
+    def sup_error(self, f: Callable) -> float:
+        """Largest |f - self| on the probe grid: ``probe_error`` of
+        ``probe_target(f, d)``.  A sweep over partitions of one target should
+        take ``probe_target`` once and call ``probe_error`` per partition."""
+        return self.probe_error(probe_target(f, self.partition.d))
+
+
+def _probe_axis(d: int) -> np.ndarray:
+    """Probe coordinates per axis: 401 for d <= 2, and 65 for d = 3 (64
+    intervals, so every q dividing 64 keeps its cell faces on the grid)."""
+    return np.linspace(0.0, 1.0, 401 if d <= 2 else 65)
+
+
+def probe_target(f: Callable, d: int) -> np.ndarray:
+    """``f`` on the uniform probe grid of [0, 1]^d, as a ``(len(axis),) * d``
+    array; ``f`` is called once on all ``grid_rows`` of the axis."""
+    axis = _probe_axis(d)
+    return np.asarray(f(grid_rows(axis, d))).reshape((len(axis),) * d)
 
 
 def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,

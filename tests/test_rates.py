@@ -62,6 +62,31 @@ class TestOtherKinds:
         assert report.verdict == rates.BOUND_SATISFIED
         assert report.predicted_exponent == pytest.approx(2.0)
 
+    def test_sobolev_compile_matches_per_q_sup_error(self):
+        grid = [2, 4, 8, 16, 32, 64]
+        report = rates.run_experiment(rates.SOBOLEV_COMPILE, {"d": 2}, grid)
+        f = rates.sine_target(1.0)
+        assert report.samples == tuple(
+            (q, relu_nets.compile_sobolev_approximant(
+                f, 2, relu_nets.CubePartition(2, q)).sup_error(f)) for q in grid)
+
+    def test_sobolev_compile_probes_target_once_per_sweep(self, monkeypatch):
+        probe_calls = []
+        sine_target = rates.sine_target
+
+        def counted(cycles):
+            f = sine_target(cycles)
+
+            def g(pts):
+                if len(pts) == 401**2:
+                    probe_calls.append(len(pts))
+                return f(pts)
+            return g
+
+        monkeypatch.setattr(rates, "sine_target", counted)
+        rates.run_experiment(rates.SOBOLEV_COMPILE, {"d": 2}, [2, 4, 8, 16, 32, 64])
+        assert probe_calls == [401**2]
+
     def test_sphere_cover(self):
         report = rates.run_experiment(
             rates.SPHERE_COVER, {"d": 2}, [4, 8, 16, 32, 64, 128], seed=1
@@ -206,11 +231,15 @@ class TestParameters:
     @pytest.mark.parametrize("key, value, named", [
         ("ell", -1, "ell >= 0, got ell=-1"),
         ("d", 4, "d <= 3, got d=4"),
-    ], ids=["ell", "d"])
+        ("cycles", 0, "cycles != 0, got cycles=0.0"),
+    ], ids=["ell", "d", "cycles"])
     def test_sobolev_compile_parameter_refused_before_the_sweep(self, monkeypatch,
                                                                 key, value, named):
-        # Both used to exit as informational with every sub-run failed.
+        # ell and d used to exit as informational with every sub-run failed;
+        # cycles = 0 gives a constant target that every fit reproduces, so
+        # every error was 0.0 and the fit null.  No target is built first.
         monkeypatch.setattr(relu_nets, "compile_sobolev_approximant", None)
+        monkeypatch.setattr(rates, "sine_target", None)
         with pytest.raises(ValueError, match=f"kind sobolev-compile needs {named}"):
             rates.run_experiment(rates.SOBOLEV_COMPILE, {key: value}, self.GRID)
 

@@ -14,6 +14,7 @@ from barronlab.relu_nets import (
     CellPolynomial,
     Cube,
     CubePartition,
+    SobolevApproximant,
     compile_sobolev_approximant,
     evaluate_network,
     evaluate_product_sum,
@@ -21,6 +22,7 @@ from barronlab.relu_nets import (
     monomial_network_1d,
     monomial_product_expansion,
     network_hm_upper,
+    probe_target,
     relu_network,
     ridge_local_taylor,
     sigma_k,
@@ -541,6 +543,31 @@ class TestArrayApproximant:
         pts = grid_rows(np.linspace(0.0, 1.0, 401 if d <= 2 else 65), d)
         want = np.max(np.abs(smooth_target(pts) - approx(pts)))
         assert approx.sup_error(smooth_target) == want
+
+    @pytest.mark.parametrize("d, q, ell", [(1, 3, 2), (1, 7, 3), (2, 3, 2), (2, 7, 3),
+                                           (3, 3, 2), (3, 4, 3),
+                                           (1, 500, 2), (2, 401, 2), (3, 65, 2)])
+    def test_probe_error_is_max_over_probe_grid(self, d, q, ell):
+        # Random coefficients, so q can exceed the probes per axis: with
+        # q = 500 some cells hold no probe (empty runs), and with q = 401
+        # (d = 2) or q = 65 (d = 3) every cell holds exactly one probe.
+        exponents = np.array(sorted(multi_indices(d, ell)), dtype=int)
+        coefficients = np.random.default_rng(q).normal(size=(q**d, len(exponents)))
+        approx = SobolevApproximant(CubePartition(d, q), exponents, coefficients)
+        target = probe_target(smooth_target, d)
+        assert target.shape == (401 if d <= 2 else 65,) * d
+        pts = grid_rows(np.linspace(0.0, 1.0, target.shape[0]), d)
+        want = np.max(np.abs(smooth_target(pts) - approx(pts)))
+        assert approx.probe_error(target) == want
+        assert approx.sup_error(smooth_target) == want
+
+    def test_probe_error_refuses_target_of_wrong_shape(self):
+        approx = compile_sobolev_approximant(smooth_target, 1, CubePartition(2, 4))
+        # A (401,) target would otherwise broadcast against the 401 x 401 grid.
+        with pytest.raises(ValueError, match=r"shape \(401,\), expected \(401, 401\)"):
+            approx.probe_error(probe_target(smooth_target, 1))
+        with pytest.raises(ValueError, match=r"shape \(65, 65, 65\), expected \(401, 401\)"):
+            approx.probe_error(probe_target(smooth_target, 3))
 
     def test_indicators_built_once(self):
         approx = compile_sobolev_approximant(smooth_target, 1, CubePartition(2, 4),
