@@ -30,19 +30,17 @@ MAX_BOX_ROWS = 2**22
 # smooth bump
 # ----------------------------------------------------------------------
 
-def bump_value(alpha: float, t):
+def bump_value(t):
     """Compactly supported bump exp(-(1 - t^2)^(1 - alpha)) on (-1, 1), 0 outside.
 
-    Requires alpha > 1.  The bump is even, peaks at exp(-1) at t = 0, and all
-    derivatives vanish at the endpoints.
+    The shape is fixed at alpha = ``CUTOFF_ALPHA`` = 2.  The bump is even,
+    peaks at exp(-1) at t = 0, and all derivatives vanish at the endpoints.
     """
-    if alpha <= 1:
-        raise ValueError(f"bump shape parameter must exceed 1, got {alpha}")
     t, single = as_batch(t, ndim=0)
     out = np.zeros_like(t)
     inside = np.abs(t) < 1.0
     with np.errstate(over="ignore", divide="ignore"):
-        u = (1.0 - t[inside] ** 2) ** (1.0 - alpha)
+        u = (1.0 - t[inside] ** 2) ** (1.0 - CUTOFF_ALPHA)
         out[inside] = np.exp(-u)
     return unbatch(out, single)
 
@@ -234,8 +232,7 @@ def from_json(text: str) -> FourierSum:
 # mollified cutoff and periodization
 # ----------------------------------------------------------------------
 
-def _cutoff_profile(vals: np.ndarray, L: float, eps: float, alpha: float,
-                    resolution: int) -> np.ndarray:
+def _cutoff_profile(vals: np.ndarray, L: float, eps: float, resolution: int) -> np.ndarray:
     """One axis of the cutoff: scaled-bump convolution with the inner box.
 
     Separability reduces the tensor convolution to, per axis, an integral of
@@ -244,7 +241,7 @@ def _cutoff_profile(vals: np.ndarray, L: float, eps: float, alpha: float,
     exactly 1).
     """
     nodes, weights = axis_rule(-1.0, 1.0, resolution)
-    normalization = float(np.dot(weights, bump_value(alpha, nodes)))
+    normalization = float(np.dot(weights, bump_value(nodes)))
     lo = np.maximum(-1.0, 4.0 * (vals - L) / eps + 6.0)
     hi = np.minimum(1.0, 4.0 * vals / eps + 2.0)
     out = np.zeros_like(vals)
@@ -253,7 +250,7 @@ def _cutoff_profile(vals: np.ndarray, L: float, eps: float, alpha: float,
         half = 0.5 * (hi[active] - lo[active])
         mid = 0.5 * (hi[active] + lo[active])
         pts = mid[:, None] + half[:, None] * nodes[None, :]
-        integrals = (bump_value(alpha, pts.ravel()).reshape(pts.shape) @ weights) * half
+        integrals = (bump_value(pts.ravel()).reshape(pts.shape) @ weights) * half
         out[active] = integrals / normalization
     plateau = (4.0 * (vals - L) / eps + 6.0 <= -1.0) & (4.0 * vals / eps + 2.0 >= 1.0)
     out[plateau] = 1.0
@@ -272,26 +269,21 @@ def mollified_cutoff(x, L: float, eps: float, resolution: int = 64):
     pts, single = as_batch(x)
     out = np.ones(pts.shape[0])
     for j in range(pts.shape[1]):
-        out = out * _cutoff_profile(pts[:, j], L, eps, CUTOFF_ALPHA, resolution)
+        out = out * _cutoff_profile(pts[:, j], L, eps, resolution)
     return unbatch(out, single)
 
 
 @lru_cache(maxsize=2)
-def _node_plan(L: float, lo: float, hi: float, eps: float, alpha: float,
-               resolution: int, d: int, window: bool):
+def _node_plan(L: float, eps: float, resolution: int, d: int):
     """Offset-independent part of one periodization, cached and read-only.
 
-    Returns the (resolution^d, d) node rows the target is sampled at, in
-    the row order of ``grid_rows``, and the tensor cutoff over the node grid
-    (``None`` without a window).
+    Returns the (resolution^d, d) node rows on [-eps, L - eps]^d the target
+    is sampled at, in the row order of ``grid_rows``, and the tensor cutoff
+    over the node grid.
     """
-    nodes, _ = axis_rule(lo, hi, resolution)
-    cutoff = None
-    if window:
-        profile = _cutoff_profile(nodes, L, eps, alpha, resolution)
-        (cutoff,) = read_only(reduce(np.multiply.outer, [profile] * d))
-    (points,) = read_only(grid_rows(nodes, d))
-    return points, cutoff
+    nodes, _ = axis_rule(-eps, L - eps, resolution)
+    profile = _cutoff_profile(nodes, L, eps, resolution)
+    return read_only(grid_rows(nodes, d), reduce(np.multiply.outer, [profile] * d))
 
 
 @lru_cache(maxsize=16)
@@ -308,22 +300,19 @@ def _phase_matrix(aj: float, L: float, z_box: int, lo: float, hi: float,
 
 
 def _periodize_once(f_e: Callable, L: float, a, z_box: int, eps: float,
-                    alpha: float, resolution: int, window: bool) -> np.ndarray:
+                    resolution: int) -> np.ndarray:
     """One pass of windowed coefficient extraction at a fixed resolution.
 
     Returns the coefficients of every index in the box |z_j| <= z_box, in
     the row order of ``grid_rows``.
     """
     d = len(a)
-    lo, hi = (-eps, L - eps) if window else (0.0, L)
-    points, cutoff = _node_plan(L, lo, hi, eps, alpha, resolution, d, window)
-    h = np.asarray(f_e(points), dtype=complex).reshape((resolution,) * d)
-    if window:
-        h = h * cutoff
+    points, cutoff = _node_plan(L, eps, resolution, d)
+    h = np.asarray(f_e(points), dtype=complex).reshape((resolution,) * d) * cutoff
     for aj in a:
         # Contracting the leading node axis appends the index axis last, so
         # after d passes the axes are (z_1, ..., z_d).
-        phase = _phase_matrix(aj, L, z_box, lo, hi, resolution)
+        phase = _phase_matrix(aj, L, z_box, -eps, L - eps, resolution)
         h = np.tensordot(h, phase, axes=([0], [1]))
     return h.ravel() / L**d
 
@@ -338,8 +327,7 @@ def _ring_fraction(index: np.ndarray, values: np.ndarray, z_box: int) -> float:
 
 
 def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
-                     support_bound: float, eps: float | None = None,
-                     alpha: float = CUTOFF_ALPHA, window: bool = True) -> FourierSum:
+                     support_bound: float) -> FourierSum:
     """Expand a field into a lattice Fourier sum by windowed periodization.
 
     The caller declares that the restriction of interest lives in
@@ -347,25 +335,23 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
     ``L > sqrt(d) * support_bound + 2``.  Coefficients are
     ``c_z = L^{-d} * transform(cutoff * f_e)`` sampled at ``a + z/L`` and
     computed by tensor Gauss-Legendre quadrature over the cutoff support
-    (32 ceil(L) nodes per axis, doubled once automatically when the
+    (n = 32 ceil(L) nodes per axis, doubled once automatically when the
     outermost index ring carries more than 1% of the l1 mass; a persistent
-    overweight ring attaches a truncation warning).
+    overweight ring attaches a truncation warning).  The cutoff is
+    ``mollified_cutoff`` with eps = min(1, (L - support_bound) / 4).
 
-    ``window=False`` skips the cutoff and integrates over one period cell,
-    which is plain mode inversion and only meaningful for inputs that are
-    already L-periodic or supported inside the cell.
-
-    Only d <= 2 is supported: the node grid has (32 ceil(L))^d points.
-    ``z_box`` must be an integer >= 0 and each offset component in
-    [0, 1/L]; both are checked before any quadrature.
+    Only d <= 2 is supported: the node grid has n^d points.  ``z_box`` must
+    be an integer in [0, n/2] (beyond about 2n/pi, n nodes no longer
+    integrate the phases exactly and the box aliases silently) and each
+    offset component in [0, 1/L]; both are checked before any quadrature.
 
     Two bounded caches keep the offset-independent work for later calls:
     up to 2 node plans, a node grid and its doubling (the node rows the
     target is sampled at and the cutoff over the node grid, (d + 1) n^d
-    floats for n nodes per axis: 0.9 MB at L = 6 in d = 2, 3.5 MB on the
-    doubled grid) and up to 16 per-axis phase matrices ((2 z_box + 1) n
-    complex values: 150 KB at L = 6, z_box = 24).  Cached arrays are
-    read-only, so ``f_e`` receives read-only points.
+    floats: 0.9 MB at L = 6 in d = 2, 3.5 MB on the doubled grid) and up to
+    16 per-axis phase matrices ((2 z_box + 1) n complex values: 150 KB at
+    L = 6, z_box = 24).  Cached arrays are read-only, so ``f_e`` receives
+    read-only points.
     """
     a = tuple(float(v) for v in a)
     d = len(a)
@@ -375,22 +361,24 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
         raise ValueError(
             f"period {L} too small: need L > sqrt(d) * {support_bound} + 2"
         )
-    if eps is None:
-        eps = min(1.0, (L - support_bound) / 4.0)
+    eps = min(1.0, (L - support_bound) / 4.0)
     if not 0.0 < eps < L / 2 or L - 2.0 * eps < support_bound:
         raise ValueError(f"transition width {eps} incompatible with L={L}, S={support_bound}")
     if not (z_box >= 0 and float(z_box).is_integer()):
         raise ValueError(f"z_box must be an integer >= 0, got z_box = {z_box}")
+    resolution = 32 * math.ceil(L)
+    if z_box > resolution // 2:
+        raise ValueError(f"z_box = {z_box} exceeds the limit 16 ceil(L) = {resolution // 2} "
+                         f"at L = {L}: the {resolution}-node rule aliases larger indices")
     _check_offset(a, L)
     # Float cache keys: an entry never depends on the caller's number types.
-    L, eps, alpha = float(L), float(eps), float(alpha)
-    resolution = 32 * math.ceil(L)
+    L, eps = float(L), float(eps)
 
     index = grid_rows(np.arange(-z_box, z_box + 1), d)
-    values = _periodize_once(f_e, L, a, z_box, eps, alpha, resolution, window)
+    values = _periodize_once(f_e, L, a, z_box, eps, resolution)
     warnings = ()
     if _ring_fraction(index, values, z_box) > 0.01:
-        values = _periodize_once(f_e, L, a, z_box, eps, alpha, 2 * resolution, window)
+        values = _periodize_once(f_e, L, a, z_box, eps, 2 * resolution)
         frac = _ring_fraction(index, values, z_box)
         if frac > 0.01:
             warnings = (
@@ -404,8 +392,8 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
                 support_bound: float, grid: int = 4) -> tuple[tuple[float, ...], FourierSum]:
     """Scan offsets on a grid of [0, 1/L]^d and keep the weighted-mass argmin.
 
-    Offsets are periodized with ``periodize_expand``'s default eps and alpha
-    on its 32 ceil(L) nodes per axis.  The node grid does not depend on the
+    Offsets are periodized by ``periodize_expand``, with its fixed cutoff on
+    its 32 ceil(L) nodes per axis.  The node grid does not depend on the
     offset, so the target is sampled once per node grid (the base grid, and
     the doubled one if some offset needs it) and every offset reuses those
     read-only samples.  Those samples (n^d complex values for n nodes per

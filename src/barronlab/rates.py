@@ -120,6 +120,7 @@ def _sobolev_compile(c, grid, seed):
         raise ValueError(f"kind {SOBOLEV_COMPILE} needs d <= 3, got d={c['d']}")
     if c["cycles"] == 0:
         raise ValueError(f"kind {SOBOLEV_COMPILE} needs cycles != 0, got cycles={c['cycles']}")
+    relu_nets.check_compile_size(c["d"], grid[-1], c["ell"])
     if c["s"] is None:
         c["s"] = float(c["ell"])
     f = sine_target(c["cycles"])

@@ -5,8 +5,8 @@ cube-partition compiler for smooth targets.
 sigma_k(t) = max(0, t)^k with the convention 0^0 = 0, so sigma_0 is the
 right-open Heaviside step.  Networks hold the parameters of their units
 a_i sigma_{k_i}(omega_i . x + b_i) in arrays; heterogeneous powers are
-allowed because degree-m monomials use sigma_m units regardless of the
-ambient power cap.
+allowed because degree-m monomials use sigma_m units whatever the powers
+of the other units.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ class ReluNetwork:
     directions: np.ndarray
     biases: np.ndarray
     powers: np.ndarray
-    ambient_power: int
 
     @property
     def d(self) -> int:
@@ -76,7 +75,7 @@ class ReluNetwork:
 _EVAL_BLOCK = 1 << 16
 
 
-def relu_network(units: Sequence[tuple], ambient_power: int | None = None) -> ReluNetwork:
+def relu_network(units: Sequence[tuple]) -> ReluNetwork:
     """Build a network from (outer, direction, bias, power) tuples.
 
     Every power must be a nonnegative integer and every direction a vector
@@ -90,15 +89,12 @@ def relu_network(units: Sequence[tuple], ambient_power: int | None = None) -> Re
             raise ValueError(f"unit {i} has direction shape {omega.shape}, expected ({d},)")
         if k < 0 or int(k) != k:
             raise ValueError(f"unit {i} power must be a nonnegative integer, got {k}")
-    arrays = read_only(
+    return ReluNetwork(*read_only(
         np.array([complex(u[0]) for u in units], dtype=complex),
         np.array(rows, dtype=float).reshape(len(units), d),
         np.array([float(u[2]) for u in units]),
         np.array([int(u[3]) for u in units], dtype=int),
-    )
-    if ambient_power is None:
-        ambient_power = arrays[3].max(initial=0)
-    return ReluNetwork(*arrays, int(ambient_power))
+    ))
 
 
 def evaluate_network(net: ReluNetwork, x):
@@ -146,10 +142,7 @@ def monomial_network_1d(m: int) -> ReluNetwork:
     """
     if m < 1:
         raise ValueError(f"monomial degree must be >= 1, got {m}")
-    return relu_network(
-        [(1.0, (1.0,), 0.0, m), ((-1.0) ** m, (-1.0,), 0.0, m)],
-        ambient_power=m,
-    )
+    return relu_network([(1.0, (1.0,), 0.0, m), ((-1.0) ** m, (-1.0,), 0.0, m)])
 
 
 # ----------------------------------------------------------------------
@@ -507,6 +500,18 @@ def probe_target(f: Callable, d: int) -> np.ndarray:
     return np.asarray(f(grid_rows(axis, d))).reshape((len(axis),) * d)
 
 
+# Most sample rows q^d (ell + 3)^d one compile takes: 200 MB of points at d = 3.
+MAX_COMPILE_ROWS = 2**23
+
+
+def check_compile_size(d: int, q: int, ell: int) -> None:
+    """Refuse a compile of more than ``MAX_COMPILE_ROWS`` sample rows."""
+    rows = (int(q) * (int(ell) + 3)) ** int(d)  # Python ints: NumPy ones would wrap
+    if rows > MAX_COMPILE_ROWS:
+        raise ValueError(f"compile with q = {q}, d = {d}, ell = {ell} samples "
+                         f"q^d (ell + 3)^d = {rows} rows, above the cap {MAX_COMPILE_ROWS}")
+
+
 def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
                                 smoothing=None) -> SobolevApproximant:
     """Fit a degree-ell polynomial per cell by discrete least squares.
@@ -517,12 +522,14 @@ def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
     all cells, which reproduces global polynomials of degree <= ell exactly
     (the (ell + 3)^d nodes always exceed the C(ell + d, d) coefficients).
     With ``smoothing`` set (a sharpness value or per-axis tuple), the
-    smoothed variant sum_i p_i phi_i is available.
+    smoothed variant sum_i p_i phi_i is available.  A compile of more than
+    ``MAX_COMPILE_ROWS`` sample rows is refused before anything is allocated.
     """
     if ell < 0:
         raise ValueError(f"local degree must be >= 0, got {ell}")
     if cells.d > 3:
         raise ValueError("compiler supports d <= 3")
+    check_compile_size(cells.d, cells.q, ell)
     exponents = np.array(sorted(multi_indices(cells.d, ell)), dtype=int)
     if smoothing is not None:
         # All cells share one side, so one indicator validates the band.

@@ -39,24 +39,19 @@ def bump2(p):
 
 class TestBump:
     def test_peak_value(self):
-        assert bump_value(2.0, 0.0) == pytest.approx(math.exp(-1), rel=1e-15)
-        assert bump_value(7.3, 0.0) == pytest.approx(math.exp(-1), rel=1e-15)
+        assert bump_value(0.0) == pytest.approx(math.exp(-1), rel=1e-15)
 
     def test_vanishes_outside(self):
-        assert bump_value(2.0, 1.0) == 0.0
-        assert bump_value(2.0, -1.5) == 0.0
+        assert bump_value(1.0) == 0.0
+        assert bump_value(-1.5) == 0.0
 
     def test_even(self):
-        assert bump_value(2.0, 0.5) == bump_value(2.0, -0.5)
+        assert bump_value(0.5) == bump_value(-0.5)
 
-    def test_shape_parameter_validated(self):
-        with pytest.raises(ValueError):
-            bump_value(1.0, 0.0)
-
-    @given(t=st.floats(-2.0, 2.0), alpha=st.floats(1.01, 8.0))
+    @given(t=st.floats(-2.0, 2.0))
     @settings(max_examples=50, deadline=None)
-    def test_range(self, t, alpha):
-        v = bump_value(alpha, t)
+    def test_range(self, t):
+        v = bump_value(t)
         assert 0.0 <= v <= math.exp(-1) + 1e-15
 
 
@@ -300,30 +295,60 @@ class TestNorms:
         assert hm_norm_exact(fs, 1) == pytest.approx(quad, abs=1e-6)
 
 
+def gaussian(p):
+    return np.exp(-(((np.asarray(p) - 1.0) / 0.4) ** 2).sum(axis=1))
+
+
+def windowed_coefficients(f, L, a, support_bound, indices):
+    """Oracle coefficients L^-d int cutoff * f * exp(-2 pi i (a + z/L) . x) dx
+    over the cutoff support [-eps, L - eps]^d, one ``integrate`` per index on
+    twice periodization's 32 ceil(L) nodes per axis."""
+    d = len(a)
+    eps, n = min(1.0, (L - support_bound) / 4.0), 32 * math.ceil(L)
+    windowed = {}  # cutoff * f per node batch: the cutoff is the costly factor
+
+    def coefficient(z):
+        freq = np.asarray(a) + np.asarray(z) / L
+
+        def integrand(p):
+            key = p.tobytes()
+            if key not in windowed:
+                windowed[key] = mollified_cutoff(p, L, eps, resolution=n) * f(p)
+            return windowed[key] * np.exp(-2j * np.pi * (p @ freq))
+
+        return integrate(integrand, [(-eps, L - eps)] * d, 2 * n) / L**d
+
+    return np.array([coefficient(z) for z in indices])
+
+
 class TestPeriodize:
-    def test_periodic_bandlimited_inversion(self):
-        L, a = 5.0, (0.07,)
-        coeffs = {(-2,): 0.5 + 0.25j, (0,): 1.0, (3,): -0.125j}
-        src = fourier_sum(1, L, a, coeffs)
-        rec = periodize_expand(
-            lambda p: evaluate_sum(src, p), L, a, 5,
-            support_bound=2.0, window=False,
-        )
-        for z, c in coeffs.items():
-            assert rec.coeffs[z] == pytest.approx(c, abs=1e-8)
-        spurious = {z: abs(c) for z, c in rec.coeffs.items() if z not in coeffs}
-        assert not spurious or max(spurious.values()) < 1e-8
+    @pytest.mark.parametrize("f, a, z_box, support", [
+        (gaussian, (0.07,), 20, 2.0),
+        (bump2, (0.07, 0.03), 12, 1.6),
+    ], ids=["d1", "d2"])
+    def test_coefficients_match_a_quadrature_oracle(self, f, a, z_box, support):
+        # The windowed transform of every index at d = 1 and of a spread of
+        # indices at d = 2, against a finer, independent quadrature of the
+        # same integral.  Measured agreement: 6.6e-11 (d1) and 6.0e-12 (d2);
+        # without the cutoff the coefficients miss by 1.7e-7 and 2.0e-8.
+        fs = periodize_expand(f, 5.0, a, z_box, support_bound=support)
+        assert not fs.warnings
+        if len(a) == 1:
+            indices = [(z,) for z in range(-z_box, z_box + 1)]
+        else:
+            indices = [(0, 0), (1, -2), (-3, 5), (7, 7), (12, -12), (-6, 0)]
+        got = np.array([fs.coeffs.get(z, 0.0) for z in indices])
+        want = windowed_coefficients(f, 5.0, a, support, indices)
+        assert np.max(np.abs(got - want)) <= 1e-9
 
     def test_sinc_reconstruction(self):
-        L, S, eps = 5.0, 2.0, 1.4
-        fs = periodize_expand(
-            sinc, L, (0.0,), 60,
-            support_bound=S, eps=eps, alpha=3.0,
-        )
+        L, S = 5.0, 2.0
+        eps = min(1.0, (L - S) / 4.0)
+        fs = periodize_expand(sinc, L, (0.0,), 80, support_bound=S)
         assert not fs.warnings
         probes = np.linspace(0.0, L - 2 * eps, 20)[:, None]
         err = np.max(np.abs(evaluate_sum(fs, probes) - sinc(probes)))
-        assert err <= 1e-5
+        assert err <= 1e-4  # measured 7.5e-5 at z_box = 80, the limit at L = 5
 
     def test_zero_function_empty_support(self):
         fs = periodize_expand(
@@ -370,7 +395,7 @@ class TestPeriodize:
 
             fs = periodize_expand(
                 f, 5.0, (0.0,), 60,
-                support_bound=2.0, eps=1.4, alpha=3.0,
+                support_bound=2.0,
             )
             xi = np.linspace(-30, 30, 20001)
             ratios.append(barron_norm(fs, w0) / np.trapezoid(fhat_abs(xi), xi))
@@ -378,26 +403,12 @@ class TestPeriodize:
         assert all(0.8 * fitted <= r <= 1.2 * fitted for r in ratios)
 
     def test_two_dimensional_reconstruction(self):
-        L, eps = 5.0, 1.4
-        fs = periodize_expand(
-            bump2, L, (0.0, 0.0), 12,
-            support_bound=1.6, eps=eps, alpha=3.0,
-        )
+        L, eps = 5.0, 0.85  # eps = min(1, (L - support_bound) / 4)
+        fs = periodize_expand(bump2, L, (0.0, 0.0), 12, support_bound=1.6)
         rng = np.random.default_rng(0)
         probes = rng.uniform(0.0, L - 2 * eps, (20, 2))
         err = np.max(np.abs(evaluate_sum(fs, probes) - bump2(probes)))
         assert err <= 1e-3  # index-box truncation dominates at this z_box
-
-    def test_two_dimensional_inversion(self):
-        L, a = 5.0, (0.03, 0.0)
-        coeffs = {(1, 0): 1.0, (0, -2): 0.5j, (2, 2): -0.25}
-        src = fourier_sum(2, L, a, coeffs)
-        rec = periodize_expand(
-            lambda p: evaluate_sum(src, p), L, a, 3,
-            support_bound=1.6, window=False,
-        )
-        for z, c in coeffs.items():
-            assert rec.coeffs[z] == pytest.approx(c, abs=1e-10)
 
     @pytest.mark.parametrize("z_box", [-1, -5, 2.5, math.nan])
     def test_index_box_must_be_a_nonnegative_integer(self, z_box):
@@ -406,6 +417,26 @@ class TestPeriodize:
         # [-2, -1, 0, 0, 1, 2].
         with pytest.raises(ValueError, match="z_box"):
             periodize_expand(sinc, 5.0, (0.0,), z_box, support_bound=2.0)
+
+    @pytest.mark.parametrize("d, L, support", [(1, 5.0, 2.0), (2, 6.0, 2.0)], ids=["d1", "d2"])
+    def test_index_box_limit(self, d, L, support):
+        # Beyond n/2 = 16 ceil(L) the n-node rule aliases; at the limit a
+        # Gaussian is still reconstructed (measured 8.6e-9 at d1, 1.3e-10 at d2).
+        limit = 16 * math.ceil(L)
+        f = Counting(gaussian)
+        with pytest.raises(ValueError, match=rf"z_box = {limit + 1} exceeds the limit .* = {limit}"):
+            periodize_expand(f, L, (0.0,) * d, limit + 1, support_bound=support)
+        assert f.calls == 0
+        fs = periodize_expand(gaussian, L, (0.0,) * d, limit, support_bound=support)
+        assert not fs.warnings
+        probes = np.random.default_rng(0).uniform(0.0, L - 2.0, (50, d))
+        assert np.max(np.abs(evaluate_sum(fs, probes) - gaussian(probes))) <= 1e-7
+
+    def test_sinc_box_beyond_the_node_rule_refused(self):
+        # z_box = 180 at L = 5 used to return a sum that missed sinc by 1.6,
+        # with 84% of its l1 mass at |z| > 80 and no warning.
+        with pytest.raises(ValueError, match="z_box = 180 exceeds the limit 16 ceil"):
+            periodize_expand(sinc, 5.0, (0.0,), 180, support_bound=2.0)
 
     @pytest.mark.parametrize("a", [(0.5,), (-0.01,), (math.nan,), (0.0, 0.3)],
                              ids=["above", "below", "nan", "second-axis"])
@@ -425,21 +456,20 @@ def clear_periodize_caches():
 
 
 class TestPeriodizeCaches:
-    @pytest.mark.parametrize("window", [True, False], ids=["window", "cell"])
     @pytest.mark.parametrize("f, d, z_box, heavy", [
         (sinc, 1, 24, False),
         (sinc, 1, 2, True),
         (bump2, 2, 12, False),
         (bump2, 2, 1, True),
-    ], ids=["d1", "d1-heavy", "d2", "d2-heavy"])
-    def test_same_bytes_with_caches_cleared_and_warm(self, f, d, z_box, heavy, window):
+    ], ids=["d1-window", "d1-heavy-window", "d2-window", "d2-heavy-window"])
+    def test_same_bytes_with_caches_cleared_and_warm(self, f, d, z_box, heavy):
         a = (0.07,) * d
         counted = Counting(f)
         clear_periodize_caches()
-        cold = periodize_expand(counted, 5.0, a, z_box, support_bound=1.6, window=window)
+        cold = periodize_expand(counted, 5.0, a, z_box, support_bound=1.6)
         assert counted.calls == (2 if heavy else 1)  # heavy: the doubled grid too
         hits = barron._phase_matrix.cache_info().hits
-        warm = periodize_expand(f, 5.0, a, z_box, support_bound=1.6, window=window)
+        warm = periodize_expand(f, 5.0, a, z_box, support_bound=1.6)
         assert barron._phase_matrix.cache_info().hits > hits
         assert to_json(warm) == to_json(cold)
         assert warm.warnings == cold.warnings
@@ -453,7 +483,7 @@ class TestPeriodizeCaches:
             return bump2(p)
 
         periodize_expand(f, 5.0, (0.0, 0.1), 12, support_bound=1.6)
-        points, cutoff = barron._node_plan(5.0, -0.85, 4.15, 0.85, 2.0, 160, 2, True)
+        points, cutoff = barron._node_plan(5.0, 0.85, 160, 2)
         assert seen[0] is points
         assert not points.flags.writeable and not cutoff.flags.writeable
         phase = barron._phase_matrix(0.1, 5.0, 12, -0.85, 4.15, 160)

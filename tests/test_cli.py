@@ -150,6 +150,22 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "dimension d must be >= 1, got 0" in err
 
+    @pytest.mark.parametrize("args, named", [
+        (("relu-compile", "--d", "3", "--q", "100000"), "q = 100000, d = 3, ell = 2"),
+        (("rates", "--kind", "sobolev-compile", "--param", "d=3", "--n-grid", "2:128"),
+         "q = 128, d = 3, ell = 2"),
+    ], ids=["relu-compile", "rates"])
+    def test_oversized_compile_refused(self, capsys, monkeypatch, args, named):
+        # relu-compile --d 3 --q 100000 used to exit 1 with a NumPy
+        # _ArrayMemoryError traceback (2.60 EiB for CubePartition.grids).
+        # Nothing here may allocate: without the refusal, grids and
+        # probe_target end in a TypeError instead.
+        monkeypatch.setattr(relu_nets.CubePartition, "grids", None)
+        monkeypatch.setattr(relu_nets, "probe_target", None)
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert named in err
+
     def test_format_declared_where_there_are_two(self):
         declared = {name: next(a.default for a in p._actions if a.dest == "format")
                     for name, p in PARSERS.items()

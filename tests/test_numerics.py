@@ -203,7 +203,7 @@ _PRODUCT = relu_nets.monomial_product_expansion((1, 1), 2)
 _FOURIER = barron.fourier_sum(2, 1.0, (0.0, 0.0), {(1, 0): 1.0, (0, 2): 0.5j})
 EVALUATORS = [
     ("sigma_k", None, 0.3, lambda t: relu_nets.sigma_k(t, 2)),
-    ("bump_value", None, 0.3, lambda t: barron.bump_value(2.0, t)),
+    ("bump_value", None, 0.3, barron.bump_value),
     ("sobolev_weight", None, [0.5, 1.0, 0.25], lambda eta: sobolev_weight(eta, 2)),
     ("WeightSpec", None, [0.5, 1.0, 0.25], barron.WeightSpec.polynomial(1.5)),
     ("mollified_cutoff", None, [0.5, 1.0, 0.25],

@@ -243,6 +243,15 @@ class TestParameters:
         with pytest.raises(ValueError, match=f"kind sobolev-compile needs {named}"):
             rates.run_experiment(rates.SOBOLEV_COMPILE, {key: value}, self.GRID)
 
+    def test_sobolev_compile_oversized_grid_refused_before_the_sweep(self, monkeypatch):
+        # The grid's largest q is checked against the compile cap before the
+        # target is built or probed, so nothing large is allocated.
+        monkeypatch.setattr(relu_nets, "compile_sobolev_approximant", None)
+        monkeypatch.setattr(relu_nets, "probe_target", None)
+        monkeypatch.setattr(rates, "sine_target", None)
+        with pytest.raises(ValueError, match=f"q = {self.GRID[-1]}, d = 3, ell = 2"):
+            rates.run_experiment(rates.SOBOLEV_COMPILE, {"d": 3}, self.GRID)
+
     def test_derived_defaults_filled_in(self):
         report = rates.run_experiment(rates.GREEDY_FOURIER, None, self.GRID)
         assert report.config["xi_max"] == 400.0

@@ -1,6 +1,8 @@
 """Reach guard: every public module-level function or class of barronlab is
 named by the package itself, a script, a benchmark file or the acceptance
-tests.  Code that only unit tests reach is wired into a command or deleted.
+tests, and every defaulted parameter of a public function or method is set
+by some call there.  Code and settings that only unit tests reach are wired
+into a command, fixed, or deleted.
 """
 
 import ast
@@ -19,6 +21,15 @@ ORACLES = {
     "lower_bounds.tail_density": "integrand oracle of example2_tail_mass",
     "lower_bounds.plateau_weight": "oracle of example2_tail_mass, used by tail_density",
 }
+
+
+def parse(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
+
+def package_trees() -> dict[str, ast.Module]:
+    """Each barronlab module's syntax tree, by module name."""
+    return {path.stem: parse(path) for path in sorted(PACKAGE.glob("*.py"))}
 
 
 def named(tree, skip=None) -> set[str]:
@@ -45,10 +56,8 @@ def named(tree, skip=None) -> set[str]:
 def reach() -> tuple[set[str], list[str]]:
     """Public module-level functions and classes of barronlab as
     ``module.name``, and those of them that nothing names."""
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
-             for path in sorted(PACKAGE.glob("*.py"))}
-    outside = set().union(*(named(ast.parse(path.read_text(encoding="utf-8")))
-                            for path in CALLERS))
+    trees = package_trees()
+    outside = set().union(*(named(parse(path)) for path in CALLERS))
     defined, missing = set(), []
     for stem, tree in trees.items():
         elsewhere = outside.union(*(named(t) for s, t in trees.items() if s != stem))
@@ -64,3 +73,71 @@ def test_every_public_definition_is_reached():
     defined, missing = reach()
     assert set(ORACLES) <= defined
     assert [name for name in missing if name not in ORACLES] == []
+
+
+# Defaulted parameters that no call outside the unit tests sets, and why they stay.
+UNSET = {
+    "numerics.integrate(resolution)": "test oracle; tests refine its node count",
+    "barron.mollified_cutoff(resolution)": "test oracle; tests refine its node count",
+    "relu_nets.network_hm_upper(spec)": "perfbench/tracer.py reads it to count nodes",
+    "sphere_geom.covering_radius(probes)": "perfbench/tracer.py reads it to count probes",
+    "sphere_geom.covering_radius(probe_points)": "perfbench/tracer.py reads it to count probes",
+}
+
+
+def defaulted(tree) -> list[tuple[str, str, int | None]]:
+    """(qualified name, parameter, positional slot or None if keyword-only) of
+    every defaulted parameter of a public function, or of a public method of
+    a public class, defined at the top of ``tree``; slots exclude self/cls."""
+    found = []
+    functions = [(node.name, node, False) for node in tree.body
+                 if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            functions += [(f"{cls.name}.{node.name}", node, True) for node in cls.body
+                          if isinstance(node, ast.FunctionDef)]
+    for qualified, node, method in functions:
+        if node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        bound = method and not any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
+                                   for dec in node.decorator_list)
+        first = len(positional) - len(args.defaults)
+        for slot in range(first, len(positional)):
+            found.append((qualified, positional[slot].arg, slot - bound))
+        found += [(qualified, arg.arg, None)
+                  for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default]
+    return found
+
+
+def calls(trees) -> dict[str, list[ast.Call]]:
+    """Every call in ``trees``, by the called function's or attribute's name."""
+    out: dict[str, list[ast.Call]] = {}
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            out.setdefault(name, []).append(node)
+    return out
+
+
+def sets(call: ast.Call, parameter: str, slot: int | None) -> bool:
+    """Whether ``call`` passes ``parameter``: by keyword, by position, or by unpacking."""
+    if any(kw.arg in (parameter, None) for kw in call.keywords):
+        return True
+    if any(isinstance(arg, ast.Starred) for arg in call.args):
+        return True
+    return slot is not None and len(call.args) > slot
+
+
+def test_every_optional_parameter_is_set():
+    trees = package_trees()
+    found = calls([*trees.values(), *map(parse, CALLERS)])
+    unset = []
+    for stem, tree in trees.items():
+        for qualified, parameter, slot in defaulted(tree):
+            name = qualified.rsplit(".", 1)[-1]
+            if not any(sets(call, parameter, slot) for call in found.get(name, [])):
+                unset.append(f"{stem}.{qualified}({parameter})")
+    assert sorted(unset) == sorted(UNSET)

@@ -149,7 +149,7 @@ class TestNetworkArrays:
         np.testing.assert_array_equal(net.directions, [[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
         np.testing.assert_array_equal(net.biases, [-0.5, 1.25, 0.0])
         np.testing.assert_array_equal(net.powers, [2, 0, 3])
-        assert (net.d, net.width, net.ambient_power) == (2, 3, 3)
+        assert (net.d, net.width) == (2, 3)
         assert net.ell1 == pytest.approx(math.sqrt(5.0) + 3.0 + 0.5, rel=1e-15)
         assert [tuple(u) for u in net.units] == [
             (complex(a), tuple(float(w) for w in omega), b, k) for a, omega, b, k in self.UNITS
@@ -402,6 +402,27 @@ class TestIndicator:
 
 
 class TestCompile:
+    def test_oversized_compile_refused_before_sampling(self, monkeypatch):
+        # q = 100000 at d = 3 used to fail allocating 2.60 EiB in grids.
+        monkeypatch.setattr(CubePartition, "grids", None)
+        with pytest.raises(ValueError, match=r"q = 100000, d = 3, ell = 2 .* above the cap 8388608"):
+            compile_sobolev_approximant(None, 2, CubePartition(3, 100000))
+
+    @pytest.mark.parametrize("d, q, ell, admitted", [
+        (3, 32, 3, True),  # 7,077,888 rows
+        (3, 34, 3, False),
+        (1, 2**23 // 3, 0, True),
+        (1, 2**23 // 3 + 1, 0, False),
+        (np.int64(3), np.int64(2**22), np.int64(2), False),  # int64 rows would wrap to 0
+    ])
+    def test_compile_size_cap(self, d, q, ell, admitted):
+        assert relu_nets.MAX_COMPILE_ROWS == 2**23
+        if admitted:
+            relu_nets.check_compile_size(d, q, ell)
+        else:
+            with pytest.raises(ValueError, match=f"q = {q}, d = {d}, ell = {ell}"):
+                relu_nets.check_compile_size(d, q, ell)
+
     def test_reproduces_global_polynomial(self):
         f = lambda p: 2.0 - p[:, 0] + 3.0 * p[:, 0] ** 2
         approx = compile_sobolev_approximant(f, 2, CubePartition(1, 4))
