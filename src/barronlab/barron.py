@@ -287,13 +287,12 @@ def _node_plan(L: float, eps: float, resolution: int, d: int):
 
 
 @lru_cache(maxsize=16)
-def _phase_matrix(aj: float, L: float, z_box: int, lo: float, hi: float,
-                  resolution: int) -> np.ndarray:
+def _phase_matrix(aj: float, L: float, z_box: int, eps: float, resolution: int) -> np.ndarray:
     """Weighted phases exp(-2 pi i (aj + z/L) x) w of one axis, cached and read-only.
 
-    Rows are the indices -z_box..z_box, columns the Gauss-Legendre nodes.
+    Rows are the indices -z_box..z_box, columns the Gauss-Legendre nodes on [-eps, L - eps].
     """
-    nodes, weights = axis_rule(lo, hi, resolution)
+    nodes, weights = axis_rule(-eps, L - eps, resolution)
     z = np.arange(-z_box, z_box + 1)
     (phase,) = read_only(np.exp(-2j * np.pi * np.outer(aj + z / L, nodes)) * weights)
     return phase
@@ -312,7 +311,7 @@ def _periodize_once(f_e: Callable, L: float, a, z_box: int, eps: float,
     for aj in a:
         # Contracting the leading node axis appends the index axis last, so
         # after d passes the axes are (z_1, ..., z_d).
-        phase = _phase_matrix(aj, L, z_box, -eps, L - eps, resolution)
+        phase = _phase_matrix(aj, L, z_box, eps, resolution)
         h = np.tensordot(h, phase, axes=([0], [1]))
     return h.ravel() / L**d
 

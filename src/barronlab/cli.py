@@ -289,14 +289,9 @@ def _cmd_relu_compile(args) -> int:
         }
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
         return 0
+    errors = approx.cell_errors(f)
     keep = (approx.coefficients != 0.0).any(axis=0)
     coeffs = approx.coefficients[:, keep] + 0.0  # -0.0 prints as 0
-    grids = partition.grids(64 if args.d == 1 else 9)
-    pts = grids.reshape(-1, args.d)
-    # Explicit ids: points on a shared face are checked against their own cell.
-    ids = np.repeat(np.arange(len(grids)), grids.shape[1])
-    y = (pts - partition.centers()[ids]) * (2.0 / partition.h)
-    errors = np.abs(f(pts) - approx._evaluate(ids, y.T)).reshape(len(grids), -1).max(axis=1)
     buf = io.StringIO()
     header = ["cell_index", "center", *("c_" + "".join(map(str, a))
                                         for a in approx.exponents[keep].tolist()), "sup_error"]

@@ -147,10 +147,9 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
 class DyadicDecomposition:
     """Sharp annulus split of an expansion: level 0 holds |xi| < 2, level
     k >= 1 holds 2^k <= |xi| < 2^(k+1).  On atomic spectra the indicator
-    split is an exact partition, so the blocks sum back to the source and
-    are pairwise orthogonal on the period cell."""
+    split is an exact partition, so the blocks sum back to the split
+    expansion and are pairwise orthogonal on the period cell."""
 
-    source: FourierSum
     blocks: tuple[tuple[int, FourierSum], ...]
 
     @cached_property
@@ -164,19 +163,21 @@ def dyadic_blocks(spectrum: FourierSum) -> DyadicDecomposition:
     block per level from 0 to the spectrum's top level."""
     if spectrum.d != 1:
         raise ValueError("dyadic blocks are implemented for d = 1")
-    xi = np.abs(spectrum.index[:, 0]) / spectrum.L
-    # xi = mantissa * 2^exponent with mantissa in [0.5, 1), so exponent - 1
-    # is floor(log2 xi), exactly.
-    level = np.where(xi < 2.0, 0, np.frexp(xi)[1] - 1)
-    # One stable sort by level keeps each block's rows in index order.
-    by_level = np.argsort(level, kind="stable")
-    index, values = spectrum.index[by_level], spectrum.values[by_level]
-    bounds = np.searchsorted(level[by_level], np.arange(int(level.max(initial=0)) + 2))
-    blocks = tuple(
-        (k, from_arrays(1, spectrum.L, spectrum.a, index[lo:hi], values[lo:hi]))
-        for k, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:]))
-    )
-    return DyadicDecomposition(spectrum, blocks)
+    # The index is sorted, so xi = z / L ascends and each level is one run or two:
+    # -2 < xi < 2 at level 0, -2^(k+1) < xi <= -2^k and 2^k <= xi < 2^(k+1) at k >= 1.
+    xi = spectrum.index[:, 0] / spectrum.L
+    top = max(0, int(np.frexp(np.abs(xi).max(initial=0.0))[1]) - 1)  # floor(log2 max |xi|)
+    edges = 2.0 ** np.arange(1, top + 2)
+    neg, pos = np.searchsorted(xi, -edges, side="right"), np.searchsorted(xi, edges)
+
+    def block(*runs):
+        return from_arrays(1, spectrum.L, spectrum.a,
+                           np.concatenate([spectrum.index[r] for r in runs]),
+                           np.concatenate([spectrum.values[r] for r in runs]))
+
+    return DyadicDecomposition(((0, block(slice(neg[0], pos[0]))),) + tuple(
+        (k, block(slice(neg[k], neg[k - 1]), slice(pos[k - 1], pos[k])))
+        for k in range(1, top + 1)))
 
 
 def decaying_spectrum(xi_max: float, decay: float) -> FourierSum:

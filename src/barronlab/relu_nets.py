@@ -11,7 +11,6 @@ of the other units.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
@@ -272,65 +271,21 @@ class CubePartition:
         return unbatch(self.locate(pts.T)[0], single)
 
 
-def _monomial_sum(y, exponents: np.ndarray, coefficients) -> np.ndarray:
-    """Sum over a of coefficients[a] prod_j y[j]^exponents[a, j], where the
-    coordinate arrays y[j] broadcast together and each coefficient is a
-    scalar or an array of their broadcast shape."""
-    total = np.zeros(np.broadcast_shapes(*(np.shape(v) for v in y)))
-    for alpha, c in zip(exponents.tolist(), coefficients):
-        term = c
-        for yj, aj in zip(y, alpha):
-            if aj:
-                term = term * yj**aj
-        total += term
-    return total
-
-
-@dataclass(frozen=True, eq=False)
-class CellPolynomial:
-    """Polynomial sum_a coefficients[a] prod_j (scale * (x_j - c_j))^exponents[a, j]."""
-
-    center: tuple[float, ...]
-    scale: float
-    exponents: np.ndarray  # (n, d) int
-    coefficients: np.ndarray  # (n,)
-
-    def __call__(self, x):
-        pts, single = as_batch(x, d=len(self.center))
-        y = (pts - np.asarray(self.center)) * self.scale
-        return unbatch(_monomial_sum(y.T, self.exponents, self.coefficients.tolist()), single)
-
-
-def _expand_ridge_power(theta: np.ndarray, t0: float, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only exponents and nonzero coefficients of sigma_k(t0 + theta . y) as
-    a polynomial in y = x - center, on the branch selected by the sign of t0."""
-    alphas = np.array(sorted(multi_indices(len(theta), k), key=sum), dtype=int)
-    # Binomial in t0, multinomial in theta . y, gathered from per-degree tables
-    # built with scalar pow, since NumPy's array pow can differ in the last bit.
-    fact = np.array([math.factorial(i) for i in range(k + 1)], dtype=float)
-    lead = np.array([math.comb(k, i) * t0 ** (k - i) for i in range(k + 1)])
-    coef = (lead * fact)[alphas.sum(axis=1)]
-    for w, alpha_j in zip(theta.tolist(), alphas.T):
-        coef = coef * (np.array([w**i for i in range(k + 1)])[alpha_j] / fact[alpha_j])
-    keep = (coef != 0.0) & (t0 >= 0.0)
-    return read_only(alphas[keep], coef[keep])
-
-
 @dataclass(frozen=True)
 class RidgeTaylor:
     """Local polynomial surrogate of a ridge unit on one cell.
 
     ``case`` is "positive", "negative", or "straddling".  The first two are
     exact (zero error).  For straddling cells the surrogate keeps the smooth
-    branch selected by the sign of the ridge argument at the cell center and
-    the report carries the measured sup error on a dense grid together with
-    two a priori bounds: the Taylor-remainder form delta^(k+1) / (k+1) and
-    the scaling form delta^k implied by the kink of the k-th derivative.
+    branch, (theta . x + b)^k or 0, selected by the sign of the ridge argument
+    at the cell center, and the report carries the measured sup error on a
+    dense grid together with two a priori bounds: the Taylor-remainder form
+    delta^(k+1) / (k+1) and the scaling form delta^k implied by the kink of
+    the k-th derivative.
     The measured error tracks delta^k, not delta^(k+1).
     """
 
     case: str
-    poly: CellPolynomial
     measured_error: float
     taylor_bound: float
     homogeneity_bound: float
@@ -352,15 +307,12 @@ def ridge_local_taylor(theta, b: float, cell: Cube, k: int) -> RidgeTaylor:
     t0 = float(theta @ center + b)
     delta = float(np.sum(np.abs(theta)) * cell.side / 2.0)
     t_min, t_max = t0 - delta, t0 + delta
-    # The branch at the centre: exact when the cell does not straddle the kink.
-    poly = CellPolynomial(cell.center, 1.0, *_expand_ridge_power(theta, t0, k))
     if t_min >= 0.0 or t_max <= 0.0:
-        return RidgeTaylor("positive" if t_min >= 0.0 else "negative", poly,
-                           0.0, 0.0, 0.0, delta)
-    pts = cell.grid(201 if cell.d == 1 else 41)
-    measured = float(np.max(np.abs(sigma_k(pts @ theta + b, k) - poly(pts))))
-    return RidgeTaylor("straddling", poly, measured, delta ** (k + 1) / (k + 1),
-                       delta**k, delta)
+        return RidgeTaylor("positive" if t_min >= 0.0 else "negative", 0.0, 0.0, 0.0, delta)
+    t = cell.grid(201 if cell.d == 1 else 41) @ theta + b
+    # The surrogate is the branch at the centre: t^k where t0 >= 0, and 0 otherwise.
+    measured = float(np.max(np.abs(sigma_k(t, k) - (t**k if t0 >= 0.0 else 0.0))))
+    return RidgeTaylor("straddling", measured, delta ** (k + 1) / (k + 1), delta**k, delta)
 
 
 # ----------------------------------------------------------------------
@@ -432,9 +384,16 @@ class SobolevApproximant:
 
     def _evaluate(self, cell_ids: np.ndarray, y) -> np.ndarray:
         """Polynomial of cell ``cell_ids`` at local coordinates ``y`` (per-axis
-        arrays that broadcast with ``cell_ids``, as ``locate`` returns them),
+        arrays of the shape of ``cell_ids``, as ``locate`` returns them),
         gathering one coefficient column at a time."""
-        return _monomial_sum(y, self.exponents, (c[cell_ids] for c in self.coefficients.T))
+        total = np.zeros(np.shape(cell_ids))
+        for alpha, c in zip(self.exponents.tolist(), self.coefficients.T):
+            term = c[cell_ids]
+            for yj, aj in zip(y, alpha):
+                if aj:
+                    term = term * yj**aj
+            total += term
+        return total
 
     def __call__(self, x):
         pts, single = as_batch(x, d=self.partition.d)
@@ -480,6 +439,20 @@ class SobolevApproximant:
             approx += term
         return float(np.max(np.abs(target - approx)))
 
+    def cell_errors(self, f: Callable) -> np.ndarray:
+        """Largest |f - p_i| of each cell i on its own closed grid, faces included,
+        of 64 points per axis at d = 1 and 9 above.  A check of more than
+        ``MAX_COMPILE_ROWS`` sample rows is refused before sampling."""
+        d, q = self.partition.d, self.partition.q
+        per_axis = 64 if d == 1 else 9
+        rows = (int(q) * per_axis) ** int(d)
+        if rows > MAX_COMPILE_ROWS:
+            raise ValueError(f"cell check with q = {q}, d = {d} at {per_axis} points per axis "
+                             f"samples {rows} rows, above the cap {MAX_COMPILE_ROWS}")
+        pts, design = _cell_samples(self.partition, per_axis, self.exponents)
+        values = np.asarray(f(pts)).reshape(-1, len(design))
+        return np.max(np.abs(values - self.coefficients @ design.T), axis=1)
+
     def sup_error(self, f: Callable) -> float:
         """Largest |f - self| on the probe grid: ``probe_error`` of
         ``probe_target(f, d)``.  A sweep over partitions of one target should
@@ -500,7 +473,7 @@ def probe_target(f: Callable, d: int) -> np.ndarray:
     return np.asarray(f(grid_rows(axis, d))).reshape((len(axis),) * d)
 
 
-# Most sample rows q^d (ell + 3)^d one compile takes: 200 MB of points at d = 3.
+# Most sample rows one compile or ``cell_errors`` takes: 200 MB of points at d = 3.
 MAX_COMPILE_ROWS = 2**23
 
 
@@ -510,6 +483,15 @@ def check_compile_size(d: int, q: int, ell: int) -> None:
     if rows > MAX_COMPILE_ROWS:
         raise ValueError(f"compile with q = {q}, d = {d}, ell = {ell} samples "
                          f"q^d (ell + 3)^d = {rows} rows, above the cap {MAX_COMPILE_ROWS}")
+
+
+def _cell_samples(cells: CubePartition, per_axis: int, exponents: np.ndarray):
+    """Every cell's tensor grid of ``per_axis`` points per axis, as rows in
+    flat cell order, and the design matrix prod_j y_j^exponents[a, j] at the
+    grid's scaled local coordinates y in [-1, 1]^d, which all cells share."""
+    y = grid_rows(np.linspace(-1.0, 1.0, per_axis), cells.d)
+    return (cells.grids(per_axis).reshape(-1, cells.d),
+            np.prod(y[:, None, :] ** exponents, axis=-1))
 
 
 def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
@@ -535,9 +517,7 @@ def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
         # All cells share one side, so one indicator validates the band.
         smoothing = indicator_bump(Cube((0.5 * cells.h,) * cells.d, cells.h),
                                    smoothing).sharpness
-    y = grid_rows(np.linspace(-1.0, 1.0, ell + 3), cells.d)
-    design = np.prod(y[:, None, :] ** exponents, axis=-1)
-    pts = cells.grids(ell + 3).reshape(-1, cells.d)
+    pts, design = _cell_samples(cells, ell + 3, exponents)
     targets = np.asarray(f(pts)).reshape(-1, len(design)).T
     sol, *_ = np.linalg.lstsq(design, targets, rcond=None)
     return SobolevApproximant(cells, *read_only(exponents, np.ascontiguousarray(sol.T)),

@@ -486,7 +486,7 @@ class TestPeriodizeCaches:
         points, cutoff = barron._node_plan(5.0, 0.85, 160, 2)
         assert seen[0] is points
         assert not points.flags.writeable and not cutoff.flags.writeable
-        phase = barron._phase_matrix(0.1, 5.0, 12, -0.85, 4.15, 160)
+        phase = barron._phase_matrix(0.1, 5.0, 12, 0.85, 160)
         assert phase.shape == (25, 160) and not phase.flags.writeable
         assert barron._node_plan.cache_info().misses == 1
         assert barron._phase_matrix.cache_info().misses == 2

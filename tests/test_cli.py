@@ -555,6 +555,23 @@ class TestOutputs:
         assert header[-1] == "sup_error"
         assert len(out.strip().splitlines()) == 5
 
+    def test_relu_compile_csv_check_refused_before_sampling(self, capsys, monkeypatch):
+        # The compile samples 1610^2 = 2,592,100 rows, under the cap; the CSV's
+        # per-cell check would sample 2898^2 = 8,398,404, over it.
+        grids = relu_nets.CubePartition.grids
+
+        def capped(self, per_axis):
+            assert (self.q * per_axis) ** self.d <= relu_nets.MAX_COMPILE_ROWS, "sampled past cap"
+            return grids(self, per_axis)
+
+        monkeypatch.setattr(relu_nets.CubePartition, "grids", capped)
+        code, out, err = run_cli(capsys, "relu-compile", "--d", "2", "--q", "322")
+        assert (code, out) == (2, "")
+        assert "q = 322, d = 2 at 9 points per axis samples 8398404 rows" in err
+        code, out, _ = run_cli(capsys, "relu-compile", "--format", "json", "--d", "2",
+                               "--q", "322")
+        assert code == 0 and json.loads(out)["q"] == 322
+
     def test_rates_json(self, capsys):
         code, out, _ = run_cli(
             capsys, "rates", "--kind", "dyadic-residual", "--n-grid", "2:64"

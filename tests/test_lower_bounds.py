@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from barronlab import lower_bounds
-from barronlab.barron import evaluate_sum, fourier_sum, hm_norm_exact
+from barronlab.barron import evaluate_sum, fourier_sum, from_arrays, hm_norm_exact
 from barronlab.lower_bounds import (
     ConvergenceError,
     build_packing,
@@ -282,6 +282,29 @@ class TestDyadic:
             assert np.array_equal(block.values, fs.values[level == k])
         assert [b.support_size() for _, b in decomp.blocks] == \
             ([3, 2, 0, 0, 0, 3, 0, 0, 2, 1] if zs else [0])
+
+    @pytest.mark.parametrize("L, a, lo, hi", [
+        (1.0, 0.0, 0, 0),  # xi_max = 0
+        (1.0, 0.0, -63, 63), (1.0, 0.0, -64, 64), (1.0, 0.0, -65, 65),
+        (0.75, 0.5, -47, 47), (0.75, 0.5, -48, 48), (0.75, 0.5, -49, 49),  # xi_max 64 +- 4/3
+        (3.0, 0.25, -48, 5), (3.0, 0.25, -5, 48), (3.0, 0.25, -49, 47),
+    ])
+    def test_blocks_match_argsort_reference(self, L, a, lo, hi):
+        # Reference: every row's level, then one stable argsort by level.
+        z = np.arange(lo, hi + 1)
+        fs = from_arrays(1, L, (a,), z[:, None], np.exp(1j * z) / (1.0 + np.abs(z)))
+        xi = np.abs(z) / L
+        level = np.where(xi < 2.0, 0, np.frexp(xi)[1] - 1)
+        order = np.argsort(level, kind="stable")
+        bounds = np.searchsorted(level[order], np.arange(level.max() + 2))
+        blocks = dyadic_blocks(fs).blocks
+        assert [k for k, _ in blocks] == list(range(level.max() + 1))
+        for (_, block), start, stop in zip(blocks, bounds[:-1], bounds[1:]):
+            rows = order[start:stop]
+            want = from_arrays(1, L, (a,), fs.index[rows], fs.values[rows])
+            assert block.a == (a,) and block.L == L
+            assert np.array_equal(block.index, want.index)
+            assert np.array_equal(block.values, want.values)
 
     def test_spectrum_rows_capped(self):
         # 2^21 is the first xi_max whose 2 xi_max + 1 index rows exceed 2^22;

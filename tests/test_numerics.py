@@ -212,9 +212,6 @@ EVALUATORS = [
     ("evaluate_network", 2, [0.3, 0.6], lambda x: relu_nets.evaluate_network(_NETWORK, x)),
     ("evaluate_product_sum", 2, [0.3, 0.6],
      lambda x: relu_nets.evaluate_product_sum(_PRODUCT, x)),
-    ("CellPolynomial", 2, [0.3, 0.6],
-     relu_nets.CellPolynomial(_CELL.center, 2.0, np.array([[1, 0], [0, 2]]),
-                              np.array([1.0, -0.5]))),
     ("IndicatorBump", 2, [0.3, 0.6], relu_nets.indicator_bump(_CELL, 4.0)),
     ("SobolevApproximant", 2, [0.3, 0.6], _APPROX),
     ("SobolevApproximant.smoothed", 2, [0.3, 0.6], _APPROX.smoothed),
@@ -228,9 +225,9 @@ FIXED_DIMENSION = [e for e in EVALUATORS if e[1] is not None]
                          ids=[e[0] for e in FIXED_DIMENSION])
 @pytest.mark.parametrize("extra", [-1, 1])
 def test_batch_of_wrong_dimension_refused(name, d, item, evaluate, extra):
-    # CellPolynomial and IndicatorBump broadcast a (3, 1) batch against their
-    # centre and returned numbers; the approximant, cell_index and the packing
-    # family raised NumPy errors that named no dimension.
+    # IndicatorBump broadcast a (3, 1) batch against its centre and returned
+    # numbers; the approximant, cell_index and the packing family raised NumPy
+    # errors that named no dimension.
     with pytest.raises(ValueError, match=f"points have dimension {d + extra}, expected {d}"):
         evaluate(np.full((3, d + extra), 0.25))
 

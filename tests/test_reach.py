@@ -141,3 +141,13 @@ def test_every_optional_parameter_is_set():
             if not any(sets(call, parameter, slot) for call in found.get(name, [])):
                 unset.append(f"{stem}.{qualified}({parameter})")
     assert sorted(unset) == sorted(UNSET)
+
+
+def test_commands_and_scripts_read_no_private_attribute():
+    """cli.py, rates.py and the scripts use other modules through public names only."""
+    paths = [PACKAGE / "cli.py", PACKAGE / "rates.py", *sorted((ROOT / "scripts").glob("*.py"))]
+    private = [f"{path.name}:{node.lineno} {node.attr}"
+               for path in paths for node in ast.walk(parse(path))
+               if isinstance(node, ast.Attribute) and node.attr.startswith("_")
+               and not (node.attr.startswith("__") and node.attr.endswith("__"))]
+    assert private == []

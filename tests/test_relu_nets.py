@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from barronlab import numerics, relu_nets
 from barronlab.numerics import grid_rows, loglog_fit, multi_indices
 from barronlab.relu_nets import (
-    CellPolynomial,
     Cube,
     CubePartition,
     SobolevApproximant,
@@ -316,36 +315,16 @@ class TestRidgeTaylor:
         fit = ridge_local_taylor((1.0,), -1.0, Cube((0.5,), 0.25), 2)
         assert fit.case == "negative"
         assert fit.measured_error == 0.0
-        assert fit.poly(np.array([0.5])) == 0.0
-        assert fit.poly.exponents.shape == (0, 1) and fit.poly.coefficients.shape == (0,)
 
-    @pytest.mark.parametrize("theta, b, k", [
-        ((1.0,), 0.5, 3), ((0.6, 0.8), 2.0, 3), ((0.0, 1.0), 1.0, 4),
-        ((2 / 3, -1 / 3, 2 / 3), 1.5, 3), ((0.6, 0.0, -0.8), 0.75, 0),
-    ])
-    def test_positive_coefficients_match_per_term_multinomial(self, theta, b, k):
-        # Per-term reference in increasing degree; zero coefficients dropped.
-        cell = Cube((0.5,) * len(theta), 0.1)
-        t0 = float(np.asarray(theta) @ np.asarray(cell.center) + b)
-        want = {}
-        for alpha in sorted(multi_indices(len(theta), k), key=sum):
-            coef = math.comb(k, sum(alpha)) * t0 ** (k - sum(alpha)) * math.factorial(sum(alpha))
-            for w, a in zip(theta, alpha):
-                coef *= w**a / math.factorial(a)
-            if coef != 0.0:
-                want[alpha] = coef
-        fit = ridge_local_taylor(theta, b, cell, k)
-        assert fit.case == "positive"
-        assert [tuple(a) for a in fit.poly.exponents.tolist()] == list(want)
-        assert fit.poly.coefficients.tolist() == list(want.values())
-
-    def test_positive_polynomial_matches_ridge_power(self):
-        theta = np.array([0.6, 0.8])
-        fit = ridge_local_taylor(theta, 2.0, Cube((0.5, 0.5), 0.2), 3)
-        rng = np.random.default_rng(3)
-        pts = 0.5 + rng.uniform(-0.1, 0.1, (100, 2))
-        want = (pts @ theta + 2.0) ** 3
-        assert np.max(np.abs(fit.poly(pts) - want)) <= 1e-10
+    @pytest.mark.parametrize("t0", [0.02, -0.02])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_off_centre_straddling_keeps_centre_branch(self, t0, k):
+        # The centre's branch is exact on its own side of the kink, so the error
+        # is reached at the far end of the other side: delta - |t0|, where the
+        # other branch would give delta + |t0|.
+        fit = ridge_local_taylor((1.0,), 0.0, Cube((t0,), 0.125), k)
+        assert fit.case == "straddling"
+        assert fit.measured_error == pytest.approx((fit.delta - abs(t0)) ** k, rel=1e-12)
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_straddling_homogeneity(self, k):
@@ -422,6 +401,24 @@ class TestCompile:
         else:
             with pytest.raises(ValueError, match=f"q = {q}, d = {d}, ell = {ell}"):
                 relu_nets.check_compile_size(d, q, ell)
+
+    @pytest.mark.parametrize("d, q, admitted", [
+        (1, 2**23 // 64, True), (1, 2**23 // 64 + 1, False),  # 64 points per axis at d = 1
+        (2, 321, True), (2, 322, False),  # 9 above: 2889^2 and 2898^2 rows
+        (3, 22, True), (3, 23, False),
+    ])
+    def test_cell_check_size_cap(self, monkeypatch, d, q, admitted):
+        def sampled(*args):
+            raise LookupError("sampled")
+
+        monkeypatch.setattr(relu_nets, "_cell_samples", sampled)
+        approx = SobolevApproximant(CubePartition(d, q), np.zeros((1, d), dtype=int),
+                                    np.zeros((q**d, 1)))
+        per_axis = 64 if d == 1 else 9
+        with pytest.raises(LookupError if admitted else ValueError,
+                           match="sampled" if admitted else
+                           f"q = {q}, d = {d} at {per_axis} points per axis .* above the cap"):
+            approx.cell_errors(None)
 
     def test_reproduces_global_polynomial(self):
         f = lambda p: 2.0 - p[:, 0] + 3.0 * p[:, 0] ** 2
@@ -530,18 +527,36 @@ class TestArrayApproximant:
         part = CubePartition(2, q)
         approx = compile_sobolev_approximant(smooth_target, 2, part)
         coeffs = per_cell_reference(smooth_target, 2, part)
-        alphas = sorted(multi_indices(2, 2))
+        alphas = np.array(sorted(multi_indices(2, 2)))
+
+        def poly(i, center, p):
+            y = (p - np.asarray(center)) * (2.0 * q)
+            return float(coeffs[i] @ np.prod(y**alphas, axis=1))
+
         faces = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 0.3])
         pts = np.stack(np.meshgrid(faces, faces, indexing="ij"), axis=-1).reshape(-1, 2)
         for p in pts:
             # Faces belong to the cell above them; x = 1 to the last cell.
             ij = np.minimum(np.floor(p * q).astype(int), q - 1)
-            i = ij[0] * q + ij[1]
-            poly = CellPolynomial(tuple((ij + 0.5) / q), 2.0 * q, np.array(alphas), coeffs[i])
-            assert approx(p) == pytest.approx(poly(p), abs=1e-12)
+            assert approx(p) == pytest.approx(poly(ij[0] * q + ij[1], (ij + 0.5) / q, p),
+                                              abs=1e-12)
         # Neighbouring cells disagree on a face, so the test sees a wrong pick.
-        left = CellPolynomial((0.125, 0.375), 8.0, np.array(alphas), coeffs[1])
-        assert abs(approx(np.array([0.25, 0.375])) - left(np.array([0.25, 0.375]))) > 1e-6
+        p = np.array([0.25, 0.375])
+        assert abs(approx(p) - poly(1, (0.125, 0.375), p)) > 1e-6
+
+    @pytest.mark.parametrize("d, q, ell", [(1, 5, 2), (2, 3, 2), (3, 2, 1)])
+    def test_cell_errors_match_per_cell_reference(self, d, q, ell):
+        # Each cell's own closed grid, faces included, against its own polynomial.
+        part = CubePartition(d, q)
+        approx = compile_sobolev_approximant(smooth_target, ell, part)
+        alphas = np.array(sorted(multi_indices(d, ell)))
+        want = []
+        for cell, c in zip(part.cells(), per_cell_reference(smooth_target, ell, part)):
+            pts = cell.grid(64 if d == 1 else 9)
+            y = (pts - np.asarray(cell.center)) * (2.0 / cell.side)
+            poly = np.prod(y[:, None, :] ** alphas, axis=-1) @ c
+            want.append(np.max(np.abs(smooth_target(pts) - poly)))
+        np.testing.assert_allclose(approx.cell_errors(smooth_target), want, rtol=0, atol=1e-10)
 
     def test_smoothed_is_call_times_own_indicator(self):
         part = CubePartition(2, 8)
