@@ -1,7 +1,7 @@
 """Witness constructions for approximation barriers: high-frequency gap
 probes of low-pass exponential ridge atoms, dyadic frequency blocks,
 oscillatory targets with growing Sobolev mass, sign-vector packing
-families, and the tail-mass integrals of the arctan-dictionary measure.
+families, and the closed-form tail masses of the arctan-dictionary measure.
 
 Everything here produces measured quantities and closed-form reference
 values; nothing claims a true infimum over a network class.
@@ -10,6 +10,7 @@ values; nothing claims a true infimum over a network class.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -17,8 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .barron import MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .numerics import (ConvergenceError, as_batch, axis_rule, parallel_map, read_only, sigma_k,
-                       unbatch, usable_cores)
+from .numerics import (as_batch, axis_rule, parallel_map, read_only, sigma_k, unbatch,
+                       usable_cores)
 
 if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
     from .sphere_geom import SphericalNet
@@ -458,11 +459,8 @@ class TailMassReport:
     m: int
     A: float
     Z: float
-    I1: float
-    I2: float
     lambda_tail: float
     tail_bound: float
-    truncation_bound: float
     refinement_rel_diff: float
 
 
@@ -484,88 +482,74 @@ def tail_density(omega, b, m: int):
     )
 
 
-def _omega_density(omega: np.ndarray, m: int) -> np.ndarray:
-    return (1.0 + np.abs(omega)) ** m * math.sqrt(math.pi) * np.exp(-(omega**2) / 4.0)
+def _omega_mass(m: int, lo: float) -> float:
+    """Mass of ``tail_density`` on {|omega| >= lo}, in closed form.
 
-
-def _tail_integrand_mass(lo: float, hi: float, m: int, resolution: int) -> float:
-    """Integral of (1 + omega)^m (4 omega + 2) sqrt(pi) e^{-omega^2/4} on [lo, hi]."""
-    nodes, weights = axis_rule(lo, hi, resolution)
-    vals = _omega_density(nodes, m) * (4.0 * np.abs(nodes) + 2.0)
-    return float(np.dot(weights, vals))
-
-
-_OMEGA_TRUNCATION = 14.0  # |omega| cutoff of the example2_tail_mass integrals
-_TAIL_NODES = 128  # Gauss-Legendre nodes of each integral, refined at twice as many
-
-
-def _z_split(m: int, resolution: int) -> tuple[float, float]:
-    """Normalization split: plateau region (h = 1) and decaying-b region.
-
-    The inner b-integral is handled by geometry: the plateau |b| <= 2|omega|
-    has length 4|omega|, and on each side of it the integral of (1 + u)^-2
-    over u >= 0 is exactly 1.
+    The b-integral is geometry: the plateau |b| <= 2|omega| has length
+    4|omega|, and on each side of it the integral of (1 + u)^-2 over u >= 0
+    is 1, so the omega-marginal is (4|omega| + 2)(1 + |omega|)^m sqrt(pi)
+    e^{-omega^2/4}.  Expanding (1 + omega)^m binomially leaves positive
+    multiples of the moments: with x = lo^2/4, the integral of
+    omega^p e^{-omega^2/4} over [lo, inf) is 2^p Gamma((p + 1)/2, x)
+    (Abramowitz & Stegun 6.5), from Gamma(1/2, x) = sqrt(pi) erfc(sqrt x),
+    Gamma(1, x) = e^{-x} and Gamma(s + 1, x) = s Gamma(s, x) + x^s e^{-x}.
+    Every term is positive, so nothing cancels; a mass past the float range
+    is inf.
     """
-    nodes, weights = axis_rule(0.0, _OMEGA_TRUNCATION, resolution)
-    dens = _omega_density(nodes, m)
-    i1 = 2.0 * float(np.dot(weights, dens * 4.0 * nodes))
-    i2 = 2.0 * 2.0 * float(np.dot(weights, dens))
-    return i1, i2
+    x = lo * lo / 4.0
+    g_prev, g = math.sqrt(math.pi) * math.erfc(lo / 2.0), math.exp(-x)
+    total = 0.0
+    for j in range(m + 1):  # g_prev = Gamma((j + 1)/2, x), g = Gamma((j + 2)/2, x)
+        try:
+            total += math.comb(m, j) * 2.0**j * (8.0 * g + 2.0 * g_prev)
+        except OverflowError:  # a binomial coefficient past the float range
+            return math.inf
+        if total == math.inf:
+            return total
+        s = (j + 1) / 2.0
+        g_prev, g = g, s * g_prev + (math.exp(s * math.log(x) - x) if x > 0 else 0.0)
+    return 2.0 * math.sqrt(math.pi) * total
 
 
-def _omega_tail_truncation_bound(m: int) -> float:
-    """Analytic bound 6 * 2^m * 2^(m+1) * 2 * s0^(m/2) * e^(-s0), s0 = 14^2/4, for
-    the discarded |omega| > 14 mass of the normalization, summed as logarithms;
-    a bound beyond the float range is inf."""
-    s0 = _OMEGA_TRUNCATION**2 / 4.0
-    try:
-        return math.exp(math.log(24.0) + 2 * m * math.log(2.0) + m / 2.0 * math.log(s0) - s0)
-    except OverflowError:
-        return math.inf
+def _omega_mass_rule(m: int, lo: float, hi: float) -> float:
+    """``_omega_mass`` restricted to lo <= |omega| <= hi, by a 256-node
+    Gauss-Legendre rule with the power taken in logarithms."""
+    nodes, weights = axis_rule(lo, hi, 256)
+    vals = (4.0 * nodes + 2.0) * np.exp(m * np.log1p(nodes) - nodes**2 / 4.0)
+    return 2.0 * math.sqrt(math.pi) * float(np.dot(weights, vals))
 
 
 def example2_tail_mass(m_smooth: int, A: float) -> TailMassReport:
     """Tail mass of the arctan-dictionary probability measure.
 
-    Computes the normalization Z as a plateau/decay split, the measure of
-    {|omega| > A}, and the closed-form reference lower value
-    4 sqrt(pi) e^{-A^2/4} / (Z A).  The omega axis is truncated at 14 with
-    a certified analytic remainder; an m whose remainder exceeds 1% of Z
-    (every m >= 28) is a ``ValueError``.  Integrals use 128 Gauss-Legendre
-    nodes; results are recomputed on 256 and more than 1% disagreement
-    raises ConvergenceError.
+    Computes the normalization Z = ``_omega_mass(m, 0)``, the measure
+    lambda_tail of {|omega| > A}, and the reference lower value
+    4 sqrt(pi) e^{-A^2/4} / (Z A), all in closed form.  An m whose Z leaves
+    the float range, and an A whose lambda_tail falls below the smallest
+    normal float, are a ``ValueError``.  ``refinement_rel_diff`` is the
+    larger relative gap between the closed forms of Z and of the tail mass
+    and a 256-node Gauss-Legendre rule of the same integrals, run out to the
+    first integer step past A where the closed-form remainder is below
+    1e-17 of the tail mass.
     """
     if m_smooth < 0 or int(m_smooth) != m_smooth:
         raise ValueError("smoothness order must be a nonnegative integer")
     if A < 1.0:
         raise ValueError(f"cutoff must satisfy A >= 1, got {A}")
-    if A >= _OMEGA_TRUNCATION:
-        raise ValueError(f"cutoff {A} must stay below the truncation {_OMEGA_TRUNCATION}")
     m = int(m_smooth)
-
-    def compute(res: int) -> tuple[float, float, float]:
-        i1, i2 = _z_split(m, res)
-        tail = 2.0 * _tail_integrand_mass(A, _OMEGA_TRUNCATION, m, res)
-        return i1, i2, tail
-
-    with np.errstate(over="ignore"):  # (1 + |omega|)^m leaves the float range at m ~ 260
-        i1, i2, tail = compute(_TAIL_NODES)
-        i1f, i2f, tailf = compute(2 * _TAIL_NODES)
-    z, zf = i1 + i2, i1f + i2f
-    truncation = _omega_tail_truncation_bound(m)
-    if not truncation <= 0.01 * zf < math.inf:
-        raise ValueError(f"smoothness order m={m}: the certified remainder {truncation:.3g} "
-                         f"of the |omega| <= {_OMEGA_TRUNCATION:g} truncation exceeds 1% of "
-                         f"Z = {zf:.6g}; lower m")
-    rel = max(abs(z - zf) / abs(zf), abs(tail - tailf) / abs(tailf))
-    if rel > 0.01:
-        raise ConvergenceError(
-            f"quadrature refinements disagree by {rel:.2%} (> 1%)"
-        )
-    lam = tailf / zf
-    bound = 4.0 * math.sqrt(math.pi) * math.exp(-(A**2) / 4.0) / (zf * A)
-    return TailMassReport(
-        m=m, A=float(A), Z=zf, I1=i1f, I2=i2f,
-        lambda_tail=lam, tail_bound=bound,
-        truncation_bound=truncation, refinement_rel_diff=rel,
-    )
+    z = _omega_mass(m, 0.0)
+    if not math.isfinite(z):
+        raise ValueError(f"smoothness order m={m}: the normalization Z leaves the float range")
+    tail = _omega_mass(m, A)
+    lam = tail / z
+    if not lam >= sys.float_info.min:
+        raise ValueError(f"cutoff A={A}: the tail mass {lam:.3g} at m={m} underflows the "
+                         "float range")
+    hi = A + 1.0
+    while _omega_mass(m, hi) > 1e-17 * tail:
+        hi += 1.0
+    rel = max(abs(_omega_mass_rule(m, 0.0, hi) - z) / z,
+              abs(_omega_mass_rule(m, A, hi) - tail) / tail)
+    bound = 4.0 * math.sqrt(math.pi) * math.exp(-(A**2) / 4.0) / (z * A)
+    return TailMassReport(m=m, A=float(A), Z=z, lambda_tail=lam, tail_bound=bound,
+                          refinement_rel_diff=rel)

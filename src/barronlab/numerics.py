@@ -27,10 +27,6 @@ class IntegrationError(ValueError):
     """An integrand produced a non-finite value at a quadrature node."""
 
 
-class ConvergenceError(RuntimeError):
-    """Two quadrature refinement levels disagreed beyond the allowed margin."""
-
-
 @dataclass(frozen=True)
 class RateFit:
     """Least-squares line through (log n, log error)."""

@@ -23,7 +23,7 @@ import numpy as np
 # Each kind setup imports the other modules it runs.  subsample stays here:
 # perfbench's result capture can wrap a function only in a module already loaded.
 from . import subsample
-from .numerics import ConvergenceError, RateFit, loglog_fit
+from .numerics import RateFit, loglog_fit
 
 GREEDY_FOURIER = "greedy-fourier"
 SOBOLEV_COMPILE = "sobolev-compile"
@@ -140,6 +140,9 @@ def _subsample_concentration(c, grid, seed):
         if c[key] < 1:
             raise ValueError(f"kind {SUBSAMPLE_CONCENTRATION} needs {key} >= 1, "
                              f"got {key}={c[key]}")
+    if grid[-1] >= c["N"]:  # n = N selects every row, a deviation of exactly 0
+        raise ValueError(f"kind {SUBSAMPLE_CONCENTRATION} needs every n < N, "
+                         f"got n={grid[-1]} with N={c['N']}")
     return 0.5, lambda n, run_seed: seeded_subsample(
         c["N"], c["M"], n, c["restarts"], run_seed).deviation
 
@@ -219,10 +222,9 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
     """Run one error sweep and fit its rate.
 
     ``params`` overrides entries of the kind's defaults in ``KINDS`` (see
-    ``kind_config``).  A sub-run that fails a precondition (``ValueError``
-    or ``ConvergenceError``) is recorded and downgrades the verdict to
-    informational while keeping the samples collected so far; any other
-    exception propagates.
+    ``kind_config``).  A sub-run that fails a precondition (``ValueError``)
+    is recorded and downgrades the verdict to informational while keeping
+    the samples collected so far; any other exception propagates.
     """
     config = kind_config(kind, params)
     grid = _validate_grid(n_grid)
@@ -235,7 +237,7 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
         run_seed = seed ^ index
         try:
             samples.append((n, float(error(n, run_seed))))
-        except (ValueError, ConvergenceError) as exc:
+        except ValueError as exc:
             failures.append(f"n={n}: {exc}")
     fit = None
     if len({n for n, _ in samples}) >= 2 and all(e > 0 for _, e in samples):

@@ -233,18 +233,34 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "restarts" in err
 
+    def test_subsample_grid_reaching_n_is_usage_error(self, capsys):
+        # The default grid 2:256 at N = 256 exited 0 as informational.
+        code, out, err = run_cli(capsys, "rates", "--kind", "subsample-concentration")
+        assert code == 2 and out == ""
+        assert "needs every n < N, got n=256 with N=256" in err
+
     def test_resolution_flag_is_unknown(self, capsys):
         code, out, err = run_cli(capsys, "example2-tail", "--resolution", "128")
         assert code == 2 and out == ""
         assert "unrecognized arguments: --resolution 128" in err
 
-    @pytest.mark.parametrize("m", ["30", "400"])
-    def test_uncertified_tail_order_is_usage_error(self, capsys, m):
-        # m = 30 printed Z and lambda_tail with a 0.19 Z remainder bound;
-        # m = 400 ended in an OverflowError traceback (exit 1).
+    @pytest.mark.parametrize("m", ["263", "400"])
+    def test_non_finite_normalization_is_usage_error(self, capsys, m):
+        # m = 400 once ended in an OverflowError traceback (exit 1).
         code, out, err = run_cli(capsys, "example2-tail", "--m", m)
         assert code == 2 and out == ""
-        assert f"m={m}: the certified remainder" in err and "exceeds 1% of Z" in err
+        assert f"m={m}: the normalization Z leaves the float range" in err
+
+    def test_underflowing_tail_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "example2-tail", "--A", "60")
+        assert code == 2 and out == ""
+        assert "cutoff A=60.0: the tail mass 0 at m=0 underflows the float range" in err
+
+    @pytest.mark.parametrize("args", [("--m", "30"), ("--A", "14"), ("--A", "20")])
+    def test_orders_and_cutoffs_past_the_old_truncation_succeed(self, capsys, args):
+        # The omega <= 14 truncation refused m >= 28 and A >= 14.
+        code, out, _ = run_cli(capsys, "example2-tail", *args)
+        assert code == 0 and json.loads(out)["lambda_tail"] > 0.0
 
     @pytest.mark.parametrize("args", [
         ("dyadic", "--xi-max", "2097152"),

@@ -5,10 +5,8 @@ import queue
 import numpy as np
 import pytest
 
-from barronlab import lower_bounds
 from barronlab.barron import evaluate_sum, fourier_sum, from_arrays, hm_norm_exact
 from barronlab.lower_bounds import (
-    ConvergenceError,
     build_packing,
     decaying_spectrum,
     dyadic_blocks,
@@ -20,7 +18,7 @@ from barronlab.lower_bounds import (
     residual_tail_norm,
     tail_density,
 )
-from barronlab.numerics import axis_rule, tensor_nodes
+from barronlab.numerics import axis_rule, integrate, tensor_nodes
 from barronlab.relu_nets import sigma_k
 
 
@@ -581,8 +579,7 @@ class TestTailMass:
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_refinements_agree(self, m):
         report = example2_tail_mass(m, 2.0)
-        assert report.refinement_rel_diff <= 1e-3
-        assert report.truncation_bound <= 1e-6
+        assert report.refinement_rel_diff <= 1e-12
 
     def test_split_matches_two_dimensional_quadrature(self):
         # Independent route: tensor quadrature of the joint density over a
@@ -607,19 +604,43 @@ class TestTailMass:
         with pytest.raises(ValueError):
             example2_tail_mass(-1, 2.0)
 
-    def test_disagreement_raises(self, monkeypatch):
-        monkeypatch.setattr(lower_bounds, "_TAIL_NODES", 2)
-        with pytest.raises(ConvergenceError):
-            example2_tail_mass(2, 2.0)
+    @staticmethod
+    def wide_range_mass(m, lo):
+        # The omega-marginal of tail_density on both half-lines, out to 60.
+        def marginal(pts):
+            omega = pts[:, 0]
+            return (2.0 * (4.0 * omega + 2.0) * (1.0 + omega) ** m * math.sqrt(math.pi)
+                    * np.exp(-(omega**2) / 4.0))
+        return integrate(marginal, [(lo, 60.0)], 512)
 
-    @pytest.mark.parametrize("m", [28, 30, 400])
-    def test_uncertified_truncation_refused(self, m):
-        # The |omega| > 14 remainder bound is 1.6% of Z at m = 28 and 19% at
-        # m = 30; m = 400 used to end in an OverflowError.
-        with pytest.raises(ValueError, match=f"m={m}: the certified remainder .* "
-                                             "exceeds 1% of Z"):
+    @pytest.mark.parametrize("m, A", [(0, 13.9), (27, 13.0), (30, 2.0), (0, 14.0),
+                                      (0, 20.0), (2, 50.0)])
+    def test_tail_mass_matches_wide_range_quadrature(self, m, A):
+        # The omega <= 14 cutoff read (0, 13.9) 50% low and (27, 13.0) 0.72%
+        # low, and refused m >= 28 and A >= 14.
+        report = example2_tail_mass(m, A)
+        reference = self.wide_range_mass(m, A) / self.wide_range_mass(m, 0.0)
+        assert report.lambda_tail == pytest.approx(reference, rel=1e-9)
+        assert report.refinement_rel_diff <= 1e-12
+
+    def test_normalization_matches_wide_range_quadrature(self):
+        report = example2_tail_mass(40, 2.0)
+        assert report.Z == pytest.approx(self.wide_range_mass(40, 0.0), rel=1e-9)
+
+    @pytest.mark.parametrize("m", [263, 400, 10**9, pytest.param(10**400, id="10^400")])
+    def test_non_finite_normalization_refused(self, m):
+        with pytest.raises(ValueError, match=f"m={m}: the normalization Z leaves the float "
+                                             "range"):
             example2_tail_mass(m, 2.0)
 
     def test_last_certified_order_accepted(self):
-        report = example2_tail_mass(27, 2.0)
-        assert 0.0 < report.truncation_bound <= 0.01 * report.Z
+        # m = 262 is the largest order whose Z is a finite float.
+        report = example2_tail_mass(262, 2.0)
+        assert math.isfinite(report.Z) and report.refinement_rel_diff <= 1e-12
+
+    @pytest.mark.parametrize("A", [53.3, 60.0])
+    def test_underflowing_tail_refused(self, A):
+        with pytest.raises(ValueError, match=f"cutoff A={A}: the tail mass .* at m=0 "
+                                             "underflows the float range"):
+            example2_tail_mass(0, A)
+        assert example2_tail_mass(262, A).lambda_tail > 0.0

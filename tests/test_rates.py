@@ -199,6 +199,16 @@ class TestParameters:
         with pytest.raises(ValueError, match="needs restarts >= 1, got restarts=0"):
             rates.run_experiment(rates.SUBSAMPLE_CONCENTRATION, {"restarts": 0}, self.GRID)
 
+    @pytest.mark.parametrize("grid, big_n", [([2, 4, 8, 16, 32, 64, 128, 256], 256),
+                                             (GRID, 64), (GRID, 40)])
+    def test_grid_reaching_n_refused_before_the_sweep(self, monkeypatch, grid, big_n):
+        # At n = N the identity selection has deviation 0: the default grid
+        # 2:256 at N = 256 exited as informational with "fit": null.
+        monkeypatch.setattr(subsample, "maurey_subsample", None)
+        with pytest.raises(ValueError, match=f"needs every n < N, got n={grid[-1]} "
+                                             f"with N={big_n}"):
+            rates.run_experiment(rates.SUBSAMPLE_CONCENTRATION, {"N": big_n}, grid)
+
     @pytest.mark.parametrize("big_n", [0, -2])
     def test_no_term_refused_before_the_sweep(self, monkeypatch, big_n):
         # Used to exit as informational with every sub-run failed.

@@ -1,11 +1,13 @@
 """Reach guard: every public module-level function or class of barronlab is
 named by the package itself, a script, a benchmark file or the acceptance
-tests, and every defaulted parameter of a public function or method is set
-by some call there.  Code and settings that only unit tests reach are wired
-into a command, fixed, or deleted.
+tests, every defaulted parameter of a public function or method is set by
+some call there, and every exception class the package defines is raised in
+it.  Code and settings that only unit tests reach are wired into a command,
+fixed, or deleted.
 """
 
 import ast
+import builtins
 import pathlib
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -151,3 +153,22 @@ def test_commands_and_scripts_read_no_private_attribute():
                if isinstance(node, ast.Attribute) and node.attr.startswith("_")
                and not (node.attr.startswith("__") and node.attr.endswith("__"))]
     assert private == []
+
+
+def test_every_exception_class_is_raised():
+    """Each exception class defined in barronlab has a ``raise`` in package code."""
+    trees = package_trees()
+    exceptions, raised = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                    isinstance(base, ast.Name) and isinstance(getattr(builtins, base.id, None), type)
+                    and issubclass(getattr(builtins, base.id), BaseException)
+                    for base in node.bases):
+                exceptions.add(node.name)
+            elif isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert "IntegrationError" in exceptions
+    assert sorted(exceptions - raised) == []
