@@ -47,9 +47,9 @@ def main() -> int:
         stem = f"{index:02d}_{kind}" + (f"_d{params['d']}" if "d" in params else "")
         (outdir / f"{stem}.json").write_text(rates.report_to_json(report) + "\n")
         (outdir / f"{stem}.csv").write_text(rates.report_to_csv(report))
-        slope = "n/a" if report.fit is None else f"{report.fit.slope:+.3f}"
         print(
-            f"{kind:24s} slope={slope:>8s} predicted=-{report.predicted_exponent:.3f} "
+            f"{kind:24s} slope={report.fit.slope:+8.3f} "
+            f"predicted=-{report.predicted_exponent:.3f} "
             f"verdict={report.verdict}"
         )
         print(f"{stem}: {report.seconds:.1f}s", file=sys.stderr)

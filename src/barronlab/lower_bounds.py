@@ -341,7 +341,7 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
         scale = 0.5 + k / d
     if m > 16:
         raise ValueError(
-            f"direction count m = {m} exceeds the desk-scale cap 16; lower n"
+            f"direction count m = {m} at n={n} exceeds the desk-scale cap 16; lower n"
         )
     # A pair difference sums 2m relu atoms of size up to R^k, or 2m unit
     # fourier atoms scaled by R^-s; it and R^s stay finite while 2m R^|s| does.
@@ -361,8 +361,8 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
     net = separated_subset(d, delta, candidate_pool=pool, seed=seed)
     if net.size < m:
         raise ValueError(
-            f"could only place {net.size} directions at separation {delta}; "
-            "lower n or the separation"
+            f"could only place {net.size} of m = {m} directions at separation {delta} "
+            f"at n={n}; lower n or the separation"
         )
     if m <= 12:
         codes = np.arange(2**m)

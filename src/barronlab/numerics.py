@@ -34,7 +34,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-    points_used: int
 
 
 def multi_indices(d: int, degree: int) -> Iterator[tuple[int, ...]]:
@@ -255,22 +254,25 @@ def sobolev_weight(eta, m: int):
 def loglog_fit(samples: Iterable[tuple[float, float]]) -> RateFit:
     """Fit a least-squares line through (log n, log error).
 
-    Duplicate n values are collapsed by averaging their log errors before
-    fitting.  Requires at least two distinct n; every error must be positive
-    (log undefined otherwise) and every n >= 1.
+    Needs at least two samples; every n must be >= 1 and appear once, and
+    every error must be positive and finite.  A sample that breaks this is a
+    ``ValueError`` naming its n and value.
     """
-    by_n: dict[float, list[float]] = {}
+    ns, log_errors = [], []
     for n, err in samples:
-        if err <= 0:
-            raise ValueError(f"error values must be positive for a log fit, got {err}")
         if n < 1:
             raise ValueError(f"sample sizes must be >= 1, got {n}")
-        by_n.setdefault(float(n), []).append(math.log(err))
-    if len(by_n) < 2:
-        raise ValueError("need at least two distinct n values to fit a slope")
-    ns = np.array(sorted(by_n))
-    logn = np.log(ns)
-    loge = np.array([np.mean(by_n[n]) for n in ns])
+        if not 0 < err < math.inf:
+            raise ValueError(f"a log fit needs every error positive and finite, "
+                             f"got {err} at n={n}")
+        if float(n) in ns:
+            raise ValueError(f"n={n} appears twice; a log fit takes each n once")
+        ns.append(float(n))
+        log_errors.append(math.log(err))
+    if len(ns) < 2:
+        raise ValueError("need at least two samples to fit a slope")
+    logn = np.log(np.array(ns))
+    loge = np.array(log_errors)
     design = np.stack([logn, np.ones_like(logn)], axis=-1)
     (slope, intercept), *_ = np.linalg.lstsq(design, loge, rcond=None)
     resid = loge - design @ np.array([slope, intercept])
@@ -280,4 +282,4 @@ def loglog_fit(samples: Iterable[tuple[float, float]]) -> RateFit:
         r_squared = 1.0 if ss_res <= 1e-24 else 0.0
     else:
         r_squared = max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
-    return RateFit(float(slope), float(intercept), r_squared, len(ns))
+    return RateFit(float(slope), float(intercept), r_squared)

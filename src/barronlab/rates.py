@@ -44,17 +44,19 @@ class ExperimentReport:
     kind: str
     config: dict
     samples: tuple[tuple[int, float], ...]
-    fit: RateFit | None
+    fit: RateFit
     predicted_exponent: float
     verdict: str
     seconds: float
+    # Never filled: a sub-run that fails raises.  Kept only because
+    # perfbench/workloads.py still reads it (ROADMAP item 1).
     failures: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _verdict(fit: RateFit | None, predicted: float, tolerance: float,
+def _verdict(fit: RateFit, predicted: float, tolerance: float,
              informational: bool) -> str:
     """Pure verdict rule: slope <= -predicted + tolerance means satisfied."""
-    if informational or fit is None:
+    if informational:
         return INFORMATIONAL
     return BOUND_SATISFIED if fit.slope <= -predicted + tolerance else BOUND_VIOLATED
 
@@ -222,39 +224,27 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
     """Run one error sweep and fit its rate.
 
     ``params`` overrides entries of the kind's defaults in ``KINDS`` (see
-    ``kind_config``).  A sub-run that fails a precondition (``ValueError``)
-    is recorded and downgrades the verdict to informational while keeping
-    the samples collected so far; any other exception propagates.
+    ``kind_config``).  Every sweep ends in a fit or an exception: a sub-run's
+    refusal propagates, and so does ``loglog_fit``'s refusal of an error that
+    is 0 or not finite, naming its n.
     """
     config = kind_config(kind, params)
     grid = _validate_grid(n_grid)
     started = time.perf_counter()
-    samples: list[tuple[int, float]] = []
-    failures: list[str] = []
-
     predicted, error = KINDS[kind][1](config, grid, seed)
-    for index, n in enumerate(grid):
-        run_seed = seed ^ index
-        try:
-            samples.append((n, float(error(n, run_seed))))
-        except ValueError as exc:
-            failures.append(f"n={n}: {exc}")
-    fit = None
-    if len({n for n, _ in samples}) >= 2 and all(e > 0 for _, e in samples):
-        fit = loglog_fit(samples)
-    verdict = _verdict(fit, predicted, config["tolerance"],
-                       kind == PACKING_SEPARATION or bool(failures))
+    samples = tuple((n, float(error(n, seed ^ index))) for index, n in enumerate(grid))
+    fit = loglog_fit(samples)
+    verdict = _verdict(fit, predicted, config["tolerance"], kind == PACKING_SEPARATION)
     seconds = time.perf_counter() - started
     config.update({"seed": seed, "n_grid": grid})
     return ExperimentReport(
         kind=kind,
         config=config,
-        samples=tuple(samples),
+        samples=samples,
         fit=fit,
         predicted_exponent=predicted,
         verdict=verdict,
         seconds=seconds,
-        failures=tuple(failures),
     )
 
 
@@ -268,7 +258,7 @@ def report_to_json(report: ExperimentReport) -> str:
         "kind": report.kind,
         "config": report.config,
         "samples": [{"n": n, "error": e} for n, e in report.samples],
-        "fit": None if report.fit is None else {
+        "fit": {
             "slope": report.fit.slope,
             "intercept": report.fit.intercept,
             "r2": report.fit.r_squared,
@@ -277,8 +267,6 @@ def report_to_json(report: ExperimentReport) -> str:
         "verdict": report.verdict,
         "seconds": None,
     }
-    if report.failures:
-        payload["failures"] = list(report.failures)
     return json.dumps(payload, sort_keys=True)
 
 

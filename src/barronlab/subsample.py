@@ -36,7 +36,6 @@ class MaureyResult:
     deviations: tuple[float, ...]
     hoeffding_bound: float
     accepted: bool
-    sup_bound: float
 
 
 def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
@@ -49,9 +48,8 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
     points into the caller's ``terms``, sorted, with repeats.  Sampling is
     with replacement; when n equals N the identity selection is included as
     restart 0 and wins with deviation zero.  The deviation is the max over
-    monomials of |mean_selected - mean_all|; ``sup_bound`` converts it to a
-    sup-norm bound M * deviation for a basis of sup norm 1, and ``accepted``
-    compares it with the Hoeffding level at failure probability 0.05.
+    monomials of |mean_selected - mean_all|, and ``accepted`` compares it
+    with the Hoeffding level at failure probability 0.05.
     """
     arr = np.asarray(terms, dtype=float)
     if arr.ndim != 2:
@@ -89,5 +87,4 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
         deviations=tuple(float(v) for v in deviations),
         hoeffding_bound=level,
         accepted=dev <= level,
-        sup_bound=n_monomials * dev,
     )

@@ -322,13 +322,43 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert f"{named} leaves the float range at n=32, k={float(args[-1])}" in err
 
-    def test_packing_separation_records_scales_beyond_the_float_range(self, capsys):
-        # Ended in an OverflowError traceback.
-        code, out, _ = run_cli(capsys, "rates", "--kind", "packing-separation",
-                               "--param", "k_or_s=1000")
-        report = json.loads(out)
-        assert code == 0 and report["verdict"] == rates.INFORMATIONAL
-        assert "n=256: R^1000 with R = n^0.5 leaves the float range" in report["failures"][-1]
+    def test_packing_separation_refuses_scales_beyond_the_float_range(self, capsys):
+        # Ended in an OverflowError traceback, then exited 0 with the
+        # refusals under "failures" and a slope through n = 2 and 4 alone.
+        code, out, err = run_cli(capsys, "rates", "--kind", "packing-separation",
+                                 "--param", "k_or_s=1000")
+        assert code == 2 and out == ""
+        assert "R^1000 with R = n^0.5 leaves the float range at n=8" in err
+
+    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.parametrize("args, named", [
+        # "fit": null, exit 0
+        (("--kind", "greedy-fourier", "--param", "xi_max=2"), "got 0.0 at n=4"),
+        (("--kind", "dyadic-residual", "--n-grid", "2:1024"), "got 0.0 at n=512"),
+        # five sub-runs under "failures", exit 0
+        (("--kind", "packing-separation", "--n-grid", "8:200000:4"), "m = 22 at n=512"),
+        # slope NaN with r2 1.0, exit 1, and stdout that was not RFC 8259 JSON
+        (("--kind", "greedy-fourier", "--param", "m=200"), "got inf at n=2"),
+    ])
+    def test_sweep_that_cannot_be_fitted_is_usage_error(self, capsys, args, named):
+        code, out, err = run_cli(capsys, "rates", *args)
+        assert code == 2 and out == ""
+        assert named in err
+
+    def test_broadcast_bug_in_a_sweep_is_not_informational(self, capsys, monkeypatch):
+        # Exited 0 as informational with four "could not be broadcast" failures.
+        real = sphere_geom.greedy_net
+
+        def broken(d, m, **kwargs):
+            if m >= 32:
+                np.zeros(3) + np.zeros(4)
+            return real(d, m, **kwargs)
+
+        monkeypatch.setattr(sphere_geom, "greedy_net", broken)
+        code, out, err = run_cli(capsys, "rates", "--kind", "sphere-cover",
+                                 "--n-grid", "4:256", "--param", "d=2")
+        assert code == 2 and out == ""
+        assert "could not be broadcast" in err
 
     @pytest.mark.parametrize("args", [
         ("dyadic", "--xi-max", "-5"),  # printed an all-zero level-0 row, exit 0

@@ -1,10 +1,12 @@
 import math
 import multiprocessing
 import queue
+import types
 
 import numpy as np
 import pytest
 
+from barronlab import sphere_geom
 from barronlab.barron import evaluate_sum, fourier_sum, from_arrays, hm_norm_exact
 from barronlab.lower_bounds import (
     build_packing,
@@ -394,8 +396,17 @@ class TestPacking:
         )
 
     def test_desk_scale_cap(self):
-        with pytest.raises(ValueError, match="cap"):
+        # The message named m alone, so a rates sweep could not say which n.
+        with pytest.raises(ValueError, match="m = 316 at n=100000 exceeds the desk-scale cap"):
             build_packing("fourier", 2, 1.0, 100_000, seed=0)
+
+    def test_short_placement_names_m_and_n(self, monkeypatch):
+        # The placed count depends on the seeded pool; the message named neither m nor n.
+        monkeypatch.setattr(sphere_geom, "separated_subset",
+                            lambda *args, **kwargs: types.SimpleNamespace(size=3))
+        with pytest.raises(ValueError, match=r"could only place 3 of m = 5 directions "
+                                             r"at separation \S+ at n=32"):
+            build_packing("fourier", 2, 1.0, 32, seed=0)
 
     @pytest.mark.parametrize("kind, k_or_s, n",
                              [("relu", 2, 2), ("relu", 2, 32), ("fourier", 1.0, 64)])

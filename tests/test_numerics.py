@@ -140,7 +140,6 @@ class TestLogLogFit:
         fit = loglog_fit([(1, 1.0), (10, 0.1), (100, 0.01)])
         assert fit.slope == pytest.approx(-1.0, abs=1e-12)
         assert fit.r_squared == pytest.approx(1.0, abs=1e-12)
-        assert fit.points_used == 3
 
     def test_single_point_rejected(self):
         with pytest.raises(ValueError):
@@ -150,16 +149,21 @@ class TestLogLogFit:
         with pytest.raises(ValueError):
             loglog_fit([(1, 1.0), (2, 0.0)])
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf])
+    def test_nonfinite_error_refused_naming_n_and_value(self, bad):
+        # An infinite error gave slope NaN with r^2 1.0.
+        with pytest.raises(ValueError, match=f"got {bad} at n=4"):
+            loglog_fit([(2, 1.0), (4, bad), (8, 0.5)])
+
     def test_synthetic_three_quarters(self):
         samples = [(n, 3.0 * n**-0.75) for n in range(2, 257)]
         fit = loglog_fit(samples)
         assert fit.slope == pytest.approx(-0.75, abs=1e-9)
 
-    def test_duplicate_n_collapsed(self):
-        fit = loglog_fit([(2, 1.0), (2, 4.0), (8, 2.0), (8, 8.0)])
-        assert fit.points_used == 2
-        # geometric means (2, 2) and (8, 4): slope log(2)/log(4)
-        assert fit.slope == pytest.approx(math.log(2) / math.log(4), rel=1e-12)
+    def test_duplicate_n_refused(self):
+        # Repeated n were averaged in log space before the fit.
+        with pytest.raises(ValueError, match="n=8 appears twice"):
+            loglog_fit([(2, 1.0), (8, 2.0), (8, 8.0)])
 
     @given(
         slope=st.floats(-3.0, -0.1),
