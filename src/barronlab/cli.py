@@ -138,7 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("greedy-fourier", help=ANCHORS["greedy-fourier"])
     common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--ks", type=_finite_float, default=2.0)
     p.add_argument("--m", type=int, default=0)
@@ -257,20 +256,17 @@ def _cmd_greedy_fourier(args) -> int:
     grid = _parse_grid(args.n_grid)
     params = {"d": args.d, "ks": args.ks, "m": args.m, "xi_max": args.xi_max}
     report = rates.run_experiment(rates.GREEDY_FOURIER, params, grid, args.seed)
-    if args.format == "json":
-        _emit(rates.report_to_json(report) + "\n", args.output)
-    else:
-        cfg = report.config
-        _, key_of = greedy_fourier.heavy_tail_sweep(cfg["d"], cfg["ks"], cfg["m"],
-                                                     cfg["xi_max"], args.seed)
-        n0, e0 = report.samples[0]
-        c_fit = e0 * n0 ** report.predicted_exponent
-        buf = io.StringIO()
-        buf.write("n,error,bound,key_of_last_kept\n")
-        for n, err in report.samples:
-            bound = c_fit * n ** (-report.predicted_exponent)
-            buf.write(f"{n},{_fmt(err)},{_fmt(bound)},{_fmt(key_of(n))}\n")
-        _emit(buf.getvalue(), args.output)
+    cfg = report.config
+    _, key_of = greedy_fourier.heavy_tail_sweep(cfg["d"], cfg["ks"], cfg["m"],
+                                                 cfg["xi_max"], args.seed)
+    n0, e0 = report.samples[0]
+    c_fit = e0 * n0 ** report.predicted_exponent
+    buf = io.StringIO()
+    buf.write("n,error,bound,key_of_last_kept\n")
+    for n, err in report.samples:
+        bound = c_fit * n ** (-report.predicted_exponent)
+        buf.write(f"{n},{_fmt(err)},{_fmt(bound)},{_fmt(key_of(n))}\n")
+    _emit(buf.getvalue(), args.output)
     print(f"verdict: {report.verdict} (slope fit in {report.seconds:.2f}s)",
           file=sys.stderr)
     return 0 if report.verdict != rates.BOUND_VIOLATED else 1

@@ -45,9 +45,6 @@ class GapProbe:
 
     error: float
     errors_by_width: tuple[float, ...]
-    omega0: float
-    n_units: int
-    candidates: int
     regularized: int
 
 
@@ -133,9 +130,6 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     return GapProbe(
         error=float(best[-1]),
         errors_by_width=tuple(float(v) for v in best),
-        omega0=float(omega0),
-        n_units=n_units,
-        candidates=candidates,
         regularized=regularized,
     )
 
@@ -274,7 +268,8 @@ class PackingFamily:
     """Sign-indexed witness family over a separated direction set.
 
     ``fourier`` kind: f_sigma(x) = normalization * sum_j sigma_j
-    e^{2 pi i R omega_j . x} with normalization 1 / (sqrt(m) R^s).
+    e^{2 pi i R omega_j . x} with normalization 1 / (sqrt(m) R^s), for the
+    smoothness s given to ``build_packing``.
     ``relu`` kind: f_sigma(x) = (1 / sqrt(m)) sum_j sigma_j
     sigma_k(R omega_j . x).
     """
@@ -284,7 +279,6 @@ class PackingFamily:
     m: int
     R: float
     k: int
-    s: float
     directions: SphericalNet
     signs: np.ndarray
     normalization: float
@@ -370,7 +364,7 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
         codes = np.random.default_rng(seed + 1).choice(2**m, _SAMPLED_SIGNS, replace=False)
     signs = 2.0 * ((codes[:, None] >> np.arange(m)) & 1) - 1.0
     return PackingFamily(
-        kind=kind, d=d, m=m, R=R, k=k, s=s,
+        kind=kind, d=d, m=m, R=R, k=k,
         directions=net, signs=signs, normalization=normalization, delta=delta,
     )
 

@@ -4,9 +4,10 @@ the predicted decay exponent.
 
 Rate checks are one-sided: a synthetic input may decay faster than the
 class-worst case, so the verdict only asks that the measured slope be at
-least as steep as the predicted bound (within tolerance).  Every per-n run
-derives its seed as master_seed XOR run index, making reports reproducible
-bit for bit.
+least as steep as the predicted bound, within the fixed slack
+``SLOPE_TOLERANCE``.  The slack and each kind's prediction are facts of the
+code: no parameter sets them.  Every per-n run derives its seed as
+master_seed XOR run index, making reports reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ BOUND_SATISFIED = "bound-satisfied"
 BOUND_VIOLATED = "bound-violated"
 INFORMATIONAL = "informational"
 
-DEFAULT_SLOPE_TOLERANCE = 0.15
+SLOPE_TOLERANCE = 0.15
 
 
 @dataclass(frozen=True)
@@ -53,12 +54,11 @@ class ExperimentReport:
     failures: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _verdict(fit: RateFit, predicted: float, tolerance: float,
-             informational: bool) -> str:
-    """Pure verdict rule: slope <= -predicted + tolerance means satisfied."""
+def _verdict(fit: RateFit, predicted: float, informational: bool) -> str:
+    """Pure verdict rule: slope <= -predicted + SLOPE_TOLERANCE means satisfied."""
     if informational:
         return INFORMATIONAL
-    return BOUND_SATISFIED if fit.slope <= -predicted + tolerance else BOUND_VIOLATED
+    return BOUND_SATISFIED if fit.slope <= -predicted + SLOPE_TOLERANCE else BOUND_VIOLATED
 
 
 def _validate_grid(n_grid: Sequence[int]) -> list[int]:
@@ -123,11 +123,9 @@ def _sobolev_compile(c, grid, seed):
     if c["cycles"] == 0:
         raise ValueError(f"kind {SOBOLEV_COMPILE} needs cycles != 0, got cycles={c['cycles']}")
     relu_nets.check_compile_size(c["d"], grid[-1], c["ell"])
-    if c["s"] is None:
-        c["s"] = float(c["ell"])
     f = sine_target(c["cycles"])
     target = relu_nets.probe_target(f, c["d"])
-    return c["s"], lambda q, _: relu_nets.compile_sobolev_approximant(
+    return float(c["ell"]), lambda q, _: relu_nets.compile_sobolev_approximant(
         f, c["ell"], relu_nets.CubePartition(c["d"], q)).probe_error(target)
 
 
@@ -172,7 +170,7 @@ def _dyadic_residual(c, grid, seed):
 # informational: its minimum distance is a witness, not a certified rate.
 KINDS = {
     GREEDY_FOURIER: ({"d": 1, "ks": 2.0, "m": 0, "xi_max": None}, _greedy_fourier),
-    SOBOLEV_COMPILE: ({"d": 1, "ell": 2, "cycles": 1.0, "s": None}, _sobolev_compile),
+    SOBOLEV_COMPILE: ({"d": 1, "ell": 2, "cycles": 1.0}, _sobolev_compile),
     SPHERE_COVER: ({"d": 2}, _sphere_cover),
     SUBSAMPLE_CONCENTRATION: ({"N": 256, "M": 10, "restarts": 64}, _subsample_concentration),
     PACKING_SEPARATION: ({"family": "fourier", "d": 2, "k_or_s": 1.0},
@@ -183,7 +181,7 @@ EXPERIMENT_KINDS = tuple(KINDS)
 
 
 def kind_config(kind: str, params: dict | None) -> dict:
-    """The kind's defaults plus ``tolerance``, updated by ``params``.
+    """The kind's own parameter defaults, updated by ``params``.
 
     A given value is cast to its default's type (float where the default is
     None, which the setup derives); None keeps the default.  An unknown kind
@@ -193,7 +191,7 @@ def kind_config(kind: str, params: dict | None) -> dict:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    config = {**KINDS[kind][0], "tolerance": DEFAULT_SLOPE_TOLERANCE}
+    config = dict(KINDS[kind][0])
     for key, value in (params or {}).items():
         if key not in config:
             raise ValueError(f"unknown parameter {key!r} for kind {kind}; "
@@ -224,9 +222,11 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
     """Run one error sweep and fit its rate.
 
     ``params`` overrides entries of the kind's defaults in ``KINDS`` (see
-    ``kind_config``).  Every sweep ends in a fit or an exception: a sub-run's
-    refusal propagates, and so does ``loglog_fit``'s refusal of an error that
-    is 0 or not finite, naming its n.
+    ``kind_config``).  The report's config adds the fixed ``tolerance``, the
+    seed and the grid, so each report names everything its verdict used.
+    Every sweep ends in a fit or an exception: a sub-run's refusal
+    propagates, and so does ``loglog_fit``'s refusal of an error that is 0
+    or not finite, naming its n.
     """
     config = kind_config(kind, params)
     grid = _validate_grid(n_grid)
@@ -234,9 +234,9 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
     predicted, error = KINDS[kind][1](config, grid, seed)
     samples = tuple((n, float(error(n, seed ^ index))) for index, n in enumerate(grid))
     fit = loglog_fit(samples)
-    verdict = _verdict(fit, predicted, config["tolerance"], kind == PACKING_SEPARATION)
+    verdict = _verdict(fit, predicted, kind == PACKING_SEPARATION)
     seconds = time.perf_counter() - started
-    config.update({"seed": seed, "n_grid": grid})
+    config.update({"tolerance": SLOPE_TOLERANCE, "seed": seed, "n_grid": grid})
     return ExperimentReport(
         kind=kind,
         config=config,

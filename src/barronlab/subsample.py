@@ -38,8 +38,8 @@ class MaureyResult:
     accepted: bool
 
 
-def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
-                     coeff_bound: float | None = None) -> MaureyResult:
+def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0, *,
+                     coeff_bound: float) -> MaureyResult:
     """Best-of-restarts uniform multiset whose average tracks the full average.
 
     ``terms`` is an (N, M) array of per-term monomial coefficient vectors.
@@ -49,7 +49,8 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
     with replacement; when n equals N the identity selection is included as
     restart 0 and wins with deviation zero.  The deviation is the max over
     monomials of |mean_selected - mean_all|, and ``accepted`` compares it
-    with the Hoeffding level at failure probability 0.05.
+    with the Hoeffding level at failure probability 0.05 for the declared
+    ``coeff_bound``, which every coefficient magnitude must respect.
     """
     arr = np.asarray(terms, dtype=float)
     if arr.ndim != 2:
@@ -63,8 +64,7 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
         raise ValueError("subsample size must be >= 1")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    bound = float(np.max(np.abs(arr))) if coeff_bound is None else float(coeff_bound)
-    if np.max(np.abs(arr)) > bound + 1e-12:
+    if np.max(np.abs(arr)) > coeff_bound + 1e-12:
         raise ValueError("coefficient magnitudes exceed the declared bound")
     order = np.lexsort(arr.T[::-1])
     canonical = arr[order]
@@ -79,7 +79,7 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0,
         for sel in selections
     ])
     best = int(np.argmin(deviations))  # argmin takes the first, lowest restart wins ties
-    level = hoeffding_delta(n, bound, n_monomials, 0.05)
+    level = hoeffding_delta(n, coeff_bound, n_monomials, 0.05)
     dev = float(deviations[best])
     return MaureyResult(
         indices=tuple(sorted(order[selections[best]].tolist())),

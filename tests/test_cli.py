@@ -20,8 +20,7 @@ from barronlab.cli import ANCHORS, build_parser, dispatch, _parse_grid
 README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
 PARSERS = next(a for a in build_parser()._actions if a.dest == "command").choices
 SUBCOMMANDS = list(PARSERS)
-TWO_FORMATS = {"greedy-fourier": "csv", "relu-compile": "csv", "sphere-net": "csv",
-               "packing": "csv", "rates": "json"}
+TWO_FORMATS = {"relu-compile": "csv", "sphere-net": "csv", "packing": "csv", "rates": "json"}
 
 
 def readme_commands() -> list[list[str]]:
@@ -107,6 +106,18 @@ class TestExitCodes:
                                  "--param", "xi-max=100")
         assert code == 2 and out == ""
         assert "'xi-max'" in err and "xi_max" in err
+
+    @pytest.mark.parametrize("args, key", [
+        # The README's bound-violated d = 6 row exited 0 as bound-satisfied.
+        (("--kind", "greedy-fourier", "--param", "d=6", "--param", "xi_max=160",
+          "--n-grid", "32:1000000", "--param", "tolerance=0.2"), "tolerance"),
+        # Reported "predicted": 0.1 and bound-satisfied.
+        (("--kind", "sobolev-compile", "--n-grid", "2:64", "--param", "s=0.1"), "s"),
+    ], ids=["tolerance", "s"])
+    def test_verdict_gate_param_is_usage_error(self, capsys, args, key):
+        code, out, err = run_cli(capsys, "rates", *args)
+        assert code == 2 and out == ""
+        assert f"unknown parameter '{key}'" in err
 
     @pytest.mark.parametrize("args, named", [
         # rates used to exit 0, informational, with every sub-run failed;
@@ -640,17 +651,6 @@ class TestOutputs:
         samples = json.loads(out)["samples"]
         assert [int(r["n"]) for r in rows] == [s["n"] for s in samples]
         assert [float(r["error"]) for r in rows] == [s["error"] for s in samples]
-
-    def test_greedy_json_equals_rates_report(self, capsys):
-        common = ("--n-grid", "4:1024", "--seed", "2")
-        code, greedy, _ = run_cli(capsys, "greedy-fourier", "--format", "json", "--d", "2",
-                                  "--ks", "3", "--m", "1", "--xi-max", "60", *common)
-        assert code in (0, 1)
-        code, report, _ = run_cli(capsys, "rates", "--kind", "greedy-fourier", "--param", "d=2",
-                                  "--param", "ks=3", "--param", "m=1", "--param", "xi_max=60",
-                                  *common)
-        assert code in (0, 1)
-        assert greedy == report
 
     def test_relu_compile_json_sup_error(self, capsys):
         code, out, _ = run_cli(capsys, "relu-compile", "--format", "json", "--d", "2",

@@ -177,18 +177,31 @@ class TestParameters:
 
     def test_unknown_key_names_key_and_accepted_keys(self):
         # 'xi-max' used to be ignored: the run went on with xi_max = 400.
-        with pytest.raises(ValueError, match="'xi-max' for kind greedy-fourier; "
-                                             "accepted: d, ks, m, xi_max, tolerance"):
-            rates.run_experiment(rates.GREEDY_FOURIER, {"xi-max": 100}, self.GRID)
+        # tolerance=0.2 used to turn a bound-violated sweep into
+        # bound-satisfied, and s=0.1 replaced sobolev-compile's prediction.
+        for kind, key, accepted in [
+            (rates.GREEDY_FOURIER, "xi-max", "d, ks, m, xi_max"),
+            (rates.GREEDY_FOURIER, "tolerance", "d, ks, m, xi_max"),
+            (rates.SOBOLEV_COMPILE, "s", "d, ell, cycles"),
+        ]:
+            with pytest.raises(ValueError, match=f"'{key}' for kind {kind}; "
+                                                 f"accepted: {accepted}$"):
+                rates.run_experiment(kind, {key: 0.2}, self.GRID)
 
     @pytest.mark.parametrize("kind", rates.EXPERIMENT_KINDS)
-    def test_every_kind_takes_its_defaults_and_tolerance(self, kind):
+    def test_every_kind_takes_its_defaults_and_tolerance(self, kind, monkeypatch):
+        # The slope slack is the code's constant, recorded in every report;
+        # no parameter sets it.
         defaults = rates.KINDS[kind][0]
         config = rates.kind_config(kind, defaults)
-        assert list(config) == [*defaults, "tolerance"]
-        assert config["tolerance"] == rates.DEFAULT_SLOPE_TOLERANCE
-        with pytest.raises(ValueError, match="'seed'"):
-            rates.kind_config(kind, {"seed": 1})
+        assert list(config) == list(defaults)
+        for key in ("tolerance", "seed"):
+            with pytest.raises(ValueError, match=f"'{key}'"):
+                rates.kind_config(kind, {key: 1})
+        monkeypatch.setitem(rates.KINDS, kind, (defaults, lambda c, grid, seed: (
+            1.0, lambda n, _: 1.0 / n)))
+        report = rates.run_experiment(kind, None, self.GRID)
+        assert report.config["tolerance"] == rates.SLOPE_TOLERANCE
 
     def test_values_cast_to_default_types(self):
         config = rates.kind_config(rates.GREEDY_FOURIER, {"d": 2.0, "ks": 3, "xi_max": 60})
@@ -297,7 +310,7 @@ class TestParameters:
         report = rates.run_experiment(rates.GREEDY_FOURIER, None, self.GRID)
         assert report.config["xi_max"] == 400.0
         report = rates.run_experiment(rates.SOBOLEV_COMPILE, {"ell": 1}, self.GRID)
-        assert report.config["s"] == 1.0
+        assert "s" not in report.config and report.predicted_exponent == 1.0
 
     @pytest.mark.parametrize("kind, d, least", [
         (rates.SPHERE_COVER, 1, 2),  # used to divide by d - 1 = 0
@@ -361,9 +374,10 @@ class TestGreedyFourierDimension:
 class TestVerdictRule:
     def test_pure_function_of_fit_and_prediction(self):
         fit = RateFit(slope=-2.0, intercept=0.0, r_squared=1.0)
-        assert rates._verdict(fit, 1.8, 0.15, False) == rates.BOUND_SATISFIED
-        assert rates._verdict(fit, 2.5, 0.15, False) == rates.BOUND_VIOLATED
-        assert rates._verdict(fit, 2.5, 0.15, True) == rates.INFORMATIONAL
+        # The fixed slack 0.15 lies between 0.1 and 0.2.
+        assert rates._verdict(fit, 2.1, False) == rates.BOUND_SATISFIED
+        assert rates._verdict(fit, 2.2, False) == rates.BOUND_VIOLATED
+        assert rates._verdict(fit, 2.5, True) == rates.INFORMATIONAL
 
 
 class TestSerialization:

@@ -47,21 +47,22 @@ class TestMaureySubsample:
     def test_full_selection_has_zero_deviation(self):
         rng = np.random.default_rng(0)
         terms = rng.uniform(-1, 1, (64, 5))
-        result = maurey_subsample(terms, 64, restarts=4, seed=9)
+        result = maurey_subsample(terms, 64, restarts=4, seed=9, coeff_bound=1.0)
         assert result.deviation == 0.0
         assert result.indices == tuple(range(64))
 
     def test_identical_terms_have_zero_deviation(self):
         terms = np.tile(np.array([0.3, -0.7, 0.1]), (32, 1))
-        result = maurey_subsample(terms, 8, restarts=4, seed=1)
+        result = maurey_subsample(terms, 8, restarts=4, seed=1, coeff_bound=0.7)
         # Subset and full means differ only by summation roundoff.
         assert result.deviation <= 1e-15
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(0)
         terms = rng.uniform(-1, 1, (64, 5))
-        r1 = maurey_subsample(terms, 16, restarts=8, seed=9)
-        r2 = maurey_subsample(terms[rng.permutation(64)], 16, restarts=8, seed=9)
+        r1 = maurey_subsample(terms, 16, restarts=8, seed=9, coeff_bound=1.0)
+        r2 = maurey_subsample(terms[rng.permutation(64)], 16, restarts=8, seed=9,
+                              coeff_bound=1.0)
         assert r1.deviation == r2.deviation
 
     def test_indices_point_into_caller_rows(self):
@@ -69,31 +70,38 @@ class TestMaureySubsample:
         # their mean deviates from the full mean by exactly the reported gap.
         rng = np.random.default_rng(4)
         terms = rng.uniform(-1, 1, (48, 6))
-        result = maurey_subsample(terms, 12, restarts=16, seed=2)
+        result = maurey_subsample(terms, 12, restarts=16, seed=2, coeff_bound=1.0)
         assert list(result.indices) == sorted(result.indices)
         gap = np.max(np.abs(terms[list(result.indices)].mean(0) - terms.mean(0)))
         assert gap == pytest.approx(result.deviation, abs=1e-12)
 
     def test_oversized_subsample_rejected(self):
         with pytest.raises(ValueError):
-            maurey_subsample(np.zeros((4, 2)), 5, seed=0)
+            maurey_subsample(np.zeros((4, 2)), 5, seed=0, coeff_bound=1.0)
 
     @pytest.mark.parametrize("n", [4, 8])
     def test_no_restart_refused(self, n):
         # With n < N this used to end in NumPy's argmin of an empty sequence.
         terms = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 3))
         with pytest.raises(ValueError, match="restarts must be >= 1, got 0"):
-            maurey_subsample(terms, n, restarts=0)
+            maurey_subsample(terms, n, restarts=0, coeff_bound=1.0)
 
     def test_no_monomial_column_refused(self):
         # An (N, 0) array used to end in NumPy's zero-size reduction error.
         with pytest.raises(ValueError, match=r"at least one monomial column \(M >= 1\), got M=0"):
-            maurey_subsample(np.zeros((8, 0)), 4)
+            maurey_subsample(np.zeros((8, 0)), 4, coeff_bound=1.0)
 
     def test_declared_bound_checked(self):
         terms = np.full((8, 2), 3.0)
         with pytest.raises(ValueError, match="bound"):
             maurey_subsample(terms, 4, coeff_bound=1.0, seed=0)
+
+    def test_bound_is_required(self):
+        # Without it the Hoeffding bound behind ``accepted`` was the terms'
+        # own largest magnitude.
+        terms = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 3))
+        with pytest.raises(TypeError, match="coeff_bound"):
+            maurey_subsample(terms, 4)
 
     def test_median_deviation_well_below_hoeffding(self):
         # Hoeffding is not tight; the restart median sitting under 0.7 of
