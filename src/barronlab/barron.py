@@ -198,8 +198,6 @@ def hm_norm_exact(fs: FourierSum, m: int) -> float:
     Distinct lattice modes are orthogonal in every H^k of the period cell,
     so the squared norm is L^d sum_z |c_z|^2 w_m(a + z/L).
     """
-    if not fs.support_size():
-        return 0.0
     w = sobolev_weight(fs.shifted_frequencies(), m)
     return math.sqrt(fs.L**fs.d * float(np.dot(w, np.abs(fs.values) ** 2)))
 

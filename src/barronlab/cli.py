@@ -73,19 +73,11 @@ def _parse_grid(text: str) -> list[int]:
 
 
 def _parse_params(entries) -> dict:
-    params = {}
-    for entry in entries or ():
+    """KEY=VALUE texts as a dict of texts; ``rates.kind_config`` casts them."""
+    for entry in entries:
         if "=" not in entry:
             raise ValueError(f"bad --param {entry!r}: expected KEY=VALUE")
-        key, value = entry.split("=", 1)
-        try:
-            params[key] = int(value)
-        except ValueError:
-            try:
-                params[key] = float(value)
-            except ValueError:
-                params[key] = value
-    return params
+    return dict(entry.split("=", 1) for entry in entries)
 
 
 ANCHORS = {

@@ -227,28 +227,31 @@ def integrate(f: Callable, box: Box, resolution: int = 64):
     return complex(total) if np.iscomplexobj(vals) else float(total)
 
 
+def homogeneous_sums(y: np.ndarray, m: int) -> np.ndarray:
+    """Rows h_0..h_m, shape (m + 1, N), of h_r(y) = sum_{|alpha| = r} prod_j y_j^alpha_j
+    on a batch y (N, d), by h_r(y_1..y_j) = h_r(y_1..y_{j-1}) + y_j h_{r-1}(y_1..y_j)
+    in O(d m) passes (Macdonald, *Symmetric Functions and Hall Polynomials*, 1995)."""
+    sums = np.vstack([np.ones(len(y)), np.zeros((m, len(y)))])
+    for yj in y.T:
+        for r in range(1, m + 1):
+            sums[r] += yj * sums[r - 1]
+    return sums
+
+
 def sobolev_weight(eta, m: int):
     """Exact squared-mode weight w_m(eta) = sum_{|alpha| <= m} prod_j (2 pi eta_j)^(2 alpha_j).
 
     This is the exact H^m mass of the unit exponential mode with frequency
     vector eta on a unit-volume cell.  w_0 is identically 1, w_m >= 1, and
     w_m(eta) is comparable to (1 + |eta|)^(2m) up to constants depending on
-    m and d only.
+    m and d only.  It sums the ``homogeneous_sums`` rows at y = (2 pi eta)^2.
 
     Accepts a single frequency vector (d,) or a batch (N, d).
     """
     if m < 0 or int(m) != m:
         raise ValueError(f"derivative order must be a nonnegative integer, got {m}")
     eta, single = as_batch(eta)
-    y = 2.0 * np.pi * eta
-    total = np.zeros(y.shape[0])
-    for alpha in multi_indices(y.shape[1], int(m)):
-        term = np.ones(y.shape[0])
-        for j, aj in enumerate(alpha):
-            if aj:
-                term = term * y[:, j] ** (2 * aj)
-        total += term
-    return unbatch(total, single)
+    return unbatch(homogeneous_sums((2.0 * np.pi * eta) ** 2, int(m)).sum(axis=0), single)
 
 
 def loglog_fit(samples: Iterable[tuple[float, float]]) -> RateFit:

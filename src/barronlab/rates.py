@@ -110,6 +110,13 @@ def _greedy_fourier(c, grid, seed):
     for key in ("m", "xi_max"):
         if c[key] < 0:
             raise ValueError(f"kind {GREEDY_FOURIER} needs {key} >= 0, got {key}={c[key]}")
+    # At |xi| <= xi_max a key factor is at most (1 + xi_max)^(2m - ks) and w_m at
+    # most (m + 1) max(1, 2 pi xi_max)^(2m); logs keep the test itself finite.
+    m, ks, xi_max = c["m"], c["ks"], c["xi_max"]
+    spread = math.log2(2.0 * math.pi) + math.log2(max(xi_max, 0.5 / math.pi))
+    if max((2 * m - ks) * math.log2(1.0 + xi_max), math.log2(m + 1) + 2 * m * spread) >= 1023:
+        raise ValueError(f"kind {GREEDY_FOURIER} needs key factor (1 + xi_max)^(2m - ks) "
+                         f"and w_m(xi_max) below 2^1023, got m={m}, ks={ks} at xi_max={xi_max:g}")
     tail, _ = greedy_fourier.heavy_tail_sweep(c["d"], c["ks"], c["m"], c["xi_max"], seed)
     return 0.5 + (c["ks"] - c["m"]) / c["d"], lambda n, _: tail(n)
 
@@ -183,11 +190,11 @@ EXPERIMENT_KINDS = tuple(KINDS)
 def kind_config(kind: str, params: dict | None) -> dict:
     """The kind's own parameter defaults, updated by ``params``.
 
-    A given value is cast to its default's type (float where the default is
-    None, which the setup derives); None keeps the default.  An unknown kind
-    or key, a value that is not a finite number for a numeric default, a
-    non-integral value for an integer default, or d below 1 (below 2 for the
-    two kinds that work on the sphere S^(d-1)) is a ``ValueError``.
+    A given number or text is cast to its default's type (float where the
+    default is None, which the setup derives); None keeps the default.  An
+    unknown kind or key, a value that is not a finite number for a numeric
+    default, a non-integral value for an integer default, or d below 1 (below
+    2 for the two kinds that work on the sphere S^(d-1)) is a ``ValueError``.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
@@ -206,10 +213,11 @@ def kind_config(kind: str, params: dict | None) -> dict:
                 raise ValueError(f"parameter {key!r} for kind {kind} must be a number, "
                                  f"got {value!r}") from None
             if not math.isfinite(number):
-                raise ValueError(f"parameter {key!r} for kind {kind} must be finite, got {value}")
+                raise ValueError(f"parameter {key!r} for kind {kind} must be finite, got {number}")
             if cast is int and number != int(number):
                 raise ValueError(f"parameter {key!r} for kind {kind} must be an integer, "
-                                 f"got {value}")
+                                 f"got {number}")
+            value = number
         config[key] = cast(value)
     min_d = 2 if kind in (SPHERE_COVER, PACKING_SEPARATION) else 1
     if config.get("d", min_d) < min_d:

@@ -17,8 +17,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import (Box, as_batch, gauss_rule, grid_rows, multi_indices, parallel_map,
-                       read_only, shares, sigma_k, unbatch, validate_box)
+from .numerics import (Box, as_batch, gauss_rule, grid_rows, homogeneous_sums, multi_indices,
+                       parallel_map, read_only, shares, sigma_k, unbatch, validate_box)
 
 
 # ----------------------------------------------------------------------
@@ -542,13 +542,15 @@ _CERT_MARGIN = 1e-12
 
 
 def _ridge_box_integrals(omega, bias, lo, hi, p) -> np.ndarray:
-    """Exact integral of sigma_{p_i}(omega_i . x + b_i) over the box [lo, hi], per row i.
+    """Exact integral of sigma_{p_ri}(omega_i . x + b_i) over the box [lo, hi],
+    per unit i and row r of the exponents ``p`` (R, n), in p's shape.
 
     The axis of the largest |omega_ij| (>= 1/sqrt(d) on the unit sphere) is
     integrated in closed form by sigma_{p+1} / ((p + 1) omega_ij).  Each other
     axis gets Gauss-Legendre, split where the integral over the axes inside it
     changes polynomial piece (at the inner box corners, clipped to the box); a
-    piece of degree p + (inner axes) takes ceil((degree + 1) / 2) nodes.
+    piece of degree p + (inner axes) takes ceil((degree + 1) / 2) nodes.  One
+    layout of split points, nodes and weights per unit serves every row.
     """
     n, d = omega.shape
     order = np.argsort(np.arange(d) == np.argmax(np.abs(omega), axis=1)[:, None],
@@ -571,9 +573,9 @@ def _ridge_box_integrals(omega, bias, lo, hi, p) -> np.ndarray:
         x = edges[..., :-1, None] + half * (nodes + 1.0)
         c = (c[:, :, None, None] + slope[..., None] * x).reshape(n, -1)
         w = (w[:, :, None, None] * half * weights).reshape(n, -1)
-    upper, lower = (np.maximum(c + (omega[:, -1] * end[:, -1])[:, None], 0.0) ** (p[:, None] + 1)
+    upper, lower = (np.maximum(c + (omega[:, -1] * end[:, -1])[:, None], 0.0) ** (p[..., None] + 1)
                     for end in (hi, lo))
-    return np.sum(w * (upper - lower), axis=1) / ((p + 1) * omega[:, -1])
+    return np.sum(w * (upper - lower), axis=-1) / ((p + 1) * omega[:, -1])
 
 
 def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
@@ -590,7 +592,8 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     sum_{|alpha| = r} prod_j omega_j^(2 alpha_j) (k! / (k - r)!)^2 sigma_{k-r}^2,
     and sigma_q^2 = sigma_{2q}, so all units and orders need box integrals of
     sigma_{2(k-r)}, which ``_ridge_box_integrals`` computes exactly in one
-    batch.  Each unit norm carries a relative rounding margin of 1e-12, so the
+    (m + 1, W) batch; the direction sums are ``homogeneous_sums`` at omega^2.
+    Each unit norm carries a relative rounding margin of 1e-12, so the
     bound is exact up to that margin and never below the true value.  ``spec``
     is accepted and ignored.
     """
@@ -611,17 +614,10 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     lo, hi = np.array(validate_box(omega_box)).reshape(-1, 2).T
     if len(lo) != net.d:
         raise ValueError(f"box has {len(lo)} axes, expected {net.d}")
-    # by_order[r, i] = sum over |alpha| = r of prod_j omega_ij^(2 alpha_j), by
-    # h_r(y_1..y_j) = h_r(y_1..y_{j-1}) + y_j h_{r-1}(y_1..y_j); falling = k!/(k-r)!.
     orders = np.arange(m + 1)[:, None]
-    by_order = np.vstack([np.ones(net.width), np.zeros((m, net.width))])
-    for y in (net.directions ** 2).T:
-        for r in range(1, m + 1):
-            by_order[r] += y * by_order[r - 1]
     falling = np.cumprod(np.vstack([np.ones(net.width), net.powers - orders[:-1]]), axis=0)
-    integrals = _ridge_box_integrals(
-        np.tile(net.directions, (m + 1, 1)), np.tile(net.biases, m + 1), lo, hi,
-        (2 * (net.powers - orders)).ravel()).reshape(m + 1, net.width)
+    integrals = _ridge_box_integrals(net.directions, net.biases, lo, hi, 2 * (net.powers - orders))
+    by_order = homogeneous_sums(net.directions ** 2, m)
     norms = np.sqrt(np.sum(by_order * falling**2 * integrals, axis=0)) * (1.0 + _CERT_MARGIN)
     max_norm = float(norms.max())
     return HmUpperBound(max_norm * net.ell1, max_norm, net.ell1, tuple(norms.tolist()))

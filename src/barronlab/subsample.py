@@ -22,8 +22,8 @@ def hoeffding_delta(n: int, coeff_bound: float, n_monomials: int,
         raise ValueError(f"sample count must be >= 1, got {n}")
     if not 0.0 < fail_prob < 1.0:
         raise ValueError(f"failure probability must lie in (0, 1), got {fail_prob}")
-    if coeff_bound < 0:
-        raise ValueError("coefficient bound must be nonnegative")
+    if not 0.0 <= coeff_bound < math.inf:
+        raise ValueError(f"coefficient bound must be nonnegative and finite, got {coeff_bound}")
     if n_monomials < 1:
         raise ValueError("monomial count must be >= 1")
     return coeff_bound * math.sqrt(math.log(2.0 * n_monomials / fail_prob) / (2.0 * n))
@@ -50,7 +50,8 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0, *,
     restart 0 and wins with deviation zero.  The deviation is the max over
     monomials of |mean_selected - mean_all|, and ``accepted`` compares it
     with the Hoeffding level at failure probability 0.05 for the declared
-    ``coeff_bound``, which every coefficient magnitude must respect.
+    finite ``coeff_bound``, which every coefficient magnitude must respect;
+    a NaN term is refused.
     """
     arr = np.asarray(terms, dtype=float)
     if arr.ndim != 2:
@@ -64,8 +65,10 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0, *,
         raise ValueError("subsample size must be >= 1")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if np.max(np.abs(arr)) > coeff_bound + 1e-12:
-        raise ValueError("coefficient magnitudes exceed the declared bound")
+    level = hoeffding_delta(n, coeff_bound, n_monomials, 0.05)
+    peak = np.max(np.abs(arr))
+    if not peak <= coeff_bound + 1e-12:  # also refuses a NaN term
+        raise ValueError(f"coefficient magnitude {peak} is not within the bound {coeff_bound}")
     order = np.lexsort(arr.T[::-1])
     canonical = arr[order]
     full_mean = canonical.mean(axis=0)
@@ -79,7 +82,6 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0, *,
         for sel in selections
     ])
     best = int(np.argmin(deviations))  # argmin takes the first, lowest restart wins ties
-    level = hoeffding_delta(n, coeff_bound, n_monomials, 0.05)
     dev = float(deviations[best])
     return MaureyResult(
         indices=tuple(sorted(order[selections[best]].tolist())),

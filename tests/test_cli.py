@@ -341,15 +341,16 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert "R^1000 with R = n^0.5 leaves the float range at n=8" in err
 
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("args, named", [
         # "fit": null, exit 0
         (("--kind", "greedy-fourier", "--param", "xi_max=2"), "got 0.0 at n=4"),
         (("--kind", "dyadic-residual", "--n-grid", "2:1024"), "got 0.0 at n=512"),
         # five sub-runs under "failures", exit 0
         (("--kind", "packing-separation", "--n-grid", "8:200000:4"), "m = 22 at n=512"),
-        # slope NaN with r2 1.0, exit 1, and stdout that was not RFC 8259 JSON
-        (("--kind", "greedy-fourier", "--param", "m=200"), "got inf at n=2"),
+        # slope NaN with r2 1.0, exit 1, and stdout that was not RFC 8259 JSON;
+        # then a fit refusal after overflow warnings from every sub-run
+        (("--kind", "greedy-fourier", "--param", "m=200"), "got m=200, ks=2.0 at xi_max=400"),
     ])
     def test_sweep_that_cannot_be_fitted_is_usage_error(self, capsys, args, named):
         code, out, err = run_cli(capsys, "rates", *args)

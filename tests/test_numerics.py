@@ -11,6 +11,7 @@ from barronlab.numerics import (
     IntegrationError,
     as_batch,
     grid_rows,
+    homogeneous_sums,
     integrate,
     loglog_fit,
     multi_indices,
@@ -98,6 +99,35 @@ def _unit_field(p):
 def test_every_resolution_entry_point_refuses_one_node(call):
     with pytest.raises(ValueError, match="resolution must be >= 2, got 1"):
         call()
+
+
+def brute_force_sums(y: np.ndarray, m: int) -> np.ndarray:
+    """h_0..h_m by the multi-index loop sobolev_weight once ran: one pass
+    and one power per factor for each of the C(m + d, d) exponent tuples."""
+    rows = np.zeros((m + 1, len(y)))
+    for alpha in multi_indices(y.shape[1], m):
+        term = np.ones(len(y))
+        for j, aj in enumerate(alpha):
+            if aj:
+                term = term * y[:, j] ** aj
+        rows[sum(alpha)] += term
+    return rows
+
+
+class TestHomogeneousSums:
+    @pytest.mark.parametrize("d", range(1, 9))
+    def test_matches_multi_index_loop(self, d):
+        rng = np.random.default_rng(d)
+        axis = np.zeros((3 * d + 1, d))  # the origin and three points on each axis
+        for j in range(d):
+            axis[3 * j + 1:3 * j + 4, j] = [-2.5, 0.3, 7.0]
+        for eta in (rng.standard_normal((64, d)) * 3.0, axis):
+            y = (2.0 * np.pi * eta) ** 2
+            for m in range(5):
+                want = brute_force_sums(y, m)
+                np.testing.assert_allclose(homogeneous_sums(y, m), want, rtol=1e-13, atol=0)
+                np.testing.assert_allclose(sobolev_weight(eta, m), want.sum(axis=0),
+                                           rtol=1e-13, atol=0)
 
 
 class TestSobolevWeight:

@@ -143,7 +143,7 @@ class TestOtherKinds:
 class TestRefusedSweeps:
     # Each sweep exited 0 as informational, with a null fit or "failures",
     # except m=200, which fitted slope NaN with r^2 1.0 through infinities.
-    @pytest.mark.filterwarnings("ignore:overflow")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("kind, params, grid, named", [
         (rates.GREEDY_FOURIER, {"xi_max": 2}, [2, 4, 8, 16, 32, 64, 128, 256],
          "got 0.0 at n=4"),
@@ -153,11 +153,26 @@ class TestRefusedSweeps:
         (rates.PACKING_SEPARATION, {"k_or_s": 1000}, [2, 4, 8, 16, 32, 64, 128, 256],
          "R^1000 with R = n^0.5 leaves the float range at n=8"),
         (rates.GREEDY_FOURIER, {"m": 200}, [2, 4, 8, 16, 32, 64, 128, 256],
-         "got inf at n=2"),
+         "got m=200, ks=2.0 at xi_max=400"),
     ])
     def test_refusal_names_n_and_value(self, kind, params, grid, named):
         with pytest.raises(ValueError, match=re.escape(named)):
             rates.run_experiment(kind, params, grid)
+
+    # Each ran every sub-run in overflowing arithmetic before the fit refused.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("params", [{"m": 46}, {"m": 1, "xi_max": 1e308}, {"ks": -1e308}])
+    def test_greedy_overflow_refused_before_the_sweep(self, monkeypatch, params):
+        monkeypatch.setattr(greedy_fourier, "heavy_tail_sweep", lambda *a: pytest.fail("swept"))
+        with pytest.raises(ValueError, match=r"and w_m\(xi_max\) below 2\^1023, got m="):
+            rates.run_experiment(rates.GREEDY_FOURIER, params, [2, 4, 8, 16, 32, 64, 128, 256])
+
+    @pytest.mark.filterwarnings("error")
+    def test_greedy_largest_finite_weight_still_runs(self):
+        # (2 pi 400)^90 is about 2^1016.5, so w_45 at the default xi_max is finite.
+        report = rates.run_experiment(rates.GREEDY_FOURIER, {"m": 45},
+                                      [2, 4, 8, 16, 32, 64, 128, 256])
+        assert np.isfinite(report.fit.slope)
 
     def test_broadcast_bug_in_a_subrun_propagates(self, monkeypatch):
         real = sphere_geom.greedy_net
@@ -208,6 +223,15 @@ class TestParameters:
         assert (config["d"], config["ks"], config["xi_max"]) == (2, 3.0, 60.0)
         assert type(config["d"]) is int and type(config["ks"]) is float
         assert type(config["xi_max"]) is float
+
+    def test_text_values_cast_like_numbers(self):
+        # The command line hands its KEY=VALUE text over uncast; "1.0" for
+        # an integer key used to end in int()'s bare "invalid literal".
+        text = rates.kind_config(rates.GREEDY_FOURIER,
+                                 {"d": "2", "ks": "3", "m": "1.0", "xi_max": "6e1"})
+        assert text == rates.kind_config(rates.GREEDY_FOURIER,
+                                         {"d": 2, "ks": 3.0, "m": 1, "xi_max": 60.0})
+        assert type(text["d"]) is int and type(text["m"]) is int
 
     @pytest.mark.parametrize("key", ["d", "m"])
     def test_non_integral_value_for_integer_key_refused(self, key):

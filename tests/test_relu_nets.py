@@ -735,6 +735,36 @@ class TestHmUpperBound:
         np.testing.assert_allclose(norms / (1.0 + 1e-12), want, rtol=1e-12, atol=0)
         assert hb.max_unit_norm == max(hb.unit_norms)
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("m", [0, 1, 2])
+    def test_unit_norms_equal_per_order_layouts(self, d, m):
+        # The certificate lays out each unit's quadrature once for all orders.
+        # Every order's rows stacked under one exponent row give the same
+        # bits; one call per order lays out fewer nodes for the lower orders,
+        # so it agrees to rounding.
+        rng = np.random.default_rng(20 * d + m)
+        omegas = uniform_sphere(rng, 12, d) if d > 1 else rng.choice([-1.0, 1.0], (12, 1))
+        powers = rng.integers(m + 1 if m else 0, m + 4, 12)
+        net = relu_network([(rng.standard_normal(), omegas[i], rng.uniform(-2, 2), int(k))
+                            for i, k in enumerate(powers)])
+        box = [(-0.5, 1.0)] * d
+        norms = np.array(network_hm_upper(net, box, m, 2.0).unit_norms)
+        lo, hi = np.array(box).T
+        p = 2 * (net.powers - np.arange(m + 1)[:, None])
+        weights = numerics.homogeneous_sums(net.directions ** 2, m) * np.array(
+            [[math.perm(int(k), r) ** 2 for k in net.powers] for r in range(m + 1)])
+
+        def unit_norms(integrals):
+            return np.sqrt(np.sum(weights * integrals, axis=0)) * (1.0 + 1e-12)
+
+        stacked = relu_nets._ridge_box_integrals(
+            np.tile(net.directions, (m + 1, 1)), np.tile(net.biases, m + 1), lo, hi,
+            p.reshape(1, -1)).reshape(p.shape)
+        np.testing.assert_array_equal(norms, unit_norms(stacked))
+        per_order = np.vstack([relu_nets._ridge_box_integrals(
+            net.directions, net.biases, lo, hi, row[None]) for row in p])
+        np.testing.assert_allclose(norms, unit_norms(per_order), rtol=1e-13, atol=0)
+
     def test_unit_norms_exact_on_uneven_box(self):
         rng = np.random.default_rng(11)
         omegas = uniform_sphere(rng, 24, 3)

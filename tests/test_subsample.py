@@ -42,6 +42,11 @@ class TestHoeffdingDelta:
         with pytest.raises(ValueError):
             hoeffding_delta(64, 1.0, 10, 1.5)
 
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_bound_that_is_not_finite_refused(self, bound):
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {bound}"):
+            hoeffding_delta(64, bound, 10, 0.05)
+
 
 class TestMaureySubsample:
     def test_full_selection_has_zero_deviation(self):
@@ -95,6 +100,19 @@ class TestMaureySubsample:
         terms = np.full((8, 2), 3.0)
         with pytest.raises(ValueError, match="bound"):
             maurey_subsample(terms, 4, coeff_bound=1.0, seed=0)
+
+    # Each returned deviation nan with accepted=False instead of refusing.
+    def test_nan_term_refused(self):
+        terms = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 3))
+        terms[2, 1] = np.nan
+        with pytest.raises(ValueError, match="magnitude nan is not within the bound 1.0"):
+            maurey_subsample(terms, 4, restarts=4, coeff_bound=1.0)
+
+    @pytest.mark.parametrize("bound", [math.inf, math.nan])
+    def test_bound_that_is_not_finite_refused(self, bound):
+        terms = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 3))
+        with pytest.raises(ValueError, match=f"nonnegative and finite, got {bound}"):
+            maurey_subsample(terms, 4, restarts=4, coeff_bound=bound)
 
     def test_bound_is_required(self):
         # Without it the Hoeffding bound behind ``accepted`` was the terms'
