@@ -20,7 +20,7 @@ import numpy as np
 from .barron import COEFF_DROP_RELATIVE, MAX_BOX_ROWS, FourierSum, from_arrays
 from .numerics import grid_rows, sobolev_weight
 
-# Largest lattice-shell table heavy_tail_sweep builds: 2^21 rows, ~145 MB of FFT arrays.
+# Largest lattice-shell table heavy_tail_sweep builds: 2^21 rows, ~80 MB at d = 2, ~210 MB above.
 MAX_SHELL_ROWS = 2**21
 # Key exponents closer to 0 than this are ties: far above their rounding error.
 KEY_TIE_MARGIN = 1e-9
@@ -186,21 +186,26 @@ def lattice_shell_counts(d: int, z_max: int) -> np.ndarray:
     """r_d(k), the number of z in Z^d with |z|^2 = k, for 0 <= k < (z_max + 1)^2.
 
     The theta series theta(q)^d truncated at that k (Grosswald,
-    *Representations of Integers as Sums of Squares*, 1985), from d - 1 FFT
-    convolutions with r_1, each truncated and rounded to integers; one
-    power of the transform would alias.  Counts that float64 cannot carry
-    exactly (a rounding gap above 1/4, or 2^53 modes or more) are a
-    ``ValueError``.
+    *Representations of Integers as Sums of Squares*, 1985).  r_2 is exact,
+    one weighted ``bincount`` of a^2 + b^2 over 0 <= a, b <= z_max.  The
+    table starts from r_1 at odd d and from r_2 at even d, then takes
+    floor((d - 1)/2) FFT convolutions with r_2, each truncated and rounded
+    to integers; one power of the transform would alias.  Counts that
+    float64 cannot carry exactly (a rounding gap above 1/4, or 2^53 modes
+    or more) are a ``ValueError``.
     """
     rows = (z_max + 1) ** 2
-    counts = np.zeros(rows)
-    counts[np.arange(z_max + 1) ** 2] = 2.0
-    counts[0] = 1.0
+    sq = np.arange(z_max + 1) ** 2
+    signs = np.where(sq > 0, 2.0, 1.0)  # a nonzero a stands for +-a
+    r1 = np.bincount(sq, signs, minlength=rows)
+    r2 = np.bincount(np.add.outer(sq, sq).ravel(), np.outer(signs, signs).ravel(),
+                     minlength=rows)[:rows]
+    counts = r1 if d % 2 else r2
     size = 1 << (2 * rows - 1).bit_length()
-    r1_hat = np.fft.rfft(counts, size)
-    for _ in range(d - 1):
+    r2_hat = np.fft.rfft(r2, size) if d > 2 else None
+    for _ in range((d - 1) // 2):
         spectrum = np.fft.rfft(counts, size)
-        spectrum *= r1_hat
+        spectrum *= r2_hat
         raw = np.fft.irfft(spectrum, size)[:rows]
         counts = np.rint(raw)
         if not (np.abs(raw - counts).max() <= 0.25 and counts.sum() < 2.0**53):
@@ -224,7 +229,8 @@ def heavy_tail_sweep(d: int, ks: float, m: int, xi_max: float, seed: int):
     rule of ``from_arrays``; the one partly kept shell is charged its
     remaining count times its per-mode mass.  The shell table has
     floor(xi_max L) + 1 rows at d = 1 (one per square) and
-    (floor(xi_max L) + 1)^2 above, capped at ``MAX_SHELL_ROWS``.
+    (floor(xi_max L) + 1)^2 above, capped at ``MAX_SHELL_ROWS``: the exact
+    r_2 table and floor((d - 1)/2) FFT convolutions with it, none at d = 2.
 
     Elsewhere both come from the box spectrum and its
     ``order_frequencies``.  That includes exponents within
@@ -243,12 +249,8 @@ def heavy_tail_sweep(d: int, ks: float, m: int, xi_max: float, seed: int):
     if d < 1 or rows > MAX_SHELL_ROWS:
         raise ValueError(f"need d >= 1 and at most {MAX_SHELL_ROWS} lattice-shell rows, got "
                          f"d={d} and {rows} rows at xi_max={xi_max}; lower xi_max")
-    if d == 1:
-        sq = np.arange(z_max + 1) ** 2
-        counts = np.where(sq == 0, 1, 2)
-    else:
-        counts = lattice_shell_counts(d, z_max)
-        sq = np.arange(rows)
+    sq = np.arange(z_max + 1) ** 2 if d == 1 else np.arange(rows)
+    counts = np.where(sq == 0, 1, 2) if d == 1 else lattice_shell_counts(d, z_max)
     radius = np.sqrt(sq)
     inside = (radius <= xi_max * L) & (counts > 0)
     counts, radius = counts[inside], radius[inside]

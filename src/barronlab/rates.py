@@ -49,6 +49,7 @@ class ExperimentReport:
     predicted_exponent: float
     verdict: str
     seconds: float
+    last_kept_keys: tuple[float, ...] = ()  # greedy-fourier's key(n) per n; not in the JSON
     # Never filled: a sub-run that fails raises.  Kept only because
     # perfbench/workloads.py still reads it (ROADMAP item 1).
     failures: tuple[str, ...] = field(default=(), compare=False)
@@ -101,7 +102,7 @@ def seeded_packing(kind: str, d: int, k_or_s: float, n: int, pairs: int, seed: i
 # Each setup(config, grid, seed) fills in the defaults left as None (derived
 # from the grid or from other parameters), refuses a config that no sub-run
 # could use, and returns the predicted decay exponent and the per-n error
-# function error(n, run_seed).
+# function error(n, run_seed); greedy-fourier adds its sweep's key(n).
 
 def _greedy_fourier(c, grid, seed):
     from . import greedy_fourier
@@ -117,8 +118,8 @@ def _greedy_fourier(c, grid, seed):
     if max((2 * m - ks) * math.log2(1.0 + xi_max), math.log2(m + 1) + 2 * m * spread) >= 1023:
         raise ValueError(f"kind {GREEDY_FOURIER} needs key factor (1 + xi_max)^(2m - ks) "
                          f"and w_m(xi_max) below 2^1023, got m={m}, ks={ks} at xi_max={xi_max:g}")
-    tail, _ = greedy_fourier.heavy_tail_sweep(c["d"], c["ks"], c["m"], c["xi_max"], seed)
-    return 0.5 + (c["ks"] - c["m"]) / c["d"], lambda n, _: tail(n)
+    tail, key = greedy_fourier.heavy_tail_sweep(c["d"], c["ks"], c["m"], c["xi_max"], seed)
+    return 0.5 + (c["ks"] - c["m"]) / c["d"], lambda n, _: tail(n), key
 
 
 def _sobolev_compile(c, grid, seed):
@@ -239,7 +240,7 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
     config = kind_config(kind, params)
     grid = _validate_grid(n_grid)
     started = time.perf_counter()
-    predicted, error = KINDS[kind][1](config, grid, seed)
+    predicted, error, *key = KINDS[kind][1](config, grid, seed)
     samples = tuple((n, float(error(n, seed ^ index))) for index, n in enumerate(grid))
     fit = loglog_fit(samples)
     verdict = _verdict(fit, predicted, kind == PACKING_SEPARATION)
@@ -253,6 +254,7 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
         predicted_exponent=predicted,
         verdict=verdict,
         seconds=seconds,
+        last_kept_keys=tuple(key[0](n) for n in grid) if key else (),
     )
 
 

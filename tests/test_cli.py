@@ -653,6 +653,28 @@ class TestOutputs:
         assert [int(r["n"]) for r in rows] == [s["n"] for s in samples]
         assert [float(r["error"]) for r in rows] == [s["error"] for s in samples]
 
+    @pytest.mark.parametrize("argv, box_builds", [
+        (("--d", "1", "--ks", "2", "--m", "0", "--n-grid", "2:256"), 0),
+        (("--d", "2", "--ks", "2", "--m", "2", "--xi-max", "400", "--n-grid", "32:4096"), 1),
+    ], ids=["shell-path", "box-path"])
+    def test_greedy_csv_runs_one_sweep(self, capsys, monkeypatch, argv, box_builds):
+        # The key column used to come from a second heavy_tail_sweep.
+        from barronlab import greedy_fourier
+        sweep, box = greedy_fourier.heavy_tail_sweep, greedy_fourier.synthetic_heavy_tail
+        calls = {"sweep": [], "box": []}
+        monkeypatch.setattr(greedy_fourier, "heavy_tail_sweep",
+                            lambda *a: calls["sweep"].append(a) or sweep(*a))
+        monkeypatch.setattr(greedy_fourier, "synthetic_heavy_tail",
+                            lambda *a: calls["box"].append(a) or box(*a))
+        code, out, _ = run_cli(capsys, "greedy-fourier", *argv)
+        assert code in (0, 1)
+        assert (len(calls["sweep"]), len(calls["box"])) == (1, box_builds)
+        monkeypatch.undo()
+        _, key = greedy_fourier.heavy_tail_sweep(*calls["sweep"][0])
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [r["key_of_last_kept"] for r in rows] == [
+            format(key(int(r["n"])), ".17g") for r in rows]
+
     def test_relu_compile_json_sup_error(self, capsys):
         code, out, _ = run_cli(capsys, "relu-compile", "--format", "json", "--d", "2",
                                "--ell", "1", "--q", "4", "--cycles", "2")

@@ -7,6 +7,7 @@ import pytest
 from barronlab.barron import WeightSpec, barron_norm, evaluate_sum, fourier_sum
 from barronlab.greedy_fourier import (
     MAX_BOX_ROWS,
+    MAX_SHELL_ROWS,
     heavy_tail_sweep,
     lattice_shell_counts,
     order_frequencies,
@@ -288,6 +289,52 @@ class TestShellSweep:
             synthetic_heavy_tail(d, 2.0, xi_max + 1.0, seed=0)
         error, _ = heavy_tail_sweep(d, 2.0, 0, xi_max, seed=0)
         assert error(0) > error(1000) > 0.0
+
+
+class TestShellCountOracles:
+    """lattice_shell_counts against oracles that share none of its steps."""
+
+    @staticmethod
+    def divisor_sums(rows, weight):
+        """sum_{m | n} weight(m) for 0 <= n < rows, by a sieve over m."""
+        sums = np.zeros(rows, dtype=np.int64)
+        for m in range(1, rows):
+            sums[m::m] += weight(m)
+        return sums
+
+    @pytest.mark.parametrize("d, z_max", [(1, 12), (5, 4), (7, 2), (8, 2)])
+    def test_counts_match_box_enumeration_at_odd_and_high_d(self, d, z_max):
+        rows = (z_max + 1) ** 2
+        norms_sq = np.sum(grid_rows(np.arange(-z_max, z_max + 1), d) ** 2, axis=1)
+        counts = lattice_shell_counts(d, z_max)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, np.bincount(norms_sq, minlength=rows)[:rows])
+
+    def test_r2_is_jacobis_divisor_difference(self):
+        # r_2(n) = 4 (d_1(n) - d_3(n)), d_i counting the divisors = i mod 4.
+        counts = lattice_shell_counts(2, 100)
+        rows = len(counts)
+        want = 4 * self.divisor_sums(rows, lambda m: (m % 4 == 1) - (m % 4 == 3))
+        assert counts[0] == 1
+        assert np.array_equal(counts[1:], want[1:])
+
+    def test_r4_is_jacobis_four_square_sum(self):
+        # r_4(n) = 8 sum_{m | n, 4 does not divide m} m.
+        counts = lattice_shell_counts(4, 100)
+        rows = len(counts)
+        want = 8 * self.divisor_sums(rows, lambda m: m if m % 4 else 0)
+        assert counts[0] == 1
+        assert np.array_equal(counts[1:], want[1:])
+
+    def test_disc_sums_at_the_d2_cap(self):
+        # z_max = 1447 is the largest d = 2 table under MAX_SHELL_ROWS; the
+        # lattice points of the disc |z|^2 <= N, counted column by column.
+        z_max = 1447
+        assert (z_max + 1) ** 2 <= MAX_SHELL_ROWS < (z_max + 2) ** 2
+        disc = np.cumsum(lattice_shell_counts(2, z_max))
+        for big_n in (0, 1, 2, 25, 10_007, 1_000_000, len(disc) - 1):
+            s = math.isqrt(big_n)
+            assert disc[big_n] == sum(2 * math.isqrt(big_n - a * a) + 1 for a in range(-s, s + 1))
 
 
 class TestRateInvariants:
