@@ -15,7 +15,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from barronlab import rates  # noqa: E402
+from barronlab import cli, rates  # noqa: E402
 
 RUNS = [
     (rates.GREEDY_FOURIER, {"d": 1, "ks": 2.0, "m": 0},
@@ -36,7 +36,7 @@ RUNS = [
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("outdir", nargs="?", default="out")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=cli.seed_arg, default=0)
     args = parser.parse_args()
     outdir = pathlib.Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)

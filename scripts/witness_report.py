@@ -16,12 +16,12 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from barronlab import lower_bounds  # noqa: E402
+from barronlab import cli, lower_bounds  # noqa: E402
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=cli.seed_arg, default=0)
     args = parser.parse_args()
 
     print("# oscillatory witnesses: exact H^m norm vs predicted growth")

@@ -53,15 +53,28 @@ def _finite_floats(text: str) -> list[float]:
     return values
 
 
+def seed_arg(text: str) -> int:
+    """argparse type of every ``--seed``: an integer >= 0, as NumPy's generators need."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return int(text)
+
+
 def _parse_grid(text: str) -> list[int]:
     """Parse ``lo:hi[:factor]`` geometric grids or comma lists of integers."""
+    def integer(entry: str) -> int:
+        try:
+            return int(entry)
+        except ValueError:
+            raise ValueError(f"bad grid {text!r}: {entry!r} is not an integer") from None
+
     if "," in text:
-        return [int(v) for v in text.split(",") if v.strip()]
+        return [integer(v) for v in text.split(",") if v.strip()]
     parts = text.split(":")
     if len(parts) not in (2, 3):
         raise ValueError(f"bad grid {text!r}: use lo:hi[:factor] or a comma list")
-    lo, hi = int(parts[0]), int(parts[1])
-    factor = int(parts[2]) if len(parts) == 3 else 2
+    lo, hi = integer(parts[0]), integer(parts[1])
+    factor = integer(parts[2]) if len(parts) == 3 else 2
     if lo < 1 or hi < lo or factor < 2:
         raise ValueError(f"bad grid bounds in {text!r}")
     grid = []
@@ -116,9 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--list", action="store_true",
-                       help="print what this subcommand exercises and exit")
+        p.add_argument("--seed", type=seed_arg, default=0)
 
     p = sub.add_parser("exponents", help=ANCHORS["exponents"])
     common(p)
@@ -139,27 +150,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("relu-compile", help=ANCHORS["relu-compile"])
     common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--d", type=int, default=1)
     p.add_argument("--ell", type=int, default=2)
     p.add_argument("--q", type=int, default=8)
-    p.add_argument("--cycles", type=_finite_float, default=1.0)
     p.set_defaults(handler=_cmd_relu_compile)
 
     p = sub.add_parser("monomial-check", help=ANCHORS["monomial-check"])
     common(p)
     p.add_argument("--k", type=int, default=4)
-    p.add_argument("--points", type=int, default=10000)
     p.set_defaults(handler=_cmd_monomial_check)
 
     p = sub.add_parser("sphere-net", help=ANCHORS["sphere-net"])
     common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--m", type=int, default=8)
-    p.add_argument("--pool", type=int, default=None,
-                   help="total size of the one seeded candidate pool "
-                        "(default 256*m, at least 64*m)")
     p.set_defaults(handler=_cmd_sphere_net)
 
     p = sub.add_parser("subsample", help=ANCHORS["subsample"])
@@ -178,18 +182,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_finite_float, default=2.0,
                    help="power (relu kind) or smoothness (fourier kind)")
     p.add_argument("--n", type=int, default=32)
-    p.add_argument("--pairs", type=int, default=64)
     p.set_defaults(handler=_cmd_packing)
 
     p = sub.add_parser("dyadic", help=ANCHORS["dyadic"])
     common(p)
     p.add_argument("--xi-max", type=_finite_float, default=128.0)
-    p.add_argument("--decay", type=_finite_float, default=1.0)
     p.set_defaults(handler=_cmd_dyadic)
 
     p = sub.add_parser("example1-gap", help=ANCHORS["example1-gap"])
     common(p)
-    p.add_argument("--alpha", type=_finite_float, default=1.0)
     p.add_argument("--omega0-grid", type=_finite_floats, default="8,16,32,64")
     p.add_argument("--units", type=int, default=8)
     p.add_argument("--candidates", type=int, default=512)
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rates", help=ANCHORS["rates"])
     common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="json")
     p.add_argument("--kind", choices=rates.EXPERIMENT_KINDS, required=False,
                    default=rates.GREEDY_FOURIER)
     p.add_argument("--n-grid", default="2:256")
@@ -262,17 +262,9 @@ def _cmd_greedy_fourier(args) -> int:
 
 def _cmd_relu_compile(args) -> int:
     from . import relu_nets
-    f = rates.sine_target(args.cycles)
     partition = relu_nets.CubePartition(args.d, args.q)
-    approx = relu_nets.compile_sobolev_approximant(f, args.ell, partition)
-    if args.format == "json":
-        payload = {
-            "d": args.d, "ell": args.ell, "q": args.q,
-            "sup_error": approx.sup_error(f),
-        }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
-        return 0
-    errors = approx.cell_errors(f)
+    approx = relu_nets.compile_sobolev_approximant(rates.sine_target, args.ell, partition)
+    errors = approx.cell_errors(rates.sine_target)
     keep = (approx.coefficients != 0.0).any(axis=0)
     coeffs = approx.coefficients[:, keep] + 0.0  # -0.0 prints as 0
     buf = io.StringIO()
@@ -289,16 +281,15 @@ def _cmd_relu_compile(args) -> int:
 
 def _cmd_monomial_check(args) -> int:
     from . import relu_nets
-    if args.k < 1 or args.points < 10:
-        raise ValueError(f"monomial-check needs --k >= 1 and --points >= 10, "
-                         f"got --k {args.k} --points {args.points}")
+    if args.k < 1:
+        raise ValueError(f"monomial-check needs --k >= 1, got --k {args.k}")
     if args.k > 308:  # x^k at |x| < 10 leaves the float range above 308
         raise ValueError(f"monomial-check needs --k <= 308, got --k {args.k}")
     rng = np.random.default_rng(args.seed)
     deviations = []
     for m in range(1, args.k + 1):
         net = relu_nets.monomial_network_1d(m)
-        x = rng.uniform(-10.0, 10.0, size=args.points)
+        x = rng.uniform(-10.0, 10.0, size=10_000)
         got = relu_nets.evaluate_network(net, x[:, None])
         want = x**m
         scale = np.maximum(1.0, np.abs(want))
@@ -308,7 +299,7 @@ def _cmd_monomial_check(args) -> int:
             if sum(alpha) == 0:
                 continue
             expansion = relu_nets.monomial_product_expansion(alpha, args.k)
-            pts = rng.uniform(-10.0, 10.0, size=(args.points // 10, d))
+            pts = rng.uniform(-10.0, 10.0, size=(1_000, d))
             got = relu_nets.evaluate_product_sum(expansion, pts)
             want = np.prod(pts ** np.array(alpha), axis=1)
             scale = np.maximum(1.0, np.abs(want))
@@ -326,16 +317,8 @@ def _cmd_monomial_check(args) -> int:
 
 def _cmd_sphere_net(args) -> int:
     from . import sphere_geom
-    net = sphere_geom.greedy_net(args.d, args.m, candidate_pool=args.pool,
-                                 seed=args.seed)
-    if args.format == "json":
-        payload = {
-            "d": net.d, "m": net.size,
-            "min_sep": net.min_sep, "cover_rad": net.cover_rad,
-        }
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
-    else:
-        _emit(sphere_geom.net_to_csv(net), args.output)
+    net = sphere_geom.greedy_net(args.d, args.m, seed=args.seed)
+    _emit(sphere_geom.net_to_csv(net), args.output)
     print(f"min_sep={net.min_sep:.6g} cover_rad={net.cover_rad:.6g}",
           file=sys.stderr)
     return 0
@@ -357,8 +340,8 @@ def _cmd_subsample(args) -> int:
 
 
 def _cmd_packing(args) -> int:
-    family, report = rates.seeded_packing(args.kind, args.d, args.k, args.n,
-                                          args.pairs, args.seed)
+    family, report = rates.seeded_packing(args.kind, args.d, args.k, args.n, 64,
+                                          args.seed)
     if not report.identity_violation <= 1e-9:  # also refuses NaN
         print(
             f"identity violation {report.identity_violation:.3e} exceeds 1e-9",
@@ -389,7 +372,7 @@ def _cmd_packing(args) -> int:
 def _cmd_dyadic(args) -> int:
     from . import barron, lower_bounds
     decomp = lower_bounds.dyadic_blocks(
-        lower_bounds.decaying_spectrum(args.xi_max, args.decay)
+        lower_bounds.decaying_spectrum(args.xi_max, 1.0)
     )
     buf = io.StringIO()
     buf.write("level,block_norm,residual_from_level\n")
@@ -407,7 +390,7 @@ def _cmd_example1_gap(args) -> int:
     buf = io.StringIO()
     buf.write("omega0,error,error_times_omega0\n")
     for omega0 in args.omega0_grid:
-        probe = lower_bounds.highfreq_gap(args.alpha, omega0, args.units,
+        probe = lower_bounds.highfreq_gap(1.0, omega0, args.units,
                                           args.candidates, seed=args.seed)
         buf.write(
             f"{_fmt(omega0)},{_fmt(probe.error)},{_fmt(probe.error * omega0)}\n"
@@ -444,10 +427,7 @@ def _cmd_rates(args) -> int:
     grid = _parse_grid(args.n_grid)
     params = _parse_params(args.param)
     report = rates.run_experiment(args.kind, params, grid, args.seed)
-    if args.format == "csv":
-        _emit(rates.report_to_csv(report), args.output)
-    else:
-        _emit(rates.report_to_json(report) + "\n", args.output)
+    _emit(rates.report_to_json(report) + "\n", args.output)
     print(f"verdict: {report.verdict} ({report.seconds:.2f}s)", file=sys.stderr)
     return 0 if report.verdict != rates.BOUND_VIOLATED else 1
 
@@ -460,9 +440,6 @@ def dispatch(argv) -> int:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)
     try:
-        if args.list:
-            _emit(ANCHORS[args.command] + "\n", args.output)
-            return 0
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

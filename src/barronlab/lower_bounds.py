@@ -311,7 +311,7 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
     separation delta = n^(-1/d), normalization 1/(sqrt(m) R^s).
     ``relu`` (integer power k >= 1): m = floor(n^(d/(2d + 2k + 1))),
     R = n^(1/2 + k/d), delta = c0 m^(-1/(d-1)) with the reference constant
-    c0 = sqrt(1/(4k)) (delta = c0 when d = 1 or m = 1).
+    c0 = sqrt(1/(4k)).  d < 2 is refused first: the directions lie on S^(d-1).
 
     Sign row i has entry j = +1 where bit j of its code is set, else -1.  The
     codes are 0 .. 2^m - 1 for m <= 12, else 4096 distinct codes below 2^m
@@ -319,8 +319,8 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
     scale at which 2m R^|k_or_s| leaves the float range.
     """
     validate_packing(kind, k_or_s)
-    if d < 1:
-        raise ValueError(f"dimension d must be >= 1, got {d}")
+    if d < 2:
+        raise ValueError(f"packing directions lie on S^(d-1): dimension d must be >= 2, got {d}")
     if n < 1:
         raise ValueError(f"packing budget n must be >= 1, got n={n}")
     if kind == FOURIER_KIND:
@@ -348,7 +348,7 @@ def build_packing(kind: str, d: int, k_or_s: float, n: int, seed: int = 0) -> Pa
         normalization = 1.0 / (math.sqrt(m) * R**s)
     else:
         c0 = math.sqrt(1.0 / (4.0 * k))
-        delta = c0 * (m ** (-1.0 / (d - 1)) if d > 1 and m > 1 else 1.0)
+        delta = c0 * m ** (-1.0 / (d - 1))
         normalization = 1.0 / math.sqrt(m)
     from .sphere_geom import separated_subset
     pool = max(8192, 512 * m)

@@ -75,9 +75,9 @@ def _validate_grid(n_grid: Sequence[int]) -> list[int]:
     return grid
 
 
-def sine_target(cycles: float):
-    """The smooth target sin(2 pi cycles x_1) on point batches (N, d)."""
-    return lambda pts: np.sin(2.0 * np.pi * cycles * np.asarray(pts)[:, 0])
+def sine_target(pts) -> np.ndarray:
+    """The smooth target sin(2 pi x_1) on point batches (N, d)."""
+    return np.sin(2.0 * np.pi * np.asarray(pts)[:, 0])
 
 
 def seeded_subsample(big_n: int, n_monomials: int, n: int, restarts: int,
@@ -128,13 +128,10 @@ def _sobolev_compile(c, grid, seed):
         raise ValueError(f"kind {SOBOLEV_COMPILE} needs ell >= 0, got ell={c['ell']}")
     if c["d"] > 3:
         raise ValueError(f"kind {SOBOLEV_COMPILE} needs d <= 3, got d={c['d']}")
-    if c["cycles"] == 0:
-        raise ValueError(f"kind {SOBOLEV_COMPILE} needs cycles != 0, got cycles={c['cycles']}")
     relu_nets.check_compile_size(c["d"], grid[-1], c["ell"])
-    f = sine_target(c["cycles"])
-    target = relu_nets.probe_target(f, c["d"])
+    target = relu_nets.probe_target(sine_target, c["d"])
     return float(c["ell"]), lambda q, _: relu_nets.compile_sobolev_approximant(
-        f, c["ell"], relu_nets.CubePartition(c["d"], q)).probe_error(target)
+        sine_target, c["ell"], relu_nets.CubePartition(c["d"], q)).probe_error(target)
 
 
 def _sphere_cover(c, grid, seed):
@@ -168,9 +165,14 @@ def _packing_separation(c, grid, seed):
 
 def _dyadic_residual(c, grid, seed):
     from . import lower_bounds
+    # The residual from level k = floor(log2 n), the root of the sum of (1 + |z|)^(-2 decay)
+    # over |z| >= 2^k, goes like n^(1/2 - decay): it decays only for decay > 1/2.
+    if c["decay"] <= 0.5:
+        raise ValueError(f"kind {DYADIC_RESIDUAL} needs decay > 0.5 for a residual that "
+                         f"decays, got decay={c['decay']}")
     decomp = lower_bounds.dyadic_blocks(
         lower_bounds.decaying_spectrum(c["xi_max"], c["decay"]))
-    return 0.5, lambda n, _: lower_bounds.residual_tail_norm(
+    return c["decay"] - 0.5, lambda n, _: lower_bounds.residual_tail_norm(
         decomp, int(math.floor(math.log2(n))))
 
 
@@ -178,7 +180,7 @@ def _dyadic_residual(c, grid, seed):
 # informational: its minimum distance is a witness, not a certified rate.
 KINDS = {
     GREEDY_FOURIER: ({"d": 1, "ks": 2.0, "m": 0, "xi_max": None}, _greedy_fourier),
-    SOBOLEV_COMPILE: ({"d": 1, "ell": 2, "cycles": 1.0}, _sobolev_compile),
+    SOBOLEV_COMPILE: ({"d": 1, "ell": 2}, _sobolev_compile),
     SPHERE_COVER: ({"d": 2}, _sphere_cover),
     SUBSAMPLE_CONCENTRATION: ({"N": 256, "M": 10, "restarts": 64}, _subsample_concentration),
     PACKING_SEPARATION: ({"family": "fourier", "d": 2, "k_or_s": 1.0},

@@ -429,8 +429,19 @@ class TestPacking:
     @pytest.mark.parametrize("kind, k_or_s", [("fourier", 1.0), ("relu", 2)])
     def test_dimension_below_one_refused(self, kind, k_or_s):
         # Both kinds used to divide by d first and raise ZeroDivisionError.
-        with pytest.raises(ValueError, match="dimension d must be >= 1, got 0"):
+        with pytest.raises(ValueError, match="dimension d must be >= 2, got 0"):
             build_packing(kind, 0, k_or_s, 32)
+
+    @pytest.mark.parametrize("kind, k_or_s", [("fourier", 1.0), ("relu", 2)])
+    def test_line_refused_before_any_direction_is_drawn(self, monkeypatch, kind, k_or_s):
+        # d = 1 used to compute the family's scales, then reach the refusal
+        # of separated_subset, whose directions lie on S^(d-1).
+        from barronlab import sphere_geom
+        drawn = []
+        monkeypatch.setattr(sphere_geom, "separated_subset", lambda *a, **k: drawn.append(a))
+        with pytest.raises(ValueError, match="S\\^\\(d-1\\): dimension d must be >= 2, got 1"):
+            build_packing(kind, 1, k_or_s, 32)
+        assert drawn == []
 
     @pytest.mark.parametrize("kind, k_or_s, named", [
         ("relu", 2.7, "k=2.7"),  # used to run as k = 2

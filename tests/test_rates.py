@@ -67,7 +67,7 @@ class TestOtherKinds:
     def test_sobolev_compile_matches_per_q_sup_error(self):
         grid = [2, 4, 8, 16, 32, 64]
         report = rates.run_experiment(rates.SOBOLEV_COMPILE, {"d": 2}, grid)
-        f = rates.sine_target(1.0)
+        f = rates.sine_target
         assert report.samples == tuple(
             (q, relu_nets.compile_sobolev_approximant(
                 f, 2, relu_nets.CubePartition(2, q)).sup_error(f)) for q in grid)
@@ -76,14 +76,10 @@ class TestOtherKinds:
         probe_calls = []
         sine_target = rates.sine_target
 
-        def counted(cycles):
-            f = sine_target(cycles)
-
-            def g(pts):
-                if len(pts) == 401**2:
-                    probe_calls.append(len(pts))
-                return f(pts)
-            return g
+        def counted(pts):
+            if len(pts) == 401**2:
+                probe_calls.append(len(pts))
+            return sine_target(pts)
 
         monkeypatch.setattr(rates, "sine_target", counted)
         rates.run_experiment(rates.SOBOLEV_COMPILE, {"d": 2}, [2, 4, 8, 16, 32, 64])
@@ -110,6 +106,22 @@ class TestOtherKinds:
         assert report.verdict == rates.BOUND_SATISFIED
         errors = [e for _, e in report.samples]
         assert all(b <= a for a, b in zip(errors, errors[1:]))
+
+    @pytest.mark.parametrize("decay", [0.75, 2.0])
+    def test_dyadic_residual_predicts_from_decay(self, decay):
+        # The tail (1 + |z|)^(-decay) beyond 2^k has norm ~ n^(1/2 - decay);
+        # 0.5 whatever the decay read bound-violated at 0.75 (slope -0.316).
+        report = rates.run_experiment(rates.DYADIC_RESIDUAL, {"decay": decay},
+                                      [2, 4, 8, 16, 32, 64])
+        assert report.predicted_exponent == decay - 0.5
+        assert report.verdict == rates.BOUND_SATISFIED
+
+    def test_dyadic_residual_refuses_a_tail_that_does_not_decay(self, monkeypatch):
+        from barronlab import lower_bounds
+        monkeypatch.setattr(lower_bounds, "decaying_spectrum", None)
+        with pytest.raises(ValueError, match="needs decay > 0.5 for a residual that decays, "
+                                             "got decay=0.4"):
+            rates.run_experiment(rates.DYADIC_RESIDUAL, {"decay": 0.4}, [2, 4, 8, 16, 32, 64])
 
     def test_packing_separation_is_informational(self):
         report = rates.run_experiment(
@@ -197,7 +209,7 @@ class TestParameters:
         for kind, key, accepted in [
             (rates.GREEDY_FOURIER, "xi-max", "d, ks, m, xi_max"),
             (rates.GREEDY_FOURIER, "tolerance", "d, ks, m, xi_max"),
-            (rates.SOBOLEV_COMPILE, "s", "d, ell, cycles"),
+            (rates.SOBOLEV_COMPILE, "s", "d, ell"),
         ]:
             with pytest.raises(ValueError, match=f"'{key}' for kind {kind}; "
                                                  f"accepted: {accepted}$"):
@@ -244,7 +256,6 @@ class TestParameters:
         (rates.GREEDY_FOURIER, "xi_max"),  # used to end in an OverflowError
         (rates.DYADIC_RESIDUAL, "xi_max"),  # likewise
         (rates.GREEDY_FOURIER, "m"),
-        (rates.SOBOLEV_COMPILE, "cycles"),
     ])
     @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
     def test_non_finite_value_refused(self, kind, key, value):
@@ -309,13 +320,11 @@ class TestParameters:
     @pytest.mark.parametrize("key, value, named", [
         ("ell", -1, "ell >= 0, got ell=-1"),
         ("d", 4, "d <= 3, got d=4"),
-        ("cycles", 0, "cycles != 0, got cycles=0.0"),
-    ], ids=["ell", "d", "cycles"])
+    ], ids=["ell", "d"])
     def test_sobolev_compile_parameter_refused_before_the_sweep(self, monkeypatch,
                                                                 key, value, named):
-        # ell and d used to exit as informational with every sub-run failed;
-        # cycles = 0 gives a constant target that every fit reproduces, so
-        # every error was 0.0 and the fit null.  No target is built first.
+        # ell and d used to exit as informational with every sub-run failed.
+        # No target is taken first.
         monkeypatch.setattr(relu_nets, "compile_sobolev_approximant", None)
         monkeypatch.setattr(rates, "sine_target", None)
         with pytest.raises(ValueError, match=f"kind sobolev-compile needs {named}"):

@@ -1,14 +1,19 @@
 """Reach guard: every public module-level function or class of barronlab is
 named by the package itself, a script, a benchmark file or the acceptance
 tests, every defaulted parameter of a public function or method is set by
-some call there, and every exception class the package defines is raised in
-it.  Code and settings that only unit tests reach are wired into a command,
-fixed, or deleted.
+some call there, every command-line flag and rate-kind key is set by a
+caller's argv or parameters, and every exception class the package defines
+is raised in it.  Code and settings that only unit tests reach are wired
+into a command, fixed, or deleted.
 """
 
 import ast
 import builtins
 import pathlib
+import re
+
+from barronlab import rates
+from test_cli import PARSERS, README, readme_commands
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "barronlab"
@@ -172,3 +177,70 @@ def test_every_exception_class_is_raised():
                     raised.add(exc.id)
     assert "IntegrationError" in exceptions
     assert sorted(exceptions - raised) == []
+
+
+# Flags and kind keys that no caller outside the unit tests sets, and why they stay.
+UNCALLED = {
+    "greedy-fourier --xi-max": "the kind key xi_max, which run_all_experiments.py, "
+                               "README's Known results and perfbench set",
+    "relu-compile --d": "the kind key d of sobolev-compile, which perfbench sets",
+    "dyadic-residual decay": "perfbench/workloads.py dyadic_residuals reads the "
+                             "report's config['decay']",
+}
+NOT_SETTINGS = ("--help", "--seed", "--output")  # perfbench passes --seed, C13 --output
+
+
+def string_lists(tree) -> list[list[str]]:
+    """Every non-empty list literal of strings in ``tree``."""
+    return [ast.literal_eval(node) for node in ast.walk(tree)
+            if isinstance(node, ast.List) and node.elts and all(
+                isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)]
+
+
+def caller_argvs() -> list[list[str]]:
+    """The README command block, perfbench's CLI_COMMANDS and the acceptance
+    tests' literal argv lists."""
+    workloads = parse(ROOT / "perfbench" / "workloads.py")
+    table = next(node.value for node in workloads.body if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "CLI_COMMANDS" for t in node.targets))
+    acceptance = string_lists(parse(ROOT / "tests" / "test_acceptance.py"))
+    return [*readme_commands(), *(text.split() for text, _, _ in ast.literal_eval(table)),
+            *(argv for argv in acceptance if argv[0] in PARSERS)]
+
+
+def test_every_flag_has_a_caller():
+    used = {f"{argv[0]} {token.split('=')[0]}" for argv in caller_argvs()
+            for token in argv if token.startswith("--")}
+    declared = {f"{command} {flag}" for command, parser in PARSERS.items()
+                for action in parser._actions for flag in action.option_strings
+                if flag.startswith("--") and flag not in NOT_SETTINGS}
+    assert sorted(declared - used) == sorted(k for k in UNCALLED if " --" in k)
+
+
+def kind_keys_set() -> set[str]:
+    """``kind key`` for each key set by a ``(rates.KIND, {...}, ...)`` row of
+    run_all_experiments.py's RUNS, a ``rates_op(id, rates.KIND, {...}, ...)``
+    call of perfbench, or a README ``--kind KIND ... --param key=`` line."""
+    found = set()
+    for path in (ROOT / "scripts" / "run_all_experiments.py", ROOT / "perfbench" / "workloads.py"):
+        for node in ast.walk(parse(path)):
+            if isinstance(node, ast.Tuple):
+                parts = node.elts
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "rates_op":
+                parts = node.args[1:]
+            else:
+                continue
+            if len(parts) >= 2 and isinstance(parts[0], ast.Attribute) \
+                    and isinstance(parts[1], ast.Dict):
+                found |= {f"{getattr(rates, parts[0].attr)} {key.value}" for key in parts[1].keys}
+    for line in README.read_text(encoding="utf-8").splitlines():
+        kind = re.search(r"--kind ([\w-]+)", line)
+        if kind and kind[1] in rates.KINDS:
+            found |= {f"{kind[1]} {key}" for key in re.findall(r"--param (\w+)=", line)}
+    return found
+
+
+def test_every_kind_key_has_a_caller():
+    declared = {f"{kind} {key}" for kind, (defaults, _) in rates.KINDS.items()
+                for key in defaults}
+    assert sorted(declared - kind_keys_set()) == sorted(k for k in UNCALLED if " --" not in k)
