@@ -46,7 +46,7 @@ def main() -> int:
         report = rates.run_experiment(kind, params, grid, seed=args.seed)
         stem = f"{index:02d}_{kind}" + (f"_d{params['d']}" if "d" in params else "")
         (outdir / f"{stem}.json").write_text(rates.report_to_json(report) + "\n")
-        (outdir / f"{stem}.csv").write_text(rates.report_to_csv(report))
+        (outdir / f"{stem}.csv").write_text(cli.csv_text([("n", "error"), *report.samples]))
         print(
             f"{kind:24s} slope={report.fit.slope:+8.3f} "
             f"predicted=-{report.predicted_exponent:.3f} "

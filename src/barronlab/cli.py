@@ -10,7 +10,6 @@ go to stderr.  Identical argv and seed produce byte-identical output.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -20,8 +19,11 @@ import numpy as np
 from . import rates  # each handler imports the other modules its subcommand runs
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def csv_text(rows) -> str:
+    """One comma-joined line per row, floats in 17 significant digits and
+    every other value as ``str``; a header is the first row."""
+    return "".join(",".join(format(v, ".17g") if isinstance(v, float) else str(v)
+                            for v in row) + "\n" for row in rows)
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -249,12 +251,9 @@ def _cmd_greedy_fourier(args) -> int:
     report = rates.run_experiment(rates.GREEDY_FOURIER, params, grid, args.seed)
     n0, e0 = report.samples[0]
     c_fit = e0 * n0 ** report.predicted_exponent
-    buf = io.StringIO()
-    buf.write("n,error,bound,key_of_last_kept\n")
-    for (n, err), key in zip(report.samples, report.last_kept_keys):
-        bound = c_fit * n ** (-report.predicted_exponent)
-        buf.write(f"{n},{_fmt(err)},{_fmt(bound)},{_fmt(key)}\n")
-    _emit(buf.getvalue(), args.output)
+    rows = [(n, err, c_fit * n ** (-report.predicted_exponent), key)
+            for (n, err), key in zip(report.samples, report.last_kept_keys)]
+    _emit(csv_text([("n", "error", "bound", "key_of_last_kept"), *rows]), args.output)
     print(f"verdict: {report.verdict} (slope fit in {report.seconds:.2f}s)",
           file=sys.stderr)
     return 0 if report.verdict != rates.BOUND_VIOLATED else 1
@@ -267,15 +266,11 @@ def _cmd_relu_compile(args) -> int:
     errors = approx.cell_errors(rates.sine_target)
     keep = (approx.coefficients != 0.0).any(axis=0)
     coeffs = approx.coefficients[:, keep] + 0.0  # -0.0 prints as 0
-    buf = io.StringIO()
     header = ["cell_index", "center", *("c_" + "".join(map(str, a))
                                         for a in approx.exponents[keep].tolist()), "sup_error"]
-    buf.write(",".join(header) + "\n")
-    for i, center in enumerate(partition.centers()):
-        row = [str(i), ";".join(_fmt(c) for c in center)]
-        row += [_fmt(c) for c in coeffs[i]] + [_fmt(errors[i])]
-        buf.write(",".join(row) + "\n")
-    _emit(buf.getvalue(), args.output)
+    rows = [(i, csv_text([center]).strip().replace(",", ";"), *coeffs[i], errors[i])
+            for i, center in enumerate(partition.centers().tolist())]
+    _emit(csv_text([header, *rows]), args.output)
     return 0
 
 
@@ -318,7 +313,7 @@ def _cmd_monomial_check(args) -> int:
 def _cmd_sphere_net(args) -> int:
     from . import sphere_geom
     net = sphere_geom.greedy_net(args.d, args.m, seed=args.seed)
-    _emit(sphere_geom.net_to_csv(net), args.output)
+    _emit(csv_text(net.points.tolist()), args.output)
     print(f"min_sep={net.min_sep:.6g} cover_rad={net.cover_rad:.6g}",
           file=sys.stderr)
     return 0
@@ -326,11 +321,9 @@ def _cmd_sphere_net(args) -> int:
 
 def _cmd_subsample(args) -> int:
     result = rates.seeded_subsample(args.N, args.M, args.n, args.restarts, args.seed)
-    buf = io.StringIO()
-    buf.write("restart,deviation,accepted\n")
-    for i, dev in enumerate(result.deviations):
-        buf.write(f"{i},{_fmt(dev)},{int(dev <= result.hoeffding_bound)}\n")
-    _emit(buf.getvalue(), args.output)
+    rows = [(i, dev, int(dev <= result.hoeffding_bound))
+            for i, dev in enumerate(result.deviations)]
+    _emit(csv_text([("restart", "deviation", "accepted"), *rows]), args.output)
     print(
         f"best_deviation={result.deviation:.6g} "
         f"hoeffding={result.hoeffding_bound:.6g} accepted={result.accepted}",
@@ -359,13 +352,10 @@ def _cmd_packing(args) -> int:
         }
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.output)
     else:
-        buf = io.StringIO()
-        buf.write("pair_index,i,j,distance,main_term,cross_term\n")
-        for idx, (i, j, dist, main, cross) in enumerate(zip(
-                report.i.tolist(), report.j.tolist(), report.distance.tolist(),
-                report.main_term.tolist(), report.cross_term.tolist())):
-            buf.write(f"{idx},{i},{j},{_fmt(dist)},{_fmt(main)},{_fmt(cross)}\n")
-        _emit(buf.getvalue(), args.output)
+        columns = (report.i, report.j, report.distance, report.main_term, report.cross_term)
+        rows = [(idx, *pair) for idx, pair in enumerate(zip(*(c.tolist() for c in columns)))]
+        _emit(csv_text([("pair_index", "i", "j", "distance", "main_term", "cross_term"), *rows]),
+              args.output)
     return 0
 
 
@@ -374,28 +364,18 @@ def _cmd_dyadic(args) -> int:
     decomp = lower_bounds.dyadic_blocks(
         lower_bounds.decaying_spectrum(args.xi_max, 1.0)
     )
-    buf = io.StringIO()
-    buf.write("level,block_norm,residual_from_level\n")
-    for level, block in decomp.blocks:
-        buf.write(
-            f"{level},{_fmt(barron.hm_norm_exact(block, 0))},"
-            f"{_fmt(lower_bounds.residual_tail_norm(decomp, level))}\n"
-        )
-    _emit(buf.getvalue(), args.output)
+    rows = [(level, barron.hm_norm_exact(block, 0), lower_bounds.residual_tail_norm(decomp, level))
+            for level, block in decomp.blocks]
+    _emit(csv_text([("level", "block_norm", "residual_from_level"), *rows]), args.output)
     return 0
 
 
 def _cmd_example1_gap(args) -> int:
     from . import lower_bounds
-    buf = io.StringIO()
-    buf.write("omega0,error,error_times_omega0\n")
-    for omega0 in args.omega0_grid:
-        probe = lower_bounds.highfreq_gap(1.0, omega0, args.units,
-                                          args.candidates, seed=args.seed)
-        buf.write(
-            f"{_fmt(omega0)},{_fmt(probe.error)},{_fmt(probe.error * omega0)}\n"
-        )
-    _emit(buf.getvalue(), args.output)
+    errors = [lower_bounds.highfreq_gap(1.0, omega0, args.units, args.candidates,
+                                        seed=args.seed).error for omega0 in args.omega0_grid]
+    rows = [(omega0, e, e * omega0) for omega0, e in zip(args.omega0_grid, errors)]
+    _emit(csv_text([("omega0", "error", "error_times_omega0"), *rows]), args.output)
     return 0
 
 

@@ -12,7 +12,6 @@ master_seed XOR run index, making reports reproducible bit for bit.
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import time
@@ -118,8 +117,12 @@ def _greedy_fourier(c, grid, seed):
     if max((2 * m - ks) * math.log2(1.0 + xi_max), math.log2(m + 1) + 2 * m * spread) >= 1023:
         raise ValueError(f"kind {GREEDY_FOURIER} needs key factor (1 + xi_max)^(2m - ks) "
                          f"and w_m(xi_max) below 2^1023, got m={m}, ks={ks} at xi_max={xi_max:g}")
-    tail, key = greedy_fourier.heavy_tail_sweep(c["d"], c["ks"], c["m"], c["xi_max"], seed)
-    return 0.5 + (c["ks"] - c["m"]) / c["d"], lambda n, _: tail(n), key
+    predicted = 0.5 + (ks - m) / c["d"]
+    if predicted <= 0:  # tail errors never grow in n, so no fit could violate it
+        raise ValueError(f"kind {GREEDY_FOURIER} needs 1/2 + (ks - m)/d > 0 for a tail that "
+                         f"decays, got ks={ks}, m={m}, d={c['d']}")
+    tail, key = greedy_fourier.heavy_tail_sweep(c["d"], ks, m, xi_max, seed)
+    return predicted, lambda n, _: tail(n), key
 
 
 def _sobolev_compile(c, grid, seed):
@@ -280,11 +283,3 @@ def report_to_json(report: ExperimentReport) -> str:
         "seconds": None,
     }
     return json.dumps(payload, sort_keys=True)
-
-
-def report_to_csv(report: ExperimentReport) -> str:
-    buf = io.StringIO()
-    buf.write("n,error\n")
-    for n, e in report.samples:
-        buf.write(f"{n},{format(e, '.17g')}\n")
-    return buf.getvalue()

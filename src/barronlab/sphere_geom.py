@@ -11,7 +11,6 @@ first filtered by one matrix product against the points already kept.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 
@@ -95,6 +94,11 @@ def _probed_net(points: np.ndarray, seed: int) -> SphericalNet:
                         cover_rad=covering_radius(points, seed=seed + 1))
 
 
+# Largest m * candidate_pool that greedy_net takes: its time grows with the
+# product (2^28 is m = 1024 at the default pool of 256 m).
+MAX_NET_WORK = 2**28
+
+
 def greedy_net(d: int, m: int, candidate_pool: int | None = None,
                seed: int = 0) -> SphericalNet:
     """Greedy farthest-point net of m directions on S^(d-1).
@@ -103,7 +107,8 @@ def greedy_net(d: int, m: int, candidate_pool: int | None = None,
     drawn once; ``candidate_pool`` is its total size (default 256 m, at least
     64 m).  Pool row 0, a seeded uniform draw, is the first point; each further
     point is the pool row that maximizes the minimum distance to the points
-    already chosen, the lowest row index on ties.  O(m * pool) work.  The
+    already chosen, the lowest row index on ties.  O(m * pool) work, and an
+    m * pool above ``MAX_NET_WORK`` is refused before the pool is drawn.  The
     covering radius is probed with 10^4 seeded probes.
     """
     if d < 2:
@@ -114,6 +119,9 @@ def greedy_net(d: int, m: int, candidate_pool: int | None = None,
         candidate_pool = 256 * m
     if candidate_pool < 64 * m:
         raise ValueError(f"candidate pool {candidate_pool} below 64 * m = {64 * m}")
+    if m * candidate_pool > MAX_NET_WORK:
+        raise ValueError(f"greedy net needs m * candidate pool <= {MAX_NET_WORK}, "
+                         f"got m = {m} with a pool of {candidate_pool}")
     pool = uniform_sphere(np.random.default_rng(seed), candidate_pool, d)
     chosen = np.zeros(m, dtype=np.intp)
     min_sq = np.full(candidate_pool, np.inf)
@@ -160,13 +168,3 @@ def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
                 kept[n] = cand
                 n += 1
     return _probed_net(kept[:n].copy(), seed)
-
-
-def net_to_csv(net: SphericalNet) -> str:
-    """One unit vector per row, 17-significant-digit components."""
-    buf = io.StringIO()
-    for row in net.points:
-        buf.write(",".join(format(v, ".17g") for v in row))
-        buf.write("\n")
-    return buf.getvalue()
-

@@ -481,6 +481,17 @@ class TestExitCodes:
         assert f"greedy-fourier needs {named.split('=')[0]} >= 0, got {named}" in err
 
     @pytest.mark.parametrize("args, named", [
+        # predicted -4.5, slope -0.712, bound-satisfied
+        (("rates", "--kind", "greedy-fourier", "--param", "ks=-5"), "ks=-5.0, m=0, d=1"),
+        # predicted -0.1, slope -0.020, bound-satisfied
+        (("greedy-fourier", "--ks", "0.4", "--m", "1"), "ks=0.4, m=1, d=1"),
+    ])
+    def test_greedy_prediction_of_no_decay_is_usage_error(self, capsys, args, named):
+        code, out, err = run_cli(capsys, *args, "--n-grid", "2:256")
+        assert code == 2 and out == ""
+        assert f"needs 1/2 + (ks - m)/d > 0 for a tail that decays, got {named}" in err
+
+    @pytest.mark.parametrize("args, named", [
         (("subsample", "--M", "-1"), "M=-1"),  # NumPy's "negative dimensions"
         (("subsample", "--N", "-3"), "N=-3"),  # likewise
         (("rates", "--kind", "subsample-concentration", "--param", "N=0",
@@ -574,6 +585,14 @@ class TestDeterminism:
 
 
 class TestOutputs:
+    def test_csv_text(self):
+        # Floats, NumPy's too, in 17 significant digits; ints and strings as str.
+        rows = [("n", "error", "name"), (1, 0.1, "a"), (2, np.float64(2 / 3), "b;c"),
+                (3, -1e-300, 7)]
+        assert cli.csv_text(rows) == ("n,error,name\n1,0.10000000000000001,a\n"
+                                      "2,0.66666666666666663,b;c\n3,-1e-300,7\n")
+        assert cli.csv_text([]) == ""
+
     def test_greedy_csv_header(self, capsys):
         code, out, _ = run_cli(capsys, "greedy-fourier", "--n-grid", "2:64")
         assert code == 0

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import pathlib
 import re
 import sys
@@ -7,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from barronlab import greedy_fourier, rates, relu_nets, sphere_geom, subsample
+from barronlab import cli, greedy_fourier, rates, relu_nets, sphere_geom, subsample
 from barronlab.numerics import RateFit
 
 
@@ -182,9 +183,26 @@ class TestRefusedSweeps:
     @pytest.mark.filterwarnings("error")
     def test_greedy_largest_finite_weight_still_runs(self):
         # (2 pi 400)^90 is about 2^1016.5, so w_45 at the default xi_max is finite.
-        report = rates.run_experiment(rates.GREEDY_FOURIER, {"m": 45},
-                                      [2, 4, 8, 16, 32, 64, 128, 256])
-        assert np.isfinite(report.fit.slope)
+        # The overflow check takes m = 45; the sweep refuses it at ks = 2 only
+        # because 1/2 + (ks - m)/d < 0 predicts no decay.
+        tail, _ = greedy_fourier.heavy_tail_sweep(1, 2.0, 45, 400.0, 0)
+        assert all(0.0 < tail(n) < math.inf for n in (2, 4, 8, 16, 32, 64, 128, 256))
+        with pytest.raises(ValueError, match="decays, got ks=2.0, m=45, d=1"):
+            rates.run_experiment(rates.GREEDY_FOURIER, {"m": 45},
+                                 [2, 4, 8, 16, 32, 64, 128, 256])
+
+    # Each printed bound-satisfied: tail errors never grow in n, so a
+    # prediction of no decay could not fail.
+    @pytest.mark.parametrize("params, named", [
+        ({"ks": -5}, "ks=-5.0, m=0, d=1"),
+        ({"ks": 0.4, "m": 1}, "ks=0.4, m=1, d=1"),
+        ({"ks": 1.0, "m": 2, "d": 2}, "ks=1.0, m=2, d=2"),  # exactly 0
+    ])
+    def test_greedy_prediction_of_no_decay_refused(self, monkeypatch, params, named):
+        monkeypatch.setattr(greedy_fourier, "heavy_tail_sweep", lambda *a: pytest.fail("swept"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"needs 1/2 + (ks - m)/d > 0 for a tail that decays, got {named}")):
+            rates.run_experiment(rates.GREEDY_FOURIER, params, [2, 4, 8, 16, 32, 64, 128, 256])
 
     def test_broadcast_bug_in_a_subrun_propagates(self, monkeypatch):
         real = sphere_geom.greedy_net
@@ -430,6 +448,8 @@ class TestSerialization:
         report = rates.run_experiment(
             rates.DYADIC_RESIDUAL, None, [2, 4, 8, 16, 32, 64], seed=0
         )
-        lines = rates.report_to_csv(report).strip().splitlines()
+        lines = cli.csv_text([("n", "error"), *report.samples]).splitlines()
         assert lines[0] == "n,error"
         assert len(lines) == 1 + len(report.samples)
+        assert [(int(n), float(e)) for n, e in (line.split(",") for line in lines[1:])] \
+            == list(report.samples)

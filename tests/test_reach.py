@@ -4,7 +4,8 @@ tests, every defaulted parameter of a public function or method is set by
 some call there, every command-line flag and rate-kind key is set by a
 caller's argv or parameters, and every exception class the package defines
 is raised in it.  Code and settings that only unit tests reach are wired
-into a command, fixed, or deleted.
+into a command, fixed, or deleted.  Last, ``cli.csv_text`` alone formats
+CSV numbers.
 """
 
 import ast
@@ -244,3 +245,18 @@ def test_every_kind_key_has_a_caller():
     declared = {f"{kind} {key}" for kind, (defaults, _) in rates.KINDS.items()
                 for key in defaults}
     assert sorted(declared - kind_keys_set()) == sorted(k for k in UNCALLED if " --" not in k)
+
+
+def test_one_function_writes_csv_numbers():
+    """``cli.csv_text`` alone formats CSV floats: no other line of the package
+    or the scripts holds ``.17g``, and the package builds no text in a StringIO."""
+    writer = next(node for node in parse(PACKAGE / "cli.py").body
+                  if isinstance(node, ast.FunctionDef) and node.name == "csv_text")
+    inside, outside = 0, []
+    for path in [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"))]:
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if path == PACKAGE / "cli.py" and writer.lineno <= lineno <= writer.end_lineno:
+                inside += ".17g" in line
+            elif ".17g" in line or "StringIO" in line and path.parent == PACKAGE:
+                outside.append(f"{path.relative_to(ROOT)}:{lineno}")
+    assert inside == 1 and outside == []

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from barronlab import sphere_geom
+from barronlab.cli import dispatch
 from barronlab.numerics import loglog_fit
 from barronlab.sphere_geom import (
+    MAX_NET_WORK,
     _pairwise_min_distance,
     covering_radius,
     greedy_net,
-    net_to_csv,
     separated_subset,
     uniform_sphere,
 )
@@ -49,6 +51,27 @@ class TestGreedyNet:
 
         seps = [min_sep(pts[:j]) for j in range(2, len(pts) + 1)]
         assert all(b <= a + 1e-12 for a, b in zip(seps, seps[1:]))
+
+    def test_work_cap_refused_before_the_pool_is_drawn(self, capsys, monkeypatch):
+        # A pool draw raises Drawn, so no case here allocates or runs a net.
+        class Drawn(Exception):
+            pass
+
+        def draw(*args):
+            raise Drawn
+
+        monkeypatch.setattr(sphere_geom, "uniform_sphere", draw)
+        with pytest.raises(Drawn):  # 1024 * 256 * 1024 = MAX_NET_WORK is taken
+            greedy_net(3, 1024)
+        with pytest.raises(Drawn):
+            greedy_net(3, 2048, candidate_pool=64 * 2048)
+        with pytest.raises(ValueError, match=f"m \\* candidate pool <= {MAX_NET_WORK}, "
+                                             "got m = 1025 with a pool of 262400"):
+            greedy_net(3, 1025)
+        assert dispatch(["sphere-net", "--d", "3", "--m", "4000"]) == 2
+        assert "got m = 4000 with a pool of 1024000" in capsys.readouterr().err
+        assert dispatch(["rates", "--kind", "sphere-cover", "--n-grid", "4096:131072"]) == 2
+        assert "got m = 4096 with a pool of 262144" in capsys.readouterr().err
 
     def test_pool_floor_enforced(self):
         with pytest.raises(ValueError, match="pool"):
@@ -164,10 +187,11 @@ class TestSeparatedSubset:
 
 
 class TestCsv:
-    def test_round_trip(self):
-        # 17 significant digits parse back to the same doubles.
+    def test_round_trip(self, capsys):
+        # sphere-net's 17 significant digits parse back to the same doubles.
+        assert dispatch(["sphere-net", "--d", "3", "--m", "5", "--seed", "13"]) == 0
+        lines = capsys.readouterr().out.splitlines()
         net = greedy_net(3, 5, seed=13)
-        lines = net_to_csv(net).splitlines()
         back = np.array([[float(v) for v in line.split(",")] for line in lines])
         assert np.array_equal(back, net.points)
         assert _pairwise_min_distance(back) == pytest.approx(net.min_sep, rel=1e-15)
