@@ -85,6 +85,7 @@ def seeded_subsample(big_n: int, n_monomials: int, n: int, restarts: int,
     for key, value in (("N", big_n), ("M", n_monomials)):
         if value < 1:
             raise ValueError(f"subsampling needs {key} >= 1, got {key}={value}")
+    subsample.check_draws(N=big_n, M=n_monomials)
     terms = np.random.default_rng(seed).uniform(-1.0, 1.0, size=(big_n, n_monomials))
     return subsample.maurey_subsample(terms, n, restarts=restarts,
                                       seed=seed + 1, coeff_bound=1.0)
@@ -139,6 +140,7 @@ def _sobolev_compile(c, grid, seed):
 
 def _sphere_cover(c, grid, seed):
     from . import sphere_geom
+    sphere_geom.check_net_work(grid[-1], 64 * grid[-1])
     return 1.0 / (c["d"] - 1), lambda m, run_seed: sphere_geom.greedy_net(
         c["d"], m, candidate_pool=64 * m, seed=run_seed).cover_rad
 
@@ -151,6 +153,7 @@ def _subsample_concentration(c, grid, seed):
     if grid[-1] >= c["N"]:  # n = N selects every row, a deviation of exactly 0
         raise ValueError(f"kind {SUBSAMPLE_CONCENTRATION} needs every n < N, "
                          f"got n={grid[-1]} with N={c['N']}")
+    subsample.check_draws(restarts=c["restarts"], n=grid[-1])
     return 0.5, lambda n, run_seed: seeded_subsample(
         c["N"], c["M"], n, c["restarts"], run_seed).deviation
 

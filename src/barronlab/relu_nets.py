@@ -3,10 +3,9 @@ local polynomial surrogates of ridge units, smoothed cell indicators, and a
 cube-partition compiler for smooth targets.
 
 sigma_k(t) = max(0, t)^k with the convention 0^0 = 0, so sigma_0 is the
-right-open Heaviside step.  Networks hold the parameters of their units
-a_i sigma_{k_i}(omega_i . x + b_i) in arrays; heterogeneous powers are
-allowed because degree-m monomials use sigma_m units whatever the powers
-of the other units.
+right-open Heaviside step.  A network holds the parameters of its units
+a_i sigma_k(omega_i . x + b_i) in arrays, with real outer weights a_i and
+one power k for all units.
 """
 
 from __future__ import annotations
@@ -28,7 +27,7 @@ from .numerics import (Box, as_batch, gauss_rule, grid_rows, homogeneous_sums, m
 class ReluUnit(NamedTuple):
     """One unit a sigma_k(omega . x + b), as ``relu_network`` accepts it."""
 
-    outer: complex
+    outer: float
     direction: tuple[float, ...]
     bias: float
     power: int
@@ -36,17 +35,17 @@ class ReluUnit(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class ReluNetwork:
-    """Shallow network sum_i a_i sigma_{k_i}(omega_i . x + b_i).
+    """Shallow network sum_i a_i sigma_k(omega_i . x + b_i).
 
-    Unit i is row i of the read-only arrays ``outer`` (W,) complex,
-    ``directions`` (W, d), ``biases`` (W,) and ``powers`` (W,) int.  Build
-    it with ``relu_network``, which validates the units.
+    Unit i is row i of the read-only arrays ``outer`` (W,) float,
+    ``directions`` (W, d) and ``biases`` (W,); ``power`` is k.  Build it
+    with ``relu_network``, which validates the units.
     """
 
     outer: np.ndarray
     directions: np.ndarray
     biases: np.ndarray
-    powers: np.ndarray
+    power: int
 
     @property
     def d(self) -> int:
@@ -54,7 +53,7 @@ class ReluNetwork:
 
     @property
     def width(self) -> int:
-        return len(self.powers)
+        return len(self.outer)
 
     @property
     def ell1(self) -> float:
@@ -63,11 +62,8 @@ class ReluNetwork:
     @property
     def units(self) -> tuple[ReluUnit, ...]:
         """The units as records, built on access."""
-        return tuple(
-            ReluUnit(a, tuple(omega), b, k) for a, omega, b, k in zip(
-                self.outer.tolist(), self.directions.tolist(),
-                self.biases.tolist(), self.powers.tolist())
-        )
+        return tuple(ReluUnit(a, tuple(omega), b, self.power) for a, omega, b in zip(
+            self.outer.tolist(), self.directions.tolist(), self.biases.tolist()))
 
 
 # Pre-activations per block of ``evaluate_network``: 512 kB of float64.
@@ -77,60 +73,62 @@ _EVAL_BLOCK = 1 << 16
 def relu_network(units: Sequence[tuple]) -> ReluNetwork:
     """Build a network from (outer, direction, bias, power) tuples.
 
-    Every power must be a nonnegative integer and every direction a vector
-    of the first unit's dimension; errors name the first offending unit.
+    Unit 0's power must be a nonnegative integer, and every unit must have
+    that power, a real outer weight and a direction of unit 0's shape; errors
+    name the first offending unit.  An empty network has power 0.
     """
-    units = list(units)
-    rows = [np.atleast_1d(np.asarray(omega, dtype=float)) for _, omega, _, _ in units]
-    d = len(rows[0]) if rows else 0
-    for i, ((_, _, _, k), omega) in enumerate(zip(units, rows)):
-        if omega.shape != (d,):
-            raise ValueError(f"unit {i} has direction shape {omega.shape}, expected ({d},)")
-        if k < 0 or int(k) != k:
-            raise ValueError(f"unit {i} power must be a nonnegative integer, got {k}")
-    return ReluNetwork(*read_only(
-        np.array([complex(u[0]) for u in units], dtype=complex),
-        np.array(rows, dtype=float).reshape(len(units), d),
-        np.array([float(u[2]) for u in units]),
-        np.array([int(u[3]) for u in units], dtype=int),
-    ))
+    if not units:
+        return ReluNetwork(*read_only(np.zeros(0), np.zeros((0, 0)), np.zeros(0)), 0)
+    outer, directions, biases, powers = zip(*units)
+    k, outer = powers[0], np.array(outer, dtype=complex)
+    if k < 0 or int(k) != k:
+        raise ValueError(f"unit 0 power must be a nonnegative integer, got {k}")
+    bad = np.flatnonzero((np.array(powers) != k) | (outer.imag != 0))
+    if len(bad):
+        i = int(bad[0])
+        raise ValueError(f"unit {i} has power {powers[i]}, unlike unit 0's {k}" if powers[i] != k
+                         else f"unit {i} has outer weight {outer[i]}, which is not real")
+    try:
+        omega = np.array(directions, dtype=float).reshape(len(directions), np.size(directions[0]))
+    except ValueError:  # ragged: name the first direction unlike unit 0's
+        shapes = [np.shape(omega) for omega in directions]
+        i = next((i for i, shape in enumerate(shapes) if shape != shapes[0]), None)
+        if i is None:
+            raise
+        raise ValueError(f"unit {i} has direction shape {shapes[i]}, not {shapes[0]}") from None
+    return ReluNetwork(*read_only(outer.real.copy(), omega, np.array(biases, dtype=float)), int(k))
 
 
 def evaluate_network(net: ReluNetwork, x):
     """Evaluate the unit sum at one point (d,) or a batch (N, d).
 
-    Per power, in ascending order, the pre-activations are formed in row
-    blocks of at most ``_EVAL_BLOCK`` entries, activated in place, and
-    contracted with the real and imaginary parts of the units' outer
-    weights.  The blocks are shared out by ``parallel_map``, each share
-    reusing one pre-activation buffer the caller allocates and writing only
-    its own rows, so the result is bitwise the same for any worker count.
+    The pre-activations are formed in row blocks of at most ``_EVAL_BLOCK``
+    entries, activated in place, and contracted with the outer weights.  The
+    blocks are shared out by ``parallel_map``, each share reusing one
+    pre-activation buffer the caller allocates and writing only its own rows,
+    so the result is bitwise the same for any worker count.
     """
     pts, single = as_batch(x, d=net.d if net.width else None)
-    weights = np.stack([net.outer.real, net.outer.imag], axis=1)
-    total = np.zeros((len(pts), 2))
-    for k in np.unique(net.powers).tolist():
-        units = np.flatnonzero(net.powers == k)
-        omega, bias, outer = net.directions[units].T, net.biases[units], weights[units]
-        step = max(1, _EVAL_BLOCK // len(units))
+    total = np.zeros(len(pts))
+    step = max(1, _EVAL_BLOCK // max(net.width, 1))
 
-        def run(share):
-            starts, buffer = share
-            for start in starts:
-                rows = slice(start, start + step)
-                block = pts[rows]
-                t = np.matmul(block, omega, out=buffer[:len(block)])
-                t += bias
-                if k == 0:
-                    np.greater(t, 0.0, out=t)  # the Heaviside, with sigma_0(0) = 0
-                else:
-                    np.maximum(t, 0.0, out=t)
-                    t **= k
-                total[rows] += t @ outer
+    def run(share):
+        starts, buffer = share
+        for start in starts:
+            rows = slice(start, start + step)
+            block = pts[rows]
+            t = np.matmul(block, net.directions.T, out=buffer[:len(block)])
+            t += net.biases
+            if net.power == 0:
+                np.greater(t, 0.0, out=t)  # the Heaviside, with sigma_0(0) = 0
+            else:
+                np.maximum(t, 0.0, out=t)
+                t **= net.power
+            total[rows] = t @ net.outer
 
-        parallel_map(run, [(starts, np.empty((min(step, len(pts)), len(units))))
+    if net.width:
+        parallel_map(run, [(starts, np.empty((min(step, len(pts)), net.width)))
                            for starts in shares(range(0, len(pts), step))])
-    total = total[:, 0] + 1j * total[:, 1] if total[:, 1].any() else total[:, 0]
     return unbatch(total, single)
 
 
@@ -278,11 +276,12 @@ class RidgeTaylor:
     ``case`` is "positive", "negative", or "straddling".  The first two are
     exact (zero error).  For straddling cells the surrogate keeps the smooth
     branch, (theta . x + b)^k or 0, selected by the sign of the ridge argument
-    at the cell center, and the report carries the measured sup error on a
-    dense grid together with two a priori bounds: the Taylor-remainder form
-    delta^(k+1) / (k+1) and the scaling form delta^k implied by the kink of
-    the k-th derivative.
-    The measured error tracks delta^k, not delta^(k+1).
+    t0 at the cell center.  That branch is exact on its side of the kink, so
+    the sup error is reached at the corner across it: ``measured_error`` is
+    exactly (delta - |t0|)^k.  The report adds two a priori bounds: the
+    Taylor-remainder form delta^(k+1) / (k+1) and the scaling form delta^k
+    implied by the kink of the k-th derivative.
+    The error tracks delta^k, not delta^(k+1).
     """
 
     case: str
@@ -293,11 +292,7 @@ class RidgeTaylor:
 
 
 def ridge_local_taylor(theta, b: float, cell: Cube, k: int) -> RidgeTaylor:
-    """Degree-k polynomial surrogate of sigma_k(theta . x + b) on a cell.
-
-    On a straddling cell the sup error is measured on the cell's grid of
-    201 points in d = 1 and 41 points per axis otherwise.
-    """
+    """Degree-k polynomial surrogate of sigma_k(theta . x + b) on a cell."""
     theta = np.asarray(theta, dtype=float)
     if abs(np.linalg.norm(theta) - 1.0) > 1e-12:
         raise ValueError("ridge direction must be a unit vector")
@@ -306,37 +301,33 @@ def ridge_local_taylor(theta, b: float, cell: Cube, k: int) -> RidgeTaylor:
     center = np.asarray(cell.center)
     t0 = float(theta @ center + b)
     delta = float(np.sum(np.abs(theta)) * cell.side / 2.0)
-    t_min, t_max = t0 - delta, t0 + delta
-    if t_min >= 0.0 or t_max <= 0.0:
-        return RidgeTaylor("positive" if t_min >= 0.0 else "negative", 0.0, 0.0, 0.0, delta)
-    t = cell.grid(201 if cell.d == 1 else 41) @ theta + b
-    # The surrogate is the branch at the centre: t^k where t0 >= 0, and 0 otherwise.
-    measured = float(np.max(np.abs(sigma_k(t, k) - (t**k if t0 >= 0.0 else 0.0))))
-    return RidgeTaylor("straddling", measured, delta ** (k + 1) / (k + 1), delta**k, delta)
+    if abs(t0) >= delta:  # one sign on the whole cell
+        return RidgeTaylor("positive" if t0 >= delta else "negative", 0.0, 0.0, 0.0, delta)
+    return RidgeTaylor("straddling", (delta - abs(t0)) ** k, delta ** (k + 1) / (k + 1),
+                       delta**k, delta)
 
 
 # ----------------------------------------------------------------------
 # smoothed indicators and the cube-partition compiler
 # ----------------------------------------------------------------------
 
-def _ramp_product(pts: np.ndarray, centers, side: float, sharpness) -> np.ndarray:
-    """prod_j clip(a_j (side/2 - |x_j - c_j|), 0, 1) for each row x of pts."""
-    ramp_args = np.asarray(sharpness) * (side / 2.0 - np.abs(pts - centers))
-    return np.clip(ramp_args, 0.0, 1.0).prod(axis=1)
+def _ramp_product(pts: np.ndarray, centers, side: float, sharpness: float) -> np.ndarray:
+    """prod_j clip(a (side/2 - |x_j - c_j|), 0, 1) for each row x of pts."""
+    return np.clip(sharpness * (side / 2.0 - np.abs(pts - centers)), 0.0, 1.0).prod(axis=1)
 
 
 @dataclass(frozen=True)
 class IndicatorBump:
     """Ramp-product indicator: 1 on the core of the cell, 0 outside it.
 
-    phi(x) = prod_j clip(a_j (h/2 - |x_j - c_j|), 0, 1), which is expressible
+    phi(x) = prod_j clip(a (h/2 - |x_j - c_j|), 0, 1), which is expressible
     with first-power rectifier units since clip(t, 0, 1) =
-    sigma_1(t) - sigma_1(t - 1).  The transition band on axis j has width
-    1/a_j inside the cell boundary.
+    sigma_1(t) - sigma_1(t - 1).  The transition band has width 1/a inside
+    the cell boundary.
     """
 
     cell: Cube
-    sharpness: tuple[float, ...]
+    sharpness: float
 
     def __call__(self, x):
         pts, single = as_batch(x, d=self.cell.d)
@@ -344,17 +335,13 @@ class IndicatorBump:
                                      self.sharpness), single)
 
 
-def indicator_bump(cell: Cube, sharpness) -> IndicatorBump:
+def indicator_bump(cell: Cube, sharpness: float) -> IndicatorBump:
     """Smoothed indicator of a cell; the transition band must fit inside it."""
-    a = np.broadcast_to(np.asarray(sharpness, dtype=float), (cell.d,)).copy()
-    if np.any(a <= 0):
-        raise ValueError("sharpness must be positive")
-    if np.any(a * (cell.side / 2.0) <= 1.0):
-        raise ValueError(
-            f"transition band 1/a does not fit in a cell of side {cell.side}; "
-            "need sharpness * side/2 > 1"
-        )
-    return IndicatorBump(cell, tuple(float(v) for v in a))
+    a = float(sharpness)
+    if not (a > 0 and a * (cell.side / 2.0) > 1.0):
+        raise ValueError(f"sharpness {a} must be positive with its transition band 1/a inside "
+                         f"a cell of side {cell.side}; need sharpness * side/2 > 1")
+    return IndicatorBump(cell, a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,14 +353,14 @@ class SobolevApproximant:
     scaled local coordinates y = 2 q (x - c_i), which map the cell onto
     [-1, 1]^d.  The exact evaluator uses the polynomial of the containing
     cell; the smoothed evaluator multiplies it by that cell's ramp indicator
-    (per-axis sharpness ``smoothing``), so the two differ only inside the
-    indicator transition bands.
+    (sharpness ``smoothing``), so the two differ only inside the indicator
+    transition bands.
     """
 
     partition: CubePartition
     exponents: np.ndarray  # (n_alpha, d) int
     coefficients: np.ndarray  # (q^d, n_alpha)
-    smoothing: tuple[float, ...] | None = None
+    smoothing: float | None = None
 
     @cached_property
     def indicators(self) -> tuple[IndicatorBump, ...]:
@@ -503,8 +490,8 @@ def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
     is called once on every cell's samples and one least-squares solve fits
     all cells, which reproduces global polynomials of degree <= ell exactly
     (the (ell + 3)^d nodes always exceed the C(ell + d, d) coefficients).
-    With ``smoothing`` set (a sharpness value or per-axis tuple), the
-    smoothed variant sum_i p_i phi_i is available.  A compile of more than
+    With ``smoothing`` set (a sharpness value), the smoothed variant
+    sum_i p_i phi_i is available.  A compile of more than
     ``MAX_COMPILE_ROWS`` sample rows is refused before anything is allocated.
     """
     if ell < 0:
@@ -542,8 +529,8 @@ _CERT_MARGIN = 1e-12
 
 
 def _ridge_box_integrals(omega, bias, lo, hi, p) -> np.ndarray:
-    """Exact integral of sigma_{p_ri}(omega_i . x + b_i) over the box [lo, hi],
-    per unit i and row r of the exponents ``p`` (R, n), in p's shape.
+    """Exact integral of sigma_{p_r}(omega_i . x + b_i) over the box [lo, hi],
+    per row r of the exponents ``p`` (R, 1) and unit i, as an (R, n) array.
 
     The axis of the largest |omega_ij| (>= 1/sqrt(d) on the unit sphere) is
     integrated in closed form by sigma_{p+1} / ((p + 1) omega_ij).  Each other
@@ -584,39 +571,37 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
 
     The triangle inequality gives ||f_n||_{H^m} <= sum |a_i| ||g_i||_{H^m}
     <= max_i ||g_i||_{H^m} * sum |a_i|, a width-independent certificate.
-    Requires every direction to be unit length, every |b_i| <= bias_cap, and
-    m <= k_i - 1 per unit (k_i = m allowed only for m = 0) so the integrated
-    derivatives stay bounded.
+    Requires m <= k - 1 (k = m allowed only for m = 0) so the integrated
+    derivatives stay bounded, every direction to be unit length and every
+    |b_i| <= bias_cap.
 
     The order-r derivatives of sigma_k(omega . x + b) contribute
     sum_{|alpha| = r} prod_j omega_j^(2 alpha_j) (k! / (k - r)!)^2 sigma_{k-r}^2,
     and sigma_q^2 = sigma_{2q}, so all units and orders need box integrals of
     sigma_{2(k-r)}, which ``_ridge_box_integrals`` computes exactly in one
-    (m + 1, W) batch; the direction sums are ``homogeneous_sums`` at omega^2.
+    (m + 1, W) batch; the direction sums are ``homogeneous_sums`` at omega^2
+    and the falling factorials k! / (k - r)! one column.
     Each unit norm carries a relative rounding margin of 1e-12, so the
     bound is exact up to that margin and never below the true value.  ``spec``
     is accepted and ignored.
     """
     if not net.width:
         return HmUpperBound(0.0, 0.0, 0.0, ())
-    bad = np.stack([
-        np.abs(np.linalg.norm(net.directions, axis=1) - 1.0) > 1e-12,
-        np.abs(net.biases) > bias_cap,
-        (net.powers < m + 1) & (m > 0),
-    ])
+    k = net.power
+    if m > 0 and k < m + 1:
+        raise ValueError(f"network has power {k}; order m={m} needs power >= {m + 1}")
+    bad = np.stack([np.abs(np.linalg.norm(net.directions, axis=1) - 1.0) > 1e-12,
+                    np.abs(net.biases) > bias_cap])
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))  # first offending unit, first failed check
-        raise ValueError([
-            f"unit {i} is not dictionary-constrained: |omega| != 1",
-            f"unit {i} violates the bias cap: |{net.biases[i]}| > {bias_cap}",
-            f"unit {i} has power {net.powers[i]}; order m={m} needs power >= {m + 1}",
-        ][int(np.argmax(bad[:, i]))])
+        raise ValueError(f"unit {i} is not dictionary-constrained: |omega| != 1" if bad[0, i]
+                         else f"unit {i} violates the bias cap: |{net.biases[i]}| > {bias_cap}")
     lo, hi = np.array(validate_box(omega_box)).reshape(-1, 2).T
     if len(lo) != net.d:
         raise ValueError(f"box has {len(lo)} axes, expected {net.d}")
     orders = np.arange(m + 1)[:, None]
-    falling = np.cumprod(np.vstack([np.ones(net.width), net.powers - orders[:-1]]), axis=0)
-    integrals = _ridge_box_integrals(net.directions, net.biases, lo, hi, 2 * (net.powers - orders))
+    falling = np.cumprod(np.vstack([1.0, k - orders[:-1]]), axis=0)
+    integrals = _ridge_box_integrals(net.directions, net.biases, lo, hi, 2 * (k - orders))
     by_order = homogeneous_sums(net.directions ** 2, m)
     norms = np.sqrt(np.sum(by_order * falling**2 * integrals, axis=0)) * (1.0 + _CERT_MARGIN)
     max_norm = float(norms.max())

@@ -73,12 +73,8 @@ def covering_radius(net: SphericalNet | np.ndarray, probes: int = 10000,
         if probes < 10000:
             raise ValueError(f"need at least 10000 probes, got {probes}")
         rng = np.random.default_rng(seed)
-        batches = []
-        remaining = probes
-        while remaining > 0:
-            take = min(4096, remaining)
-            remaining -= take
-            batches.append(uniform_sphere(rng, take, d))
+        batches = [uniform_sphere(rng, min(4096, probes - start), d)
+                   for start in range(0, probes, 4096)]
     worst = 0.0
     for q in batches:
         sq = np.maximum(0.0, 2.0 - 2.0 * (q @ points.T))
@@ -97,6 +93,13 @@ def _probed_net(points: np.ndarray, seed: int) -> SphericalNet:
 # Largest m * candidate_pool that greedy_net takes: its time grows with the
 # product (2^28 is m = 1024 at the default pool of 256 m).
 MAX_NET_WORK = 2**28
+
+
+def check_net_work(m: int, candidate_pool: int) -> None:
+    """Refuse a greedy net whose m * candidate_pool exceeds ``MAX_NET_WORK``."""
+    if int(m) * int(candidate_pool) > MAX_NET_WORK:
+        raise ValueError(f"greedy net needs m * candidate pool <= {MAX_NET_WORK}, "
+                         f"got m = {m} with a pool of {candidate_pool}")
 
 
 def greedy_net(d: int, m: int, candidate_pool: int | None = None,
@@ -119,9 +122,7 @@ def greedy_net(d: int, m: int, candidate_pool: int | None = None,
         candidate_pool = 256 * m
     if candidate_pool < 64 * m:
         raise ValueError(f"candidate pool {candidate_pool} below 64 * m = {64 * m}")
-    if m * candidate_pool > MAX_NET_WORK:
-        raise ValueError(f"greedy net needs m * candidate pool <= {MAX_NET_WORK}, "
-                         f"got m = {m} with a pool of {candidate_pool}")
+    check_net_work(m, candidate_pool)
     pool = uniform_sphere(np.random.default_rng(seed), candidate_pool, d)
     chosen = np.zeros(m, dtype=np.intp)
     min_sq = np.full(candidate_pool, np.inf)

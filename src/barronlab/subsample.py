@@ -29,6 +29,17 @@ def hoeffding_delta(n: int, coeff_bound: float, n_monomials: int,
     return coeff_bound * math.sqrt(math.log(2.0 * n_monomials / fail_prob) / (2.0 * n))
 
 
+# Most values one subsampling draws, as N * M terms or restarts * n indices: 512 MB.
+MAX_DRAWS = 2**26
+
+
+def check_draws(**sizes: int) -> None:
+    """Refuse a draw of more than ``MAX_DRAWS`` values, the product of the ``sizes``."""
+    if math.prod(int(size) for size in sizes.values()) > MAX_DRAWS:  # Python ints: no wrap
+        raise ValueError(f"subsampling needs {' * '.join(sizes)} <= {MAX_DRAWS}, got "
+                         + ", ".join(f"{key}={size}" for key, size in sizes.items()))
+
+
 @dataclass(frozen=True)
 class MaureyResult:
     indices: tuple[int, ...]
@@ -51,7 +62,7 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0, *,
     monomials of |mean_selected - mean_all|, and ``accepted`` compares it
     with the Hoeffding level at failure probability 0.05 for the declared
     finite ``coeff_bound``, which every coefficient magnitude must respect;
-    a NaN term is refused.
+    a NaN term is refused, as are restarts * n above ``MAX_DRAWS``.
     """
     arr = np.asarray(terms, dtype=float)
     if arr.ndim != 2:
@@ -65,6 +76,7 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0, *,
         raise ValueError("subsample size must be >= 1")
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
+    check_draws(restarts=restarts, n=n)
     level = hoeffding_delta(n, coeff_bound, n_monomials, 0.05)
     peak = np.max(np.abs(arr))
     if not peak <= coeff_bound + 1e-12:  # also refuses a NaN term
@@ -77,10 +89,8 @@ def maurey_subsample(terms, n: int, restarts: int = 64, seed: int = 0, *,
     if n == big_n:
         selections.append(np.arange(big_n))
     selections.extend(rng.integers(0, big_n, size=n) for _ in range(restarts))
-    deviations = np.array([
-        float(np.max(np.abs(canonical[sel].mean(axis=0) - full_mean)))
-        for sel in selections
-    ])
+    deviations = np.array([np.max(np.abs(canonical[sel].mean(axis=0) - full_mean))
+                           for sel in selections])
     best = int(np.argmin(deviations))  # argmin takes the first, lowest restart wins ties
     dev = float(deviations[best])
     return MaureyResult(

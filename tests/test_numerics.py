@@ -232,7 +232,7 @@ _APPROX = relu_nets.compile_sobolev_approximant(
     lambda p: np.sin(3.0 * p[:, 0]) + p[:, 1] ** 2, 1, relu_nets.CubePartition(2, 2),
     smoothing=8.0)
 _PACKING = lower_bounds.build_packing("fourier", 2, 1.0, 16)
-_NETWORK = relu_nets.relu_network([(1.0, (0.6, 0.8), 0.1, 2), (-0.5, (1.0, 0.0), -0.2, 1)])
+_NETWORK = relu_nets.relu_network([(1.0, (0.6, 0.8), 0.1, 2), (-0.5, (1.0, 0.0), -0.2, 2)])
 _PRODUCT = relu_nets.monomial_product_expansion((1, 1), 2)
 _FOURIER = barron.fourier_sum(2, 1.0, (0.0, 0.0), {(1, 0): 1.0, (0, 2): 0.5j})
 EVALUATORS = [

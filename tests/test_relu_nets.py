@@ -69,7 +69,7 @@ class TestNetworkEvaluation:
         units_a = [(rng.standard_normal(), uniform_sphere(rng, 1, 2)[0],
                     rng.standard_normal(), 2) for _ in range(4)]
         units_b = [(rng.standard_normal(), uniform_sphere(rng, 1, 2)[0],
-                    rng.standard_normal(), 1) for _ in range(3)]
+                    rng.standard_normal(), 2) for _ in range(3)]
         pts = rng.standard_normal((50, 2))
         total = evaluate_network(relu_network(units_a + units_b), pts)
         parts = evaluate_network(relu_network(units_a), pts) + evaluate_network(
@@ -83,36 +83,27 @@ class TestNetworkEvaluation:
         net = relu_network([(3.0, (1.0,), 0.0, 1), (-4.0, (1.0,), 1.0, 1)])
         assert net.ell1 == pytest.approx(7.0)
 
-    def test_complex_outer_coefficients(self):
-        net = relu_network([(1j, (1.0,), 0.0, 2)])
-        val = evaluate_network(net, np.array([2.0]))
-        assert val == pytest.approx(4j)
-        assert net.ell1 == pytest.approx(1.0)
+
+def random_network(rng, width, d, k):
+    outer = rng.standard_normal(width)
+    return relu_network([(outer[i], rng.standard_normal(d), rng.uniform(-1.0, 1.0), k)
+                         for i in range(width)])
 
 
-def random_network(rng, width, d, powers, complex_outer=False):
-    outer = rng.standard_normal(width) + (1j * rng.standard_normal(width) if complex_outer else 0)
-    return relu_network([(outer[i], rng.standard_normal(d), rng.uniform(-1.0, 1.0),
-                          powers[i % len(powers)]) for i in range(width)])
-
-
-# (width, d, powers, complex outer weights, points): one power with many row
-# blocks and N not a multiple of the block; mixed powers with k = 0 and
-# complex weights; fewer blocks than cores; a single point.
-WORKER_CASES = [(1000, 3, [2], False, 5003), (601, 2, [0, 1, 2, 3], True, 1001),
-                (2000, 3, [2], False, 50), (5, 1, [1, 0], True, 1)]
+# (width, d, power, points): many row blocks and N not a multiple of the
+# block; the Heaviside k = 0; fewer blocks than cores; a single point.
+WORKER_CASES = [(1000, 3, 2, 5003), (601, 2, 0, 1001), (2000, 3, 2, 50), (5, 1, 3, 1)]
 
 
 class TestEvaluateWorkers:
-    @pytest.mark.parametrize("width, d, powers, complex_outer, n", WORKER_CASES)
-    def test_bitwise_equal_for_any_worker_count(self, set_cores, width, d, powers,
-                                                complex_outer, n):
+    @pytest.mark.parametrize("width, d, k, n", WORKER_CASES)
+    def test_bitwise_equal_for_any_worker_count(self, set_cores, width, d, k, n):
         rng = np.random.default_rng(width + n)
-        net = random_network(rng, width, d, powers, complex_outer)
+        net = random_network(rng, width, d, k)
         pts = rng.standard_normal((n, d))
         set_cores(1)
         want = evaluate_network(net, pts)
-        assert np.iscomplexobj(want) == complex_outer
+        assert want.dtype == np.float64
         for cores in (2, 3, 8):
             set_cores(cores)
             got = evaluate_network(net, pts)
@@ -122,7 +113,7 @@ class TestEvaluateWorkers:
         # A fresh pool of 7 threads on a short switch interval: shares that
         # lost or mixed each other's row updates would change the bytes.
         rng = np.random.default_rng(5)
-        net = random_network(rng, 400, 2, [1, 2])
+        net = random_network(rng, 400, 2, 2)
         pts = rng.standard_normal((20_000, 2))
         set_cores(1)
         want = evaluate_network(net, pts)
@@ -139,39 +130,51 @@ class TestEvaluateWorkers:
 
 
 class TestNetworkArrays:
-    UNITS = [(2.0 - 1j, (0.6, 0.8), -0.5, 2), (-3.0, [1.0, 0.0], 1.25, 0),
-             (0.5j, np.array([0.0, -1.0]), 0.0, 3)]
+    UNITS = [(2.0, (0.6, 0.8), -0.5, 2), (-3.0, [1.0, 0.0], 1.25, 2),
+             (0.5 + 0j, np.array([0.0, -1.0]), 0.0, 2)]
 
     def test_arrays_and_derived_views(self):
         net = relu_network(self.UNITS)
-        np.testing.assert_array_equal(net.outer, [2.0 - 1j, -3.0, 0.5j])
+        assert net.outer.dtype == np.float64 and net.power == 2
+        np.testing.assert_array_equal(net.outer, [2.0, -3.0, 0.5])
         np.testing.assert_array_equal(net.directions, [[0.6, 0.8], [1.0, 0.0], [0.0, -1.0]])
         np.testing.assert_array_equal(net.biases, [-0.5, 1.25, 0.0])
-        np.testing.assert_array_equal(net.powers, [2, 0, 3])
         assert (net.d, net.width) == (2, 3)
-        assert net.ell1 == pytest.approx(math.sqrt(5.0) + 3.0 + 0.5, rel=1e-15)
+        assert net.ell1 == 5.5
         assert [tuple(u) for u in net.units] == [
-            (complex(a), tuple(float(w) for w in omega), b, k) for a, omega, b, k in self.UNITS
+            (a.real, tuple(float(w) for w in omega), b, k) for a, omega, b, k in self.UNITS
         ]
 
     def test_arrays_are_read_only(self):
         net = relu_network(self.UNITS)
-        for array in (net.outer, net.directions, net.biases, net.powers):
+        for array in (net.outer, net.directions, net.biases):
             with pytest.raises(ValueError):
                 array[0] = 0
 
     def test_empty_network(self):
         net = relu_network([])
-        assert (net.d, net.width, net.ell1, net.units) == (0, 0, 0.0, ())
+        assert (net.d, net.width, net.ell1, net.units, net.power) == (0, 0, 0.0, (), 0)
 
     @pytest.mark.parametrize("power", [-1, 1.5])
     def test_power_must_be_nonnegative_integer(self, power):
-        with pytest.raises(ValueError, match="unit 1 power"):
-            relu_network([self.UNITS[0], (1.0, (1.0, 0.0), 0.0, power)])
+        with pytest.raises(ValueError, match="unit 0 power must be a nonnegative integer"):
+            relu_network([(1.0, (1.0, 0.0), 0.0, power), self.UNITS[0]])
+
+    @pytest.mark.parametrize("power", [0, 1, 3])
+    def test_mixed_power_refused_naming_the_unit(self, power):
+        # Each network has one power; a second one used to form its own group.
+        with pytest.raises(ValueError, match=f"unit 2 has power {power}, unlike unit 0's 2"):
+            relu_network(self.UNITS[:2] + [(1.0, (1.0, 0.0), 0.0, power), self.UNITS[2]])
+
+    @pytest.mark.parametrize("outer", [1j, 2.0 - 1e-300j, np.complex128(0.5 + 0.5j)])
+    def test_complex_weight_refused_naming_the_unit(self, outer):
+        # Outer weights are real; a complex one used to give complex values.
+        with pytest.raises(ValueError, match="unit 1 has outer weight .* which is not real"):
+            relu_network([self.UNITS[0], (outer, (1.0, 0.0), 0.0, 2), self.UNITS[1]])
 
     def test_one_dimension_for_all_units(self):
-        with pytest.raises(ValueError, match="unit 2 has direction shape"):
-            relu_network(self.UNITS[:2] + [(1.0, (1.0, 0.0, 0.0), 0.0, 1)])
+        with pytest.raises(ValueError, match=r"unit 2 has direction shape \(3,\), not \(2,\)"):
+            relu_network(self.UNITS[:2] + [(1.0, (1.0, 0.0, 0.0), 0.0, 2)])
 
 
 class TestMonomials:
@@ -354,6 +357,20 @@ class TestRidgeTaylor:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(ValueError, match="unit"):
             ridge_local_taylor((2.0,), 0.0, Cube((0.0,), 0.1), 1)
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_straddling_error_in_closed_form_at_high_dimension(self, monkeypatch, k):
+        # The error was a maximum over 41^d grid points: about 460 GB at d = 6.
+        def grid(self, per_axis):
+            raise AssertionError(f"sampled a grid of {per_axis}^{self.d} points")
+
+        monkeypatch.setattr(Cube, "grid", grid)
+        theta = np.full(8, 8**-0.5)
+        cell = Cube((0.1,) * 4 + (-0.05,) * 4, 0.25)
+        fit = ridge_local_taylor(theta, -0.02, cell, k)
+        t0, delta = float(theta @ np.array(cell.center) - 0.02), 8 * 8**-0.5 * 0.125
+        assert fit.case == "straddling" and fit.delta == pytest.approx(delta, rel=1e-15)
+        assert fit.measured_error == (fit.delta - abs(t0)) ** k
 
 
 class TestIndicator:
@@ -617,45 +634,36 @@ class TestArrayApproximant:
 
 
 class TestGroupedEvaluation:
-    def test_mixed_powers_complex_weights_match_per_unit_loop(self):
-        rng = np.random.default_rng(8)
-        powers = rng.integers(0, 4, 60)
-        units = [(complex(*rng.standard_normal(2)), rng.standard_normal(3),
-                  rng.uniform(-1, 1), int(k)) for k in powers]
-        net = relu_network(units)
-        n = 9001
-        for k in np.unique(powers):
-            rows = relu_nets._EVAL_BLOCK // int(np.sum(powers == k))
-            assert n > rows and n % rows != 0
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_each_power_matches_per_unit_loop(self, k):
+        rng = np.random.default_rng(8 + k)
+        units = [(rng.standard_normal(), rng.standard_normal(3), rng.uniform(-1, 1), k)
+                 for _ in range(60)]
+        n, rows = 9001, relu_nets._EVAL_BLOCK // 60
+        assert n > rows and n % rows != 0
         pts = rng.uniform(-1, 1, (n, 3))
-        want = np.zeros(n, dtype=complex)
-        for a, omega, b, k in units:
+        want = np.zeros(n)
+        for a, omega, b, _ in units:
             want += a * sigma_k(pts @ omega + b, k)
-        got = evaluate_network(net, pts)
-        assert np.iscomplexobj(got)
+        got = evaluate_network(relu_network(units), pts)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.max(np.abs(want)))
 
     def test_activation_bitwise_equal_to_sigma_k_per_power(self):
         rng = np.random.default_rng(4)
-        powers = np.repeat(np.arange(4), 25)
-        units = [(complex(*rng.standard_normal(2)), rng.standard_normal(3),
-                  rng.uniform(-1, 1), int(k)) for k in powers]
-        # Unit 0 has power 0 and a pre-activation of exactly 0 at the first point.
-        units[0] = (1.5 - 0.5j, np.array([1.0, 0.0, 0.0]), -0.5, 0)
-        net = relu_network(units)
         pts = np.vstack([[0.5, 0.3, -0.7], rng.uniform(-1, 1, (200, 3))])
-        assert len(pts) * 25 <= relu_nets._EVAL_BLOCK  # one block per power
-        total = np.zeros((len(pts), 2))
+        assert len(pts) * 25 <= relu_nets._EVAL_BLOCK  # one block
         for k in range(4):
-            group = np.flatnonzero(net.powers == k)
-            outer = np.stack([net.outer.real, net.outer.imag], axis=1)[group]
-            t = pts @ net.directions[group].T + net.biases[group]
-            total += sigma_k(t, k) @ outer
-        assert np.array_equal(evaluate_network(net, pts), total[:, 0] + 1j * total[:, 1])
-        assert evaluate_network(relu_network(units[:1]), pts[0]) == 0.0
+            units = [(rng.standard_normal(), rng.standard_normal(3), rng.uniform(-1, 1), k)
+                     for _ in range(25)]
+            # Unit 0 has a pre-activation of exactly 0 at the first point.
+            units[0] = (1.5, np.array([1.0, 0.0, 0.0]), -0.5, k)
+            net = relu_network(units)
+            want = sigma_k(pts @ net.directions.T + net.biases, k) @ net.outer
+            assert np.array_equal(evaluate_network(net, pts), want)
+            assert evaluate_network(relu_network(units[:1]), pts[0]) == 0.0
 
     def test_real_weights_give_real_values(self):
-        net = relu_network([(2.0, (1.0, 0.0), 0.5, 2), (-1.0, (0.0, 1.0), 0.0, 0)])
+        net = relu_network([(2.0, (1.0, 0.0), 0.5, 2), (-1.0, (0.0, 1.0), 0.0, 2)])
         got = evaluate_network(net, np.array([[1.0, 1.0], [0.0, -1.0]]))
         assert got.dtype == np.float64
         np.testing.assert_array_equal(got, [2.0 * 1.5**2 - 1.0, 2.0 * 0.25])
@@ -718,63 +726,61 @@ class TestHmUpperBound:
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_unit_norms_match_per_unit_reference(self, d, m):
         rng = np.random.default_rng(10 * d + m)
-        powers = rng.permutation(np.repeat([0, 1, 2] if m == 0 else [m + 1, m + 2, m + 3], 6))
-        omegas = uniform_sphere(rng, len(powers), d) if d > 1 else rng.choice(
-            [-1.0, 1.0], (len(powers), 1))
-        if d > 1:
-            omegas[0, 0], omegas[1, -1] = 1e-7, 0.0
-            omegas[:2] /= np.linalg.norm(omegas[:2], axis=1, keepdims=True)
-        units = [(rng.standard_normal(), omegas[i], rng.uniform(-2, 2), int(k))
-                 for i, k in enumerate(powers)]
-        box = [(0.0, 1.0)] * d
-        hb = network_hm_upper(relu_network(units), box, m, 2.0)
-        want = exact_unit_hm_norms(relu_network(units), box, m)
-        norms = np.array(hb.unit_norms)
-        assert np.all(norms >= want)
-        # Less the stated 1e-12 margin, the norms are the exact ones.
-        np.testing.assert_allclose(norms / (1.0 + 1e-12), want, rtol=1e-12, atol=0)
-        assert hb.max_unit_norm == max(hb.unit_norms)
+        for k in [0, 1, 2] if m == 0 else [m + 1, m + 2, m + 3]:
+            omegas = uniform_sphere(rng, 6, d) if d > 1 else rng.choice([-1.0, 1.0], (6, 1))
+            if d > 1:
+                omegas[0, 0], omegas[1, -1] = 1e-7, 0.0
+                omegas[:2] /= np.linalg.norm(omegas[:2], axis=1, keepdims=True)
+            net = relu_network([(rng.standard_normal(), omega, rng.uniform(-2, 2), k)
+                                for omega in omegas])
+            box = [(0.0, 1.0)] * d
+            hb = network_hm_upper(net, box, m, 2.0)
+            want = exact_unit_hm_norms(net, box, m)
+            norms = np.array(hb.unit_norms)
+            assert np.all(norms >= want)
+            # Less the stated 1e-12 margin, the norms are the exact ones.
+            np.testing.assert_allclose(norms / (1.0 + 1e-12), want, rtol=1e-12, atol=0)
+            assert hb.max_unit_norm == max(hb.unit_norms)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_unit_norms_equal_per_order_layouts(self, d, m):
-        # The certificate lays out each unit's quadrature once for all orders.
-        # Every order's rows stacked under one exponent row give the same
-        # bits; one call per order lays out fewer nodes for the lower orders,
-        # so it agrees to rounding.
+        # The certificate lays out each unit's quadrature once for all orders,
+        # in one call with the exponent column 2 (k - r).  One call per order
+        # lays out fewer nodes for the lower orders, so it agrees to rounding.
         rng = np.random.default_rng(20 * d + m)
-        omegas = uniform_sphere(rng, 12, d) if d > 1 else rng.choice([-1.0, 1.0], (12, 1))
-        powers = rng.integers(m + 1 if m else 0, m + 4, 12)
-        net = relu_network([(rng.standard_normal(), omegas[i], rng.uniform(-2, 2), int(k))
-                            for i, k in enumerate(powers)])
         box = [(-0.5, 1.0)] * d
-        norms = np.array(network_hm_upper(net, box, m, 2.0).unit_norms)
         lo, hi = np.array(box).T
-        p = 2 * (net.powers - np.arange(m + 1)[:, None])
-        weights = numerics.homogeneous_sums(net.directions ** 2, m) * np.array(
-            [[math.perm(int(k), r) ** 2 for k in net.powers] for r in range(m + 1)])
+        for k in range(m + 1 if m else 0, m + 4):
+            omegas = uniform_sphere(rng, 6, d) if d > 1 else rng.choice([-1.0, 1.0], (6, 1))
+            net = relu_network([(rng.standard_normal(), omega, rng.uniform(-2, 2), k)
+                                for omega in omegas])
+            norms = np.array(network_hm_upper(net, box, m, 2.0).unit_norms)
+            p = 2 * (k - np.arange(m + 1))
+            weights = numerics.homogeneous_sums(net.directions ** 2, m) * np.array(
+                [math.perm(k, r) ** 2 for r in range(m + 1)])[:, None]
 
-        def unit_norms(integrals):
-            return np.sqrt(np.sum(weights * integrals, axis=0)) * (1.0 + 1e-12)
+            def unit_norms(integrals):
+                return np.sqrt(np.sum(weights * integrals, axis=0)) * (1.0 + 1e-12)
 
-        stacked = relu_nets._ridge_box_integrals(
-            np.tile(net.directions, (m + 1, 1)), np.tile(net.biases, m + 1), lo, hi,
-            p.reshape(1, -1)).reshape(p.shape)
-        np.testing.assert_array_equal(norms, unit_norms(stacked))
-        per_order = np.vstack([relu_nets._ridge_box_integrals(
-            net.directions, net.biases, lo, hi, row[None]) for row in p])
-        np.testing.assert_allclose(norms, unit_norms(per_order), rtol=1e-13, atol=0)
+            column = relu_nets._ridge_box_integrals(net.directions, net.biases, lo, hi,
+                                                    p[:, None])
+            assert column.shape == (m + 1, 6)
+            np.testing.assert_array_equal(norms, unit_norms(column))
+            per_order = np.vstack([relu_nets._ridge_box_integrals(
+                net.directions, net.biases, lo, hi, np.array([[q]])) for q in p])
+            np.testing.assert_allclose(norms, unit_norms(per_order), rtol=1e-13, atol=0)
 
     def test_unit_norms_exact_on_uneven_box(self):
         rng = np.random.default_rng(11)
-        omegas = uniform_sphere(rng, 24, 3)
-        units = [(1.0, omegas[i], rng.uniform(-2, 2), int(k))
-                 for i, k in enumerate(rng.integers(2, 5, 24))]
         box = [(-1.0, 2.0), (0.5, 1.0), (-0.25, 0.0)]
-        norms = np.array(network_hm_upper(relu_network(units), box, 1, 2.0).unit_norms)
-        want = exact_unit_hm_norms(relu_network(units), box, 1)
-        assert np.all(norms >= want)
-        np.testing.assert_allclose(norms / (1.0 + 1e-12), want, rtol=1e-12, atol=0)
+        for k in (2, 3, 4):
+            net = relu_network([(1.0, omega, rng.uniform(-2, 2), k)
+                                for omega in uniform_sphere(rng, 8, 3)])
+            norms = np.array(network_hm_upper(net, box, 1, 2.0).unit_norms)
+            want = exact_unit_hm_norms(net, box, 1)
+            assert np.all(norms >= want)
+            np.testing.assert_allclose(norms / (1.0 + 1e-12), want, rtol=1e-12, atol=0)
 
     def test_bound_not_below_exact_norm_on_benchmark_law(self):
         # The unit law of test_width_independent_for_unit_ell1.  With the
@@ -799,12 +805,11 @@ class TestHmUpperBound:
             network_hm_upper(net, [(0.0, 1.0), (1.0, 1.0)], 1, 2.0)
 
     @pytest.mark.parametrize("bad_unit, match", [
-        ((1.0, (0.6, 0.6), 5.0, 1), "unit 1 is not dictionary"),
-        ((1.0, (0.6, 0.8), 5.0, 1), "unit 1 violates the bias cap: \\|5.0\\|"),
-        ((1.0, (0.6, 0.8), 0.0, 1), "unit 1 has power 1; order m=1 needs power >= 2"),
+        ((1.0, (0.6, 0.6), 5.0, 2), "unit 1 is not dictionary"),
+        ((1.0, (0.6, 0.8), 5.0, 2), "unit 1 violates the bias cap: \\|5.0\\|"),
     ])
     def test_errors_name_first_offending_unit(self, bad_unit, match):
-        units = [(1.0, (1.0, 0.0), 0.0, 2), bad_unit, (1.0, (1.0, 1.0), 9.0, 0)]
+        units = [(1.0, (1.0, 0.0), 0.0, 2), bad_unit, (1.0, (1.0, 1.0), 9.0, 2)]
         with pytest.raises(ValueError, match=match):
             network_hm_upper(relu_network(units), self.OMEGA, 1, 2.0)
 
@@ -819,8 +824,8 @@ class TestHmUpperBound:
             network_hm_upper(net, self.OMEGA, 1, 2.0)
 
     def test_order_needs_enough_power(self):
-        net = relu_network([(1.0, (1.0, 0.0), 0.0, 1)])
-        with pytest.raises(ValueError, match="power"):
+        net = relu_network([(1.0, (1.0, 0.0), 0.0, 1), (1.0, (1.0, 1.0), 9.0, 1)])
+        with pytest.raises(ValueError, match="network has power 1; order m=1 needs power >= 2"):
             network_hm_upper(net, self.OMEGA, 1, 2.0)
 
     def test_order_zero_allows_heaviside(self):

@@ -71,7 +71,19 @@ class TestGreedyNet:
         assert dispatch(["sphere-net", "--d", "3", "--m", "4000"]) == 2
         assert "got m = 4000 with a pool of 1024000" in capsys.readouterr().err
         assert dispatch(["rates", "--kind", "sphere-cover", "--n-grid", "4096:131072"]) == 2
+        assert "got m = 131072 with a pool of 8388608" in capsys.readouterr().err
+
+    def test_sphere_cover_refuses_its_largest_m_before_the_sweep(self, capsys, monkeypatch):
+        # The cap was checked only inside each sub-run, so 64:4096 built the
+        # nets at m = 64 ... 2048 (2.6 s) before refusing m = 4096.
+        def draw(*args):
+            raise LookupError("drew a pool")
+
+        monkeypatch.setattr(sphere_geom, "uniform_sphere", draw)
+        assert dispatch(["rates", "--kind", "sphere-cover", "--n-grid", "64:4096"]) == 2
         assert "got m = 4096 with a pool of 262144" in capsys.readouterr().err
+        with pytest.raises(LookupError):  # 2048 * 64 * 2048 = MAX_NET_WORK is taken
+            dispatch(["rates", "--kind", "sphere-cover", "--n-grid", "64:2048"])
 
     def test_pool_floor_enforced(self):
         with pytest.raises(ValueError, match="pool"):

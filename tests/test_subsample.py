@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from barronlab import rates, subsample
+from barronlab.cli import dispatch
 from barronlab.subsample import hoeffding_delta, maurey_subsample
 
 
@@ -120,6 +122,33 @@ class TestMaureySubsample:
         terms = np.random.default_rng(0).uniform(-1.0, 1.0, size=(8, 3))
         with pytest.raises(TypeError, match="coeff_bound"):
             maurey_subsample(terms, 4)
+
+    def test_draws_above_the_cap_refused_before_the_generator(self, capsys, monkeypatch):
+        # rates.seeded_subsample drew N * M floats at once (80 GB at N = 10^9,
+        # M = 10), and every restart's indices were drawn before any deviation.
+        def generator(*args):
+            raise LookupError("drew")
+
+        monkeypatch.setattr(np.random, "default_rng", generator)
+        assert subsample.MAX_DRAWS == 2**26
+        for big_n, n_monomials, admitted in [(2**23, 8, True), (2**23 + 1, 8, False),
+                                             (10**9, 10, False)]:
+            with pytest.raises(LookupError if admitted else ValueError,
+                               match="drew" if admitted else
+                               f"N \\* M <= 67108864, got N={big_n}, M={n_monomials}"):
+                rates.seeded_subsample(big_n, n_monomials, 64, 64, 0)
+        for restarts, admitted in [(2**20, True), (2**20 + 1, False), (10**8, False)]:
+            with pytest.raises(LookupError if admitted else ValueError,
+                               match="drew" if admitted else
+                               f"restarts \\* n <= 67108864, got restarts={restarts}, n=64"):
+                maurey_subsample(np.zeros((256, 1)), 64, restarts=restarts, coeff_bound=1.0)
+        for args, named in [
+            (("subsample", "--N", "1000000000"), "N * M <= 67108864, got N=1000000000, M=10"),
+            (("rates", "--kind", "subsample-concentration", "--n-grid", "4:128",
+              "--param", "restarts=1000000"), "restarts=1000000, n=128"),
+        ]:
+            assert dispatch(list(args)) == 2
+            assert named in capsys.readouterr().err
 
     def test_median_deviation_well_below_hoeffding(self):
         # Hoeffding is not tight; the restart median sitting under 0.7 of
