@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .barron import MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .numerics import (as_batch, axis_rule, parallel_map, read_only, sigma_k, unbatch,
-                       usable_cores)
+from .numerics import (as_batch, axis_rule, parallel_map, read_only, shares, sigma_k,
+                       unbatch, usable_cores)
 
 if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
     from .sphere_geom import SphericalNet
@@ -28,11 +28,6 @@ if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
 # ----------------------------------------------------------------------
 # exponential-decay ridge atoms and the high-frequency gap probe
 # ----------------------------------------------------------------------
-
-def _check_decay(alpha: float) -> None:
-    if not (math.isfinite(alpha) and alpha > 0):
-        raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
-
 
 @dataclass(frozen=True)
 class GapProbe:
@@ -49,6 +44,7 @@ class GapProbe:
 
 
 _GAP_BLOCK = 32  # candidates per batched QR in ``highfreq_gap``
+_GAP_ROUND = 8  # blocks per usable core in one ``highfreq_gap`` round
 _GAP_NODES = 256  # Gauss-Legendre nodes on [-1, 1] in ``highfreq_gap``
 _GAP_RANK_TOL = 1e-10  # deficient column: |QR pivot| <= tol * column norm
 
@@ -70,13 +66,17 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     nonnegative terms, so the per-width errors are nonincreasing and never
     cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
     of its norm) gets c_i = 0, its |c_i|^2 moves into the residual, and it
-    is counted in ``regularized``.  The blocks of a round, one per usable
-    core, are drawn in block order on the caller and solved by
-    ``parallel_map``; their minima and counts combine in block order, so the
-    probe is bitwise the same for any worker count, and it holds at most
-    one round of blocks in memory.
+    is counted in ``regularized``.  Each round draws up to ``_GAP_ROUND``
+    blocks per usable core on the caller, in block order, and makes one
+    ``parallel_map`` call over one contiguous share of blocks per core;
+    each share reuses one [A | b] scratch allocated once per call.  Minima
+    and counts combine in block order, so the probe is bitwise the same for
+    any worker count, and at most one round is held.  omega0 must be finite.
     """
-    _check_decay(alpha)
+    if not (math.isfinite(alpha) and alpha > 0):
+        raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
+    if not math.isfinite(omega0):
+        raise ValueError(f"frequency omega0 must be finite, got {omega0}")
     if not 1 <= n_units <= _GAP_NODES:
         raise ValueError(f"unit count must lie in [1, {_GAP_NODES}], the probe's "
                          f"quadrature nodes, got n_units={n_units}")
@@ -89,9 +89,8 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     rng = np.random.default_rng(seed)
     omega_scale = max(4.0, 2.0 * abs(omega0))
 
-    def solve(block):
+    def solve(params, cols):
         """Per-width least error of one block's candidates, and its regularized count."""
-        params, cols = block
         # cols[c, j] is column j of candidate c's [A | b], so each matrix is
         # already in the column-major order LAPACK reads.
         atoms = cols[:, :n_units]
@@ -114,23 +113,25 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
         tail[:, :-1] = np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
         return np.sqrt(base[:, None] + tail).min(axis=0), int(deficient.sum())
 
-    best = np.full(n_units, np.inf)
-    regularized = 0
-    starts = range(0, candidates, _GAP_BLOCK)
-    per_round = usable_cores()
-    for first in range(0, len(starts), per_round):
-        # One round of blocks at a time, drawn in block order on the caller.
-        blocks = []
-        for start in starts[first:first + per_round]:
-            params = rng.standard_normal((min(_GAP_BLOCK, candidates - start), n_units, 2))
-            blocks.append((params, np.empty((len(params), n_units + 2, _GAP_NODES))))
-        for block_best, block_regularized in parallel_map(solve, blocks):
-            best = np.minimum(best, block_best)
-            regularized += block_regularized
+    def solve_share(share):
+        blocks, scratch = share  # the share's blocks take turns in its one scratch
+        return [solve(params, scratch[:len(params)]) for params in blocks]
+
+    round_size = _GAP_ROUND * _GAP_BLOCK * usable_cores()
+    scratch, solved = [], []  # one [A | b] per share, kept across rounds; block results
+    for first in range(0, candidates, round_size):
+        # One draw per round is the stream of one draw per block, in block order.
+        params = rng.standard_normal((min(round_size, candidates - first), n_units, 2))
+        parts = shares([params[i:i + _GAP_BLOCK] for i in range(0, len(params), _GAP_BLOCK)])
+        scratch += [np.empty((min(_GAP_BLOCK, candidates), n_units + 2, _GAP_NODES))
+                    for _ in range(len(parts) - len(scratch))]
+        for part in parallel_map(solve_share, list(zip(parts, scratch))):
+            solved += part
+    best = np.min([block_best for block_best, _ in solved], axis=0)
     return GapProbe(
         error=float(best[-1]),
         errors_by_width=tuple(float(v) for v in best),
-        regularized=regularized,
+        regularized=sum(count for _, count in solved),
     )
 
 

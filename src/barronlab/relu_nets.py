@@ -66,8 +66,9 @@ class ReluNetwork:
             self.outer.tolist(), self.directions.tolist(), self.biases.tolist()))
 
 
-# Pre-activations per block of ``evaluate_network``: 512 kB of float64.
-_EVAL_BLOCK = 1 << 16
+# Pre-activations per block of ``evaluate_network``: 1 MB of float64, the fastest of
+# 2^16, 2^17 and 2^18 entries on a 2-vCPU host with 2 MB of L2 per core.
+_EVAL_BLOCK = 1 << 17
 
 
 def relu_network(units: Sequence[tuple]) -> ReluNetwork:
@@ -102,23 +103,24 @@ def relu_network(units: Sequence[tuple]) -> ReluNetwork:
 def evaluate_network(net: ReluNetwork, x):
     """Evaluate the unit sum at one point (d,) or a batch (N, d).
 
-    The pre-activations are formed in row blocks of at most ``_EVAL_BLOCK``
-    entries, activated in place, and contracted with the outer weights.  The
-    blocks are shared out by ``parallel_map``, each share reusing one
-    pre-activation buffer the caller allocates and writing only its own rows,
-    so the result is bitwise the same for any worker count.
+    Each row block's pre-activations, at most ``_EVAL_BLOCK`` entries, are
+    one product [x | 1] @ [Omega^T; b], activated in place and contracted with
+    the outer weights.  ``parallel_map`` shares out the blocks, each share
+    reusing one [x | 1] and one pre-activation buffer the caller allocates and
+    writing only its own rows, so the result is bitwise the same for any
+    worker count.
     """
     pts, single = as_batch(x, d=net.d if net.width else None)
     total = np.zeros(len(pts))
     step = max(1, _EVAL_BLOCK // max(net.width, 1))
 
     def run(share):
-        starts, buffer = share
+        starts, lifted, buffer = share
         for start in starts:
             rows = slice(start, start + step)
-            block = pts[rows]
-            t = np.matmul(block, net.directions.T, out=buffer[:len(block)])
-            t += net.biases
+            n = min(step, len(pts) - start)
+            lifted[:n, :-1] = pts[rows]
+            t = np.matmul(lifted[:n], ridge, out=buffer[:n])
             if net.power == 0:
                 np.greater(t, 0.0, out=t)  # the Heaviside, with sigma_0(0) = 0
             else:
@@ -127,7 +129,9 @@ def evaluate_network(net: ReluNetwork, x):
             total[rows] = t @ net.outer
 
     if net.width:
-        parallel_map(run, [(starts, np.empty((min(step, len(pts)), net.width)))
+        ridge = np.vstack([net.directions.T, net.biases])
+        height = min(step, len(pts))
+        parallel_map(run, [(starts, np.ones((height, net.d + 1)), np.empty((height, net.width)))
                            for starts in shares(range(0, len(pts), step))])
     return unbatch(total, single)
 
@@ -207,11 +211,6 @@ class Cube:
         h = self.side / 2.0
         return [(c - h, c + h) for c in self.center]
 
-    def grid(self, per_axis: int) -> np.ndarray:
-        axes = [np.linspace(lo, hi, per_axis) for lo, hi in self.bounds()]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([g.ravel() for g in mesh], axis=-1)
-
 
 @dataclass(frozen=True)
 class CubePartition:
@@ -238,8 +237,8 @@ class CubePartition:
         return [Cube(tuple(c), self.h) for c in self.centers().tolist()]
 
     def grids(self, per_axis: int) -> np.ndarray:
-        """(q^d, per_axis^d, d) tensor grids of all cells; row i equals
-        ``cells()[i].grid(per_axis)``."""
+        """(q^d, per_axis^d, d) tensor grids of all cells: row i is every d-tuple,
+        in lexicographic order, of ``per_axis`` evenly spaced nodes spanning cell i."""
         axis = (np.arange(self.q) + 0.5) * self.h
         nodes = np.linspace(axis - self.h / 2.0, axis + self.h / 2.0, per_axis, axis=-1)
         d = self.d

@@ -108,6 +108,16 @@ class TestHighFreqGap:
         with pytest.raises(ValueError, match="decay rate alpha must be a positive finite"):
             highfreq_gap(alpha, 8.0, 4, 32)
 
+    @pytest.mark.parametrize("omega0", [math.nan, math.inf, -math.inf])
+    def test_frequency_must_be_finite(self, monkeypatch, omega0):
+        # nan gave a nan error; inf a nan error with 32 columns regularized.
+        def draw(*args, **kwargs):
+            raise AssertionError("drew atom parameters")
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        with pytest.raises(ValueError, match=f"frequency omega0 must be finite, got {omega0}"):
+            highfreq_gap(1.0, omega0, 4, 8)
+
     def test_unit_count_capped_at_the_quadrature_nodes(self):
         # 300 units ended in NumPy's "operands could not be broadcast".
         with pytest.raises(ValueError, match=r"unit count must lie in \[1, 256\].*n_units=300"):
@@ -122,7 +132,8 @@ def _gap_in_child(results):
 
 
 class TestHighFreqGapWorkers:
-    @pytest.mark.parametrize("candidates", [1, 31, 33, 100, 256])
+    # 1000 candidates: several rounds at 1, 2 and 3 cores, ending in a partial block.
+    @pytest.mark.parametrize("candidates", [1, 31, 33, 100, 256, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_bitwise_equal_for_any_worker_count(self, set_cores, candidates, seed):
         set_cores(1)

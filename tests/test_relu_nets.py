@@ -91,8 +91,10 @@ def random_network(rng, width, d, k):
 
 
 # (width, d, power, points): many row blocks and N not a multiple of the
-# block; the Heaviside k = 0; fewer blocks than cores; a single point.
-WORKER_CASES = [(1000, 3, 2, 5003), (601, 2, 0, 1001), (2000, 3, 2, 50), (5, 1, 3, 1)]
+# block; the Heaviside k = 0; fewer blocks than cores; a single point; a
+# width above the block, so one row per block.
+WORKER_CASES = [(1000, 3, 2, 5003), (601, 2, 0, 1001), (2000, 3, 2, 50), (5, 1, 3, 1),
+                (140_000, 2, 1, 7)]
 
 
 class TestEvaluateWorkers:
@@ -108,6 +110,18 @@ class TestEvaluateWorkers:
             set_cores(cores)
             got = evaluate_network(net, pts)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    def test_heaviside_is_zero_on_the_ridge_hyperplanes(self, set_cores):
+        # Each product in [x | 1] @ [Omega^T; b] is exact here, so points on
+        # omega . x + b = 0 get t = 0 and sigma_0(0) = 0, in three row blocks.
+        net = relu_network([(1.0, (1.0, 0.0), -0.5, 0), (2.0, (0.0, 1.0), -0.25, 0),
+                            (4.0, (1.0, 1.0), -1.0, 0)])
+        pts = np.tile([[0.5, 0.25], [0.5, 0.5], [0.75, 0.25], [0.5, 0.0], [0.75, 0.5]],
+                      (20_000, 1))
+        want = np.tile([0.0, 2.0, 1.0, 0.0, 7.0], 20_000)
+        for cores in (1, 2, 3):
+            set_cores(cores)
+            np.testing.assert_array_equal(evaluate_network(net, pts), want)
 
     def test_stress_more_threads_than_cores(self, set_cores, monkeypatch):
         # A fresh pool of 7 threads on a short switch interval: shares that
@@ -359,12 +373,8 @@ class TestRidgeTaylor:
             ridge_local_taylor((2.0,), 0.0, Cube((0.0,), 0.1), 1)
 
     @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_straddling_error_in_closed_form_at_high_dimension(self, monkeypatch, k):
+    def test_straddling_error_in_closed_form_at_high_dimension(self, k):
         # The error was a maximum over 41^d grid points: about 460 GB at d = 6.
-        def grid(self, per_axis):
-            raise AssertionError(f"sampled a grid of {per_axis}^{self.d} points")
-
-        monkeypatch.setattr(Cube, "grid", grid)
         theta = np.full(8, 8**-0.5)
         cell = Cube((0.1,) * 4 + (-0.05,) * 4, 0.25)
         fit = ridge_local_taylor(theta, -0.02, cell, k)
@@ -505,12 +515,18 @@ class TestCompile:
         assert lhs <= rhs + 1e-15
 
 
+def cell_grid(cell: Cube, per_axis: int) -> np.ndarray:
+    """The cell's own tensor grid, one np.linspace per axis, ends included."""
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in cell.bounds()]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+
+
 def per_cell_reference(f, ell: int, part: CubePartition) -> np.ndarray:
     """Per-cell least-squares fits on each cell's own (ell + 3)^d grid."""
     alphas = sorted(multi_indices(part.d, ell))
     rows = []
     for cell in part.cells():
-        pts = cell.grid(ell + 3)
+        pts = cell_grid(cell, ell + 3)
         y = (pts - np.asarray(cell.center)) * (2.0 / cell.side)
         design = np.stack([np.prod(y**np.array(a), axis=1) for a in alphas], axis=-1)
         rows.append(np.linalg.lstsq(design, f(pts), rcond=None)[0])
@@ -536,7 +552,7 @@ class TestArrayApproximant:
             part = CubePartition(d, q)
             grids = part.grids(4)
             for i, cell in enumerate(part.cells()):
-                assert np.array_equal(grids[i], cell.grid(4))
+                assert np.array_equal(grids[i], cell_grid(cell, 4))
             assert np.array_equal(part.centers(), [c.center for c in part.cells()])
 
     def test_call_uses_containing_cell_on_faces_and_upper_boundary(self):
@@ -569,7 +585,7 @@ class TestArrayApproximant:
         alphas = np.array(sorted(multi_indices(d, ell)))
         want = []
         for cell, c in zip(part.cells(), per_cell_reference(smooth_target, ell, part)):
-            pts = cell.grid(64 if d == 1 else 9)
+            pts = cell_grid(cell, 64 if d == 1 else 9)
             y = (pts - np.asarray(cell.center)) * (2.0 / cell.side)
             poly = np.prod(y[:, None, :] ** alphas, axis=-1) @ c
             want.append(np.max(np.abs(smooth_target(pts) - poly)))
