@@ -18,8 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .barron import MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .numerics import (as_batch, axis_rule, parallel_map, read_only, shares, sigma_k,
-                       unbatch, usable_cores)
+from .numerics import as_batch, axis_rule, map_blocks, read_only, sigma_k, unbatch, usable_cores
 
 if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
     from .sphere_geom import SphericalNet
@@ -68,10 +67,10 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     of its norm) gets c_i = 0, its |c_i|^2 moves into the residual, and it
     is counted in ``regularized``.  Each round draws up to ``_GAP_ROUND``
     blocks per usable core on the caller, in block order, and makes one
-    ``parallel_map`` call over one contiguous share of blocks per core;
-    each share reuses one [A | b] scratch allocated once per call.  Minima
-    and counts combine in block order, so the probe is bitwise the same for
-    any worker count, and at most one round is held.  omega0 must be finite.
+    ``map_blocks`` call over them, which gives each share of blocks one
+    [A | b] scratch made once per round.  Minima and counts combine in block
+    order, so the probe is bitwise the same for any worker count, and at most
+    one round is held.  omega0 must be finite.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
@@ -89,10 +88,11 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     rng = np.random.default_rng(seed)
     omega_scale = max(4.0, 2.0 * abs(omega0))
 
-    def solve(params, cols):
+    def solve(params, scratch):
         """Per-width least error of one block's candidates, and its regularized count."""
         # cols[c, j] is column j of candidate c's [A | b], so each matrix is
         # already in the column-major order LAPACK reads.
+        cols = scratch[:len(params)]
         atoms = cols[:, :n_units]
         np.multiply(params[:, :, :1] * omega_scale, nodes, out=atoms)
         atoms += params[:, :, 1:] * 2.0
@@ -113,20 +113,14 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
         tail[:, :-1] = np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
         return np.sqrt(base[:, None] + tail).min(axis=0), int(deficient.sum())
 
-    def solve_share(share):
-        blocks, scratch = share  # the share's blocks take turns in its one scratch
-        return [solve(params, scratch[:len(params)]) for params in blocks]
-
     round_size = _GAP_ROUND * _GAP_BLOCK * usable_cores()
-    scratch, solved = [], []  # one [A | b] per share, kept across rounds; block results
+    solved = []  # (per-width minima, regularized count) of each block, in block order
     for first in range(0, candidates, round_size):
         # One draw per round is the stream of one draw per block, in block order.
         params = rng.standard_normal((min(round_size, candidates - first), n_units, 2))
-        parts = shares([params[i:i + _GAP_BLOCK] for i in range(0, len(params), _GAP_BLOCK)])
-        scratch += [np.empty((min(_GAP_BLOCK, candidates), n_units + 2, _GAP_NODES))
-                    for _ in range(len(parts) - len(scratch))]
-        for part in parallel_map(solve_share, list(zip(parts, scratch))):
-            solved += part
+        blocks = [params[i:i + _GAP_BLOCK] for i in range(0, len(params), _GAP_BLOCK)]
+        solved += map_blocks(solve, blocks, lambda: np.empty(
+            (min(_GAP_BLOCK, candidates), n_units + 2, _GAP_NODES)))
     best = np.min([block_best for block_best, _ in solved], axis=0)
     return GapProbe(
         error=float(best[-1]),

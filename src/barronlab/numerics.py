@@ -1,6 +1,6 @@
 """Shared numerical substrate: box quadrature, Sobolev mode weights,
-log-log rate fitting, the powered rectifier, and a thread pool for NumPy
-work.
+log-log rate fitting, the powered rectifier, and ``map_blocks``, which shares
+NumPy work over threads it starts and joins within each call.
 
 All routines here are deterministic functions of their inputs.  Tensor-grid
 quadrature uses Gauss-Legendre nodes with ``resolution`` nodes per axis,
@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import math
 import os
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -88,23 +87,8 @@ def sigma_k(t, k: int):
 
 
 # ----------------------------------------------------------------------
-# thread pool
+# threads
 # ----------------------------------------------------------------------
-
-_pool = None  # ThreadPoolExecutor, created on first parallel use
-_pool_lock = threading.Lock()
-_pool_thread = threading.local()
-
-
-def _forget_pool() -> None:
-    """In a forked child the parent's pool threads do not exist: start afresh."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):  # absent where processes cannot fork
-    os.register_at_fork(after_in_child=_forget_pool)
-
 
 def usable_cores() -> int:
     """Cores this process may run on: its CPU affinity where the platform
@@ -123,43 +107,46 @@ def shares(items: Sequence) -> list[Sequence]:
     return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _mark_pool_thread() -> None:
-    _pool_thread.active = True
+def map_blocks(fn: Callable, blocks: Sequence, scratch: Callable) -> list:
+    """``[fn(block, buffer) for block in blocks]``, one share of the blocks per
+    usable core.
 
-
-def _run_share(fn: Callable, share: Sequence) -> list:
-    return [fn(item) for item in share]
-
-
-def parallel_map(fn: Callable, items: Sequence) -> list:
-    """``[fn(item) for item in items]``, one share of the items per usable core.
-
-    The caller runs the first share and threads of a module pool, created on
-    first use, run the others, so NumPy and LAPACK work, which releases the
-    interpreter lock, overlaps.  Results come back in item order; an
-    exception raised in any share reaches the caller once every share has
-    ended.  A call made from a pool thread runs serially, so nested calls
-    cannot deadlock.  ``fn`` should allocate little: each thread that
-    allocates gets its own malloc arena, which raises peak memory.
+    ``shares`` cuts the blocks into contiguous shares, and each share gets one
+    ``scratch()`` buffer, made on the calling thread, that its blocks use in
+    turn.  The caller runs the first share and a thread started for this call
+    runs each other one, so NumPy and LAPACK work, which releases the
+    interpreter lock, overlaps; every thread is joined before the call
+    returns.  Results come back in block order; an exception raised in any
+    share reaches the caller once every share has ended.  ``fn`` should
+    allocate little: each thread that allocates gets a malloc arena, which
+    raises peak memory.
     """
-    parts = shares(items)
-    if len(parts) <= 1 or getattr(_pool_thread, "active", False):
-        return _run_share(fn, items)
-    from concurrent import futures  # imported here: cold processes skip its cost
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = futures.ThreadPoolExecutor(
-                max(1, usable_cores() - 1), thread_name_prefix="barronlab",
-                initializer=_mark_pool_thread)
-        pending = [_pool.submit(_run_share, fn, part) for part in parts[1:]]
+    import threading  # loaded at interpreter start; named here alone in the package
+    parts = shares(blocks)
+    buffers = [scratch() for _ in parts]
+    done = [None] * len(parts)
+
+    def run(i):
+        try:
+            done[i] = [fn(block, buffers[i]) for block in parts[i]]
+        except BaseException as error:  # raised below, once every share has ended
+            done[i] = error
+
+    threads = []
     try:
-        results = _run_share(fn, parts[0])
+        for i in range(1, len(parts)):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            threads.append(thread)
+        if parts:
+            run(0)
     finally:
-        futures.wait(pending)
-    for future in pending:
-        results += future.result()
-    return results
+        for thread in threads:
+            thread.join()
+    for share in done:
+        if isinstance(share, BaseException):
+            raise share
+    return [result for share in done for result in share]
 
 
 @lru_cache(maxsize=None)

@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import (Box, as_batch, gauss_rule, grid_rows, homogeneous_sums, multi_indices,
-                       parallel_map, read_only, shares, sigma_k, unbatch, validate_box)
+from .numerics import (Box, as_batch, gauss_rule, grid_rows, homogeneous_sums, map_blocks,
+                       multi_indices, read_only, sigma_k, unbatch, validate_box)
 
 
 # ----------------------------------------------------------------------
@@ -105,34 +105,32 @@ def evaluate_network(net: ReluNetwork, x):
 
     Each row block's pre-activations, at most ``_EVAL_BLOCK`` entries, are
     one product [x | 1] @ [Omega^T; b], activated in place and contracted with
-    the outer weights.  ``parallel_map`` shares out the blocks, each share
-    reusing one [x | 1] and one pre-activation buffer the caller allocates and
-    writing only its own rows, so the result is bitwise the same for any
-    worker count.
+    the outer weights.  ``map_blocks`` shares out the row blocks, each share
+    reusing one [x | 1] and one pre-activation buffer and each block writing
+    only its own rows, so the result is bitwise the same for any worker count.
     """
     pts, single = as_batch(x, d=net.d if net.width else None)
     total = np.zeros(len(pts))
     step = max(1, _EVAL_BLOCK // max(net.width, 1))
 
-    def run(share):
-        starts, lifted, buffer = share
-        for start in starts:
-            rows = slice(start, start + step)
-            n = min(step, len(pts) - start)
-            lifted[:n, :-1] = pts[rows]
-            t = np.matmul(lifted[:n], ridge, out=buffer[:n])
-            if net.power == 0:
-                np.greater(t, 0.0, out=t)  # the Heaviside, with sigma_0(0) = 0
-            else:
-                np.maximum(t, 0.0, out=t)
-                t **= net.power
-            total[rows] = t @ net.outer
+    def run(start, buffers):
+        lifted, buffer = buffers
+        rows = slice(start, start + step)
+        n = min(step, len(pts) - start)
+        lifted[:n, :-1] = pts[rows]
+        t = np.matmul(lifted[:n], ridge, out=buffer[:n])
+        if net.power == 0:
+            np.greater(t, 0.0, out=t)  # the Heaviside, with sigma_0(0) = 0
+        else:
+            np.maximum(t, 0.0, out=t)
+            t **= net.power
+        total[rows] = t @ net.outer
 
     if net.width:
         ridge = np.vstack([net.directions.T, net.biases])
         height = min(step, len(pts))
-        parallel_map(run, [(starts, np.ones((height, net.d + 1)), np.empty((height, net.width)))
-                           for starts in shares(range(0, len(pts), step))])
+        map_blocks(run, range(0, len(pts), step),
+                   lambda: (np.ones((height, net.d + 1)), np.empty((height, net.width))))
     return unbatch(total, single)
 
 
@@ -206,10 +204,6 @@ class Cube:
     @property
     def d(self) -> int:
         return len(self.center)
-
-    def bounds(self) -> list[tuple[float, float]]:
-        h = self.side / 2.0
-        return [(c - h, c + h) for c in self.center]
 
 
 @dataclass(frozen=True)
@@ -589,8 +583,8 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     k = net.power
     if m > 0 and k < m + 1:
         raise ValueError(f"network has power {k}; order m={m} needs power >= {m + 1}")
-    bad = np.stack([np.abs(np.linalg.norm(net.directions, axis=1) - 1.0) > 1e-12,
-                    np.abs(net.biases) > bias_cap])
+    bad = ~np.stack([np.abs(np.linalg.norm(net.directions, axis=1) - 1.0) <= 1e-12,
+                     np.abs(net.biases) <= bias_cap])  # so that NaN fails
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))  # first offending unit, first failed check
         raise ValueError(f"unit {i} is not dictionary-constrained: |omega| != 1" if bad[0, i]

@@ -772,8 +772,8 @@ def _fresh_process(code: str, *args: str) -> str:
 
 
 def test_import_leaves_the_thread_pool_module_unloaded():
-    # concurrent.futures costs a cold process about 7 ms; only a parallel
-    # call should load it, not every command's start.
+    # concurrent.futures costs a cold process about 7 ms; the package starts
+    # its threads with the threading module alone, so no command loads it.
     code = "import sys, barronlab.cli; print('concurrent.futures' in sys.modules)"
     assert _fresh_process(code).strip() == "False"
 

@@ -152,8 +152,9 @@ class TestHighFreqGapWorkers:
         assert highfreq_gap(800.0, 8.0, 6, 100, seed=0) == want
 
     def test_forked_child_after_the_pool_ran(self, set_cores):
-        # A child forked after the parent's pool started gets no pool threads;
-        # with the parent's pool object it would wait forever.
+        # A child forked after the parent ran threaded work inherits no
+        # threads; had the parent kept a pool, its object in the child would
+        # have no threads behind it and would wait forever.
         set_cores(2)
         want = highfreq_gap(1.0, 16.0, 8, 100, seed=3)
         context = multiprocessing.get_context("fork")

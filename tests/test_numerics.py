@@ -1,5 +1,6 @@
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from barronlab.numerics import (
     homogeneous_sums,
     integrate,
     loglog_fit,
+    map_blocks,
     multi_indices,
-    parallel_map,
     shares,
     sobolev_weight,
     unbatch,
@@ -297,11 +298,13 @@ def run_with_timeout(fn, seconds=60.0):
 
 
 class TestParallelMap:
+    """``map_blocks``, the package's one parallel map."""
+
     @pytest.mark.parametrize("cores", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
     def test_results_in_item_order(self, set_cores, cores, n):
         set_cores(cores)
-        assert parallel_map(lambda i: i * i, range(n)) == [i * i for i in range(n)]
+        assert map_blocks(lambda i, _: i * i, range(n), list) == [i * i for i in range(n)]
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
@@ -314,36 +317,77 @@ class TestParallelMap:
         assert sizes == sorted(sizes, reverse=True)
         assert not sizes or sizes[0] - sizes[-1] <= 1
 
+    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
+    @pytest.mark.parametrize("n", [0, 1, 7, 100])
+    def test_one_scratch_per_share_made_on_the_caller(self, set_cores, cores, n):
+        set_cores(cores)
+        caller, made = threading.current_thread(), []
+
+        def scratch():
+            made.append((threading.current_thread(), []))
+            return made[-1][1]
+
+        def fn(i, buffer):
+            buffer.append(i)  # the share's blocks, in the order they used its buffer
+            return threading.current_thread()
+
+        threads = map_blocks(fn, range(n), scratch)
+        assert [thread for thread, _ in made] == [caller] * min(cores, n)
+        assert [buffer for _, buffer in made] == [list(part) for part in shares(range(n))]
+        # The first share runs on the caller, each other one on a thread of its own.
+        firsts = [threads[part[0]] for part in shares(range(n))]
+        assert firsts[:1] == [caller] * min(n, 1) and len(set(firsts)) == len(firsts)
+
     def test_shares_run_at_the_same_time(self, set_cores):
         # Each of the two shares waits for the other: run one after the
         # other, the barrier would time out.
         set_cores(2)
         barrier = threading.Barrier(2, timeout=30)
 
-        def meet(i):
+        def meet(i, _):
             barrier.wait()
             return i
 
-        assert parallel_map(meet, [0, 1]) == [0, 1]
+        assert map_blocks(meet, [0, 1], list) == [0, 1]
 
     def test_nested_call_completes(self, set_cores):
         set_cores(2)
 
-        def outer(i):
-            return sum(parallel_map(lambda j: i * j, range(4)))
+        def outer(i, _):
+            return sum(map_blocks(lambda j, _: i * j, range(4), list))
 
-        got = run_with_timeout(lambda: parallel_map(outer, range(6)))
+        got = run_with_timeout(lambda: map_blocks(outer, range(6), list))
         assert got == [6 * i for i in range(6)]
 
-    @pytest.mark.parametrize("bad", [0, 5])  # in the caller's share, in the pool's
+    @pytest.mark.parametrize("bad", [0, 5])  # in the caller's share, in the other thread's
     def test_exception_in_a_share_reaches_the_caller(self, set_cores, bad):
         set_cores(2)
+        ended = []
 
-        def fn(i):
+        def fn(i, _):
+            if i == bad:
+                raise KeyError(i)
+            time.sleep(0.01)  # the other share is still running when this one raises
+            ended.append(i)
+            return i
+
+        with pytest.raises(KeyError):
+            map_blocks(fn, range(6), list)
+        assert set(range(3, 6) if bad < 3 else range(3)) <= set(ended)  # the other share ended
+        assert map_blocks(lambda i, _: i, range(6), list) == list(range(6))  # next call works
+
+    @pytest.mark.parametrize("bad", [None, 0, 5])
+    def test_no_thread_outlives_a_call(self, set_cores, bad):
+        set_cores(3)
+        before = threading.active_count()
+
+        def fn(i, _):
             if i == bad:
                 raise KeyError(i)
             return i
 
-        with pytest.raises(KeyError):
-            parallel_map(fn, range(6))
-        assert parallel_map(lambda i: i, range(6)) == list(range(6))  # pool still works
+        try:
+            map_blocks(fn, range(6), list)
+        except KeyError:
+            assert bad is not None
+        assert threading.active_count() == before

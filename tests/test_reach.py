@@ -5,7 +5,7 @@ some call there, every command-line flag and rate-kind key is set by a
 caller's argv or parameters, and every exception class the package defines
 is raised in it.  Code and settings that only unit tests reach are wired
 into a command, fixed, or deleted.  Last, ``cli.csv_text`` alone formats
-CSV numbers.
+CSV numbers and ``numerics.map_blocks`` alone starts threads.
 """
 
 import ast
@@ -260,3 +260,20 @@ def test_one_function_writes_csv_numbers():
             elif ".17g" in line or "StringIO" in line and path.parent == PACKAGE:
                 outside.append(f"{path.relative_to(ROOT)}:{lineno}")
     assert inside == 1 and outside == []
+
+
+def test_one_function_starts_threads():
+    """``numerics.map_blocks`` alone starts threads: no other line of the
+    package names ``threading``, ``Thread`` or ``concurrent``, so no module
+    keeps a pool, a lock or thread-local state."""
+    starter = next(node for node in parse(PACKAGE / "numerics.py").body
+                   if isinstance(node, ast.FunctionDef) and node.name == "map_blocks")
+    words = re.compile(r"threading|Thread|concurrent")
+    inside, outside = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            if path == PACKAGE / "numerics.py" and starter.lineno <= lineno <= starter.end_lineno:
+                inside += bool(words.search(line))
+            elif words.search(line):
+                outside.append(f"{path.relative_to(ROOT)}:{lineno}")
+    assert inside >= 1 and outside == []

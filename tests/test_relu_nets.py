@@ -123,16 +123,15 @@ class TestEvaluateWorkers:
             set_cores(cores)
             np.testing.assert_array_equal(evaluate_network(net, pts), want)
 
-    def test_stress_more_threads_than_cores(self, set_cores, monkeypatch):
-        # A fresh pool of 7 threads on a short switch interval: shares that
-        # lost or mixed each other's row updates would change the bytes.
+    def test_stress_more_threads_than_cores(self, set_cores):
+        # Seven threads besides the caller on a short switch interval: shares
+        # that lost or mixed each other's row updates would change the bytes.
         rng = np.random.default_rng(5)
         net = random_network(rng, 400, 2, 2)
         pts = rng.standard_normal((20_000, 2))
         set_cores(1)
         want = evaluate_network(net, pts)
         set_cores(8)
-        monkeypatch.setattr(numerics, "_pool", None)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -140,7 +139,6 @@ class TestEvaluateWorkers:
                 assert evaluate_network(net, pts).tobytes() == want.tobytes()
         finally:
             sys.setswitchinterval(interval)
-            numerics._pool.shutdown()
 
 
 class TestNetworkArrays:
@@ -222,6 +220,12 @@ class TestMonomials:
         assert np.max(np.abs(got - x**m) / scale) <= 1e-12
 
 
+def cube_bounds(cell: Cube) -> list[tuple[float, float]]:
+    """(lo, hi) of each axis of the cell: its centre -/+ half its side."""
+    h = cell.side / 2.0
+    return [(c - h, c + h) for c in cell.center]
+
+
 class TestCubePartition:
     def test_cell_count_and_coverage(self):
         part = CubePartition(2, 3)
@@ -231,7 +235,7 @@ class TestCubePartition:
         pts = rng.uniform(0.0, 1.0, (500, 2))
         idx = part.cell_index(pts)
         for i, cell in enumerate(cells):
-            lo, hi = np.array(cell.bounds()).T
+            lo, hi = np.array(cube_bounds(cell)).T
             mine = pts[idx == i]
             assert np.all((mine >= lo) & (mine <= hi))
         # every point lands in exactly one cell index, including the x = 1 face
@@ -240,7 +244,7 @@ class TestCubePartition:
 
     def test_cells_tile_without_overlap(self):
         part = CubePartition(1, 4)
-        bounds = sorted(c.bounds()[0] for c in part.cells())
+        bounds = sorted(cube_bounds(c)[0] for c in part.cells())
         assert bounds[0][0] == 0.0 and bounds[-1][1] == 1.0
         for (lo_a, hi_a), (lo_b, _) in zip(bounds, bounds[1:]):
             assert hi_a == pytest.approx(lo_b)
@@ -517,7 +521,7 @@ class TestCompile:
 
 def cell_grid(cell: Cube, per_axis: int) -> np.ndarray:
     """The cell's own tensor grid, one np.linspace per axis, ends included."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in cell.bounds()]
+    axes = [np.linspace(lo, hi, per_axis) for lo, hi in cube_bounds(cell)]
     return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
 
 
@@ -828,6 +832,18 @@ class TestHmUpperBound:
         units = [(1.0, (1.0, 0.0), 0.0, 2), bad_unit, (1.0, (1.0, 1.0), 9.0, 2)]
         with pytest.raises(ValueError, match=match):
             network_hm_upper(relu_network(units), self.OMEGA, 1, 2.0)
+
+    @pytest.mark.parametrize("bad_unit, cap, match", [
+        ((1.0, (np.nan, 0.0), 0.0, 2), 2.0, "unit 1 is not dictionary"),
+        ((1.0, (0.6, 0.8), np.nan, 2), 2.0, "unit 1 violates the bias cap: \\|nan\\|"),
+        ((1.0, (0.6, 0.8), 0.5, 2), np.nan, "unit 0 violates the bias cap: \\|0.0\\| > nan"),
+    ], ids=["nan-direction", "nan-bias", "nan-cap"])
+    def test_nan_fails_the_checks(self, bad_unit, cap, match):
+        # NaN compares false both ways, so a check that only looks for a
+        # violation would let it through and the bound would read NaN.
+        units = [(1.0, (1.0, 0.0), 0.0, 2), bad_unit]
+        with pytest.raises(ValueError, match=match):
+            network_hm_upper(relu_network(units), self.OMEGA, 1, cap)
 
     def test_bias_cap_violation_names_unit(self):
         net = relu_network([(1.0, (1.0, 0.0), 0.0, 2), (1.0, (0.0, 1.0), 5.0, 2)])
