@@ -217,15 +217,6 @@ def to_json(fs: FourierSum) -> str:
     return json.dumps(payload)
 
 
-def from_json(text: str) -> FourierSum:
-    payload = json.loads(text)
-    entries = payload["coeffs"]
-    return from_arrays(
-        payload["d"], payload["L"], payload["a"], [e["z"] for e in entries],
-        [complex(e["re"], e["im"]) for e in entries],
-    )
-
-
 # ----------------------------------------------------------------------
 # mollified cutoff and periodization
 # ----------------------------------------------------------------------

@@ -453,26 +453,10 @@ class TailMassReport:
     refinement_rel_diff: float
 
 
-def plateau_weight(b, omega):
-    """Bias weight (1 + max(0, |b| - 2|omega|))^-2; equals 1 on |b| <= 2|omega|."""
-    b = np.asarray(b, dtype=float)
-    omega = np.asarray(omega, dtype=float)
-    return (1.0 + np.maximum(0.0, np.abs(b) - 2.0 * np.abs(omega))) ** -2
-
-
-def tail_density(omega, b, m: int):
-    """Unnormalized joint density (1 + |omega|)^m h(b, omega) sqrt(pi) e^{-omega^2/4}."""
-    omega = np.asarray(omega, dtype=float)
-    return (
-        (1.0 + np.abs(omega)) ** m
-        * plateau_weight(b, omega)
-        * math.sqrt(math.pi)
-        * np.exp(-(omega**2) / 4.0)
-    )
-
-
 def _omega_mass(m: int, lo: float) -> float:
-    """Mass of ``tail_density`` on {|omega| >= lo}, in closed form.
+    """Mass on {|omega| >= lo} of the unnormalized joint density
+    (1 + |omega|)^m (1 + max(0, |b| - 2|omega|))^-2 sqrt(pi) e^{-omega^2/4}
+    of (omega, b), in closed form.
 
     The b-integral is geometry: the plateau |b| <= 2|omega| has length
     4|omega|, and on each side of it the integral of (1 + u)^-2 over u >= 0

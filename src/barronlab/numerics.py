@@ -1,11 +1,11 @@
-"""Shared numerical substrate: box quadrature, Sobolev mode weights,
-log-log rate fitting, the powered rectifier, and ``map_blocks``, which shares
-NumPy work over threads it starts and joins within each call.
+"""Shared numerical substrate: Gauss-Legendre rules and their tensor
+product ``tensor_nodes``, Sobolev mode weights, log-log rate fitting, the
+powered rectifier, and ``map_blocks``, which shares NumPy work over threads
+it starts and joins within each call.
 
-All routines here are deterministic functions of their inputs.  Tensor-grid
-quadrature uses Gauss-Legendre nodes with ``resolution`` nodes per axis,
-which integrates per-axis polynomial degree up to ``2 * resolution - 1``
-exactly.
+All routines here are deterministic functions of their inputs.  A
+Gauss-Legendre rule of ``resolution`` nodes per axis integrates per-axis
+polynomial degree up to ``2 * resolution - 1`` exactly.
 """
 
 from __future__ import annotations
@@ -20,10 +20,6 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 Box = Sequence[tuple[float, float]]
-
-
-class IntegrationError(ValueError):
-    """An integrand produced a non-finite value at a quadrature node."""
 
 
 @dataclass(frozen=True)
@@ -184,34 +180,6 @@ def tensor_nodes(box: Box, resolution: int) -> tuple[np.ndarray, np.ndarray]:
     for _, aw in axes:
         w = np.multiply.outer(w, aw).ravel()
     return pts, w
-
-
-def _check_finite(vals: np.ndarray, pts: np.ndarray) -> None:
-    finite = np.isfinite(vals) if not np.iscomplexobj(vals) else (
-        np.isfinite(vals.real) & np.isfinite(vals.imag)
-    )
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise IntegrationError(
-            f"non-finite integrand value {vals[i]!r} at node {pts[i].tolist()}"
-        )
-
-
-def integrate(f: Callable, box: Box, resolution: int = 64):
-    """Integrate a real- or complex-valued field over a box of at most 3 axes.
-
-    Tensor Gauss-Legendre with ``resolution`` nodes per axis.  ``f`` maps
-    the (N, d) node batch to N values.  Complex integrands are handled
-    componentwise, which the weighted dot product does implicitly.
-    """
-    box = validate_box(box)
-    if len(box) > 3:
-        raise ValueError(f"integrate takes at most 3 axes, got {len(box)}")
-    pts, w = tensor_nodes(box, resolution)
-    vals = np.asarray(f(pts)).reshape(len(pts))
-    _check_finite(vals, pts)
-    total = np.dot(w, vals)
-    return complex(total) if np.iscomplexobj(vals) else float(total)
 
 
 def homogeneous_sums(y: np.ndarray, m: int) -> np.ndarray:

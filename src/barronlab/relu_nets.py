@@ -564,9 +564,9 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
 
     The triangle inequality gives ||f_n||_{H^m} <= sum |a_i| ||g_i||_{H^m}
     <= max_i ||g_i||_{H^m} * sum |a_i|, a width-independent certificate.
-    Requires m <= k - 1 (k = m allowed only for m = 0) so the integrated
-    derivatives stay bounded, every direction to be unit length and every
-    |b_i| <= bias_cap.
+    Requires a nonnegative integer m <= k - 1 (k = m allowed only for m = 0)
+    so the integrated derivatives stay bounded, every direction to be unit
+    length, every |b_i| <= bias_cap and every a_i and b_i finite.
 
     The order-r derivatives of sigma_k(omega . x + b) contribute
     sum_{|alpha| = r} prod_j omega_j^(2 alpha_j) (k! / (k - r)!)^2 sigma_{k-r}^2,
@@ -578,17 +578,23 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     bound is exact up to that margin and never below the true value.  ``spec``
     is accepted and ignored.
     """
+    if not (0 <= m < np.inf and int(m) == m):  # so that NaN fails
+        raise ValueError(f"order m must be a nonnegative integer, got {m}")
     if not net.width:
         return HmUpperBound(0.0, 0.0, 0.0, ())
-    k = net.power
+    k, m = net.power, int(m)
     if m > 0 and k < m + 1:
         raise ValueError(f"network has power {k}; order m={m} needs power >= {m + 1}")
-    bad = ~np.stack([np.abs(np.linalg.norm(net.directions, axis=1) - 1.0) <= 1e-12,
-                     np.abs(net.biases) <= bias_cap])  # so that NaN fails
+    bad = ~np.array([np.abs(np.linalg.norm(net.directions, axis=1) - 1.0) <= 1e-12,
+                     np.abs(net.biases) <= bias_cap,  # so that NaN fails
+                     np.isfinite(net.biases), np.isfinite(net.outer)])
     if bad.any():
         i = int(np.argmax(bad.any(axis=0)))  # first offending unit, first failed check
-        raise ValueError(f"unit {i} is not dictionary-constrained: |omega| != 1" if bad[0, i]
-                         else f"unit {i} violates the bias cap: |{net.biases[i]}| > {bias_cap}")
+        raise ValueError((f"unit {i} is not dictionary-constrained: |omega| != 1",
+                          f"unit {i} violates the bias cap: |{net.biases[i]}| > {bias_cap}",
+                          f"unit {i} has bias {net.biases[i]}, which is not finite",
+                          f"unit {i} has outer weight {net.outer[i]}, which is not finite",
+                          )[int(np.argmax(bad[:, i]))])
     lo, hi = np.array(validate_box(omega_box)).reshape(-1, 2).T
     if len(lo) != net.d:
         raise ValueError(f"box has {len(lo)} axes, expected {net.d}")

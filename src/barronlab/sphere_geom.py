@@ -57,15 +57,16 @@ def _pairwise_min_distance(points: np.ndarray) -> float:
     return float(np.sqrt(sq.min()))
 
 
-def covering_radius(net: SphericalNet | np.ndarray, probes: int = 10000,
+def covering_radius(points: np.ndarray, probes: int = 10000,
                     seed: int = 0, probe_points: np.ndarray | None = None) -> float:
-    """Probed covering radius: max over probes of min distance to the net.
+    """Probed covering radius of the unit vectors ``points`` (m, d): max over
+    probes of the min distance to a point.
 
     A lower bound on the true covering radius; probing can only miss the
     worst gap.  Probes are seeded uniform draws (at least 10^4 so the
     estimate is meaningful) unless an explicit probe set is supplied.
     """
-    points = net.points if isinstance(net, SphericalNet) else np.atleast_2d(net)
+    points = np.atleast_2d(points)
     d = points.shape[1]
     if probe_points is not None:
         batches = [np.atleast_2d(probe_points)]

@@ -18,7 +18,8 @@ from barronlab.greedy_fourier import (
     tail_errors_hm,
     truncate_top_n,
 )
-from barronlab.numerics import grid_rows, integrate, loglog_fit, sobolev_weight
+from barronlab.numerics import grid_rows, loglog_fit, sobolev_weight
+from oracles import integrate
 
 
 @pytest.fixture(scope="module")

@@ -16,12 +16,11 @@ from barronlab.lower_bounds import (
     highfreq_gap,
     oscillatory_witness,
     pairwise_separation,
-    plateau_weight,
     residual_tail_norm,
-    tail_density,
 )
-from barronlab.numerics import axis_rule, integrate, tensor_nodes
+from barronlab.numerics import axis_rule, tensor_nodes
 from barronlab.relu_nets import sigma_k
+from oracles import integrate, plateau_weight, tail_density
 
 
 class TestHighFreqGap:

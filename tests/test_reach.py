@@ -1,11 +1,14 @@
-"""Reach guard: every public module-level function or class of barronlab is
-named by the package itself, a script, a benchmark file or the acceptance
-tests, every defaulted parameter of a public function or method is set by
-some call there, every command-line flag and rate-kind key is set by a
-caller's argv or parameters, and every exception class the package defines
-is raised in it.  Code and settings that only unit tests reach are wired
-into a command, fixed, or deleted.  Last, ``cli.csv_text`` alone formats
-CSV numbers and ``numerics.map_blocks`` alone starts threads.
+"""Reach guard: every public module-level function or class of barronlab,
+and every public method or property of a public class, is named by the
+package itself, a script, a benchmark file or the acceptance tests, every
+defaulted parameter of a public function or method is set by some call
+there, every command-line flag and rate-kind key is set by a caller's argv
+or parameters, and every exception class the package defines is raised in
+it.  Code and settings that only unit tests reach are wired into a command,
+fixed, or deleted; the references that unit tests check code against live
+in ``tests/oracles.py``, and each of them is imported by a test module.
+Last, ``cli.csv_text`` alone formats CSV numbers and ``numerics.map_blocks``
+alone starts threads.
 """
 
 import ast
@@ -18,16 +21,14 @@ from test_cli import PARSERS, README, readme_commands
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "barronlab"
+TESTS = ROOT / "tests"
 CALLERS = [*sorted((ROOT / "scripts").glob("*.py")), *sorted((ROOT / "perfbench").glob("*.py")),
-           ROOT / "tests" / "test_acceptance.py"]
+           TESTS / "test_acceptance.py"]
 
-# Test oracles that unit tests check other code against; nothing else needs them.
+# Public definitions that only unit tests read, and why they stay in the package.
 ORACLES = {
-    "barron.mollified_cutoff": "the cutoff profile behind periodization's bump",
-    "barron.from_json": "shows that to_json is lossless",
-    "numerics.integrate": "quadrature oracle of the exact norms",
-    "lower_bounds.tail_density": "integrand oracle of example2_tail_mass",
-    "lower_bounds.plateau_weight": "oracle of example2_tail_mass, used by tail_density",
+    "barron.mollified_cutoff": "the cutoff profile behind periodization's bump; it stays "
+                               "or goes with periodization (ROADMAP item 3)",
 }
 
 
@@ -61,19 +62,34 @@ def named(tree, skip=None) -> set[str]:
     return found
 
 
+def definitions(tree) -> list[tuple[str, ast.FunctionDef | ast.ClassDef]]:
+    """(qualified name, node) of each public function and class defined at
+    the top of ``tree``, and of each public method or property of a public
+    class there as ``Class.name``."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            found.append((node.name, node))
+            if isinstance(node, ast.ClassDef):
+                found += [(f"{node.name}.{member.name}", member) for member in node.body
+                          if isinstance(member, ast.FunctionDef)
+                          and not member.name.startswith("_")]
+    return found
+
+
 def reach() -> tuple[set[str], list[str]]:
-    """Public module-level functions and classes of barronlab as
-    ``module.name``, and those of them that nothing names."""
+    """Public definitions of barronlab as ``module.name`` or
+    ``module.Class.name``, and those of them that nothing names outside
+    their own body."""
     trees = package_trees()
     outside = set().union(*(named(parse(path)) for path in CALLERS))
     defined, missing = set(), []
     for stem, tree in trees.items():
         elsewhere = outside.union(*(named(t) for s, t in trees.items() if s != stem))
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                defined.add(f"{stem}.{node.name}")
-                if node.name not in elsewhere | named(tree, skip=node):
-                    missing.append(f"{stem}.{node.name}")
+        for qualified, node in definitions(tree):
+            defined.add(f"{stem}.{qualified}")
+            if node.name not in elsewhere | named(tree, skip=node):
+                missing.append(f"{stem}.{qualified}")
     return defined, missing
 
 
@@ -83,9 +99,21 @@ def test_every_public_definition_is_reached():
     assert [name for name in missing if name not in ORACLES] == []
 
 
+def test_every_test_oracle_is_imported():
+    """Each function of ``tests/oracles.py`` is imported by some test module,
+    so the oracles keep no dead helper of their own."""
+    oracles = {node.name for node in parse(TESTS / "oracles.py").body
+               if isinstance(node, ast.FunctionDef)}
+    imported = {alias.name for path in sorted(TESTS.glob("test_*.py"))
+                for node in ast.walk(parse(path))
+                if isinstance(node, ast.ImportFrom) and node.module == "oracles"
+                for alias in node.names}
+    assert "integrate" in oracles
+    assert sorted(oracles - imported) == []
+
+
 # Defaulted parameters that no call outside the unit tests sets, and why they stay.
 UNSET = {
-    "numerics.integrate(resolution)": "test oracle; tests refine its node count",
     "barron.mollified_cutoff(resolution)": "test oracle; tests refine its node count",
     "relu_nets.network_hm_upper(spec)": "perfbench/tracer.py reads it to count nodes",
     "sphere_geom.covering_radius(probes)": "perfbench/tracer.py reads it to count probes",
@@ -98,15 +126,10 @@ def defaulted(tree) -> list[tuple[str, str, int | None]]:
     every defaulted parameter of a public function, or of a public method of
     a public class, defined at the top of ``tree``; slots exclude self/cls."""
     found = []
-    functions = [(node.name, node, False) for node in tree.body
-                 if isinstance(node, ast.FunctionDef)]
-    for cls in tree.body:
-        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
-            functions += [(f"{cls.name}.{node.name}", node, True) for node in cls.body
-                          if isinstance(node, ast.FunctionDef)]
-    for qualified, node, method in functions:
-        if node.name.startswith("_"):
+    for qualified, node in definitions(tree):
+        if not isinstance(node, ast.FunctionDef):
             continue
+        method = "." in qualified
         args = node.args
         positional = args.posonlyargs + args.args
         bound = method and not any(isinstance(dec, ast.Name) and dec.id == "staticmethod"
@@ -161,11 +184,10 @@ def test_commands_and_scripts_read_no_private_attribute():
     assert private == []
 
 
-def test_every_exception_class_is_raised():
-    """Each exception class defined in barronlab has a ``raise`` in package code."""
-    trees = package_trees()
+def unraised(trees) -> list[str]:
+    """Exception classes defined in ``trees`` that no ``raise`` there names."""
     exceptions, raised = set(), set()
-    for tree in trees.values():
+    for tree in trees:
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef) and any(
                     isinstance(base, ast.Name) and isinstance(getattr(builtins, base.id, None), type)
@@ -176,8 +198,18 @@ def test_every_exception_class_is_raised():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
-    assert "IntegrationError" in exceptions
-    assert sorted(exceptions - raised) == []
+    return sorted(exceptions - raised)
+
+
+def test_every_exception_class_is_raised():
+    """Each exception class defined in barronlab has a ``raise`` in package
+    code; the scanner flags exactly the unraised class of a sample source."""
+    sample = ast.parse("class Used(ValueError): pass\n"
+                       "class Unused(ValueError): pass\n"
+                       "def check(x):\n"
+                       "    if x: raise Used(x)\n")
+    assert unraised([sample]) == ["Unused"]
+    assert unraised(package_trees().values()) == []
 
 
 # Flags and kind keys that no caller outside the unit tests sets, and why they stay.

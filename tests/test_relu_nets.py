@@ -837,13 +837,24 @@ class TestHmUpperBound:
         ((1.0, (np.nan, 0.0), 0.0, 2), 2.0, "unit 1 is not dictionary"),
         ((1.0, (0.6, 0.8), np.nan, 2), 2.0, "unit 1 violates the bias cap: \\|nan\\|"),
         ((1.0, (0.6, 0.8), 0.5, 2), np.nan, "unit 0 violates the bias cap: \\|0.0\\| > nan"),
-    ], ids=["nan-direction", "nan-bias", "nan-cap"])
+        ((np.nan, (0.6, 0.8), 0.5, 2), 2.0, "unit 1 has outer weight nan, which is not finite"),
+        ((np.inf, (0.6, 0.8), 0.5, 2), 2.0, "unit 1 has outer weight inf, which is not finite"),
+        ((1.0, (0.6, 0.8), np.inf, 2), np.inf, "unit 1 has bias inf, which is not finite"),
+    ], ids=["nan-direction", "nan-bias", "nan-cap", "nan-outer", "inf-outer", "inf-bias-inf-cap"])
     def test_nan_fails_the_checks(self, bad_unit, cap, match):
         # NaN compares false both ways, so a check that only looks for a
-        # violation would let it through and the bound would read NaN.
-        units = [(1.0, (1.0, 0.0), 0.0, 2), bad_unit]
+        # violation would let it through and the bound would read NaN; an
+        # infinite outer weight, or an infinite bias under an infinite cap,
+        # would make it read inf or NaN.  The last unit offends too.
+        units = [(1.0, (1.0, 0.0), 0.0, 2), bad_unit, (np.nan, (1.0, 1.0), np.nan, 2)]
         with pytest.raises(ValueError, match=match):
             network_hm_upper(relu_network(units), self.OMEGA, 1, cap)
+
+    @pytest.mark.parametrize("m", [-1, 1.5])
+    def test_order_must_be_a_nonnegative_integer(self, m):
+        net = relu_network([(1.0, (0.6, 0.8), 0.5, 4)])
+        with pytest.raises(ValueError, match=f"order m must be a nonnegative integer, got {m}"):
+            network_hm_upper(net, self.OMEGA, m, 2.0)
 
     def test_bias_cap_violation_names_unit(self):
         net = relu_network([(1.0, (1.0, 0.0), 0.0, 2), (1.0, (0.0, 1.0), 5.0, 2)])
