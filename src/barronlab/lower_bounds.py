@@ -160,10 +160,12 @@ def dyadic_blocks(spectrum: FourierSum) -> DyadicDecomposition:
     edges = 2.0 ** np.arange(1, top + 2)
     neg, pos = np.searchsorted(xi, -edges, side="right"), np.searchsorted(xi, edges)
 
+    # The runs are sorted and finite, and no block's peak exceeds the spectrum's,
+    # so ``from_arrays`` would neither reorder nor drop a row: build blocks directly.
     def block(*runs):
-        return from_arrays(1, spectrum.L, spectrum.a,
-                           np.concatenate([spectrum.index[r] for r in runs]),
-                           np.concatenate([spectrum.values[r] for r in runs]))
+        return FourierSum(1, spectrum.L, spectrum.a, *read_only(
+            np.concatenate([spectrum.index[r] for r in runs]),
+            np.concatenate([spectrum.values[r] for r in runs])))
 
     return DyadicDecomposition(((0, block(slice(neg[0], pos[0]))),) + tuple(
         (k, block(slice(neg[k], neg[k - 1]), slice(pos[k - 1], pos[k])))

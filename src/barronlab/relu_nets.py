@@ -75,8 +75,9 @@ def relu_network(units: Sequence[tuple]) -> ReluNetwork:
     """Build a network from (outer, direction, bias, power) tuples.
 
     Unit 0's power must be a nonnegative integer, and every unit must have
-    that power, a real outer weight and a direction of unit 0's shape; errors
-    name the first offending unit.  An empty network has power 0.
+    that power, a real outer weight, a direction of unit 0's shape, and a
+    finite outer weight, direction and bias; each check's error names its
+    first offending unit.  An empty network has power 0.
     """
     if not units:
         return ReluNetwork(*read_only(np.zeros(0), np.zeros((0, 0)), np.zeros(0)), 0)
@@ -97,7 +98,15 @@ def relu_network(units: Sequence[tuple]) -> ReluNetwork:
         if i is None:
             raise
         raise ValueError(f"unit {i} has direction shape {shapes[i]}, not {shapes[0]}") from None
-    return ReluNetwork(*read_only(outer.real.copy(), omega, np.array(biases, dtype=float)), int(k))
+    outer, biases = outer.real.copy(), np.array(biases, dtype=float)
+    bad = ~np.array([np.isfinite(outer), np.isfinite(omega).all(axis=1), np.isfinite(biases)])
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))  # first offending unit, first failed check
+        raise ValueError((f"unit {i} has outer weight {outer[i]}, which is not finite",
+                          f"unit {i} has direction {omega[i].tolist()}, which is not finite",
+                          f"unit {i} has bias {biases[i]}, which is not finite",
+                          )[int(np.argmax(bad[:, i]))])
+    return ReluNetwork(*read_only(outer, omega, biases), int(k))
 
 
 def evaluate_network(net: ReluNetwork, x):
@@ -417,7 +426,8 @@ class SobolevApproximant:
                 if aj:
                     term *= (local**aj).reshape((-1,) + (1,) * (d - 1 - j))
             approx += term
-        return float(np.max(np.abs(target - approx)))
+        np.subtract(target, approx, out=approx)
+        return float(np.max(np.abs(approx, out=approx)))
 
     def cell_errors(self, f: Callable) -> np.ndarray:
         """Largest |f - p_i| of each cell i on its own closed grid, faces included,
@@ -520,6 +530,14 @@ class HmUpperBound:
 # near 1e-15 for boxes and biases of unit scale.
 _CERT_MARGIN = 1e-12
 
+# Units per block of ``network_hm_upper``, fixed so that no result depends on the
+# core count.  At d = 3 and W in {500, 16384} on a 2-vCPU host, with the sizes'
+# calls interleaved in one process, 32 was the slowest (up to 1.6x 64's time on
+# 2 cores: twice the blocks, each paying NumPy's per-call overhead), and 128 was
+# 5-30% faster than 64 but holds twice its memory per block and share (2.2 MiB
+# at k = 2, m = 1 and 4.7 MiB at k = 3, m = 2, against 1.1 and 2.4 MiB).
+_CERT_BLOCK = 64
+
 
 def _ridge_box_integrals(omega, bias, lo, hi, p) -> np.ndarray:
     """Exact integral of sigma_{p_r}(omega_i . x + b_i) over the box [lo, hi],
@@ -571,9 +589,14 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     The order-r derivatives of sigma_k(omega . x + b) contribute
     sum_{|alpha| = r} prod_j omega_j^(2 alpha_j) (k! / (k - r)!)^2 sigma_{k-r}^2,
     and sigma_q^2 = sigma_{2q}, so all units and orders need box integrals of
-    sigma_{2(k-r)}, which ``_ridge_box_integrals`` computes exactly in one
-    (m + 1, W) batch; the direction sums are ``homogeneous_sums`` at omega^2
+    sigma_{2(k-r)}, which ``_ridge_box_integrals`` computes exactly for all
+    orders at once; the direction sums are ``homogeneous_sums`` at omega^2
     and the falling factorials k! / (k - r)! one column.
+    The units go in blocks of ``_CERT_BLOCK``, shared over cores by
+    ``map_blocks``; each block returns its unit norms, joined in block order.
+    Memory is that of one block per share whatever the width (about 1 MB at
+    d = 3, k = 2, m = 1), and since every step works on one unit's row, the
+    result is bitwise the same for every worker count.
     Each unit norm carries a relative rounding margin of 1e-12, so the
     bound is exact up to that margin and never below the true value.  ``spec``
     is accepted and ignored.
@@ -600,8 +623,15 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
         raise ValueError(f"box has {len(lo)} axes, expected {net.d}")
     orders = np.arange(m + 1)[:, None]
     falling = np.cumprod(np.vstack([1.0, k - orders[:-1]]), axis=0)
-    integrals = _ridge_box_integrals(net.directions, net.biases, lo, hi, 2 * (k - orders))
-    by_order = homogeneous_sums(net.directions ** 2, m)
-    norms = np.sqrt(np.sum(by_order * falling**2 * integrals, axis=0)) * (1.0 + _CERT_MARGIN)
+
+    def block_norms(start, _):
+        rows = slice(start, start + _CERT_BLOCK)
+        directions = net.directions[rows]
+        integrals = _ridge_box_integrals(directions, net.biases[rows], lo, hi, 2 * (k - orders))
+        by_order = homogeneous_sums(directions ** 2, m)
+        return np.sqrt(np.sum(by_order * falling**2 * integrals, axis=0)) * (1.0 + _CERT_MARGIN)
+
+    norms = np.concatenate(map_blocks(block_norms, range(0, net.width, _CERT_BLOCK),
+                                      lambda: None))
     max_norm = float(norms.max())
     return HmUpperBound(max_norm * net.ell1, max_norm, net.ell1, tuple(norms.tolist()))

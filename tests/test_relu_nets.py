@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from barronlab.numerics import grid_rows, loglog_fit, multi_indices
 from barronlab.relu_nets import (
     Cube,
     CubePartition,
+    ReluNetwork,
     SobolevApproximant,
     compile_sobolev_approximant,
     evaluate_network,
@@ -187,6 +189,20 @@ class TestNetworkArrays:
     def test_one_dimension_for_all_units(self):
         with pytest.raises(ValueError, match=r"unit 2 has direction shape \(3,\), not \(2,\)"):
             relu_network(self.UNITS[:2] + [(1.0, (1.0, 0.0, 0.0), 0.0, 2)])
+
+    @pytest.mark.parametrize("bad_unit, match", [
+        ((np.nan, (0.6, 0.8), 0.5, 2), "unit 1 has outer weight nan, which is not finite"),
+        ((-np.inf, (0.6, 0.8), 0.5, 2), "unit 1 has outer weight -inf, which is not finite"),
+        ((1.0, (0.6, 0.8), np.nan, 2), "unit 1 has bias nan, which is not finite"),
+        ((1.0, (0.6, 0.8), np.inf, 2), "unit 1 has bias inf, which is not finite"),
+        ((1.0, (np.nan, 0.8), 0.5, 2), r"unit 1 has direction \[nan, 0.8\], which is not finite"),
+        ((1.0, (0.6, np.inf), 0.5, 2), r"unit 1 has direction \[0.6, inf\], which is not finite"),
+    ], ids=["nan-outer", "inf-outer", "nan-bias", "inf-bias", "nan-direction", "inf-direction"])
+    def test_non_finite_refused_naming_the_unit(self, bad_unit, match):
+        # The last unit offends in every way, so each message names the first.
+        units = [self.UNITS[0], bad_unit, (np.inf, (np.nan, 1.0), np.nan, 2)]
+        with pytest.raises(ValueError, match=match):
+            relu_network(units)
 
 
 class TestMonomials:
@@ -846,9 +862,13 @@ class TestHmUpperBound:
         # violation would let it through and the bound would read NaN; an
         # infinite outer weight, or an infinite bias under an infinite cap,
         # would make it read inf or NaN.  The last unit offends too.
+        # ``relu_network`` refuses these units, so the network is built from
+        # read-only arrays directly, as a caller of the constructor could.
         units = [(1.0, (1.0, 0.0), 0.0, 2), bad_unit, (np.nan, (1.0, 1.0), np.nan, 2)]
+        outer, directions, biases, _ = (np.array(column, dtype=float) for column in zip(*units))
+        net = ReluNetwork(*numerics.read_only(outer, directions, biases), 2)
         with pytest.raises(ValueError, match=match):
-            network_hm_upper(relu_network(units), self.OMEGA, 1, cap)
+            network_hm_upper(net, self.OMEGA, 1, cap)
 
     @pytest.mark.parametrize("m", [-1, 1.5])
     def test_order_must_be_a_nonnegative_integer(self, m):
@@ -895,3 +915,78 @@ class TestHmUpperBound:
                 bounds.append(hb.bound)
             medians[width] = float(np.median(bounds))
         assert max(medians.values()) / min(medians.values()) <= 1.5
+
+
+def certificate_network(rng, width, d, k):
+    """``width`` units of the benchmark law: unit directions, b ~ U[0, 2] and
+    positive outer weights of l1 mass 1."""
+    omegas = uniform_sphere(rng, width, d) if d > 1 else rng.choice([-1.0, 1.0], (width, 1))
+    raw = rng.uniform(0.2, 1.0, width)
+    return relu_network([(raw[i] / raw.sum(), omegas[i], b, k)
+                         for i, b in enumerate(rng.uniform(0.0, 2.0, width))])
+
+
+B = relu_nets._CERT_BLOCK
+# (k, m) pairs per dimension, the Heaviside among them.
+CERT_POWERS = {1: [(1, 0), (0, 0)], 2: [(2, 1), (3, 2), (4, 0)], 3: [(2, 1)]}
+
+
+class TestCertificateBlocks:
+    @pytest.mark.parametrize("width", [1, B - 1, B, B + 1, 2 * B + 1, 500])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_bitwise_equal_for_any_worker_count(self, set_cores, width, d):
+        # Each step of the box integrals works on one unit's row, so the blocked
+        # norms equal the one-call norms over all units, at every worker count.
+        rng = np.random.default_rng(width + 10 * d)
+        box = [(-0.5, 1.0)] * d
+        lo, hi = np.array(box).T
+        for k, m in CERT_POWERS[d]:
+            net = certificate_network(rng, width, d, k)
+            orders = np.arange(m + 1)[:, None]
+            weights = numerics.homogeneous_sums(net.directions ** 2, m) * np.cumprod(
+                np.vstack([1.0, k - orders[:-1]]), axis=0) ** 2
+            integrals = relu_nets._ridge_box_integrals(net.directions, net.biases, lo, hi,
+                                                       2 * (k - orders))
+            want = np.sqrt(np.sum(weights * integrals, axis=0)) * (1.0 + 1e-12)
+            for cores in (1, 2, 3, 8):
+                set_cores(cores)
+                hb = network_hm_upper(net, box, m, 2.0)
+                assert np.array(hb.unit_norms).tobytes() == want.tobytes()
+                assert hb.bound == float(want.max()) * net.ell1
+
+    @pytest.mark.parametrize("width", [1, B - 1, B, B + 1, 2 * B + 1, 500])
+    def test_blocks_hold_fixed_unit_counts(self, set_cores, monkeypatch, width):
+        # Every block but the last holds B units whatever the core count, and
+        # the blocks cover each unit once.
+        net = certificate_network(np.random.default_rng(width), width, 2, 2)
+        whole = relu_nets._ridge_box_integrals
+        seen = []
+
+        def spy(omega, bias, lo, hi, p):
+            seen.append(bias)
+            return whole(omega, bias, lo, hi, p)
+
+        monkeypatch.setattr(relu_nets, "_ridge_box_integrals", spy)
+        for cores in (1, 2, 3, 8):
+            set_cores(cores)
+            seen.clear()
+            network_hm_upper(net, TestHmUpperBound.OMEGA, 1, 2.0)
+            sizes = sorted(len(bias) for bias in seen)
+            assert sizes == sorted([B] * (width // B) + [width % B] * (width % B > 0))
+            covered = np.sort(np.concatenate(seen))
+            assert covered.tobytes() == np.sort(net.biases).tobytes()
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_memory_bounded_by_the_blocks(self, set_cores, cores):
+        # The one-call layout held every unit's nodes at once: 70 MiB here.
+        net = certificate_network(np.random.default_rng(4096), 4096, 3, 2)
+        box = [(0.0, 1.0)] * 3
+        set_cores(cores)
+        network_hm_upper(net, box, 1, 2.0)  # first-call caches outside the trace
+        tracemalloc.start()
+        try:
+            network_hm_upper(net, box, 1, 2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
