@@ -24,6 +24,9 @@ from .numerics import grid_rows, sobolev_weight
 MAX_SHELL_ROWS = 2**21
 # Key exponents closer to 0 than this are ties: far above their rounding error.
 KEY_TIE_MARGIN = 1e-9
+# The heavy-tail law |c_z| = (1 + |z/L|)^-(ks + d + _TAIL_EXTRA), L = _TAIL_L, of
+# ``synthetic_heavy_tail``'s box and ``heavy_tail_sweep``'s shells alike.
+_TAIL_L, _TAIL_EXTRA = 0.5, 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +169,7 @@ def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int) -> Fourier
     finite-range slope fits off the asymptotic rate.  The lattice box of
     (2 floor(xi_max L) + 1)^d rows is capped at ``MAX_BOX_ROWS``.
     """
-    L = 0.5
+    L = _TAIL_L
     z_max = int(math.floor(xi_max * L))
     rows = (2 * z_max + 1) ** d
     if d < 1 or rows > MAX_BOX_ROWS:
@@ -178,7 +181,7 @@ def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int) -> Fourier
     inside = radius <= xi_max * L
     index, radius = index[inside], radius[inside]
     phase = np.exp(2j * np.pi * rng.random(len(index)))
-    values = phase * (1.0 + radius / L) ** (-(ks + d + 0.1))
+    values = phase * (1.0 + radius / L) ** (-(ks + d + _TAIL_EXTRA))
     return from_arrays(d, L, (0.0,) * d, index, values)
 
 
@@ -238,12 +241,12 @@ def heavy_tail_sweep(d: int, ks: float, m: int, xi_max: float, seed: int):
     ks = m - (d + 0.1)/2 just below 0 (at d = 4, for one), and tied keys
     keep the box's lattice-index order.
     """
-    if not ((d == 1 or m <= 1) and 2.0 * m - 2.0 * ks - d - 0.1 < -KEY_TIE_MARGIN):
+    if not ((d == 1 or m <= 1) and 2.0 * m - 2.0 * ks - d - _TAIL_EXTRA < -KEY_TIE_MARGIN):
         fs = synthetic_heavy_tail(d, ks, xi_max, seed)
         sel = order_frequencies(fs, m, ks)
         keys = sel.sorted_keys
         return tail_errors_hm(fs, sel, m), lambda n: float(keys[min(n, len(keys)) - 1])
-    L = 0.5
+    L = _TAIL_L
     z_max = int(math.floor(xi_max * L))
     rows = z_max + 1 if d == 1 else (z_max + 1) ** 2
     if d < 1 or rows > MAX_SHELL_ROWS:
@@ -254,7 +257,7 @@ def heavy_tail_sweep(d: int, ks: float, m: int, xi_max: float, seed: int):
     radius = np.sqrt(sq)
     inside = (radius <= xi_max * L) & (counts > 0)
     counts, radius = counts[inside], radius[inside]
-    mags = (1.0 + radius / L) ** (-(ks + d + 0.1))
+    mags = (1.0 + radius / L) ** (-(ks + d + _TAIL_EXTRA))
     keep = (mags >= COEFF_DROP_RELATIVE * mags.max()) & (mags > 0.0)
     counts, radius, mags = counts[keep], radius[keep], mags[keep]
     keys = (1.0 + radius / L) ** (2.0 * m - ks) * mags

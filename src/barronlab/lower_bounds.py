@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .barron import MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .numerics import as_batch, axis_rule, map_blocks, read_only, sigma_k, unbatch, usable_cores
+from .numerics import as_batch, axis_rule, map_blocks, read_only, sigma_k, unbatch
 
 if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
     from .sphere_geom import SphericalNet
@@ -42,8 +42,8 @@ class GapProbe:
     regularized: int
 
 
+MAX_GAP_ATOMS = 2**20  # cap on candidates * n_units in ``highfreq_gap``
 _GAP_BLOCK = 32  # candidates per batched QR in ``highfreq_gap``
-_GAP_ROUND = 8  # blocks per usable core in one ``highfreq_gap`` round
 _GAP_NODES = 256  # Gauss-Legendre nodes on [-1, 1] in ``highfreq_gap``
 _GAP_RANK_TOL = 1e-10  # deficient column: |QR pivot| <= tol * column norm
 
@@ -65,12 +65,13 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     nonnegative terms, so the per-width errors are nonincreasing and never
     cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
     of its norm) gets c_i = 0, its |c_i|^2 moves into the residual, and it
-    is counted in ``regularized``.  Each round draws up to ``_GAP_ROUND``
-    blocks per usable core on the caller, in block order, and makes one
-    ``map_blocks`` call over them, which gives each share of blocks one
-    [A | b] scratch made once per round.  Minima and counts combine in block
-    order, so the probe is bitwise the same for any worker count, and at most
-    one round is held.  omega0 must be finite.
+    is counted in ``regularized``.  One draw holds every candidate's
+    parameters, and one ``map_blocks`` call runs its ``_GAP_BLOCK``-candidate
+    views, one [A | b] scratch per share; minima and counts combine in block
+    order, so the probe is bitwise the same for any worker count.  omega0
+    must be finite, and candidates * n_units at most ``MAX_GAP_ATOMS`` = 2^20,
+    refused before the draw: a 16 MiB draw, and 4-13 s on a 2-vCPU host
+    (slowest at n_units = 1, where 32768 blocks' fixed costs dominate).
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
@@ -81,11 +82,13 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
                          f"quadrature nodes, got n_units={n_units}")
     if candidates < 1:
         raise ValueError(f"need at least one candidate, got {candidates}")
+    if candidates * n_units > MAX_GAP_ATOMS:
+        raise ValueError(f"candidates * n_units must be at most {MAX_GAP_ATOMS}, got "
+                         f"candidates={candidates} * n_units={n_units} = {candidates * n_units}")
     nodes, weights = axis_rule(-1.0, 1.0, _GAP_NODES)
     root_w = np.sqrt(weights)
     # Real and imaginary parts of the weighted target as two right-hand sides.
     rhs = root_w * np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)])
-    rng = np.random.default_rng(seed)
     omega_scale = max(4.0, 2.0 * abs(omega0))
 
     def solve(params, scratch):
@@ -113,14 +116,10 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
         tail[:, :-1] = np.cumsum(sq[:, :0:-1], axis=1)[:, ::-1]
         return np.sqrt(base[:, None] + tail).min(axis=0), int(deficient.sum())
 
-    round_size = _GAP_ROUND * _GAP_BLOCK * usable_cores()
-    solved = []  # (per-width minima, regularized count) of each block, in block order
-    for first in range(0, candidates, round_size):
-        # One draw per round is the stream of one draw per block, in block order.
-        params = rng.standard_normal((min(round_size, candidates - first), n_units, 2))
-        blocks = [params[i:i + _GAP_BLOCK] for i in range(0, len(params), _GAP_BLOCK)]
-        solved += map_blocks(solve, blocks, lambda: np.empty(
-            (min(_GAP_BLOCK, candidates), n_units + 2, _GAP_NODES)))
+    params = np.random.default_rng(seed).standard_normal((candidates, n_units, 2))
+    blocks = [params[i:i + _GAP_BLOCK] for i in range(0, candidates, _GAP_BLOCK)]
+    solved = map_blocks(solve, blocks, lambda: np.empty(
+        (min(_GAP_BLOCK, candidates), n_units + 2, _GAP_NODES)))
     best = np.min([block_best for block_best, _ in solved], axis=0)
     return GapProbe(
         error=float(best[-1]),

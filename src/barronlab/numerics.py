@@ -86,18 +86,14 @@ def sigma_k(t, k: int):
 # threads
 # ----------------------------------------------------------------------
 
-def usable_cores() -> int:
-    """Cores this process may run on: its CPU affinity where the platform
-    reports one, else the machine's core count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def shares(items: Sequence) -> list[Sequence]:
     """``items`` cut into one contiguous share per usable core, fewer when
-    there are fewer items; the longer shares come first."""
-    count = min(usable_cores(), len(items))
+    there are fewer items; the longer shares come first.  The usable cores,
+    read here alone in the package, are the process's CPU affinity where the
+    platform reports one, else the machine's core count."""
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    count = min(cores, len(items))
     size, extra = divmod(len(items), max(count, 1))
     bounds = [i * size + min(i, extra) for i in range(count + 1)]
     return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
@@ -115,10 +111,7 @@ def map_blocks(fn: Callable, blocks: Sequence, scratch: Callable) -> list:
     returns.  Results come back in block order; an exception raised in any
     share reaches the caller once every share has ended.  ``fn`` should
     allocate little: each thread that allocates gets a malloc arena, which
-    raises peak memory.  A block of ``network_hm_upper`` allocates at most
-    1.1 MiB at d = 3, k = 2, m = 1 and 2.4 MiB at k = 3, m = 2 (tracemalloc
-    peak), and the second share's arena adds about as much again to peak RSS:
-    1.3 and 2.8 MB, measured at W = 16384 on 2 cores against 1.
+    raises peak memory.
     """
     import threading  # loaded at interpreter start; named here alone in the package
     parts = shares(blocks)

@@ -187,6 +187,14 @@ class TestExitCodes:
         assert code == 2 and out == ""
         assert named in err
 
+    def test_oversized_gap_probe_refused(self, capsys, monkeypatch):
+        # Ran on, unrefused, past 20 s; nothing may be drawn.
+        monkeypatch.setattr(np.random, "default_rng", None)
+        code, out, err = run_cli(capsys, "example1-gap", "--omega0-grid", "8", "--units", "256",
+                                 "--candidates", "100000000")
+        assert code == 2 and out == ""
+        assert "candidates * n_units must be at most 1048576" in err
+
     def test_format_declared_where_there_are_two(self):
         declared = {name: next(a.default for a in p._actions if a.dest == "format")
                     for name, p in PARSERS.items()

@@ -9,6 +9,7 @@ import pytest
 from barronlab import sphere_geom
 from barronlab.barron import evaluate_sum, fourier_sum, from_arrays, hm_norm_exact
 from barronlab.lower_bounds import (
+    MAX_GAP_ATOMS,
     build_packing,
     decaying_spectrum,
     dyadic_blocks,
@@ -125,13 +126,30 @@ class TestHighFreqGap:
             highfreq_gap(1.0, 8.0, 0, 4)
         assert len(highfreq_gap(1.0, 8.0, 256, 4).errors_by_width) == 256
 
+    @pytest.mark.parametrize("n_units", [1, 8, 256])
+    def test_atom_count_capped_before_the_draw(self, monkeypatch, n_units):
+        # 100000000 candidates at 256 units ran on, unrefused, past 20 s.
+        class Drawn(Exception):
+            pass
+
+        def draw(*args, **kwargs):
+            raise Drawn
+
+        monkeypatch.setattr(np.random, "default_rng", draw)
+        at_cap = MAX_GAP_ATOMS // n_units
+        with pytest.raises(ValueError, match=f"at most {MAX_GAP_ATOMS}, got candidates="
+                           f"{at_cap + 1} \\* n_units={n_units} = {(at_cap + 1) * n_units}"):
+            highfreq_gap(1.0, 8.0, n_units, at_cap + 1)
+        with pytest.raises(Drawn):  # the cap itself is allowed
+            highfreq_gap(1.0, 8.0, n_units, at_cap)
+
 
 def _gap_in_child(results):
     results.put(highfreq_gap(1.0, 16.0, 8, 100, seed=3))
 
 
 class TestHighFreqGapWorkers:
-    # 1000 candidates: several rounds at 1, 2 and 3 cores, ending in a partial block.
+    # 1000 candidates: 32 blocks over 1, 2 and 3 shares, the last block partial.
     @pytest.mark.parametrize("candidates", [1, 31, 33, 100, 256, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_bitwise_equal_for_any_worker_count(self, set_cores, candidates, seed):

@@ -57,6 +57,16 @@ class TestGreedyFourierExperiment:
         assert a.fit == b.fit
 
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("ks, m", [(1.5, 0), (2.0, 1), (3.7, 1), (2.0, 2)])
+    def test_prediction_is_the_calculators(self, d, ks, m):
+        report = rates.run_experiment(rates.GREEDY_FOURIER,
+                                      {"d": d, "ks": ks, "m": m, "xi_max": 64.0}, [1, 4, 16, 32])
+        table = greedy_fourier.rate_exponents(ks, m, 1, d)
+        assert report.predicted_exponent == table.greedy_fourier_exponent
+        assert report.predicted_exponent == 0.5 + (ks - m) / d
+
+
 class TestOtherKinds:
     def test_sobolev_compile(self):
         report = rates.run_experiment(
