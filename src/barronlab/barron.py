@@ -133,12 +133,14 @@ class FourierSum:
 def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
     """Build a FourierSum from index rows and coefficients, in any order.
 
-    Coefficients below 1e-14 of the largest are dropped, which keeps
-    supports finite without moving any norm by more than 1e-12 relative;
-    the rest are sorted by lattice index.  A non-finite coefficient is a
-    ``ValueError``.
+    Coefficients below 1e-14 of the largest, ``max|c|``, are dropped, which
+    keeps supports finite; the rest are sorted by lattice index.  Dropping
+    moves the l1 mass by at most (#dropped) 1e-14 max|c| and the l2 norm by
+    at most sqrt(#dropped) 1e-14 max|c|; weighted masses such as
+    sum (1 + |xi|)^s |c| are not bounded by the rule.  A non-finite
+    coefficient is a ``ValueError``.
     """
-    d = int(d)
+    d, given = int(d), (index, values)
     values = np.asarray(values, dtype=complex).reshape(-1)
     index = np.asarray(index, dtype=np.int64)
     if index.size == 0:
@@ -159,11 +161,12 @@ def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
         if not keep.all():
             index, values = index[keep], values[keep]
     order = np.lexsort(index.T[::-1])
-    # Rows that arrive sorted (an increasing permutation is the identity)
-    # are copied, not gathered; copying either way keeps the caller's
-    # arrays writable and unshared.
+    # Rows that arrive sorted (an increasing permutation is the identity) are
+    # not gathered; only an array that still shares memory with the caller's
+    # input is copied, so the caller's arrays stay writable and unshared.
     if np.all(order[1:] > order[:-1]):
-        index, values = index.copy(), values.copy()
+        index, values = (x.copy() if np.may_share_memory(x, g) else x
+                         for x, g in zip((index, values), given))
     else:
         index, values = index[order], values[order]
     index, values = read_only(index, values)
@@ -287,22 +290,35 @@ def _phase_matrix(aj: float, L: float, z_box: int, eps: float, resolution: int) 
     return phase
 
 
-def _periodize_once(f_e: Callable, L: float, a, z_box: int, eps: float,
-                    resolution: int) -> np.ndarray:
-    """One pass of windowed coefficient extraction at a fixed resolution.
+class _Field:
+    """A target read at the periodization nodes, shared by a scan's offsets.
 
-    Returns the coefficients of every index in the box |z_j| <= z_box, in
-    the row order of ``grid_rows``.
+    Per node grid, keyed by ``(L, eps, resolution, d)``, it holds the samples
+    times the cutoff and the last contraction along the first node axis,
+    tagged with its ``(a[0], z_box)``.
     """
-    d = len(a)
-    points, cutoff = _node_plan(L, eps, resolution, d)
-    h = np.asarray(f_e(points), dtype=complex).reshape((resolution,) * d) * cutoff
-    for aj in a:
-        # Contracting the leading node axis appends the index axis last, so
-        # after d passes the axes are (z_1, ..., z_d).
-        phase = _phase_matrix(aj, L, z_box, eps, resolution)
-        h = np.tensordot(h, phase, axes=([0], [1]))
-    return h.ravel() / L**d
+
+    def __init__(self, f_e: Callable):
+        self.f_e, self.windowed, self.first = f_e, {}, {}
+
+    def periodize(self, L: float, a, z_box: int, eps: float, resolution: int) -> np.ndarray:
+        """Coefficients of every index in the box |z_j| <= z_box, in the row
+        order of ``grid_rows``, by one quadrature at a fixed resolution."""
+        key = (L, eps, resolution, len(a))
+        if key not in self.windowed:
+            points, cutoff = _node_plan(*key)
+            self.windowed[key] = np.asarray(self.f_e(points), dtype=complex) \
+                .reshape(cutoff.shape) * cutoff
+        if self.first.get(key, (None,))[0] != (a[0], z_box):
+            phase = _phase_matrix(a[0], L, z_box, eps, resolution)
+            self.first[key] = ((a[0], z_box),
+                               np.tensordot(self.windowed[key], phase, axes=([0], [1])))
+        h = self.first[key][1]
+        for aj in a[1:]:
+            # Contracting the leading node axis appends the index axis last, so
+            # after d passes the axes are (z_1, ..., z_d).
+            h = np.tensordot(h, _phase_matrix(aj, L, z_box, eps, resolution), axes=([0], [1]))
+        return h.ravel() / L**len(a)
 
 
 def _ring_fraction(index: np.ndarray, values: np.ndarray, z_box: int) -> float:
@@ -314,7 +330,7 @@ def _ring_fraction(index: np.ndarray, values: np.ndarray, z_box: int) -> float:
     return float(mags[np.max(np.abs(index), axis=1) == z_box].sum()) / total
 
 
-def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
+def periodize_expand(f_e: Callable | _Field, L: float, a, z_box: int, *,
                      support_bound: float) -> FourierSum:
     """Expand a field into a lattice Fourier sum by windowed periodization.
 
@@ -339,7 +355,10 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
     floats: 0.9 MB at L = 6 in d = 2, 3.5 MB on the doubled grid) and up to
     16 per-axis phase matrices ((2 z_box + 1) n complex values: 150 KB at
     L = 6, z_box = 24).  Cached arrays are read-only, so ``f_e`` receives
-    read-only points.
+    read-only points.  A plain ``f_e`` is read through a field made for the
+    call, which holds per node grid the windowed samples (n^d complex values:
+    0.6 MB at L = 6 in d = 2, 2.4 MB doubled) and one first-axis contraction
+    (150 KB at L = 6, z_box = 24, 300 KB doubled).
     """
     a = tuple(float(v) for v in a)
     d = len(a)
@@ -362,11 +381,12 @@ def periodize_expand(f_e: Callable, L: float, a, z_box: int, *,
     # Float cache keys: an entry never depends on the caller's number types.
     L, eps = float(L), float(eps)
 
+    field = f_e if isinstance(f_e, _Field) else _Field(f_e)
     index = grid_rows(np.arange(-z_box, z_box + 1), d)
-    values = _periodize_once(f_e, L, a, z_box, eps, resolution)
+    values = field.periodize(L, a, z_box, eps, resolution)
     warnings = ()
     if _ring_fraction(index, values, z_box) > 0.01:
-        values = _periodize_once(f_e, L, a, z_box, eps, 2 * resolution)
+        values = field.periodize(L, a, z_box, eps, 2 * resolution)
         frac = _ring_fraction(index, values, z_box)
         if frac > 0.01:
             warnings = (
@@ -381,38 +401,33 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
     """Scan offsets on a grid of [0, 1/L]^d and keep the weighted-mass argmin.
 
     Offsets are periodized by ``periodize_expand``, with its fixed cutoff on
-    its 32 ceil(L) nodes per axis.  The node grid does not depend on the
-    offset, so the target is sampled once per node grid (the base grid, and
-    the doubled one if some offset needs it) and every offset reuses those
-    read-only samples.  Those samples (n^d complex values for n nodes per
-    axis, 0.6 MB at L = 6 in d = 2) live only during the call.  What
-    outlives it is ``periodize_expand``'s caches: one node plan per node
-    grid (0.9 MB at L = 6 in d = 2) and one phase matrix per distinct
-    offset component and node grid, so ``grid`` of them (150 KB each at
-    L = 6, z_box = 24), twice that if the doubled grid was needed.
+    its 32 ceil(L) nodes per axis, all reading one field.  The node grid does
+    not depend on the offset, so the field samples the target and multiplies
+    by the cutoff once per node grid (the base grid, and the doubled one if
+    some offset needs it), and makes the contraction along the first node
+    axis once per first offset component, as offsets run with a[0] slowest.
+    In d = 2 a scan so costs grid n^2 (2 z_box + 1) + grid^2 n (2 z_box + 1)^2
+    multiply-adds per node grid.  The field lives only during the call and
+    holds per node grid the windowed samples (n^2 complex values: 0.6 MB at
+    L = 6, 2.4 MB doubled) and one contraction (150 KB at L = 6, z_box = 24,
+    300 KB doubled).  What outlives the call is ``periodize_expand``'s
+    caches: one node plan per node grid (0.9 MB at L = 6 in d = 2) and one
+    phase matrix per distinct offset component and node grid, so ``grid`` of
+    them (150 KB each at L = 6, z_box = 24), twice that if the doubled grid
+    was needed.
     ``grid`` must be an integer >= 1.
     A mass-minimizing offset exists but is not constructive; this scan
     reports the best grid point, nothing sharper.
     """
     if not isinstance(grid, (int, np.integer)) or grid < 1:
         raise ValueError(f"grid must be an integer >= 1, got grid = {grid}")
-    sampled: list[tuple[np.ndarray, np.ndarray]] = []
-
-    def f_once(pts):
-        for seen, values in sampled:
-            if seen is pts or np.array_equal(seen, pts):
-                return values
-        values = np.array(f_e(pts), dtype=complex)
-        values.flags.writeable = False
-        sampled.append((pts, values))
-        return values
-
+    field = _Field(f_e)
     candidates = np.linspace(0.0, 1.0 / L, grid, endpoint=False)
     best_a: tuple[float, ...] = ()
     best_fs: FourierSum | None = None
     best_mass = math.inf
     for a in grid_rows(candidates, d):
-        fs = periodize_expand(f_once, L, a, z_box, support_bound=support_bound)
+        fs = periodize_expand(field, L, a, z_box, support_bound=support_bound)
         mass = barron_norm(fs, weight)
         if mass < best_mass:
             best_a, best_fs, best_mass = tuple(float(v) for v in a), fs, mass

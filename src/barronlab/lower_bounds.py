@@ -43,7 +43,8 @@ class GapProbe:
 
 
 MAX_GAP_ATOMS = 2**20  # cap on candidates * n_units in ``highfreq_gap``
-_GAP_BLOCK = 32  # candidates per batched QR in ``highfreq_gap``
+_GAP_BLOCK = 32  # most candidates per batched QR in ``highfreq_gap``
+_GAP_BLOCK_FLOATS = 2**18  # most [A | b] floats per batched QR (2 MiB)
 _GAP_NODES = 256  # Gauss-Legendre nodes on [-1, 1] in ``highfreq_gap``
 _GAP_RANK_TOL = 1e-10  # deficient column: |QR pivot| <= tol * column norm
 
@@ -66,12 +67,14 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
     of its norm) gets c_i = 0, its |c_i|^2 moves into the residual, and it
     is counted in ``regularized``.  One draw holds every candidate's
-    parameters, and one ``map_blocks`` call runs its ``_GAP_BLOCK``-candidate
-    views, one [A | b] scratch per share; minima and counts combine in block
-    order, so the probe is bitwise the same for any worker count.  omega0
-    must be finite, and candidates * n_units at most ``MAX_GAP_ATOMS`` = 2^20,
-    refused before the draw: a 16 MiB draw, and 4-13 s on a 2-vCPU host
-    (slowest at n_units = 1, where 32768 blocks' fixed costs dominate).
+    parameters, and one ``map_blocks`` call runs its views of 32 candidates,
+    fewer when n_units > 30 so that a block's [A | b] scratch stays within
+    2^18 floats (2 MiB), one scratch per share; minima and counts combine in
+    block order, so the probe is bitwise the same for any worker count and
+    block size.  omega0 must be finite, and candidates * n_units at most
+    ``MAX_GAP_ATOMS`` = 2^20, refused before the draw: a 16 MiB draw, and
+    4-13 s on a 2-vCPU host (slowest at n_units = 1, where 32768 blocks'
+    fixed costs dominate).
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
@@ -117,9 +120,10 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
         return np.sqrt(base[:, None] + tail).min(axis=0), int(deficient.sum())
 
     params = np.random.default_rng(seed).standard_normal((candidates, n_units, 2))
-    blocks = [params[i:i + _GAP_BLOCK] for i in range(0, candidates, _GAP_BLOCK)]
+    size = min(_GAP_BLOCK, max(1, _GAP_BLOCK_FLOATS // ((n_units + 2) * _GAP_NODES)))
+    blocks = [params[i:i + size] for i in range(0, candidates, size)]
     solved = map_blocks(solve, blocks, lambda: np.empty(
-        (min(_GAP_BLOCK, candidates), n_units + 2, _GAP_NODES)))
+        (min(size, candidates), n_units + 2, _GAP_NODES)))
     best = np.min([block_best for block_best, _ in solved], axis=0)
     return GapProbe(
         error=float(best[-1]),

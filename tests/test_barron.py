@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barronlab import barron
+from barronlab import barron, greedy_fourier
 from barronlab.barron import (
     WeightSpec,
     barron_norm,
@@ -178,6 +178,10 @@ def from_arrays_case(case, d):
     elif case == "dropped":
         values[1::3] *= 1e-16
         values[::4] = 0.0
+    elif case == "float":
+        # Sorted rows with real values: the complex array is made by the
+        # conversion, while the int64 index is still the caller's own.
+        values = values.real.copy()
     return index, values
 
 
@@ -197,7 +201,7 @@ class TestFromArrays:
             assert 0 < fs.support_size() < len(values)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
-    @pytest.mark.parametrize("case", CASES)
+    @pytest.mark.parametrize("case", CASES + ("float",))
     def test_callers_arrays_stay_writable_and_unshared(self, case, d):
         index, values = from_arrays_case(case, d)
         index_before, values_before = index.copy(), values.copy()
@@ -208,6 +212,28 @@ class TestFromArrays:
         assert not np.shares_memory(fs.values, values)
         assert np.array_equal(index, index_before)
         assert np.array_equal(values, values_before)
+
+    def test_drop_rule_bounds_the_l1_and_l2_moves_only(self, monkeypatch):
+        # Every dropped |c| is below 1e-14 max|c|, which bounds the l1 and l2
+        # moves; weighted masses are not bounded (measured relative moves on
+        # this case: 1.3e-10 at s = 0, 5.0e-6 at s = 1, 5.2e-2 at s = 2).
+        raw = []
+
+        def recording(d, L, a, index, values, *args, **kwargs):
+            raw.append((L, index, values))
+            return from_arrays(d, L, a, index, values, *args, **kwargs)
+
+        monkeypatch.setattr(greedy_fourier, "from_arrays", recording)
+        fs = greedy_fourier.synthetic_heavy_tail(1, 2.0, 1e5, 0)
+        ((L, index, values),) = raw
+        mags, kept = np.abs(values), np.abs(fs.values)
+        peak, dropped = mags.max(), len(values) - len(kept)
+        assert (len(values), len(kept)) == (100_001, 32_819)
+        assert mags.sum() - kept.sum() <= dropped * 1e-14 * peak
+        assert np.linalg.norm(mags) - np.linalg.norm(kept) <= math.sqrt(dropped) * 1e-14 * peak
+        weight = WeightSpec.polynomial(2.0)
+        full = float(np.dot(weight(index / L), mags))
+        assert (full - barron_norm(fs, weight)) / full > 1e-3
 
 
 class TestEvaluateSum:
@@ -521,7 +547,8 @@ class TestScanOffset:
     @pytest.mark.parametrize("f, d, z_box, support, grid", [
         (sinc, 1, 20, 2.0, 3),
         (bump2, 2, 12, 1.6, 2),
-    ], ids=["d1", "d2"])
+        (bump2, 2, 1, 1.6, 2),
+    ], ids=["d1", "d2", "d2-heavy"])
     def test_matches_a_loop_over_every_offset(self, monkeypatch, f, d, z_box,
                                               support, grid):
         # Every periodization of the scan, not only the kept one, equals a
@@ -544,8 +571,25 @@ class TestScanOffset:
             if barron_norm(fs, weight) < want_mass:
                 want_a, want_fs, want_mass = a, fs, barron_norm(fs, weight)
         assert [to_json(fs) for fs in scanned] == [to_json(fs) for fs in looped]
+        assert [fs.warnings for fs in scanned] == [fs.warnings for fs in looped]
         assert best_a == tuple(float(v) for v in want_a)
         assert to_json(best_fs) == to_json(want_fs)
+
+    def test_makes_each_first_axis_contraction_once(self, monkeypatch):
+        # Grid 3 in d = 2: one first-axis contraction per a[0] and one
+        # second-axis contraction per offset, 3 + 9 in all, not 2 * 9.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].shape)
+            return tensordot(*args, **kwargs)
+
+        tensordot = np.tensordot
+        monkeypatch.setattr(np, "tensordot", counting)
+        _, fs = scan_offset(bump2, 2, 5.0, 12, WeightSpec.polynomial(1.0),
+                            support_bound=1.6, grid=3)
+        assert not fs.warnings  # the base node grid alone
+        assert calls == ([(160, 160)] + [(160, 25)] * 3) * 3
 
     def test_samples_a_resolved_target_once(self):
         f = Counting(sinc)

@@ -6,7 +6,7 @@ import types
 import numpy as np
 import pytest
 
-from barronlab import sphere_geom
+from barronlab import lower_bounds, sphere_geom
 from barronlab.barron import evaluate_sum, fourier_sum, from_arrays, hm_norm_exact
 from barronlab.lower_bounds import (
     MAX_GAP_ATOMS,
@@ -19,7 +19,7 @@ from barronlab.lower_bounds import (
     pairwise_separation,
     residual_tail_norm,
 )
-from barronlab.numerics import axis_rule, tensor_nodes
+from barronlab.numerics import axis_rule, map_blocks, tensor_nodes
 from barronlab.relu_nets import sigma_k
 from oracles import integrate, plateau_weight, tail_density
 
@@ -160,6 +160,28 @@ class TestHighFreqGapWorkers:
             got = highfreq_gap(1.0, 16.0, 8, candidates, seed=seed)
             assert got.errors_by_width == want.errors_by_width
             assert got == want
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("n_units, size", [(8, 32), (64, 15), (256, 3)])
+    def test_blocks_sized_by_bytes_leave_the_probe_unchanged(self, monkeypatch, set_cores,
+                                                             cores, n_units, size):
+        # Blocks of at most 2^18 [A | b] floats: 3 candidates at 256 units
+        # (peak RSS 150.5 -> 65.3 MB at 4096 candidates and 2 cores), and
+        # the same probe as fixed blocks of 32 at any width.
+        set_cores(cores)
+        sizes = []
+
+        def recording(fn, blocks, scratch):
+            sizes.append(len(blocks[0]))
+            return map_blocks(fn, blocks, scratch)
+
+        monkeypatch.setattr(lower_bounds, "map_blocks", recording)
+        got = highfreq_gap(1.0, 16.0, n_units, 100, seed=0)
+        monkeypatch.setattr(lower_bounds, "_GAP_BLOCK_FLOATS", 2**62)
+        want = highfreq_gap(1.0, 16.0, n_units, 100, seed=0)
+        assert sizes == [size, 32]
+        assert got.errors_by_width == want.errors_by_width
+        assert got == want
 
     def test_regularized_count_equal_for_any_worker_count(self, set_cores):
         set_cores(1)
@@ -465,7 +487,7 @@ class TestPacking:
     def test_line_refused_before_any_direction_is_drawn(self, monkeypatch, kind, k_or_s):
         # d = 1 used to compute the family's scales, then reach the refusal
         # of separated_subset, whose directions lie on S^(d-1).
-        from barronlab import sphere_geom
+        from barronlab import lower_bounds, sphere_geom
         drawn = []
         monkeypatch.setattr(sphere_geom, "separated_subset", lambda *a, **k: drawn.append(a))
         with pytest.raises(ValueError, match="S\\^\\(d-1\\): dimension d must be >= 2, got 1"):
