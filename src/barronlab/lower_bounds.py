@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .barron import MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .numerics import as_batch, axis_rule, map_blocks, read_only, sigma_k, unbatch
+from .numerics import as_batch, axis_rule, map_blocks, read_only, ridge_block, sigma_k, unbatch
 
 if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
     from .sphere_geom import SphericalNet
@@ -89,6 +89,7 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
         raise ValueError(f"candidates * n_units must be at most {MAX_GAP_ATOMS}, got "
                          f"candidates={candidates} * n_units={n_units} = {candidates * n_units}")
     nodes, weights = axis_rule(-1.0, 1.0, _GAP_NODES)
+    lifted = np.stack([nodes, np.ones(_GAP_NODES)], axis=1)  # [x | 1] at the nodes
     root_w = np.sqrt(weights)
     # Real and imaginary parts of the weighted target as two right-hand sides.
     rhs = root_w * np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)])
@@ -100,11 +101,8 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
         # already in the column-major order LAPACK reads.
         cols = scratch[:len(params)]
         atoms = cols[:, :n_units]
-        np.multiply(params[:, :, :1] * omega_scale, nodes, out=atoms)
-        atoms += params[:, :, 1:] * 2.0
-        np.abs(atoms, out=atoms)
-        atoms *= -alpha
-        np.exp(atoms, out=atoms)
+        ridge = np.swapaxes(params * (omega_scale, 2.0), 1, 2)  # [omega * scale; 2 b]
+        ridge_block(lifted, ridge, np.swapaxes(atoms, 1, 2), alpha=alpha)
         atoms *= root_w
         cols[:, n_units:] = rhs
         r = np.linalg.qr(np.swapaxes(cols, 1, 2), mode="r")

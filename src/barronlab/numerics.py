@@ -1,7 +1,7 @@
-"""Shared numerical substrate: Gauss-Legendre rules and their tensor
-product ``tensor_nodes``, Sobolev mode weights, log-log rate fitting, the
-powered rectifier, and ``map_blocks``, which shares NumPy work over threads
-it starts and joins within each call.
+"""Shared numerical substrate: Gauss-Legendre rules and ``tensor_nodes``,
+Sobolev mode weights, log-log rate fitting, the powered rectifier, the one
+ridge-atom kernel ``ridge_block``, and ``map_blocks``, which shares NumPy
+work over threads it starts and joins within each call.
 
 All routines here are deterministic functions of their inputs.  A
 Gauss-Legendre rule of ``resolution`` nodes per axis integrates per-axis
@@ -70,16 +70,30 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def sigma_k(t, k: int):
-    """Powered rectifier max(0, t)^k; k = 0 gives the Heaviside with sigma_0(0) = 0."""
+def sigma_k(t, k: int, out=None):
+    """Powered rectifier max(0, t)^k; k = 0 gives the Heaviside with sigma_0(0) = 0.
+    An ``out`` array of t's shape, which may be t itself, receives the values."""
     if k < 0 or int(k) != k:
         raise ValueError(f"power must be a nonnegative integer, got {k}")
     t, single = as_batch(t, ndim=0)
     if k == 0:
-        out = (t > 0).astype(float)
+        out = np.greater(t, 0.0, out=np.empty(t.shape) if out is None else out)
     else:
-        out = np.maximum(t, 0.0) ** k
+        out = np.maximum(t, 0.0, out=out)
+        out **= k
     return unbatch(out, single)
+
+
+def ridge_block(lifted, ridge, out, *, k=None, alpha=None) -> np.ndarray:
+    """Ridge atoms in ``out``, returned: t = ``lifted`` @ ``ridge`` = [x | 1] @ [Omega^T; b],
+    then sigma_k(t) in place when ``k`` is given, else |t|, * (-alpha) and exp.
+    Stacked operands give stacked blocks, and ``out`` may be a strided view."""
+    t = np.matmul(lifted, ridge, out=out)
+    if k is not None:
+        return sigma_k(t, k, out=t)
+    np.abs(t, out=t)
+    t *= -alpha
+    return np.exp(t, out=t)
 
 
 # ----------------------------------------------------------------------

@@ -1,11 +1,10 @@
-"""ReLU^k dictionary: activation, shallow networks, exact monomial algebra,
-local polynomial surrogates of ridge units, smoothed cell indicators, and a
+"""ReLU^k dictionary: shallow networks, exact monomial algebra, local
+polynomial surrogates of ridge units, smoothed cell indicators, and a
 cube-partition compiler for smooth targets.
 
-sigma_k(t) = max(0, t)^k with the convention 0^0 = 0, so sigma_0 is the
-right-open Heaviside step.  A network holds the parameters of its units
-a_i sigma_k(omega_i . x + b_i) in arrays, with real outer weights a_i and
-one power k for all units.
+A network holds the parameters of its units a_i sigma_k(omega_i . x + b_i),
+with ``numerics.sigma_k`` (sigma_0 the right-open Heaviside step), in arrays,
+with real outer weights a_i and one power k for all units.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .numerics import (Box, as_batch, gauss_rule, grid_rows, homogeneous_sums, map_blocks,
-                       multi_indices, read_only, sigma_k, unbatch, validate_box)
+                       multi_indices, read_only, ridge_block, sigma_k, unbatch, validate_box)
 
 
 # ----------------------------------------------------------------------
@@ -112,10 +111,10 @@ def relu_network(units: Sequence[tuple]) -> ReluNetwork:
 def evaluate_network(net: ReluNetwork, x):
     """Evaluate the unit sum at one point (d,) or a batch (N, d).
 
-    Each row block's pre-activations, at most ``_EVAL_BLOCK`` entries, are
-    one product [x | 1] @ [Omega^T; b], activated in place and contracted with
-    the outer weights.  ``map_blocks`` shares out the row blocks, each share
-    reusing one [x | 1] and one pre-activation buffer and each block writing
+    Each row block's atoms, at most ``_EVAL_BLOCK`` entries, are one
+    ``ridge_block`` of the block's [x | 1] rows, contracted with the outer
+    weights.  ``map_blocks`` shares out the row blocks, each share
+    reusing one [x | 1] and one atom buffer and each block writing
     only its own rows, so the result is bitwise the same for any worker count.
     """
     pts, single = as_batch(x, d=net.d if net.width else None)
@@ -127,13 +126,7 @@ def evaluate_network(net: ReluNetwork, x):
         rows = slice(start, start + step)
         n = min(step, len(pts) - start)
         lifted[:n, :-1] = pts[rows]
-        t = np.matmul(lifted[:n], ridge, out=buffer[:n])
-        if net.power == 0:
-            np.greater(t, 0.0, out=t)  # the Heaviside, with sigma_0(0) = 0
-        else:
-            np.maximum(t, 0.0, out=t)
-            t **= net.power
-        total[rows] = t @ net.outer
+        total[rows] = ridge_block(lifted[:n], ridge, buffer[:n], k=net.power) @ net.outer
 
     if net.width:
         ridge = np.vstack([net.directions.T, net.biases])
@@ -518,26 +511,24 @@ def compile_sobolev_approximant(f: Callable, ell: int, cells: CubePartition,
 # l1-scaled norm certificates
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HmUpperBound:
     bound: float
     max_unit_norm: float
     ell1: float
-    unit_norms: tuple[float, ...]
+    unit_norms: np.ndarray  # read-only (W,) certified unit norms
 
 
 # Relative margin on every certified unit norm: the exact integrals round
 # near 1e-15 for boxes and biases of unit scale.
 _CERT_MARGIN = 1e-12
 
-# Units per block of ``network_hm_upper``, fixed so that no result depends on the
-# core count.  At d = 3 and W in {500, 16384} on a 2-vCPU host, with the sizes'
-# calls interleaved in one process, 32 was the slowest (up to 1.6x 64's time on
-# 2 cores: twice the blocks, each paying NumPy's per-call overhead), and 128 was
-# 5-30% faster than 64 but holds twice its memory per block and share (2.2 MiB
-# at k = 2, m = 1 and 4.7 MiB at k = 3, m = 2, against 1.1 and 2.4 MiB).  Each
-# share's thread also gets a malloc arena that adds about a block's allocation
-# to peak RSS: 1.3 and 2.8 MB, measured at W = 16384 on 2 cores against 1.
+# Units per block of ``network_hm_upper``.  At d = 3 and W in {500, 16384} on a
+# 2-vCPU host, with the sizes' calls interleaved in one process, 32 was the
+# slowest (up to 1.6x 64's time: twice the blocks, each paying NumPy's per-call
+# overhead), and 128 was 5-30% faster than 64 but holds twice its memory per
+# block (2.2 MiB at k = 2, m = 1 and 4.7 MiB at k = 3, m = 2, against 1.1 and
+# 2.4 MiB).
 _CERT_BLOCK = 64
 
 
@@ -594,11 +585,10 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     sigma_{2(k-r)}, which ``_ridge_box_integrals`` computes exactly for all
     orders at once; the direction sums are ``homogeneous_sums`` at omega^2
     and the falling factorials k! / (k - r)! one column.
-    The units go in blocks of ``_CERT_BLOCK``, shared over cores by
-    ``map_blocks``; each block returns its unit norms, joined in block order.
-    Memory is that of one block per share whatever the width (about 1 MB at
-    d = 3, k = 2, m = 1), and since every step works on one unit's row, the
-    result is bitwise the same for every worker count.
+    The units go in blocks of ``_CERT_BLOCK`` on the calling thread, since two
+    cores made it at most 1.15x faster; memory is one block's at any width
+    (about 1 MB at d = 3, k = 2, m = 1), and as every step works on one unit's
+    row, the norms are bitwise those of one call over all units.
     Each unit norm carries a relative rounding margin of 1e-12, so the
     bound is exact up to that margin and never below the true value.  ``spec``
     is accepted and ignored.
@@ -606,7 +596,7 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     if not (0 <= m < np.inf and int(m) == m):  # so that NaN fails
         raise ValueError(f"order m must be a nonnegative integer, got {m}")
     if not net.width:
-        return HmUpperBound(0.0, 0.0, 0.0, ())
+        return HmUpperBound(0.0, 0.0, 0.0, *read_only(np.zeros(0)))
     k, m = net.power, int(m)
     if m > 0 and k < m + 1:
         raise ValueError(f"network has power {k}; order m={m} needs power >= {m + 1}")
@@ -626,14 +616,12 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     orders = np.arange(m + 1)[:, None]
     falling = np.cumprod(np.vstack([1.0, k - orders[:-1]]), axis=0)
 
-    def block_norms(start, _):
+    norms = np.empty(net.width)
+    for start in range(0, net.width, _CERT_BLOCK):
         rows = slice(start, start + _CERT_BLOCK)
         directions = net.directions[rows]
         integrals = _ridge_box_integrals(directions, net.biases[rows], lo, hi, 2 * (k - orders))
-        by_order = homogeneous_sums(directions ** 2, m)
-        return np.sqrt(np.sum(by_order * falling**2 * integrals, axis=0)) * (1.0 + _CERT_MARGIN)
-
-    norms = np.concatenate(map_blocks(block_norms, range(0, net.width, _CERT_BLOCK),
-                                      lambda: None))
+        weights = homogeneous_sums(directions ** 2, m) * falling**2
+        norms[rows] = np.sqrt(np.sum(weights * integrals, axis=0)) * (1.0 + _CERT_MARGIN)
     max_norm = float(norms.max())
-    return HmUpperBound(max_norm * net.ell1, max_norm, net.ell1, tuple(norms.tolist()))
+    return HmUpperBound(max_norm * net.ell1, max_norm, net.ell1, *read_only(norms))

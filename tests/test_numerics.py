@@ -15,7 +15,9 @@ from barronlab.numerics import (
     loglog_fit,
     map_blocks,
     multi_indices,
+    ridge_block,
     shares,
+    sigma_k,
     sobolev_weight,
     tensor_nodes,
     unbatch,
@@ -261,6 +263,86 @@ class TestGridRows:
         got = grid_rows(axis, d)
         assert got.dtype == axis.dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+
+
+# Signed zeros, NaN, ties and values either side of the kink.
+SPECIAL_T = np.array([[-0.0, 0.0, np.nan, 1.5, 1.5, -1.5, -1.5, 1e-300],
+                      [-np.inf, np.inf, 2.0, 2.0, -0.0, 0.0, np.nan, -1e-300]])
+
+
+def lifted_operands(rng, rows, d, units):
+    """[x | 1] rows with NaN, and [Omega^T; b] with exact zeros t = x . omega + b."""
+    lifted = np.hstack([rng.standard_normal((rows, d)), np.ones((rows, 1))])
+    lifted[0, 0], lifted[1, :d] = np.nan, 1.0
+    ridge = rng.standard_normal((d + 1, units))
+    ridge[:d, 0], ridge[d, 0] = 1.0, -float(d)  # row 1 lands exactly on the kink
+    return lifted, ridge
+
+
+class TestRidgeBlock:
+    """``ridge_block``, the one kernel that lays out ridge atoms."""
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_sigma_k_bitwise_equal_to_its_rule(self, k):
+        want = (SPECIAL_T > 0).astype(float) if k == 0 else np.maximum(SPECIAL_T, 0.0) ** k
+        assert sigma_k(SPECIAL_T, k).tobytes() == want.tobytes()
+        out = np.full(SPECIAL_T.shape, 7.0)
+        assert sigma_k(SPECIAL_T, k, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        t = SPECIAL_T.copy()
+        sigma_k(t, k, out=t)  # in place, as the kernel calls it
+        assert t.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_sigma_k_path_bitwise_equal_to_matmul_then_rule(self, k):
+        lifted, ridge = lifted_operands(np.random.default_rng(k), 40, 3, 9)
+        t = np.matmul(lifted, ridge)
+        assert t[1, 0] == 0.0 and np.isnan(t[0]).all()
+        want = (t > 0).astype(float) if k == 0 else np.maximum(t, 0.0) ** k
+        out = np.empty(t.shape)
+        assert ridge_block(lifted, ridge, out, k=k) is out
+        assert out.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 800.0])
+    def test_exponential_path_bitwise_equal_to_its_rule(self, alpha):
+        lifted, ridge = lifted_operands(np.random.default_rng(11), 40, 1, 9)
+        t = np.matmul(lifted, ridge)
+        out = ridge_block(lifted, ridge, np.empty(t.shape), alpha=alpha)
+        assert out.tobytes() == np.exp(np.abs(t) * -alpha).tobytes()
+
+    @pytest.mark.parametrize("k, alpha", [(None, 1.0), (0, None), (2, None)])
+    def test_stacked_and_strided_blocks_match_separate_calls(self, k, alpha):
+        # The gap probe's layout: C stacked (2, n) ridges over one [nodes | 1],
+        # written through a swapped view of a (C, n, rows) scratch.
+        rng = np.random.default_rng(3)
+        nodes = np.linspace(-1.0, 1.0, 256)
+        lifted = np.stack([nodes, np.ones(256)], axis=1)
+        ridge = np.swapaxes(rng.standard_normal((5, 8, 2)) * (4.0, 2.0), 1, 2)
+        separate = np.stack([ridge_block(lifted, r, np.empty((256, 8)), k=k, alpha=alpha)
+                             for r in ridge])
+        stacked = ridge_block(lifted, ridge, np.empty((5, 256, 8)), k=k, alpha=alpha)
+        scratch = np.full((5, 10, 256), 7.0)
+        ridge_block(lifted, ridge, np.swapaxes(scratch[:, :8], 1, 2), k=k, alpha=alpha)
+        assert stacked.tobytes() == separate.tobytes()
+        assert np.swapaxes(scratch[:, :8], 1, 2).copy().tobytes() == stacked.tobytes()
+        assert (scratch[:, 8:] == 7.0).all()  # columns past the atoms are left alone
+
+    @pytest.mark.parametrize("call", [
+        lambda: lower_bounds.highfreq_gap(1.0, 16.0, 8, 100, seed=0),
+        lambda: relu_nets.evaluate_network(relu_nets.relu_network(
+            [(1.0, (0.6, 0.8), 0.1, 2)]), np.ones((5, 2))),
+    ], ids=["highfreq_gap", "evaluate_network"])
+    def test_both_atom_layouts_go_through_the_kernel(self, monkeypatch, call):
+        seen = []
+
+        def counting(*args, **kwargs):
+            seen.append(kwargs)
+            return ridge_block(*args, **kwargs)
+
+        monkeypatch.setattr(lower_bounds, "ridge_block", counting)
+        monkeypatch.setattr(relu_nets, "ridge_block", counting)
+        call()
+        assert seen
 
 
 def run_with_timeout(fn, seconds=60.0):

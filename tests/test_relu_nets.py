@@ -758,6 +758,14 @@ class TestHmUpperBound:
         scaled = network_hm_upper(relu_network(scaled_units), self.OMEGA, 1, 2.0)
         assert scaled.bound == pytest.approx(3.0 * base.bound, rel=1e-12)
 
+    def test_unit_norms_are_a_read_only_float_array(self):
+        # Not a tuple of W Python floats walked out of the norms array.
+        net = certificate_network(np.random.default_rng(1), 130, 2, 2)
+        for hb, width in ((network_hm_upper(net, self.OMEGA, 1, 2.0), 130),
+                          (network_hm_upper(relu_network([]), self.OMEGA, 1, 2.0), 0)):
+            assert hb.unit_norms.dtype == float and hb.unit_norms.shape == (width,)
+            assert not hb.unit_norms.flags.writeable
+
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("m", [0, 1, 2])
     def test_unit_norms_match_per_unit_reference(self, d, m):
@@ -934,9 +942,9 @@ CERT_POWERS = {1: [(1, 0), (0, 0)], 2: [(2, 1), (3, 2), (4, 0)], 3: [(2, 1)]}
 class TestCertificateBlocks:
     @pytest.mark.parametrize("width", [1, B - 1, B, B + 1, 2 * B + 1, 500])
     @pytest.mark.parametrize("d", [1, 2, 3])
-    def test_bitwise_equal_for_any_worker_count(self, set_cores, width, d):
+    def test_bitwise_equal_for_any_worker_count(self, width, d):
         # Each step of the box integrals works on one unit's row, so the blocked
-        # norms equal the one-call norms over all units, at every worker count.
+        # norms equal the one-call norms over all units.
         rng = np.random.default_rng(width + 10 * d)
         box = [(-0.5, 1.0)] * d
         lo, hi = np.array(box).T
@@ -948,16 +956,13 @@ class TestCertificateBlocks:
             integrals = relu_nets._ridge_box_integrals(net.directions, net.biases, lo, hi,
                                                        2 * (k - orders))
             want = np.sqrt(np.sum(weights * integrals, axis=0)) * (1.0 + 1e-12)
-            for cores in (1, 2, 3, 8):
-                set_cores(cores)
-                hb = network_hm_upper(net, box, m, 2.0)
-                assert np.array(hb.unit_norms).tobytes() == want.tobytes()
-                assert hb.bound == float(want.max()) * net.ell1
+            hb = network_hm_upper(net, box, m, 2.0)
+            assert np.array(hb.unit_norms).tobytes() == want.tobytes()
+            assert hb.bound == float(want.max()) * net.ell1
 
     @pytest.mark.parametrize("width", [1, B - 1, B, B + 1, 2 * B + 1, 500])
-    def test_blocks_hold_fixed_unit_counts(self, set_cores, monkeypatch, width):
-        # Every block but the last holds B units whatever the core count, and
-        # the blocks cover each unit once.
+    def test_blocks_hold_fixed_unit_counts(self, monkeypatch, width):
+        # Every block but the last holds B units, and the blocks cover each unit once.
         net = certificate_network(np.random.default_rng(width), width, 2, 2)
         whole = relu_nets._ridge_box_integrals
         seen = []
@@ -967,21 +972,27 @@ class TestCertificateBlocks:
             return whole(omega, bias, lo, hi, p)
 
         monkeypatch.setattr(relu_nets, "_ridge_box_integrals", spy)
-        for cores in (1, 2, 3, 8):
-            set_cores(cores)
-            seen.clear()
-            network_hm_upper(net, TestHmUpperBound.OMEGA, 1, 2.0)
-            sizes = sorted(len(bias) for bias in seen)
-            assert sizes == sorted([B] * (width // B) + [width % B] * (width % B > 0))
-            covered = np.sort(np.concatenate(seen))
-            assert covered.tobytes() == np.sort(net.biases).tobytes()
+        network_hm_upper(net, TestHmUpperBound.OMEGA, 1, 2.0)
+        sizes = sorted(len(bias) for bias in seen)
+        assert sizes == sorted([B] * (width // B) + [width % B] * (width % B > 0))
+        covered = np.sort(np.concatenate(seen))
+        assert covered.tobytes() == np.sort(net.biases).tobytes()
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    def test_memory_bounded_by_the_blocks(self, set_cores, cores):
+    def test_blocks_run_in_a_plain_loop(self, monkeypatch):
+        # Two cores made the certificate at most 1.11x faster, so it starts
+        # no threads: no ``map_blocks`` call, and no share's fixed cost.
+        def refuse(*args):
+            raise AssertionError("network_hm_upper called map_blocks")
+
+        monkeypatch.setattr(relu_nets, "map_blocks", refuse)
+        net = certificate_network(np.random.default_rng(500), 500, 3, 2)
+        hb = network_hm_upper(net, [(0.0, 1.0)] * 3, 1, 2.0)
+        assert hb.unit_norms.shape == (500,)
+
+    def test_memory_bounded_by_the_blocks(self):
         # The one-call layout held every unit's nodes at once: 70 MiB here.
         net = certificate_network(np.random.default_rng(4096), 4096, 3, 2)
         box = [(0.0, 1.0)] * 3
-        set_cores(cores)
         network_hm_upper(net, box, 1, 2.0)  # first-call caches outside the trace
         tracemalloc.start()
         try:
