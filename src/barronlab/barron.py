@@ -139,6 +139,13 @@ def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
     at most sqrt(#dropped) 1e-14 max|c|; weighted masses such as
     sum (1 + |xi|)^s |c| are not bounded by the rule.  A non-finite
     coefficient is a ``ValueError``.
+
+    Rows that already increase strictly are kept in place: the check
+    compares consecutive rows column by column into boolean arrays, and only
+    when it fails do a stable ``np.lexsort`` and a gather reorder them.  The
+    magnitudes are freed before any copy, and an array is copied only while
+    it still shares memory with the caller's input, so the result's
+    read-only arrays never alias the caller's, which stay writable.
     """
     d, given = int(d), (index, values)
     values = np.asarray(values, dtype=complex).reshape(-1)
@@ -150,28 +157,43 @@ def from_arrays(d, L, a, index, values, warnings=()) -> FourierSum:
             f"lattice indices of shape {index.shape} do not match "
             f"{len(values)} coefficients in dimension {d}"
         )
-    mags = np.abs(values)
-    if len(mags):
+    if len(values):
+        mags = np.abs(values)
         peak = mags.max()
         if not np.isfinite(peak):
             bad = int(np.argmin(np.isfinite(mags)))
             raise ValueError(f"non-finite coefficient {values[bad]} at lattice index "
                              f"{index[bad].tolist()}")
-        keep = (mags >= COEFF_DROP_RELATIVE * peak) & (mags > 0.0)
+        keep = mags >= COEFF_DROP_RELATIVE * peak
+        keep &= mags > 0.0
+        del mags
         if not keep.all():
             index, values = index[keep], values[keep]
-    order = np.lexsort(index.T[::-1])
-    # Rows that arrive sorted (an increasing permutation is the identity) are
-    # not gathered; only an array that still shares memory with the caller's
-    # input is copied, so the caller's arrays stay writable and unshared.
-    if np.all(order[1:] > order[:-1]):
+        del keep
+    if _ascending(index):
         index, values = (x.copy() if np.may_share_memory(x, g) else x
                          for x, g in zip((index, values), given))
     else:
+        order = np.lexsort(index.T[::-1])
         index, values = index[order], values[order]
     index, values = read_only(index, values)
     return FourierSum(d=d, L=float(L), a=tuple(float(v) for v in a),
                       index=index, values=values, warnings=tuple(warnings))
+
+
+def _ascending(index: np.ndarray) -> bool:
+    """Whether each row of ``index`` is lexicographically above the one before.
+
+    Consecutive rows are compared from the last column to the first: row
+    i + 1 is above row i where it is above in column j, or equal there and
+    above in the later columns.
+    """
+    before, after = index[:-1], index[1:]
+    above = before[:, -1] < after[:, -1]
+    for j in range(index.shape[1] - 2, -1, -1):
+        above &= before[:, j] == after[:, j]
+        above |= before[:, j] < after[:, j]
+    return bool(above.all())
 
 
 def fourier_sum(d, L, a, coeffs) -> FourierSum:
@@ -199,10 +221,19 @@ def hm_norm_exact(fs: FourierSum, m: int) -> float:
     """Exact H^m([0, L]^d) norm via mode orthogonality.
 
     Distinct lattice modes are orthogonal in every H^k of the period cell,
-    so the squared norm is L^d sum_z |c_z|^2 w_m(a + z/L).
+    so the squared norm is L^d sum_z |c_z|^2 w_m(a + z/L).  At m = 0 the
+    weight is w_0 = 1 in closed form, so no frequency array is made.
     """
-    w = sobolev_weight(fs.shifted_frequencies(), m)
-    return math.sqrt(fs.L**fs.d * float(np.dot(w, np.abs(fs.values) ** 2)))
+    w = None if m == 0 else sobolev_weight(fs.shifted_frequencies(), m)
+    return mode_norm(fs.L, fs.d, np.abs(fs.values) ** 2, w)
+
+
+def mode_norm(L: float, d: int, power: np.ndarray, w: np.ndarray | None = None) -> float:
+    """sqrt(L^d sum_z w_z p_z): the norm of orthogonal lattice modes with
+    squared moduli ``power`` and squared-mode weights ``w``, all 1 when None."""
+    if w is None:
+        w = np.ones(len(power))
+    return math.sqrt(L**d * float(np.dot(w, power)))
 
 
 def to_json(fs: FourierSum) -> str:

@@ -17,8 +17,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .barron import MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact
-from .numerics import as_batch, axis_rule, map_blocks, read_only, ridge_block, sigma_k, unbatch
+from .barron import (MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact,
+                     mode_norm)
+from .numerics import (as_batch, axis_rule, count_text, map_blocks, read_only, ridge_block,
+                       sigma_k, unbatch)
 
 if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
     from .sphere_geom import SphericalNet
@@ -134,24 +136,46 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
 # dyadic frequency blocks
 # ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DyadicDecomposition:
     """Sharp annulus split of an expansion: level 0 holds |xi| < 2, level
     k >= 1 holds 2^k <= |xi| < 2^(k+1).  On atomic spectra the indicator
     split is an exact partition, so the blocks sum back to the split
-    expansion and are pairwise orthogonal on the period cell."""
+    expansion and are pairwise orthogonal on the period cell.
 
-    blocks: tuple[tuple[int, FourierSum], ...]
+    ``runs[k]`` holds level k's row runs, slices of the spectrum's sorted
+    index, one at level 0 and two (negative xi, then positive) above, so
+    the split stores no row twice.  ``sq_norms`` reads the runs; ``blocks``
+    copies each level's rows into its own expansion, made when first read.
+    """
+
+    spectrum: FourierSum
+    runs: tuple[tuple[slice, ...], ...]
+
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, FourierSum], ...]:
+        """(level, block expansion) per level, in level order."""
+        # The runs are sorted and finite, and no block's peak exceeds the spectrum's,
+        # so ``from_arrays`` would neither reorder nor drop a row: build blocks directly.
+        fs = self.spectrum
+        return tuple((k, FourierSum(1, fs.L, fs.a, *read_only(
+            np.concatenate([fs.index[r] for r in runs]),
+            np.concatenate([fs.values[r] for r in runs]))))
+            for k, runs in enumerate(self.runs))
 
     @cached_property
     def sq_norms(self) -> tuple[float, ...]:
-        """Squared L2 norm of each level's block, in level order, computed once."""
-        return tuple(hm_norm_exact(block, 0) ** 2 for _, block in self.blocks)
+        """Squared L2 norm of each level's block, in level order, computed once:
+        ``hm_norm_exact(block, 0) ** 2`` from the level's runs of |c_z|^2."""
+        fs = self.spectrum
+        power = np.abs(fs.values) ** 2
+        return tuple(mode_norm(fs.L, fs.d, np.concatenate([power[r] for r in runs])) ** 2
+                     for runs in self.runs)
 
 
 def dyadic_blocks(spectrum: FourierSum) -> DyadicDecomposition:
-    """Split a one-dimensional expansion into dyadic frequency annuli, one
-    block per level from 0 to the spectrum's top level."""
+    """Split a one-dimensional expansion into dyadic frequency annuli: the
+    row runs of each level from 0 to the spectrum's top level."""
     if spectrum.d != 1:
         raise ValueError("dyadic blocks are implemented for d = 1")
     # The index is sorted, so xi = z / L ascends and each level is one run or two:
@@ -160,33 +184,28 @@ def dyadic_blocks(spectrum: FourierSum) -> DyadicDecomposition:
     top = max(0, int(np.frexp(np.abs(xi).max(initial=0.0))[1]) - 1)  # floor(log2 max |xi|)
     edges = 2.0 ** np.arange(1, top + 2)
     neg, pos = np.searchsorted(xi, -edges, side="right"), np.searchsorted(xi, edges)
-
-    # The runs are sorted and finite, and no block's peak exceeds the spectrum's,
-    # so ``from_arrays`` would neither reorder nor drop a row: build blocks directly.
-    def block(*runs):
-        return FourierSum(1, spectrum.L, spectrum.a, *read_only(
-            np.concatenate([spectrum.index[r] for r in runs]),
-            np.concatenate([spectrum.values[r] for r in runs])))
-
-    return DyadicDecomposition(((0, block(slice(neg[0], pos[0]))),) + tuple(
-        (k, block(slice(neg[k], neg[k - 1]), slice(pos[k - 1], pos[k])))
-        for k in range(1, top + 1)))
+    return DyadicDecomposition(spectrum, ((slice(neg[0], pos[0]),),) + tuple(
+        (slice(neg[k], neg[k - 1]), slice(pos[k - 1], pos[k])) for k in range(1, top + 1)))
 
 
 def decaying_spectrum(xi_max: float, decay: float) -> FourierSum:
     """Unit-period expansion with c_z = (1 + |z|)^-decay for |z| <= xi_max.
 
     Its 2 floor(xi_max) + 1 index rows are capped at ``MAX_BOX_ROWS``; a
-    negative xi_max is refused.
+    negative xi_max is refused.  The coefficients are computed in place in
+    one float buffer.
     """
     if xi_max < 0:
         raise ValueError(f"xi_max must be >= 0, got xi_max = {xi_max}")
     rows = 2 * int(xi_max) + 1
     if rows > MAX_BOX_ROWS:
-        raise ValueError(f"xi_max = {xi_max} needs {rows} index rows, above the cap of "
-                         f"{MAX_BOX_ROWS}; lower xi_max")
+        raise ValueError(f"xi_max = {xi_max} needs {count_text(rows)} index rows, above the "
+                         f"cap of {MAX_BOX_ROWS}; lower xi_max")
     z = np.arange(-int(xi_max), int(xi_max) + 1)
-    return from_arrays(1, 1.0, (0.0,), z[:, None], (1.0 + np.abs(z)) ** (-decay))
+    values = np.abs(z, dtype=float)
+    values += 1.0
+    values **= -decay
+    return from_arrays(1, 1.0, (0.0,), z[:, None], values)
 
 
 def residual_tail_norm(decomp: DyadicDecomposition, from_level: int) -> float:

@@ -70,6 +70,18 @@ def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
+def count_text(n: int) -> str:
+    """A count as text: in full up to 10^6, else to three significant digits
+    as ``:.3g`` writes a float (4194305 as 4.19e+06), at any size."""
+    if n <= 10**6:
+        return str(n)
+    if n < 10**308:
+        return f"{n:.3g}"
+    from decimal import Decimal  # past the float range; loaded only here
+    mantissa, exponent = f"{Decimal(n):.2e}".split("e")
+    return f"{mantissa.rstrip('0').rstrip('.')}e{exponent}"
+
+
 def sigma_k(t, k: int, out=None):
     """Powered rectifier max(0, t)^k; k = 0 gives the Heaviside with sigma_0(0) = 0.
     An ``out`` array of t's shape, which may be t itself, receives the values."""

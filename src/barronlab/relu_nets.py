@@ -15,8 +15,9 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .numerics import (Box, as_batch, gauss_rule, grid_rows, homogeneous_sums, map_blocks,
-                       multi_indices, read_only, ridge_block, sigma_k, unbatch, validate_box)
+from .numerics import (Box, as_batch, count_text, gauss_rule, grid_rows, homogeneous_sums,
+                       map_blocks, multi_indices, read_only, ridge_block, sigma_k, unbatch,
+                       validate_box)
 
 
 # ----------------------------------------------------------------------
@@ -431,7 +432,7 @@ class SobolevApproximant:
         rows = (int(q) * per_axis) ** int(d)
         if rows > MAX_COMPILE_ROWS:
             raise ValueError(f"cell check with q = {q}, d = {d} at {per_axis} points per axis "
-                             f"samples {rows} rows, above the cap {MAX_COMPILE_ROWS}")
+                             f"samples {count_text(rows)} rows, above the cap {MAX_COMPILE_ROWS}")
         pts, design = _cell_samples(self.partition, per_axis, self.exponents)
         values = np.asarray(f(pts)).reshape(-1, len(design))
         return np.max(np.abs(values - self.coefficients @ design.T), axis=1)
@@ -464,8 +465,8 @@ def check_compile_size(d: int, q: int, ell: int) -> None:
     """Refuse a compile of more than ``MAX_COMPILE_ROWS`` sample rows."""
     rows = (int(q) * (int(ell) + 3)) ** int(d)  # Python ints: NumPy ones would wrap
     if rows > MAX_COMPILE_ROWS:
-        raise ValueError(f"compile with q = {q}, d = {d}, ell = {ell} samples "
-                         f"q^d (ell + 3)^d = {rows} rows, above the cap {MAX_COMPILE_ROWS}")
+        raise ValueError(f"compile with q = {q}, d = {d}, ell = {ell} samples q^d (ell + 3)^d "
+                         f"= {count_text(rows)} rows, above the cap {MAX_COMPILE_ROWS}")
 
 
 def _cell_samples(cells: CubePartition, per_axis: int, exponents: np.ndarray):
@@ -532,7 +533,7 @@ _CERT_MARGIN = 1e-12
 _CERT_BLOCK = 64
 
 
-def _ridge_box_integrals(omega, bias, lo, hi, p) -> np.ndarray:
+def _ridge_box_integrals(omega, bias, lo, hi, p, tables=None) -> np.ndarray:
     """Exact integral of sigma_{p_r}(omega_i . x + b_i) over the box [lo, hi],
     per row r of the exponents ``p`` (R, 1) and unit i, as an (R, n) array.
 
@@ -542,6 +543,11 @@ def _ridge_box_integrals(omega, bias, lo, hi, p) -> np.ndarray:
     changes polynomial piece (at the inner box corners, clipped to the box); a
     piece of degree p + (inner axes) takes ceil((degree + 1) / 2) nodes.  One
     layout of split points, nodes and weights per unit serves every row.
+
+    The closed-form axis's powers at its two ends fill two (R, n, nodes)
+    tables.  ``tables``, a list, keeps them for later calls with the same
+    exponents and at most n units, which write into their leading units:
+    an empty list receives this call's tables.
     """
     n, d = omega.shape
     order = np.argsort(np.arange(d) == np.argmax(np.abs(omega), axis=1)[:, None],
@@ -564,9 +570,17 @@ def _ridge_box_integrals(omega, bias, lo, hi, p) -> np.ndarray:
         x = edges[..., :-1, None] + half * (nodes + 1.0)
         c = (c[:, :, None, None] + slope[..., None] * x).reshape(n, -1)
         w = (w[:, :, None, None] * half * weights).reshape(n, -1)
-    upper, lower = (np.maximum(c + (omega[:, -1] * end[:, -1])[:, None], 0.0) ** (p[..., None] + 1)
-                    for end in (hi, lo))
-    return np.sum(w * (upper - lower), axis=-1) / ((p + 1) * omega[:, -1])
+    if tables is None:
+        tables = []
+    if not tables:
+        tables += [np.empty((len(p),) + c.shape) for _ in (hi, lo)]
+    upper, lower = (table[:, :n] for table in tables)
+    for table, end in zip((upper, lower), (hi, lo)):
+        np.power(np.maximum(c + (omega[:, -1] * end[:, -1])[:, None], 0.0), p[..., None] + 1,
+                 out=table)
+    upper -= lower
+    upper *= w
+    return np.sum(upper, axis=-1) / ((p + 1) * omega[:, -1])
 
 
 def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
@@ -587,8 +601,9 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     and the falling factorials k! / (k - r)! one column.
     The units go in blocks of ``_CERT_BLOCK`` on the calling thread, since two
     cores made it at most 1.15x faster; memory is one block's at any width
-    (about 1 MB at d = 3, k = 2, m = 1), and as every step works on one unit's
-    row, the norms are bitwise those of one call over all units.
+    (about 1 MB at d = 3, k = 2, m = 1), the first block's two power tables
+    serve every later block, and as every step works on one unit's row, the
+    norms are bitwise those of one call over all units.
     Each unit norm carries a relative rounding margin of 1e-12, so the
     bound is exact up to that margin and never below the true value.  ``spec``
     is accepted and ignored.
@@ -616,11 +631,12 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     orders = np.arange(m + 1)[:, None]
     falling = np.cumprod(np.vstack([1.0, k - orders[:-1]]), axis=0)
 
-    norms = np.empty(net.width)
+    norms, tables = np.empty(net.width), []
     for start in range(0, net.width, _CERT_BLOCK):
         rows = slice(start, start + _CERT_BLOCK)
         directions = net.directions[rows]
-        integrals = _ridge_box_integrals(directions, net.biases[rows], lo, hi, 2 * (k - orders))
+        integrals = _ridge_box_integrals(directions, net.biases[rows], lo, hi, 2 * (k - orders),
+                                         tables)
         weights = homogeneous_sums(directions ** 2, m) * falling**2
         norms[rows] = np.sqrt(np.sum(weights * integrals, axis=0)) * (1.0 + _CERT_MARGIN)
     max_norm = float(norms.max())

@@ -213,6 +213,55 @@ class TestFromArrays:
         assert np.array_equal(index, index_before)
         assert np.array_equal(values, values_before)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_rows_match_the_lexsort_path(self, data):
+        # int64 rows in d = 1..3, small entries (so rows repeat) mixed with any
+        # int64, arriving strictly sorted, sorted with repeats, sorted by the
+        # first column alone, shuffled or as drawn, with coefficients down to
+        # and below the drop level.
+        d = data.draw(st.integers(1, 3), label="d")
+        entry = st.one_of(st.integers(-2, 2), st.integers(-2**63, 2**63 - 1))
+        rows = data.draw(st.lists(st.tuples(*[entry] * d), max_size=40), label="rows")
+        index = np.array(rows, dtype=np.int64).reshape(-1, d)
+        arrival = data.draw(st.sampled_from(["strict", "sorted", "first", "shuffled", "drawn"]))
+        if arrival == "strict":
+            index = np.unique(index, axis=0)
+        elif arrival == "sorted":
+            index = index[np.lexsort(index.T[::-1])]
+        elif arrival == "first":
+            index = index[np.argsort(index[:, 0], kind="stable")]
+        elif arrival == "shuffled":
+            index = index[data.draw(st.permutations(range(len(index))), label="order")]
+        scale = st.sampled_from([1.0, 0.5, 2e-14, 1e-14, 5e-15, 1e-300, 0.0])
+        parts = data.draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1), scale),
+                                   min_size=len(index), max_size=len(index)), label="values")
+        values = np.array([complex(re, im) * s for re, im, s in parts], dtype=complex)
+        index_before, values_before = index.copy(), values.copy()
+        want_index, want_values = lexsort_reference(index, values) if len(index) else (
+            index, values)
+        fs = from_arrays(d, 2.0, (0.0,) * d, index, values)
+        assert np.array_equal(fs.index, want_index) and np.array_equal(fs.values, want_values)
+        assert fs.index.shape == (len(want_index), d)
+        assert not fs.index.flags.writeable and not fs.values.flags.writeable
+        assert index.flags.writeable and values.flags.writeable
+        assert not np.shares_memory(fs.index, index)
+        assert not np.shares_memory(fs.values, values)
+        assert np.array_equal(index, index_before) and np.array_equal(values, values_before)
+
+    def test_rows_in_order_skip_the_sort(self, monkeypatch):
+        # Strictly increasing rows are checked in place: no lexsort, no gather.
+        def refuse(keys):
+            raise AssertionError("from_arrays sorted rows already in order")
+
+        monkeypatch.setattr(barron.np, "lexsort", refuse)
+        z = np.arange(-300, 301)
+        fs = from_arrays(1, 1.0, (0.0,), z[:, None], 1.0 / (1.0 + np.abs(z)))
+        assert np.array_equal(fs.index[:, 0], z)
+        rows = np.array(list(itertools.product(range(-2, 3), repeat=3)))
+        assert np.array_equal(from_arrays(3, 1.0, (0.0,) * 3, rows, np.ones(len(rows))).index,
+                              rows)
+
     def test_drop_rule_bounds_the_l1_and_l2_moves_only(self, monkeypatch):
         # Every dropped |c| is below 1e-14 max|c|, which bounds the l1 and l2
         # moves; weighted masses are not bounded (measured relative moves on
@@ -276,6 +325,23 @@ class TestNorms:
         assert hm_norm_exact(fs, 1) == pytest.approx(
             math.sqrt(1 + 4 * math.pi**2), rel=1e-15
         )
+
+    def test_m0_closed_form_is_the_weighted_dot(self, monkeypatch):
+        # w_0 = 1 needs no frequencies, and the dot with a ones vector gives
+        # the bits of the general formula at m = 0.
+        rng = np.random.default_rng(4)
+        index = np.unique(rng.integers(-900, 900, (4000, 2)), axis=0)
+        values = rng.standard_normal(len(index)) + 1j * rng.standard_normal(len(index))
+        fs = from_arrays(2, 1.5, (0.25, 0.0), index, values)
+        freqs = fs.shifted_frequencies()
+        want = math.sqrt(fs.L**fs.d * float(np.dot(barron.sobolev_weight(freqs, 0),
+                                                   np.abs(fs.values) ** 2)))
+
+        def refuse(self):
+            raise AssertionError("hm_norm_exact built frequencies at m = 0")
+
+        monkeypatch.setattr(barron.FourierSum, "shifted_frequencies", refuse)
+        assert hm_norm_exact(fs, 0) == want
 
     def test_parseval_m0(self):
         rng = np.random.default_rng(9)

@@ -339,7 +339,23 @@ class TestExitCodes:
         # 14.9 GiB allocation failure (exit 1).
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == ""
-        assert "xi_max = 2097152.0 needs 4194305 index rows" in err
+        assert "xi_max = 2097152.0 needs 4.19e+06 index rows, above the cap of 4194304" in err
+
+    @pytest.mark.parametrize("args", [
+        ("dyadic", "--xi-max", "1e300"),
+        ("rates", "--kind", "dyadic-residual", "--param", "xi_max=1e300"),
+    ])
+    def test_huge_dyadic_row_count_reads_in_three_digits(self, capsys, args):
+        # The count was printed as a 301-digit integer.
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2 and out == ""
+        assert "xi_max = 1e+300 needs 2e+300 index rows, above the cap of 4194304" in err
+        assert len(err) < 200
+
+    def test_huge_compile_row_count_reads_in_three_digits(self, capsys):
+        code, out, err = run_cli(capsys, "relu-compile", "--d", "3", "--q", str(10**40))
+        assert code == 2 and out == ""
+        assert "samples q^d (ell + 3)^d = 1.25e+122 rows, above the cap 8388608" in err
 
     @pytest.mark.parametrize("args", [
         ("greedy-fourier", "--d", "2", "--xi-max", "1e5"),
@@ -692,7 +708,7 @@ class TestOutputs:
         monkeypatch.setattr(relu_nets.CubePartition, "grids", capped)
         code, out, err = run_cli(capsys, "relu-compile", "--d", "2", "--q", "322")
         assert (code, out) == (2, "")
-        assert "q = 322, d = 2 at 9 points per axis samples 8398404 rows" in err
+        assert "q = 322, d = 2 at 9 points per axis samples 8.4e+06 rows" in err
 
     def test_rates_json(self, capsys):
         code, out, _ = run_cli(

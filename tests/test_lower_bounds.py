@@ -357,11 +357,68 @@ class TestDyadic:
             assert np.array_equal(block.index, want.index)
             assert np.array_equal(block.values, want.values)
 
+    @pytest.mark.parametrize("spectrum", [
+        lambda: decaying_spectrum(65536.0, 1.0), lambda: decaying_spectrum(300.0, 2.0),
+        lambda: from_arrays(1, 3.0, (0.25,), np.arange(-49, 48)[:, None],
+                            np.exp(1j * np.arange(-49, 48)) / 7.0),
+    ], ids=["xi65536", "xi300-decay2", "L3-offset"])
+    def test_sq_norms_from_runs_bitwise(self, spectrum):
+        # Read before any block exists, the runs' squared norms are the bits
+        # of each block's hm_norm_exact(block, 0) ** 2.
+        decomp = dyadic_blocks(spectrum())
+        got = decomp.sq_norms
+        assert "blocks" not in decomp.__dict__
+        assert got == tuple(hm_norm_exact(block, 0) ** 2 for _, block in decomp.blocks)
+
+    def test_dyadic_residual_kind_never_builds_blocks(self, monkeypatch):
+        from barronlab import rates
+        made = []
+
+        def recording(spectrum):
+            made.append(dyadic_blocks(spectrum))
+            return made[-1]
+
+        monkeypatch.setattr(lower_bounds, "dyadic_blocks", recording)
+        rates.run_experiment(rates.DYADIC_RESIDUAL, {"xi_max": 256.0}, [2, 4, 8, 16, 32, 64])
+        (decomp,) = made
+        assert "sq_norms" in decomp.__dict__ and "blocks" not in decomp.__dict__
+
+    def test_dyadic_residual_peak_memory(self):
+        # At xi_max = 65536 (131,073 rows, 3 MiB of index and coefficients) the
+        # kind's traced peak stays within twice the spectrum's bytes; it was
+        # 7.13 MiB while from_arrays sorted rows already in order and the
+        # levels copied every row into blocks.
+        import tracemalloc
+
+        from barronlab import rates
+        grid = [2**i for i in range(1, 11)]
+        rates.run_experiment(rates.DYADIC_RESIDUAL, {"xi_max": 64.0}, grid[:6])  # imports
+        tracemalloc.start()
+        try:
+            rates.run_experiment(rates.DYADIC_RESIDUAL, {"xi_max": 65536.0}, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        spectrum = decaying_spectrum(65536.0, 1.0)
+        assert peak <= 2 * (spectrum.index.nbytes + spectrum.values.nbytes)
+
+    def test_decaying_spectrum_values_in_one_buffer(self):
+        # In place, the coefficients keep the bits of (1 + |z|) ** -decay.
+        for xi_max, decay in ((1000.0, 1.0), (77.0, 0.75), (5.0, 2.0)):
+            z = np.arange(-int(xi_max), int(xi_max) + 1)
+            fs = decaying_spectrum(xi_max, decay)
+            assert fs.values.tobytes() == ((1.0 + np.abs(z)) ** (-decay)).astype(complex).tobytes()
+            assert np.array_equal(fs.index[:, 0], z)
+
     def test_spectrum_rows_capped(self):
         # 2^21 is the first xi_max whose 2 xi_max + 1 index rows exceed 2^22;
         # xi_max = 1e9 used to end in a 14.9 GiB allocation failure.
-        with pytest.raises(ValueError, match="xi_max = 2097152.0 needs 4194305 index rows"):
+        with pytest.raises(ValueError, match=r"xi_max = 2097152.0 needs 4.19e\+06 index rows"):
             decaying_spectrum(2.0**21, 1.0)
+        # A huge xi_max names its row count in three digits, not 301.
+        with pytest.raises(ValueError, match=r"xi_max = 1e\+300 needs 2e\+300 index rows, "
+                                             "above the cap of 4194304"):
+            decaying_spectrum(1e300, 1.0)
 
     @pytest.mark.parametrize("xi_max", [-5.0, -0.5])
     def test_negative_xi_max_refused(self, xi_max):

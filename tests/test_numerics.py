@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from barronlab import barron, lower_bounds, relu_nets
 from barronlab.numerics import (
     as_batch,
+    count_text,
     grid_rows,
     homogeneous_sums,
     loglog_fit,
@@ -251,6 +252,22 @@ def test_one_item_gives_a_python_number(name, d, item, evaluate):
     value, batch = evaluate(item), evaluate(np.array([item]))
     assert type(value) is type(batch[0].item())
     assert value == batch[0]
+
+
+class TestCountText:
+    @pytest.mark.parametrize("n, want", [
+        (0, "0"), (999_999, "999999"), (10**6, "1000000"), (10**6 + 1, "1e+06"),
+        (4_194_305, "4.19e+06"), (8_398_404, "8.4e+06"), (2 * 10**300 + 1, "2e+300"),
+        (2 * int(1e308) + 1, "2e+308"), (125 * 10**120, "1.25e+122"),
+        (123_456 * 10**400, "1.23e+405"), (10**1000, "1e+1000"),
+    ])
+    def test_full_to_a_million_then_three_digits(self, n, want):
+        assert count_text(n) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(10**6 + 1, 10**307))
+    def test_float_range_matches_format_3g(self, n):
+        assert count_text(n) == f"{float(n):.3g}"
 
 
 class TestGridRows:

@@ -967,9 +967,9 @@ class TestCertificateBlocks:
         whole = relu_nets._ridge_box_integrals
         seen = []
 
-        def spy(omega, bias, lo, hi, p):
+        def spy(omega, bias, lo, hi, p, tables):
             seen.append(bias)
-            return whole(omega, bias, lo, hi, p)
+            return whole(omega, bias, lo, hi, p, tables)
 
         monkeypatch.setattr(relu_nets, "_ridge_box_integrals", spy)
         network_hm_upper(net, TestHmUpperBound.OMEGA, 1, 2.0)
@@ -977,6 +977,31 @@ class TestCertificateBlocks:
         assert sizes == sorted([B] * (width // B) + [width % B] * (width % B > 0))
         covered = np.sort(np.concatenate(seen))
         assert covered.tobytes() == np.sort(net.biases).tobytes()
+
+    @pytest.mark.parametrize("width", [1, B - 1, B, B + 1, 2 * B + 1, 500])
+    def test_blocks_share_one_pair_of_tables(self, monkeypatch, width):
+        # The first block makes the two power tables; every later block writes
+        # views of their leading units, and its integrals keep their bits.
+        net = certificate_network(np.random.default_rng(width + 1), width, 3, 3)
+        whole = relu_nets._ridge_box_integrals
+        seen = []
+
+        def spy(omega, bias, lo, hi, p, tables):
+            before = list(tables)
+            got = whole(omega, bias, lo, hi, p, tables)
+            seen.append((tables, before, list(tables)))
+            assert got.tobytes() == whole(omega, bias, lo, hi, p).tobytes()
+            return got
+
+        monkeypatch.setattr(relu_nets, "_ridge_box_integrals", spy)
+        network_hm_upper(net, [(-0.5, 1.0)] * 3, 2, 2.0)
+        (tables, before, first), *later = seen
+        assert before == [] and len(first) == 2
+        assert all(table.shape[:2] == (3, min(width, B)) for table in first)
+        for held, before, after in later:
+            assert held is tables
+            assert all(x is y for x, y in zip(before, first)) and len(before) == 2
+            assert all(x is y for x, y in zip(after, first)) and len(after) == 2
 
     def test_blocks_run_in_a_plain_loop(self, monkeypatch):
         # Two cores made the certificate at most 1.11x faster, so it starts
