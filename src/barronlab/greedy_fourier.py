@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barron import COEFF_DROP_RELATIVE, MAX_BOX_ROWS, FourierSum, from_arrays
-from .numerics import grid_rows, sobolev_weight
+from .numerics import count_text, grid_rows, sobolev_weight
 
 # Largest lattice-shell table heavy_tail_sweep builds: 2^21 rows, ~80 MB at d = 2, ~210 MB above.
 MAX_SHELL_ROWS = 2**21
@@ -174,7 +174,8 @@ def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int) -> Fourier
     rows = (2 * z_max + 1) ** d
     if d < 1 or rows > MAX_BOX_ROWS:
         raise ValueError(f"need d >= 1 and at most {MAX_BOX_ROWS} lattice box rows, got "
-                         f"d={d} and (2*{z_max} + 1)^{d} = {rows} rows; lower xi_max")
+                         f"d={d} and (2*{count_text(z_max)} + 1)^{d} = {count_text(rows)} rows; "
+                         "lower xi_max")
     rng = np.random.default_rng(seed)
     index = grid_rows(np.arange(-z_max, z_max + 1), d)
     radius = np.linalg.norm(index, axis=1)
@@ -251,7 +252,7 @@ def heavy_tail_sweep(d: int, ks: float, m: int, xi_max: float, seed: int):
     rows = z_max + 1 if d == 1 else (z_max + 1) ** 2
     if d < 1 or rows > MAX_SHELL_ROWS:
         raise ValueError(f"need d >= 1 and at most {MAX_SHELL_ROWS} lattice-shell rows, got "
-                         f"d={d} and {rows} rows at xi_max={xi_max}; lower xi_max")
+                         f"d={d} and {count_text(rows)} rows at xi_max={xi_max}; lower xi_max")
     sq = np.arange(z_max + 1) ** 2 if d == 1 else np.arange(rows)
     counts = np.where(sq == 0, 1, 2) if d == 1 else lattice_shell_counts(d, z_max)
     radius = np.sqrt(sq)

@@ -67,7 +67,10 @@ class ReluNetwork:
 
 
 # Pre-activations per block of ``evaluate_network``: 1 MB of float64, the fastest of
-# 2^16, 2^17 and 2^18 entries on a 2-vCPU host with 2 MB of L2 per core.
+# 2^16, 2^17 and 2^18 entries on a 2-vCPU host with 2 MB of L2 per core.  The
+# collapsed units' form counts (d + 1)^(k - 1) entries per row against it, the
+# widest step of its contraction, and its tensor is summed in unit blocks of the
+# same size.
 _EVAL_BLOCK = 1 << 17
 
 
@@ -112,29 +115,101 @@ def relu_network(units: Sequence[tuple]) -> ReluNetwork:
 def evaluate_network(net: ReluNetwork, x):
     """Evaluate the unit sum at one point (d,) or a batch (N, d).
 
-    Each row block's atoms, at most ``_EVAL_BLOCK`` entries, are one
-    ``ridge_block`` of the block's [x | 1] rows, contracted with the outer
-    weights.  ``map_blocks`` shares out the row blocks, each share
-    reusing one [x | 1] and one atom buffer and each block writing
-    only its own rows, so the result is bitwise the same for any worker count.
+    Each call first sorts the units by their sign on the batch's bounding
+    box, in O(W d).  A unit with t = omega . x + b below minus a rounding
+    margin on the whole box adds 0 and is dropped.  Where t stays above the
+    margin, sigma_k(t) = t^k, so those P units add up to <T, [x - c | 1]^(x)k>
+    with T = sum_i a_i [omega_i; omega_i . c + b_i]^(x)k about the box's
+    centre c, built once per call and contracted one axis at a time.  T
+    costs (d + 1)^k products per unit to build and per point to contract,
+    so the form replaces the P units' atoms on N points only when
+    (d + 1)^k (P + N) < P N.  The margin covers the rounding of t, so
+    sigma_0's step at t = 0 is never collapsed and no value moves by more
+    than rounding; with nothing dropped or collapsed, the result is bitwise
+    what every unit's atoms give.
+
+    The other units' atoms are one ``ridge_block`` of each row block's
+    [x | 1] rows, contracted with their outer weights; a row block holds at
+    most ``_EVAL_BLOCK`` atoms and form entries.  ``map_blocks`` shares out
+    the row blocks, each share reusing its own buffers and each block
+    writing only its own rows, so the result is bitwise the same for any
+    worker count.
     """
     pts, single = as_batch(x, d=net.d if net.width else None)
     total = np.zeros(len(pts))
-    step = max(1, _EVAL_BLOCK // max(net.width, 1))
+    if not (net.width and len(pts)):
+        return unbatch(total, single)
+    d, k = net.d, net.power
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    center, magnitude = 0.5 * (lo + hi), np.abs(net.directions)
+    mid = net.directions @ center + net.biases  # t at the box's centre
+    spread = magnitude @ (0.5 * (hi - lo))  # the largest |t - mid| on the box
+    # At least twice the rounding error of t = [x | 1] @ [omega; b] in any
+    # summation order, (d + 1) eps/2 (sum_j |x_j omega_j| + |b|), plus that of
+    # mid and spread.
+    margin = 4 * (d + 2) * np.finfo(float).eps * (
+        magnitude @ np.maximum(np.abs(lo), np.abs(hi)) + np.abs(net.biases))
+    form = mid - spread > margin
+    positive = int(np.count_nonzero(form))
+    if (d + 1) ** k * (positive + len(pts)) >= positive * len(pts):
+        form[:] = False
+    kept = ~(form | (mid + spread <= -margin))
+    outer, directions, biases = ((net.outer, net.directions, net.biases) if kept.all() else
+                                 (net.outer[kept], net.directions[kept], net.biases[kept]))
+    tensor = (_form_tensor(net.outer[form], np.column_stack([net.directions[form], mid[form]]),
+                           k) if form.any() else None)
+    cols = 0 if tensor is None else tensor.shape[0]
+    step = max(1, _EVAL_BLOCK // max(len(outer) + cols, 1))
 
     def run(start, buffers):
-        lifted, buffer = buffers
+        lifted, atoms, shifted, partial = buffers
         rows = slice(start, start + step)
         n = min(step, len(pts) - start)
         lifted[:n, :-1] = pts[rows]
-        total[rows] = ridge_block(lifted[:n], ridge, buffer[:n], k=net.power) @ net.outer
+        value = ridge_block(lifted[:n], ridge, atoms[:n], k=k) @ outer if len(outer) else 0.0
+        if tensor is not None:
+            np.subtract(pts[rows], center, out=shifted[:n, :-1])
+            value = value + _contract(tensor, shifted[:n], partial[:n])
+        total[rows] = value
 
-    if net.width:
-        ridge = np.vstack([net.directions.T, net.biases])
+    if len(outer) or tensor is not None:
+        ridge = np.vstack([directions.T, biases])
         height = min(step, len(pts))
         map_blocks(run, range(0, len(pts), step),
-                   lambda: (np.ones((height, net.d + 1)), np.empty((height, net.width))))
+                   lambda: (np.ones((height, d + 1)), np.empty((height, len(outer))),
+                            np.ones((height, d + 1)), np.empty((height, cols))))
     return unbatch(total, single)
+
+
+def _form_tensor(outer: np.ndarray, rows: np.ndarray, k: int) -> np.ndarray:
+    """T = sum_i outer_i rows_i^(x)k as a ((d + 1)^(k - 1), d + 1) matrix, its last
+    axis apart; at k = 0, the (1, 1) matrix [[sum_i outer_i]].  It is summed over
+    blocks of units whose widest temporary, (d + 1)^(k - 1) entries a unit, stays
+    within ``_EVAL_BLOCK`` entries."""
+    if k == 0:
+        return np.full((1, 1), outer.sum())
+    width = rows.shape[1] ** (k - 1)
+    tensor = np.zeros((width, rows.shape[1]))
+    step = max(1, _EVAL_BLOCK // width)
+    for start in range(0, len(rows), step):
+        block = rows[start:start + step]
+        powers = outer[start:start + step, None]
+        for _ in range(k - 1):
+            powers = (powers[:, :, None] * block[:, None, :]).reshape(len(block), -1)
+        tensor += powers.T @ block
+    return tensor
+
+
+def _contract(tensor: np.ndarray, shifted: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """<T, y^(x)k> for each row y of ``shifted`` (n, d + 1), with T from
+    ``_form_tensor``: one axis at a time, the first into ``out`` (n, (d + 1)^(k - 1))."""
+    if tensor.shape[1] == 1:  # k = 0: the constant sum
+        return tensor[0, 0]
+    partial = np.matmul(shifted, tensor.T, out=out)
+    while partial.shape[1] > 1:
+        partial = np.einsum("nrj,nj->nr", partial.reshape(len(shifted), -1, shifted.shape[1]),
+                            shifted)
+    return partial[:, 0]
 
 
 def monomial_network_1d(m: int) -> ReluNetwork:

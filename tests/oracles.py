@@ -1,12 +1,13 @@
 """Reference computations that unit tests check barronlab against: a box
-quadrature and the integrand of the arctan-dictionary measure, whose mass
-``lower_bounds.example2_tail_mass`` takes in closed form."""
+quadrature, the integrand of the arctan-dictionary measure, whose mass
+``lower_bounds.example2_tail_mass`` takes in closed form, and a network's
+value summed unit by unit."""
 
 import math
 
 import numpy as np
 
-from barronlab.numerics import tensor_nodes
+from barronlab.numerics import sigma_k, tensor_nodes
 
 
 def integrate(f, box, resolution: int):
@@ -29,3 +30,11 @@ def tail_density(omega, b, m: int):
     omega = np.asarray(omega, dtype=float)
     return ((1.0 + np.abs(omega)) ** m * plateau_weight(b, omega) * math.sqrt(math.pi)
             * np.exp(-(omega**2) / 4.0))
+
+
+def unit_sum(net, pts):
+    """sum_i a_i sigma_k(omega_i . x + b_i) on the batch ``pts`` (N, d), one unit at a time."""
+    total = np.zeros(len(pts))
+    for a, omega, b in zip(net.outer, net.directions, net.biases):
+        total += a * sigma_k(pts @ omega + b, net.power)
+    return total

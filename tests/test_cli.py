@@ -366,7 +366,14 @@ class TestExitCodes:
         code, out, err = run_cli(capsys, *args)
         assert code == 2 and out == ""
         assert "at most 2097152 lattice-shell rows" in err
-        assert "2500100001 rows at xi_max=100000.0" in err
+        assert "2.5e+09 rows at xi_max=100000.0" in err
+
+    def test_row_count_past_the_float_range_reads_in_three_digits(self, capsys):
+        # Printed z_max + 1, a count of about 300 digits, in full.
+        code, out, err = run_cli(capsys, "rates", "--kind", "greedy-fourier",
+                                 "--param", "xi_max=1e300")
+        assert code == 2 and out == ""
+        assert "got d=1 and 5e+299 rows at xi_max=1e+300; lower xi_max" in err
 
     def test_exponents_beyond_the_float_range_are_usage_error(self, capsys):
         # Printed "greedy_fourier_exponent": Infinity, which is not JSON, with exit 0.

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -275,12 +276,13 @@ class TestShellSweep:
         assert [first(n) for n in (0, 7, 4096)] == [second(n) for n in (0, 7, 4096)]
 
     @pytest.mark.parametrize("d, xi_max, rows", [
-        (2, 1e5, 2500100001),  # the box refuses xi_max >= 2048 here
-        (1, 2.0**22, 2097153),  # the box refuses it too: 2^22 + 1 rows
+        (2, 1e5, "2.5e+09"),  # 2500100001 rows; the box refuses xi_max >= 2048 here
+        (1, 2.0**22, "2.1e+06"),  # 2^21 + 1 rows; the box refuses it too: 2^22 + 1 rows
+        (2, 1e300, "2.5e+599"),  # z_max has 300 digits, the row count 600
     ])
     def test_shell_table_capped(self, d, xi_max, rows):
-        with pytest.raises(ValueError, match=f"lattice-shell rows, got d={d} and {rows} rows "
-                                              f"at xi_max={xi_max}; lower xi_max"):
+        with pytest.raises(ValueError, match=re.escape(f"lattice-shell rows, got d={d} and {rows} "
+                                                       f"rows at xi_max={xi_max}; lower xi_max")):
             heavy_tail_sweep(d, 2.0, 0, xi_max, seed=0)
 
     @pytest.mark.parametrize("d, xi_max", [(1, 2.0**22 - 1.0), (2, 2047.0)])
@@ -471,12 +473,13 @@ class TestSyntheticInput:
         np.testing.assert_allclose(fs.coefficient_vector(), want, rtol=4 * 2.0**-52, atol=0)
 
     @pytest.mark.parametrize("d, xi_max, box", [
-        (3, 400.0, r"\(2\*200 \+ 1\)\^3 = 64481201 rows"),  # the default xi_max at d=3
-        (2, 2048.0, r"\(2\*1024 \+ 1\)\^2 = 4198401 rows"),  # first odd side above 2^11
-    ])
+        (3, 400.0, "(2*200 + 1)^3 = 6.45e+07 rows"),  # the default xi_max at d=3: 64481201 rows
+        (2, 2048.0, "(2*1024 + 1)^2 = 4.2e+06 rows"),  # first odd side above 2^11: 4198401 rows
+        (1, 1e300, "(2*5e+299 + 1)^1 = 1e+300 rows"),  # counts past 10^6 to three digits
+    ], ids=["d3-xi400", "d2-xi2048", "d1-xi1e300"])
     def test_lattice_box_capped(self, d, xi_max, box):
         assert MAX_BOX_ROWS == 2**22
-        with pytest.raises(ValueError, match=box):
+        with pytest.raises(ValueError, match=re.escape(box)):
             synthetic_heavy_tail(d, 2.0, xi_max, seed=0)
 
     def test_dimension_below_one_refused(self):

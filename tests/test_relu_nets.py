@@ -29,6 +29,7 @@ from barronlab.relu_nets import (
     sigma_k,
 )
 from barronlab.sphere_geom import uniform_sphere
+from oracles import unit_sum
 
 
 class TestActivation:
@@ -57,6 +58,9 @@ class TestNetworkEvaluation:
     def test_empty_network(self):
         net = relu_network([])
         assert evaluate_network(net, np.array([[1.0, 2.0]]))[0] == 0.0
+        got = evaluate_network(net, np.ones((4, 3)))
+        assert got.dtype == np.float64 and got.tolist() == [0.0] * 4
+        assert evaluate_network(net, np.ones(3)) == 0.0
 
     def test_single_linear_unit(self):
         net = relu_network([(1.0, (1.0, 0.0), 0.0, 1)])
@@ -85,6 +89,158 @@ class TestNetworkEvaluation:
         net = relu_network([(3.0, (1.0,), 0.0, 1), (-4.0, (1.0,), 1.0, 1)])
         assert net.ell1 == pytest.approx(7.0)
 
+    def test_empty_batch(self):
+        # The batch's box is its min and max, which raise on 0 rows.
+        got = evaluate_network(split_network(np.random.default_rng(0), 3, 2), np.empty((0, 3)))
+        assert got.shape == (0,) and got.dtype == np.float64
+
+    def test_single_point_is_a_python_float(self):
+        # One point is a box of no width: every unit keeps one sign on it.
+        net = split_network(np.random.default_rng(1), 2, 1)
+        point = np.array([0.25, 0.75])
+        got = evaluate_network(net, point)
+        assert type(got) is float
+        assert got == pytest.approx(unit_sum(net, point[None])[0], rel=1e-13, abs=1e-13)
+
+
+def split_network(rng, d, k, third=300):
+    """Unit directions and normal outer weights in three thirds on [0, 1]^d:
+    biases in [2, 3] keep t > 0 there, biases in [-3, -2] keep t < 0, and the
+    last third's hyperplanes pass within 0.1 of the centre, so they straddle."""
+    omega = uniform_sphere(rng, 3 * third, d)
+    straddle = rng.uniform(-0.1, 0.1, third) - omega[2 * third:] @ np.full(d, 0.5)
+    biases = np.concatenate([rng.uniform(2.0, 3.0, third), rng.uniform(-3.0, -2.0, third),
+                             straddle])
+    return ReluNetwork(*numerics.read_only(rng.standard_normal(3 * third), omega, biases), k)
+
+
+def unit_cube_points(rng, n, d):
+    """n uniform points of [0, 1]^d and two opposite corners, so the batch's box is the cube."""
+    return np.vstack([rng.random((n, d)), np.zeros(d), np.ones(d)])
+
+
+@pytest.fixture
+def ridge_calls(monkeypatch):
+    """The ``ridge`` operand of each ``ridge_block`` call that relu_nets makes."""
+    seen = []
+
+    def spy(lifted, ridge, out, **kwargs):
+        seen.append(ridge.copy())
+        return numerics.ridge_block(lifted, ridge, out, **kwargs)
+
+    monkeypatch.setattr(relu_nets, "ridge_block", spy)
+    return seen
+
+
+class TestEvaluateSplit:
+    """Units that keep one sign on the batch's box: dropped below it, one
+    degree-k form above it, atoms only for the units that straddle."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+    def test_matches_the_unit_loop(self, ridge_calls, d, k):
+        rng = np.random.default_rng(10 * d + k)
+        net = split_network(rng, d, k)
+        pts = unit_cube_points(rng, 2000, d)
+        want = unit_sum(net, pts)
+        got = evaluate_network(net, pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # (d + 1)^k (300 + 2002) < 300 * 2002 up to 4^4 = 256: only the straddling third is atoms
+        assert {ridge.shape[1] for ridge in ridge_calls} == {300}
+
+    @pytest.mark.parametrize("d, k", [(1, 4), (2, 3), (3, 2)])
+    def test_box_far_from_the_origin(self, d, k):
+        # On [1000, 1001]^d the raw [x | 1] has entries near 1000 while t stays
+        # within 4 of 0: a form about the origin would lose about 3k digits.
+        # The unit loop rounds t to 1e-13 of itself there, hence 1e-12.
+        rng = np.random.default_rng(d)
+        net = split_network(rng, d, k)
+        shift = np.full(d, 1000.0)
+        net = ReluNetwork(net.outer, net.directions, net.biases - net.directions @ shift, k)
+        pts = unit_cube_points(rng, 2000, d) + shift
+        want = unit_sum(net, pts)
+        got = evaluate_network(net, pts)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("d, k", [(1, 0), (2, 2), (3, 1)])
+    def test_atoms_only_for_the_straddling_units(self, ridge_calls, d, k):
+        rng = np.random.default_rng(d + k)
+        net = split_network(rng, d, k)
+        evaluate_network(net, unit_cube_points(rng, 2000, d))
+        straddle = np.vstack([net.directions[600:].T, net.biases[600:]])
+        assert ridge_calls and all(ridge.tobytes() == straddle.tobytes() for ridge in ridge_calls)
+
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_form_only_above_its_entry_count(self, ridge_calls, extra):
+        # Dyadic weights and points make every sum exact.  On 300 points,
+        # 9 (9 + 300) >= 9 * 300 keeps (d + 1)^k = 9 positive units as atoms;
+        # with one more unit 9 (10 + 300) < 10 * 300, so they collapse and no
+        # atom is built.
+        d, k = 2, 2
+        rng = np.random.default_rng(extra)
+        width = (d + 1) ** k + extra
+        omega = rng.integers(-4, 5, (width, d)) / 8
+        biases = 2.0 + rng.integers(0, 8, width) / 8  # t >= 1 on [0, 1]^2
+        outer = rng.integers(-8, 9, width) / 4
+        pts = rng.integers(0, 9, (300, d)) / 8
+        net = relu_network([(outer[i], omega[i], biases[i], k) for i in range(width)])
+        got = evaluate_network(net, pts)
+        want = sigma_k(pts @ omega.T + biases, k) @ outer
+        if extra:
+            assert not ridge_calls
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        else:
+            assert {ridge.shape[1] for ridge in ridge_calls} == {width}
+            assert got.tobytes() == want.tobytes()
+
+    def test_heaviside_touching_a_face_is_not_collapsed(self, ridge_calls):
+        # x_1 = 1/4 and x_1 = 1 bound the box, so the face units have t = 0 on
+        # a face, where sigma_0 is 0; the three far units do collapse.
+        face = [(1.0, (1.0, 0.0), -0.25, 0), (2.0, (1.0, 0.0), -0.25, 0),
+                (4.0, (-1.0, 0.0), 1.0, 0)]
+        far = [(8.0, (0.0, 1.0), 2.0, 0), (16.0, (1.0, 1.0), 3.0, 0),
+               (32.0, (0.0, -1.0), 4.0, 0)]
+        net = relu_network(face + far)
+        pts = np.array([[0.25, 0.5], [0.5, 0.0], [1.0, 1.0], [0.75, 0.25]])
+        got = evaluate_network(net, pts)
+        np.testing.assert_array_equal(got, [60.0, 63.0, 59.0, 63.0])
+        np.testing.assert_array_equal(got, unit_sum(net, pts))
+        assert [ridge.shape[1] for ridge in ridge_calls] == [3]
+
+    def test_form_memory_within_the_block_budget(self, set_cores, ridge_calls):
+        # 3^7 (5000 + 4002) < 5000 * 4002, so the 5000 positive units collapse.
+        # Their tensor powers at once would take 87 MB, and the form's first
+        # step on every point at once 70 MB.  Each share has its own buffers,
+        # so the count is pinned to one core.
+        set_cores(1)
+        rng = np.random.default_rng(9)
+        width, d, k = 5000, 2, 7
+        net = ReluNetwork(*numerics.read_only(rng.standard_normal(width),
+                                              uniform_sphere(rng, width, d),
+                                              rng.uniform(2.0, 3.0, width)), k)
+        pts = unit_cube_points(rng, 4000, d)
+        tracemalloc.start()
+        try:
+            got = evaluate_network(net, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not ridge_calls
+        assert peak < 3 * 8 * relu_nets._EVAL_BLOCK
+        want = unit_sum(net, pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [1, 16])
+    def test_small_batches_keep_the_atoms(self, ridge_calls, n):
+        # 16 (2000 + n) >= 2000 n up to n = 16: building the form would cost more than the
+        # atoms it saves, so every positive unit gets its atom.
+        rng = np.random.default_rng(n)
+        net = ReluNetwork(*numerics.read_only(rng.standard_normal(2000),
+                                              uniform_sphere(rng, 2000, 3),
+                                              rng.uniform(2.0, 3.0, 2000)), 2)
+        evaluate_network(net, rng.random((n, 3)))
+        assert {ridge.shape[1] for ridge in ridge_calls} == {2000}
+
 
 def random_network(rng, width, d, k):
     outer = rng.standard_normal(width)
@@ -112,6 +268,23 @@ class TestEvaluateWorkers:
             set_cores(cores)
             got = evaluate_network(net, pts)
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("width, d, k, n", [(2000, 3, 2, 5003), (601, 2, 0, 1001),
+                                                (300, 1, 3, 50)])
+    def test_collapsed_units_bitwise_equal_for_any_worker_count(self, set_cores, ridge_calls,
+                                                                 width, d, k, n):
+        # b in [1, 2] on [0, 1]^d: many units collapse into the form, the rest straddle.
+        rng = np.random.default_rng(width + n)
+        net = ReluNetwork(*numerics.read_only(rng.standard_normal(width),
+                                              uniform_sphere(rng, width, d),
+                                              rng.uniform(1.0, 2.0, width)), k)
+        pts = rng.random((n, d))
+        set_cores(1)
+        want = evaluate_network(net, pts)
+        assert all(ridge.shape[1] < width - (d + 1) ** k for ridge in ridge_calls)
+        for cores in (2, 3, 8):
+            set_cores(cores)
+            assert evaluate_network(net, pts).tobytes() == want.tobytes()
 
     def test_heaviside_is_zero_on_the_ridge_hyperplanes(self, set_cores):
         # Each product in [x | 1] @ [Omega^T; b] is exact here, so points on
