@@ -19,7 +19,7 @@ import numpy as np
 
 from .barron import (MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact,
                      mode_norm)
-from .numerics import (as_batch, axis_rule, count_text, map_blocks, read_only, ridge_block,
+from .numerics import (as_batch, axis_rule, blockwise, count_text, read_only, ridge_block,
                        sigma_k, unbatch)
 
 if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
@@ -69,14 +69,16 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
     of its norm) gets c_i = 0, its |c_i|^2 moves into the residual, and it
     is counted in ``regularized``.  One draw holds every candidate's
-    parameters, and one ``map_blocks`` call runs its views of 32 candidates,
-    fewer when n_units > 30 so that a block's [A | b] scratch stays within
-    2^18 floats (2 MiB), one scratch per share; minima and counts combine in
-    block order, so the probe is bitwise the same for any worker count and
-    block size.  omega0 must be finite, and candidates * n_units at most
-    ``MAX_GAP_ATOMS`` = 2^20, refused before the draw: a 16 MiB draw, and
-    4-13 s on a 2-vCPU host (slowest at n_units = 1, where 32768 blocks'
-    fixed costs dominate).
+    parameters, and ``blockwise`` runs its views of 32 candidates, fewer
+    when n_units > 30 so that a block's [A | b] stays within 2^18 floats
+    (2 MiB), one after another in one scratch buffer; minima and counts
+    combine in block order, so the probe is bitwise the same for any block
+    size.  omega0 must be finite, and candidates * n_units at most
+    ``MAX_GAP_ATOMS`` = 2^20, refused before the draw.  At that cap a fresh
+    process's peak RSS grows by 33 MB, to 61 MB (the 16 MiB draw, the
+    scratch and LAPACK's QR work), and the probe takes 10-12 s at
+    n_units = 256 and 6-9 s at n_units = 1 (32768 blocks) on one core of a
+    2-vCPU host.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
@@ -93,8 +95,8 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     nodes, weights = axis_rule(-1.0, 1.0, _GAP_NODES)
     lifted = np.stack([nodes, np.ones(_GAP_NODES)], axis=1)  # [x | 1] at the nodes
     root_w = np.sqrt(weights)
-    # Real and imaginary parts of the weighted target as two right-hand sides.
-    rhs = root_w * np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)])
+    # Real and imaginary parts of the target as two right-hand sides, weighted with the atoms.
+    rhs = np.stack([np.cos(omega0 * nodes), np.sin(omega0 * nodes)])
     omega_scale = max(4.0, 2.0 * abs(omega0))
 
     def solve(params, scratch):
@@ -105,8 +107,8 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
         atoms = cols[:, :n_units]
         ridge = np.swapaxes(params * (omega_scale, 2.0), 1, 2)  # [omega * scale; 2 b]
         ridge_block(lifted, ridge, np.swapaxes(atoms, 1, 2), alpha=alpha)
-        atoms *= root_w
         cols[:, n_units:] = rhs
+        cols *= root_w  # one pass over whole contiguous matrices
         r = np.linalg.qr(np.swapaxes(cols, 1, 2), mode="r")
         lead, coef = r[:, :n_units, :n_units], r[:, :n_units, n_units:]
         # Q is orthogonal, so column j of R has the norm of atom j.
@@ -122,7 +124,7 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     params = np.random.default_rng(seed).standard_normal((candidates, n_units, 2))
     size = min(_GAP_BLOCK, max(1, _GAP_BLOCK_FLOATS // ((n_units + 2) * _GAP_NODES)))
     blocks = [params[i:i + size] for i in range(0, candidates, size)]
-    solved = map_blocks(solve, blocks, lambda: np.empty(
+    solved = blockwise(solve, blocks, lambda: np.empty(
         (min(size, candidates), n_units + 2, _GAP_NODES)))
     best = np.min([block_best for block_best, _ in solved], axis=0)
     return GapProbe(

@@ -1,18 +1,18 @@
 """Shared numerical substrate: Gauss-Legendre rules and ``tensor_nodes``,
 Sobolev mode weights, log-log rate fitting, the powered rectifier, the one
-ridge-atom kernel ``ridge_block``, and ``map_blocks``, which shares NumPy
-work over threads it starts and joins within each call.
+ridge-atom kernel ``ridge_block`` and ``blockwise``, which runs blocks of
+work in one scratch buffer.
 
-All routines here are deterministic functions of their inputs.  A
-Gauss-Legendre rule of ``resolution`` nodes per axis integrates per-axis
-polynomial degree up to ``2 * resolution - 1`` exactly.
+All routines here are deterministic functions of their inputs, and the
+package runs on the calling thread: no module starts a thread or reads the
+core count.  A Gauss-Legendre rule of ``resolution`` nodes per axis
+integrates per-axis polynomial degree up to ``2 * resolution - 1`` exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
@@ -108,63 +108,13 @@ def ridge_block(lifted, ridge, out, *, k=None, alpha=None) -> np.ndarray:
     return np.exp(t, out=t)
 
 
-# ----------------------------------------------------------------------
-# threads
-# ----------------------------------------------------------------------
-
-def shares(items: Sequence) -> list[Sequence]:
-    """``items`` cut into one contiguous share per usable core, fewer when
-    there are fewer items; the longer shares come first.  The usable cores,
-    read here alone in the package, are the process's CPU affinity where the
-    platform reports one, else the machine's core count."""
-    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-             else os.cpu_count() or 1)
-    count = min(cores, len(items))
-    size, extra = divmod(len(items), max(count, 1))
-    bounds = [i * size + min(i, extra) for i in range(count + 1)]
-    return [items[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
-
-
-def map_blocks(fn: Callable, blocks: Sequence, scratch: Callable) -> list:
-    """``[fn(block, buffer) for block in blocks]``, one share of the blocks per
-    usable core.
-
-    ``shares`` cuts the blocks into contiguous shares, and each share gets one
-    ``scratch()`` buffer, made on the calling thread, that its blocks use in
-    turn.  The caller runs the first share and a thread started for this call
-    runs each other one, so NumPy and LAPACK work, which releases the
-    interpreter lock, overlaps; every thread is joined before the call
-    returns.  Results come back in block order; an exception raised in any
-    share reaches the caller once every share has ended.  ``fn`` should
-    allocate little: each thread that allocates gets a malloc arena, which
-    raises peak memory.
-    """
-    import threading  # loaded at interpreter start; named here alone in the package
-    parts = shares(blocks)
-    buffers = [scratch() for _ in parts]
-    done = [None] * len(parts)
-
-    def run(i):
-        try:
-            done[i] = [fn(block, buffers[i]) for block in parts[i]]
-        except BaseException as error:  # raised below, once every share has ended
-            done[i] = error
-
-    threads = []
-    try:
-        for i in range(1, len(parts)):
-            thread = threading.Thread(target=run, args=(i,))
-            thread.start()
-            threads.append(thread)
-        if parts:
-            run(0)
-    finally:
-        for thread in threads:
-            thread.join()
-    for share in done:
-        if isinstance(share, BaseException):
-            raise share
-    return [result for share in done for result in share]
+def blockwise(fn: Callable, blocks: Sequence, scratch: Callable) -> list:
+    """``[fn(block, buffer) for block in blocks]`` on the calling thread: one
+    ``scratch()`` buffer, made before the first block and only when there is
+    one, serves every block in turn.  Results come back in block order, and
+    an exception raised by ``fn`` reaches the caller at once."""
+    buffer = scratch() if len(blocks) else None
+    return [fn(block, buffer) for block in blocks]
 
 
 @lru_cache(maxsize=None)

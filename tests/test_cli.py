@@ -804,7 +804,7 @@ def _fresh_process(code: str, *args: str) -> str:
 
 def test_import_leaves_the_thread_pool_module_unloaded():
     # concurrent.futures costs a cold process about 7 ms; the package starts
-    # its threads with the threading module alone, so no command loads it.
+    # no threads, so no command loads it.
     code = "import sys, barronlab.cli; print('concurrent.futures' in sys.modules)"
     assert _fresh_process(code).strip() == "False"
 

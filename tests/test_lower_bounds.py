@@ -19,7 +19,7 @@ from barronlab.lower_bounds import (
     pairwise_separation,
     residual_tail_norm,
 )
-from barronlab.numerics import axis_rule, map_blocks, tensor_nodes
+from barronlab.numerics import axis_rule, blockwise, tensor_nodes
 from barronlab.relu_nets import sigma_k
 from oracles import integrate, plateau_weight, tail_density
 
@@ -149,7 +149,10 @@ def _gap_in_child(results):
 
 
 class TestHighFreqGapWorkers:
-    # 1000 candidates: 32 blocks over 1, 2 and 3 shares, the last block partial.
+    """The probe's blocks run one after another on the calling thread: the same
+    bits on one core as on all of them, and for any block size."""
+
+    # 1000 candidates: 32 blocks, the last one partial.
     @pytest.mark.parametrize("candidates", [1, 31, 33, 100, 256, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 5])
     def test_bitwise_equal_for_any_worker_count(self, set_cores, candidates, seed):
@@ -161,27 +164,25 @@ class TestHighFreqGapWorkers:
             assert got.errors_by_width == want.errors_by_width
             assert got == want
 
-    @pytest.mark.parametrize("cores", [1, 2])
-    @pytest.mark.parametrize("n_units, size", [(8, 32), (64, 15), (256, 3)])
-    def test_blocks_sized_by_bytes_leave_the_probe_unchanged(self, monkeypatch, set_cores,
-                                                             cores, n_units, size):
-        # Blocks of at most 2^18 [A | b] floats: 3 candidates at 256 units
-        # (peak RSS 150.5 -> 65.3 MB at 4096 candidates and 2 cores), and
-        # the same probe as fixed blocks of 32 at any width.
-        set_cores(cores)
-        sizes = []
+    def test_blocks_sized_by_bytes_leave_the_probe_unchanged(self, monkeypatch):
+        # Blocks of at most 2^18 [A | b] floats: 3 candidates at 256 units,
+        # and the same probe as fixed blocks of 32 at any width.
+        for n_units, size in [(8, 32), (64, 15), (256, 3)]:
+            sizes = []
 
-        def recording(fn, blocks, scratch):
-            sizes.append(len(blocks[0]))
-            return map_blocks(fn, blocks, scratch)
+            def recording(fn, blocks, scratch):
+                sizes.append(len(blocks[0]))
+                assert sum(map(len, blocks)) == 100
+                return blockwise(fn, blocks, scratch)
 
-        monkeypatch.setattr(lower_bounds, "map_blocks", recording)
-        got = highfreq_gap(1.0, 16.0, n_units, 100, seed=0)
-        monkeypatch.setattr(lower_bounds, "_GAP_BLOCK_FLOATS", 2**62)
-        want = highfreq_gap(1.0, 16.0, n_units, 100, seed=0)
-        assert sizes == [size, 32]
-        assert got.errors_by_width == want.errors_by_width
-        assert got == want
+            with monkeypatch.context() as patch:
+                patch.setattr(lower_bounds, "blockwise", recording)
+                got = highfreq_gap(1.0, 16.0, n_units, 100, seed=0)
+                patch.setattr(lower_bounds, "_GAP_BLOCK_FLOATS", 2**62)
+                want = highfreq_gap(1.0, 16.0, n_units, 100, seed=0)
+            assert sizes == [size, 32]
+            assert got.errors_by_width == want.errors_by_width
+            assert got == want
 
     def test_regularized_count_equal_for_any_worker_count(self, set_cores):
         set_cores(1)
@@ -191,9 +192,9 @@ class TestHighFreqGapWorkers:
         assert highfreq_gap(800.0, 8.0, 6, 100, seed=0) == want
 
     def test_forked_child_after_the_pool_ran(self, set_cores):
-        # A child forked after the parent ran threaded work inherits no
-        # threads; had the parent kept a pool, its object in the child would
-        # have no threads behind it and would wait forever.
+        # A child forked after the parent ran the probe computes the same one;
+        # had the package kept a pool or a lock, its object in the child would
+        # have no threads behind it and could wait forever.
         set_cores(2)
         want = highfreq_gap(1.0, 16.0, 8, 100, seed=3)
         context = multiprocessing.get_context("fork")

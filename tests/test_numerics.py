@@ -1,6 +1,5 @@
 import math
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -10,14 +9,13 @@ from hypothesis import strategies as st
 from barronlab import barron, lower_bounds, relu_nets
 from barronlab.numerics import (
     as_batch,
+    blockwise,
     count_text,
     grid_rows,
     homogeneous_sums,
     loglog_fit,
-    map_blocks,
     multi_indices,
     ridge_block,
-    shares,
     sigma_k,
     sobolev_weight,
     tensor_nodes,
@@ -373,28 +371,21 @@ def run_with_timeout(fn, seconds=60.0):
 
 
 class TestParallelMap:
-    """``map_blocks``, the package's one parallel map."""
+    """``blockwise``, the package's one block map.  It runs every block on the
+    calling thread, so the core counts that its threaded predecessor shared
+    blocks by must leave every result unchanged."""
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
     def test_results_in_item_order(self, set_cores, cores, n):
         set_cores(cores)
-        assert map_blocks(lambda i, _: i * i, range(n), list) == [i * i for i in range(n)]
-
-    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
-    def test_shares_are_contiguous_and_balanced(self, set_cores, cores, n):
-        set_cores(cores)
-        parts = shares(list(range(n)))
-        assert len(parts) == min(cores, n)
-        assert [i for part in parts for i in part] == list(range(n))
-        sizes = [len(part) for part in parts]
-        assert sizes == sorted(sizes, reverse=True)
-        assert not sizes or sizes[0] - sizes[-1] <= 1
+        assert blockwise(lambda i, _: i * i, range(n), list) == [i * i for i in range(n)]
 
     @pytest.mark.parametrize("cores", [1, 2, 3, 5])
     @pytest.mark.parametrize("n", [0, 1, 7, 100])
     def test_one_scratch_per_share_made_on_the_caller(self, set_cores, cores, n):
+        # One share at any core count: one buffer, made on the caller and only
+        # when there is a block, that every block uses in turn on the caller.
         set_cores(cores)
         caller, made = threading.current_thread(), []
 
@@ -403,38 +394,23 @@ class TestParallelMap:
             return made[-1][1]
 
         def fn(i, buffer):
-            buffer.append(i)  # the share's blocks, in the order they used its buffer
+            buffer.append(i)  # the blocks, in the order they used the buffer
             return threading.current_thread()
 
-        threads = map_blocks(fn, range(n), scratch)
-        assert [thread for thread, _ in made] == [caller] * min(cores, n)
-        assert [buffer for _, buffer in made] == [list(part) for part in shares(range(n))]
-        # The first share runs on the caller, each other one on a thread of its own.
-        firsts = [threads[part[0]] for part in shares(range(n))]
-        assert firsts[:1] == [caller] * min(n, 1) and len(set(firsts)) == len(firsts)
-
-    def test_shares_run_at_the_same_time(self, set_cores):
-        # Each of the two shares waits for the other: run one after the
-        # other, the barrier would time out.
-        set_cores(2)
-        barrier = threading.Barrier(2, timeout=30)
-
-        def meet(i, _):
-            barrier.wait()
-            return i
-
-        assert map_blocks(meet, [0, 1], list) == [0, 1]
+        threads = blockwise(fn, range(n), scratch)
+        assert made == [(caller, list(range(n)))] * min(n, 1)
+        assert threads == [caller] * n
 
     def test_nested_call_completes(self, set_cores):
         set_cores(2)
 
         def outer(i, _):
-            return sum(map_blocks(lambda j, _: i * j, range(4), list))
+            return sum(blockwise(lambda j, _: i * j, range(4), list))
 
-        got = run_with_timeout(lambda: map_blocks(outer, range(6), list))
+        got = run_with_timeout(lambda: blockwise(outer, range(6), list))
         assert got == [6 * i for i in range(6)]
 
-    @pytest.mark.parametrize("bad", [0, 5])  # in the caller's share, in the other thread's
+    @pytest.mark.parametrize("bad", [0, 5])  # the first block, the last one
     def test_exception_in_a_share_reaches_the_caller(self, set_cores, bad):
         set_cores(2)
         ended = []
@@ -442,19 +418,24 @@ class TestParallelMap:
         def fn(i, _):
             if i == bad:
                 raise KeyError(i)
-            time.sleep(0.01)  # the other share is still running when this one raises
             ended.append(i)
             return i
 
         with pytest.raises(KeyError):
-            map_blocks(fn, range(6), list)
-        assert set(range(3, 6) if bad < 3 else range(3)) <= set(ended)  # the other share ended
-        assert map_blocks(lambda i, _: i, range(6), list) == list(range(6))  # next call works
+            blockwise(fn, range(6), list)
+        assert ended == list(range(bad))  # the blocks before it ran, none after it
+        assert blockwise(lambda i, _: i, range(6), list) == list(range(6))  # next call works
 
     @pytest.mark.parametrize("bad", [None, 0, 5])
-    def test_no_thread_outlives_a_call(self, set_cores, bad):
+    def test_no_thread_outlives_a_call(self, monkeypatch, set_cores, bad):
+        # No thread is started at all, whether fn returns or raises.
         set_cores(3)
         before = threading.active_count()
+
+        def refuse(*args):
+            raise AssertionError("blockwise started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
 
         def fn(i, _):
             if i == bad:
@@ -462,7 +443,7 @@ class TestParallelMap:
             return i
 
         try:
-            map_blocks(fn, range(6), list)
+            assert blockwise(fn, range(6), list) == list(range(6))
         except KeyError:
             assert bad is not None
         assert threading.active_count() == before

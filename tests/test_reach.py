@@ -7,8 +7,8 @@ or parameters, and every exception class the package defines is raised in
 it.  Code and settings that only unit tests reach are wired into a command,
 fixed, or deleted; the references that unit tests check code against live
 in ``tests/oracles.py``, and each of them is imported by a test module.
-Last, ``cli.csv_text`` alone formats CSV numbers, ``numerics.map_blocks``
-alone starts threads and ``numerics.shares`` alone reads the core count.
+Last, ``cli.csv_text`` alone formats CSV numbers, and no line of the
+package starts a thread or reads the core count.
 """
 
 import ast
@@ -294,33 +294,12 @@ def test_one_function_writes_csv_numbers():
     assert inside == 1 and outside == []
 
 
-def numerics_lines_naming(owner: str, words: str) -> tuple[int, list[str]]:
-    """How many lines of ``numerics.<owner>`` match ``words``, and the
-    file:line of every other line of the package that does."""
-    node = next(node for node in parse(PACKAGE / "numerics.py").body
-                if isinstance(node, ast.FunctionDef) and node.name == owner)
-    pattern = re.compile(words)
-    inside, outside = 0, []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            if path == PACKAGE / "numerics.py" and node.lineno <= lineno <= node.end_lineno:
-                inside += bool(pattern.search(line))
-            elif pattern.search(line):
-                outside.append(f"{path.relative_to(ROOT)}:{lineno}")
-    return inside, outside
-
-
-def test_one_function_starts_threads():
-    """``numerics.map_blocks`` alone starts threads: no other line of the
-    package names ``threading``, ``Thread`` or ``concurrent``, so no module
-    keeps a pool, a lock or thread-local state."""
-    inside, outside = numerics_lines_naming("map_blocks", r"threading|Thread|concurrent")
-    assert inside >= 1 and outside == []
-
-
-def test_one_function_reads_the_core_count():
-    """``numerics.shares`` alone reads the core count: no other line of the
-    package names ``usable_cores``, ``sched_getaffinity`` or ``cpu_count``, so
-    no result or block size can depend on the cores but through its shares."""
-    inside, outside = numerics_lines_naming("shares", r"usable_cores|sched_getaffinity|cpu_count")
-    assert inside >= 1 and outside == []
+def test_no_line_starts_threads_or_reads_the_core_count():
+    """The package runs on the calling thread: no line of it names
+    ``threading``, ``Thread``, ``concurrent``, ``sched_getaffinity`` or
+    ``cpu_count``, so a thread comes back only with a measured decision."""
+    pattern = re.compile(r"threading|Thread|concurrent|sched_getaffinity|cpu_count")
+    named = [f"{path.relative_to(ROOT)}:{lineno}" for path in sorted(PACKAGE.glob("*.py"))
+             for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if pattern.search(line)]
+    assert named == []

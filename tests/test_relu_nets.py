@@ -1,6 +1,7 @@
 import itertools
 import math
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -132,9 +133,43 @@ def ridge_calls(monkeypatch):
     return seen
 
 
+@pytest.fixture
+def tile_calls(monkeypatch):
+    """(points, ridge) of each ``ridge_block`` call that relu_nets makes."""
+    seen = []
+
+    def spy(lifted, ridge, out, **kwargs):
+        seen.append((lifted[:, :-1].copy(), ridge.copy()))
+        return numerics.ridge_block(lifted, ridge, out, **kwargs)
+
+    monkeypatch.setattr(relu_nets, "ridge_block", spy)
+    return seen
+
+
+def tile_boxes(pts):
+    """Each point's tile and each tile's own bounding box, by the rule that
+    ``evaluate_network`` states: g parts per axis of the batch's box, the most
+    that leave ``_TILE_POINTS`` points a tile."""
+    n, d = pts.shape
+    g = max(1, int((n / relu_nets._TILE_POINTS) ** (1 / d) + 1e-9))
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    tile = np.ravel_multi_index(np.minimum(((pts - lo) * (g / (hi - lo))).astype(int), g - 1).T,
+                                (g,) * d)
+    return tile, {t: (pts[tile == t].min(axis=0), pts[tile == t].max(axis=0))
+                  for t in np.unique(tile).tolist()}
+
+
+def straddling(net, box):
+    """The units whose t = omega . x + b takes both signs on the box (lo, hi)."""
+    lo, hi = box
+    mid = net.directions @ (0.5 * (lo + hi)) + net.biases
+    spread = np.abs(net.directions) @ (0.5 * (hi - lo))
+    return (mid - spread <= 0) & (mid + spread > 0)
+
+
 class TestEvaluateSplit:
-    """Units that keep one sign on the batch's box: dropped below it, one
-    degree-k form above it, atoms only for the units that straddle."""
+    """Units that keep one sign on a tile's box: dropped below it, one degree-k
+    form above it, atoms only for the units that straddle it."""
 
     @pytest.mark.parametrize("d", [1, 2, 3])
     @pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
@@ -145,8 +180,15 @@ class TestEvaluateSplit:
         want = unit_sum(net, pts)
         got = evaluate_network(net, pts)
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-        # (d + 1)^k (300 + 2002) < 300 * 2002 up to 4^4 = 256: only the straddling third is atoms
-        assert {ridge.shape[1] for ridge in ridge_calls} == {300}
+        # (d + 1)^k (300 + n) < 300 n up to 4^4 = 256 on every tile (one of 2002
+        # points in d = 3, 4 of about 500 in d = 1 and 2): the atoms are units of
+        # the straddling third only, and all of it on the one tile.
+        third = np.vstack([net.directions[600:].T, net.biases[600:]])
+        assert ridge_calls
+        for ridge in ridge_calls:
+            assert (ridge[:, :, None] == third[:, None, :]).all(axis=0).any(axis=1).all()
+        if d == 3:
+            assert {ridge.shape[1] for ridge in ridge_calls} == {300}
 
     @pytest.mark.parametrize("d, k", [(1, 4), (2, 3), (3, 2)])
     def test_box_far_from_the_origin(self, d, k):
@@ -163,12 +205,25 @@ class TestEvaluateSplit:
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("d, k", [(1, 0), (2, 2), (3, 1)])
-    def test_atoms_only_for_the_straddling_units(self, ridge_calls, d, k):
+    def test_atoms_only_for_the_straddling_units(self, tile_calls, d, k):
+        # Each ridge_block call sees exactly the units that straddle its tile's
+        # own box, in unit order: 4000 points make 8, 2 and 2 tiles per axis.
         rng = np.random.default_rng(d + k)
         net = split_network(rng, d, k)
-        evaluate_network(net, unit_cube_points(rng, 2000, d))
-        straddle = np.vstack([net.directions[600:].T, net.biases[600:]])
-        assert ridge_calls and all(ridge.tobytes() == straddle.tobytes() for ridge in ridge_calls)
+        pts = unit_cube_points(rng, 4000, d)
+        got = evaluate_network(net, pts)
+        want = unit_sum(net, pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        tile, boxes = tile_boxes(pts)
+        full = np.vstack([net.directions.T, net.biases])
+        seen = set()
+        for rows, ridge in tile_calls:
+            owner = tile[np.flatnonzero((pts == rows[0]).all(axis=1))[0]]
+            assert ridge.tobytes() == full[:, straddling(net, boxes[owner])].tobytes()
+            seen.add(owner)
+        assert len(boxes) == {1: 8, 2: 4, 3: 8}[d]
+        assert len(seen) > 1 and seen == {t for t, box in boxes.items()
+                                          if straddling(net, box).any()}
 
     @pytest.mark.parametrize("extra", [0, 1])
     def test_form_only_above_its_entry_count(self, ridge_calls, extra):
@@ -207,18 +262,16 @@ class TestEvaluateSplit:
         np.testing.assert_array_equal(got, unit_sum(net, pts))
         assert [ridge.shape[1] for ridge in ridge_calls] == [3]
 
-    def test_form_memory_within_the_block_budget(self, set_cores, ridge_calls):
-        # 3^7 (5000 + 4002) < 5000 * 4002, so the 5000 positive units collapse.
-        # Their tensor powers at once would take 87 MB, and the form's first
-        # step on every point at once 70 MB.  Each share has its own buffers,
-        # so the count is pinned to one core.
-        set_cores(1)
+    def test_form_memory_within_the_block_budget(self, ridge_calls):
+        # 4^4 (5000 + 1000) < 5000 * 1000 on each of 8 tiles of 1000 points, so
+        # the 5000 positive units collapse.  Their products at once would take
+        # 10 MB, and the form's first step on every point at once 4 MB.
         rng = np.random.default_rng(9)
-        width, d, k = 5000, 2, 7
+        width, d, k = 5000, 3, 4
         net = ReluNetwork(*numerics.read_only(rng.standard_normal(width),
                                               uniform_sphere(rng, width, d),
                                               rng.uniform(2.0, 3.0, width)), k)
-        pts = unit_cube_points(rng, 4000, d)
+        pts = unit_cube_points(rng, 8000, d)
         tracemalloc.start()
         try:
             got = evaluate_network(net, pts)
@@ -248,14 +301,105 @@ def random_network(rng, width, d, k):
                          for i in range(width)])
 
 
+def unit_law_network(rng, width, d, k, biases):
+    """Uniform directions, normal outer weights and biases from U[lo, hi]."""
+    return ReluNetwork(*numerics.read_only(rng.standard_normal(width),
+                                           uniform_sphere(rng, width, d),
+                                           rng.uniform(*biases, width)), k)
+
+
+class TestEvaluateTiles:
+    """Tiles of the batch's box, each with its own dropped, collapsed and
+    straddling units, against the dense unit sum."""
+
+    @pytest.mark.parametrize("biases", [(0.0, 2.0), (-1.0, 1.0)], ids=["b02", "b11"])
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_matches_the_dense_reference(self, k, d, biases):
+        # Random points, 200 of them twice, 200 on tile faces and the two
+        # corners of [0, 1]^d: 4402 points make 9, 3 and 2 tiles per axis.
+        # Some units' hyperplanes run through a tile face or a tile corner.
+        rng = np.random.default_rng(100 * k + 10 * d + (biases[0] < 0))
+        g = {1: 9, 2: 3, 3: 2}[d]
+        face = rng.random((200, d))
+        face[:, 0] = rng.integers(0, g + 1, 200) / g
+        pts = np.vstack([rng.random((4000, d)), np.zeros(d), np.ones(d), face])
+        pts = np.vstack([pts, pts[rng.integers(0, len(pts), 200)]])
+        assert len(tile_boxes(pts)[1]) == g ** d
+        net = unit_law_network(rng, 600, d, k, biases)
+        corner = np.full(d, 1 / g)
+        through = [(1.0, np.eye(d)[0], -1 / g, k), (-2.0, np.ones(d), -corner.sum(), k)]
+        net = relu_network(list(zip(net.outer, net.directions, net.biases, [k] * 600))
+                           + through)
+        want = unit_sum(net, pts)
+        got = evaluate_network(net, pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_heaviside_step_on_tile_faces_and_corners(self, ridge_calls):
+        # 2000 points make 2 x 2 tiles of [0, 1]^2, split at x_j = 1/2.  Units
+        # through the face x_1 = 1/2 and the corner (1/2, 1/2) get t = 0 there,
+        # where sigma_0 is 0; dyadic points and weights make every sum exact.
+        rng = np.random.default_rng(4)
+        pts = rng.integers(0, 65, (2000, 2)) / 64
+        pts[:300, 0] = 0.5
+        pts[300:310] = 0.5
+        pts[-2:] = [[0.0, 0.0], [1.0, 1.0]]
+        assert len(tile_boxes(pts)[1]) == 4
+        on_lines = [(1.0, (1.0, 0.0), -0.5, 0), (2.0, (1.0, 1.0), -1.0, 0),
+                    (4.0, (-1.0, 0.0), 0.5, 0)]
+        positive = [(float(2 ** -j), (0.0, 1.0), 1.5 + j / 64, 0) for j in range(20)]
+        negative = [(8.0, (1.0, 1.0), -2.5, 0)]
+        net = relu_network(on_lines + positive + negative)
+        got = evaluate_network(net, pts)
+        np.testing.assert_array_equal(got, unit_sum(net, pts))
+        assert got[300] == sum(a for a, *_ in positive)  # t = 0 for all three at the corner
+        assert ridge_calls and all(ridge.shape[1] <= 3 for ridge in ridge_calls)
+
+    def test_one_tile_keeps_the_box_rule(self, monkeypatch, tile_calls):
+        # With one tile per call (g = 1, as below 2^d _TILE_POINTS points), the
+        # atoms are the units that straddle the whole batch's box, as before tiles.
+        monkeypatch.setattr(relu_nets, "_TILE_POINTS", 10**9)
+        rng = np.random.default_rng(6)
+        net = split_network(rng, 2, 2)
+        pts = unit_cube_points(rng, 4000, 2)
+        evaluate_network(net, pts)
+        whole = straddling(net, (pts.min(axis=0), pts.max(axis=0)))
+        full = np.vstack([net.directions.T, net.biases])
+        assert tile_calls and all(ridge.tobytes() == full[:, whole].tobytes()
+                                  for _, ridge in tile_calls)
+
+    @pytest.mark.parametrize("d, k, n", [(1, 2, 30_000), (3, 3, 8000)])
+    def test_tiles_memory_within_the_block_budget(self, d, k, n):
+        # b in [-1, 1]: on each tile some units drop, some collapse and some
+        # straddle.  At once, the 66 tiles of d = 1 would classify 330,000
+        # unit signs per array, and the atoms of one of the 8 tiles of d = 3
+        # (up to 1803 straddling units on 1034 points) would take 15 MB.
+        rng = np.random.default_rng(d)
+        net = unit_law_network(rng, 5000, d, k, (-1.0, 1.0))
+        pts = unit_cube_points(rng, n, d)
+        tracemalloc.start()
+        try:
+            got = evaluate_network(net, pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 8 * relu_nets._EVAL_BLOCK
+        want = unit_sum(net, pts)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+
 # (width, d, power, points): many row blocks and N not a multiple of the
-# block; the Heaviside k = 0; fewer blocks than cores; a single point; a
-# width above the block, so one row per block.
+# block; the Heaviside k = 0; a small batch; a single point; a width above the
+# block, so one row per block.
 WORKER_CASES = [(1000, 3, 2, 5003), (601, 2, 0, 1001), (2000, 3, 2, 50), (5, 1, 3, 1),
                 (140_000, 2, 1, 7)]
 
 
 class TestEvaluateWorkers:
+    """``evaluate_network`` runs on the calling thread: the same bits on one
+    core as on all of them, and from many callers' threads at once."""
+
     @pytest.mark.parametrize("width, d, k, n", WORKER_CASES)
     def test_bitwise_equal_for_any_worker_count(self, set_cores, width, d, k, n):
         rng = np.random.default_rng(width + n)
@@ -264,6 +408,8 @@ class TestEvaluateWorkers:
         set_cores(1)
         want = evaluate_network(net, pts)
         assert want.dtype == np.float64
+        dense = unit_sum(net, pts)
+        assert np.max(np.abs(want - dense)) <= 1e-13 * max(np.max(np.abs(dense)), 1e-300)
         for cores in (2, 3, 8):
             set_cores(cores)
             got = evaluate_network(net, pts)
@@ -275,20 +421,20 @@ class TestEvaluateWorkers:
                                                                  width, d, k, n):
         # b in [1, 2] on [0, 1]^d: many units collapse into the form, the rest straddle.
         rng = np.random.default_rng(width + n)
-        net = ReluNetwork(*numerics.read_only(rng.standard_normal(width),
-                                              uniform_sphere(rng, width, d),
-                                              rng.uniform(1.0, 2.0, width)), k)
+        net = unit_law_network(rng, width, d, k, (1.0, 2.0))
         pts = rng.random((n, d))
         set_cores(1)
         want = evaluate_network(net, pts)
         assert all(ridge.shape[1] < width - (d + 1) ** k for ridge in ridge_calls)
+        dense = unit_sum(net, pts)
+        assert np.max(np.abs(want - dense)) <= 1e-13 * np.max(np.abs(dense))
         for cores in (2, 3, 8):
             set_cores(cores)
             assert evaluate_network(net, pts).tobytes() == want.tobytes()
 
     def test_heaviside_is_zero_on_the_ridge_hyperplanes(self, set_cores):
         # Each product in [x | 1] @ [Omega^T; b] is exact here, so points on
-        # omega . x + b = 0 get t = 0 and sigma_0(0) = 0, in three row blocks.
+        # omega . x + b = 0 get t = 0 and sigma_0(0) = 0, over many tiles.
         net = relu_network([(1.0, (1.0, 0.0), -0.5, 0), (2.0, (0.0, 1.0), -0.25, 0),
                             (4.0, (1.0, 1.0), -1.0, 0)])
         pts = np.tile([[0.5, 0.25], [0.5, 0.5], [0.75, 0.25], [0.5, 0.0], [0.75, 0.5]],
@@ -299,22 +445,31 @@ class TestEvaluateWorkers:
             np.testing.assert_array_equal(evaluate_network(net, pts), want)
 
     def test_stress_more_threads_than_cores(self, set_cores):
-        # Seven threads besides the caller on a short switch interval: shares
-        # that lost or mixed each other's row updates would change the bytes.
+        # Eight callers' threads on one core and a short switch interval: calls
+        # that shared a buffer or any other state would change the bytes.
         rng = np.random.default_rng(5)
         net = random_network(rng, 400, 2, 2)
         pts = rng.standard_normal((20_000, 2))
-        set_cores(1)
         want = evaluate_network(net, pts)
-        set_cores(8)
+        set_cores(1)
+        results = [[] for _ in range(8)]
+
+        def call(out):
+            for _ in range(3):
+                out.append(evaluate_network(net, pts).tobytes())
+
+        threads = [threading.Thread(target=call, args=(out,), daemon=True) for out in results]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            for _ in range(5):
-                assert evaluate_network(net, pts).tobytes() == want.tobytes()
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
-
+        assert not any(thread.is_alive() for thread in threads), "a call did not complete"
+        assert results == [[want.tobytes()] * 3] * 8
 
 class TestNetworkArrays:
     UNITS = [(2.0, (0.6, 0.8), -0.5, 2), (-3.0, [1.0, 0.0], 1.25, 2),
@@ -1178,11 +1333,11 @@ class TestCertificateBlocks:
 
     def test_blocks_run_in_a_plain_loop(self, monkeypatch):
         # Two cores made the certificate at most 1.11x faster, so it starts
-        # no threads: no ``map_blocks`` call, and no share's fixed cost.
+        # no threads, and no share's fixed cost.
         def refuse(*args):
-            raise AssertionError("network_hm_upper called map_blocks")
+            raise AssertionError("network_hm_upper started a thread")
 
-        monkeypatch.setattr(relu_nets, "map_blocks", refuse)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         net = certificate_network(np.random.default_rng(500), 500, 3, 2)
         hb = network_hm_upper(net, [(0.0, 1.0)] * 3, 1, 2.0)
         assert hb.unit_norms.shape == (500,)
