@@ -281,7 +281,7 @@ def _cutoff_profile(vals: np.ndarray, L: float, eps: float, resolution: int) -> 
 
 
 def mollified_cutoff(x, L: float, eps: float, resolution: int = 64):
-    """Smooth cutoff equal to 1 on [0, L - 2 eps]^d, 0 outside [-eps, L - eps]^d.
+    """Smooth cutoff equal to 1 on [0, L - 2 eps]^d, 0 outside (-3 eps/4, L - 5 eps/4)^d.
 
     Realized as the convolution of the eps/4-scaled tensor bump (alpha = 2) with
     the indicator of [-eps/2, L - 3 eps/2]^d, evaluated per axis with
@@ -300,13 +300,18 @@ def mollified_cutoff(x, L: float, eps: float, resolution: int = 64):
 def _node_plan(L: float, eps: float, resolution: int, d: int):
     """Offset-independent part of one periodization, cached and read-only.
 
-    Returns the (resolution^d, d) node rows on [-eps, L - eps]^d the target
-    is sampled at, in the row order of ``grid_rows``, and the tensor cutoff
-    over the node grid.
+    The target is sampled only on the support cube: per axis, the run of
+    nodes where the cutoff profile is nonzero, inside (-3 eps/4, L - 5 eps/4).
+    Returns the cube's node rows in ``grid_rows`` order, the tensor cutoff
+    over them and the cube's slices of the node grid: 0.5 MB at L = 6 in
+    d = 2 (142 of 192 nodes per axis), 1.9 MB doubled (284 of 384).
     """
     nodes, _ = axis_rule(-eps, L - eps, resolution)
     profile = _cutoff_profile(nodes, L, eps, resolution)
-    return read_only(grid_rows(nodes, d), reduce(np.multiply.outer, [profile] * d))
+    inside = np.flatnonzero(profile)
+    run = slice(inside[0], inside[-1] + 1)
+    return (*read_only(grid_rows(nodes[run], d), reduce(np.multiply.outer, [profile[run]] * d)),
+            (run,) * d)
 
 
 @lru_cache(maxsize=16)
@@ -325,8 +330,9 @@ class _Field:
     """A target read at the periodization nodes, shared by a scan's offsets.
 
     Per node grid, keyed by ``(L, eps, resolution, d)``, it holds the samples
-    times the cutoff and the last contraction along the first node axis,
-    tagged with its ``(a[0], z_box)``.
+    times the cutoff on all n^d nodes, zero off the support cube, and the last
+    contraction along the first node axis, tagged with its ``(a[0], z_box)``.
+    Contractions run over all n nodes: a shorter sum would round differently.
     """
 
     def __init__(self, f_e: Callable):
@@ -337,8 +343,9 @@ class _Field:
         order of ``grid_rows``, by one quadrature at a fixed resolution."""
         key = (L, eps, resolution, len(a))
         if key not in self.windowed:
-            points, cutoff = _node_plan(*key)
-            self.windowed[key] = np.asarray(self.f_e(points), dtype=complex) \
+            points, cutoff, window = _node_plan(*key)
+            self.windowed[key] = np.zeros((resolution,) * len(a), dtype=complex)
+            self.windowed[key][window] = np.asarray(self.f_e(points), dtype=complex) \
                 .reshape(cutoff.shape) * cutoff
         if self.first.get(key, (None,))[0] != (a[0], z_box):
             phase = _phase_matrix(a[0], L, z_box, eps, resolution)
@@ -352,13 +359,19 @@ class _Field:
         return h.ravel() / L**len(a)
 
 
-def _ring_fraction(index: np.ndarray, values: np.ndarray, z_box: int) -> float:
-    """Share of the l1 coefficient mass on the outermost ring max|z_j| = z_box."""
+def _ring_mask(z_box: int, d: int) -> np.ndarray:
+    """Rows of the box |z_j| <= z_box on its outermost ring max|z_j| = z_box."""
+    edge = np.abs(np.arange(-z_box, z_box + 1)) == z_box
+    return reduce(np.logical_or.outer, [edge] * d).ravel()
+
+
+def _ring_fraction(values: np.ndarray, ring: np.ndarray) -> float:
+    """Share of the l1 coefficient mass on the rows of the ``ring`` mask."""
     mags = np.abs(values)
     total = float(mags.sum())
     if total == 0.0:
         return 0.0
-    return float(mags[np.max(np.abs(index), axis=1) == z_box].sum()) / total
+    return float(mags[ring].sum()) / total
 
 
 def periodize_expand(f_e: Callable | _Field, L: float, a, z_box: int, *,
@@ -381,15 +394,16 @@ def periodize_expand(f_e: Callable | _Field, L: float, a, z_box: int, *,
     offset component in [0, 1/L]; both are checked before any quadrature.
 
     Two bounded caches keep the offset-independent work for later calls:
-    up to 2 node plans, a node grid and its doubling (the node rows the
-    target is sampled at and the cutoff over the node grid, (d + 1) n^d
-    floats: 0.9 MB at L = 6 in d = 2, 3.5 MB on the doubled grid) and up to
+    up to 2 node plans, a node grid and its doubling (the node rows where the
+    cutoff is nonzero, the only ones the target is sampled at, and the cutoff
+    there: 0.5 MB at L = 6 in d = 2, 1.9 MB on the doubled grid) and up to
     16 per-axis phase matrices ((2 z_box + 1) n complex values: 150 KB at
     L = 6, z_box = 24).  Cached arrays are read-only, so ``f_e`` receives
-    read-only points.  A plain ``f_e`` is read through a field made for the
-    call, which holds per node grid the windowed samples (n^d complex values:
-    0.6 MB at L = 6 in d = 2, 2.4 MB doubled) and one first-axis contraction
-    (150 KB at L = 6, z_box = 24, 300 KB doubled).
+    read-only points; it need only be finite there.  A plain ``f_e`` is read
+    through a field made for the call, which holds per node grid the windowed
+    samples on all n^d nodes (complex values: 0.6 MB at L = 6 in d = 2,
+    2.4 MB doubled) and one first-axis contraction (150 KB at L = 6,
+    z_box = 24, 300 KB doubled).
     """
     a = tuple(float(v) for v in a)
     d = len(a)
@@ -413,12 +427,12 @@ def periodize_expand(f_e: Callable | _Field, L: float, a, z_box: int, *,
     L, eps = float(L), float(eps)
 
     field = f_e if isinstance(f_e, _Field) else _Field(f_e)
-    index = grid_rows(np.arange(-z_box, z_box + 1), d)
+    index, ring = grid_rows(np.arange(-z_box, z_box + 1), d), _ring_mask(z_box, d)
     values = field.periodize(L, a, z_box, eps, resolution)
     warnings = ()
-    if _ring_fraction(index, values, z_box) > 0.01:
+    if _ring_fraction(values, ring) > 0.01:
         values = field.periodize(L, a, z_box, eps, 2 * resolution)
-        frac = _ring_fraction(index, values, z_box)
+        frac = _ring_fraction(values, ring)
         if frac > 0.01:
             warnings = (
                 f"truncation: outermost index ring at |z|={z_box} carries "
@@ -433,16 +447,17 @@ def scan_offset(f_e: Callable, d: int, L: float, z_box: int, weight: WeightSpec,
 
     Offsets are periodized by ``periodize_expand``, with its fixed cutoff on
     its 32 ceil(L) nodes per axis, all reading one field.  The node grid does
-    not depend on the offset, so the field samples the target and multiplies
-    by the cutoff once per node grid (the base grid, and the doubled one if
-    some offset needs it), and makes the contraction along the first node
+    not depend on the offset, so the field samples the target where the
+    cutoff is nonzero (142^2 of 192^2 nodes at L = 6) and multiplies by the
+    cutoff once per node grid (the base grid, and the doubled one if some
+    offset needs it), and makes the contraction along the first node
     axis once per first offset component, as offsets run with a[0] slowest.
     In d = 2 a scan so costs grid n^2 (2 z_box + 1) + grid^2 n (2 z_box + 1)^2
     multiply-adds per node grid.  The field lives only during the call and
     holds per node grid the windowed samples (n^2 complex values: 0.6 MB at
     L = 6, 2.4 MB doubled) and one contraction (150 KB at L = 6, z_box = 24,
     300 KB doubled).  What outlives the call is ``periodize_expand``'s
-    caches: one node plan per node grid (0.9 MB at L = 6 in d = 2) and one
+    caches: one node plan per node grid (0.5 MB at L = 6 in d = 2) and one
     phase matrix per distinct offset component and node grid, so ``grid`` of
     them (150 KB each at L = 6, z_box = 24), twice that if the doubled grid
     was needed.

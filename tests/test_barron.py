@@ -21,7 +21,8 @@ from barronlab.barron import (
     scan_offset,
     to_json,
 )
-from oracles import integrate
+from barronlab.numerics import axis_rule, grid_rows
+from oracles import integrate, periodize_every_node
 
 
 def sinc(p):
@@ -99,6 +100,15 @@ class TestMollifiedCutoff:
         fine = mollified_cutoff(mid, self.L, self.EPS, 640)
         assert 0.0 < coarse < 1.0
         assert coarse == pytest.approx(fine, abs=1e-6)
+
+    def test_zero_outside_the_tight_support(self):
+        # The bump of width eps/4 widens [-eps/2, L - 3 eps/2] to
+        # (-3 eps/4, L - 5 eps/4), inside [-eps, L - eps].
+        x = np.linspace(-self.EPS, self.L - self.EPS, 20001)
+        vals = mollified_cutoff(x[:, None], self.L, self.EPS)
+        lo, hi = -0.75 * self.EPS, self.L - 1.25 * self.EPS
+        assert np.all(vals[(x <= lo) | (x >= hi)] == 0.0)
+        assert np.all(vals[(x > lo + 0.01) & (x < hi - 0.01)] > 0.0)
 
     def test_band_width_validated(self):
         with pytest.raises(ValueError):
@@ -399,8 +409,8 @@ def gaussian(p):
 
 def windowed_coefficients(f, L, a, support_bound, indices):
     """Oracle coefficients L^-d int cutoff * f * exp(-2 pi i (a + z/L) . x) dx
-    over the cutoff support [-eps, L - eps]^d, one ``integrate`` per index on
-    twice periodization's 32 ceil(L) nodes per axis."""
+    over [-eps, L - eps]^d, which holds the cutoff's support, one ``integrate``
+    per index on twice periodization's 32 ceil(L) nodes per axis."""
     d = len(a)
     eps, n = min(1.0, (L - support_bound) / 4.0), 32 * math.ceil(L)
     windowed = {}  # cutoff * f per node batch: the cutoff is the costly factor
@@ -581,7 +591,7 @@ class TestPeriodizeCaches:
             return bump2(p)
 
         periodize_expand(f, 5.0, (0.0, 0.1), 12, support_bound=1.6)
-        points, cutoff = barron._node_plan(5.0, 0.85, 160, 2)
+        points, cutoff, _ = barron._node_plan(5.0, 0.85, 160, 2)
         assert seen[0] is points
         assert not points.flags.writeable and not cutoff.flags.writeable
         phase = barron._phase_matrix(0.1, 5.0, 12, 0.85, 160)
@@ -599,14 +609,85 @@ class TestPeriodizeCaches:
 
 
 class Counting:
-    """A target that counts how often it is sampled."""
+    """A target that counts how often it is sampled, and at how many rows."""
 
     def __init__(self, f):
-        self.f, self.calls = f, 0
+        self.f, self.calls, self.rows = f, 0, 0
 
     def __call__(self, p):
         self.calls += 1
+        self.rows += len(p)
         return self.f(p)
+
+
+def two_bumps(p):
+    return gaussian(p) + 0.5 * bump2(p)
+
+
+class TestSupportWindow:
+    """The target is sampled only where the cutoff is nonzero, with the bytes
+    of a periodization that samples every node."""
+
+    @pytest.mark.parametrize("f, d, z_box", [
+        (sinc, 1, 24), (sinc, 1, 2), (bump2, 2, 12), (bump2, 2, 1),
+    ], ids=["d1-window", "d1-heavy-window", "d2-window", "d2-heavy-window"])
+    @pytest.mark.parametrize("offset", [0.0, 0.07])
+    def test_same_bytes_as_every_node(self, f, d, z_box, offset):
+        a = (offset,) * d
+        got = periodize_expand(f, 5.0, a, z_box, support_bound=1.6)
+        want = periodize_every_node(f, 5.0, a, z_box, 1.6)
+        assert to_json(got) == to_json(want)
+        assert got.warnings == want.warnings
+
+    def test_every_periodization_of_a_scan(self, monkeypatch):
+        scanned = []
+
+        def recording(*args, **kwargs):
+            scanned.append(periodize_expand(*args, **kwargs))
+            return scanned[-1]
+
+        monkeypatch.setattr(barron, "periodize_expand", recording)
+        scan_offset(two_bumps, 2, 6.0, 24, WeightSpec.polynomial(1.0),
+                    support_bound=2.0, grid=4)
+        assert len(scanned) == 16
+        for fs in scanned:
+            assert to_json(fs) == to_json(periodize_every_node(two_bumps, 6.0, fs.a, 24, 2.0))
+
+    @pytest.mark.parametrize("L, support, side", [(6.0, 2.0, 142), (5.0, 1.6, 118)])
+    def test_target_receives_the_support_rows(self, L, support, side):
+        clear_periodize_caches()
+        seen = []
+        f = Counting(lambda p: seen.append(p) or two_bumps(p))
+        fs = periodize_expand(f, L, (0.0, 0.0), 12, support_bound=support)
+        assert not fs.warnings
+        assert f.calls == 1 and f.rows == side**2
+        eps = min(1.0, (L - support) / 4.0)
+        assert np.all((seen[0] > -0.75 * eps) & (seen[0] < L - 1.25 * eps))
+
+    @pytest.mark.parametrize("z_box", [12, 1], ids=["window", "heavy-window"])
+    def test_target_need_only_be_finite_on_the_support(self, z_box):
+        # Before the window, the NaNs off the support cube reached the
+        # coefficients and from_arrays raised "non-finite coefficient".
+        L, eps, a = 5.0, 0.85, (0.07, 0.03)
+
+        def nan_outside(p):
+            out = bump2(p)
+            out[np.any((p <= -0.75 * eps) | (p >= L - 1.25 * eps), axis=1)] = np.nan
+            return out
+
+        nodes, _ = axis_rule(-eps, L - eps, 160)
+        assert np.isnan(nan_outside(grid_rows(nodes, 2))).any()
+        got = periodize_expand(nan_outside, L, a, z_box, support_bound=1.6)
+        want = periodize_expand(bump2, L, a, z_box, support_bound=1.6)
+        assert to_json(got) == to_json(want) and got.warnings == want.warnings
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("z_box", [0, 1, 24])
+    def test_ring_mask_is_the_outermost_ring(self, d, z_box):
+        index = grid_rows(np.arange(-z_box, z_box + 1), d)
+        ring = barron._ring_mask(z_box, d)
+        assert np.array_equal(ring, np.max(np.abs(index), axis=1) == z_box)
+        assert ring.all() == (z_box == 0)
 
 
 class TestScanOffset:
