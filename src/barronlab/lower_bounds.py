@@ -19,8 +19,8 @@ import numpy as np
 
 from .barron import (MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact,
                      mode_norm)
-from .numerics import (as_batch, axis_rule, blockwise, count_text, read_only, ridge_block,
-                       sigma_k, unbatch)
+from .numerics import (as_batch, axis_rule, count_text, read_only, ridge_block, sigma_k,
+                       unbatch)
 
 if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
     from .sphere_geom import SphericalNet
@@ -69,16 +69,16 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
     cancel to zero.  A rank-deficient column (pivot below ``_GAP_RANK_TOL``
     of its norm) gets c_i = 0, its |c_i|^2 moves into the residual, and it
     is counted in ``regularized``.  One draw holds every candidate's
-    parameters, and ``blockwise`` runs its views of 32 candidates, fewer
-    when n_units > 30 so that a block's [A | b] stays within 2^18 floats
-    (2 MiB), one after another in one scratch buffer; minima and counts
-    combine in block order, so the probe is bitwise the same for any block
-    size.  omega0 must be finite, and candidates * n_units at most
-    ``MAX_GAP_ATOMS`` = 2^20, refused before the draw.  At that cap a fresh
-    process's peak RSS grows by 33 MB, to 61 MB (the 16 MiB draw, the
-    scratch and LAPACK's QR work), and the probe takes 10-12 s at
-    n_units = 256 and 6-9 s at n_units = 1 (32768 blocks) on one core of a
-    2-vCPU host.
+    parameters, and a loop solves its views of 32 candidates, fewer when
+    n_units > 30 so that a block's [A | b] stays within 2^18 floats
+    (2 MiB), one after another into one scratch buffer made for the call;
+    minima and counts combine in block order, so the probe is bitwise the
+    same for any block size.  omega0 must be finite, and
+    candidates * n_units at most ``MAX_GAP_ATOMS`` = 2^20, refused before
+    the draw.  At that cap a fresh process's peak RSS grows by 33 MB, to
+    61 MB (the 16 MiB draw, the scratch and LAPACK's QR work), and the
+    probe takes 10-12 s at n_units = 256 and 6-9 s at n_units = 1 (32768
+    blocks) on one core of a 2-vCPU host.
     """
     if not (math.isfinite(alpha) and alpha > 0):
         raise ValueError(f"decay rate alpha must be a positive finite number, got {alpha}")
@@ -123,9 +123,8 @@ def highfreq_gap(alpha: float, omega0: float, n_units: int, candidates: int,
 
     params = np.random.default_rng(seed).standard_normal((candidates, n_units, 2))
     size = min(_GAP_BLOCK, max(1, _GAP_BLOCK_FLOATS // ((n_units + 2) * _GAP_NODES)))
-    blocks = [params[i:i + size] for i in range(0, candidates, size)]
-    solved = blockwise(solve, blocks, lambda: np.empty(
-        (min(size, candidates), n_units + 2, _GAP_NODES)))
+    scratch = np.empty((min(size, candidates), n_units + 2, _GAP_NODES))
+    solved = [solve(params[i:i + size], scratch) for i in range(0, candidates, size)]
     best = np.min([block_best for block_best, _ in solved], axis=0)
     return GapProbe(
         error=float(best[-1]),

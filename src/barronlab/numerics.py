@@ -1,7 +1,6 @@
 """Shared numerical substrate: Gauss-Legendre rules and ``tensor_nodes``,
-Sobolev mode weights, log-log rate fitting, the powered rectifier, the one
-ridge-atom kernel ``ridge_block`` and ``blockwise``, which runs blocks of
-work in one scratch buffer.
+Sobolev mode weights, log-log rate fitting, the powered rectifier and the one
+ridge-atom kernel ``ridge_block``.
 
 All routines here are deterministic functions of their inputs, and the
 package runs on the calling thread: no module starts a thread or reads the
@@ -15,7 +14,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -106,15 +105,6 @@ def ridge_block(lifted, ridge, out, *, k=None, alpha=None) -> np.ndarray:
     np.abs(t, out=t)
     t *= -alpha
     return np.exp(t, out=t)
-
-
-def blockwise(fn: Callable, blocks: Sequence, scratch: Callable) -> list:
-    """``[fn(block, buffer) for block in blocks]`` on the calling thread: one
-    ``scratch()`` buffer, made before the first block and only when there is
-    one, serves every block in turn.  Results come back in block order, and
-    an exception raised by ``fn`` reaches the caller at once."""
-    buffer = scratch() if len(blocks) else None
-    return [fn(block, buffer) for block in blocks]
 
 
 @lru_cache(maxsize=None)

@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .numerics import (Box, as_batch, count_text, gauss_rule, grid_rows, homogeneous_sums,
-                       blockwise, multi_indices, read_only, ridge_block, sigma_k,
-                       unbatch, validate_box)
+                       multi_indices, read_only, ridge_block, sigma_k, unbatch,
+                       validate_box)
 
 
 # ----------------------------------------------------------------------
@@ -141,7 +141,8 @@ def evaluate_network(net: ReluNetwork, x):
     The units that straddle a tile get atoms, one ``ridge_block`` of each
     row block of the tile's [x | 1] rows, contracted with their outer
     weights; a row block holds at most ``_EVAL_BLOCK`` atoms and form
-    entries, in one buffer that ``blockwise`` makes for each block of tiles.
+    entries, in one scratch buffer that each block of tiles makes after its
+    classification and form products and that its tiles use in turn.
     """
     pts, single = as_batch(x, d=net.d if net.width else None)
     total = np.zeros(len(pts))
@@ -213,8 +214,10 @@ def evaluate_network(net: ReluNetwork, x):
         form[cost * (positive + sizes) >= positive * sizes] = False
         kept &= ~form
         tensors = _form_tensors(net.outer, net.directions, mid, form, k)
-        blockwise(fill, list(zip(kept, tensors, starts[tiles], ends[tiles], form.any(axis=1))),
-                  lambda: np.empty(min(n * (width + cols), max(_EVAL_BLOCK, width + cols))))
+        scratch = np.empty(min(n * (width + cols), max(_EVAL_BLOCK, width + cols)))
+        for tile in zip(kept, tensors, starts[tiles], ends[tiles], form.any(axis=1)):
+            fill(tile, scratch)
+        del scratch  # freed before the next block's classification
     return unbatch(total, single)
 
 
@@ -720,11 +723,10 @@ def network_hm_upper(net: ReluNetwork, omega_box: Box, m: int, bias_cap: float,
     sigma_{2(k-r)}, which ``_ridge_box_integrals`` computes exactly for all
     orders at once; the direction sums are ``homogeneous_sums`` at omega^2
     and the falling factorials k! / (k - r)! one column.
-    The units go in blocks of ``_CERT_BLOCK`` on the calling thread, since two
-    cores made it at most 1.15x faster; memory is one block's at any width
-    (about 1 MB at d = 3, k = 2, m = 1), the first block's two power tables
-    serve every later block, and as every step works on one unit's row, the
-    norms are bitwise those of one call over all units.
+    The units go in blocks of ``_CERT_BLOCK`` so that memory is one block's
+    at any width (about 1 MB at d = 3, k = 2, m = 1); the first block's two
+    power tables serve every later block, and as every step works on one
+    unit's row, the norms are bitwise those of one call over all units.
     Each unit norm carries a relative rounding margin of 1e-12, so the
     bound is exact up to that margin and never below the true value.  ``spec``
     is accepted and ignored.

@@ -1,6 +1,4 @@
 import math
-import multiprocessing
-import queue
 import types
 
 import numpy as np
@@ -19,7 +17,7 @@ from barronlab.lower_bounds import (
     pairwise_separation,
     residual_tail_norm,
 )
-from barronlab.numerics import axis_rule, blockwise, tensor_nodes
+from barronlab.numerics import axis_rule, ridge_block, tensor_nodes
 from barronlab.relu_nets import sigma_k
 from oracles import integrate, plateau_weight, tail_density
 
@@ -144,74 +142,48 @@ class TestHighFreqGap:
             highfreq_gap(1.0, 8.0, n_units, at_cap)
 
 
-def _gap_in_child(results):
-    results.put(highfreq_gap(1.0, 16.0, 8, 100, seed=3))
-
-
 class TestHighFreqGapWorkers:
-    """The probe's blocks run one after another on the calling thread: the same
-    bits on one core as on all of them, and for any block size."""
+    """The probe's blocks run one after another on the calling thread, in one
+    scratch buffer: the same bits for any block size."""
 
-    # 1000 candidates: 32 blocks, the last one partial.
+    # 1000 candidates: 32 blocks, the last one partial; blocks of 7 split
+    # each count but 1 differently.
     @pytest.mark.parametrize("candidates", [1, 31, 33, 100, 256, 1000])
     @pytest.mark.parametrize("seed", [0, 1, 5])
-    def test_bitwise_equal_for_any_worker_count(self, set_cores, candidates, seed):
-        set_cores(1)
+    def test_bitwise_equal_for_any_worker_count(self, monkeypatch, candidates, seed):
         want = highfreq_gap(1.0, 16.0, 8, candidates, seed=seed)
-        for cores in (2, 3):
-            set_cores(cores)
-            got = highfreq_gap(1.0, 16.0, 8, candidates, seed=seed)
-            assert got.errors_by_width == want.errors_by_width
-            assert got == want
+        monkeypatch.setattr(lower_bounds, "_GAP_BLOCK", 7)
+        got = highfreq_gap(1.0, 16.0, 8, candidates, seed=seed)
+        assert got.errors_by_width == want.errors_by_width
+        assert got == want
 
     def test_blocks_sized_by_bytes_leave_the_probe_unchanged(self, monkeypatch):
         # Blocks of at most 2^18 [A | b] floats: 3 candidates at 256 units,
         # and the same probe as fixed blocks of 32 at any width.
         for n_units, size in [(8, 32), (64, 15), (256, 3)]:
-            sizes = []
+            sizes = []  # per probe, each block's candidates: the ridge operand's leading axis
 
-            def recording(fn, blocks, scratch):
-                sizes.append(len(blocks[0]))
-                assert sum(map(len, blocks)) == 100
-                return blockwise(fn, blocks, scratch)
+            def recording(lifted, ridge, out, **kwargs):
+                sizes[-1].append(len(ridge))
+                return ridge_block(lifted, ridge, out, **kwargs)
 
             with monkeypatch.context() as patch:
-                patch.setattr(lower_bounds, "blockwise", recording)
+                patch.setattr(lower_bounds, "ridge_block", recording)
+                sizes.append([])
                 got = highfreq_gap(1.0, 16.0, n_units, 100, seed=0)
                 patch.setattr(lower_bounds, "_GAP_BLOCK_FLOATS", 2**62)
+                sizes.append([])
                 want = highfreq_gap(1.0, 16.0, n_units, 100, seed=0)
-            assert sizes == [size, 32]
+            assert [blocks[0] for blocks in sizes] == [size, 32]
+            assert [sum(blocks) for blocks in sizes] == [100, 100]
             assert got.errors_by_width == want.errors_by_width
             assert got == want
 
-    def test_regularized_count_equal_for_any_worker_count(self, set_cores):
-        set_cores(1)
+    def test_regularized_count_equal_for_any_worker_count(self, monkeypatch):
         want = highfreq_gap(800.0, 8.0, 6, 100, seed=0)
         assert want.regularized > 0
-        set_cores(2)
+        monkeypatch.setattr(lower_bounds, "_GAP_BLOCK", 7)
         assert highfreq_gap(800.0, 8.0, 6, 100, seed=0) == want
-
-    def test_forked_child_after_the_pool_ran(self, set_cores):
-        # A child forked after the parent ran the probe computes the same one;
-        # had the package kept a pool or a lock, its object in the child would
-        # have no threads behind it and could wait forever.
-        set_cores(2)
-        want = highfreq_gap(1.0, 16.0, 8, 100, seed=3)
-        context = multiprocessing.get_context("fork")
-        results = context.Queue()
-        child = context.Process(target=_gap_in_child, args=(results,))
-        child.start()
-        try:
-            got = results.get(timeout=60)
-        except queue.Empty:
-            got = None
-        finally:
-            child.join(timeout=10)
-            if child.is_alive():
-                child.kill()
-                child.join()
-        assert got == want, "forked child did not complete highfreq_gap"
-        assert child.exitcode == 0
 
 
 class TestDyadic:

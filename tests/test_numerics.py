@@ -1,5 +1,4 @@
 import math
-import threading
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from hypothesis import strategies as st
 from barronlab import barron, lower_bounds, relu_nets
 from barronlab.numerics import (
     as_batch,
-    blockwise,
     count_text,
     grid_rows,
     homogeneous_sums,
@@ -358,92 +356,3 @@ class TestRidgeBlock:
         monkeypatch.setattr(relu_nets, "ridge_block", counting)
         call()
         assert seen
-
-
-def run_with_timeout(fn, seconds=60.0):
-    """fn() on a daemon thread; fails instead of hanging if it does not end."""
-    result = []
-    thread = threading.Thread(target=lambda: result.append(fn()), daemon=True)
-    thread.start()
-    thread.join(timeout=seconds)
-    assert not thread.is_alive(), "call did not complete"
-    return result[0]
-
-
-class TestParallelMap:
-    """``blockwise``, the package's one block map.  It runs every block on the
-    calling thread, so the core counts that its threaded predecessor shared
-    blocks by must leave every result unchanged."""
-
-    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [0, 1, 2, 7, 100])
-    def test_results_in_item_order(self, set_cores, cores, n):
-        set_cores(cores)
-        assert blockwise(lambda i, _: i * i, range(n), list) == [i * i for i in range(n)]
-
-    @pytest.mark.parametrize("cores", [1, 2, 3, 5])
-    @pytest.mark.parametrize("n", [0, 1, 7, 100])
-    def test_one_scratch_per_share_made_on_the_caller(self, set_cores, cores, n):
-        # One share at any core count: one buffer, made on the caller and only
-        # when there is a block, that every block uses in turn on the caller.
-        set_cores(cores)
-        caller, made = threading.current_thread(), []
-
-        def scratch():
-            made.append((threading.current_thread(), []))
-            return made[-1][1]
-
-        def fn(i, buffer):
-            buffer.append(i)  # the blocks, in the order they used the buffer
-            return threading.current_thread()
-
-        threads = blockwise(fn, range(n), scratch)
-        assert made == [(caller, list(range(n)))] * min(n, 1)
-        assert threads == [caller] * n
-
-    def test_nested_call_completes(self, set_cores):
-        set_cores(2)
-
-        def outer(i, _):
-            return sum(blockwise(lambda j, _: i * j, range(4), list))
-
-        got = run_with_timeout(lambda: blockwise(outer, range(6), list))
-        assert got == [6 * i for i in range(6)]
-
-    @pytest.mark.parametrize("bad", [0, 5])  # the first block, the last one
-    def test_exception_in_a_share_reaches_the_caller(self, set_cores, bad):
-        set_cores(2)
-        ended = []
-
-        def fn(i, _):
-            if i == bad:
-                raise KeyError(i)
-            ended.append(i)
-            return i
-
-        with pytest.raises(KeyError):
-            blockwise(fn, range(6), list)
-        assert ended == list(range(bad))  # the blocks before it ran, none after it
-        assert blockwise(lambda i, _: i, range(6), list) == list(range(6))  # next call works
-
-    @pytest.mark.parametrize("bad", [None, 0, 5])
-    def test_no_thread_outlives_a_call(self, monkeypatch, set_cores, bad):
-        # No thread is started at all, whether fn returns or raises.
-        set_cores(3)
-        before = threading.active_count()
-
-        def refuse(*args):
-            raise AssertionError("blockwise started a thread")
-
-        monkeypatch.setattr(threading.Thread, "start", refuse)
-
-        def fn(i, _):
-            if i == bad:
-                raise KeyError(i)
-            return i
-
-        try:
-            assert blockwise(fn, range(6), list) == list(range(6))
-        except KeyError:
-            assert bad is not None
-        assert threading.active_count() == before

@@ -397,42 +397,37 @@ WORKER_CASES = [(1000, 3, 2, 5003), (601, 2, 0, 1001), (2000, 3, 2, 50), (5, 1, 
 
 
 class TestEvaluateWorkers:
-    """``evaluate_network`` runs on the calling thread: the same bits on one
-    core as on all of them, and from many callers' threads at once."""
+    """``evaluate_network`` runs on the calling thread and keeps no state
+    between calls: a second call gives the same bits, also from many callers'
+    threads at once."""
 
     @pytest.mark.parametrize("width, d, k, n", WORKER_CASES)
-    def test_bitwise_equal_for_any_worker_count(self, set_cores, width, d, k, n):
+    def test_bitwise_equal_for_any_worker_count(self, width, d, k, n):
         rng = np.random.default_rng(width + n)
         net = random_network(rng, width, d, k)
         pts = rng.standard_normal((n, d))
-        set_cores(1)
         want = evaluate_network(net, pts)
         assert want.dtype == np.float64
         dense = unit_sum(net, pts)
         assert np.max(np.abs(want - dense)) <= 1e-13 * max(np.max(np.abs(dense)), 1e-300)
-        for cores in (2, 3, 8):
-            set_cores(cores)
-            got = evaluate_network(net, pts)
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        got = evaluate_network(net, pts)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("width, d, k, n", [(2000, 3, 2, 5003), (601, 2, 0, 1001),
                                                 (300, 1, 3, 50)])
-    def test_collapsed_units_bitwise_equal_for_any_worker_count(self, set_cores, ridge_calls,
+    def test_collapsed_units_bitwise_equal_for_any_worker_count(self, ridge_calls,
                                                                  width, d, k, n):
         # b in [1, 2] on [0, 1]^d: many units collapse into the form, the rest straddle.
         rng = np.random.default_rng(width + n)
         net = unit_law_network(rng, width, d, k, (1.0, 2.0))
         pts = rng.random((n, d))
-        set_cores(1)
         want = evaluate_network(net, pts)
         assert all(ridge.shape[1] < width - (d + 1) ** k for ridge in ridge_calls)
         dense = unit_sum(net, pts)
         assert np.max(np.abs(want - dense)) <= 1e-13 * np.max(np.abs(dense))
-        for cores in (2, 3, 8):
-            set_cores(cores)
-            assert evaluate_network(net, pts).tobytes() == want.tobytes()
+        assert evaluate_network(net, pts).tobytes() == want.tobytes()
 
-    def test_heaviside_is_zero_on_the_ridge_hyperplanes(self, set_cores):
+    def test_heaviside_is_zero_on_the_ridge_hyperplanes(self):
         # Each product in [x | 1] @ [Omega^T; b] is exact here, so points on
         # omega . x + b = 0 get t = 0 and sigma_0(0) = 0, over many tiles.
         net = relu_network([(1.0, (1.0, 0.0), -0.5, 0), (2.0, (0.0, 1.0), -0.25, 0),
@@ -440,18 +435,15 @@ class TestEvaluateWorkers:
         pts = np.tile([[0.5, 0.25], [0.5, 0.5], [0.75, 0.25], [0.5, 0.0], [0.75, 0.5]],
                       (20_000, 1))
         want = np.tile([0.0, 2.0, 1.0, 0.0, 7.0], 20_000)
-        for cores in (1, 2, 3):
-            set_cores(cores)
-            np.testing.assert_array_equal(evaluate_network(net, pts), want)
+        np.testing.assert_array_equal(evaluate_network(net, pts), want)
 
-    def test_stress_more_threads_than_cores(self, set_cores):
-        # Eight callers' threads on one core and a short switch interval: calls
-        # that shared a buffer or any other state would change the bytes.
+    def test_stress_more_threads_than_cores(self):
+        # Eight callers' threads and a short switch interval: calls that shared
+        # a buffer or any other state would change the bytes.
         rng = np.random.default_rng(5)
         net = random_network(rng, 400, 2, 2)
         pts = rng.standard_normal((20_000, 2))
         want = evaluate_network(net, pts)
-        set_cores(1)
         results = [[] for _ in range(8)]
 
         def call(out):
