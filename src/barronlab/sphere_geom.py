@@ -7,6 +7,10 @@ min-squared-distance array over the pool makes each step one matrix-vector
 product.  The separated subset scans the pool in order and keeps each point at
 distance >= delta from every point kept before it; blocks of the pool are
 first filtered by one matrix product against the points already kept.
+
+Minimum separations and probed covering radii go through one distance kernel
+that writes a block of query rows' squared distances to the m points into one
+reused (block, m) buffer, so their memory is block x m floats, not queries x m.
 """
 
 from __future__ import annotations
@@ -48,13 +52,37 @@ def uniform_sphere(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+# Rows per block of the distance kernel, whose (block, m) squared distances
+# are reduced before the next block is computed, and of separated_subset's
+# filter.  512 was no faster for covering_radius and made separated_subset
+# 10-20% slower (more rows reach its per-row check).
+_BLOCK = 256
+
+
+def _sq_distances(queries: np.ndarray, points: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Squared chordal distances max(0, 2 - 2 q . p) of the rows of ``queries``
+    to the rows of ``points``, computed in place in the first len(queries)
+    rows of ``out`` (at least (len(queries), m)), which it returns."""
+    out = out[:len(queries)]
+    np.matmul(queries, points.T, out=out)
+    out *= 2.0
+    np.subtract(2.0, out, out=out)
+    return np.maximum(out, 0.0, out=out)
+
+
 def _pairwise_min_distance(points: np.ndarray) -> float:
+    """Smallest distance between two rows of ``points``, inf for one row.
+    Row blocks go through the distance kernel, each with its own entries of
+    the diagonal set to inf."""
     if len(points) < 2:
         return math.inf
-    gram = points @ points.T
-    sq = np.maximum(0.0, 2.0 - 2.0 * gram)
-    np.fill_diagonal(sq, np.inf)
-    return float(np.sqrt(sq.min()))
+    out = np.empty((min(_BLOCK, len(points)), len(points)))
+    least = math.inf
+    for start in range(0, len(points), _BLOCK):
+        sq = _sq_distances(points[start:start + _BLOCK], points, out)
+        np.fill_diagonal(sq[:, start:], np.inf)
+        least = min(least, sq.min())
+    return float(np.sqrt(least))
 
 
 def covering_radius(points: np.ndarray, probes: int = 10000,
@@ -64,7 +92,10 @@ def covering_radius(points: np.ndarray, probes: int = 10000,
 
     A lower bound on the true covering radius; probing can only miss the
     worst gap.  Probes are seeded uniform draws (at least 10^4 so the
-    estimate is meaningful) unless an explicit probe set is supplied.
+    estimate is meaningful), made 4096 at a time as they are used, unless an
+    explicit probe set is supplied.  Probes run through the distance kernel
+    ``_BLOCK`` rows at a time, so beyond the points and the probes it holds
+    one (_BLOCK, m) buffer and one 4096 x d draw.
     """
     points = np.atleast_2d(points)
     d = points.shape[1]
@@ -74,13 +105,15 @@ def covering_radius(points: np.ndarray, probes: int = 10000,
         if probes < 10000:
             raise ValueError(f"need at least 10000 probes, got {probes}")
         rng = np.random.default_rng(seed)
-        batches = [uniform_sphere(rng, min(4096, probes - start), d)
-                   for start in range(0, probes, 4096)]
+        batches = (uniform_sphere(rng, min(4096, probes - start), d)
+                   for start in range(0, probes, 4096))
+    out = np.empty((_BLOCK, len(points)))
     worst = 0.0
     for q in batches:
-        sq = np.maximum(0.0, 2.0 - 2.0 * (q @ points.T))
-        worst = max(worst, float(np.sqrt(sq.min(axis=1).max())))
-    return worst
+        for start in range(0, len(q), _BLOCK):
+            worst = max(worst, _sq_distances(q[start:start + _BLOCK], points, out)
+                        .min(axis=1).max())
+    return float(np.sqrt(worst))
 
 
 def _probed_net(points: np.ndarray, seed: int) -> SphericalNet:
@@ -113,7 +146,9 @@ def greedy_net(d: int, m: int, candidate_pool: int | None = None,
     point is the pool row that maximizes the minimum distance to the points
     already chosen, the lowest row index on ties.  O(m * pool) work, and an
     m * pool above ``MAX_NET_WORK`` is refused before the pool is drawn.  The
-    covering radius is probed with 10^4 seeded probes.
+    covering radius is probed with 10^4 seeded probes.  Memory is the pool,
+    its running minima and a few pool-length temporaries per step; min_sep
+    and cover_rad add ``_BLOCK`` x m floats and one 4096 x d draw of probes.
     """
     if d < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {d}")
@@ -133,10 +168,6 @@ def greedy_net(d: int, m: int, candidate_pool: int | None = None,
     return _probed_net(pool[chosen], seed)
 
 
-# Pool rows per filtering product in separated_subset.
-_SUBSET_BLOCK = 256
-
-
 def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
                      seed: int = 0) -> SphericalNet:
     """Greedy maximal delta-separated subset drawn from a seeded candidate pool.
@@ -145,7 +176,10 @@ def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
     row kept before it is >= delta.  Every kept pair is at distance >= delta;
     maximality is certified by the covering radius probed with 10^4 seeded
     probes, which for a truly maximal set cannot exceed delta.  delta >= 2
-    (the chordal diameter) yields a single point almost surely.
+    (the chordal diameter) yields a single point almost surely.  Memory is
+    the pool, the kept rows and one ``_BLOCK`` x kept filtering product;
+    min_sep and cover_rad add ``_BLOCK`` x kept floats and one 4096 x d draw
+    of probes.
     """
     if d < 2:
         raise ValueError(f"sphere dimension must be >= 2, got {d}")
@@ -160,8 +194,8 @@ def separated_subset(d: int, delta: float, candidate_pool: int = 8192,
     # gap between the block product and the per-row product of the exact
     # check, so the filter drops only rows that check would reject.
     limit = delta * delta * (1.0 - 1e-9) - 1e-9
-    for start in range(0, candidate_pool, _SUBSET_BLOCK):
-        block = pool[start:start + _SUBSET_BLOCK]
+    for start in range(0, candidate_pool, _BLOCK):
+        block = pool[start:start + _BLOCK]
         if n:
             block = block[np.min(2.0 - 2.0 * (block @ kept[:n].T), axis=1) >= limit]
         for cand in block:

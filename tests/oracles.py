@@ -1,7 +1,8 @@
 """Reference computations that unit tests check barronlab against: a box
 quadrature, the integrand of the arctan-dictionary measure, whose mass
 ``lower_bounds.example2_tail_mass`` takes in closed form, a network's
-value summed unit by unit, and a periodization that samples every node."""
+value summed over its units' dense values, a periodization that samples
+every node, and sphere distances from whole distance matrices."""
 
 import math
 from functools import reduce
@@ -10,6 +11,7 @@ import numpy as np
 
 from barronlab.barron import from_arrays, mollified_cutoff
 from barronlab.numerics import axis_rule, grid_rows, sigma_k, tensor_nodes
+from barronlab.sphere_geom import uniform_sphere
 
 
 def integrate(f, box, resolution: int):
@@ -35,10 +37,15 @@ def tail_density(omega, b, m: int):
 
 
 def unit_sum(net, pts):
-    """sum_i a_i sigma_k(omega_i . x + b_i) on the batch ``pts`` (N, d), one unit at a time."""
+    """sum_i a_i sigma_k(omega_i . x + b_i) on the batch ``pts`` (N, d): the
+    dense (N, units) values of each block of units times its outer weights,
+    with blocks of about 2^20 values."""
     total = np.zeros(len(pts))
-    for a, omega, b in zip(net.outer, net.directions, net.biases):
-        total += a * sigma_k(pts @ omega + b, net.power)
+    step = max(1, 2**20 // max(1, len(pts)))
+    for start in range(0, net.width, step):
+        units = slice(start, start + step)
+        total += sigma_k(pts @ net.directions[units].T + net.biases[units],
+                         net.power) @ net.outer[units]
     return total
 
 
@@ -70,3 +77,30 @@ def periodize_every_node(f, L, a, z_box, support_bound):
     return from_arrays(d, L, a, index, values, warnings=(
         f"truncation: outermost index ring at |z|={z_box} carries "
         f"{frac:.2%} of the l1 coefficient mass; increase z_box",))
+
+
+def whole_matrix_covering_radius(points, probes=10000, seed=0, probe_points=None):
+    """``sphere_geom.covering_radius`` on whole (batch, m) distance matrices,
+    with every 4096-probe batch drawn before the first is used."""
+    points = np.atleast_2d(points)
+    d = points.shape[1]
+    if probe_points is not None:
+        batches = [np.atleast_2d(probe_points)]
+    else:
+        rng = np.random.default_rng(seed)
+        batches = [uniform_sphere(rng, min(4096, probes - start), d)
+                   for start in range(0, probes, 4096)]
+    worst = 0.0
+    for q in batches:
+        sq = np.maximum(0.0, 2.0 - 2.0 * (q @ points.T))
+        worst = max(worst, float(np.sqrt(sq.min(axis=1).max())))
+    return worst
+
+
+def whole_matrix_min_distance(points):
+    """``sphere_geom._pairwise_min_distance`` on the whole (m, m) distance matrix."""
+    if len(points) < 2:
+        return math.inf
+    sq = np.maximum(0.0, 2.0 - 2.0 * (points @ points.T))
+    np.fill_diagonal(sq, np.inf)
+    return float(np.sqrt(sq.min()))

@@ -296,9 +296,10 @@ class TestEvaluateSplit:
 
 
 def random_network(rng, width, d, k):
-    outer = rng.standard_normal(width)
-    return relu_network([(outer[i], rng.standard_normal(d), rng.uniform(-1.0, 1.0), k)
-                         for i in range(width)])
+    """Normal outer weights and directions and biases from U[-1, 1]."""
+    return ReluNetwork(*numerics.read_only(rng.standard_normal(width),
+                                           rng.standard_normal((width, d)),
+                                           rng.uniform(-1.0, 1.0, width)), k)
 
 
 def unit_law_network(rng, width, d, k, biases):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from barronlab.sphere_geom import (
     separated_subset,
     uniform_sphere,
 )
+from oracles import whole_matrix_covering_radius, whole_matrix_min_distance
 
 
 def circle_points(m):
@@ -178,11 +181,12 @@ class TestSeparatedSubset:
             separated_subset(2, 0.0)
 
     # Besides the first three cases: a pool that is not a multiple of the
-    # 256-row filter block, a pool smaller than one block, and a delta small
-    # enough that most of the first block is kept.
+    # 256-row filter block, a pool smaller than one block, a delta small
+    # enough that most of the first block is kept, and seed 2 over many blocks.
     @pytest.mark.parametrize("d, delta, pool, seed", [(2, 0.05, 2048, 0), (3, 0.3, 2048, 5),
                                                       (4, 2.0, 256, 1), (3, 0.2, 1000, 3),
-                                                      (2, 0.1, 100, 4), (3, 0.01, 700, 6)])
+                                                      (2, 0.1, 100, 4), (3, 0.01, 700, 6),
+                                                      (3, 0.15, 4099, 2)])
     def test_kept_points_match_list_reference(self, d, delta, pool, seed):
         # Reference: rebuild the kept array for every candidate, in pool order.
         kept = []
@@ -196,6 +200,76 @@ class TestSeparatedSubset:
         net = separated_subset(d, delta, candidate_pool=pool, seed=seed)
         assert np.array_equal(net.points, np.array(kept))
         assert not net.points.flags.writeable
+
+
+B = sphere_geom._BLOCK
+
+
+def net_rows(d, m):
+    return uniform_sphere(np.random.default_rng(10 * d + m), m, d)
+
+
+class TestDistanceBlocks:
+    """The blocked distance kernel against whole distance matrices, bit for
+    bit: the per-element operations and the probe draws are the same."""
+
+    @pytest.mark.parametrize("m", [1, 2, B - 1, B + 1, 1024])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("probes", [10**4, 10**4 + 1])
+    def test_covering_radius_matches_the_whole_matrix(self, d, m, probes):
+        points = net_rows(d, m)
+        want = whole_matrix_covering_radius(points, probes, seed=m)
+        assert covering_radius(points, probes, seed=m).hex() == want.hex()
+
+    # 2 10^5 probes are 49 batches; at m = 1024 the whole-matrix reference
+    # alone takes about 2 s (2-vCPU VM), so m = 1024 runs 10^4 probes only.
+    @pytest.mark.parametrize("m", [1, 2, B - 1, B + 1])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_covering_radius_matches_over_many_batches(self, d, m):
+        points = net_rows(d, m)
+        want = whole_matrix_covering_radius(points, 2 * 10**5, seed=d)
+        assert covering_radius(points, 2 * 10**5, seed=d).hex() == want.hex()
+
+    @pytest.mark.parametrize("m", [1, 2, B - 1, B + 1, 1024])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_explicit_probes_longer_than_a_block(self, d, m):
+        # The farthest probe goes last, into the partial block.
+        points = net_rows(d, m)
+        probes = uniform_sphere(np.random.default_rng(m), 3 * B + 7, d)
+        far = np.argmax(np.min(2.0 - 2.0 * (probes @ points.T), axis=1))
+        probes[[far, -1]] = probes[[-1, far]]
+        want = whole_matrix_covering_radius(points, probe_points=probes)
+        assert covering_radius(points, probe_points=probes).hex() == want.hex()
+
+    @pytest.mark.parametrize("m", [1, 2, B - 1, B + 1, 1024])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_min_separation_matches_the_whole_matrix(self, d, m):
+        points = net_rows(d, m)
+        want = whole_matrix_min_distance(points)
+        assert _pairwise_min_distance(points).hex() == want.hex()
+
+    @pytest.mark.parametrize("m", [2, B + 1, 1024])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_min_separation_of_a_repeated_row(self, d, m):
+        # The last row repeats the earlier row whose rounded q . q is largest:
+        # where that is above 1, only the clamp at 0 keeps the repeat's
+        # distance from being the square root of a negative number.
+        points = net_rows(d, m)
+        points[-1] = points[np.argmax(np.diag(points @ points.T)[:-1])]
+        want = whole_matrix_min_distance(points)
+        assert _pairwise_min_distance(points).hex() == want.hex()
+
+    def test_covering_radius_memory_within_blocks(self):
+        # Whole 4096-probe batches against 1024 points take 32 MiB a matrix
+        # and peak at 96 MiB; one (B, 1024) block is 2 MiB.
+        points = net_rows(3, 1024)
+        tracemalloc.start()
+        try:
+            covering_radius(points, 10**4, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestCsv:
