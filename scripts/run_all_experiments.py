@@ -53,7 +53,7 @@ def main() -> int:
             f"verdict={report.verdict}"
         )
         print(f"{stem}: {report.seconds:.1f}s", file=sys.stderr)
-        if report.verdict == rates.BOUND_VIOLATED:
+        if rates.failed(report.verdict):
             worst = 1
     return worst
 

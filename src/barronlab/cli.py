@@ -1,8 +1,8 @@
 """Command-line entry point: every construction and experiment behind one
 deterministic, machine-readable interface.
 
-Exit codes: 0 on success (all verdicts satisfied or informational), 1 when
-an asserted invariant fails, 2 on argument or precondition errors.  All
+Exit codes: 0 on success, 1 when an asserted invariant fails or
+``rates.failed(verdict)`` holds, 2 on argument or precondition errors.  All
 requested output goes to --output (default stdout); diagnostics and timing
 go to stderr.  Identical argv and seed produce byte-identical output.
 """
@@ -256,7 +256,7 @@ def _cmd_greedy_fourier(args) -> int:
     _emit(csv_text([("n", "error", "bound", "key_of_last_kept"), *rows]), args.output)
     print(f"verdict: {report.verdict} (slope fit in {report.seconds:.2f}s)",
           file=sys.stderr)
-    return 0 if report.verdict != rates.BOUND_VIOLATED else 1
+    return 1 if rates.failed(report.verdict) else 0
 
 
 def _cmd_relu_compile(args) -> int:
@@ -409,7 +409,7 @@ def _cmd_rates(args) -> int:
     report = rates.run_experiment(args.kind, params, grid, args.seed)
     _emit(rates.report_to_json(report) + "\n", args.output)
     print(f"verdict: {report.verdict} ({report.seconds:.2f}s)", file=sys.stderr)
-    return 0 if report.verdict != rates.BOUND_VIOLATED else 1
+    return 1 if rates.failed(report.verdict) else 0
 
 
 def dispatch(argv) -> int:

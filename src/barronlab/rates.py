@@ -2,12 +2,12 @@
 constructive modules, fit the log-log slope, and render a verdict against
 the predicted decay exponent.
 
-Rate checks are one-sided: a synthetic input may decay faster than the
-class-worst case, so the verdict only asks that the measured slope be at
-least as steep as the predicted bound, within the fixed slack
-``SLOPE_TOLERANCE``.  The slack and each kind's prediction are facts of the
-code: no parameter sets them.  Every per-n run derives its seed as
-master_seed XOR run index, making reports reproducible bit for bit.
+Each kind declares its check.  ``upper`` is one-sided: a synthetic input may
+decay faster than the class-worst case, so it asks only that the fitted slope
+be as steep as the predicted bound within the fixed slack ``SLOPE_TOLERANCE``;
+``informational`` asserts nothing, and ``failed`` says which verdicts exit 1.
+No parameter sets the slack, a check or a prediction.  Every per-n run derives
+its seed as master_seed XOR run index, making reports reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import namedtuple
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,7 +35,8 @@ DYADIC_RESIDUAL = "dyadic-residual"
 
 BOUND_SATISFIED = "bound-satisfied"
 BOUND_VIOLATED = "bound-violated"
-INFORMATIONAL = "informational"
+INFORMATIONAL = "informational"  # a check and its verdict
+UPPER = "upper"
 
 SLOPE_TOLERANCE = 0.15
 
@@ -54,11 +56,18 @@ class ExperimentReport:
     failures: tuple[str, ...] = field(default=(), compare=False)
 
 
-def _verdict(fit: RateFit, predicted: float, informational: bool) -> str:
-    """Pure verdict rule: slope <= -predicted + SLOPE_TOLERANCE means satisfied."""
-    if informational:
+def _verdict(fit: RateFit, predicted: float, check: str) -> str:
+    """Pure verdict rule: ``upper`` holds at slope <= -predicted + SLOPE_TOLERANCE."""
+    if check == UPPER:
+        return BOUND_SATISFIED if fit.slope <= -predicted + SLOPE_TOLERANCE else BOUND_VIOLATED
+    if check == INFORMATIONAL:
         return INFORMATIONAL
-    return BOUND_SATISFIED if fit.slope <= -predicted + SLOPE_TOLERANCE else BOUND_VIOLATED
+    raise ValueError(f"unknown verdict check {check!r}")
+
+
+def failed(verdict: str) -> bool:
+    """Whether ``verdict`` failed its check: the one rule behind exit code 1."""
+    return verdict == BOUND_VIOLATED
 
 
 def _validate_grid(n_grid: Sequence[int]) -> list[int]:
@@ -182,16 +191,17 @@ def _dyadic_residual(c, grid, seed):
         decomp, int(math.floor(math.log2(n))))
 
 
-# kind -> (parameter defaults, setup).  A packing-separation verdict is
-# informational: its minimum distance is a witness, not a certified rate.
+# kind -> (parameter defaults, setup, verdict check, least d: 2 on the sphere S^(d-1))
+_Kind = namedtuple("_Kind", "defaults setup check min_d", defaults=(1,))
 KINDS = {
-    GREEDY_FOURIER: ({"d": 1, "ks": 2.0, "m": 0, "xi_max": None}, _greedy_fourier),
-    SOBOLEV_COMPILE: ({"d": 1, "ell": 2}, _sobolev_compile),
-    SPHERE_COVER: ({"d": 2}, _sphere_cover),
-    SUBSAMPLE_CONCENTRATION: ({"N": 256, "M": 10, "restarts": 64}, _subsample_concentration),
-    PACKING_SEPARATION: ({"family": "fourier", "d": 2, "k_or_s": 1.0},
-                         _packing_separation),
-    DYADIC_RESIDUAL: ({"xi_max": 256.0, "decay": 1.0}, _dyadic_residual),
+    GREEDY_FOURIER: _Kind({"d": 1, "ks": 2.0, "m": 0, "xi_max": None}, _greedy_fourier, UPPER),
+    SOBOLEV_COMPILE: _Kind({"d": 1, "ell": 2}, _sobolev_compile, UPPER),
+    SPHERE_COVER: _Kind({"d": 2}, _sphere_cover, UPPER, min_d=2),
+    SUBSAMPLE_CONCENTRATION: _Kind({"N": 256, "M": 10, "restarts": 64},
+                                   _subsample_concentration, UPPER),
+    PACKING_SEPARATION: _Kind({"family": "fourier", "d": 2, "k_or_s": 1.0},
+                              _packing_separation, INFORMATIONAL, min_d=2),
+    DYADIC_RESIDUAL: _Kind({"xi_max": 256.0, "decay": 1.0}, _dyadic_residual, UPPER),
 }
 EXPERIMENT_KINDS = tuple(KINDS)
 
@@ -207,7 +217,7 @@ def kind_config(kind: str, params: dict | None) -> dict:
     """
     if kind not in KINDS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    config = dict(KINDS[kind][0])
+    config = dict(KINDS[kind].defaults)
     for key, value in (params or {}).items():
         if key not in config:
             raise ValueError(f"unknown parameter {key!r} for kind {kind}; "
@@ -228,7 +238,7 @@ def kind_config(kind: str, params: dict | None) -> dict:
                                  f"got {number}")
             value = number
         config[key] = cast(value)
-    min_d = 2 if kind in (SPHERE_COVER, PACKING_SEPARATION) else 1
+    min_d = KINDS[kind].min_d
     if config.get("d", min_d) < min_d:
         raise ValueError(f"kind {kind} needs d >= {min_d}, got d={config['d']}")
     return config
@@ -248,10 +258,10 @@ def run_experiment(kind: str, params: dict | None, n_grid: Sequence[int],
     config = kind_config(kind, params)
     grid = _validate_grid(n_grid)
     started = time.perf_counter()
-    predicted, error, *key = KINDS[kind][1](config, grid, seed)
+    predicted, error, *key = KINDS[kind].setup(config, grid, seed)
     samples = tuple((n, float(error(n, seed ^ index))) for index, n in enumerate(grid))
     fit = loglog_fit(samples)
-    verdict = _verdict(fit, predicted, kind == PACKING_SEPARATION)
+    verdict = _verdict(fit, predicted, KINDS[kind].check)
     seconds = time.perf_counter() - started
     config.update({"tolerance": SLOPE_TOLERANCE, "seed": seed, "n_grid": grid})
     return ExperimentReport(

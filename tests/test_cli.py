@@ -584,6 +584,30 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "monomial-check: deviation nan is not finite" in err
 
+    def test_rates_exits_one_on_the_readme_violated_row(self, capsys):
+        code, out, err = run_cli(capsys, "rates", "--kind", "greedy-fourier", "--param", "d=6",
+                                 "--param", "xi_max=160", "--n-grid", "32:1000000")
+        assert code == 1
+        assert json.loads(out)["verdict"] == rates.BOUND_VIOLATED
+        assert err.startswith(f"verdict: {rates.BOUND_VIOLATED} (")
+
+    @pytest.mark.parametrize("verdict, code", [
+        (rates.BOUND_VIOLATED, 1), (rates.BOUND_SATISFIED, 0), (rates.INFORMATIONAL, 0)])
+    def test_greedy_fourier_exit_code_follows_the_verdict(self, capsys, monkeypatch,
+                                                          verdict, code):
+        monkeypatch.setattr(rates, "_verdict", lambda fit, predicted, check: verdict)
+        got, out, err = run_cli(capsys, "greedy-fourier", "--n-grid", "2:256")
+        assert got == code
+        assert out.startswith("n,error,bound,key_of_last_kept\n")
+        assert err.startswith(f"verdict: {verdict} (")
+
+    def test_rates_packing_separation_exits_zero_as_informational(self, capsys):
+        code, out, err = run_cli(capsys, "rates", "--kind", "packing-separation",
+                                 "--n-grid", "8:256")
+        assert code == 0
+        assert json.loads(out)["verdict"] == rates.INFORMATIONAL
+        assert err.startswith(f"verdict: {rates.INFORMATIONAL} (")
+
     def test_monomial_check_green(self, capsys):
         code, out, _ = run_cli(capsys, "monomial-check", "--k", "4")
         assert code == 0

@@ -253,8 +253,8 @@ class TestParameters:
         for key in ("tolerance", "seed"):
             with pytest.raises(ValueError, match=f"'{key}'"):
                 rates.kind_config(kind, {key: 1})
-        monkeypatch.setitem(rates.KINDS, kind, (defaults, lambda c, grid, seed: (
-            1.0, lambda n, _: 1.0 / n)))
+        monkeypatch.setitem(rates.KINDS, kind, rates.KINDS[kind]._replace(
+            setup=lambda c, grid, seed: (1.0, lambda n, _: 1.0 / n)))
         report = rates.run_experiment(kind, None, self.GRID)
         assert report.config["tolerance"] == rates.SLOPE_TOLERANCE
 
@@ -406,6 +406,18 @@ class TestParameters:
         assert len(streams[0].out.splitlines()) == len(script.RUNS)
         assert len(streams[0].err.splitlines()) == len(script.RUNS)
 
+    @pytest.mark.parametrize("verdict, code", [
+        (rates.BOUND_VIOLATED, 1), (rates.BOUND_SATISFIED, 0), (rates.INFORMATIONAL, 0)])
+    def test_run_all_experiments_exits_one_on_a_failed_verdict(
+            self, monkeypatch, capsys, tmp_path, verdict, code):
+        script = _run_all_experiments_script()
+        monkeypatch.setattr(script, "RUNS", [run for run in script.RUNS
+                                             if run[0] == rates.DYADIC_RESIDUAL])
+        monkeypatch.setattr(rates, "_verdict", lambda fit, predicted, check: verdict)
+        monkeypatch.setattr(sys, "argv", ["run_all_experiments.py", str(tmp_path)])
+        assert script.main() == code
+        assert f"verdict={verdict}" in capsys.readouterr().out
+
 
 class TestGreedyFourierDimension:
     def test_three_dimensional_sweep_reports_a_verdict(self):
@@ -436,9 +448,36 @@ class TestVerdictRule:
     def test_pure_function_of_fit_and_prediction(self):
         fit = RateFit(slope=-2.0, intercept=0.0, r_squared=1.0)
         # The fixed slack 0.15 lies between 0.1 and 0.2.
-        assert rates._verdict(fit, 2.1, False) == rates.BOUND_SATISFIED
-        assert rates._verdict(fit, 2.2, False) == rates.BOUND_VIOLATED
-        assert rates._verdict(fit, 2.5, True) == rates.INFORMATIONAL
+        assert rates._verdict(fit, 2.1, rates.UPPER) == rates.BOUND_SATISFIED
+        assert rates._verdict(fit, 2.2, rates.UPPER) == rates.BOUND_VIOLATED
+        assert rates._verdict(fit, 2.5, rates.INFORMATIONAL) == rates.INFORMATIONAL
+
+    @pytest.mark.parametrize("predicted", [1.0 / 3.0, 0.5, 1.0, 7.0 / 6.0, 2.0])
+    def test_upper_boundary_is_inclusive(self, predicted):
+        edge = -predicted + rates.SLOPE_TOLERANCE
+        above = np.nextafter(edge, np.inf)
+        assert rates._verdict(RateFit(edge, 0.0, 1.0), predicted, rates.UPPER) \
+            == rates.BOUND_SATISFIED
+        assert rates._verdict(RateFit(above, 0.0, 1.0), predicted, rates.UPPER) \
+            == rates.BOUND_VIOLATED
+
+    @pytest.mark.parametrize("slope", [-1e6, -2.0, -0.85, np.nextafter(-0.85, np.inf), 0.0, 5.0])
+    def test_informational_holds_at_any_slope(self, slope):
+        fit = RateFit(slope=slope, intercept=0.0, r_squared=1.0)
+        assert rates._verdict(fit, 1.0, rates.INFORMATIONAL) == rates.INFORMATIONAL
+
+    def test_every_kind_declares_a_known_check(self):
+        fit = RateFit(slope=-1.0, intercept=0.0, r_squared=1.0)
+        for entry in rates.KINDS.values():
+            assert rates._verdict(fit, 1.0, entry.check) in (
+                rates.BOUND_SATISFIED, rates.INFORMATIONAL)
+        with pytest.raises(ValueError, match="unknown verdict check 'lower'"):
+            rates._verdict(fit, 1.0, "lower")
+
+    def test_only_a_violated_bound_fails(self):
+        assert rates.failed(rates.BOUND_VIOLATED)
+        assert not rates.failed(rates.BOUND_SATISFIED)
+        assert not rates.failed(rates.INFORMATIONAL)
 
 
 class TestSerialization:

@@ -7,8 +7,9 @@ or parameters, and every exception class the package defines is raised in
 it.  Code and settings that only unit tests reach are wired into a command,
 fixed, or deleted; the references that unit tests check code against live
 in ``tests/oracles.py``, and each of them is imported by a test module.
-Last, ``cli.csv_text`` alone formats CSV numbers, and no line of the
-package starts a thread or reads the core count.
+Last, ``cli.csv_text`` alone formats CSV numbers, no line of the package
+starts a thread or reads the core count, and no verdict rule or exit code
+names a kind or a verdict that ``rates.KINDS`` and ``rates.failed`` hold.
 """
 
 import ast
@@ -274,8 +275,8 @@ def kind_keys_set() -> set[str]:
 
 
 def test_every_kind_key_has_a_caller():
-    declared = {f"{kind} {key}" for kind, (defaults, _) in rates.KINDS.items()
-                for key in defaults}
+    declared = {f"{kind} {key}" for kind, entry in rates.KINDS.items()
+                for key in entry.defaults}
     assert sorted(declared - kind_keys_set()) == sorted(k for k in UNCALLED if " --" not in k)
 
 
@@ -303,3 +304,42 @@ def test_no_line_starts_threads_or_reads_the_core_count():
              for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if pattern.search(line)]
     assert named == []
+
+
+def texts(node) -> set[str]:
+    """Names, attributes and string constants anywhere in ``node``."""
+    return {getattr(n, "id", None) or getattr(n, "attr", None) or n.value for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            or isinstance(n, ast.Constant) and isinstance(n.value, str)}
+
+
+def test_verdict_rule_and_exit_codes_name_no_kind_or_verdict():
+    """Each kind declares its verdict check in ``rates.KINDS``, and
+    ``rates.failed`` alone says which verdicts exit 1.  So ``rates._verdict``,
+    ``rates.run_experiment``, ``cli._cmd_rates`` and the experiment script's
+    ``main`` name no kind, by constant or by text; cli.py and the script name
+    no verdict; and in rates.py a kind constant is named only by its own
+    definition, its setup and ``KINDS``, and ``BOUND_VIOLATED`` only by its
+    definition, ``_verdict`` and ``failed``."""
+    constants = {name for name, value in vars(rates).items()
+                 if isinstance(value, str) and value in rates.KINDS}
+    assert len(constants) == len(rates.KINDS)
+    kinds = constants | set(rates.KINDS)
+    verdicts = {"BOUND_SATISFIED", "BOUND_VIOLATED", "INFORMATIONAL",
+                rates.BOUND_SATISFIED, rates.BOUND_VIOLATED, rates.INFORMATIONAL}
+    script = ROOT / "scripts" / "run_all_experiments.py"
+    for path, name in [(PACKAGE / "rates.py", "_verdict"), (PACKAGE / "rates.py", "run_experiment"),
+                       (PACKAGE / "cli.py", "_cmd_rates"), (script, "main")]:
+        function = next(node for node in parse(path).body
+                        if isinstance(node, ast.FunctionDef) and node.name == name)
+        assert texts(function) & kinds == set(), name
+    for path in (PACKAGE / "cli.py", script):
+        assert texts(parse(path)) & verdicts == set(), path.name
+    namers = {}  # name -> the top-level statements of rates.py that name it
+    for node in parse(PACKAGE / "rates.py").body:
+        label = getattr(node, "name", None) or ast.unparse(getattr(node, "targets", [node])[0])
+        for name in texts(node):
+            namers.setdefault(name, set()).add(label)
+    for name in constants:
+        assert namers[name] <= {name, "KINDS", rates.KINDS[getattr(rates, name)].setup.__name__}
+    assert namers["BOUND_VIOLATED"] == {"BOUND_VIOLATED", "_verdict", "failed"}
