@@ -7,7 +7,8 @@ Submodules
 ----------
 numerics        box quadrature, Sobolev mode weights, log-log rate fits
 barron          lattice Fourier expansions, bump mollifier, periodization
-greedy_fourier  greedy n-term truncation and closed-form rate exponents
+exponents       closed-form rate exponents, without NumPy
+greedy_fourier  greedy n-term truncation
 relu_nets       powered-rectifier dictionary, exact monomial algebra,
                 cube-partition compiler, norm certificates
 sphere_geom     greedy direction nets and separated subsets on the sphere

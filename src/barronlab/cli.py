@@ -14,10 +14,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from . import rates  # each handler imports the other modules its subcommand runs
-
 
 def csv_text(rows) -> str:
     """One comma-joined line per row, floats in 17 significant digits and
@@ -122,115 +118,13 @@ ANCHORS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="barronlab",
-        description="Constructive approximation experiments with verified rates.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--output", default=None, help="output path (default stdout)")
-        p.add_argument("--seed", type=seed_arg, default=0)
-
-    p = sub.add_parser("exponents", help=ANCHORS["exponents"])
-    common(p)
-    p.add_argument("--d", type=int, required=False, default=1)
-    p.add_argument("--m", type=_finite_float, default=0.0)
-    p.add_argument("--k", type=_finite_float, default=1.0)
-    p.add_argument("--s", type=_finite_float, default=1.0)
-    p.set_defaults(handler=_cmd_exponents)
-
-    p = sub.add_parser("greedy-fourier", help=ANCHORS["greedy-fourier"])
-    common(p)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--ks", type=_finite_float, default=2.0)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--n-grid", default="2:256")
-    p.add_argument("--xi-max", type=_finite_float, default=None)
-    p.set_defaults(handler=_cmd_greedy_fourier)
-
-    p = sub.add_parser("relu-compile", help=ANCHORS["relu-compile"])
-    common(p)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--q", type=int, default=8)
-    p.set_defaults(handler=_cmd_relu_compile)
-
-    p = sub.add_parser("monomial-check", help=ANCHORS["monomial-check"])
-    common(p)
-    p.add_argument("--k", type=int, default=4)
-    p.set_defaults(handler=_cmd_monomial_check)
-
-    p = sub.add_parser("sphere-net", help=ANCHORS["sphere-net"])
-    common(p)
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--m", type=int, default=8)
-    p.set_defaults(handler=_cmd_sphere_net)
-
-    p = sub.add_parser("subsample", help=ANCHORS["subsample"])
-    common(p)
-    p.add_argument("--N", type=int, default=256)
-    p.add_argument("--n", type=int, default=64)
-    p.add_argument("--M", type=int, default=10)
-    p.add_argument("--restarts", type=int, default=64)
-    p.set_defaults(handler=_cmd_subsample)
-
-    p = sub.add_parser("packing", help=ANCHORS["packing"])
-    common(p)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--kind", choices=("fourier", "relu"), default="relu")
-    p.add_argument("--d", type=int, default=2)
-    p.add_argument("--k", type=_finite_float, default=2.0,
-                   help="power (relu kind) or smoothness (fourier kind)")
-    p.add_argument("--n", type=int, default=32)
-    p.set_defaults(handler=_cmd_packing)
-
-    p = sub.add_parser("dyadic", help=ANCHORS["dyadic"])
-    common(p)
-    p.add_argument("--xi-max", type=_finite_float, default=128.0)
-    p.set_defaults(handler=_cmd_dyadic)
-
-    p = sub.add_parser("example1-gap", help=ANCHORS["example1-gap"])
-    common(p)
-    p.add_argument("--omega0-grid", type=_finite_floats, default="8,16,32,64")
-    p.add_argument("--units", type=int, default=8)
-    p.add_argument("--candidates", type=int, default=512)
-    p.set_defaults(handler=_cmd_example1_gap)
-
-    p = sub.add_parser("example2-tail", help=ANCHORS["example2-tail"])
-    common(p)
-    p.add_argument("--m", type=int, default=0)
-    p.add_argument("--A", type=_finite_float, default=2.0)
-    p.set_defaults(handler=_cmd_example2_tail)
-
-    p = sub.add_parser("witness", help=ANCHORS["witness"])
-    common(p)
-    p.add_argument("--n", type=int, default=8)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--d", type=int, default=1)
-    p.add_argument("--m", type=int, default=1)
-    p.set_defaults(handler=_cmd_witness)
-
-    p = sub.add_parser("rates", help=ANCHORS["rates"])
-    common(p)
-    p.add_argument("--kind", choices=rates.EXPERIMENT_KINDS, required=False,
-                   default=rates.GREEDY_FOURIER)
-    p.add_argument("--n-grid", default="2:256")
-    p.add_argument("--param", action="append", default=[],
-                   help="kind-specific KEY=VALUE, repeatable")
-    p.set_defaults(handler=_cmd_rates)
-
-    return parser
-
-
 # ----------------------------------------------------------------------
-# handlers
+# handlers: each imports the modules its subcommand runs, NumPy included
 # ----------------------------------------------------------------------
 
 def _cmd_exponents(args) -> int:
-    from . import greedy_fourier
-    table = greedy_fourier.rate_exponents(args.s, args.m, args.k, args.d)
+    from . import exponents
+    table = exponents.rate_exponents(args.s, args.m, args.k, args.d)
     payload = {
         "d": args.d, "m": args.m, "k": args.k, "s": args.s,
         "greedy_fourier_exponent": table.greedy_fourier_exponent,
@@ -246,6 +140,7 @@ def _cmd_exponents(args) -> int:
 
 
 def _cmd_greedy_fourier(args) -> int:
+    from . import rates
     grid = _parse_grid(args.n_grid)
     params = {"d": args.d, "ks": args.ks, "m": args.m, "xi_max": args.xi_max}
     report = rates.run_experiment(rates.GREEDY_FOURIER, params, grid, args.seed)
@@ -260,7 +155,7 @@ def _cmd_greedy_fourier(args) -> int:
 
 
 def _cmd_relu_compile(args) -> int:
-    from . import relu_nets
+    from . import rates, relu_nets
     partition = relu_nets.CubePartition(args.d, args.q)
     approx = relu_nets.compile_sobolev_approximant(rates.sine_target, args.ell, partition)
     errors = approx.cell_errors(rates.sine_target)
@@ -275,6 +170,8 @@ def _cmd_relu_compile(args) -> int:
 
 
 def _cmd_monomial_check(args) -> int:
+    import numpy as np
+
     from . import relu_nets
     if args.k < 1:
         raise ValueError(f"monomial-check needs --k >= 1, got --k {args.k}")
@@ -320,6 +217,7 @@ def _cmd_sphere_net(args) -> int:
 
 
 def _cmd_subsample(args) -> int:
+    from . import rates
     result = rates.seeded_subsample(args.N, args.M, args.n, args.restarts, args.seed)
     rows = [(i, dev, int(dev <= result.hoeffding_bound))
             for i, dev in enumerate(result.deviations)]
@@ -333,6 +231,7 @@ def _cmd_subsample(args) -> int:
 
 
 def _cmd_packing(args) -> int:
+    from . import rates
     family, report = rates.seeded_packing(args.kind, args.d, args.k, args.n, 64,
                                           args.seed)
     if not report.identity_violation <= 1e-9:  # also refuses NaN
@@ -404,6 +303,7 @@ def _cmd_witness(args) -> int:
 
 
 def _cmd_rates(args) -> int:
+    from . import rates
     grid = _parse_grid(args.n_grid)
     params = _parse_params(args.param)
     report = rates.run_experiment(args.kind, params, grid, args.seed)
@@ -412,10 +312,70 @@ def _cmd_rates(args) -> int:
     return 1 if rates.failed(report.verdict) else 0
 
 
+def _rates_flags():
+    from . import rates  # for the kind names, so only when rates' parser is built
+    return (("--kind", None, rates.GREEDY_FOURIER, {"choices": rates.EXPERIMENT_KINDS}),
+            ("--n-grid", None, "2:256"),
+            ("--param", None, [], {"action": "append",
+                                   "help": "kind-specific KEY=VALUE, repeatable"}))
+
+
+# subcommand -> (handler, flags): each flag is (name, type, default[, more keywords]),
+# after the --output and --seed of every subcommand; rates' flags are made on demand.
+COMMANDS = {
+    "exponents": (_cmd_exponents, (("--d", int, 1), ("--m", _finite_float, 0.0),
+                                   ("--k", _finite_float, 1.0), ("--s", _finite_float, 1.0))),
+    "greedy-fourier": (_cmd_greedy_fourier, (
+        ("--d", int, 1), ("--ks", _finite_float, 2.0), ("--m", int, 0),
+        ("--n-grid", None, "2:256"), ("--xi-max", _finite_float, None))),
+    "relu-compile": (_cmd_relu_compile, (("--d", int, 1), ("--ell", int, 2), ("--q", int, 8))),
+    "monomial-check": (_cmd_monomial_check, (("--k", int, 4),)),
+    "sphere-net": (_cmd_sphere_net, (("--d", int, 2), ("--m", int, 8))),
+    "subsample": (_cmd_subsample, (("--N", int, 256), ("--n", int, 64), ("--M", int, 10),
+                                   ("--restarts", int, 64))),
+    "packing": (_cmd_packing, (
+        ("--format", None, "csv", {"choices": ("csv", "json")}),
+        ("--kind", None, "relu", {"choices": ("fourier", "relu")}),
+        ("--d", int, 2),
+        ("--k", _finite_float, 2.0, {"help": "power (relu kind) or smoothness (fourier kind)"}),
+        ("--n", int, 32))),
+    "dyadic": (_cmd_dyadic, (("--xi-max", _finite_float, 128.0),)),
+    "example1-gap": (_cmd_example1_gap, (("--omega0-grid", _finite_floats, "8,16,32,64"),
+                                         ("--units", int, 8), ("--candidates", int, 512))),
+    "example2-tail": (_cmd_example2_tail, (("--m", int, 0), ("--A", _finite_float, 2.0))),
+    "witness": (_cmd_witness, (("--n", int, 8), ("--k", int, 1), ("--d", int, 1),
+                               ("--m", int, 1))),
+    "rates": (_cmd_rates, _rates_flags),
+}
+
+
+def build_parser(argv=()) -> argparse.ArgumentParser:
+    """The parser of ``argv``.  It lists every subcommand, but when ``argv``
+    names one, only that one gets its flags, since no other is parsed; any
+    other ``argv`` (empty, ``--help``, an unknown name) gets all of them."""
+    parser = argparse.ArgumentParser(
+        prog="barronlab",
+        description="Constructive approximation experiments with verified rates.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in COMMANDS else None
+    for name, (handler, flags) in COMMANDS.items():
+        p = sub.add_parser(name, help=ANCHORS[name])
+        if named not in (None, name):
+            continue
+        p.add_argument("--output", default=None, help="output path (default stdout)")
+        p.add_argument("--seed", type=seed_arg, default=0)
+        for flag, kind, default, *more in flags() if callable(flags) else flags:
+            p.add_argument(flag, type=kind, default=default, **dict(*more))
+        p.set_defaults(handler=handler)
+    return parser
+
+
 def dispatch(argv) -> int:
-    parser = build_parser()
+    argv = list(argv)
+    parser = build_parser(argv)
     try:
-        args = parser.parse_args(list(argv))
+        args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return int(code) if isinstance(code, int) else (0 if code is None else 2)

@@ -1,4 +1,4 @@
-"""Greedy n-term truncation of lattice Fourier sums and rate-exponent algebra.
+"""Greedy n-term truncation of lattice Fourier sums.
 
 Frequencies are ordered by the dictionary-weighted coefficient size
 (1 + |xi|)^(2m - ks) |c_xi| and the top n are kept; because lattice modes are
@@ -6,8 +6,6 @@ orthogonal on the period cell, the H^m truncation error is exactly the
 weighted l2 mass of the discarded tail.  For the synthetic heavy-tail
 spectrum with a radial weight that mass depends only on the lattice shells
 |z|^2 = k, so its sweeps count modes per shell instead of building them.
-The module also collects the closed-form rate exponents used by the
-experiment harness.
 """
 
 from __future__ import annotations
@@ -18,6 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barron import COEFF_DROP_RELATIVE, MAX_BOX_ROWS, FourierSum, from_arrays
+# Re-exported: the acceptance tests read the exponents from this module.
+from .exponents import ExponentTable, rate_exponents, smoothness_threshold
 from .numerics import count_text, grid_rows, sobolev_weight
 
 # Largest lattice-shell table heavy_tail_sweep builds: 2^21 rows, ~80 MB at d = 2, ~210 MB above.
@@ -91,71 +91,6 @@ def tail_error_hm(fs: FourierSum, sel: GreedySelection, n: int, m: int) -> float
     ``tail_errors_hm``, which a sweep over many n builds once instead.
     """
     return tail_errors_hm(fs, sel, m)(n)
-
-
-@dataclass(frozen=True)
-class ExponentTable:
-    """Closed-form rate exponents for a parameter point (s, m, k, d).
-
-    All decay exponents are stored as positive numbers p meaning an error
-    bound of order n^(-p); ``relu_log_power`` is the extra log(n) power of
-    the case-split rate.
-    """
-
-    greedy_fourier_exponent: float
-    relu_rate_exponent: float
-    relu_log_power: float
-    smoothness_threshold: float
-    uniform_entropy_exponent: float
-    sobolev_exponent: float
-    width_barrier_exponent: float
-
-
-def smoothness_threshold(k: float, m: float, d: int) -> float:
-    """Smoothness level above which the case-split rate saturates at k - m + 1."""
-    return (d + 1) * (k - m + 0.5) + m + 0.5
-
-
-def rate_exponents(s: float, m: float, k: float, d: int) -> ExponentTable:
-    """Evaluate every closed-form exponent at one parameter point.
-
-    ``greedy_fourier_exponent`` is 1/2 + (k s - m)/d, the weighted greedy
-    truncation rate at smoothness index k*s.  The case-split pair
-    (``relu_rate_exponent``, ``relu_log_power``) is continuous in s and
-    capped at k - m + 1, reached exactly at ``smoothness_threshold``.
-    ``uniform_entropy_exponent`` is 1/2 + (2k + 1)/(2d),
-    ``sobolev_exponent`` s/d, and ``width_barrier_exponent`` (k + 1) - m.
-    Inputs at which any of them leaves the float range are a ``ValueError``
-    naming the inputs and the exponents.
-    """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if k < 0 or m < 0:
-        raise ValueError("k and m must be nonnegative")
-    threshold = smoothness_threshold(k, m, d)
-    if s < threshold:
-        t = 0.5 + (2.0 * (s - m) - 1.0) / (2.0 * (d + 1))
-        q = 0.0
-    elif s > threshold:
-        t = k - m + 1.0
-        q = 1.0
-    else:
-        t = k - m + 1.0
-        q = 1.0 + (k - m + 0.5)
-    table = ExponentTable(
-        greedy_fourier_exponent=0.5 + (k * s - m) / d,
-        relu_rate_exponent=t,
-        relu_log_power=q,
-        smoothness_threshold=threshold,
-        uniform_entropy_exponent=0.5 + (2.0 * k + 1.0) / (2.0 * d),
-        sobolev_exponent=s / d,
-        width_barrier_exponent=(k + 1.0) - m,
-    )
-    overflowed = [name for name, value in vars(table).items() if not math.isfinite(value)]
-    if overflowed:
-        raise ValueError(f"closed forms at s={s}, m={m}, k={k}, d={d} leave the float range: "
-                         f"{', '.join(overflowed)}")
-    return table
 
 
 def synthetic_heavy_tail(d: int, ks: float, xi_max: float, seed: int) -> FourierSum:

@@ -17,12 +17,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .barron import (MAX_BOX_ROWS, FourierSum, fourier_sum, from_arrays, hm_norm_exact,
-                     mode_norm)
 from .numerics import (as_batch, axis_rule, count_text, read_only, ridge_block, sigma_k,
                        unbatch)
 
-if TYPE_CHECKING:  # the packing code imports sphere_geom when it runs
+if TYPE_CHECKING:  # the code that runs barron or sphere_geom imports it when it runs
+    from .barron import FourierSum
     from .sphere_geom import SphericalNet
 
 
@@ -156,6 +155,7 @@ class DyadicDecomposition:
     @cached_property
     def blocks(self) -> tuple[tuple[int, FourierSum], ...]:
         """(level, block expansion) per level, in level order."""
+        from .barron import FourierSum
         # The runs are sorted and finite, and no block's peak exceeds the spectrum's,
         # so ``from_arrays`` would neither reorder nor drop a row: build blocks directly.
         fs = self.spectrum
@@ -168,6 +168,7 @@ class DyadicDecomposition:
     def sq_norms(self) -> tuple[float, ...]:
         """Squared L2 norm of each level's block, in level order, computed once:
         ``hm_norm_exact(block, 0) ** 2`` from the level's runs of |c_z|^2."""
+        from .barron import mode_norm
         fs = self.spectrum
         power = np.abs(fs.values) ** 2
         return tuple(mode_norm(fs.L, fs.d, np.concatenate([power[r] for r in runs])) ** 2
@@ -196,6 +197,7 @@ def decaying_spectrum(xi_max: float, decay: float) -> FourierSum:
     negative xi_max is refused.  The coefficients are computed in place in
     one float buffer.
     """
+    from .barron import MAX_BOX_ROWS, from_arrays
     if xi_max < 0:
         raise ValueError(f"xi_max must be >= 0, got xi_max = {xi_max}")
     rows = 2 * int(xi_max) + 1
@@ -241,6 +243,7 @@ def oscillatory_witness(n: int, k: int, d: int, m: int) -> OscillatoryWitness:
     """Build the single-mode witness and report its exact Sobolev mass; the
     power k must be a nonnegative integer, K below 2^63 and (2 pi K)^(2m)
     below 2^1023."""
+    from .barron import fourier_sum, hm_norm_exact
     if n < 1:
         raise ValueError(f"width must be >= 1, got {n}")
     if k < 0 or int(k) != k:

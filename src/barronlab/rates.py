@@ -114,7 +114,7 @@ def seeded_packing(kind: str, d: int, k_or_s: float, n: int, pairs: int, seed: i
 # function error(n, run_seed); greedy-fourier adds its sweep's key(n).
 
 def _greedy_fourier(c, grid, seed):
-    from . import greedy_fourier
+    from . import exponents, greedy_fourier
     if c["xi_max"] is None:
         c["xi_max"] = max(400.0, 1.5 * grid[-1])
     for key in ("m", "xi_max"):
@@ -127,7 +127,7 @@ def _greedy_fourier(c, grid, seed):
     if max((2 * m - ks) * math.log2(1.0 + xi_max), math.log2(m + 1) + 2 * m * spread) >= 1023:
         raise ValueError(f"kind {GREEDY_FOURIER} needs key factor (1 + xi_max)^(2m - ks) "
                          f"and w_m(xi_max) below 2^1023, got m={m}, ks={ks} at xi_max={xi_max:g}")
-    predicted = greedy_fourier.rate_exponents(ks, m, 1, c["d"]).greedy_fourier_exponent
+    predicted = exponents.rate_exponents(ks, m, 1, c["d"]).greedy_fourier_exponent
     if predicted <= 0:  # tail errors never grow in n, so no fit could violate it
         raise ValueError(f"kind {GREEDY_FOURIER} needs 1/2 + (ks - m)/d > 0 for a tail that "
                          f"decays, got ks={ks}, m={m}, d={c['d']}")

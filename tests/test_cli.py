@@ -79,12 +79,67 @@ class TestHelp:
         def refuse(args):
             raise AssertionError("--help ran a handler")
 
-        for name in dir(cli):
-            if name.startswith("_cmd_"):
-                monkeypatch.setattr(cli, name, refuse)
+        for name, (_, flags) in cli.COMMANDS.items():
+            monkeypatch.setitem(cli.COMMANDS, name, (refuse, flags))
         code, out, _ = run_cli(capsys, "--help")
         assert code == 0
         assert "".join(ANCHORS[command].split()) in "".join(out.split())
+
+
+def subparsers(parser) -> dict:
+    return next(a for a in parser._actions if a.dest == "command").choices
+
+
+def parser_shape(parser) -> tuple:
+    """What a subparser parses and prints: its help, each action's destination,
+    default, choices and type, and its handler."""
+    return (parser.format_help(), parser.get_default("handler"),
+            [(a.dest, a.default, a.choices, a.type) for a in parser._actions])
+
+
+USAGE = """usage: barronlab [-h]
+                 {exponents,greedy-fourier,relu-compile,monomial-check,sphere-net,subsample,packing,dyadic,example1-gap,example2-tail,witness,rates}
+                 ...
+"""
+
+
+class TestNarrowParser:
+    # A command's argv builds only its own subparser's flags (cold runs skip the rest).
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_own_parser_matches_the_full_one(self, monkeypatch, command):
+        monkeypatch.setenv("COLUMNS", "80")
+        narrow = subparsers(build_parser([command, "--seed", "1"]))
+        assert list(narrow) == SUBCOMMANDS
+        assert parser_shape(narrow[command]) == parser_shape(PARSERS[command])
+        assert all(len(p._actions) == 1 and p.get_default("handler") is None  # -h alone
+                   for name, p in narrow.items() if name != command)
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["-h"], ["nope"], ["--seed", "1"]])
+    def test_argv_naming_no_subcommand_builds_every_flag(self, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        built = subparsers(build_parser(argv))
+        assert [parser_shape(p) for p in built.values()] == \
+            [parser_shape(p) for p in PARSERS.values()]
+
+    # Exit codes and stderr as the parser that built every flag printed them.
+    @pytest.mark.parametrize("argv,code,err", [
+        ([], 2, USAGE + "barronlab: error: the following arguments are required: command\n"),
+        (["--help"], 0, ""),
+        (["nope"], 2, USAGE + "barronlab: error: argument command: invalid choice: 'nope' "
+                              "(choose from 'exponents', 'greedy-fourier', 'relu-compile', "
+                              "'monomial-check', 'sphere-net', 'subsample', 'packing', 'dyadic', "
+                              "'example1-gap', 'example2-tail', 'witness', 'rates')\n"),
+        (["rates", "--kind", "nope"], 2, """usage: barronlab rates [-h] [--output OUTPUT] [--seed SEED]
+                       [--kind {greedy-fourier,sobolev-compile,sphere-cover,subsample-concentration,packing-separation,dyadic-residual}]
+                       [--n-grid N_GRID] [--param PARAM]
+barronlab rates: error: argument --kind: invalid choice: 'nope' (choose from 'greedy-fourier', 'sobolev-compile', 'sphere-cover', 'subsample-concentration', 'packing-separation', 'dyadic-residual')
+"""),
+        (["exponents", "--bogus"], 2, USAGE + "barronlab: error: unrecognized arguments: --bogus\n"),
+    ], ids=["bare", "help", "unknown-command", "unknown-kind", "unknown-flag"])
+    def test_usage_errors_print_what_they_printed(self, capsys, monkeypatch, argv, code, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        got_code, _, got_err = run_cli(capsys, *argv)
+        assert (got_code, got_err) == (code, err)
 
 
 class TestExitCodes:
@@ -837,37 +892,51 @@ LOADED_BARRONLAB = "print(*sorted(m for m in sys.modules if m.startswith('barron
 
 
 def test_import_loads_only_the_parser_modules():
-    # The parser needs rates' kind names; every other module waits for its
-    # subcommand.  subsample stays loaded by rates (see rates' imports).
-    out = _fresh_process(f"import sys, barronlab.cli; {LOADED_BARRONLAB}")
-    assert out.split() == ["barronlab", "barronlab.cli", "barronlab.numerics",
-                           "barronlab.rates", "barronlab.subsample"]
+    # Every module, NumPy included, waits for the subcommand that runs it.
+    out = _fresh_process(f"import sys, barronlab.cli; print('numpy' in sys.modules); "
+                         f"{LOADED_BARRONLAB}")
+    assert out.split() == ["False", "barronlab", "barronlab.cli"]
+
+
+# Runs a command's argv in a fresh process and prints its exit code, whether
+# NumPy was loaded and the barronlab modules that were.
+DISPATCH = ("import contextlib, io, sys\n"
+            "from barronlab import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.dispatch(sys.argv[1:])\n"
+            f"print(code, 'numpy' in sys.modules); {LOADED_BARRONLAB}")
+
+
+def test_exponents_loads_neither_numpy_nor_another_module():
+    status, loaded = _fresh_process(DISPATCH, "exponents", "--d", "2", "--m", "0", "--k", "1",
+                                    "--s", "0.5").splitlines()
+    assert status == "0 False"
+    assert loaded.split() == ["barronlab", "barronlab.cli", "barronlab.exponents"]
 
 
 # Modules each README command must leave unloaded in a fresh process.
 UNUSED_MODULES = {
-    "exponents": ("lower_bounds", "relu_nets", "sphere_geom"),
+    "exponents": ("lower_bounds", "relu_nets", "sphere_geom", "rates", "subsample"),
     "greedy-fourier": ("lower_bounds", "relu_nets", "sphere_geom"),
     "relu-compile": ("lower_bounds", "barron", "greedy_fourier", "sphere_geom"),
-    "monomial-check": ("lower_bounds", "barron", "greedy_fourier", "sphere_geom"),
+    "monomial-check": ("lower_bounds", "barron", "greedy_fourier", "sphere_geom", "rates",
+                       "subsample"),
     "rates": ("lower_bounds", "barron", "greedy_fourier", "sphere_geom"),
-    "sphere-net": ("lower_bounds", "relu_nets", "barron", "greedy_fourier"),
+    "sphere-net": ("lower_bounds", "relu_nets", "barron", "greedy_fourier", "rates",
+                   "subsample"),
     "subsample": ("lower_bounds", "relu_nets", "barron", "greedy_fourier"),
-    "packing": ("relu_nets", "greedy_fourier"),
-    "dyadic": ("relu_nets", "sphere_geom", "greedy_fourier"),
-    "example1-gap": ("relu_nets", "sphere_geom", "greedy_fourier"),
-    "example2-tail": ("relu_nets", "sphere_geom", "greedy_fourier"),
-    "witness": ("relu_nets", "sphere_geom", "greedy_fourier"),
+    "packing": ("relu_nets", "greedy_fourier", "barron"),
+    "dyadic": ("relu_nets", "sphere_geom", "greedy_fourier", "rates", "subsample"),
+    "example1-gap": ("relu_nets", "sphere_geom", "greedy_fourier", "rates", "subsample",
+                     "barron"),
+    "example2-tail": ("relu_nets", "sphere_geom", "greedy_fourier", "rates", "subsample",
+                      "barron"),
+    "witness": ("relu_nets", "sphere_geom", "greedy_fourier", "rates", "subsample"),
 }
 
 
 @pytest.mark.parametrize("argv", readme_commands(), ids=lambda argv: argv[0])
 def test_readme_command_loads_only_the_modules_it_runs(argv):
-    code = ("import contextlib, io, sys\n"
-            "from barronlab import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    code = cli.dispatch(sys.argv[1:])\n"
-            f"print(code); {LOADED_BARRONLAB}")
-    exit_code, loaded = _fresh_process(code, *argv).splitlines()
-    assert exit_code == "0"
+    status, loaded = _fresh_process(DISPATCH, *argv).splitlines()
+    assert status.split()[0] == "0"
     assert set(loaded.split()).isdisjoint(f"barronlab.{m}" for m in UNUSED_MODULES[argv[0]])
